@@ -33,6 +33,7 @@ from .colligation import (
     system_operator,
     to_canonical,
     transfer_eval,
+    transfer_values,
     unitary_similarity,
     weak_similarity,
 )

@@ -33,7 +33,6 @@ from .colligation import (
     realize_from_taylor,
     simp_kar_check,
     to_canonical,
-    transfer_eval,
     unitary_similarity,
     weak_similarity,
 )
@@ -443,13 +442,12 @@ def cmd_julia_embed(args):
     cls = classify(emb, tol, with_krylov=False)
     S = as_transfer(system)
     p, m = system.output_dim, system.input_dim
-    corner = 0.0
-    for z in disc_points(16, seed=tol.seed * 91 + 2, radius=0.85,
-                         exclude=S.poles, min_dist=1e-4):
-        want = S(z, tol)
-        got = transfer_eval(emb, z, tol)[:p, :m]
-        corner = max(corner, np.linalg.norm(got - want, 2)
-                     / max(1.0, np.linalg.norm(want, 2)))
+    pts = disc_points(16, seed=tol.seed * 91 + 2, radius=0.85,
+                      exclude=S.poles, min_dist=1e-4)
+    want = S.values(pts, tol)
+    got = as_transfer(emb).values(pts, tol)[:, :p, :m]
+    corner = float(np.max(np.linalg.norm(got - want, 2, axis=(1, 2))
+                          / np.maximum(1.0, np.linalg.norm(want, 2, axis=(1, 2)))))
     if corner > 1e-9:
         raise InternalConsistencyError(
             f"embedding corner transfer missed the original by {corner:.3e}")

@@ -35,10 +35,8 @@ def boundary_points(n, seed=None):
     return np.exp(1j * angles)
 
 
-def disc_grid(per_ring=None, radii=(0.3, 0.6, 0.9), seed=0):
+def disc_grid(per_ring, radii=(0.3, 0.6, 0.9), seed=0):
     """Radial grid in the open disc: rings of seed-rotated roots of unity."""
-    if per_ring is None:
-        per_ring = max(4, DEFAULT_TOL.disc_samples // len(radii))
     rng = np.random.default_rng(seed)
     points = []
     for r in radii:

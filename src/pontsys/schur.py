@@ -19,6 +19,7 @@ rationale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .colligation import (
     adjoint_system,
     classify,
     transfer_eval,
+    transfer_values,
 )
 from .exceptions import (
     DimensionMismatchError,
@@ -75,9 +77,9 @@ class TransferFunction:
     """Rational matrix function presented through a backing realization.
 
     Evaluation, adjoints and factorizations all delegate to the backing
-    colligation; the pole list caches the reciprocal eigenvalues of the
-    main operator, whose outside-disc part produces the poles in the
-    open disc.
+    colligation.  The eigenvalues of the main operator are computed once;
+    the pole list holds their reciprocals, whose outside-disc eigenvalues
+    produce the poles in the open disc.
     """
 
     def __init__(self, backing):
@@ -86,20 +88,17 @@ class TransferFunction:
         self.backing = backing
         self.input_dim = backing.input_dim
         self.output_dim = backing.output_dim
-        self._poles = None
 
-    @property
+    @cached_property
+    def _eigenvalues(self):
+        A = self.backing.A
+        return np.linalg.eigvals(A) if A.size else np.zeros(0, dtype=complex)
+
+    @cached_property
     def poles(self):
         """Reciprocals of the nonzero eigenvalues of the main operator."""
-        if self._poles is None:
-            A = self.backing.A
-            if A.size == 0:
-                self._poles = np.zeros(0, dtype=complex)
-            else:
-                lam = np.linalg.eigvals(A)
-                lam = lam[np.abs(lam) > 1e-14]
-                self._poles = np.sort_complex(1.0 / lam)
-        return self._poles
+        lam = self._eigenvalues
+        return np.sort_complex(1.0 / lam[np.abs(lam) > 1e-14])
 
     @property
     def disc_poles(self):
@@ -110,10 +109,12 @@ class TransferFunction:
     def disc_pole_count(self):
         """Eigenvalues of the main operator outside the closed disc, with
         multiplicity; equals the number of poles inside the disc."""
-        A = self.backing.A
-        if A.size == 0:
-            return 0
-        return int(np.sum(np.abs(np.linalg.eigvals(A)) > 1.0))
+        return int(np.sum(np.abs(self._eigenvalues) > 1.0))
+
+    def values(self, points, tol=DEFAULT_TOL):
+        """Values at every point as an (N, p, m) stack; a point too close
+        to a pole raises PoleProximityError."""
+        return transfer_values(self.backing, points, tol, raise_on_pole=True)[0]
 
     def __call__(self, z, tol=DEFAULT_TOL):
         return transfer_eval(self.backing, z, tol)
@@ -165,18 +166,13 @@ class KernelGram:
         return self.inertia[0] + self.inertia[2]
 
 
-def _inertia(G, rank_tol):
-    if G.size == 0:
-        return (0, 0, 0)
-    w = np.linalg.eigvalsh(G)
-    thr = rank_tol * max(1.0, float(np.max(np.abs(w))))
-    plus = int(np.sum(w > thr))
-    minus = int(np.sum(w < -thr))
-    return (plus, G.shape[0] - plus - minus, minus)
-
-
 def kernel_gram(S, points, tol=DEFAULT_TOL):
-    """Schur-kernel Gram matrix of the function at the given disc points."""
+    """Schur-kernel Gram matrix of the function at the given disc points.
+
+    The Hermitian certificate reuses the inertia eigenvalues: the
+    Frobenius norm of G - G^* must stay within 1e-12 max(1, |eig|max)
+    of the symmetrized G.
+    """
     S = as_transfer(S)
     points = np.asarray(points, dtype=complex).ravel()
     if points.size == 0:
@@ -190,21 +186,22 @@ def kernel_gram(S, points, tol=DEFAULT_TOL):
             raise PoleProximityError(bad, S.poles[
                 int(np.argmin(np.abs(S.poles - bad)))])
     p = S.output_dim
-    vals = [S(w, tol) for w in points]
     N = points.size
-    G = np.zeros((N * p, N * p), dtype=complex)
-    eye = np.eye(p)
-    for i in range(N):
-        for j in range(N):
-            denom = 1.0 - points[i] * np.conj(points[j])
-            G[i * p:(i + 1) * p, j * p:(j + 1) * p] = (
-                eye - vals[i] @ vals[j].conj().T) / denom
-    herm = np.linalg.norm(G - G.conj().T, 2)
-    if herm > 1e-12 * max(1.0, np.linalg.norm(G, 2)):
+    V = S.values(points, tol).reshape(N * p, S.input_dim)
+    denom = 1.0 - points[:, None] * np.conj(points)[None, :]
+    G = ((np.eye(p)[None, :, None, :] - (V @ V.conj().T).reshape(N, p, N, p))
+         / denom[:, None, :, None]).reshape(N * p, N * p)
+    herm = np.linalg.norm(G - G.conj().T)
+    G = 0.5 * (G + G.conj().T)
+    w = np.linalg.eigvalsh(G)
+    scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
+    if herm > 1e-12 * scale:
         raise InternalConsistencyError(
             f"kernel Gram not Hermitian (residual {herm:.2e})")
-    G = 0.5 * (G + G.conj().T)
-    return KernelGram(points, G, _inertia(G, tol.rank_tol), p)
+    thr = tol.rank_tol * scale
+    plus = int(np.sum(w > thr))
+    minus = int(np.sum(w < -thr))
+    return KernelGram(points, G, (plus, w.size - plus - minus, minus), p)
 
 
 @dataclass
@@ -316,14 +313,15 @@ def invert_system(system, target_metric="auto", tol=DEFAULT_TOL):
                 "certificate under the negated state metric")
     Sf = TransferFunction(system)
     So = TransferFunction(out)
-    exclude = np.concatenate([Sf.poles, So.poles])
-    for z in disc_points(6, seed=tol.seed * 31 + 5, radius=0.85,
-                         exclude=exclude, min_dist=_POLE_MARGIN):
-        prod = So(z, tol) @ Sf(z, tol)
-        if np.linalg.norm(prod - np.eye(system.input_dim), 2) > 1e-8 * max(
-                1.0, np.linalg.norm(So(z, tol), 2) * np.linalg.norm(Sf(z, tol), 2)):
-            raise InternalConsistencyError(
-                "inverse realization does not invert the transfer function")
+    pts = disc_points(6, seed=tol.seed * 31 + 5, radius=0.85,
+                      exclude=np.concatenate([Sf.poles, So.poles]),
+                      min_dist=_POLE_MARGIN)
+    vo, vf = So.values(pts, tol), Sf.values(pts, tol)
+    miss = np.linalg.norm(vo @ vf - np.eye(system.input_dim), 2, axis=(1, 2))
+    scale = np.linalg.norm(vo, 2, axis=(1, 2)) * np.linalg.norm(vf, 2, axis=(1, 2))
+    if np.any(miss > 1e-8 * np.maximum(1.0, scale)):
+        raise InternalConsistencyError(
+            "inverse realization does not invert the transfer function")
     return out
 
 
@@ -377,16 +375,6 @@ def _zeros_of_inverse(invb):
     if invb.state_dim == 0:
         return np.zeros(0, dtype=complex)
     return 1.0 / np.linalg.eigvals(invb.A)
-
-
-def _max_boundary_sigma(S, tol, samples=64):
-    worst = 0.0
-    for z in boundary_points(samples):
-        try:
-            worst = max(worst, np.linalg.norm(S(z, tol), 2))
-        except PoleProximityError:
-            continue
-    return worst
 
 
 def _right_backing(S, tol):
@@ -494,7 +482,8 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
                 raise InternalConsistencyError(
                     f"{name} Schur factor failed the sampled zero-index "
                     f"certificate (estimate {est.estimate!r})")
-        if _max_boundary_sigma(fac, tol) > 1.0 + tol.metric_tol:
+        sigma = _circle_survey(fac, 64, tol)[0]
+        if np.nanmax(sigma, initial=0.0) > 1.0 + tol.metric_tol:
             raise InternalConsistencyError(
                 f"{name} Schur factor is not boundary contractive")
     for name, fac in (("right", B_r), ("left", B_l)):
@@ -505,17 +494,17 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
                 "system")
 
     # reconstruction at samples kept away from every pole involved
-    exclude = np.concatenate([S.poles, zeros_r, zeros_l])
-    res_r = 0.0
-    res_l = 0.0
-    for z in disc_points(64, seed=tol.seed * 613 + 7, radius=0.9,
-                         exclude=exclude, min_dist=1e-4):
-        val = S(z, tol)
-        scale = max(1.0, np.linalg.norm(val, 2))
-        res_r = max(res_r, np.linalg.norm(
-            val - S_r(z, tol) @ np.linalg.inv(B_r(z, tol)), 2) / scale)
-        res_l = max(res_l, np.linalg.norm(
-            val - np.linalg.solve(B_l(z, tol), S_l(z, tol)), 2) / scale)
+    pts = disc_points(64, seed=tol.seed * 613 + 7, radius=0.9,
+                      exclude=np.concatenate([S.poles, zeros_r, zeros_l]),
+                      min_dist=1e-4)
+    val = S.values(pts, tol)
+    scale = np.maximum(1.0, np.linalg.norm(val, 2, axis=(1, 2)))
+    res_r = float(np.max(np.linalg.norm(
+        val - S_r.values(pts, tol) @ np.linalg.inv(B_r.values(pts, tol)),
+        2, axis=(1, 2)) / scale))
+    res_l = float(np.max(np.linalg.norm(
+        val - np.linalg.solve(B_l.values(pts, tol), S_l.values(pts, tol)),
+        2, axis=(1, 2)) / scale))
     if max(res_r, res_l) > 1e-7:
         raise InternalConsistencyError(
             f"factor reconstruction failed (right {res_r:.2e}, "
@@ -527,18 +516,13 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
     # exactly there (the transfer value itself stays regular)
     off_r = 0.0 if right is not None else 1e-5 * np.exp(0.7j)
     off_l = 0.0 if left is not None else 1e-5 * np.exp(0.7j)
-    for w in zeros_r:
-        M = np.vstack([B_r(w + off_r, tol), S_r(w + off_r, tol)])
-        sv = np.linalg.svd(M, compute_uv=False)
-        if sv[-1] <= 1e-8 * max(1.0, sv[0]):
+    for name, B, Sf, w, axis in (("right", B_r, S_r, zeros_r + off_r, 1),
+                                 ("left", B_l, S_l, zeros_l + off_l, 2)):
+        sv = np.linalg.svd(np.concatenate(
+            [B.values(w, tol), Sf.values(w, tol)], axis=axis), compute_uv=False)
+        if np.any(sv[:, -1] <= 1e-8 * np.maximum(1.0, sv[:, 0])):
             raise InternalConsistencyError(
-                "right factors share a zero; factorization not reduced")
-    for w in zeros_l:
-        M = np.hstack([B_l(w + off_l, tol), S_l(w + off_l, tol)])
-        sv = np.linalg.svd(M, compute_uv=False)
-        if sv[-1] <= 1e-8 * max(1.0, sv[0]):
-            raise InternalConsistencyError(
-                "left factors share a zero; factorization not reduced")
+                f"{name} factors share a zero; factorization not reduced")
 
     notes = RATIONAL_NOTE
     if right is None:
@@ -579,28 +563,27 @@ class BoundaryReport:
                    float(self.defect_right[k]), float(self.defect_left[k]))
 
 
+def _circle_survey(S, samples, tol):
+    """Top singular values and the norms of I - V^*V and I - VV^* at the
+    samples-th roots of unity, as three arrays that are NaN where a point
+    sat too close to a pole."""
+    vals, ok = transfer_values(S.backing, boundary_points(samples), tol)
+    V = vals[ok]
+    VH = V.conj().transpose(0, 2, 1)
+    out = np.full((3, samples), np.nan)
+    out[:, ok] = [np.linalg.norm(X, 2, axis=(1, 2)) for X in (
+        V, np.eye(S.input_dim) - VH @ V, np.eye(S.output_dim) - V @ VH)]
+    return out
+
+
 def boundary_behavior(S, tol=DEFAULT_TOL):
     """Survey the function on the circle and flag inner behavior."""
     S = as_transfer(S)
     n = tol.boundary_samples
     angles = 2.0 * np.pi * np.arange(n) / n
-    sig = np.full(n, np.nan)
-    dr = np.full(n, np.nan)
-    dl = np.full(n, np.nan)
-    skipped = 0
-    for k, theta in enumerate(angles):
-        z = np.exp(1j * theta)
-        try:
-            val = S(z, tol)
-        except PoleProximityError:
-            skipped += 1
-            continue
-        sig[k] = np.linalg.norm(val, 2) if val.size else 0.0
-        dr[k] = np.linalg.norm(
-            np.eye(S.input_dim) - val.conj().T @ val, 2) if val.size else 0.0
-        dl[k] = np.linalg.norm(
-            np.eye(S.output_dim) - val @ val.conj().T, 2) if val.size else 0.0
+    sig, dr, dl = _circle_survey(S, n, tol)
     good = ~np.isnan(sig)
+    skipped = int(np.sum(~good))
     if not np.any(good):
         return BoundaryReport(angles, sig, dr, dl, False, False, False,
                               False, skipped,
@@ -654,11 +637,10 @@ class DefectResult:
     note: str = RATIONAL_NOTE
 
 
-def _denominator_coeffs(A):
-    """Ascending coefficients of det(I - zA) from the eigenvalues."""
-    if A.size == 0:
+def _denominator_coeffs(lam):
+    """Ascending coefficients of det(I - zA) from the eigenvalues of A."""
+    if lam.size == 0:
         return np.array([1.0 + 0.0j])
-    lam = np.linalg.eigvals(A)
     # np.poly gives x^n + ... for prod (x - lam); read backwards those are
     # the ascending coefficients of prod (1 - lam z)
     return np.asarray(np.poly(lam), dtype=complex)
@@ -678,9 +660,8 @@ def _numerator_coeffs(S, dcoeffs, tol):
         raise InternalConsistencyError("could not place a sampling circle "
                                        "between the pole moduli")
     nodes = radius * np.exp(2j * np.pi * np.arange(N) / N)
-    fvals = np.array([complex(S(z, tol)[0, 0]) *
-                      np.polynomial.polynomial.polyval(z, dcoeffs)
-                      for z in nodes])
+    fvals = S.values(nodes, tol)[:, 0, 0] * np.polynomial.polynomial.polyval(
+        nodes, dcoeffs)
     coeffs = np.fft.fft(fvals) / N
     return coeffs / radius ** np.arange(N)
 
@@ -696,12 +677,10 @@ def _laurent_coeffs(dcoeffs, ncoeffs):
     return c
 
 
-def _outer_denominator(A):
+def _outer_denominator(eigenvalues):
     """det(I - zA) with inside-disc zeros reflected out, ascending coeffs."""
     coeffs = np.array([1.0 + 0.0j])
-    if A.size == 0:
-        return coeffs
-    for lam in np.linalg.eigvals(A):
+    for lam in eigenvalues:
         if abs(lam) > 1.0:
             factor = np.array([-np.conj(lam), 1.0])  # z - conj(lam)
         else:
@@ -720,13 +699,11 @@ def _right_defect_scalar(S, tol):
     gives the outer denominator with the same boundary modulus.
     """
     circle = boundary_points(128)
-    worst = 0.0
-    for z in circle:
-        val = complex(S(z, tol)[0, 0])
-        worst = max(worst, abs(1.0 - abs(val) ** 2))
+    target = 1.0 - np.abs(S.values(circle, tol)[:, 0, 0]) ** 2
+    worst = float(np.max(np.abs(target)))
     if worst <= tol.metric_tol:
         return None, worst
-    dcoeffs = _denominator_coeffs(S.backing.A)
+    dcoeffs = _denominator_coeffs(S._eigenvalues)
     ncoeffs = _numerator_coeffs(S, dcoeffs, tol)
     c = _laurent_coeffs(dcoeffs, ncoeffs)
     cmax = float(np.max(np.abs(c)))
@@ -748,24 +725,16 @@ def _right_defect_scalar(S, tol):
         roots_out = roots[order[:neff]]
     q = np.polynomial.polynomial.polyfromroots(roots_out)
 
-    def laurent_value(zeta):
-        val = c[0].real + 0.0
-        for k in range(1, neff + 1):
-            val += 2.0 * (c[k] * zeta ** k).real
-        return val
-
-    lvals = np.array([laurent_value(z) for z in circle])
+    lvals = np.full(circle.size, c[0].real + 0.0)
+    for k in range(1, neff + 1):
+        lvals += 2.0 * (c[k] * circle ** k).real
     qvals = np.abs(np.polynomial.polynomial.polyval(circle, q)) ** 2
     star = int(np.argmax(lvals))
     if qvals[star] <= 0.0:
         raise InternalConsistencyError("degenerate spectral factor scaling")
     gamma = np.sqrt(max(lvals[star], 0.0) / qvals[star])
-    phi = RationalScalar(gamma * q, _outer_denominator(S.backing.A))
-    resid = 0.0
-    for z in circle:
-        val = complex(S(z, tol)[0, 0])
-        target = 1.0 - abs(val) ** 2
-        resid = max(resid, abs(abs(phi(z)) ** 2 - target))
+    phi = RationalScalar(gamma * q, _outer_denominator(S._eigenvalues))
+    resid = float(np.max(np.abs(np.abs(phi(circle)) ** 2 - target)))
     scale = max(1.0, float(np.max(np.abs(lvals))), worst)
     if resid > 1e-8 * scale:
         raise InternalConsistencyError(
@@ -789,20 +758,9 @@ def defect(S, tol=DEFAULT_TOL):
     defect of the reflected function.
     """
     S = as_transfer(S)
-    circle = boundary_points(128)
-    right_max = 0.0
-    left_max = 0.0
-    skipped = 0
-    for z in circle:
-        try:
-            val = S(z, tol)
-        except PoleProximityError:
-            skipped += 1
-            continue
-        right_max = max(right_max, np.linalg.norm(
-            np.eye(S.input_dim) - val.conj().T @ val, 2))
-        left_max = max(left_max, np.linalg.norm(
-            np.eye(S.output_dim) - val @ val.conj().T, 2))
+    _, dr, dl = _circle_survey(S, 128, tol)
+    right_max = float(np.nanmax(dr, initial=0.0))
+    left_max = float(np.nanmax(dl, initial=0.0))
     phi_zero = right_max <= tol.metric_tol
     psi_zero = left_max <= tol.metric_tol
     scalar = S.input_dim == 1 and S.output_dim == 1
@@ -884,16 +842,14 @@ def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
     r = kept.size
     state = SignatureSpace(int(np.sum(signs > 0)), int(np.sum(signs < 0)))
 
-    vals0 = np.array([S(z, tol) for z in pts])  # N x p x m
-    S0 = S(0.0, tol)
+    vals = S.values(np.append(pts, 0.0), tol)
+    vals0, S0 = vals[:-1], vals[-1]  # N x p x m and the value at zero
     N = pts.size
     # values of the basis functions at the samples: (N*p) x r
     Val = G @ coeff
     # kernel sections evaluated at zero give the basis values at zero
-    K0 = np.zeros((p, N * p), dtype=complex)
-    for j in range(N):
-        K0[:, j * p:(j + 1) * p] = np.eye(p) - S0 @ vals0[j].conj().T
-    E0 = K0 @ coeff  # p x r
+    K0 = np.eye(p) - S0 @ vals0.conj().transpose(0, 2, 1)
+    E0 = K0.transpose(1, 0, 2).reshape(p, N * p) @ coeff  # p x r
 
     wcol = np.repeat(pts, p).reshape(-1, 1)
     shifted = (Val - np.tile(E0, (N, 1))) / wcol
@@ -905,9 +861,7 @@ def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
         raise InternalConsistencyError(
             f"difference quotient left the sampled model (residual {resid:.2e})")
 
-    invec = np.zeros((N * p, m), dtype=complex)
-    for j in range(N):
-        invec[j * p:(j + 1) * p, :] = (vals0[j] - S0) / pts[j]
+    invec = ((vals0 - S0) / pts[:, None, None]).reshape(N * p, m)
     B = signs[:, None] * (coeff.conj().T @ invec)
     backB = G @ coeff @ B
     residB = np.linalg.norm(backB - invec, 2) if invec.size else 0.0
@@ -925,25 +879,22 @@ def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
         raise InternalConsistencyError("canonical model is not observable")
     held = disc_points(8, seed=tol.seed * 499 + 11, radius=0.8,
                        exclude=S.poles, min_dist=1e-4)
-    for z in held:
-        ref = S(z, tol)
-        got = transfer_eval(model, z, tol)
-        if np.linalg.norm(ref - got, 2) > 1e-7 * max(1.0, np.linalg.norm(ref, 2)):
-            raise InternalConsistencyError(
-                "canonical model transfer does not match the function")
+    ref = S.values(held, tol)
+    got = TransferFunction(model).values(held, tol)
+    if np.any(np.linalg.norm(ref - got, 2, axis=(1, 2)) > 1e-7 * np.maximum(
+            1.0, np.linalg.norm(ref, 2, axis=(1, 2)))):
+        raise InternalConsistencyError(
+            "canonical model transfer does not match the function")
     # reproducing identity on a held-out section
     if r:
-        wref = held[0]
-        Kw = np.zeros((N * p, p), dtype=complex)
-        for j in range(N):
-            Kw[j * p:(j + 1) * p, :] = (np.eye(p) - vals0[j] @ S(
-                wref, tol).conj().T) / (1.0 - pts[j] * np.conj(wref))
+        wref, zref = held[0], held[1]
+        Sw = ref[0].conj().T
+        Kw = ((np.eye(p) - vals0 @ Sw)
+              / (1.0 - pts * np.conj(wref))[:, None, None]).reshape(N * p, p)
         coords = signs[:, None] * (coeff.conj().T @ Kw)  # r x p
-        zref = held[1]
         lhs = E0 @ np.linalg.solve(
             np.eye(r) - zref * A, coords)
-        rhs = (np.eye(p) - S(zref, tol) @ S(wref, tol).conj().T) / (
-            1.0 - zref * np.conj(wref))
+        rhs = (np.eye(p) - ref[1] @ Sw) / (1.0 - zref * np.conj(wref))
         if np.linalg.norm(lhs - rhs, 2) > 1e-6 * max(1.0, np.linalg.norm(rhs, 2)):
             raise InternalConsistencyError(
                 "reproducing identity failed on a held-out section")
@@ -980,7 +931,7 @@ def _schur_precondition(S, name, tol):
     if S.disc_pole_count != 0:
         raise PreconditionError(
             f"{name} must be Schur class; backing has poles in the disc")
-    if _max_boundary_sigma(S, tol, samples=32) > 1.0 + 1e-6:
+    if np.nanmax(_circle_survey(S, 32, tol)[0], initial=0.0) > 1.0 + 1e-6:
         raise PreconditionError(
             f"{name} must be Schur class; boundary values exceed one")
 
@@ -1032,13 +983,8 @@ def check_kernel_decomposition(S1, S2, tol=DEFAULT_TOL, variant="observable"):
     p1 = S1.output_dim
     p2 = S2.output_dim
     N = pts.size
-    vals2 = [S2(z, tol) for z in pts]
-    images = np.zeros((N * p2, N * p1), dtype=complex)
-    for i in range(N):
-        for j in range(N):
-            images[i * p2:(i + 1) * p2, j * p1:(j + 1) * p1] = (
-                vals2[i] @ g1.matrix[i * p1:(i + 1) * p1,
-                                     j * p1:(j + 1) * p1])
+    images = (S2.values(pts, tol) @ g1.matrix.reshape(N, p1, N * p1)).reshape(
+        N * p2, N * p1)
     Gpinv = _pinv_hermitian(g12.matrix, tol.rank_tol)
     membership = np.linalg.norm(
         g12.matrix @ (Gpinv @ images) - images, 2)

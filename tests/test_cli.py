@@ -244,6 +244,20 @@ class TestDefect:
         lines = (tmp_path / "boundary.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 32
 
+    def test_no_outputs_is_not_inner(self, tmp_path):
+        from pontsys.colligation import Colligation
+        from pontsys.indefinite import SignatureSpace
+
+        silent = Colligation(SignatureSpace(1, 0), 1, 0, [[0.5]], [[1.0]],
+                             np.zeros((0, 1)), np.zeros((0, 1)))
+        path = write_system(tmp_path, silent)
+        code, report = run_cli(tmp_path, "defect", path)
+        assert code == 0
+        verdicts = report["verdicts"]
+        assert not verdicts["phi_is_zero"] and not verdicts["inner"]
+        assert verdicts["psi_is_zero"] and verdicts["co_inner"]
+        assert not verdicts["bi_inner"]
+
 
 class TestStability:
     def test_blaschke_label(self, tmp_path):

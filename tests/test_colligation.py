@@ -37,9 +37,11 @@ from pontsys.indefinite import (
     MetricClass,
     SignatureSpace,
     SubspaceKind,
+    Tolerances,
     metric_classify,
     same_span,
 )
+from pontsys import sampling
 from pontsys.sampling import (
     random_conservative_colligation,
     random_j_unitary,
@@ -343,6 +345,21 @@ class TestDilation:
         report = is_dilation_of(big, other)
         assert not report
         assert "transfer" in report.reason or "dimension" in report.reason
+
+    def test_disc_samples_size_the_transfer_plan(self, monkeypatch):
+        seen = []
+        real = sampling.disc_grid
+
+        def spy(per_ring, *args, **kwargs):
+            seen.append(per_ring)
+            return real(per_ring, *args, **kwargs)
+
+        monkeypatch.setattr(sampling, "disc_grid", spy)
+        small = blaschke_system(0.5)
+        big = self.build_dilation(small, 2)
+        assert is_dilation_of(big, small, Tolerances(disc_samples=30))
+        assert is_dilation_of(big, small)
+        assert seen == [10, 21]
 
 
 class TestSimilarity:

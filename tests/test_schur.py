@@ -14,6 +14,7 @@ from _builders import (
     shift_numerator_counterexample,
 )
 from pontsys.colligation import (
+    Colligation,
     SystemKind,
     adjoint_system,
     classify,
@@ -329,6 +330,21 @@ class TestBoundaryBehavior:
         rows = list(rep.rows())
         assert len(rows) == rep.angles.size
         assert all(len(r) == 4 for r in rows)
+
+    @pytest.mark.parametrize("inputs, outputs", [(1, 0), (0, 1)])
+    def test_zero_width_agrees_with_defect(self, inputs, outputs):
+        # S is 0 x 1 or 1 x 0: of I - S^*S and I - SS^* one is the 1 x 1
+        # identity and the other is empty
+        system = Colligation(SignatureSpace(1, 0), inputs, outputs, [[0.5]],
+                             np.ones((1, inputs)), np.ones((outputs, 1)),
+                             np.zeros((outputs, inputs)))
+        rep = boundary_behavior(system)
+        res = defect(system)
+        assert rep.inner == res.phi_is_zero == (inputs == 0)
+        assert rep.co_inner == res.psi_is_zero == (outputs == 0)
+        assert not rep.bi_inner and rep.contractive
+        assert np.all(rep.defect_right == inputs)
+        assert np.all(rep.defect_left == outputs)
 
 
 class TestDefect:
