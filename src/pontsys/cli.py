@@ -26,12 +26,14 @@ import numpy as np
 from .colligation import (
     Colligation,
     SystemKind,
+    _krylov_class,
+    _metric_kind,
+    _simp_kar,
     adjoint_system,
     classify,
     krylov_report,
     markov,
     realize_from_taylor,
-    simp_kar_check,
     to_canonical,
     unitary_similarity,
     weak_similarity,
@@ -313,9 +315,10 @@ def _signature_dict(system):
 def cmd_classify(args):
     system, meta = load_system(args.path)
     tol = _resolve_tolerances(args, meta)
-    cls = classify(system, tol)
+    kind = _metric_kind(system, tol)
     rep = krylov_report(system, tol)
-    kar = simp_kar_check(system, tol, cross_validate=True)
+    cls = _krylov_class(kind, rep)
+    kar = _simp_kar(system, rep, tol, cross_validate=True)
     verdicts = {
         "kind": cls.kind.value,
         "passive": cls.is_passive,

@@ -196,13 +196,23 @@ def classify(system, tol=DEFAULT_TOL, with_krylov=True):
     Passive systems additionally satisfy the two-sided contraction checks
     on A, [A; C] and [A, B]; a failure there is an internal inconsistency.
     """
+    kind = _metric_kind(system, tol)
+    if not with_krylov:
+        return SystemClass(kind)
+    return _krylov_class(kind, krylov_report(system, tol))
+
+
+def _metric_kind(system, tol):
+    """Metric kind of the system operator, corner blocks certified."""
     T, dom, cod = system_operator(system)
     kind = _METRIC_TO_KIND[metric_classify(T, dom, cod, tol)]
     if kind != SystemKind.NONE:
         _check_bicontraction_corners(system, tol)
-    if not with_krylov:
-        return SystemClass(kind)
-    rep = krylov_report(system, tol)
+    return kind
+
+
+def _krylov_class(kind, rep):
+    """SystemClass from a metric kind and an already computed Krylov report."""
     return SystemClass(kind, rep.controllable, rep.observable, rep.simple,
                        rep.controllable and rep.observable)
 
@@ -294,6 +304,18 @@ def markov(system, k):
     return system.C @ np.linalg.matrix_power(system.A, k - 1) @ system.B
 
 
+def _taylor_stack(system, order):
+    """Taylor coefficients 0..order as an (order + 1, p, m) stack, C A^(k-1) B
+    taken from one running product A^(k-1) B."""
+    out = np.empty((order + 1,) + system.D.shape, dtype=complex)
+    out[0] = system.D
+    X = system.B
+    for k in range(1, order + 1):
+        out[k] = system.C @ X
+        X = system.A @ X
+    return out
+
+
 def controllability_matrix(system, powers=None):
     """Block matrix [B, AB, ..., A^(k-1)B]; k defaults to the state dimension."""
     n = system.state_dim
@@ -380,7 +402,11 @@ def simp_kar_check(system, tol=DEFAULT_TOL, cross_validate=False):
     squares estimate of the transfer function is compared against the
     state negative index.
     """
-    rep = krylov_report(system, tol)
+    return _simp_kar(system, krylov_report(system, tol), tol, cross_validate)
+
+
+def _simp_kar(system, rep, tol, cross_validate=False):
+    """simp_kar_check on an already computed Krylov report of the system."""
     kinds = rep.complement_kinds
     verdict = all(k == SubspaceKind.HILBERT for k in kinds.values())
     estimate = None
@@ -630,12 +656,15 @@ def weak_similarity(s1, s2, tol=DEFAULT_TOL):
         raise PreconditionError("weak similarity requires matching input/output")
     N = 2 * max(s1.state_dim, s2.state_dim)
     scale = max(1.0, np.linalg.norm(s1.D, 2))
-    growth = 1.0
-    for k in range(N + 1):
-        growth = max(growth, np.linalg.norm(markov(s1, k), 2))
-        if np.linalg.norm(markov(s1, k) - markov(s2, k), 2) > tol.metric_tol * max(scale, growth):
-            raise PreconditionError(
-                f"Taylor coefficients differ at order {k}; no weak similarity")
+    t1, t2 = _taylor_stack(s1, N), _taylor_stack(s2, N)
+    # order k is compared against the largest coefficient norm up to k
+    growth = np.maximum.accumulate(
+        np.maximum(1.0, np.linalg.norm(t1, 2, axis=(1, 2))))
+    bad = np.flatnonzero(np.linalg.norm(t1 - t2, 2, axis=(1, 2))
+                         > tol.metric_tol * np.maximum(scale, growth))
+    if bad.size:
+        raise PreconditionError(
+            f"Taylor coefficients differ at order {bad[0]}; no weak similarity")
     K1 = controllability_matrix(s1, powers=max(s1.state_dim, s2.state_dim))
     K2 = controllability_matrix(s2, powers=max(s1.state_dim, s2.state_dim))
     Z = K2 @ np.linalg.pinv(K1, rcond=tol.rank_tol)

@@ -234,15 +234,44 @@ class Inertia(tuple):
         return self[2]
 
 
-def _require_hermitian(H, name="matrix", rel=1e-12):
+def _sym_eig(H, name="matrix", vectors=False):
+    """Eigen-solve of the symmetrized (H + H^*)/2 of a square H.
+
+    Returns (w, V, skew): ascending eigenvalues, eigenvectors (None unless
+    vectors) and the Frobenius norm of H - H^*.
+    """
     H = as_matrix(H, name=name)
     if H.shape[0] != H.shape[1]:
         raise DimensionMismatchError(f"{name} must be square")
-    if H.size:
-        scale = max(1.0, float(np.linalg.norm(H, 2)))
-        if np.linalg.norm(H - H.conj().T, 2) > rel * scale:
-            raise NotHermitianError(f"{name} is not Hermitian within {rel:g} relative")
-    return (H + H.conj().T) / 2.0
+    skew = float(np.linalg.norm(H - H.conj().T))
+    Hs = (H + H.conj().T) / 2.0
+    if vectors:
+        w, V = np.linalg.eigh(Hs)
+        return w, V, skew
+    return np.linalg.eigvalsh(Hs), None, skew
+
+
+def _spectral_radius(w):
+    return float(np.max(np.abs(w), initial=0.0))
+
+
+def _certify_hermitian(w, skew, name, rel):
+    # ||H - H^*||_F >= ||H - H^*||_2 and max|eig(sym H)| <= ||H||_2, so this
+    # refuses every matrix the spectral-norm test against max(1, ||H||_2)
+    # refuses
+    if skew > rel * max(1.0, _spectral_radius(w)):
+        raise NotHermitianError(f"{name} is not Hermitian within {rel:g} relative")
+
+
+def _hermitian_eig(H, name="matrix", rel=1e-12, vectors=False):
+    """Eigenvalues (and with vectors, eigenvectors) of a certified Hermitian H.
+
+    One eigen-solve of the symmetrized H; H is refused with
+    NotHermitianError when ||H - H^*||_F > rel * max(1, max|eig|).
+    """
+    w, V, skew = _sym_eig(H, name, vectors)
+    _certify_hermitian(w, skew, name, rel)
+    return (w, V) if vectors else w
 
 
 def inertia(H, tol=DEFAULT_TOL):
@@ -251,11 +280,10 @@ def inertia(H, tol=DEFAULT_TOL):
     The zero threshold is psd_tol scaled by max(1, ||H||).  Congruence
     transformations with well-conditioned factors preserve the result.
     """
-    H = _require_hermitian(H, name="inertia input")
-    if H.size == 0:
+    w = _hermitian_eig(H, name="inertia input")
+    if w.size == 0:
         return Inertia(0, 0, 0)
-    w = np.linalg.eigvalsh(H)
-    cut = tol.psd_tol * max(1.0, float(np.max(np.abs(w))))
+    cut = tol.psd_tol * max(1.0, _spectral_radius(w))
     return Inertia(np.sum(w > cut), np.sum(np.abs(w) <= cut), np.sum(w < -cut))
 
 
@@ -284,30 +312,37 @@ def metric_classify(M, dom, cod, tol=DEFAULT_TOL):
 
     Unitary means isometry and coisometry together; an isometry or a unitary
     is in particular a contraction.  Contractivity is the ordinary positive
-    semidefiniteness of the primal defect.
+    semidefiniteness of the primal defect.  A defect P counts as zero when
+    max|eig(sym P)| + ||P - P^*||_F / 2, an upper bound on ||P||_2, is
+    within metric_tol * max(1, ||M||^2).
     """
     primal, dual = metric_defects(M, dom, cod)
     scale = max(1.0, float(np.linalg.norm(M, 2)) ** 2) if M.size else 1.0
-    iso = np.linalg.norm(primal, 2) <= tol.metric_tol * scale if primal.size else True
-    coiso = np.linalg.norm(dual, 2) <= tol.metric_tol * scale if dual.size else True
+    w, _, skew = _sym_eig(primal)
+    iso = _spectral_radius(w) + skew / 2.0 <= tol.metric_tol * scale
+    wd, _, skew_d = _sym_eig(dual)
+    coiso = _spectral_radius(wd) + skew_d / 2.0 <= tol.metric_tol * scale
     if iso and coiso:
         return MetricClass.UNITARY
     if iso:
         return MetricClass.ISOMETRY
     if coiso:
         return MetricClass.COISOMETRY
-    if is_psd(primal, tol):
+    # the contraction test is is_psd on the primal eigenvalues
+    _certify_hermitian(w, skew, "psd input", 1e-10)
+    if _psd_slack_ok(w, tol):
         return MetricClass.CONTRACTION
     return MetricClass.NONE
 
 
+def _psd_slack_ok(w, tol):
+    return w.size == 0 or bool(
+        w[0] >= -tol.psd_tol * max(1.0, _spectral_radius(w)))
+
+
 def is_psd(H, tol=DEFAULT_TOL):
     """Positive semidefiniteness with slack psd_tol * max(1, ||H||)."""
-    H = _require_hermitian(H, name="psd input", rel=1e-10)
-    if H.size == 0:
-        return True
-    w = np.linalg.eigvalsh(H)
-    return bool(w[0] >= -tol.psd_tol * max(1.0, float(np.max(np.abs(w)))))
+    return _psd_slack_ok(_hermitian_eig(H, name="psd input", rel=1e-10), tol)
 
 
 @dataclass(frozen=True)
@@ -409,11 +444,10 @@ def psd_factor(M, tol=DEFAULT_TOL):
     Eigenvalues in [-psd_tol * scale, 0) are clamped to zero; anything
     below that raises, since the input was not semidefinite.
     """
-    M = _require_hermitian(M, name="psd_factor input", rel=1e-10)
-    if M.size == 0:
+    w, V = _hermitian_eig(M, name="psd_factor input", rel=1e-10, vectors=True)
+    if w.size == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    w, V = np.linalg.eigh(M)
-    cut = tol.psd_tol * max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
+    cut = tol.psd_tol * max(1.0, _spectral_radius(w))
     if w[0] < -cut:
         raise IndefiniteDefectError(
             f"matrix has a negative eigenvalue {w[0]:.3e} beyond psd slack")
@@ -423,8 +457,7 @@ def psd_factor(M, tol=DEFAULT_TOL):
 
 def eig_hermitian(H):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
-    H = _require_hermitian(H, name="eig_hermitian input", rel=1e-10)
-    return np.linalg.eigh(H)
+    return _hermitian_eig(H, name="eig_hermitian input", rel=1e-10, vectors=True)
 
 
 def eig_general(A):

@@ -17,13 +17,15 @@ import numpy as np
 from .colligation import (
     Colligation,
     SystemKind,
+    _krylov_class,
+    _metric_kind,
+    _simp_kar,
     adjoint_system,
     classify,
     controllability_matrix,
     krylov_report,
     markov,
     observability_matrix,
-    simp_kar_check,
 )
 from .exceptions import (
     AmbiguousSpectrumError,
@@ -249,13 +251,25 @@ def invariant_fundamental_decompositions(system, tol=DEFAULT_TOL):
     is invariant under A itself.  Returns (plus-invariant split,
     minus-invariant split).
     """
-    cls = classify(system, tol, with_krylov=False)
-    if not cls.is_passive:
+    _splittable(system, tol)
+    return _fundamental_splits(system, tol)
+
+
+def _splittable(system, tol):
+    """Metric kind and Krylov report of a passive index-preserving system;
+    any other system is refused as the fundamental splits refuse it."""
+    kind = _metric_kind(system, tol)
+    if kind == SystemKind.NONE:
         raise PreconditionError("fundamental splits need a passive system")
-    rep = simp_kar_check(system, tol)
-    if not rep.index_preserving:
+    rep = krylov_report(system, tol)
+    if not _simp_kar(system, rep, tol).index_preserving:
         raise PreconditionError(
             "fundamental splits need an index-preserving system")
+    return kind, rep
+
+
+def _fundamental_splits(system, tol):
+    """invariant_fundamental_decompositions past its preconditions."""
     kappa = system.kappa
     state = system.state
     if state.dim == 0:
@@ -389,8 +403,8 @@ def _adapted_blocks(system, split, minus_first, tol):
     return V, A_ad, B_ad, C_ad
 
 
-def _factorize_simple(system, mode, tol):
-    split_plus, split_minus = invariant_fundamental_decompositions(system, tol)
+def _factorize_simple(system, splits, mode, tol):
+    split_plus, split_minus = splits
     kappa = system.kappa
     n = system.state_dim
     m, p = system.input_dim, system.output_dim
@@ -436,14 +450,14 @@ def _factorize_simple(system, mode, tol):
     return schur, invb, V
 
 
-def _factorize_nonsimple(system, mode, tol):
+def _factorize_nonsimple(system, rep, mode, tol):
     """Split off the orthocomplement of the connected part, then factor.
 
     The complement is positive and reduces the system with zero input and
     output maps, so it can be carried over to the Schur-class factor
-    unchanged after the connected restriction is factorized.
+    unchanged after the connected restriction is factorized.  rep is the
+    Krylov report of the system.
     """
-    rep = krylov_report(system, tol)
     state = system.state
     Ws, ssigns = canonical_basis(rep.simple_space, tol)
     comp = orthocomplement_basis(rep.simple_space, tol)
@@ -461,7 +475,8 @@ def _factorize_nonsimple(system, mode, tol):
                       system.C @ Ws, system.D)
     A_q = proj_q @ system.A @ Wq
     q = Wq.shape[1]
-    schur0, invb, V0 = _factorize_simple(sub, mode, tol)
+    schur0, invb, V0 = _factorize_simple(
+        sub, invariant_fundamental_decompositions(sub, tol), mode, tol)
     r0 = schur0.state_dim
     m, p = schur0.input_dim, schur0.output_dim
     A_full = np.block([
@@ -534,9 +549,15 @@ def kl_factorize_system(system, mode="right", tol=DEFAULT_TOL):
     """
     if mode not in ("right", "left"):
         raise InputError(f"mode must be 'right' or 'left', got {mode!r}")
-    cls = classify(system, tol)
-    rep = simp_kar_check(system, tol)
-    if not rep.index_preserving:
+    kind = _metric_kind(system, tol)
+    rep = krylov_report(system, tol)
+    return _kl_factorize(system, _krylov_class(kind, rep), rep, mode, tol)
+
+
+def _kl_factorize(system, cls, rep, mode, tol):
+    """kl_factorize_system on a system already classified as cls, with
+    Krylov report rep."""
+    if not _simp_kar(system, rep, tol).index_preserving:
         raise PreconditionError("factorization needs an index-preserving system")
     if mode == "right":
         ok = cls.kind == SystemKind.CONSERVATIVE or (
@@ -551,9 +572,12 @@ def kl_factorize_system(system, mode="right", tol=DEFAULT_TOL):
             raise PreconditionError(
                 "left mode needs a conservative or isometric controllable system")
     if cls.kind == SystemKind.CONSERVATIVE and not cls.simple:
-        schur, invb, Z = _factorize_nonsimple(system, mode, tol)
+        schur, invb, Z = _factorize_nonsimple(system, rep, mode, tol)
     else:
-        schur, invb, Z = _factorize_simple(system, mode, tol)
+        # the checks above imply the split preconditions: the kind is
+        # passive and the report index-preserving
+        schur, invb, Z = _factorize_simple(
+            system, _fundamental_splits(system, tol), mode, tol)
     resid = _certify_factorization(system, schur, invb, Z, mode, tol)
     return SystemFactorization(schur, invb, mode, Z, resid)
 
@@ -601,12 +625,13 @@ def stability_classify(system, tol=DEFAULT_TOL):
     classes with the matching Krylov property give the I classes, the
     rest of the passive systems the P classes.
     """
-    split_plus, split_minus = invariant_fundamental_decompositions(system, tol)
+    kind, rep = _splittable(system, tol)
+    split_plus, split_minus = _fundamental_splits(system, tol)
     rf = _restricted_radius(system.A, split_plus.Xplus, tol)
     rb = _restricted_radius(_adjoint_main(system), split_minus.Xplus, tol)
     forward = rf < 1.0 - tol.metric_tol
     backward = rb < 1.0 - tol.metric_tol
-    cls = classify(system, tol)
+    cls = _krylov_class(kind, rep)
     if cls.kind == SystemKind.CONSERVATIVE and cls.simple:
         if forward and backward:
             label = "C00"

@@ -26,8 +26,11 @@ import numpy as np
 from .colligation import (
     Colligation,
     SystemKind,
+    _krylov_class,
+    _metric_kind,
     adjoint_system,
     classify,
+    krylov_report,
     transfer_eval,
     transfer_values,
 )
@@ -39,7 +42,12 @@ from .exceptions import (
     PreconditionError,
 )
 from .indefinite import DEFAULT_TOL, SignatureSpace
-from .products import cascade, kl_factorize_system, obstruction_observable
+from .products import (
+    _kl_factorize,
+    cascade,
+    kl_factorize_system,
+    obstruction_observable,
+)
 from .sampling import boundary_points, disc_points
 
 __all__ = [
@@ -290,6 +298,13 @@ def invert_system(system, target_metric="auto", tol=DEFAULT_TOL):
     """
     if target_metric != "auto":
         raise InputError("only the automatic metric choice is supported")
+    return _invert_system(system, tol)
+
+
+def _invert_system(system, tol, known_conservative=False):
+    """invert_system; known_conservative skips classifying a system already
+    certified conservative.  The inverse of a conservative system comes
+    back certified conservative."""
     if system.input_dim != system.output_dim:
         raise DimensionMismatchError("inversion needs a square feedthrough")
     D = system.D
@@ -304,8 +319,8 @@ def invert_system(system, target_metric="auto", tol=DEFAULT_TOL):
         system.input_dim, system.output_dim,
         system.A - system.B @ Dinv @ system.C,
         system.B @ Dinv, -Dinv @ system.C, Dinv)
-    was_conservative = classify(system, tol,
-                                with_krylov=False).kind == SystemKind.CONSERVATIVE
+    was_conservative = known_conservative or classify(
+        system, tol, with_krylov=False).kind == SystemKind.CONSERVATIVE
     if was_conservative:
         if classify(out, tol, with_krylov=False).kind != SystemKind.CONSERVATIVE:
             raise InternalConsistencyError(
@@ -377,20 +392,20 @@ def _zeros_of_inverse(invb):
     return 1.0 / np.linalg.eigvals(invb.A)
 
 
-def _right_backing(S, tol):
-    cls = classify(S.backing, tol)
-    if cls.kind == SystemKind.CONSERVATIVE or (
-            cls.kind == SystemKind.COISOMETRIC and cls.observable):
-        return S.backing
-    return canonical_coisometric_realization(S, tol)
-
-
-def _left_backing(S, tol):
-    cls = classify(S.backing, tol)
-    if cls.kind == SystemKind.CONSERVATIVE or (
-            cls.kind == SystemKind.ISOMETRIC and cls.controllable):
-        return S.backing
-    return adjoint_system(canonical_coisometric_realization(sharp(S), tol))
+def _side_factorization(S, cls, rep, mode, tol):
+    """kl_factorize_system on the side's backing: the given one, classified
+    as cls with Krylov report rep, when it qualifies, else a canonical one."""
+    if mode == "right":
+        if cls.kind == SystemKind.CONSERVATIVE or (
+                cls.kind == SystemKind.COISOMETRIC and cls.observable):
+            return _kl_factorize(S.backing, cls, rep, mode, tol)
+        backing = canonical_coisometric_realization(S, tol)
+    else:
+        if cls.kind == SystemKind.CONSERVATIVE or (
+                cls.kind == SystemKind.ISOMETRIC and cls.controllable):
+            return _kl_factorize(S.backing, cls, rep, mode, tol)
+        backing = adjoint_system(canonical_coisometric_realization(sharp(S), tol))
+    return kl_factorize_system(backing, mode, tol)
 
 
 def _scalar_denominator_system(zeros, tol):
@@ -425,27 +440,33 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
     S = as_transfer(S)
     right = left = None
     right_err = left_err = None
+    # the given backing is classified once, for both sides
+    kind = _metric_kind(S.backing, tol)
+    rep = krylov_report(S.backing, tol)
+    cls = _krylov_class(kind, rep)
     try:
-        right = kl_factorize_system(_right_backing(S, tol), "right", tol)
+        right = _side_factorization(S, cls, rep, "right", tol)
     except (PreconditionError, InternalConsistencyError) as exc:
         right_err = exc
     try:
-        left = kl_factorize_system(_left_backing(S, tol), "left", tol)
+        left = _side_factorization(S, cls, rep, "left", tol)
     except (PreconditionError, InternalConsistencyError) as exc:
         left_err = exc
     if right is None and left is None:
         raise right_err
 
+    # each side's negative factor was certified conservative by its
+    # factorization, and its inverse comes back certified conservative
     if right is not None:
         S_r = TransferFunction(right.schur_factor)
-        B_r = TransferFunction(invert_system(right.inverse_blaschke_factor,
-                                             tol=tol))
+        B_r = TransferFunction(_invert_system(
+            right.inverse_blaschke_factor, tol, known_conservative=True))
         kappa_r = right.inverse_blaschke_factor.state_dim
         zeros_r = _zeros_of_inverse(right.inverse_blaschke_factor)
     if left is not None:
         S_l = TransferFunction(left.schur_factor)
-        B_l = TransferFunction(invert_system(left.inverse_blaschke_factor,
-                                             tol=tol))
+        B_l = TransferFunction(_invert_system(
+            left.inverse_blaschke_factor, tol, known_conservative=True))
         kappa_l = left.inverse_blaschke_factor.state_dim
         zeros_l = _zeros_of_inverse(left.inverse_blaschke_factor)
 
@@ -486,9 +507,11 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
         if np.nanmax(sigma, initial=0.0) > 1.0 + tol.metric_tol:
             raise InternalConsistencyError(
                 f"{name} Schur factor is not boundary contractive")
-    for name, fac in (("right", B_r), ("left", B_l)):
-        bcls = classify(fac.backing, tol, with_krylov=False)
-        if fac.backing.state.neg != 0 or bcls.kind != SystemKind.CONSERVATIVE:
+    for name, fac, inverted in (("right", B_r, right is not None),
+                                ("left", B_l, left is not None)):
+        conservative = inverted or classify(
+            fac.backing, tol, with_krylov=False).kind == SystemKind.CONSERVATIVE
+        if fac.backing.state.neg != 0 or not conservative:
             raise InternalConsistencyError(
                 f"{name} Blaschke factor is not a conservative Hilbert-state "
                 "system")
@@ -755,10 +778,17 @@ def defect(S, tol=DEFAULT_TOL):
     rational defect vanishing there vanishes identically.  The scalar
     branch factors 1 - |S|^2 by root reflection into an outer rational
     phi, and obtains the left function psi by reflecting the right
-    defect of the reflected function.
+    defect of the reflected function.  With every sample pole-proximal
+    there is nothing to decide on, and the first sample raises
+    PoleProximityError.
     """
     S = as_transfer(S)
     _, dr, dl = _circle_survey(S, 128, tol)
+    if np.isnan(dr).all():
+        z = complex(boundary_points(128)[0])
+        poles = S.poles
+        raise PoleProximityError(
+            z, poles[np.argmin(np.abs(poles - z))] if poles.size else None)
     right_max = float(np.nanmax(dr, initial=0.0))
     left_max = float(np.nanmax(dl, initial=0.0))
     phi_zero = right_max <= tol.metric_tol

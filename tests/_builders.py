@@ -118,3 +118,31 @@ def shift_numerator_counterexample(alpha_b=0.5):
     cls = classify(sys1)
     assert cls.kind == SystemKind.COISOMETRIC and cls.observable
     return sys1
+
+
+def spy_krylov_report(monkeypatch):
+    """Record every krylov_report call, wherever the function is bound.
+
+    Returns the list the spy appends each call's system to.
+    """
+    from pontsys import cli, colligation, products, schur
+
+    calls = []
+    real = colligation.krylov_report
+
+    def spy(system, *args, **kwargs):
+        calls.append(system)
+        return real(system, *args, **kwargs)
+
+    for module in (colligation, products, schur, cli):
+        monkeypatch.setattr(module, "krylov_report", spy, raising=False)
+    return calls
+
+
+def roots_of_unity_system(count=128):
+    """Hilbert-state system with A = diag of the count-th roots of unity,
+    B = 1/count and C = 1: a pole at every count-th root of unity."""
+    roots = np.exp(2j * np.pi * np.arange(count) / count)
+    return Colligation(SignatureSpace(count, 0), 1, 1, np.diag(roots),
+                       np.full((count, 1), 1.0 / count), np.ones((1, count)),
+                       np.zeros((1, 1)))

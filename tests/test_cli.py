@@ -9,7 +9,9 @@ from _builders import (
     counterexample_observable_system,
     half_shift_system,
     inverse_blaschke_system,
+    roots_of_unity_system,
     row_schur_left_system,
+    spy_krylov_report,
 )
 from pontsys.cli import load_system, main, save_system, system_to_json
 from pontsys.colligation import markov
@@ -125,6 +127,14 @@ class TestClassify:
         code, report = run_cli(tmp_path, "classify", path)
         assert code == 0
         assert len(report["inputs"]["system"]["sha256"]) == 64
+
+    def test_one_krylov_report(self, tmp_path, monkeypatch):
+        path = write_system(tmp_path, counterexample_observable_system())
+        calls = spy_krylov_report(monkeypatch)
+        code, report = run_cli(tmp_path, "classify", path)
+        assert code == 0
+        assert report["verdicts"]["observable"]
+        assert len(calls) == 1
 
 
 class TestFactorKL:
@@ -257,6 +267,13 @@ class TestDefect:
         assert not verdicts["phi_is_zero"] and not verdicts["inner"]
         assert verdicts["psi_is_zero"] and verdicts["co_inner"]
         assert not verdicts["bi_inner"]
+
+    def test_all_samples_pole_proximal_is_refused(self, tmp_path, capsys):
+        path = write_system(tmp_path, roots_of_unity_system())
+        code, report = run_cli(tmp_path, "defect", path)
+        assert code == 2 and report is None
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PoleProximityError"
 
 
 class TestStability:

@@ -395,6 +395,21 @@ class TestSimilarity:
         with pytest.raises(PreconditionError):
             weak_similarity(blaschke_system(0.5), blaschke_system(0.3))
 
+    def test_weak_similarity_rejects_mismatch_at_last_order(self):
+        # cyclic shift realizations: C A^(k-1) B is 1 at k = n, the corner
+        # entry at k = 2n = N, and 0 at every other order up to N, so two
+        # corners differ first at the last order compared
+        def cyclic(corner, n=4):
+            A = np.diag(np.ones(n - 1), -1).astype(complex)
+            A[0, n - 1] = corner
+            return Colligation(SignatureSpace(n, 0), 1, 1, A,
+                               np.eye(n)[:, :1], np.eye(n)[-1:, :], [[0.2]])
+
+        assert weak_similarity(cyclic(0.5), cyclic(0.5)).residuals["A"] < 1e-12
+        with pytest.raises(PreconditionError, match=(
+                r"^Taylor coefficients differ at order 8; no weak similarity$")):
+            weak_similarity(cyclic(0.5), cyclic(0.3))
+
 
 class TestRealize:
     def test_scalar_blaschke_recovered(self):

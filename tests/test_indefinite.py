@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from pontsys import sampling
 from pontsys.exceptions import (
     AmbiguousSpectrumError,
     IndefiniteDefectError,
     InputError,
     NonRegularSubspaceError,
+    NotHermitianError,
 )
 from pontsys.indefinite import (
     DEFAULT_TOL,
@@ -23,6 +25,7 @@ from pontsys.indefinite import (
     eig_hermitian,
     inertia,
     intersect_spans,
+    is_psd,
     j_adjoint,
     j_complement,
     j_inner,
@@ -321,6 +324,187 @@ class TestFactorizations:
         vals, T, Z = eig_general(A)
         assert np.allclose(Z @ T @ Z.conj().T, A, atol=1e-10)
         assert np.allclose(np.sort_complex(vals), np.sort_complex(np.linalg.eigvals(A)), atol=1e-8)
+
+
+# The Hermitian guard before the single eigen-solve certificate: two
+# spectral norms, ||H - H^*||_2 > rel * max(1, ||H||_2).  Kept as the
+# reference the certificate must never be looser than.
+def _old_symmetrized(H, rel):
+    H = np.asarray(H, dtype=complex)
+    if H.size and np.linalg.norm(H - H.conj().T, 2) > rel * max(
+            1.0, float(np.linalg.norm(H, 2))):
+        raise NotHermitianError("not Hermitian")
+    return (H + H.conj().T) / 2.0
+
+
+def _old_inertia(H, tol=DEFAULT_TOL):
+    H = _old_symmetrized(H, 1e-12)
+    if H.size == 0:
+        return (0, 0, 0)
+    w = np.linalg.eigvalsh(H)
+    cut = tol.psd_tol * max(1.0, float(np.max(np.abs(w))))
+    return (int(np.sum(w > cut)), int(np.sum(np.abs(w) <= cut)),
+            int(np.sum(w < -cut)))
+
+
+def _old_is_psd(H, tol=DEFAULT_TOL):
+    H = _old_symmetrized(H, 1e-10)
+    if H.size == 0:
+        return True
+    w = np.linalg.eigvalsh(H)
+    return bool(w[0] >= -tol.psd_tol * max(1.0, float(np.max(np.abs(w)))))
+
+
+def _old_psd_factor(M, tol=DEFAULT_TOL):
+    M = _old_symmetrized(M, 1e-10)
+    if M.size == 0:
+        return np.zeros((0, 0), dtype=complex)
+    w, V = np.linalg.eigh(M)
+    cut = tol.psd_tol * max(1.0, float(np.max(np.abs(w))))
+    if w[0] < -cut:
+        raise IndefiniteDefectError("indefinite")
+    keep = w > cut
+    return V[:, keep] * np.sqrt(w[keep])[None, :]
+
+
+def _old_eig_hermitian(H):
+    return np.linalg.eigh(_old_symmetrized(H, 1e-10))
+
+
+def _old_metric_classify(M, dom, cod, tol=DEFAULT_TOL):
+    primal, dual = metric_defects(M, dom, cod)
+    scale = max(1.0, float(np.linalg.norm(M, 2)) ** 2) if M.size else 1.0
+    iso = np.linalg.norm(primal, 2) <= tol.metric_tol * scale if primal.size else True
+    coiso = np.linalg.norm(dual, 2) <= tol.metric_tol * scale if dual.size else True
+    if iso and coiso:
+        return MetricClass.UNITARY
+    if iso:
+        return MetricClass.ISOMETRY
+    if coiso:
+        return MetricClass.COISOMETRY
+    if _old_is_psd(primal, tol):
+        return MetricClass.CONTRACTION
+    return MetricClass.NONE
+
+
+def _outcome(fn, *args):
+    """Result of fn, or the exception type it raised."""
+    try:
+        return fn(*args)
+    except (NotHermitianError, IndefiniteDefectError) as exc:
+        return type(exc)
+
+
+def _random_hermitian(rng, n, scale):
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return scale * (X + X.conj().T) / 2.0
+
+
+def _random_skew(rng, n, rank_one):
+    if rank_one:
+        u = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+        return 1j * (u @ u.conj().T)
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (X - X.conj().T) / 2.0
+
+
+class TestHermitianCertificate:
+    """The single eigen-solve certificate against the two-norm guard."""
+
+    SIZES = (1, 2, 5, 12, 40)
+    # skew parts planted at these multiples of the old guard's bound
+    FACTORS = (0.1, 0.5, 0.9, 1.1, 2.0, 10.0)
+
+    def planted(self, rel):
+        """Seeded Hermitian matrices with skew parts around the old bound:
+        small and large scales, full-rank and rank-one skew parts."""
+        rng = np.random.default_rng(2024)
+        for n in self.SIZES:
+            for scale in (1e-3, 1.0, 1e3):
+                for rank_one in (False, True):
+                    H0 = _random_hermitian(rng, n, scale)
+                    K = _random_skew(rng, n, rank_one)
+                    unit = rel * max(1.0, np.linalg.norm(H0, 2)) / (
+                        2.0 * np.linalg.norm(K, 2))
+                    for factor in self.FACTORS:
+                        yield H0 + factor * unit * K
+
+    @pytest.mark.parametrize("rel, checks", [
+        (1e-12, (inertia,)),
+        (1e-10, (is_psd, psd_factor, eig_hermitian)),
+    ])
+    def test_never_looser_than_the_spectral_guard(self, rel, checks):
+        refused = 0
+        for H in self.planted(rel):
+            try:
+                _old_symmetrized(H, rel)
+            except NotHermitianError:
+                refused += 1
+                for check in checks:
+                    with pytest.raises(NotHermitianError):
+                        check(H)
+        # the planted families straddle the bound
+        assert 0 < refused < len(list(self.planted(rel)))
+
+    def test_identical_results_on_hermitian_inputs(self):
+        rng = np.random.default_rng(77)
+        for n in self.SIZES:
+            for _ in range(4):
+                H = _random_hermitian(rng, n, 10.0 ** rng.integers(-3, 4))
+                E = rng.standard_normal((n, n // 2)) + 1j * rng.standard_normal(
+                    (n, n // 2))
+                # Hermitian up to rounding only, and a semidefinite one
+                S = random_invertible(rng, n)
+                for M in (H, S.conj().T @ H @ S, E @ E.conj().T):
+                    assert tuple(inertia(M)) == _old_inertia(M)
+                    assert is_psd(M) == _old_is_psd(M)
+                    got, want = _outcome(psd_factor, M), _outcome(_old_psd_factor, M)
+                    if isinstance(want, type):
+                        assert got is want
+                    else:
+                        assert np.array_equal(got, want)
+                    for a, b in zip(eig_hermitian(M), _old_eig_hermitian(M)):
+                        assert np.array_equal(a, b)
+
+    def test_metric_classify_verdicts_unchanged(self):
+        rng = np.random.default_rng(99)
+        seen = set()
+        for pos, neg in ((1, 0), (3, 1), (6, 2), (12, 3), (32, 8)):
+            sp = SignatureSpace(pos, neg)
+            signs = sp.signs
+            for _ in range(3):
+                U = sampling.random_j_unitary(rng, sp)
+                # isometries drop metric-orthonormal columns, coisometries rows
+                keep = np.concatenate([np.arange(pos - 1 if pos > 1 else pos),
+                                       np.arange(pos, pos + neg)])
+                sub = signs[keep]
+                cases = [
+                    (U, signs, signs),
+                    (U[:, keep], sub, signs),
+                    (U[keep, :], signs, sub),
+                    (sampling.random_j_contraction(rng, sp, sp), signs, signs),
+                    (sampling.random_j_contraction(rng, sp, sp, strict=0.1),
+                     signs, signs),
+                    (1.5 * U, signs, signs),
+                ]
+                # defects planted around the metric_tol bound
+                unit = DEFAULT_TOL.metric_tol * max(1.0, np.linalg.norm(U, 2) ** 2)
+                cases += [((1.0 - f * unit / 2.0) * U, signs, signs)
+                          for f in (0.3, 3.0, 300.0)]
+                for M, dom, cod in cases:
+                    got = metric_classify(M, dom, cod)
+                    assert got == _old_metric_classify(M, dom, cod)
+                    seen.add(got)
+            for system in (
+                    sampling.random_conservative_colligation(rng, sp, 2),
+                    sampling.random_passive_colligation(rng, sp, 2, 1, strict=0.1),
+                    sampling.random_passive_colligation(rng, sp, 1, 3)):
+                T = np.block([[system.A, system.B], [system.C, system.D]])
+                dom = np.concatenate([signs, np.ones(system.input_dim)])
+                cod = np.concatenate([signs, np.ones(system.output_dim)])
+                assert metric_classify(T, dom, cod) == _old_metric_classify(
+                    T, dom, cod)
+        assert seen == set(MetricClass)
 
 
 class TestSpectralSubspace:

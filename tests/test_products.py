@@ -39,6 +39,7 @@ from _builders import (
     identity_feedthrough,
     inverse_blaschke_system,
     isometric_column_system,
+    spy_krylov_report,
 )
 
 
@@ -395,3 +396,59 @@ class TestStabilityClassify:
                           [[1.0]], [[1.0]], [[1.0]], [[1.0]])
         with pytest.raises(PreconditionError):
             stability_classify(bad)
+
+
+def _nonsimple_conservative():
+    core = cascade(inverse_blaschke_system(0.5), blaschke_system(0.3))
+    A = np.zeros((3, 3), dtype=complex)
+    A[:2, :2] = core.A
+    A[2, 2] = np.exp(0.9j)
+    return Colligation(
+        SignatureSpace.from_signs(np.concatenate([core.state.signs, [1.0]])),
+        1, 1, A, np.vstack([core.B, [[0.0]]]),
+        np.hstack([core.C, [[0.0]]]), core.D)
+
+
+class TestOneClassificationPerSystem:
+    """Each entry point builds the Krylov report of its input once."""
+
+    def systems(self):
+        rng = np.random.default_rng(10)
+        return [
+            cascade(inverse_blaschke_system(0.5), blaschke_system(0.3)),
+            _nonsimple_conservative(),
+            random_conservative_colligation(rng, SignatureSpace(7, 3), 2),
+        ]
+
+    @pytest.mark.parametrize("mode", ["right", "left"])
+    def test_kl_factorize_system(self, monkeypatch, mode):
+        calls = spy_krylov_report(monkeypatch)
+        for system in self.systems():
+            kl_factorize_system(system, mode)
+            assert sum(s is system for s in calls) == 1
+        # the nonsimple path still checks its connected restriction
+        assert any(s.state_dim == 2 for s in calls)
+
+    def test_stability_classify(self, monkeypatch):
+        calls = spy_krylov_report(monkeypatch)
+        for system in self.systems() + [isometric_column_system()]:
+            stability_classify(system)
+            assert sum(s is system for s in calls) == 1
+
+    def test_precondition_order_is_kept(self):
+        expansive = Colligation(SignatureSpace(1, 0), 1, 1,
+                                [[1.0]], [[1.0]], [[1.0]], [[1.0]])
+        base = inverse_blaschke_system(0.5)
+        hidden = Colligation(SignatureSpace(0, 2), 1, 1,
+                             [[base.A[0, 0], 0.0], [0.0, 1.5]],
+                             [[base.B[0, 0]], [0.0]],
+                             [[base.C[0, 0], 0.0]], base.D)
+        with pytest.raises(PreconditionError, match="passive system"):
+            stability_classify(expansive)
+        with pytest.raises(PreconditionError, match="index-preserving"):
+            stability_classify(hidden)
+        with pytest.raises(PreconditionError, match="right mode"):
+            kl_factorize_system(expansive)
+        for mode in ("right", "left"):
+            with pytest.raises(PreconditionError, match="index-preserving"):
+                kl_factorize_system(hidden, mode)

@@ -10,9 +10,12 @@ from _builders import (
     identity_feedthrough,
     inverse_blaschke_system,
     isometric_column_system,
+    roots_of_unity_system,
     row_schur_left_system,
     shift_numerator_counterexample,
+    spy_krylov_report,
 )
+from pontsys import colligation
 from pontsys.colligation import (
     Colligation,
     SystemKind,
@@ -28,7 +31,11 @@ from pontsys.exceptions import (
 )
 from pontsys.indefinite import SignatureSpace
 from pontsys.products import cascade, obstruction_observable
-from pontsys.sampling import disc_points, random_passive_colligation
+from pontsys.sampling import (
+    disc_points,
+    random_conservative_colligation,
+    random_passive_colligation,
+)
 from pontsys.schur import (
     TransferFunction,
     as_transfer,
@@ -308,6 +315,28 @@ class TestKLFactorizeFunction:
         with pytest.raises(PreconditionError):
             kl_factorize_function(half_shift_system())
 
+    def test_each_system_is_classified_once(self, monkeypatch):
+        # the backing serves both sides, and each inverse Blaschke factor
+        # is certified conservative once, on inversion
+        rng = np.random.default_rng(3)
+        backing = random_conservative_colligation(rng, SignatureSpace(7, 3), 2)
+        krylov = spy_krylov_report(monkeypatch)
+        classified = []
+        real = colligation.system_operator
+
+        def spy(system):
+            classified.append(system)
+            return real(system)
+
+        monkeypatch.setattr(colligation, "system_operator", spy)
+        res = kl_factorize_function(backing)
+        assert res.kappa == 3
+        assert sum(s is backing for s in krylov) == 1
+        assert sum(s is backing for s in classified) == 1
+        assert len({id(s) for s in classified}) == len(classified)
+        for fac in (res.blaschke_right, res.blaschke_left):
+            assert sum(s is fac.backing for s in classified) == 1
+
 
 class TestBoundaryBehavior:
     def test_blaschke_is_bi_inner(self):
@@ -392,6 +421,14 @@ class TestDefect:
     def test_isometric_column_has_zero_right_defect(self):
         res = defect(isometric_column_system())
         assert res.phi_is_zero and not res.psi_is_zero
+
+    def test_all_samples_pole_proximal_raises(self):
+        # poles at every 128th root of unity: no circle sample survives,
+        # so there is no sampled verdict to give
+        system = roots_of_unity_system()
+        with pytest.raises(PoleProximityError) as info:
+            defect(system)
+        assert info.value.point == 1.0
 
 
 class TestCanonicalRealization:
