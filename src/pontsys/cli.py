@@ -15,6 +15,7 @@ fails, 2 on invalid input.
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -765,8 +766,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The process's one parser, built on first use: parsing only reads it,
+    and each call parses into a namespace of its own."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     namespace = argparse.Namespace(tol=None, samples=None, seed=None,
                                    out=Path("."))
     args = parser.parse_args(argv, namespace=namespace)

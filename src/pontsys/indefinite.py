@@ -355,7 +355,11 @@ class IndefiniteSubspace:
     def __post_init__(self):
         basis = as_matrix(self.basis, rows=self.ambient.dim, name="basis")
         object.__setattr__(self, "basis", basis)
-        if basis.shape[1]:
+        k = basis.shape[1]
+        # ||V^*V - I||_F <= 1/2 puts every singular value in
+        # [sqrt(1/2), sqrt(3/2)], which the rank test below accepts, so
+        # orthonormal bases skip its SVD; a NaN norm still takes the SVD
+        if k and not np.linalg.norm(basis.conj().T @ basis - np.eye(k)) <= 0.5:
             s = np.linalg.svd(basis, compute_uv=False)
             if s[-1] <= DEFAULT_TOL.rank_tol * max(1.0, s[0]):
                 raise InputError("basis columns are numerically dependent")

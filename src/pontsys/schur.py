@@ -181,7 +181,13 @@ def kernel_gram(S, points, tol=DEFAULT_TOL):
     Frobenius norm of G - G^* must stay within 1e-12 max(1, |eig|max)
     of the symmetrized G.
     """
-    S = as_transfer(S)
+    return _gram_from_values(*_kernel_values(as_transfer(S), points, tol), tol)
+
+
+def _kernel_values(S, points, tol):
+    """Check kernel sample points (open disc, clear of every pole by
+    _POLE_MARGIN) and evaluate S there; returns the points as a flat
+    complex array and the (N, p, m) values."""
     points = np.asarray(points, dtype=complex).ravel()
     if points.size == 0:
         raise InputError("need at least one sample point")
@@ -193,9 +199,14 @@ def kernel_gram(S, points, tol=DEFAULT_TOL):
             bad = points[int(np.argmin(dist))]
             raise PoleProximityError(bad, S.poles[
                 int(np.argmin(np.abs(S.poles - bad)))])
-    p = S.output_dim
-    N = points.size
-    V = S.values(points, tol).reshape(N * p, S.input_dim)
+    return points, S.values(points, tol)
+
+
+def _gram_from_values(points, values, tol):
+    """Kernel Gram, Hermitian certificate and inertia from the values
+    (N, p, m) of the function at the points."""
+    N, p, m = values.shape
+    V = values.reshape(N * p, m)
     denom = 1.0 - points[:, None] * np.conj(points)[None, :]
     G = ((np.eye(p)[None, :, None, :] - (V @ V.conj().T).reshape(N, p, N, p))
          / denom[:, None, :, None]).reshape(N * p, N * p)
@@ -243,13 +254,17 @@ def negative_squares_estimate(S, tol=DEFAULT_TOL):
     exclude = S.poles
     history = []
     points = np.zeros(0, dtype=complex)
+    values = np.zeros((0, S.output_dim, S.input_dim), dtype=complex)
     size = 8
     for stage in range(6):
         fresh = disc_points(size - points.size, seed=tol.seed * 977 + stage,
                             radius=0.93, exclude=exclude,
                             min_dist=_POLE_MARGIN)
+        # values are per point, so only the fresh samples need evaluating
+        fresh, fresh_values = _kernel_values(S, fresh, tol)
         points = np.concatenate([points, fresh])
-        history.append(kernel_gram(S, points, tol).n_minus)
+        values = np.concatenate([values, fresh_values])
+        history.append(_gram_from_values(points, values, tol).n_minus)
         size *= 2
         if len(history) >= 4 and len(set(history[-4:])) == 1:
             est = history[-1]
@@ -503,7 +518,7 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
                 raise InternalConsistencyError(
                     f"{name} Schur factor failed the sampled zero-index "
                     f"certificate (estimate {est.estimate!r})")
-        sigma = _circle_survey(fac, 64, tol)[0]
+        sigma = _decisive_survey(fac, 64, tol)[0]
         if np.nanmax(sigma, initial=0.0) > 1.0 + tol.metric_tol:
             raise InternalConsistencyError(
                 f"{name} Schur factor is not boundary contractive")
@@ -596,6 +611,19 @@ def _circle_survey(S, samples, tol):
     out = np.full((3, samples), np.nan)
     out[:, ok] = [np.linalg.norm(X, 2, axis=(1, 2)) for X in (
         V, np.eye(S.input_dim) - VH @ V, np.eye(S.output_dim) - V @ VH)]
+    return out
+
+
+def _decisive_survey(S, samples, tol):
+    """The circle survey behind a sampled verdict.  With every sample
+    pole-proximal there is nothing to decide on, and the first sample
+    raises PoleProximityError."""
+    out = _circle_survey(S, samples, tol)
+    if np.isnan(out[0]).all():
+        z = complex(boundary_points(samples)[0])
+        poles = S.poles
+        raise PoleProximityError(
+            z, poles[np.argmin(np.abs(poles - z))] if poles.size else None)
     return out
 
 
@@ -783,12 +811,7 @@ def defect(S, tol=DEFAULT_TOL):
     PoleProximityError.
     """
     S = as_transfer(S)
-    _, dr, dl = _circle_survey(S, 128, tol)
-    if np.isnan(dr).all():
-        z = complex(boundary_points(128)[0])
-        poles = S.poles
-        raise PoleProximityError(
-            z, poles[np.argmin(np.abs(poles - z))] if poles.size else None)
+    _, dr, dl = _decisive_survey(S, 128, tol)
     right_max = float(np.nanmax(dr, initial=0.0))
     left_max = float(np.nanmax(dl, initial=0.0))
     phi_zero = right_max <= tol.metric_tol
@@ -848,19 +871,15 @@ def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
     m = S.input_dim
     plans = [4, 8, 16, 32, 64]
     ranks = []
-    grams = []
     for per_ring in plans:
-        pts = _model_plan(S, per_ring, tol)
-        gram = kernel_gram(S, pts, tol)
-        grams.append(gram)
+        pts, vals0 = _kernel_values(S, _model_plan(S, per_ring, tol), tol)
+        gram = _gram_from_values(pts, vals0, tol)
         ranks.append(gram.rank)
         if len(ranks) >= 4 and len(set(ranks[-4:])) == 1:
             break
     else:
         raise PreconditionError(
             f"kernel rank did not saturate; observed growth {ranks}")
-    gram = grams[-1]
-    pts = gram.points
     G = gram.matrix
     w, V = np.linalg.eigh(G)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
@@ -872,8 +891,7 @@ def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
     r = kept.size
     state = SignatureSpace(int(np.sum(signs > 0)), int(np.sum(signs < 0)))
 
-    vals = S.values(np.append(pts, 0.0), tol)
-    vals0, S0 = vals[:-1], vals[-1]  # N x p x m and the value at zero
+    S0 = S.values([0.0], tol)[0]
     N = pts.size
     # values of the basis functions at the samples: (N*p) x r
     Val = G @ coeff
@@ -961,7 +979,7 @@ def _schur_precondition(S, name, tol):
     if S.disc_pole_count != 0:
         raise PreconditionError(
             f"{name} must be Schur class; backing has poles in the disc")
-    if np.nanmax(_circle_survey(S, 32, tol)[0], initial=0.0) > 1.0 + 1e-6:
+    if np.nanmax(_decisive_survey(S, 32, tol)[0], initial=0.0) > 1.0 + 1e-6:
         raise PreconditionError(
             f"{name} must be Schur class; boundary values exceed one")
 

@@ -1,6 +1,7 @@
 """Deterministic example systems shared across the test modules."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -120,22 +121,23 @@ def shift_numerator_counterexample(alpha_b=0.5):
     return sys1
 
 
-def spy_krylov_report(monkeypatch):
-    """Record every krylov_report call, wherever the function is bound.
+def spy(monkeypatch, fn):
+    """Record every call of fn, wherever a pontsys module binds it.
 
-    Returns the list the spy appends each call's system to.
+    Returns the list the spy appends each call's positional arguments to,
+    as a tuple, before the call runs.
     """
-    from pontsys import cli, colligation, products, schur
-
     calls = []
-    real = colligation.krylov_report
 
-    def spy(system, *args, **kwargs):
-        calls.append(system)
-        return real(system, *args, **kwargs)
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
 
-    for module in (colligation, products, schur, cli):
-        monkeypatch.setattr(module, "krylov_report", spy, raising=False)
+    for name, module in list(sys.modules.items()):
+        if name == "pontsys" or name.startswith("pontsys."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, recording)
     return calls
 
 

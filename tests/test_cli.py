@@ -1,5 +1,10 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +16,12 @@ from _builders import (
     inverse_blaschke_system,
     roots_of_unity_system,
     row_schur_left_system,
-    spy_krylov_report,
+    spy,
 )
+from pontsys import cli
 from pontsys.cli import load_system, main, save_system, system_to_json
-from pontsys.colligation import markov
+from pontsys.colligation import krylov_report, markov
+from pontsys.indefinite import DEFAULT_TOL
 from pontsys.products import cascade
 
 
@@ -130,7 +137,7 @@ class TestClassify:
 
     def test_one_krylov_report(self, tmp_path, monkeypatch):
         path = write_system(tmp_path, counterexample_observable_system())
-        calls = spy_krylov_report(monkeypatch)
+        calls = spy(monkeypatch, krylov_report)
         code, report = run_cli(tmp_path, "classify", path)
         assert code == 0
         assert report["verdicts"]["observable"]
@@ -396,3 +403,54 @@ class TestDeterminism:
         r1 = (d1 / "negsq.report.json").read_text()
         r2 = (d2 / "negsq.report.json").read_text()
         assert r1 == r2
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; every call parses into
+    a namespace of its own."""
+
+    def test_parser_built_at_most_once(self, tmp_path, monkeypatch):
+        path = write_system(tmp_path, blaschke_system(0.5))
+        builds = spy(monkeypatch, cli.build_parser)
+        for k in range(3):
+            assert main(["--out", str(tmp_path / str(k)), "classify",
+                         path]) == 0
+        assert len(builds) <= 1
+
+    def test_flags_do_not_leak_into_the_next_call(self, tmp_path):
+        sys1 = cascade(inverse_blaschke_system(0.5), blaschke_system(0.3))
+        path = write_system(tmp_path, sys1)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["--out", str(first), "--seed", "3", "--samples", "40",
+                     "--tol", "1e-7", "factor-kl", path, "--mode",
+                     "left"]) == 0
+        assert main(["--out", str(second), "factor-kl", path]) == 0
+        used = json.loads((first / "factor-kl.report.json").read_text())
+        assert used["parameters"] == {"tol": 1e-7, "samples": 40, "seed": 3,
+                                      "mode": "left"}
+        report = json.loads((second / "factor-kl.report.json").read_text())
+        assert report["parameters"] == {"tol": None, "samples": None,
+                                        "seed": None, "mode": "right"}
+        assert report["tolerances"] == json.loads(json.dumps(
+            dataclasses.asdict(DEFAULT_TOL)))
+
+    @pytest.mark.parametrize("argv,code", [(["--help"], 0),
+                                           (["--no-such-flag"], 2)])
+    def test_call_after_exit_matches_a_fresh_process(self, tmp_path, argv,
+                                                     code, capsys):
+        path = write_system(tmp_path, counterexample_observable_system())
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["negsq", path])
+        assert info.value.code == code
+        capsys.readouterr()
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        assert main(["--out", str(here), "--seed", "5", "negsq", path]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "pontsys.cli", "--out", str(fresh),
+             "--seed", "5", "negsq", path],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert ((here / "negsq.report.json").read_bytes()
+                == (fresh / "negsq.report.json").read_bytes())

@@ -290,6 +290,85 @@ class TestSubspaces:
             assert list(signs) == sorted(signs, reverse=True)
 
 
+def _old_rank_accepts(basis):
+    """The basis rank test as it was: one SVD of every basis."""
+    if not basis.shape[1]:
+        return True
+    s = np.linalg.svd(basis, compute_uv=False)
+    return not s[-1] <= DEFAULT_TOL.rank_tol * max(1.0, s[0])
+
+
+def _orthonormal(rng, n, k):
+    X = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    return np.linalg.qr(X)[0]
+
+
+class TestSubspaceRankCheck:
+    """A basis with ||V^*V - I||_F <= 1/2 skips the rank SVD; every basis
+    gets the verdict of the old SVD test and is stored as given."""
+
+    def bases(self):
+        rng = np.random.default_rng(41)
+        out = []
+        # planted sigma_min / sigma_max at three scales
+        for scale in (1e-3, 1.0, 1e3):
+            for ratio in (1e-6, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12):
+                for k in (2, 5):
+                    sigmas = scale * np.geomspace(1.0, ratio, k)
+                    out.append((_orthonormal(rng, 8, k) * sigmas)
+                               @ _orthonormal(rng, k, k))
+        # orthonormal bases, scaled
+        for scale in np.geomspace(1e-3, 1e3, 7):
+            out.append(scale * _orthonormal(rng, 6, 3))
+        # both sides of the threshold: ||V^*V - I||_F = t
+        for t in (0.3, 0.49, 0.499, 0.501, 0.51, 0.7):
+            d = t * np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
+            out.append(_orthonormal(rng, 6, 3) * np.sqrt(1.0 + d))
+        out.append(np.hstack([out[-1], out[-1][:, :1]]))
+        return out
+
+    def test_verdict_matches_the_svd_test(self):
+        sp = SignatureSpace(4, 4)
+        sp6 = SignatureSpace(3, 3)
+        verdicts = []
+        for basis in self.bases():
+            space = sp if basis.shape[0] == 8 else sp6
+            try:
+                sub = IndefiniteSubspace(space, basis)
+            except InputError:
+                accepted = False
+            else:
+                accepted = True
+                assert np.array_equal(sub.basis, basis)
+            assert accepted == _old_rank_accepts(basis)
+            verdicts.append(accepted)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_orthonormal_bases_skip_the_svd(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        sp = SignatureSpace(3, 3)
+        M = rng.standard_normal((6, 4)) @ rng.standard_normal((4, 6))
+        near = _orthonormal(rng, 6, 3) * np.sqrt(1.0 + 0.49 / np.sqrt(3.0))
+        far = _orthonormal(rng, 6, 3) * np.sqrt(1.0 + 0.51 / np.sqrt(3.0))
+        skipped = [column_space(M), nullspace(M), _orthonormal(rng, 6, 2),
+                   near]
+        checked = [2.0 * _orthonormal(rng, 6, 2), far]
+        calls = []
+        real = np.linalg.svd
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        for basis in skipped:
+            IndefiniteSubspace(sp, basis)
+        assert calls == []
+        for basis in checked:
+            IndefiniteSubspace(sp, basis)
+        assert len(calls) == len(checked)
+
+
 class TestFactorizations:
     def test_psd_factor_reconstructs(self):
         rng = np.random.default_rng(31)

@@ -13,9 +13,9 @@ from _builders import (
     roots_of_unity_system,
     row_schur_left_system,
     shift_numerator_counterexample,
-    spy_krylov_report,
+    spy,
 )
-from pontsys import colligation
+from pontsys import colligation, schur
 from pontsys.colligation import (
     Colligation,
     SystemKind,
@@ -29,7 +29,7 @@ from pontsys.exceptions import (
     PoleProximityError,
     PreconditionError,
 )
-from pontsys.indefinite import SignatureSpace
+from pontsys.indefinite import DEFAULT_TOL, SignatureSpace
 from pontsys.products import cascade, obstruction_observable
 from pontsys.sampling import (
     disc_points,
@@ -167,6 +167,68 @@ class TestNegativeSquares:
         est = negative_squares_estimate(counterexample_observable_system())
         hist = np.array(est.history)
         assert np.all(np.diff(hist) >= 0)
+
+
+def _negsq_reference(S, tol=DEFAULT_TOL):
+    """The stage loop that builds every stage's Gram with the public
+    kernel_gram over the whole sample set; returns (history, estimate,
+    verdict, final Gram)."""
+    S = as_transfer(S)
+    history = []
+    points = np.zeros(0, dtype=complex)
+    size = 8
+    for stage in range(6):
+        fresh = disc_points(size - points.size, seed=tol.seed * 977 + stage,
+                            radius=0.93, exclude=S.poles, min_dist=1e-6)
+        points = np.concatenate([points, fresh])
+        gram = kernel_gram(S, points, tol)
+        history.append(gram.n_minus)
+        size *= 2
+        if len(history) >= 4 and len(set(history[-4:])) == 1:
+            return tuple(history), history[-1], "stable", gram
+    return tuple(history), None, "inconclusive", gram
+
+
+def _negsq_systems():
+    rng = np.random.default_rng(29)
+    systems = [
+        random_conservative_colligation(rng, SignatureSpace(7, 3), 2),
+        random_passive_colligation(rng, SignatureSpace(4, 2), 1, 1,
+                                   strict=0.35),
+    ]
+    systems += [random_conservative_colligation(rng, SignatureSpace(4, k), 1)
+                for k in (1, 2, 3)]
+    return systems
+
+
+class TestNegativeSquaresReuse:
+    """Each sample is evaluated once: every stage builds its Gram from the
+    values of the earlier stages plus those of its fresh points."""
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_matches_the_per_stage_kernel_gram(self, monkeypatch, index):
+        system = _negsq_systems()[index]
+        grams = spy(monkeypatch, schur._gram_from_values)
+        est = negative_squares_estimate(system)
+        history, estimate, verdict, gram = _negsq_reference(system)
+        assert est.history == history
+        assert est.estimate == estimate
+        assert est.verdict == verdict
+        points, values, tol = grams[-1]
+        final = schur._gram_from_values(points, values, tol)
+        assert np.array_equal(final.points, gram.points)
+        assert np.array_equal(final.matrix, gram.matrix)
+        assert final.inertia == gram.inertia
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_each_point_evaluated_once(self, monkeypatch, index):
+        system = _negsq_systems()[index]
+        calls = spy(monkeypatch, colligation.transfer_values)
+        est = negative_squares_estimate(system)
+        evaluated = np.concatenate([np.ravel(args[1]) for args in calls
+                                    if args[0] is system])
+        assert evaluated.size == 8 * 2 ** (len(est.history) - 1)
+        assert np.unique(evaluated).size == evaluated.size
 
 
 class TestBlaschkePotapov:
@@ -320,16 +382,11 @@ class TestKLFactorizeFunction:
         # is certified conservative once, on inversion
         rng = np.random.default_rng(3)
         backing = random_conservative_colligation(rng, SignatureSpace(7, 3), 2)
-        krylov = spy_krylov_report(monkeypatch)
-        classified = []
-        real = colligation.system_operator
-
-        def spy(system):
-            classified.append(system)
-            return real(system)
-
-        monkeypatch.setattr(colligation, "system_operator", spy)
+        krylov_calls = spy(monkeypatch, colligation.krylov_report)
+        calls = spy(monkeypatch, colligation.system_operator)
         res = kl_factorize_function(backing)
+        krylov = [args[0] for args in krylov_calls]
+        classified = [args[0] for args in calls]
         assert res.kappa == 3
         assert sum(s is backing for s in krylov) == 1
         assert sum(s is backing for s in classified) == 1
@@ -463,6 +520,22 @@ class TestCanonicalRealization:
         with pytest.raises(PreconditionError):
             canonical_coisometric_realization(half_shift_system())
 
+    @pytest.mark.parametrize("system", [
+        blaschke_system(0.5),
+        counterexample_observable_system(),
+        random_conservative_colligation(np.random.default_rng(5),
+                                        SignatureSpace(4, 2), 2),
+    ])
+    def test_final_plan_evaluated_once(self, monkeypatch, system):
+        plans = spy(monkeypatch, schur._model_plan)
+        calls = spy(monkeypatch, colligation.transfer_values)
+        canonical_coisometric_realization(system)
+        final = schur._model_plan(*plans[-1])
+        evaluated = np.concatenate([np.ravel(args[1]) for args in calls
+                                    if args[0] is system])
+        for z in np.append(final, 0.0):
+            assert np.sum(evaluated == z) == 1
+
 
 class TestKernelDecomposition:
     def test_distinct_blaschke_pair_holds(self):
@@ -488,6 +561,19 @@ class TestKernelDecomposition:
         with pytest.raises(PreconditionError):
             check_kernel_decomposition(inverse_blaschke_system(0.5),
                                        blaschke_system(0.5))
+
+    def test_all_pole_proximal_survey_is_not_schur_class(self):
+        # every pole sits just outside the circle at a sample point of the
+        # 32-point survey, so no sample is accepted; |S(0.999)| is ~4e3
+        roots = np.exp(2j * np.pi * np.arange(32) / 32)
+        first = Colligation(SignatureSpace(32, 0), 1, 1,
+                            np.diag((1.0 - 1e-14) * np.conj(roots)),
+                            np.full((32, 1), 4.0), np.ones((1, 32)),
+                            np.zeros((1, 1)))
+        assert as_transfer(first).disc_pole_count == 0
+        with pytest.raises(PoleProximityError) as info:
+            check_kernel_decomposition(first, blaschke_system(0.5))
+        assert info.value.point == 1.0
 
     def test_counterexample_orientation_fails_by_obstruction(self):
         # the counterexample pair is outside the Schur-class scope of the
