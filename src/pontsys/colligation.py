@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from enum import Enum as _Enum
 
 import numpy as np
+from scipy.linalg.lapack import zgesvd
 
 from .exceptions import (
     DimensionMismatchError,
@@ -36,6 +37,7 @@ from .indefinite import (
     as_matrix,
     canonical_basis,
     column_space,
+    intersect_spans,
     is_psd,
     j_adjoint,
     metric_classify,
@@ -60,8 +62,6 @@ __all__ = [
     "transfer_eval",
     "transfer_values",
     "markov",
-    "controllability_matrix",
-    "observability_matrix",
     "krylov_report",
     "simp_kar_check",
     "restriction",
@@ -316,32 +316,41 @@ def _taylor_stack(system, order):
     return out
 
 
-def controllability_matrix(system, powers=None):
-    """Block matrix [B, AB, ..., A^(k-1)B]; k defaults to the state dimension."""
-    n = system.state_dim
-    powers = n if powers is None else powers
-    blocks = []
-    X = system.B.copy()
-    for _ in range(powers):
-        blocks.append(X)
-        X = system.A @ X
-    if not blocks:
-        return np.zeros((n, 0), dtype=complex)
-    return np.hstack(blocks)
+def _krylov_basis(A, B, tol):
+    """Block Arnoldi: orthonormal basis Q of span[B, AB, A^2 B, ...].
+
+    Each new block is orthogonalized twice against the basis so far, and
+    singular values at or below rank_tol * max(1, |A|_F, |B|_F) are
+    deflated.  Also returns the recurrence coefficients (H_k, T_k): block
+    k of Q is (X_k - Q_<k H_k) T_k, with X_0 = B and X_k = A (block k-1);
+    _krylov_map replays them on a second system.
+    """
+    n = A.shape[0]
+    cut = tol.rank_tol * max(1.0, np.linalg.norm(A), np.linalg.norm(B))
+    Q = np.zeros((n, 0), dtype=complex)
+    steps = []
+    X = B
+    while X.shape[1] and Q.shape[1] < n:
+        Qh = Q.conj().T
+        H = Qh @ X
+        H += Qh @ (X - Q @ H)
+        U, s, Vh, info = zgesvd(X - Q @ H, full_matrices=0)
+        if info:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        r = min(int(np.sum(s > cut)), n - Q.shape[1])
+        if r == 0:
+            break
+        steps.append((H, Vh[:r].conj().T / s[:r]))
+        Q = np.hstack([Q, U[:, :r]])
+        X = A @ U[:, :r]
+    return Q, steps
 
 
-def observability_matrix(system, powers=None):
-    """Stacked [C; CA; ...; C A^(k-1)]; k defaults to the state dimension."""
-    n = system.state_dim
-    powers = n if powers is None else powers
-    blocks = []
-    X = system.C.copy()
-    for _ in range(powers):
-        blocks.append(X)
-        X = X @ system.A
-    if not blocks:
-        return np.zeros((0, n), dtype=complex)
-    return np.vstack(blocks)
+def _unobservable(system, tol):
+    """Kernel of the observability map, {x : C A^k x = 0 for all k}: the
+    orthogonal complement of span[C^H, A^H C^H, ...]."""
+    Q, _ = _krylov_basis(system.A.conj().T, system.C.conj().T, tol)
+    return nullspace(Q.conj().T, tol)
 
 
 @dataclass(frozen=True)
@@ -360,26 +369,24 @@ class KrylovReport:
 def krylov_report(system, tol=DEFAULT_TOL):
     """Spans of the iterated B and adjoint-C columns and their complements.
 
-    Powers stop at the state dimension; higher powers add nothing at finite
-    dimension.  The complement of the combined space is the intersection of
-    the two individual complements.
+    Each span is the orthonormal basis of one block Arnoldi recurrence; the
+    combined span is the whole state when either span is.  The complement
+    of the combined space is the intersection of the two complements.
     """
     sp = system.state
     n = sp.dim
     adj = adjoint_system(system)
-    Kc = controllability_matrix(system)
-    Ko = controllability_matrix(adj)  # columns span the observable subspace
-    Xc = IndefiniteSubspace(sp, column_space(Kc, tol))
-    Xo = IndefiniteSubspace(sp, column_space(Ko, tol))
-    Xs = IndefiniteSubspace(sp, column_space(np.hstack([Kc, Ko]), tol))
-    kinds = {
-        "controllable": subspace_classify(
-            IndefiniteSubspace(sp, orthocomplement_basis(Xc, tol)), tol),
-        "observable": subspace_classify(
-            IndefiniteSubspace(sp, orthocomplement_basis(Xo, tol)), tol),
-        "simple": subspace_classify(
-            IndefiniteSubspace(sp, orthocomplement_basis(Xs, tol)), tol),
-    }
+    Qc, _ = _krylov_basis(system.A, system.B, tol)
+    Qo, _ = _krylov_basis(adj.A, adj.B, tol)  # spans the observable subspace
+    full = [Q for Q in (Qc, Qo) if Q.shape[1] == n]
+    Qs = full[0] if full else column_space(np.hstack([Qc, Qo]), tol)
+    Xc = IndefiniteSubspace(sp, Qc)
+    Xo = IndefiniteSubspace(sp, Qo)
+    Xs = IndefiniteSubspace(sp, Qs)
+    # a span that is the whole state has the zero subspace as complement
+    kinds = {name: SubspaceKind.HILBERT if X.dim == n else subspace_classify(
+        IndefiniteSubspace(sp, orthocomplement_basis(X, tol)), tol)
+        for name, X in (("controllable", Xc), ("observable", Xo), ("simple", Xs))}
     return KrylovReport(Xc, Xo, Xs, Xc.dim == n, Xo.dim == n, Xs.dim == n, kinds)
 
 
@@ -492,8 +499,8 @@ def is_dilation_of(big, small, tol=DEFAULT_TOL, decomposition=None):
     The decomposition (D, X, D_star) must be mutually metric-orthogonal and
     spanning, with A-invariant D annihilated by C, and adjoint-invariant
     D_star annihilated by the adjoint input map.  When no decomposition is
-    supplied, D is taken as the annihilator of the observability matrix and
-    D_star as that of the adjoint one, which realizes the canonical search.
+    supplied, D is the unobservable kernel of big and D_star that of its
+    adjoint system, which realizes the canonical search.
     Transfer functions must agree on the disc sample plan, whose rings
     hold tol.disc_samples // 3 points each (at least four).
     """
@@ -503,10 +510,9 @@ def is_dilation_of(big, small, tol=DEFAULT_TOL, decomposition=None):
     n = sp.dim
     defects = {}
     if decomposition is None:
-        D_basis = nullspace(observability_matrix(big), tol)
-        Dstar_basis = nullspace(observability_matrix(adjoint_system(big)), tol)
-        overlap = min(D_basis.shape[1], Dstar_basis.shape[1])
-        if overlap and intersect_dim(D_basis, Dstar_basis, tol) > 0:
+        D_basis = _unobservable(big, tol)
+        Dstar_basis = _unobservable(adjoint_system(big), tol)
+        if intersect_spans(D_basis, Dstar_basis, tol).shape[1]:
             return DilationReport(False, defects,
                                   "search failed: candidate parts overlap; "
                                   "supply a decomposition")
@@ -568,12 +574,6 @@ def is_dilation_of(big, small, tol=DEFAULT_TOL, decomposition=None):
     return DilationReport(True, defects)
 
 
-def intersect_dim(A, B, tol=DEFAULT_TOL):
-    from .indefinite import intersect_spans
-
-    return intersect_spans(A, B, tol).shape[1]
-
-
 def _invariance_defect(A, V):
     if V.shape[1] == 0:
         return 0.0
@@ -597,6 +597,18 @@ def _intertwining_residuals(s1, s2, Z):
         "C": float(np.linalg.norm(s1.C - s2.C @ Z, 2)),
         "D": float(np.linalg.norm(s1.D - s2.D, 2)),
     }
+
+
+def _krylov_map(s1, s2, tol):
+    """Z = V2 Q1^H, Q1 the Krylov basis of s1 and V2 its recurrence replayed
+    on s2, which is Z Q1 when s2 is s1 in the coordinates x2 = Z x1."""
+    Q1, steps = _krylov_basis(s1.A, s1.B, tol)
+    V = np.zeros((s2.state_dim, 0), dtype=complex)
+    X = s2.B
+    for H, T in steps:
+        V = np.hstack([V, (X - V @ H) @ T])
+        X = s2.A @ V[:, -T.shape[1]:]
+    return V @ Q1.conj().T
 
 
 def unitary_similarity(s1, s2, tol=DEFAULT_TOL):
@@ -624,12 +636,9 @@ def unitary_similarity(s1, s2, tol=DEFAULT_TOL):
     M = np.vstack(rows)
     v = np.concatenate(rhs)
     sol = np.linalg.lstsq(M, v, rcond=None)[0]
-    candidates = [sol.reshape(n, n, order="F")]
     # the least-squares solution is unique for minimal systems; otherwise the
     # Krylov-matched map is a second candidate worth testing
-    K1 = controllability_matrix(s1)
-    if np.linalg.matrix_rank(K1, tol=tol.rank_tol * max(1.0, np.linalg.norm(K1, 2))) == n:
-        candidates.append(controllability_matrix(s2) @ np.linalg.pinv(K1, rcond=tol.rank_tol))
+    candidates = [sol.reshape(n, n, order="F"), _krylov_map(s1, s2, tol)]
     for Z in candidates:
         residuals = _intertwining_residuals(s1, s2, Z)
         scale = max(1.0, np.linalg.norm(Z, 2))
@@ -645,8 +654,8 @@ def weak_similarity(s1, s2, tol=DEFAULT_TOL):
     """Similarity defined on the reachable vectors, certified invertible.
 
     Requires minimal systems whose Taylor coefficients agree through twice
-    the larger state dimension; Z maps iterated input vectors of the first
-    system to those of the second and is invertible at finite dimension.
+    the larger state dimension.  Z replays the first system's orthonormal
+    Krylov recurrence on the second and is invertible at finite dimension.
     """
     for s in (s1, s2):
         rep = krylov_report(s, tol)
@@ -665,9 +674,7 @@ def weak_similarity(s1, s2, tol=DEFAULT_TOL):
     if bad.size:
         raise PreconditionError(
             f"Taylor coefficients differ at order {bad[0]}; no weak similarity")
-    K1 = controllability_matrix(s1, powers=max(s1.state_dim, s2.state_dim))
-    K2 = controllability_matrix(s2, powers=max(s1.state_dim, s2.state_dim))
-    Z = K2 @ np.linalg.pinv(K1, rcond=tol.rank_tol)
+    Z = _krylov_map(s1, s2, tol)
     residuals = _intertwining_residuals(s1, s2, Z)
     zscale = max(1.0, np.linalg.norm(Z, 2))
     if max(residuals.values()) > 1e-8 * zscale * max(1.0, np.linalg.norm(s1.A, 2)):

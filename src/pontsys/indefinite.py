@@ -34,7 +34,6 @@ __all__ = [
     "SpectralRegion",
     "as_matrix",
     "metric_signs",
-    "metric_matrix",
     "j_inner",
     "j_adjoint",
     "metric_defects",
@@ -191,10 +190,6 @@ def metric_signs(space):
     if signs.size and not np.all(np.abs(signs) == 1.0):
         raise InputError("signature vector entries must be +1 or -1")
     return signs
-
-
-def metric_matrix(space):
-    return np.diag(metric_signs(space)).astype(np.complex128)
 
 
 def j_inner(x, y, space):

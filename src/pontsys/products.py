@@ -20,12 +20,11 @@ from .colligation import (
     _krylov_class,
     _metric_kind,
     _simp_kar,
+    _unobservable,
     adjoint_system,
     classify,
-    controllability_matrix,
     krylov_report,
     markov,
-    observability_matrix,
 )
 from .exceptions import (
     AmbiguousSpectrumError,
@@ -162,13 +161,12 @@ def _compare_kernels(primary, secondary, where):
 def obstruction_observable(first, second, tol=DEFAULT_TOL):
     """Kernel of the observability map of the cascade, cross-checked.
 
-    The primary route takes the null space of the stacked observability
-    matrix of the assembled cascade; the secondary route solves the
-    coupled Taylor-coefficient equations of the pair through twice the
-    state dimension.  The two spaces must coincide.
+    The primary route takes the orthogonal complement of the block
+    Krylov space of the assembled cascade's adjoint output columns; the
+    secondary route solves the coupled Taylor-coefficient equations of the
+    pair through twice the state dimension.  The two spaces must coincide.
     """
-    cas = cascade(first, second)
-    primary = nullspace(observability_matrix(cas), tol)
+    primary = _unobservable(cascade(first, second), tol)
     secondary = nullspace(_taylor_observability_rows(first, second), tol)
     worst = _compare_kernels(primary, secondary, "observability obstruction")
     return ObstructionReport(primary, first.state_dim, worst)
@@ -177,15 +175,13 @@ def obstruction_observable(first, second, tol=DEFAULT_TOL):
 def obstruction_controllable(first, second, tol=DEFAULT_TOL):
     """Metric-orthogonal annihilator of the reachable space of the cascade.
 
-    The primary route solves K^H J x = 0 for the controllability matrix K
-    of the assembled cascade; the secondary route runs the Taylor
-    equations on the adjoint pair, whose unobservable vectors are exactly
-    the annihilator, and swaps the blocks back.
+    The primary route takes the unobservable kernel of the adjoint of the
+    assembled cascade, {x : Q^H J x = 0} for its Krylov basis Q; the
+    secondary route runs the Taylor equations on the adjoint pair, whose
+    unobservable vectors are exactly the annihilator, and swaps the blocks
+    back.
     """
-    cas = cascade(first, second)
-    K = controllability_matrix(cas)
-    J = np.diag(cas.state.signs)
-    primary = nullspace(K.conj().T @ J, tol)
+    primary = _unobservable(adjoint_system(cascade(first, second)), tol)
     dual = nullspace(
         _taylor_observability_rows(adjoint_system(second), adjoint_system(first)),
         tol)

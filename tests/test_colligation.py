@@ -9,12 +9,10 @@ from pontsys.colligation import (
     SystemKind,
     adjoint_system,
     classify,
-    controllability_matrix,
     direct_sum,
     is_dilation_of,
     krylov_report,
     markov,
-    observability_matrix,
     realize_from_taylor,
     restriction,
     simp_kar_check,
@@ -220,11 +218,7 @@ class TestKrylov:
             z = 0.35 * np.exp(2j * np.pi * k / (n + 2))
             cols.append(np.linalg.solve(np.eye(n) - z * sys1.A, sys1.B))
         resolvent_span = np.hstack(cols)
-        assert same_span(resolvent_span, controllability_matrix(sys1))
-
-    def test_observability_matrix_shape(self):
-        sys1 = blaschke_system(0.2)
-        assert observability_matrix(sys1, powers=4).shape == (4, 1)
+        assert same_span(resolvent_span, krylov_report(sys1).controllable_space.basis)
 
     def test_combined_complement_is_intersection_of_complements(self):
         from pontsys.indefinite import intersect_spans, orthocomplement_basis
@@ -242,6 +236,113 @@ class TestKrylov:
         assert both.shape[1] == comp_s.shape[1] == 1
         assert same_span(both, comp_s)
         assert same_span(comp_s, np.eye(3)[:, 2:])
+
+
+def _hautus(A, B):
+    """Hautus (PBH) distance of (A, B): the smallest sigma_min([A - lam I, B])
+    over the eigenvalues lam of A; zero exactly when (A, B) is uncontrollable."""
+    n = A.shape[0]
+    return min(np.linalg.svd(np.hstack([A - lam * np.eye(n), B]), compute_uv=False)[n - 1]
+               for lam in np.linalg.eigvals(A))
+
+
+class TestPBHOracle:
+    """Krylov flags against the Hautus test on seeded passive (strict=0.2) and
+    conservative systems with n up to 40, kappa up to 8 and 1-3 channels."""
+
+    SIZES = [8, 12, 16, 24, 32, 40]
+
+    @staticmethod
+    def shape(kind, n, seed):
+        rng = np.random.default_rng([n, seed, kind == "passive"])
+        kappa = int(rng.integers(0, min(8, n // 3) + 1))
+        io = 1 + int(rng.integers(0, 3))
+        return rng, kappa, io
+
+    @staticmethod
+    def random_system(rng, kind, state, io):
+        if kind == "passive":
+            return random_passive_colligation(rng, state, io, io, strict=0.2)
+        return random_conservative_colligation(rng, state, io)
+
+    @pytest.mark.parametrize("kind", ["passive", "conservative"])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_generic_systems_are_minimal(self, kind, n):
+        for seed in range(3):
+            rng, kappa, io = self.shape(kind, n, seed)
+            sys1 = self.random_system(rng, kind, SignatureSpace(n - kappa, kappa), io)
+            assert _hautus(sys1.A, sys1.B) > 1e-6
+            assert _hautus(sys1.A.conj().T, sys1.C.conj().T) > 1e-6
+            cls = classify(sys1)
+            assert cls.controllable and cls.observable and cls.simple and cls.minimal
+
+    @pytest.mark.parametrize("kind", ["passive", "conservative"])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_hidden_metric_unitary_block(self, kind, n):
+        # a decoupled three-state block with signature (2, 1): neither
+        # reachable nor observable, whatever the visible part
+        rng, kappa, io = self.shape(kind, n, 10)
+        visible = self.random_system(rng, kind, SignatureSpace(n - 3 - kappa, kappa), io)
+        U = random_j_unitary(rng, SignatureSpace(2, 1))
+        nv = n - 3
+        sys1 = Colligation(
+            SignatureSpace.from_signs(np.concatenate([visible.state.signs, [1.0, 1.0, -1.0]])),
+            io, io,
+            np.block([[visible.A, np.zeros((nv, 3))], [np.zeros((3, nv)), U]]),
+            np.vstack([visible.B, np.zeros((3, io))]),
+            np.hstack([visible.C, np.zeros((io, 3))]), visible.D)
+        assert _hautus(sys1.A, sys1.B) < 1e-12
+        rep = krylov_report(sys1)
+        assert rep.controllable_space.dim == rep.observable_space.dim == n - 3
+        assert rep.simple_space.dim == n - 3
+        assert not (rep.controllable or rep.observable or rep.simple)
+
+    @staticmethod
+    def projected(sys1, which, eps, rng):
+        """sys1 with B projected off the left eigenvector w of the eigenvalue
+        picked by which (argmin or argmax of the modulus), then eps w u^H
+        added back for a unit u: the Hautus distance is at most eps."""
+        lam, W = np.linalg.eig(sys1.A.conj().T)
+        w = W[:, which(np.abs(lam))]
+        w = w / np.linalg.norm(w)
+        u = rng.standard_normal(sys1.input_dim) + 1j * rng.standard_normal(sys1.input_dim)
+        u = u / np.linalg.norm(u)
+        B0 = sys1.B - np.outer(w, w.conj() @ sys1.B)
+        return [Colligation(sys1.state, sys1.input_dim, sys1.output_dim, sys1.A,
+                            B0 + e * np.outer(w, u.conj()), sys1.C, sys1.D) for e in eps]
+
+    @pytest.mark.parametrize("kind", ["passive", "conservative"])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_near_uncontrollable_plants(self, kind, n):
+        # the hidden mode is the one of smallest modulus; a hidden dominant
+        # mode is covered by test_hidden_dominant_mode
+        rng, kappa, io = self.shape(kind, n, 20)
+        sys1 = self.random_system(rng, kind, SignatureSpace(n - kappa, kappa), io)
+        eps = [0.0, 1e-6, 1e-7, 1e-8, 1e-10, 1e-11, 1e-12, 1e-13]
+        plants = dict(zip(eps, self.projected(sys1, np.argmin, eps, rng)))
+        assert _hautus(plants[0.0].A, plants[0.0].B) < 1e-12
+        rep = krylov_report(plants[0.0])
+        assert rep.controllable_space.dim == n - 1 and not rep.controllable
+        assert rep.observable
+        for e in eps[1:4]:
+            assert _hautus(plants[e].A, plants[e].B) <= 1.01 * e
+            rep = krylov_report(plants[e])
+            assert rep.controllable and rep.observable, e
+        # below 1e-10 the deflation does not track the Hautus distance:
+        # either verdict, but a verdict
+        for e in eps[4:]:
+            assert krylov_report(plants[e]).controllable_space.dim in (n - 1, n)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_hidden_dominant_mode(self, n):
+        # hiding the mode of largest modulus of a strictly passive system:
+        # rounding along that mode grows through the recurrence, and from
+        # about n = 12 on the plant is usually reported controllable
+        rng, kappa, io = self.shape("passive", n, 30)
+        sys1 = self.random_system(rng, "passive", SignatureSpace(n - kappa, kappa), io)
+        exact, = self.projected(sys1, np.argmax, [0.0], rng)
+        assert _hautus(exact.A, exact.B) < 1e-12
+        assert krylov_report(exact).controllable_space.dim in (n - 1, n)
 
 
 class TestSimpKar:
@@ -373,6 +474,19 @@ class TestSimilarity:
         assert sim is not None
         assert metric_classify(sim.Z, sp, sp) == MetricClass.UNITARY
         assert max(sim.residuals.values()) < 1e-9
+
+    @pytest.mark.parametrize("entropy, n, kappa, io", [
+        ([8, 1, 1], 8, 1, 1), ([8, 2, 3], 8, 2, 3), ([24, 4, 2], 24, 4, 2),
+        ([24, 8, 1], 24, 8, 1), ([40, 6, 2], 40, 6, 2),
+        # refused as non-minimal by the power-basis Krylov spans
+        ([3, 17, 20], 40, 8, 3)])
+    def test_weak_similarity_recovers_planted_map(self, entropy, n, kappa, io):
+        rng = np.random.default_rng(entropy)
+        sys1 = random_conservative_colligation(rng, SignatureSpace(n - kappa, kappa), io)
+        R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        Z = np.eye(n) + 0.05 * R / max(1.0, np.linalg.norm(R, 2))
+        sim = weak_similarity(sys1, state_change(sys1, Z, sys1.state))
+        assert np.linalg.norm(sim.Z - Z, 2) <= 1e-6 * np.linalg.norm(Z, 2)
 
     def test_unitary_similarity_rejects_balanced_form(self):
         sys1 = blaschke_system(0.5)

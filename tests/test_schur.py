@@ -551,6 +551,18 @@ class TestKernelDecomposition:
                                          identity_feedthrough(1))
         assert rep.holds and rep.rank_second == 0
 
+    def test_second_factor_evaluated_once_per_kernel_point(self, monkeypatch):
+        # the 24-point kernel plan of check_kernel_decomposition serves both
+        # the second factor's Gram and the images of the first factor's
+        # sections
+        second = blaschke_system(0.5)
+        calls = spy(monkeypatch, colligation.transfer_values)
+        check_kernel_decomposition(blaschke_system(1.0 / 3.0), second)
+        evaluated = np.concatenate([np.ravel(args[1]) for args in calls
+                                    if args[0] is second])
+        for z in disc_points(24, seed=DEFAULT_TOL.seed * 271 + 3, radius=0.9):
+            assert np.sum(evaluated == z) == 1
+
     def test_controllable_variant(self):
         rep = check_kernel_decomposition(blaschke_system(1.0 / 3.0),
                                          blaschke_system(0.5),
