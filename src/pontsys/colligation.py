@@ -373,10 +373,15 @@ def krylov_report(system, tol=DEFAULT_TOL):
     combined span is the whole state when either span is.  The complement
     of the combined space is the intersection of the two complements.
     """
+    return _krylov_report(system, tol)[0]
+
+
+def _krylov_report(system, tol):
+    """krylov_report with the recurrence (Q, steps) of the reachable span."""
     sp = system.state
     n = sp.dim
     adj = adjoint_system(system)
-    Qc, _ = _krylov_basis(system.A, system.B, tol)
+    Qc, steps = _krylov_basis(system.A, system.B, tol)
     Qo, _ = _krylov_basis(adj.A, adj.B, tol)  # spans the observable subspace
     full = [Q for Q in (Qc, Qo) if Q.shape[1] == n]
     Qs = full[0] if full else column_space(np.hstack([Qc, Qo]), tol)
@@ -387,7 +392,8 @@ def krylov_report(system, tol=DEFAULT_TOL):
     kinds = {name: SubspaceKind.HILBERT if X.dim == n else subspace_classify(
         IndefiniteSubspace(sp, orthocomplement_basis(X, tol)), tol)
         for name, X in (("controllable", Xc), ("observable", Xo), ("simple", Xs))}
-    return KrylovReport(Xc, Xo, Xs, Xc.dim == n, Xo.dim == n, Xs.dim == n, kinds)
+    return (KrylovReport(Xc, Xo, Xs, Xc.dim == n, Xo.dim == n, Xs.dim == n, kinds),
+            (Qc, steps))
 
 
 @dataclass(frozen=True)
@@ -599,10 +605,11 @@ def _intertwining_residuals(s1, s2, Z):
     }
 
 
-def _krylov_map(s1, s2, tol):
-    """Z = V2 Q1^H, Q1 the Krylov basis of s1 and V2 its recurrence replayed
-    on s2, which is Z Q1 when s2 is s1 in the coordinates x2 = Z x1."""
-    Q1, steps = _krylov_basis(s1.A, s1.B, tol)
+def _krylov_map(recurrence, s2):
+    """Z = V2 Q1^H, (Q1, steps) the Krylov recurrence of a system s1 and V2
+    its replay on s2, which is Z Q1 when s2 is s1 in the coordinates
+    x2 = Z x1."""
+    Q1, steps = recurrence
     V = np.zeros((s2.state_dim, 0), dtype=complex)
     X = s2.B
     for H, T in steps:
@@ -638,7 +645,8 @@ def unitary_similarity(s1, s2, tol=DEFAULT_TOL):
     sol = np.linalg.lstsq(M, v, rcond=None)[0]
     # the least-squares solution is unique for minimal systems; otherwise the
     # Krylov-matched map is a second candidate worth testing
-    candidates = [sol.reshape(n, n, order="F"), _krylov_map(s1, s2, tol)]
+    candidates = [sol.reshape(n, n, order="F"),
+                  _krylov_map(_krylov_basis(s1.A, s1.B, tol), s2)]
     for Z in candidates:
         residuals = _intertwining_residuals(s1, s2, Z)
         scale = max(1.0, np.linalg.norm(Z, 2))
@@ -657,10 +665,12 @@ def weak_similarity(s1, s2, tol=DEFAULT_TOL):
     the larger state dimension.  Z replays the first system's orthonormal
     Krylov recurrence on the second and is invertible at finite dimension.
     """
+    recurrences = []
     for s in (s1, s2):
-        rep = krylov_report(s, tol)
+        rep, recurrence = _krylov_report(s, tol)
         if not (rep.controllable and rep.observable):
             raise PreconditionError("weak similarity requires minimal systems")
+        recurrences.append(recurrence)
     if s1.input_dim != s2.input_dim or s1.output_dim != s2.output_dim:
         raise PreconditionError("weak similarity requires matching input/output")
     N = 2 * max(s1.state_dim, s2.state_dim)
@@ -674,7 +684,7 @@ def weak_similarity(s1, s2, tol=DEFAULT_TOL):
     if bad.size:
         raise PreconditionError(
             f"Taylor coefficients differ at order {bad[0]}; no weak similarity")
-    Z = _krylov_map(s1, s2, tol)
+    Z = _krylov_map(recurrences[0], s2)
     residuals = _intertwining_residuals(s1, s2, Z)
     zscale = max(1.0, np.linalg.norm(Z, 2))
     if max(residuals.values()) > 1e-8 * zscale * max(1.0, np.linalg.norm(s1.A, 2)):

@@ -13,6 +13,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import zpotrf, ztrsen
 
 from .exceptions import (
     AmbiguousSpectrumError,
@@ -312,11 +313,22 @@ def metric_classify(M, dom, cod, tol=DEFAULT_TOL):
     within metric_tol * max(1, ||M||^2).
     """
     primal, dual = metric_defects(M, dom, cod)
-    scale = max(1.0, float(np.linalg.norm(M, 2)) ** 2) if M.size else 1.0
     w, _, skew = _sym_eig(primal)
-    iso = _spectral_radius(w) + skew / 2.0 <= tol.metric_tol * scale
     wd, _, skew_d = _sym_eig(dual)
-    coiso = _spectral_radius(wd) + skew_d / 2.0 <= tol.metric_tol * scale
+    defects = (_spectral_radius(w) + skew / 2.0,
+               _spectral_radius(wd) + skew_d / 2.0)
+    # The scale max(1, ||M||_2^2) lies in [1, max(1, ||M||_F^2)].  A defect
+    # within metric_tol is zero at every scale >= 1, and one above
+    # metric_tol * max(1, ||M||_F^2) is nonzero at every scale up to that,
+    # so only a defect in between needs the SVD.  The Frobenius bound is
+    # inflated by a few ulps: for a rank-one M the two norms coincide, and
+    # rounding could otherwise put the computed ||M||_F below ||M||_2.
+    upper = tol.metric_tol * max(1.0, float(np.linalg.norm(M)) ** 2 * (1.0 + 1e-14))
+    if any(tol.metric_tol < d <= upper for d in defects):
+        scale = max(1.0, float(np.linalg.norm(M, 2)) ** 2)
+    else:
+        scale = 1.0
+    iso, coiso = (d <= tol.metric_tol * scale for d in defects)
     if iso and coiso:
         return MetricClass.UNITARY
     if iso:
@@ -335,8 +347,48 @@ def _psd_slack_ok(w, tol):
         w[0] >= -tol.psd_tol * max(1.0, _spectral_radius(w)))
 
 
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
+
+
+def _cholesky_accepts(H, tol):
+    """Whether one Cholesky factorization proves H positive semidefinite
+    within the slack of is_psd, for a validated square H.
+
+    Accepts when ||H - H^*||_F <= 1e-10, X = sym H + (psd_tol/2) I factors,
+    and (n + 1) u tr(X) <= psd_tol / 4, u the unit roundoff.  A completed
+    Cholesky factorization R^H R = X + Delta X of an n x n matrix has
+    |Delta X| <= gamma_(n+1) |R^H| |R| (Demmel; Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10), and
+    || |R^H| |R| ||_2 <= ||R||_F^2 = tr(X + Delta X), so the trace
+    condition keeps ||Delta X||_2 at about psd_tol / 4.  As X + Delta X is
+    semidefinite, lambda_min(sym H) >= -psd_tol/2 - ||Delta X||_2, about
+    -3/4 psd_tol.  The eigenvalue test of is_psd accepts
+    w_min >= -psd_tol * max(1, max|w|), at least -psd_tol, and its
+    Hermitian guard allows 1e-10 * max(1, max|w|), at least 1e-10, so it
+    accepts every matrix accepted here; the last quarter of psd_tol
+    absorbs the larger constants of complex rounding and the error of the
+    eigen-solve.
+    """
+    n = H.shape[0]
+    if n == 0 or not np.linalg.norm(H - H.conj().T) <= 1e-10:
+        return False
+    shifted = (H + H.conj().T) / 2.0 + (tol.psd_tol / 2.0) * np.eye(n)
+    _, info = zpotrf(shifted, lower=1, clean=0)
+    if info:
+        return False
+    trace = float(np.real(np.trace(shifted)))
+    return (n + 1) * _UNIT_ROUNDOFF * trace <= tol.psd_tol / 4.0
+
+
 def is_psd(H, tol=DEFAULT_TOL):
-    """Positive semidefiniteness with slack psd_tol * max(1, ||H||)."""
+    """Positive semidefiniteness with slack psd_tol * max(1, ||H||).
+
+    A Cholesky factorization decides the clearly semidefinite inputs; the
+    rest take one eigen-solve.
+    """
+    H = as_matrix(H, name="psd input")
+    if H.shape[0] == H.shape[1] and _cholesky_accepts(H, tol):
+        return True
     return _psd_slack_ok(_hermitian_eig(H, name="psd input", rel=1e-10), tol)
 
 
@@ -477,6 +529,35 @@ class SpectralRegion(str, Enum):
     MODULUS_ONE_BAND = "modulus_one_band"
 
 
+class _DiscSchur:
+    """Complex Schur form A = Z T Z^H with its eigenvalues placed on the disc.
+
+    The eigenvalues are the diagonal of T; those within band of the unit
+    circle are near it, the others inside or outside it.  reordered()
+    brings any selection to the leading block with LAPACK ztrsen, so every
+    spectral subspace of A comes from this one Schur form.
+    """
+
+    def __init__(self, A, band):
+        self.T, self.Z = sla.schur(A, output="complex")
+        mod = np.abs(np.diag(self.T))
+        self.near = np.abs(mod - 1.0) <= band
+        self.inside = mod < 1.0 - band
+        self.outside = mod > 1.0 + band
+
+    def reordered(self, select):
+        """(Z, w, k): a unitary Z whose first k columns span the A-invariant
+        subspace of the selected eigenvalues, which lead the reordered
+        eigenvalues w."""
+        k = int(np.count_nonzero(select))
+        if k in (0, select.size):
+            return self.Z, np.diag(self.T), k
+        _, Z, w, k, _, _, info = ztrsen(select, self.T, self.Z, job="N")
+        if info:
+            raise np.linalg.LinAlgError("Schur reordering failed")
+        return Z, w, k
+
+
 def spectral_subspace(A, space, region, tol=DEFAULT_TOL, on_boundary="error"):
     """Invariant subspace for the eigenvalues of A in a disc region.
 
@@ -487,30 +568,27 @@ def spectral_subspace(A, space, region, tol=DEFAULT_TOL, on_boundary="error"):
     """
     signs = metric_signs(space)
     A = as_matrix(A, rows=signs.size, cols=signs.size, name="operator")
-    region = SpectralRegion(region)
-    band = tol.metric_tol
+    try:
+        region = SpectralRegion(region)
+    except ValueError:
+        raise InputError(f"unknown spectral region {region!r}") from None
+    if on_boundary not in ("error", "exclude"):
+        raise InputError("on_boundary must be 'error' or 'exclude'")
 
     if A.size == 0:
         return IndefiniteSubspace(_as_space(space), np.zeros((0, 0), np.complex128))
 
-    eigvals = np.linalg.eigvals(A)
-    near = [lam for lam in eigvals if abs(abs(lam) - 1.0) <= band]
-    if region != SpectralRegion.MODULUS_ONE_BAND and near:
-        if on_boundary == "error":
-            raise AmbiguousSpectrumError(
-                f"eigenvalue {near[0]} lies within {band:g} of the unit circle")
-        if on_boundary != "exclude":
-            raise InputError("on_boundary must be 'error' or 'exclude'")
-
-    if region == SpectralRegion.INSIDE_OPEN_DISC:
-        select = lambda lam: abs(lam) < 1.0 - band
-    elif region == SpectralRegion.OUTSIDE_CLOSED_DISC:
-        select = lambda lam: abs(lam) > 1.0 + band
-    else:
-        select = lambda lam: abs(abs(lam) - 1.0) <= band
-
-    T, Z, sdim = sla.schur(A, output="complex", sort=select)
-    return IndefiniteSubspace(_as_space(space), Z[:, :sdim])
+    form = _DiscSchur(A, tol.metric_tol)
+    if (region != SpectralRegion.MODULUS_ONE_BAND and on_boundary == "error"
+            and form.near.any()):
+        lam = np.diag(form.T)[form.near][0]
+        raise AmbiguousSpectrumError(
+            f"eigenvalue {lam} lies within {tol.metric_tol:g} of the unit circle")
+    select = {SpectralRegion.INSIDE_OPEN_DISC: form.inside,
+              SpectralRegion.OUTSIDE_CLOSED_DISC: form.outside,
+              SpectralRegion.MODULUS_ONE_BAND: form.near}[region]
+    Z, _, k = form.reordered(select)
+    return IndefiniteSubspace(_as_space(space), Z[:, :k])
 
 
 def _as_space(space):

@@ -37,14 +37,13 @@ from .indefinite import (
     DEFAULT_TOL,
     IndefiniteSubspace,
     SignatureSpace,
-    SpectralRegion,
     SubspaceKind,
+    _DiscSchur,
     canonical_basis,
     j_complement,
     nullspace,
     orthocomplement_basis,
     principal_angles,
-    spectral_subspace,
     subspace_classify,
 )
 
@@ -213,30 +212,6 @@ class FundamentalSplit:
     invariance_residual: float
 
 
-def _outside_subspace(A, state, tol):
-    """Invariant subspace for the spectrum outside the closed disc.
-
-    Eigenvalues within the tolerance band of the unit circle are allowed
-    only when their spectral subspace is positive; then they are assigned
-    to the inside part.  Otherwise the ambiguity is refused.
-    """
-    try:
-        return spectral_subspace(
-            A, state, SpectralRegion.OUTSIDE_CLOSED_DISC, tol, on_boundary="error")
-    except AmbiguousSpectrumError:
-        sub = spectral_subspace(
-            A, state, SpectralRegion.OUTSIDE_CLOSED_DISC, tol, on_boundary="exclude")
-        band = spectral_subspace(A, state, SpectralRegion.MODULUS_ONE_BAND, tol)
-        if band.dim and subspace_classify(band, tol) != SubspaceKind.HILBERT:
-            raise
-        return sub
-
-
-def _adjoint_main(system):
-    signs = system.state.signs
-    return signs[:, None] * system.A.conj().T * signs[None, :]
-
-
 def invariant_fundamental_decompositions(system, tol=DEFAULT_TOL):
     """The two fundamental splits determined by the main operator.
 
@@ -248,7 +223,7 @@ def invariant_fundamental_decompositions(system, tol=DEFAULT_TOL):
     minus-invariant split).
     """
     _splittable(system, tol)
-    return _fundamental_splits(system, tol)
+    return _fundamental_splits(system, tol)[:2]
 
 
 def _splittable(system, tol):
@@ -264,14 +239,28 @@ def _splittable(system, tol):
     return kind, rep
 
 
+def _positive_band(form, basis, state, tol):
+    """Refuse the eigenvalues near the unit circle unless their spectral
+    subspace (basis) is positive; then they belong with the inside ones."""
+    if subspace_classify(IndefiniteSubspace(state, basis), tol) != SubspaceKind.HILBERT:
+        lam = np.diag(form.T)[form.near][0]
+        raise AmbiguousSpectrumError(
+            f"eigenvalue {lam} lies within {tol.metric_tol:g} of the unit circle")
+
+
 def _fundamental_splits(system, tol):
-    """invariant_fundamental_decompositions past its preconditions."""
+    """invariant_fundamental_decompositions past its preconditions.
+
+    Returns (plus-invariant split, minus-invariant split, radius), radius
+    the spectral radius of A on the positive invariant half.
+    """
     kappa = system.kappa
     state = system.state
     if state.dim == 0:
         empty = IndefiniteSubspace(state, np.zeros((0, 0)))
         return (FundamentalSplit(SplitKind.PLUS_INVARIANT, empty, empty, 0.0),
-                FundamentalSplit(SplitKind.MINUS_INVARIANT, empty, empty, 0.0))
+                FundamentalSplit(SplitKind.MINUS_INVARIANT, empty, empty, 0.0),
+                0.0)
     A = system.A
     scale = max(1.0, _norm2(A))
 
@@ -302,26 +291,36 @@ def _fundamental_splits(system, tol):
         if plus.dim and subspace_classify(plus, tol) != SubspaceKind.HILBERT:
             raise InternalConsistencyError("positive half is not positive")
 
-    # Each split's invariant half is produced directly as a spectral
-    # subspace, never as a metric complement: the outside-disc subspace
-    # of A itself for the minus-invariant split, and for the other split
-    # the Euclidean complement of the outside-disc subspace of A^H,
-    # which is the A-invariant subspace carrying the rest of the
-    # spectrum.  The metric complement only ever supplies the
-    # non-invariant half.
-    minus1 = _outside_subspace(A, state, tol)
+    # Each split's invariant half is a spectral subspace of one Schur form
+    # of A, never a metric complement: the outside-disc subspace for the
+    # minus-invariant split, and for the other the subspace of the inside
+    # and near-circle spectrum, whose Euclidean complement is the
+    # outside-disc subspace of A^H.  The metric complement only ever
+    # supplies the non-invariant half.  Near-circle eigenvalues are allowed
+    # only when their spectral subspaces, of A and of A^H, are both
+    # positive; the one of A^H is the Euclidean complement of the rest of
+    # the spectrum of A.
+    form = _DiscSchur(A, tol.metric_tol)
+    if form.near.any():
+        Z, _, k = form.reordered(form.near)
+        _positive_band(form, Z[:, :k], state, tol)
+    Z, _, k = form.reordered(form.outside)
+    minus1 = IndefiniteSubspace(state, Z[:, :k])
     plus1 = j_complement(minus1, tol)
     check_halves(plus1, minus1)
     split_minus = FundamentalSplit(
         SplitKind.MINUS_INVARIANT, plus1, minus1, invariance(minus1))
 
-    left_out = _outside_subspace(A.conj().T, state, tol)
-    plus2 = IndefiniteSubspace(state, nullspace(left_out.basis.conj().T, tol))
+    if form.near.any():
+        Z, _, k = form.reordered(~form.near)
+        _positive_band(form, Z[:, k:], state, tol)
+    Z, w, k = form.reordered(~form.outside)
+    plus2 = IndefiniteSubspace(state, Z[:, :k])
     minus2 = j_complement(plus2, tol)
     check_halves(plus2, minus2)
     split_plus = FundamentalSplit(
         SplitKind.PLUS_INVARIANT, plus2, minus2, invariance(plus2))
-    return split_plus, split_minus
+    return split_plus, split_minus, float(np.max(np.abs(w[:k]), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -573,7 +572,7 @@ def _kl_factorize(system, cls, rep, mode, tol):
         # the checks above imply the split preconditions: the kind is
         # passive and the report index-preserving
         schur, invb, Z = _factorize_simple(
-            system, _fundamental_splits(system, tol), mode, tol)
+            system, _fundamental_splits(system, tol)[:2], mode, tol)
     resid = _certify_factorization(system, schur, invb, Z, mode, tol)
     return SystemFactorization(schur, invb, mode, Z, resid)
 
@@ -584,8 +583,11 @@ class StabilityClass:
 
     ``forward`` holds when powers of A die out on the positive invariant
     half, ``backward`` when powers of the adjoint of A die out on the
-    positive half of the other split.  ``label`` combines the flags with
-    the metric class of the system; kappa is carried for reporting.
+    positive half of the other split.  At finite dimension both radii are
+    the largest modulus among the eigenvalues of A that are not outside
+    the closed disc, so they coincide, the two flags agree and the label
+    is one of C00, I0., I*.0, P00 or none.  ``label`` combines the flags
+    with the metric class of the system; kappa is carried for reporting.
     """
 
     label: str
@@ -600,53 +602,31 @@ class StabilityClass:
         return self.forward and self.backward
 
 
-def _restricted_radius(op, space, tol):
-    """Spectral radius of op compressed to an invariant hilbert subspace."""
-    if space.dim == 0:
-        return 0.0
-    W, _ = canonical_basis(space, tol)
-    signs = space.ambient.signs
-    compressed = (W.conj().T * signs[None, :]) @ op @ W
-    return float(np.max(np.abs(np.linalg.eigvals(compressed))))
-
-
 def stability_classify(system, tol=DEFAULT_TOL):
     """Assign the stability class of a passive index-preserving system.
 
     At finite dimension the restriction of A to the positive invariant
     half is a Hilbert-space contraction, and its powers tend to zero
     exactly when its spectral radius is below one; dually for the adjoint
-    flow.  The class combines the two flags with the metric type:
-    conservative connected systems give the C classes, one-sided metric
-    classes with the matching Krylov property give the I classes, the
-    rest of the passive systems the P classes.
+    flow.  The restriction carries the inside and near-circle spectrum of
+    A, and the adjoint flow on the positive half of the other split its
+    conjugate, so one radius, read off the Schur form of the splits,
+    serves both.  Conservative connected systems give the C class,
+    one-sided metric classes with the matching Krylov property the I
+    classes, the rest of the passive systems the P class.
     """
     kind, rep = _splittable(system, tol)
-    split_plus, split_minus = _fundamental_splits(system, tol)
-    rf = _restricted_radius(system.A, split_plus.Xplus, tol)
-    rb = _restricted_radius(_adjoint_main(system), split_minus.Xplus, tol)
-    forward = rf < 1.0 - tol.metric_tol
-    backward = rb < 1.0 - tol.metric_tol
+    _, _, radius = _fundamental_splits(system, tol)
+    stable = radius < 1.0 - tol.metric_tol
     cls = _krylov_class(kind, rep)
-    if cls.kind == SystemKind.CONSERVATIVE and cls.simple:
-        if forward and backward:
-            label = "C00"
-        elif forward:
-            label = "C0."
-        elif backward:
-            label = "C.0"
-        else:
-            label = "none"
-    elif cls.kind == SystemKind.ISOMETRIC and cls.controllable and forward:
-        label = "I0."
-    elif cls.kind == SystemKind.COISOMETRIC and cls.observable and backward:
-        label = "I*.0"
-    elif forward and backward:
-        label = "P00"
-    elif forward:
-        label = "P0."
-    elif backward:
-        label = "P.0"
-    else:
+    if not stable:
         label = "none"
-    return StabilityClass(label, system.kappa, forward, backward, rf, rb)
+    elif cls.kind == SystemKind.CONSERVATIVE and cls.simple:
+        label = "C00"
+    elif cls.kind == SystemKind.ISOMETRIC and cls.controllable:
+        label = "I0."
+    elif cls.kind == SystemKind.COISOMETRIC and cls.observable:
+        label = "I*.0"
+    else:
+        label = "P00"
+    return StabilityClass(label, system.kappa, stable, stable, radius, radius)

@@ -141,6 +141,23 @@ def spy(monkeypatch, fn):
     return calls
 
 
+def spy_attr(monkeypatch, owner, name):
+    """Record every call of a library function, such as np.linalg.eigvalsh,
+    looked up as an attribute of its module (owner.name) at call time.
+
+    Returns the list the spy appends each call's positional arguments to.
+    """
+    calls = []
+    real = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
 def roots_of_unity_system(count=128):
     """Hilbert-state system with A = diag of the count-th roots of unity,
     B = 1/count and C = 1: a pole at every count-th root of unity."""

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from pontsys import colligation
 from pontsys.colligation import (
     BareRealization,
     Colligation,
     SystemKind,
+    _check_bicontraction_corners,
     adjoint_system,
     classify,
     direct_sum,
@@ -31,6 +33,7 @@ from pontsys.exceptions import (
     PreconditionError,
 )
 from pontsys.indefinite import (
+    DEFAULT_TOL,
     IndefiniteSubspace,
     MetricClass,
     SignatureSpace,
@@ -45,6 +48,8 @@ from pontsys.sampling import (
     random_j_unitary,
     random_passive_colligation,
 )
+
+from _builders import spy, spy_attr
 
 ROOT3 = math.sqrt(3.0)
 
@@ -118,6 +123,17 @@ class TestClassify:
         sys1 = Colligation(SignatureSpace(1, 0), 1, 1,
                            [[1.0]], [[1.0]], [[1.0]], [[1.0]])
         assert classify(sys1, with_krylov=False).kind == SystemKind.NONE
+
+
+class TestCornerCertificates:
+    def test_conservative_corners_take_no_eigen_solve(self, monkeypatch):
+        # every corner defect of a conservative system is semidefinite,
+        # clearly enough for the Cholesky route of is_psd
+        rng = np.random.default_rng(40)
+        system = random_conservative_colligation(rng, SignatureSpace(32, 8), 2)
+        calls = spy_attr(monkeypatch, np.linalg, "eigvalsh")
+        _check_bicontraction_corners(system, DEFAULT_TOL)
+        assert calls == []
 
 
 class TestTransfer:
@@ -487,6 +503,15 @@ class TestSimilarity:
         Z = np.eye(n) + 0.05 * R / max(1.0, np.linalg.norm(R, 2))
         sim = weak_similarity(sys1, state_change(sys1, Z, sys1.state))
         assert np.linalg.norm(sim.Z - Z, 2) <= 1e-6 * np.linalg.norm(Z, 2)
+
+    def test_weak_similarity_runs_the_first_recurrence_once(self, monkeypatch):
+        rng = np.random.default_rng([24, 4, 2])
+        sys1 = random_conservative_colligation(rng, SignatureSpace(20, 4), 2)
+        Z = np.eye(24) + 0.01 * rng.standard_normal((24, 24))
+        sys2 = state_change(sys1, Z, sys1.state)
+        calls = spy(monkeypatch, colligation._krylov_basis)
+        weak_similarity(sys1, sys2)
+        assert sum(args[0] is sys1.A and args[1] is sys1.B for args in calls) == 1
 
     def test_unitary_similarity_rejects_balanced_form(self):
         sys1 = blaschke_system(0.5)

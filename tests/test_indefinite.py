@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pontsys import sampling
 from pontsys.exceptions import (
@@ -19,6 +20,7 @@ from pontsys.indefinite import (
     SpectralRegion,
     SubspaceKind,
     Tolerances,
+    as_matrix,
     canonical_basis,
     column_space,
     eig_general,
@@ -40,6 +42,8 @@ from pontsys.indefinite import (
     spectral_subspace,
     subspace_classify,
 )
+
+from _builders import spy_attr
 
 
 def random_invertible(rng, n, cond_bound=50.0):
@@ -629,6 +633,166 @@ class TestSpectralSubspace:
         assert S.dim == 1
         band = spectral_subspace(A, sp, SpectralRegion.MODULUS_ONE_BAND)
         assert band.dim == 1
+
+
+    def test_unknown_on_boundary_is_refused(self):
+        # checked before any eigenvalue is read, so also with none near
+        # the circle
+        with pytest.raises(InputError):
+            spectral_subspace(np.diag([0.5, 2.0]), SignatureSpace(1, 1),
+                              SpectralRegion.INSIDE_OPEN_DISC, on_boundary="exlude")
+
+    def test_unknown_region_is_refused(self):
+        with pytest.raises(InputError):
+            spectral_subspace(np.diag([0.5, 2.0]), SignatureSpace(1, 1), "inside")
+
+    def test_one_schur_form_and_no_eigenvalue_solve(self, monkeypatch):
+        schur = spy_attr(monkeypatch, scipy.linalg, "schur")
+        eigvals = spy_attr(monkeypatch, np.linalg, "eigvals")
+        A = np.diag([0.5, 2.0, 0.3, 3.0])
+        S = spectral_subspace(A, SignatureSpace(2, 2), SpectralRegion.OUTSIDE_CLOSED_DISC)
+        assert S.dim == 2
+        assert (len(schur), len(eigvals)) == (1, 0)
+
+
+# is_psd before its Cholesky route: one eigen-solve of the symmetrized
+# matrix behind the Frobenius Hermitian guard (rel 1e-10), then the slack
+# psd_tol * max(1, max|eig|).  Kept as the reference for the verdicts.
+def _eig_is_psd(H, tol=DEFAULT_TOL):
+    H = as_matrix(H)
+    w = np.linalg.eigvalsh((H + H.conj().T) / 2.0)
+    radius = float(np.max(np.abs(w), initial=0.0))
+    if np.linalg.norm(H - H.conj().T) > 1e-10 * max(1.0, radius):
+        raise NotHermitianError("not Hermitian")
+    return w.size == 0 or bool(w[0] >= -tol.psd_tol * max(1.0, radius))
+
+
+# metric_classify before the Frobenius shortcut: the scale ||M||_2 is
+# always an SVD.  Kept as the reference for the verdicts.
+def _svd_metric_classify(M, dom, cod, tol=DEFAULT_TOL):
+    primal, dual = metric_defects(M, dom, cod)
+    scale = max(1.0, float(np.linalg.norm(M, 2)) ** 2) if M.size else 1.0
+
+    def bound(P):
+        w = np.linalg.eigvalsh((P + P.conj().T) / 2.0)
+        return float(np.max(np.abs(w), initial=0.0)) + np.linalg.norm(
+            P - P.conj().T) / 2.0
+
+    iso = bound(primal) <= tol.metric_tol * scale
+    coiso = bound(dual) <= tol.metric_tol * scale
+    if iso and coiso:
+        return MetricClass.UNITARY
+    if iso:
+        return MetricClass.ISOMETRY
+    if coiso:
+        return MetricClass.COISOMETRY
+    return MetricClass.CONTRACTION if _eig_is_psd(primal, tol) else MetricClass.NONE
+
+
+class TestCheapCertificates:
+    """The Cholesky route of is_psd and the Frobenius shortcut of
+    metric_classify against the eigen-solve and SVD references."""
+
+    FACTORS = (0.1, 0.5, 0.9, 1.1, 2.0, 10.0)
+
+    def planted(self, tol):
+        """Hermitian matrices with lambda_min planted at +-0.1-10x the
+        slack, at scales 1e-3 to 1e3, with skew parts of Frobenius norm
+        0.1-10x 1e-10 (and none)."""
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 5, 12, 40):
+            for scale in (1e-3, 1.0, 1e3):
+                Q = np.linalg.qr(rng.standard_normal((n, n))
+                                 + 1j * rng.standard_normal((n, n)))[0]
+                rest = scale * rng.uniform(0.1, 1.0, n - 1)
+                slack = tol.psd_tol * max(1.0, float(np.max(rest, initial=0.0)))
+                K = _random_skew(rng, n, rank_one=False)
+                K /= max(np.linalg.norm(K), 1e-300)
+                for sign in (1.0, -1.0):
+                    for factor in self.FACTORS:
+                        w = np.concatenate([[sign * factor * slack], rest])
+                        H = (Q * w[None, :]) @ Q.conj().T
+                        for skew in (0.0, 0.1, 0.9, 1.1, 10.0):
+                            yield H + skew * 1e-10 * K
+
+    # at psd_tol = 1e-15 the rounding of a Cholesky factorization is
+    # comparable to the slack, so the trace condition decides
+    @pytest.mark.parametrize("psd_tol", [1e-9, 1e-8, 1e-15])
+    def test_is_psd_verdicts_unchanged(self, monkeypatch, psd_tol):
+        tol = Tolerances(psd_tol=psd_tol)
+        cases = list(self.planted(tol))
+        verdicts = [_outcome(_eig_is_psd, H, tol) for H in cases]
+        calls = spy_attr(monkeypatch, np.linalg, "eigvalsh")
+        for H, want in zip(cases, verdicts):
+            assert _outcome(is_psd, H, tol) == want
+        # the planted families straddle the verdicts, and the Cholesky
+        # route decides some of them without an eigen-solve
+        assert {True, False, NotHermitianError} <= set(verdicts)
+        assert len(calls) < len(cases)
+
+    def test_large_trace_takes_the_eigen_solve(self, monkeypatch):
+        # Cholesky factors H + psd_tol/2 I, but (n + 1) u tr is far above
+        # psd_tol / 4, so its backward error proves nothing
+        H = np.diag(np.concatenate([np.full(39, 1e6), [0.0]]))
+        calls = spy_attr(monkeypatch, np.linalg, "eigvalsh")
+        assert is_psd(H)
+        assert len(calls) == 1
+        calls.clear()
+        assert is_psd(np.diag(np.concatenate([np.full(39, 1e3), [0.0]])))
+        assert calls == []
+
+    def test_is_psd_refuses_nan_like_the_reference(self):
+        H = np.eye(3, dtype=complex)
+        H[1, 2] = np.nan
+        for check in (is_psd, _eig_is_psd):
+            with pytest.raises(InputError):
+                check(H)
+
+    def test_metric_classify_matches_the_svd_scale(self):
+        rng = np.random.default_rng(12)
+        cases = []
+        for pos, neg in ((1, 0), (3, 1), (12, 3), (32, 8)):
+            sp = SignatureSpace(pos, neg)
+            for _ in range(2):
+                U = sampling.random_j_unitary(rng, sp)
+                unit = DEFAULT_TOL.metric_tol * max(1.0, np.linalg.norm(U, 2) ** 2)
+                for f in (0.3, 0.9, 1.1, 3.0, 30.0, 300.0):
+                    cases += [((1.0 - f * unit / 2.0) * U, sp.signs, sp.signs),
+                              ((1.0 + f * unit / 2.0) * U, sp.signs, sp.signs)]
+        # rank-one M, where ||M||_F = ||M||_2: a hyperbolic column from a
+        # one-dimensional Hilbert space, and a scalar, with the defect
+        # planted around the bound and on it
+        for a in (0.0, 1.0, 3.0):
+            c = np.cosh(2.0 * a)
+            for f in (0.3, 0.99, 1.0, 1.01, 3.0, 300.0):
+                t = 1.0 / np.sqrt(1.0 + f * DEFAULT_TOL.metric_tol * c)
+                col = t * np.exp(0.4j) * np.array([[np.cosh(a)], [np.sinh(a)]])
+                cases.append((col, [1.0], [1.0, -1.0]))
+                cases.append((np.array([[1.0 / t]]), [1.0], [1.0]))
+        for M, dom, cod in cases:
+            assert metric_classify(M, dom, cod) == _svd_metric_classify(M, dom, cod)
+        assert len({_svd_metric_classify(*case) for case in cases}) >= 3
+
+    def test_metric_classify_on_the_bound(self):
+        # rank-one hyperbolic columns with metric_tol chosen within a few
+        # ulps of defect / ||M||_2^2, so the verdict turns on the last bits
+        # of the scale, where ||M||_F and ||M||_2 coincide
+        seen = set()
+        for a in (0.5, 1.0, 2.0):
+            for t in (0.999, 0.9999):
+                M = t * np.exp(0.3j) * np.array([[np.cosh(a)], [np.sinh(a)]])
+                primal, _ = metric_defects(M, [1.0], [1.0, -1.0])
+                defect = abs(float(np.real(primal[0, 0])))
+                metric_tol = defect / float(np.linalg.norm(M, 2)) ** 2
+                for _ in range(4):
+                    metric_tol = np.nextafter(metric_tol, 0.0)
+                for _ in range(8):
+                    tol = Tolerances(metric_tol=metric_tol)
+                    want = _svd_metric_classify(M, [1.0], [1.0, -1.0], tol)
+                    assert metric_classify(M, [1.0], [1.0, -1.0], tol) == want
+                    seen.add(want)
+                    metric_tol = np.nextafter(metric_tol, 1.0)
+        assert seen == {MetricClass.ISOMETRY, MetricClass.CONTRACTION}
 
 
 class TestSpanHelpers:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pontsys.colligation import (
     Colligation,
@@ -17,9 +18,20 @@ from pontsys.exceptions import (
     InputError,
     PreconditionError,
 )
-from pontsys.indefinite import SignatureSpace, SubspaceKind, same_span, subspace_classify
+from pontsys.indefinite import (
+    DEFAULT_TOL,
+    IndefiniteSubspace,
+    SignatureSpace,
+    SubspaceKind,
+    canonical_basis,
+    j_complement,
+    nullspace,
+    same_span,
+    subspace_classify,
+)
 from pontsys.products import (
     SplitKind,
+    _fundamental_splits,
     cascade,
     invariant_fundamental_decompositions,
     kl_factorize_system,
@@ -41,6 +53,7 @@ from _builders import (
     inverse_blaschke_system,
     isometric_column_system,
     spy,
+    spy_attr,
 )
 
 
@@ -453,3 +466,116 @@ class TestOneClassificationPerSystem:
         for mode in ("right", "left"):
             with pytest.raises(PreconditionError, match="index-preserving"):
                 kl_factorize_system(hidden, mode)
+
+
+# The splits and radii before one Schur form served them: each outside
+# subspace from its own eigenvalues and sorted Schur form (more of both
+# when eigenvalues sit near the circle), the other split's
+# invariant half as the null space of the outside subspace of A^H, and
+# each radius from the eigenvalues of a compression.  Kept as the
+# reference the Schur-form splits must reproduce.
+def _old_spectral_subspace(A, state, select, tol, on_boundary="error"):
+    lam = np.linalg.eigvals(A)
+    near = np.abs(np.abs(lam) - 1.0) <= tol.metric_tol
+    if on_boundary == "error" and near.any():
+        raise AmbiguousSpectrumError(f"eigenvalue {lam[near][0]} near the circle")
+    _, Z, k = scipy.linalg.schur(A, output="complex", sort=select)
+    return IndefiniteSubspace(state, Z[:, :k])
+
+
+def _old_outside_subspace(A, state, tol):
+    band = tol.metric_tol
+    outside = lambda lam: abs(lam) > 1.0 + band
+    try:
+        return _old_spectral_subspace(A, state, outside, tol)
+    except AmbiguousSpectrumError:
+        sub = _old_spectral_subspace(A, state, outside, tol, "exclude")
+        near = _old_spectral_subspace(
+            A, state, lambda lam: abs(abs(lam) - 1.0) <= band, tol, "exclude")
+        if near.dim and subspace_classify(near, tol) != SubspaceKind.HILBERT:
+            raise
+        return sub
+
+
+def _old_restricted_radius(op, space, tol):
+    if space.dim == 0:
+        return 0.0
+    W, _ = canonical_basis(space, tol)
+    signs = space.ambient.signs
+    compressed = (W.conj().T * signs[None, :]) @ op @ W
+    return float(np.max(np.abs(np.linalg.eigvals(compressed))))
+
+
+def _old_splits(system, tol=DEFAULT_TOL):
+    """((plus2, minus2), (plus1, minus1), forward radius, backward radius)."""
+    state, A, signs = system.state, system.A, system.state.signs
+    minus1 = _old_outside_subspace(A, state, tol)
+    plus1 = j_complement(minus1, tol)
+    left_out = _old_outside_subspace(A.conj().T, state, tol)
+    plus2 = IndefiniteSubspace(state, nullspace(left_out.basis.conj().T, tol))
+    minus2 = j_complement(plus2, tol)
+    adjoint = signs[:, None] * A.conj().T * signs[None, :]
+    return ((plus2, minus2), (plus1, minus1),
+            _old_restricted_radius(A, plus2, tol),
+            _old_restricted_radius(adjoint, plus1, tol))
+
+
+def _largest_angle(X, Y):
+    if X.shape[1] == 0:
+        return 0.0
+    return float(np.max(scipy.linalg.subspace_angles(X, Y)))
+
+
+def _seeded_systems():
+    """Passive (strict = 0.2) and conservative systems, n = 8-40, kappa <= 8,
+    1-3 channels, three per kind and size."""
+    for kind in ("passive", "conservative"):
+        for n in (8, 16, 24, 32, 40):
+            for seed in range(3):
+                rng = np.random.default_rng([n, seed, len(kind)])
+                kappa = int(rng.integers(0, min(8, n // 2) + 1))
+                io = int(rng.integers(1, 4))
+                state = SignatureSpace(n - kappa, kappa)
+                if kind == "conservative":
+                    yield random_conservative_colligation(rng, state, io)
+                else:
+                    yield random_passive_colligation(rng, state, io, io, strict=0.2)
+
+
+class TestOneSchurForm:
+    """The splits and radii of one Schur form against the two-route ones."""
+
+    @pytest.mark.parametrize("system", list(_seeded_systems()) + [
+        _nonsimple_conservative(),
+        Colligation(SignatureSpace(1, 0), 1, 1,
+                    [[np.exp(0.7j)]], [[0.0]], [[0.0]], [[1.0]])])
+    def test_matches_the_two_route_splits(self, system):
+        split_plus, split_minus = invariant_fundamental_decompositions(system)
+        st = stability_classify(system)
+        old_plus, old_minus, rf, rb = _old_splits(system)
+        new = (split_plus.Xplus, split_plus.Xminus,
+               split_minus.Xplus, split_minus.Xminus)
+        for old, got in zip(old_plus + old_minus, new):
+            assert got.dim == old.dim
+            assert _largest_angle(got.basis, old.basis) <= 1e-8
+        assert st.forward_radius == st.backward_radius
+        assert abs(st.forward_radius - rf) <= 1e-10
+        assert abs(st.backward_radius - rb) <= 1e-10
+
+    def test_one_schur_form_per_split(self, monkeypatch):
+        calls = spy_attr(monkeypatch, scipy.linalg, "schur")
+        for system in (_nonsimple_conservative(),
+                       random_conservative_colligation(
+                           np.random.default_rng(5), SignatureSpace(32, 8), 2)):
+            calls.clear()
+            _fundamental_splits(system, DEFAULT_TOL)
+            assert len(calls) == 1
+
+    def test_no_general_eigenvalues_in_stability_classify(self, monkeypatch):
+        calls = spy_attr(monkeypatch, np.linalg, "eigvals")
+        rng = np.random.default_rng(6)
+        for system in (_nonsimple_conservative(), isometric_column_system(),
+                       random_passive_colligation(
+                           rng, SignatureSpace(32, 8), 2, 2, strict=0.2)):
+            stability_classify(system)
+        assert calls == []
