@@ -43,6 +43,7 @@ from .exceptions import (
     InputError,
     InternalConsistencyError,
     PontsysError,
+    certify,
 )
 from .indefinite import DEFAULT_TOL, SignatureSpace, intersect_spans
 from .julia import julia_embedding
@@ -55,6 +56,7 @@ from .products import (
 )
 from .sampling import disc_points
 from .schur import (
+    _relative_mismatch,
     as_transfer,
     blaschke_potapov_factor,
     blaschke_product,
@@ -158,18 +160,22 @@ def system_to_json(system, name=None, notes=None):
     return doc
 
 
-def load_system(path):
-    """Read a SystemFile; errors carry the path and the failing field."""
+def _read_json(path):
+    """Decode a JSON file; read and decode errors become InputError."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}")
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    return system_from_json(doc, source=str(path))
+
+
+def load_system(path):
+    """Read a SystemFile; errors carry the path and the failing field."""
+    return system_from_json(_read_json(path), source=str(path))
 
 
 def save_system(system, path, name=None, notes=None):
@@ -181,15 +187,7 @@ def save_system(system, path, name=None, notes=None):
 
 
 def _load_taylor(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    doc = _read_json(path)
     source = str(path)
     if not isinstance(doc, dict):
         raise InputError(f"{source}: top level must be an object")
@@ -450,11 +448,8 @@ def cmd_julia_embed(args):
                       exclude=S.poles, min_dist=1e-4)
     want = S.values(pts, tol)
     got = as_transfer(emb).values(pts, tol)[:, :p, :m]
-    corner = float(np.max(np.linalg.norm(got - want, 2, axis=(1, 2))
-                          / np.maximum(1.0, np.linalg.norm(want, 2, axis=(1, 2)))))
-    if corner > 1e-9:
-        raise InternalConsistencyError(
-            f"embedding corner transfer missed the original by {corner:.3e}")
+    corner = certify("embedding corner transfer mismatch",
+                     _relative_mismatch(got, want), 1e-9)
     verdicts = {
         "kind": cls.kind.value,
         "conservative": cls.kind == SystemKind.CONSERVATIVE,
@@ -504,16 +499,12 @@ def cmd_defect(args):
     certificates = {"artifacts": {"boundary_csv": csv_path.name},
                     "boundary_samples": int(bnd.angles.size),
                     "skipped_samples": bnd.skipped}
-    if res.phi is not None:
-        certificates["phi"] = {
-            "numerator": [_jsonable(complex(c)) for c in res.phi.numerator],
-            "denominator": [_jsonable(complex(c)) for c in res.phi.denominator],
-        }
-    if res.psi is not None:
-        certificates["psi"] = {
-            "numerator": [_jsonable(complex(c)) for c in res.psi.numerator],
-            "denominator": [_jsonable(complex(c)) for c in res.psi.denominator],
-        }
+    for name, fn in (("phi", res.phi), ("psi", res.psi)):
+        if fn is not None:
+            certificates[name] = {
+                "numerator": [_jsonable(complex(c)) for c in fn.numerator],
+                "denominator": [_jsonable(complex(c)) for c in fn.denominator],
+            }
     return _emit_report(
         args, "defect", {"system": _hash_input(args.path)},
         _parameters(args), tol, verdicts, residuals, certificates,
@@ -550,12 +541,9 @@ def cmd_realize(args):
     system = Colligation(SignatureSpace(n, 0), real.B.shape[1],
                          real.C.shape[0], real.A, real.B, real.C, real.D)
     scale = max(1.0, max(np.linalg.norm(c, 2) for c in coeffs))
-    resid = 0.0
-    for k, c in enumerate(coeffs):
-        resid = max(resid, np.linalg.norm(markov(system, k) - c, 2) / scale)
-    if resid > 1e-7:
-        raise InternalConsistencyError(
-            f"realization missed the coefficient window by {resid:.3e}")
+    resid = float(np.max([np.linalg.norm(markov(system, k) - c, 2) / scale
+                          for k, c in enumerate(coeffs)]))
+    certify("realization coefficient window mismatch", resid, 1e-7)
     sys_path = save_system(
         system, Path(args.out) / "realized_system.json",
         name="realization from Taylor coefficients",

@@ -65,3 +65,17 @@ class PreconditionError(InputError):
 
 class InternalConsistencyError(PontsysError):
     """Two independent computations of the same quantity disagreed."""
+
+
+def certify(name, value, bound):
+    """Return value when value <= bound; otherwise the certificate named
+    name fails with InternalConsistencyError.
+
+    The comparison is written so that a NaN value fails.  A quantity
+    bounded from below is certified through its negation and the negated
+    bound, which is exact in floating point.
+    """
+    if not value <= bound:
+        raise InternalConsistencyError(
+            f"{name}: {value:.3e} exceeds the bound {bound:.3e}")
+    return value

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import orthogonal_procrustes
 
 from .colligation import Colligation, SystemKind, classify, system_operator
-from .exceptions import InternalConsistencyError, PreconditionError
+from .exceptions import InternalConsistencyError, PreconditionError, certify
 from .indefinite import (
     DEFAULT_TOL,
     MetricClass,
@@ -118,9 +118,8 @@ def julia_operator(M, dom, cod, tol=DEFAULT_TOL):
         G = np.linalg.lstsq(E1, rhs, rcond=None)[0]
         resid = np.linalg.norm(E1 @ G - rhs, 2)
         scale = max(1.0, float(np.linalg.norm(M, 2)) ** 2)
-        if resid > 1e3 * tol.rank_tol * scale:
-            raise InternalConsistencyError(
-                f"defect ranges fail to intertwine: residual {resid:.3e}")
+        certify("defect range intertwining residual", resid,
+                1e3 * tol.rank_tol * scale)
     else:
         G = np.zeros((r1, r2), dtype=complex)
 

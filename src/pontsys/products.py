@@ -32,6 +32,7 @@ from .exceptions import (
     InputError,
     InternalConsistencyError,
     PreconditionError,
+    certify,
 )
 from .indefinite import (
     DEFAULT_TOL,
@@ -151,10 +152,7 @@ def _compare_kernels(primary, secondary, where):
         return 0.0
     angles = principal_angles(primary, secondary)
     worst = float(np.max(angles)) if angles.size else 0.0
-    if worst > 1e-8:
-        raise InternalConsistencyError(
-            f"{where}: solution spaces differ by angle {worst:.3e}")
-    return worst
+    return certify(f"{where}: solution space angle", worst, 1e-8)
 
 
 def obstruction_observable(first, second, tol=DEFAULT_TOL):
@@ -274,10 +272,7 @@ def _fundamental_splits(system, tol):
         if Q.shape[1] == 0:
             return 0.0
         resid = float(np.linalg.norm(A @ Q - Q @ (Q.conj().T @ (A @ Q)), 2))
-        if resid > 1e-9 * scale:
-            raise InternalConsistencyError(
-                f"invariance residual {resid:.3e} exceeds the certificate bound")
-        return resid
+        return certify("invariance residual", resid, 1e-9 * scale)
 
     def check_halves(plus, minus):
         if minus.dim != kappa:
@@ -371,9 +366,7 @@ def _j_orthonormal_completion(known_gram_basis, J, expect):
     G = comp.conj().T @ J @ comp
     G = (G + G.conj().T) / 2.0
     w, U = np.linalg.eigh(G)
-    if w[0] <= 1e-10:
-        raise InternalConsistencyError(
-            f"metric completion is ill conditioned (Gram eigenvalue {w[0]:.3e})")
+    certify("metric completion Gram eigenvalue", -w[0], -1e-10)
     return comp @ U @ np.diag(1.0 / np.sqrt(w))
 
 
@@ -389,9 +382,8 @@ def _adapted_blocks(system, split, minus_first, tol):
         pattern = np.concatenate([np.ones(Wp.shape[1]), -np.ones(Wm.shape[1])])
     J_X = system.state.signs
     Vinv = pattern[:, None] * (V.conj().T * J_X[None, :])
-    if _norm2(Vinv @ V - np.eye(V.shape[1])) > 1e-8:
-        raise InternalConsistencyError(
-            "adapted basis failed its inverse certificate")
+    certify("adapted basis inverse residual",
+            _norm2(Vinv @ V - np.eye(V.shape[1])), 1e-8)
     A_ad = Vinv @ system.A @ V
     B_ad = Vinv @ system.B
     C_ad = system.C @ V
@@ -413,9 +405,8 @@ def _factorize_simple(system, splits, mode, tol):
         C_f, C_s = C_ad[:, :kappa], C_ad[:, kappa:]
         Jp = np.diag(np.concatenate([-np.ones(kappa), np.ones(m)]))
         R = np.hstack([A_ff, B_f])
-        if _norm2(R @ Jp @ R.conj().T + np.eye(kappa)) > 1e-8:
-            raise InternalConsistencyError(
-                "negative block row is not metric-isometric")
+        certify("negative block row metric-isometry residual",
+                _norm2(R @ Jp @ R.conj().T + np.eye(kappa)), 1e-8)
         # rows completing R to a metric-unitary (kappa+m)-frame
         S = _j_orthonormal_completion(R.conj().T, Jp, m).conj().T
         invb = Colligation(SignatureSpace(0, kappa), m, m,
@@ -433,9 +424,8 @@ def _factorize_simple(system, splits, mode, tol):
         C_f, C_s = C_ad[:, :r], C_ad[:, r:]
         Jpp = np.diag(np.concatenate([-np.ones(kappa), np.ones(p)]))
         Ck = np.vstack([A_ss, C_s])
-        if _norm2(Ck.conj().T @ Jpp @ Ck + np.eye(kappa)) > 1e-8:
-            raise InternalConsistencyError(
-                "negative block column is not metric-isometric")
+        certify("negative block column metric-isometry residual",
+                _norm2(Ck.conj().T @ Jpp @ Ck + np.eye(kappa)), 1e-8)
         Cn = _j_orthonormal_completion(Ck, Jpp, p)
         invb = Colligation(SignatureSpace(0, kappa), p, p,
                            A_ss, Cn[:kappa, :], C_s, Cn[kappa:, :])
@@ -496,21 +486,17 @@ def _certify_factorization(system, schur, invb, Z, mode, tol):
     kappa = system.kappa
     cas = cascade(invb, schur) if mode == "right" else cascade(schur, invb)
     scale = _block_norm(system)
-    resid = max(
+    # np.max, unlike max, carries a NaN residual through to the certificate
+    resid = float(np.max([
         _norm2(system.A @ Z - Z @ cas.A),
         _norm2(system.B - Z @ cas.B),
         _norm2(system.C @ Z - cas.C),
         _norm2(system.D - cas.D),
-    )
-    if resid > 1e-8 * scale:
-        raise InternalConsistencyError(
-            f"cascade of the factors misses the system by {resid:.3e}")
+    ]))
+    certify("cascade reconstruction residual", resid, 1e-8 * scale)
     J_X = system.state.signs
-    gram_resid = _norm2(
-        Z.conj().T @ (J_X[:, None] * Z) - np.diag(cas.state.signs))
-    if gram_resid > 1e-8:
-        raise InternalConsistencyError(
-            "cascade state basis is not metric-orthonormal")
+    certify("cascade state basis metric-orthonormality residual", _norm2(
+        Z.conj().T @ (J_X[:, None] * Z) - np.diag(cas.state.signs)), 1e-8)
     if (invb.state.pos, invb.state.neg) != (0, kappa):
         raise InternalConsistencyError(
             "negative factor state has the wrong signature")

@@ -40,6 +40,7 @@ from .exceptions import (
     InternalConsistencyError,
     PoleProximityError,
     PreconditionError,
+    certify,
 )
 from .indefinite import DEFAULT_TOL, SignatureSpace
 from .products import (
@@ -60,7 +61,6 @@ __all__ = [
     "BoundaryReport",
     "KernelDecompositionReport",
     "as_transfer",
-    "evaluate",
     "sharp",
     "kernel_gram",
     "negative_squares_estimate",
@@ -137,9 +137,11 @@ def as_transfer(S):
     raise InputError("expected a TransferFunction or a Colligation")
 
 
-def evaluate(S, z, tol=DEFAULT_TOL):
-    """Value of the function at z; rejects points too close to a pole."""
-    return as_transfer(S)(z, tol)
+def _relative_mismatch(got, want):
+    """max_k ||got_k - want_k||_2 / max(1, ||want_k||_2) over two (N, p, m)
+    value stacks."""
+    return float(np.max(np.linalg.norm(got - want, 2, axis=(1, 2))
+                        / np.maximum(1.0, np.linalg.norm(want, 2, axis=(1, 2)))))
 
 
 def sharp(S):
@@ -214,9 +216,7 @@ def _gram_from_values(points, values, tol):
     G = 0.5 * (G + G.conj().T)
     w = np.linalg.eigvalsh(G)
     scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
-    if herm > 1e-12 * scale:
-        raise InternalConsistencyError(
-            f"kernel Gram not Hermitian (residual {herm:.2e})")
+    certify("kernel Gram Hermitian residual", herm, 1e-12 * scale)
     thr = tol.rank_tol * scale
     plus = int(np.sum(w > thr))
     minus = int(np.sum(w < -thr))
@@ -349,9 +349,8 @@ def _invert_system(system, tol, known_conservative=False):
     vo, vf = So.values(pts, tol), Sf.values(pts, tol)
     miss = np.linalg.norm(vo @ vf - np.eye(system.input_dim), 2, axis=(1, 2))
     scale = np.linalg.norm(vo, 2, axis=(1, 2)) * np.linalg.norm(vf, 2, axis=(1, 2))
-    if np.any(miss > 1e-8 * np.maximum(1.0, scale)):
-        raise InternalConsistencyError(
-            "inverse realization does not invert the transfer function")
+    certify("inverse transfer product residual",
+            np.max(miss / np.maximum(1.0, scale)), 1e-8)
     return out
 
 
@@ -519,9 +518,8 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
                     f"{name} Schur factor failed the sampled zero-index "
                     f"certificate (estimate {est.estimate!r})")
         sigma = _decisive_survey(fac, 64, tol)[0]
-        if np.nanmax(sigma, initial=0.0) > 1.0 + tol.metric_tol:
-            raise InternalConsistencyError(
-                f"{name} Schur factor is not boundary contractive")
+        certify(f"{name} Schur factor boundary norm",
+                np.nanmax(sigma, initial=0.0), 1.0 + tol.metric_tol)
     for name, fac, inverted in (("right", B_r, right is not None),
                                 ("left", B_l, left is not None)):
         conservative = inverted or classify(
@@ -536,17 +534,10 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
                       exclude=np.concatenate([S.poles, zeros_r, zeros_l]),
                       min_dist=1e-4)
     val = S.values(pts, tol)
-    scale = np.maximum(1.0, np.linalg.norm(val, 2, axis=(1, 2)))
-    res_r = float(np.max(np.linalg.norm(
-        val - S_r.values(pts, tol) @ np.linalg.inv(B_r.values(pts, tol)),
-        2, axis=(1, 2)) / scale))
-    res_l = float(np.max(np.linalg.norm(
-        val - np.linalg.solve(B_l.values(pts, tol), S_l.values(pts, tol)),
-        2, axis=(1, 2)) / scale))
-    if max(res_r, res_l) > 1e-7:
-        raise InternalConsistencyError(
-            f"factor reconstruction failed (right {res_r:.2e}, "
-            f"left {res_l:.2e})")
+    res_r = certify("right factor reconstruction", _relative_mismatch(
+        S_r.values(pts, tol) @ np.linalg.inv(B_r.values(pts, tol)), val), 1e-7)
+    res_l = certify("left factor reconstruction", _relative_mismatch(
+        np.linalg.solve(B_l.values(pts, tol), S_l.values(pts, tol)), val), 1e-7)
 
     # no common zeros: at each zero of the Blaschke product the stacked
     # (right) or flanked (left) pair keeps full rank; a fallback side is
@@ -558,9 +549,9 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
                                  ("left", B_l, S_l, zeros_l + off_l, 2)):
         sv = np.linalg.svd(np.concatenate(
             [B.values(w, tol), Sf.values(w, tol)], axis=axis), compute_uv=False)
-        if np.any(sv[:, -1] <= 1e-8 * np.maximum(1.0, sv[:, 0])):
-            raise InternalConsistencyError(
-                f"{name} factors share a zero; factorization not reduced")
+        certify(f"{name} factors' relative singular value at the zeros",
+                -np.min(sv[:, -1] / np.maximum(1.0, sv[:, 0]), initial=np.inf),
+                -1e-8)
 
     notes = RATIONAL_NOTE
     if right is None:
@@ -661,11 +652,6 @@ class RationalScalar:
         num = np.polynomial.polynomial.polyval(z, self.numerator)
         den = np.polynomial.polynomial.polyval(z, self.denominator)
         return num / den
-
-    @property
-    def is_zero(self):
-        return self.numerator.size == 0 or not np.any(
-            np.abs(self.numerator) > 0)
 
 
 @dataclass
@@ -781,17 +767,16 @@ def _right_defect_scalar(S, tol):
         lvals += 2.0 * (c[k] * circle ** k).real
     qvals = np.abs(np.polynomial.polynomial.polyval(circle, q)) ** 2
     star = int(np.argmax(lvals))
-    if qvals[star] <= 0.0:
-        raise InternalConsistencyError("degenerate spectral factor scaling")
+    # |q|^2 at the peak sets the scale: only an exact zero is refused
+    certify("spectral factor scaling denominator", -qvals[star],
+            -np.finfo(float).smallest_subnormal)
     gamma = np.sqrt(max(lvals[star], 0.0) / qvals[star])
     phi = RationalScalar(gamma * q, _outer_denominator(S._eigenvalues))
     resid = float(np.max(np.abs(np.abs(phi(circle)) ** 2 - target)))
     scale = max(1.0, float(np.max(np.abs(lvals))), worst)
-    if resid > 1e-8 * scale:
-        raise InternalConsistencyError(
-            f"spectral factor misses the boundary defect by {resid:.2e}")
-    if roots_out.size and np.min(np.abs(roots_out)) < 1.0 - tol.metric_tol:
-        raise InternalConsistencyError("spectral factor kept an inner root")
+    certify("spectral factor boundary defect mismatch", resid, 1e-8 * scale)
+    certify("spectral factor root modulus", -np.min(np.abs(roots_out), initial=np.inf),
+            -(1.0 - tol.metric_tol))
     return phi, resid
 
 
@@ -905,17 +890,15 @@ def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
     # membership certificate: the shifted functions must stay in the model
     back = G @ coeff @ A
     resid = np.linalg.norm(back - shifted, 2) if shifted.size else 0.0
-    if resid > 1e-7 * max(1.0, np.linalg.norm(shifted, 2) if shifted.size else 1.0):
-        raise InternalConsistencyError(
-            f"difference quotient left the sampled model (residual {resid:.2e})")
+    certify("difference quotient model residual", resid,
+            1e-7 * max(1.0, np.linalg.norm(shifted, 2) if shifted.size else 1.0))
 
     invec = ((vals0 - S0) / pts[:, None, None]).reshape(N * p, m)
     B = signs[:, None] * (coeff.conj().T @ invec)
     backB = G @ coeff @ B
     residB = np.linalg.norm(backB - invec, 2) if invec.size else 0.0
-    if residB > 1e-7 * max(1.0, np.linalg.norm(invec, 2) if invec.size else 1.0):
-        raise InternalConsistencyError(
-            f"shifted input sections left the sampled model ({residB:.2e})")
+    certify("shifted input section model residual", residB,
+            1e-7 * max(1.0, np.linalg.norm(invec, 2) if invec.size else 1.0))
 
     model = Colligation(state, m, p, A, B, E0, S0)
 
@@ -929,10 +912,8 @@ def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
                        exclude=S.poles, min_dist=1e-4)
     ref = S.values(held, tol)
     got = TransferFunction(model).values(held, tol)
-    if np.any(np.linalg.norm(ref - got, 2, axis=(1, 2)) > 1e-7 * np.maximum(
-            1.0, np.linalg.norm(ref, 2, axis=(1, 2)))):
-        raise InternalConsistencyError(
-            "canonical model transfer does not match the function")
+    certify("canonical model transfer mismatch",
+            _relative_mismatch(got, ref), 1e-7)
     # reproducing identity on a held-out section
     if r:
         wref, zref = held[0], held[1]
@@ -943,9 +924,8 @@ def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
         lhs = E0 @ np.linalg.solve(
             np.eye(r) - zref * A, coords)
         rhs = (np.eye(p) - ref[1] @ Sw) / (1.0 - zref * np.conj(wref))
-        if np.linalg.norm(lhs - rhs, 2) > 1e-6 * max(1.0, np.linalg.norm(rhs, 2)):
-            raise InternalConsistencyError(
-                "reproducing identity failed on a held-out section")
+        certify("reproducing identity residual", np.linalg.norm(lhs - rhs, 2),
+                1e-6 * max(1.0, np.linalg.norm(rhs, 2)))
     return model
 
 

@@ -321,6 +321,15 @@ class TestRealize:
         code, _ = run_cli(tmp_path, "realize", str(path))
         assert code == 2
 
+    def test_malformed_taylor_json_names_the_position(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"coefficients": [\n  [[1, 0]],\n}')
+        code, _ = run_cli(tmp_path, "realize", str(path))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError"
+        assert err["reason"].startswith(f"{path}: line 3 column 1:")
+
 
 class TestSimilar:
     def test_unitary_pair_found(self, tmp_path):

@@ -45,7 +45,6 @@ from pontsys.schur import (
     canonical_coisometric_realization,
     check_kernel_decomposition,
     defect,
-    evaluate,
     invert_system,
     kernel_gram,
     kl_factorize_function,
@@ -56,7 +55,7 @@ from pontsys.schur import (
 
 class TestTransferFunction:
     def test_evaluate_blaschke_at_zero(self):
-        assert abs(evaluate(blaschke_system(0.5), 0.0)[0, 0] + 0.5) < 1e-12
+        assert abs(as_transfer(blaschke_system(0.5))(0.0)[0, 0] + 0.5) < 1e-12
 
     def test_pole_list_and_proximity(self):
         S = as_transfer(inverse_blaschke_system(0.5))
@@ -323,7 +322,7 @@ class TestKLFactorizeFunction:
         assert res.blaschke_left.backing.state_dim == 0
         for z in disc_points(6, seed=8, radius=0.8):
             assert abs(res.schur_right(z)[0, 0]
-                       - evaluate(blaschke_system(0.5), z)[0, 0]) < 1e-8
+                       - as_transfer(blaschke_system(0.5))(z)[0, 0]) < 1e-8
 
     def test_round_trip_degree_two(self):
         inner = blaschke_product([
