@@ -27,6 +27,7 @@ from .exceptions import (
     OrderAmbiguityError,
     PoleProximityError,
     PreconditionError,
+    _certify_scaled,
     certify,
 )
 from .indefinite import (
@@ -687,10 +688,12 @@ def weak_similarity(s1, s2, tol=DEFAULT_TOL):
             f"Taylor coefficients differ at order {bad[0]}; no weak similarity")
     Z = _krylov_map(recurrences[0], s2)
     residuals = _intertwining_residuals(s1, s2, Z)
-    zscale = max(1.0, np.linalg.norm(Z, 2))
-    certify("Krylov map intertwining residual", np.max(list(residuals.values())),
-            1e-8 * zscale * max(1.0, np.linalg.norm(s1.A, 2)))
+    # np.linalg.norm(Z, 2) is the largest of these same singular values
     sv = np.linalg.svd(Z, compute_uv=False)
+    zscale = max(1.0, sv[0]) if sv.size else 1.0
+    _certify_scaled("Krylov map intertwining residual",
+                    np.max(list(residuals.values())), 1e-8 * zscale,
+                    lambda: max(1.0, np.linalg.norm(s1.A, 2)))
     residuals["inverse_condition"] = float(sv[-1] / sv[0]) if sv.size else 1.0
     if sv.size:
         certify("weak similarity smallest singular value", -sv[-1],

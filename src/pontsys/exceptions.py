@@ -1,5 +1,7 @@
 """Exception types raised by the pontsys package."""
 
+import numpy as np
+
 __all__ = [
     "PontsysError",
     "InputError",
@@ -79,3 +81,35 @@ def certify(name, value, bound):
         raise InternalConsistencyError(
             f"{name}: {value:.3e} exceeds the bound {bound:.3e}")
     return value
+
+
+def _certify_scaled(name, value, bound, scale):
+    """certify(name, value, bound * scale()) for a scale() >= 1 that is
+    evaluated only when value > bound.
+
+    A value within bound is within bound * s for every s >= 1, so the
+    scale, typically a spectral norm, can change the verdict only above
+    bound; there the certificate is the one stated with the full bound.
+    """
+    if value <= bound:
+        return value
+    return certify(name, value, bound * scale())
+
+
+def _norm2(M):
+    return float(np.linalg.norm(M, 2)) if M.size else 0.0
+
+
+def _certify_residual(name, R, bound, scale=lambda: 1.0):
+    """_certify_scaled(name, ||R||_2, bound, scale) for a residual matrix R
+    whose value no caller reads.
+
+    ||R||_F >= ||R||_2, so a Frobenius norm within bound * (1 - 1e-14)
+    passes without an SVD; the deflation, about 45 ulps, covers the
+    rounding of either norm where the two coincide (rank one).  Above it
+    the spectral norm is certified, so a failing certificate reports the
+    same value as one that always took the SVD.
+    """
+    if np.linalg.norm(R) <= bound * (1.0 - 1e-14):
+        return
+    _certify_scaled(name, _norm2(R), bound, scale)

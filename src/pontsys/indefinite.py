@@ -310,36 +310,112 @@ def metric_classify(M, dom, cod, tol=DEFAULT_TOL):
     is in particular a contraction.  Contractivity is the ordinary positive
     semidefiniteness of the primal defect.  A defect P counts as zero when
     max|eig(sym P)| + ||P - P^*||_F / 2, an upper bound on ||P||_2, is
-    within metric_tol * max(1, ||M||^2).
+    within metric_tol * max(1, ||M||^2).  Norm brackets and one Cholesky
+    factorization decide the clear cases; the eigen-solves run only where
+    they can change the verdict.
     """
     primal, dual = metric_defects(M, dom, cod)
+    verdict = _bracketed_metric_class(M, primal, dual, tol)
+    if verdict is not None:
+        return verdict
     w, _, skew = _sym_eig(primal)
     wd, _, skew_d = _sym_eig(dual)
     defects = (_spectral_radius(w) + skew / 2.0,
                _spectral_radius(wd) + skew_d / 2.0)
-    # The scale max(1, ||M||_2^2) lies in [1, max(1, ||M||_F^2)].  A defect
-    # within metric_tol is zero at every scale >= 1, and one above
-    # metric_tol * max(1, ||M||_F^2) is nonzero at every scale up to that,
-    # so only a defect in between needs the SVD.  The Frobenius bound is
-    # inflated by a few ulps: for a rank-one M the two norms coincide, and
-    # rounding could otherwise put the computed ||M||_F below ||M||_2.
-    upper = tol.metric_tol * max(1.0, float(np.linalg.norm(M)) ** 2 * (1.0 + 1e-14))
+    upper = _frobenius_scale_bound(M, tol)
     if any(tol.metric_tol < d <= upper for d in defects):
         scale = max(1.0, float(np.linalg.norm(M, 2)) ** 2)
     else:
         scale = 1.0
-    iso, coiso = (d <= tol.metric_tol * scale for d in defects)
+    verdict = _zero_defect_class(*(d <= tol.metric_tol * scale for d in defects))
+    if verdict is not None:
+        return verdict
+    # the contraction test is is_psd on the primal eigenvalues
+    _certify_hermitian(w, skew, "psd input", 1e-10)
+    if _psd_slack_ok(w, tol):
+        return MetricClass.CONTRACTION
+    return MetricClass.NONE
+
+
+def _frobenius_scale_bound(M, tol):
+    """metric_tol * max(1, ||M||_F^2), inflated by a few ulps.
+
+    The scale max(1, ||M||_2^2) of metric_classify lies in
+    [1, max(1, ||M||_F^2)].  A defect within metric_tol is zero at every
+    scale >= 1, and one above this bound is nonzero at every scale up to
+    it, so only a defect in between needs the SVD.  The inflation keeps a
+    rank-one M, where the two norms coincide and rounding could put the
+    computed ||M||_F below ||M||_2, on the SVD side.
+    """
+    return tol.metric_tol * max(1.0, float(np.linalg.norm(M)) ** 2 * (1.0 + 1e-14))
+
+
+def _defect_bracket(P):
+    """(lo, hi, sym P, ||P - P^*||_F) for a finite square defect P, with
+    lo <= d <= hi for the bound d = max|eig(sym P)| + ||P - P^*||_F / 2
+    that metric_classify computes with an eigen-solve.
+
+    The diagonal entries of sym P are Rayleigh quotients, so
+    max|diag(sym P)| <= max|eig(sym P)| <= ||sym P||_F.  Both ends are
+    widened by 32 (n + 1) u (||sym P||_F + ||P - P^*||_F), u the unit
+    roundoff: the Hermitian eigen-solve is backward stable, its eigenvalues
+    within a small multiple of (n + 1) u ||sym P||_2 of the exact ones, and
+    the slack also covers the rounding of the norms and of the sums, so
+    the bracket holds for the computed d.  A non-finite norm gives NaN
+    ends, which decide nothing.
+    """
+    Ph = P.conj().T
+    skew = float(np.linalg.norm(P - Ph))
+    Hs = (P + Ph) / 2.0
+    fro = float(np.linalg.norm(Hs))
+    if not (np.isfinite(fro) and np.isfinite(skew)):
+        return np.nan, np.nan, Hs, skew
+    slack = 32.0 * (P.shape[0] + 1) * _UNIT_ROUNDOFF * (fro + skew)
+    diag = float(np.max(np.abs(np.diagonal(Hs)), initial=0.0))
+    return diag + skew / 2.0 - slack, fro + skew / 2.0 + slack, Hs, skew
+
+
+def _bracketed_metric_class(M, primal, dual, tol):
+    """metric_classify's verdict when norm brackets of the defects and one
+    Cholesky factorization settle it, else None.
+
+    A defect whose bracket lies within metric_tol is zero, one whose
+    bracket lies above _frobenius_scale_bound is nonzero, at every scale
+    the eigen-solve route could use.  With both defects nonzero,
+    _cholesky_accepts on the primal defect proves the CONTRACTION that
+    route's is_psd test would return; its skew limit of 1e-10 also keeps
+    that route's Hermitian guard from refusing.  A non-finite defect is
+    left to the eigen-solve route, which refuses it.
+    """
+    if not (np.all(np.isfinite(primal)) and np.all(np.isfinite(dual))):
+        return None
+    # the norms run in the order of the eigen-solve route's
+    brackets = [_defect_bracket(P) for P in (primal, dual)]
+    upper = _frobenius_scale_bound(M, tol)
+    zero = []
+    for lo, hi, _, _ in brackets:
+        if hi <= tol.metric_tol:
+            zero.append(True)
+        elif lo > upper:
+            zero.append(False)
+        else:
+            return None
+    verdict = _zero_defect_class(*zero)
+    _, _, sym_primal, skew_primal = brackets[0]
+    if verdict is None and _sym_cholesky_accepts(sym_primal, skew_primal, tol):
+        return MetricClass.CONTRACTION
+    return verdict
+
+
+def _zero_defect_class(iso, coiso):
+    """The class settled by which defects are zero, None when neither is."""
     if iso and coiso:
         return MetricClass.UNITARY
     if iso:
         return MetricClass.ISOMETRY
     if coiso:
         return MetricClass.COISOMETRY
-    # the contraction test is is_psd on the primal eigenvalues
-    _certify_hermitian(w, skew, "psd input", 1e-10)
-    if _psd_slack_ok(w, tol):
-        return MetricClass.CONTRACTION
-    return MetricClass.NONE
+    return None
 
 
 def _psd_slack_ok(w, tol):
@@ -369,15 +445,31 @@ def _cholesky_accepts(H, tol):
     absorbs the larger constants of complex rounding and the error of the
     eigen-solve.
     """
-    n = H.shape[0]
-    if n == 0 or not np.linalg.norm(H - H.conj().T) <= 1e-10:
+    if H.shape[0] == 0:
         return False
-    shifted = (H + H.conj().T) / 2.0 + (tol.psd_tol / 2.0) * np.eye(n)
-    _, info = zpotrf(shifted, lower=1, clean=0)
+    Hh = H.conj().T
+    return _sym_cholesky_accepts((H + Hh) / 2.0, float(np.linalg.norm(H - Hh)), tol)
+
+
+def _sym_cholesky_accepts(Hs, skew, tol):
+    """_cholesky_accepts from the symmetrized part Hs = sym H and the
+    skew norm ||H - H^*||_F of a nonempty H."""
+    if not skew <= 1e-10:
+        return False
+    shifted = Hs + (tol.psd_tol / 2.0) * np.eye(Hs.shape[0])
+    return _cholesky_within(shifted, tol.psd_tol / 4.0)
+
+
+def _cholesky_within(X, margin):
+    """Whether LAPACK zpotrf factors the nonempty Hermitian X with
+    (n + 1) u tr(X) <= margin, which keeps the backward error of the
+    factorization at about margin in the 2-norm (see _cholesky_accepts).
+    """
+    _, info = zpotrf(X, lower=1, clean=0)
     if info:
         return False
-    trace = float(np.real(np.trace(shifted)))
-    return (n + 1) * _UNIT_ROUNDOFF * trace <= tol.psd_tol / 4.0
+    trace = float(np.real(np.trace(X)))
+    return (X.shape[0] + 1) * _UNIT_ROUNDOFF * trace <= margin
 
 
 def is_psd(H, tol=DEFAULT_TOL):
@@ -435,9 +527,14 @@ def subspace_classify(space, tol=DEFAULT_TOL):
     """Classify a subspace by the inertia of its Gram matrix.
 
     The zero subspace counts as hilbert.  Regular means invertible Gram of
-    mixed sign; degenerate means a numerically singular Gram.
+    mixed sign; degenerate means a numerically singular Gram.  A clearly
+    definite Gram is recognized by one Cholesky factorization, every
+    other one takes the eigen-solve of inertia.
     """
-    n_plus, n_zero, n_minus = inertia(space.gram, tol)
+    G = space.gram
+    if _clearly_definite(G, tol):
+        return SubspaceKind.HILBERT if G[0, 0].real > 0 else SubspaceKind.ANTIHILBERT
+    n_plus, n_zero, n_minus = inertia(G, tol)
     if n_zero > 0:
         return SubspaceKind.DEGENERATE
     if n_minus == 0:
@@ -445,6 +542,31 @@ def subspace_classify(space, tol=DEFAULT_TOL):
     if n_plus == 0:
         return SubspaceKind.ANTIHILBERT
     return SubspaceKind.REGULAR
+
+
+def _clearly_definite(G, tol):
+    """Whether one Cholesky factorization proves the exactly Hermitian
+    nonempty Gram G definite, of the sign of G[0, 0], far beyond the zero
+    cut of inertia.
+
+    With c = psd_tol * max(1, ||G||_F), which is at least the cut
+    psd_tol * max(1, max|eig|) of inertia, zpotrf must factor
+    X = +-G - 2c I with (k + 1) u tr(X) <= c/4.  The backward error of
+    the factorization is then about c/4 (see _cholesky_accepts), so
+    lambda_min(+-G) >= 7/4 c.  As tr(X) + 2c >= ||G||_2 for a definite X,
+    the trace condition also keeps the rounding of the eigen-solve of
+    inertia, a small multiple of (k + 1) u ||G||_2, near c/4: every
+    computed eigenvalue of +-G lies beyond the cut, and inertia would
+    return the same kind.  A non-finite Gram is left to inertia, which refuses it.
+    """
+    k = G.shape[0]
+    if k == 0:
+        return False
+    c = tol.psd_tol * max(1.0, float(np.linalg.norm(G)))
+    if not np.isfinite(c):
+        return False
+    sign = 1.0 if G[0, 0].real > 0 else -1.0
+    return _cholesky_within(sign * G - (2.0 * c) * np.eye(k), c / 4.0)
 
 
 def j_projection(space, tol=DEFAULT_TOL):

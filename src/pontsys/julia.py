@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import orthogonal_procrustes
 
 from .colligation import Colligation, SystemKind, classify, system_operator
-from .exceptions import InternalConsistencyError, PreconditionError, certify
+from .exceptions import InternalConsistencyError, PreconditionError, _certify_residual
 from .indefinite import (
     DEFAULT_TOL,
     MetricClass,
@@ -103,6 +103,15 @@ def julia_operator(M, dom, cod, tol=DEFAULT_TOL):
     contraction between spaces of equal negative index).  The completion is
     certified unitary before being returned.
     """
+    ju = _julia_completion(M, dom, cod, tol)
+    kind = metric_classify(ju.operator, ju.dom_signs, ju.cod_signs, tol)
+    if kind != MetricClass.UNITARY:
+        raise InternalConsistencyError("defect completion is not metric-unitary")
+    return ju
+
+
+def _julia_completion(M, dom, cod, tol):
+    """julia_operator before its metric-unitary certificate."""
     dom_s = metric_signs(dom)
     cod_s = metric_signs(cod)
     M = np.asarray(M, dtype=complex)
@@ -116,18 +125,15 @@ def julia_operator(M, dom, cod, tol=DEFAULT_TOL):
     rhs = -(M.conj().T @ (cod_s[:, None] * E2))
     if r1 and r2:
         G = np.linalg.lstsq(E1, rhs, rcond=None)[0]
-        resid = np.linalg.norm(E1 @ G - rhs, 2)
-        scale = max(1.0, float(np.linalg.norm(M, 2)) ** 2)
-        certify("defect range intertwining residual", resid,
-                1e3 * tol.rank_tol * scale)
+        _certify_residual("defect range intertwining residual", E1 @ G - rhs,
+                          1e3 * tol.rank_tol,
+                          lambda: max(1.0, float(np.linalg.norm(M, 2)) ** 2))
     else:
         G = np.zeros((r1, r2), dtype=complex)
 
     U = np.block([[M, E2], [E1.conj().T, G]])
     new_dom = np.concatenate([dom_s, np.ones(r2)])
     new_cod = np.concatenate([cod_s, np.ones(r1)])
-    if metric_classify(U, new_dom, new_cod, tol) != MetricClass.UNITARY:
-        raise InternalConsistencyError("defect completion is not metric-unitary")
     return JuliaParts(U, new_dom, new_cod, M, D_primal, E2, -G.conj().T)
 
 
@@ -174,13 +180,16 @@ def julia_embedding(system, tol=DEFAULT_TOL):
     The state space is unchanged.  The defect coordinates of the system
     operator are appended to the input and the output; the block of the
     new transfer function on the original channels equals the original
-    transfer function everywhere.
+    transfer function everywhere.  Its system operator is the completed
+    operator of julia_operator, bit for bit, so the conservativity check
+    of the embedded system is the completion's one metric-unitary
+    certificate.
     """
     cls = classify(system, tol, with_krylov=False)
     if not cls.is_passive:
         raise PreconditionError("defect embedding needs a passive system")
     T, dom, cod = system_operator(system)
-    ju = julia_operator(T, dom, cod, tol)
+    ju = _julia_completion(T, dom, cod, tol)
     n = system.state_dim
     dom_s = metric_signs(dom)
     E1h = (dom_s[:, None] * ju.defect).conj().T

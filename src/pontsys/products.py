@@ -32,6 +32,9 @@ from .exceptions import (
     InputError,
     InternalConsistencyError,
     PreconditionError,
+    _certify_residual,
+    _certify_scaled,
+    _norm2,
     certify,
 )
 from .indefinite import (
@@ -260,7 +263,6 @@ def _fundamental_splits(system, tol):
                 FundamentalSplit(SplitKind.MINUS_INVARIANT, empty, empty, 0.0),
                 0.0)
     A = system.A
-    scale = max(1.0, _norm2(A))
 
     def invariance(sub):
         # Euclidean residual on an orthonormal basis.  The metric
@@ -272,7 +274,8 @@ def _fundamental_splits(system, tol):
         if Q.shape[1] == 0:
             return 0.0
         resid = float(np.linalg.norm(A @ Q - Q @ (Q.conj().T @ (A @ Q)), 2))
-        return certify("invariance residual", resid, 1e-9 * scale)
+        return _certify_scaled("invariance residual", resid, 1e-9,
+                               lambda: max(1.0, _norm2(A)))
 
     def check_halves(plus, minus):
         if minus.dim != kappa:
@@ -342,10 +345,6 @@ class SystemFactorization:
         return iter((self.schur_factor, self.inverse_blaschke_factor))
 
 
-def _norm2(M):
-    return float(np.linalg.norm(M, 2)) if M.size else 0.0
-
-
 def _block_norm(system):
     return max(1.0, *(
         _norm2(M) for M in (system.A, system.B, system.C, system.D)))
@@ -382,8 +381,8 @@ def _adapted_blocks(system, split, minus_first, tol):
         pattern = np.concatenate([np.ones(Wp.shape[1]), -np.ones(Wm.shape[1])])
     J_X = system.state.signs
     Vinv = pattern[:, None] * (V.conj().T * J_X[None, :])
-    certify("adapted basis inverse residual",
-            _norm2(Vinv @ V - np.eye(V.shape[1])), 1e-8)
+    _certify_residual("adapted basis inverse residual",
+                      Vinv @ V - np.eye(V.shape[1]), 1e-8)
     A_ad = Vinv @ system.A @ V
     B_ad = Vinv @ system.B
     C_ad = system.C @ V
@@ -405,8 +404,8 @@ def _factorize_simple(system, splits, mode, tol):
         C_f, C_s = C_ad[:, :kappa], C_ad[:, kappa:]
         Jp = np.diag(np.concatenate([-np.ones(kappa), np.ones(m)]))
         R = np.hstack([A_ff, B_f])
-        certify("negative block row metric-isometry residual",
-                _norm2(R @ Jp @ R.conj().T + np.eye(kappa)), 1e-8)
+        _certify_residual("negative block row metric-isometry residual",
+                          R @ Jp @ R.conj().T + np.eye(kappa), 1e-8)
         # rows completing R to a metric-unitary (kappa+m)-frame
         S = _j_orthonormal_completion(R.conj().T, Jp, m).conj().T
         invb = Colligation(SignatureSpace(0, kappa), m, m,
@@ -424,8 +423,8 @@ def _factorize_simple(system, splits, mode, tol):
         C_f, C_s = C_ad[:, :r], C_ad[:, r:]
         Jpp = np.diag(np.concatenate([-np.ones(kappa), np.ones(p)]))
         Ck = np.vstack([A_ss, C_s])
-        certify("negative block column metric-isometry residual",
-                _norm2(Ck.conj().T @ Jpp @ Ck + np.eye(kappa)), 1e-8)
+        _certify_residual("negative block column metric-isometry residual",
+                          Ck.conj().T @ Jpp @ Ck + np.eye(kappa), 1e-8)
         Cn = _j_orthonormal_completion(Ck, Jpp, p)
         invb = Colligation(SignatureSpace(0, kappa), p, p,
                            A_ss, Cn[:kappa, :], C_s, Cn[kappa:, :])
@@ -485,7 +484,6 @@ def _factorize_nonsimple(system, rep, mode, tol):
 def _certify_factorization(system, schur, invb, Z, mode, tol):
     kappa = system.kappa
     cas = cascade(invb, schur) if mode == "right" else cascade(schur, invb)
-    scale = _block_norm(system)
     # np.max, unlike max, carries a NaN residual through to the certificate
     resid = float(np.max([
         _norm2(system.A @ Z - Z @ cas.A),
@@ -493,10 +491,12 @@ def _certify_factorization(system, schur, invb, Z, mode, tol):
         _norm2(system.C @ Z - cas.C),
         _norm2(system.D - cas.D),
     ]))
-    certify("cascade reconstruction residual", resid, 1e-8 * scale)
+    _certify_scaled("cascade reconstruction residual", resid, 1e-8,
+                    lambda: _block_norm(system))
     J_X = system.state.signs
-    certify("cascade state basis metric-orthonormality residual", _norm2(
-        Z.conj().T @ (J_X[:, None] * Z) - np.diag(cas.state.signs)), 1e-8)
+    _certify_residual("cascade state basis metric-orthonormality residual",
+                      Z.conj().T @ (J_X[:, None] * Z) - np.diag(cas.state.signs),
+                      1e-8)
     if (invb.state.pos, invb.state.neg) != (0, kappa):
         raise InternalConsistencyError(
             "negative factor state has the wrong signature")

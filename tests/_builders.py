@@ -158,6 +158,13 @@ def spy_attr(monkeypatch, owner, name):
     return calls
 
 
+def spectral_norms(calls):
+    """The np.linalg.norm calls recorded by spy_attr that took the 2-norm
+    of a single matrix, one SVD each."""
+    return [args for args in calls
+            if len(args) > 1 and args[1] == 2 and np.ndim(args[0]) == 2]
+
+
 def roots_of_unity_system(count=128):
     """Hilbert-state system with A = diag of the count-th roots of unity,
     B = 1/count and C = 1: a pole at every count-th root of unity."""

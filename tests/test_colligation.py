@@ -135,6 +135,13 @@ class TestCornerCertificates:
         _check_bicontraction_corners(system, DEFAULT_TOL)
         assert calls == []
 
+    def test_conservative_classify_takes_no_eigen_solve(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        system = random_conservative_colligation(rng, SignatureSpace(32, 8), 2)
+        calls = spy_attr(monkeypatch, np.linalg, "eigvalsh")
+        assert classify(system).kind == SystemKind.CONSERVATIVE
+        assert calls == []
+
 
 class TestTransfer:
     def test_blaschke_values(self):
@@ -512,6 +519,21 @@ class TestSimilarity:
         calls = spy(monkeypatch, colligation._krylov_basis)
         weak_similarity(sys1, sys2)
         assert sum(args[0] is sys1.A and args[1] is sys1.B for args in calls) == 1
+
+    def test_weak_similarity_takes_one_svd_of_z(self, monkeypatch):
+        # the scale of the intertwining bound is the largest of the
+        # singular values that the invertibility certificate reads
+        rng = np.random.default_rng([24, 4, 2])
+        sys1 = random_conservative_colligation(rng, SignatureSpace(20, 4), 2)
+        sys2 = state_change(sys1, np.eye(24) + 0.01 * rng.standard_normal((24, 24)),
+                            sys1.state)
+        svd = spy_attr(monkeypatch, np.linalg, "svd")
+        norms = spy_attr(monkeypatch, np.linalg, "norm")
+        sim = weak_similarity(sys1, sys2)
+        assert sum(args[0] is sim.Z for args in svd) == 1
+        assert not any(args[0] is sim.Z for args in norms)
+        sv = np.linalg.svd(sim.Z, compute_uv=False)
+        assert sim.residuals["inverse_condition"] == sv[-1] / sv[0]
 
     def test_unitary_similarity_rejects_balanced_form(self):
         sys1 = blaschke_system(0.5)

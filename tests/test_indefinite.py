@@ -1,16 +1,20 @@
 """Tests for the signature-metric linear algebra core."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from pontsys import sampling
+from pontsys import indefinite, sampling
+from pontsys.colligation import system_operator
 from pontsys.exceptions import (
     AmbiguousSpectrumError,
     IndefiniteDefectError,
     InputError,
     NonRegularSubspaceError,
     NotHermitianError,
+    PontsysError,
 )
 from pontsys.indefinite import (
     DEFAULT_TOL,
@@ -817,3 +821,298 @@ class TestSpanHelpers:
         I = intersect_spans(A, B)
         assert I.shape[1] == 1
         assert same_span(I, np.array([[1.0], [0.0], [0.0]]))
+
+
+# metric_classify before the norm brackets: both eigen-solves, the SVD
+# scale only for a defect between metric_tol and the Frobenius bound, and
+# is_psd's eigenvalue test behind its Hermitian guard.  Kept as the
+# reference for the verdicts; the defects are arguments so that planted
+# ones can be fed to both routes.
+def _eig_metric_class(M, primal, dual, tol=DEFAULT_TOL):
+    def eig_bound(P):
+        P = as_matrix(P)  # refuses a non-finite defect
+        skew = float(np.linalg.norm(P - P.conj().T))
+        w = np.linalg.eigvalsh((P + P.conj().T) / 2.0)
+        return w, skew, float(np.max(np.abs(w), initial=0.0)) + skew / 2.0
+
+    w, skew, d = eig_bound(primal)
+    _, _, d_dual = eig_bound(dual)
+    upper = tol.metric_tol * max(1.0, float(np.linalg.norm(M)) ** 2 * (1.0 + 1e-14))
+    scale = 1.0
+    if any(tol.metric_tol < x <= upper for x in (d, d_dual)):
+        scale = max(1.0, float(np.linalg.norm(M, 2)) ** 2)
+    iso, coiso = (x <= tol.metric_tol * scale for x in (d, d_dual))
+    if iso and coiso:
+        return MetricClass.UNITARY
+    if iso:
+        return MetricClass.ISOMETRY
+    if coiso:
+        return MetricClass.COISOMETRY
+    radius = float(np.max(np.abs(w), initial=0.0))
+    if skew > 1e-10 * max(1.0, radius):
+        raise NotHermitianError("psd input is not Hermitian")
+    if w.size == 0 or w[0] >= -tol.psd_tol * max(1.0, radius):
+        return MetricClass.CONTRACTION
+    return MetricClass.NONE
+
+
+def _eig_metric_classify(M, dom, cod, tol=DEFAULT_TOL):
+    return _eig_metric_class(M, *metric_defects(M, dom, cod), tol)
+
+
+# subspace_classify before its Cholesky route: the inertia of the Gram
+# from one eigen-solve, zero cut psd_tol * max(1, max|eig|).
+def _eig_subspace_classify(space, tol=DEFAULT_TOL):
+    G = as_matrix(space.gram)
+    w = np.linalg.eigvalsh((G + G.conj().T) / 2.0)
+    cut = tol.psd_tol * max(1.0, float(np.max(np.abs(w), initial=0.0)))
+    if np.any(np.abs(w) <= cut):
+        return SubspaceKind.DEGENERATE
+    if np.all(w > cut):
+        return SubspaceKind.HILBERT
+    if np.all(w < -cut):
+        return SubspaceKind.ANTIHILBERT
+    return SubspaceKind.REGULAR
+
+
+def _verdict(fn, *args):
+    """Result of fn, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (PontsysError, RuntimeWarning) as exc:
+        return type(exc)
+
+
+def _spread_contraction(rng, n, lo, hi):
+    """Hilbert-space M whose two defects have the eigenvalues
+    +-[lo, hi] * metric_tol, signs at random: ||sym P||_F is about
+    sqrt(n) times max|eig|."""
+    eps = rng.uniform(lo, hi, n) * DEFAULT_TOL.metric_tol * rng.choice([-1.0, 1.0], n)
+    Q1 = sampling.random_unitary(rng, n)
+    Q2 = sampling.random_unitary(rng, n)
+    return (Q1 * np.sqrt(1.0 - eps)[None, :]) @ Q2.conj().T
+
+
+def _planted_gram_subspace(w, t):
+    """Subspace of the signature space (k, k) whose Gram has eigenvalues w:
+    the basis [P; N] with P^H P - N^H N = Q diag(w) Q^H, both blocks
+    shifted by t > 0 to keep the basis well conditioned."""
+    k = w.size
+    rng = np.random.default_rng(k)
+    Q = sampling.random_unitary(rng, k)
+    P = (Q * np.sqrt(np.maximum(w, 0.0) + t)[None, :]) @ Q.conj().T
+    N = (Q * np.sqrt(np.maximum(-w, 0.0) + t)[None, :]) @ Q.conj().T
+    return IndefiniteSubspace(SignatureSpace(k, k), np.vstack([P, N]))
+
+
+class TestBracketedCertificates:
+    """The norm brackets and Cholesky routes of metric_classify and
+    subspace_classify against the eigen-solve references."""
+
+    FACTORS = (0.1, 0.5, 0.9, 1.1, 2.0, 10.0)
+
+    def test_metric_classify_planted_defects(self):
+        rng = np.random.default_rng(41)
+        cases = []
+        for pos, neg in ((1, 0), (3, 1), (12, 3), (32, 8)):
+            sp = SignatureSpace(pos, neg)
+            signs = sp.signs
+            keep = np.concatenate([np.arange(max(pos - 1, 1)), np.arange(pos, pos + neg)])
+            for _ in range(2):
+                U = sampling.random_j_unitary(rng, sp)
+                unit = DEFAULT_TOL.metric_tol * max(1.0, np.linalg.norm(U, 2) ** 2)
+                for f in (0.3, 0.9, 1.1, 3.0, 30.0, 300.0):
+                    for t in (1.0 - f * unit / 2.0, 1.0 + f * unit / 2.0):
+                        cases += [(t * U, signs, signs),
+                                  (t * U[:, keep], signs[keep], signs),
+                                  (t * U[keep, :], signs, signs[keep])]
+                cases += [
+                    (sampling.random_j_contraction(rng, sp, sp), signs, signs),
+                    (sampling.random_j_contraction(rng, sp, sp, strict=0.2), signs, signs),
+                    (1.5 * U, signs, signs),
+                ]
+        # one strong hyperbolic rotation U in 40 dimensions, so that
+        # ||U||_F^2 is close to ||U||_2^2, times D = diag(t) with
+        # J - D J D = d I: the primal defect d I, zero at the SVD scale
+        # for d <= metric_tol ||M||_2^2, has ||sym P||_F = sqrt(40) d above
+        # the Frobenius bound, so only its diagonal tells it from a
+        # nonzero one; the dual defect U (d I) U^H is nonzero
+        signs = SignatureSpace(32, 8).signs
+        for a in (2.0, 3.0):
+            U = np.eye(40)
+            U[np.ix_([0, 32], [0, 32])] = [[np.cosh(a), np.sinh(a)],
+                                           [np.sinh(a), np.cosh(a)]]
+            unit = DEFAULT_TOL.metric_tol * np.linalg.norm(U, 2) ** 2
+            for f in (0.3, 0.9, 1.1, 3.0):
+                cases.append((U * np.sqrt(1.0 - signs * f * unit)[None, :], signs, signs))
+                for t in (1.0 - f * unit / 2.0, 1.0 + f * unit / 2.0):
+                    cases.append((t * U, signs, signs))
+        verdicts = [_verdict(_eig_metric_classify, *case) for case in cases]
+        for case, want in zip(cases, verdicts):
+            assert _verdict(metric_classify, *case) == want
+        assert set(verdicts) == set(MetricClass)
+
+    def test_spread_spectra_take_the_eigen_solve(self, monkeypatch):
+        # ||sym P||_F > metric_tol >= max|eig|: the bracket cannot tell a
+        # zero defect, so the eigen-solve route decides
+        rng = np.random.default_rng(8)
+        cases = []
+        for n in (12, 40):
+            for lo, hi in ((0.3, 0.9), (0.5, 1.0), (0.3, 1.5), (0.9, 3.0)):
+                M = _spread_contraction(rng, n, lo, hi)
+                cases.append((M, np.ones(n), np.ones(n)))
+        verdicts = [_verdict(_eig_metric_classify, *case) for case in cases]
+        calls = spy_attr(monkeypatch, np.linalg, "eigvalsh")
+        for case, want in zip(cases, verdicts):
+            assert _verdict(metric_classify, *case) == want
+        assert MetricClass.UNITARY in verdicts and len(set(verdicts)) >= 2
+        assert len(calls) == 2 * len(cases)
+
+    def test_rank_one_on_the_bound(self):
+        cases = []
+        for a in (0.0, 0.5, 1.0, 3.0):
+            c = np.cosh(2.0 * a)
+            for f in (0.3, 0.99, 1.0, 1.01, 3.0, 300.0):
+                t = 1.0 / np.sqrt(1.0 + f * DEFAULT_TOL.metric_tol * c)
+                col = t * np.exp(0.4j) * np.array([[np.cosh(a)], [np.sinh(a)]])
+                cases.append((col, [1.0], [1.0, -1.0], DEFAULT_TOL))
+                cases.append((np.array([[1.0 / t]]), [1.0], [1.0], DEFAULT_TOL))
+        for a in (0.5, 1.0, 2.0):
+            for t in (0.999, 0.9999):
+                M = t * np.exp(0.3j) * np.array([[np.cosh(a)], [np.sinh(a)]])
+                primal, _ = metric_defects(M, [1.0], [1.0, -1.0])
+                metric_tol = abs(float(np.real(primal[0, 0]))) / float(
+                    np.linalg.norm(M, 2)) ** 2
+                for _ in range(4):
+                    metric_tol = np.nextafter(metric_tol, 0.0)
+                for _ in range(8):
+                    cases.append((M, [1.0], [1.0, -1.0], Tolerances(metric_tol=metric_tol)))
+                    metric_tol = np.nextafter(metric_tol, 1.0)
+        verdicts = [_verdict(_eig_metric_classify, *case) for case in cases]
+        for case, want in zip(cases, verdicts):
+            assert _verdict(metric_classify, *case) == want
+        assert {MetricClass.ISOMETRY, MetricClass.CONTRACTION, MetricClass.NONE} <= set(verdicts)
+
+    def test_skew_parts_around_the_hermitian_guard(self, monkeypatch):
+        # defects planted past metric_defects: nonzero, lambda_min at
+        # +-0.1-10x the psd slack, skew parts of Frobenius norm 0-10x 1e-10
+        rng = np.random.default_rng(17)
+        n = 6
+        M = 0.5 * np.eye(n)
+        dual = 0.75 * np.eye(n, dtype=complex)
+        cases = []
+        for scale in (1.0, 1e3):
+            Q = sampling.random_unitary(rng, n)
+            rest = scale * rng.uniform(0.1, 1.0, n - 1)
+            slack = DEFAULT_TOL.psd_tol * max(1.0, float(np.max(rest)))
+            K = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            K = (K - K.conj().T) / 2.0
+            K /= np.linalg.norm(K)
+            for sign in (1.0, -1.0):
+                for f in self.FACTORS:
+                    w = np.concatenate([[sign * f * slack], rest])
+                    H = (Q * w[None, :]) @ Q.conj().T
+                    for skew in (0.0, 0.1, 0.9, 1.1, 10.0):
+                        cases.append(H + skew * 1e-10 * K)
+        verdicts = []
+        for primal in cases:
+            want = _verdict(_eig_metric_class, M, primal, dual)
+            monkeypatch.setattr(indefinite, "metric_defects",
+                                lambda *_, P=primal: (P, dual))
+            assert _verdict(metric_classify, M, np.ones(n), np.ones(n)) == want
+            verdicts.append(want)
+        assert {MetricClass.CONTRACTION, MetricClass.NONE, NotHermitianError} <= set(verdicts)
+
+    @pytest.mark.parametrize("overflow", ["error", "ignore"])
+    def test_non_finite_defects_are_refused_alike(self, monkeypatch, overflow):
+        # entries large enough to overflow the defect: with the suite's
+        # RuntimeWarning filter both routes stop at the overflow in
+        # metric_defects, with warnings ignored both refuse the defect
+        signs = SignatureSpace(2, 1).signs
+        U = sampling.random_j_unitary(np.random.default_rng(2), SignatureSpace(2, 1))
+        for c in (1e160, 1e200):
+            for M in (c * np.eye(3), c * U):
+                with warnings.catch_warnings():
+                    warnings.simplefilter(overflow, RuntimeWarning)
+                    want = _verdict(_eig_metric_classify, M, signs, signs)
+                    assert _verdict(metric_classify, M, signs, signs) is want
+                assert want is (RuntimeWarning if overflow == "error" else InputError)
+        P = np.eye(3, dtype=complex)
+        P[0, 2] = np.nan
+        for primal, dual in ((P, np.eye(3)), (np.eye(3), P)):
+            monkeypatch.setattr(indefinite, "metric_defects",
+                                lambda *_, a=primal, b=dual: (a, b))
+            assert _verdict(metric_classify, 0.5 * np.eye(3), signs, signs) is InputError
+            assert _verdict(_eig_metric_class, 0.5 * np.eye(3), primal, dual) is InputError
+
+    @pytest.mark.parametrize("kind", ["conservative", "passive"])
+    def test_no_eigen_solve_for_clear_system_operators(self, monkeypatch, kind):
+        rng = np.random.default_rng(23)
+        sp = SignatureSpace(32, 8)
+        for io in (1, 2, 3):
+            system = (sampling.random_conservative_colligation(rng, sp, io)
+                      if kind == "conservative" else
+                      sampling.random_passive_colligation(rng, sp, io, io, strict=0.2))
+            T, dom, cod = system_operator(system)
+            want = _eig_metric_classify(T, dom.signs, cod.signs)
+            calls = spy_attr(monkeypatch, np.linalg, "eigvalsh")
+            got = metric_classify(T, dom, cod)
+            monkeypatch.undo()
+            assert got == want == (MetricClass.UNITARY if kind == "conservative"
+                                   else MetricClass.CONTRACTION)
+            assert calls == []
+
+    def gram_cases(self, tol):
+        """Subspaces whose Gram has lambda_min at +-0.1-10x the zero cut of
+        inertia, at scales 1e-3 to 1e3 and k = 1 to 40, mirrored to the
+        negative side, plus regular and degenerate Grams."""
+        rng = np.random.default_rng(5)
+        for k in (1, 2, 5, 12, 40):
+            for scale in (1e-3, 1.0, 1e3):
+                rest = scale * rng.uniform(0.1, 1.0, k - 1)
+                cut = tol.psd_tol * max(1.0, float(np.max(rest, initial=scale)))
+                for mirror in (1.0, -1.0):
+                    for sign in (1.0, -1.0):
+                        for f in self.FACTORS:
+                            w = mirror * np.concatenate([[sign * f * cut], rest])
+                            yield _planted_gram_subspace(w, scale)
+                    yield _planted_gram_subspace(mirror * rest, scale)
+                    yield _planted_gram_subspace(mirror * np.concatenate([[0.0], rest]), scale)
+                if k > 1:
+                    yield _planted_gram_subspace(rest * rng.choice([-1.0, 1.0], k - 1), scale)
+
+    @pytest.mark.parametrize("psd_tol", [1e-9, 1e-15])
+    def test_subspace_classify_verdicts_unchanged(self, monkeypatch, psd_tol):
+        tol = Tolerances(psd_tol=psd_tol)
+        cases = list(self.gram_cases(tol))
+        verdicts = [_verdict(_eig_subspace_classify, sub, tol) for sub in cases]
+        calls = spy_attr(monkeypatch, np.linalg, "eigvalsh")
+        for sub, want in zip(cases, verdicts):
+            assert _verdict(subspace_classify, sub, tol) == want
+        assert set(verdicts) == set(SubspaceKind)
+        # the clearly definite Grams skip the eigen-solve
+        assert len(calls) < len(cases)
+
+    def test_no_eigen_solve_for_clearly_definite_subspaces(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        for k in (1, 8, 40):
+            rest = rng.uniform(0.1, 1.0, k)
+            for mirror, kind in ((1.0, SubspaceKind.HILBERT),
+                                 (-1.0, SubspaceKind.ANTIHILBERT)):
+                sub = _planted_gram_subspace(mirror * rest, 1.0)
+                calls = spy_attr(monkeypatch, np.linalg, "eigvalsh")
+                assert subspace_classify(sub) == kind
+                monkeypatch.undo()
+                assert calls == []
+                assert _eig_subspace_classify(sub) == kind
+
+    @pytest.mark.parametrize("overflow", ["error", "ignore"])
+    def test_non_finite_gram_is_refused_alike(self, overflow):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sub = IndefiniteSubspace(SignatureSpace(2, 0), 1e200 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter(overflow, RuntimeWarning)
+            want = _verdict(_eig_subspace_classify, sub)
+            assert _verdict(subspace_classify, sub) is want
+        assert want is (RuntimeWarning if overflow == "error" else InputError)

@@ -5,6 +5,7 @@ from pontsys.colligation import (
     Colligation,
     SystemKind,
     classify,
+    system_operator,
     transfer_eval,
 )
 from pontsys.exceptions import IndefiniteDefectError, PreconditionError
@@ -21,6 +22,8 @@ from pontsys.julia import (
     julia_operator,
 )
 from pontsys.sampling import disc_grid, random_j_contraction, random_passive_colligation
+
+from _builders import spectral_norms, spy, spy_attr
 
 
 class TestJuliaOperator:
@@ -224,3 +227,33 @@ class TestJuliaEmbedding:
         emb = julia_embedding(sys1)
         assert emb.input_dim == 1 + expected
         assert emb.output_dim == 1 + expected
+
+
+class TestOneUnitaryCertificate:
+    def test_embedding_certifies_the_completion_once(self, monkeypatch):
+        # julia_operator's own certificate would run metric_classify a
+        # third time on the operator that classify(embedded) checks
+        rng = np.random.default_rng(34)
+        sys1 = random_passive_colligation(rng, SignatureSpace(6, 2), 2, 2, strict=0.2)
+        calls = spy(monkeypatch, metric_classify)
+        emb = julia_embedding(sys1)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        T, dom, cod = system_operator(sys1)
+        ju = julia_operator(T, dom, cod)
+        U, emb_dom, emb_cod = system_operator(emb)
+        assert np.array_equal(U, ju.operator)
+        assert np.array_equal(emb_dom.signs, ju.dom_signs)
+        assert np.array_equal(emb_cod.signs, ju.cod_signs)
+
+    def test_embedding_decomposition_counts(self, monkeypatch):
+        # passive n = 40, kappa = 8, m = 3: the two defect factors are the
+        # only eigen-solves, and no spectral norm is needed
+        rng = np.random.default_rng(35)
+        sys1 = random_passive_colligation(rng, SignatureSpace(32, 8), 3, 3, strict=0.2)
+        eigvalsh = spy_attr(monkeypatch, np.linalg, "eigvalsh")
+        eigh = spy_attr(monkeypatch, np.linalg, "eigh")
+        norms = spy_attr(monkeypatch, np.linalg, "norm")
+        emb = julia_embedding(sys1)
+        assert emb.state == sys1.state
+        assert (len(eigvalsh), len(eigh), len(spectral_norms(norms))) == (0, 2, 0)

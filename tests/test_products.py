@@ -52,6 +52,7 @@ from _builders import (
     identity_feedthrough,
     inverse_blaschke_system,
     isometric_column_system,
+    spectral_norms,
     spy,
     spy_attr,
 )
@@ -579,3 +580,29 @@ class TestOneSchurForm:
                            rng, SignatureSpace(32, 8), 2, 2, strict=0.2)):
             stability_classify(system)
         assert calls == []
+
+
+class TestDecompositionCounts:
+    """Conservative n = 40, kappa = 8: the Hermitian certificates of the
+    factorization and of the stability class take no eigenvalue solve, and
+    the factorization's spectral norms are only its reported residuals."""
+
+    def system(self):
+        rng = np.random.default_rng(44)
+        return random_conservative_colligation(rng, SignatureSpace(32, 8), 2)
+
+    def test_kl_factorize_right(self, monkeypatch):
+        system = self.system()
+        eigvalsh = spy_attr(monkeypatch, np.linalg, "eigvalsh")
+        norms = spy_attr(monkeypatch, np.linalg, "norm")
+        fac = kl_factorize_system(system, "right")
+        assert fac.inverse_blaschke_factor.state_dim == 8
+        assert eigvalsh == []
+        # two invariance residuals and four reconstruction residuals
+        assert len(spectral_norms(norms)) <= 6
+
+    def test_stability_classify(self, monkeypatch):
+        system = self.system()
+        eigvalsh = spy_attr(monkeypatch, np.linalg, "eigvalsh")
+        assert stability_classify(system).kappa == 8
+        assert eigvalsh == []
