@@ -30,6 +30,7 @@ from .colligation import (
     realize_from_taylor,
     simp_kar_check,
     state_change,
+    system_kind,
     system_operator,
     to_canonical,
     transfer_eval,

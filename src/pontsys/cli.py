@@ -27,14 +27,11 @@ import numpy as np
 from .colligation import (
     Colligation,
     SystemKind,
-    _krylov_class,
-    _metric_kind,
-    _simp_kar,
     adjoint_system,
     classify,
-    krylov_report,
     markov,
     realize_from_taylor,
+    system_kind,
     to_canonical,
     unitary_similarity,
     weak_similarity,
@@ -314,10 +311,8 @@ def _signature_dict(system):
 def cmd_classify(args):
     system, meta = load_system(args.path)
     tol = _resolve_tolerances(args, meta)
-    kind = _metric_kind(system, tol)
-    rep = krylov_report(system, tol)
-    cls = _krylov_class(kind, rep)
-    kar = _simp_kar(system, rep, tol, cross_validate=True)
+    cls = classify(system, tol)
+    rep = cls.krylov
     verdicts = {
         "kind": cls.kind.value,
         "passive": cls.is_passive,
@@ -325,7 +320,7 @@ def cmd_classify(args):
         "observable": cls.observable,
         "simple": cls.simple,
         "minimal": cls.minimal,
-        "index_preserving": kar.index_preserving,
+        "index_preserving": rep.index_preserving,
     }
     certificates = {
         "signature": _signature_dict(system),
@@ -333,8 +328,8 @@ def cmd_classify(args):
         "controllable_rank": rep.controllable_space.dim,
         "observable_rank": rep.observable_space.dim,
         "simple_rank": rep.simple_space.dim,
-        "complement_kinds": {k: v.value for k, v in kar.complement_kinds.items()},
-        "kappa_estimate": kar.kappa_estimate,
+        "complement_kinds": {k: v.value for k, v in rep.complement_kinds.items()},
+        "kappa_estimate": negative_squares_estimate(as_transfer(system), tol).estimate,
     }
     return _emit_report(
         args, "classify", {"system": _hash_input(args.path)},
@@ -441,7 +436,7 @@ def cmd_julia_embed(args):
     emb = julia_embedding(system, tol)
     emb_path = save_system(emb, Path(args.out) / "julia_embedding.json",
                            name="conservative defect embedding")
-    cls = classify(emb, tol, with_krylov=False)
+    kind = system_kind(emb, tol)
     S = as_transfer(system)
     p, m = system.output_dim, system.input_dim
     pts = disc_points(16, seed=tol.seed * 91 + 2, radius=0.85,
@@ -451,8 +446,8 @@ def cmd_julia_embed(args):
     corner = certify("embedding corner transfer mismatch",
                      _relative_mismatch(got, want), 1e-9)
     verdicts = {
-        "kind": cls.kind.value,
-        "conservative": cls.kind == SystemKind.CONSERVATIVE,
+        "kind": kind.value,
+        "conservative": kind == SystemKind.CONSERVATIVE,
         "corner_matches": True,
     }
     residuals = {"corner_transfer": corner}

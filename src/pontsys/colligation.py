@@ -14,7 +14,7 @@ transfer_eval as its one-point case, runs on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum as _Enum
 
 import numpy as np
@@ -28,6 +28,7 @@ from .exceptions import (
     PoleProximityError,
     PreconditionError,
     _certify_scaled,
+    _norm2,
     certify,
 )
 from .indefinite import (
@@ -36,6 +37,7 @@ from .indefinite import (
     MetricClass,
     SignatureSpace,
     SubspaceKind,
+    _defect_class,
     as_matrix,
     canonical_basis,
     column_space,
@@ -60,6 +62,7 @@ __all__ = [
     "SimilarityResult",
     "system_operator",
     "classify",
+    "system_kind",
     "adjoint_system",
     "transfer_eval",
     "transfer_values",
@@ -179,65 +182,72 @@ _METRIC_TO_KIND = {
 
 @dataclass(frozen=True)
 class SystemClass:
-    """Metric kind plus Krylov flags (None when not computed)."""
+    """Certified metric kind of a system and the Krylov report its flags come from."""
 
     kind: SystemKind
-    controllable: bool | None = None
-    observable: bool | None = None
-    simple: bool | None = None
-    minimal: bool | None = None
+    krylov: KrylovReport = field(compare=False, repr=False)
 
     @property
     def is_passive(self):
         return self.kind != SystemKind.NONE
 
+    @property
+    def controllable(self):
+        return self.krylov.controllable
 
-def classify(system, tol=DEFAULT_TOL, with_krylov=True):
-    """Metric classification of the system operator, with Krylov flags.
+    @property
+    def observable(self):
+        return self.krylov.observable
 
-    Passive systems additionally satisfy the two-sided contraction checks
-    on A, [A; C] and [A, B]; a failure there is an internal inconsistency.
+    @property
+    def simple(self):
+        return self.krylov.simple
+
+    @property
+    def minimal(self):
+        return self.krylov.controllable and self.krylov.observable
+
+
+def classify(system, tol=DEFAULT_TOL):
+    """SystemClass of the system: the certified kind of system_kind and the
+    krylov_report that its flags are read from."""
+    return SystemClass(system_kind(system, tol), krylov_report(system, tol))
+
+
+# the bicontraction certificate allows this multiple of psd_tol, at most 1/2
+_BICONTRACTION_SLACK = 10.0
+
+
+def system_kind(system, tol=DEFAULT_TOL):
+    """Metric kind of the system operator T = [[A, B], [C, D]], certified
+    a bicontraction when passive.
+
+    T maps diag(J, I_m) into diag(J, I_p), of one negative index, so a
+    contraction T has both defects positive semidefinite.  The one defect
+    the verdict did not find zero is certified by is_psd with slack
+    min(1/2, 10 psd_tol): the dual defect of a passive or isometric T, the
+    primal defect of a coisometric one.  That covers the corners A, [A; C]
+    and [A, B]: primal([A; C]) and dual([A, B]) are state blocks of
+    primal(T) and dual(T), and primal(A), primal([A, B]), dual(A) and
+    dual([A; C]) add C^*C, [C, D]^*[C, D], BB^* and [B; D][B; D]^* to
+    primal([A; C]), primal(T), dual([A, B]) and dual(T).
     """
-    kind = _metric_kind(system, tol)
-    if not with_krylov:
-        return SystemClass(kind)
-    return _krylov_class(kind, krylov_report(system, tol))
-
-
-def _metric_kind(system, tol):
-    """Metric kind of the system operator, corner blocks certified."""
     T, dom, cod = system_operator(system)
-    kind = _METRIC_TO_KIND[metric_classify(T, dom, cod, tol)]
-    if kind != SystemKind.NONE:
-        _check_bicontraction_corners(system, tol)
-    return kind
+    primal, dual = metric_defects(T, dom, cod)
+    verdict = _defect_class(T, primal, dual, tol)
+    _certify_bicontraction(verdict, primal, dual, tol)
+    return _METRIC_TO_KIND[verdict]
 
 
-def _krylov_class(kind, rep):
-    """SystemClass from a metric kind and an already computed Krylov report."""
-    return SystemClass(kind, rep.controllable, rep.observable, rep.simple,
-                       rep.controllable and rep.observable)
-
-
-def _relaxed(tol, factor=10.0):
-    return replace(tol, psd_tol=min(0.5, factor * tol.psd_tol))
-
-
-def _check_bicontraction_corners(system, tol):
-    state_signs = system.state.signs
-    loose = _relaxed(tol)
-    corners = [
-        (system.A, state_signs, state_signs),
-        (np.vstack([system.A, system.C]), state_signs,
-         np.concatenate([state_signs, np.ones(system.output_dim)])),
-        (np.hstack([system.A, system.B]),
-         np.concatenate([state_signs, np.ones(system.input_dim)]), state_signs),
-    ]
-    for M, dom, cod in corners:
-        primal, dual = metric_defects(M, dom, cod)
-        if not (is_psd(primal, loose) and is_psd(dual, loose)):
-            raise InternalConsistencyError(
-                "passive system operator with a non-bicontractive corner block")
+def _certify_bicontraction(verdict, primal, dual, tol):
+    """Refuse a passive verdict whose defect not found zero is indefinite
+    beyond the slack of system_kind."""
+    defect = {MetricClass.CONTRACTION: dual, MetricClass.ISOMETRY: dual,
+              MetricClass.COISOMETRY: primal}.get(verdict)
+    if defect is not None and not is_psd(defect, replace(
+            tol, psd_tol=min(0.5, _BICONTRACTION_SLACK * tol.psd_tol))):
+        raise InternalConsistencyError(
+            "passive system operator with an indefinite defect")
 
 
 def adjoint_system(system):
@@ -367,6 +377,11 @@ class KrylovReport:
     simple: bool
     complement_kinds: dict
 
+    @property
+    def index_preserving(self):
+        """Whether every Krylov complement is a Hilbert subspace."""
+        return all(k == SubspaceKind.HILBERT for k in self.complement_kinds.values())
+
 
 def krylov_report(system, tol=DEFAULT_TOL):
     """Spans of the iterated B and adjoint-C columns and their complements.
@@ -417,22 +432,15 @@ def simp_kar_check(system, tol=DEFAULT_TOL, cross_validate=False):
     squares estimate of the transfer function is compared against the
     state negative index.
     """
-    return _simp_kar(system, krylov_report(system, tol), tol, cross_validate)
-
-
-def _simp_kar(system, rep, tol, cross_validate=False):
-    """simp_kar_check on an already computed Krylov report of the system."""
-    kinds = rep.complement_kinds
-    verdict = all(k == SubspaceKind.HILBERT for k in kinds.values())
-    estimate = None
-    agrees = None
+    rep = krylov_report(system, tol)
+    estimate = agrees = None
     if cross_validate:
         from .schur import TransferFunction, negative_squares_estimate
 
-        cert = negative_squares_estimate(TransferFunction(system), tol)
-        estimate = cert.estimate
-        agrees = bool(estimate == system.kappa) if verdict else None
-    return SimpKarReport(verdict, kinds, system.kappa, estimate, agrees)
+        estimate = negative_squares_estimate(TransferFunction(system), tol).estimate
+        agrees = bool(estimate == system.kappa) if rep.index_preserving else None
+    return SimpKarReport(rep.index_preserving, rep.complement_kinds, system.kappa,
+                         estimate, agrees)
 
 
 def state_change(system, Z, new_state):
@@ -600,10 +608,10 @@ class SimilarityResult:
 
 def _intertwining_residuals(s1, s2, Z):
     return {
-        "A": float(np.linalg.norm(Z @ s1.A - s2.A @ Z, 2)),
-        "B": float(np.linalg.norm(Z @ s1.B - s2.B, 2)),
-        "C": float(np.linalg.norm(s1.C - s2.C @ Z, 2)),
-        "D": float(np.linalg.norm(s1.D - s2.D, 2)),
+        "A": _norm2(Z @ s1.A - s2.A @ Z),
+        "B": _norm2(Z @ s1.B - s2.B),
+        "C": _norm2(s1.C - s2.C @ Z),
+        "D": _norm2(s1.D - s2.D),
     }
 
 

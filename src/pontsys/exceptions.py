@@ -97,7 +97,12 @@ def _certify_scaled(name, value, bound, scale):
 
 
 def _norm2(M):
-    return float(np.linalg.norm(M, 2)) if M.size else 0.0
+    """Spectral norm of M; 0 when empty, NaN when not finite (the SVD raises)."""
+    if not M.size:
+        return 0.0
+    if not np.isfinite(M).all():
+        return np.nan
+    return float(np.linalg.norm(M, 2))
 
 
 def _certify_residual(name, R, bound, scale=lambda: 1.0):

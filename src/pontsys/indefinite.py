@@ -314,7 +314,11 @@ def metric_classify(M, dom, cod, tol=DEFAULT_TOL):
     factorization decide the clear cases; the eigen-solves run only where
     they can change the verdict.
     """
-    primal, dual = metric_defects(M, dom, cod)
+    return _defect_class(M, *metric_defects(M, dom, cod), tol)
+
+
+def _defect_class(M, primal, dual, tol):
+    """metric_classify of M from its two defects, as metric_defects forms them."""
     verdict = _bracketed_metric_class(M, primal, dual, tol)
     if verdict is not None:
         return verdict

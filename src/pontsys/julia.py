@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import orthogonal_procrustes
 
-from .colligation import Colligation, SystemKind, classify, system_operator
+from .colligation import Colligation, SystemKind, system_kind, system_operator
 from .exceptions import InternalConsistencyError, PreconditionError, _certify_residual
 from .indefinite import (
     DEFAULT_TOL,
@@ -185,8 +185,7 @@ def julia_embedding(system, tol=DEFAULT_TOL):
     of the embedded system is the completion's one metric-unitary
     certificate.
     """
-    cls = classify(system, tol, with_krylov=False)
-    if not cls.is_passive:
+    if system_kind(system, tol) == SystemKind.NONE:
         raise PreconditionError("defect embedding needs a passive system")
     T, dom, cod = system_operator(system)
     ju = _julia_completion(T, dom, cod, tol)
@@ -208,6 +207,6 @@ def julia_embedding(system, tol=DEFAULT_TOL):
         np.vstack([system.C, C_extra]),
         D_new,
     )
-    if classify(embedded, tol, with_krylov=False).kind != SystemKind.CONSERVATIVE:
+    if system_kind(embedded, tol) != SystemKind.CONSERVATIVE:
         raise InternalConsistencyError("embedded system failed the conservativity check")
     return embedded

@@ -17,14 +17,11 @@ import numpy as np
 from .colligation import (
     Colligation,
     SystemKind,
-    _krylov_class,
-    _metric_kind,
-    _simp_kar,
     _unobservable,
     adjoint_system,
     classify,
-    krylov_report,
     markov,
+    system_kind,
 )
 from .exceptions import (
     AmbiguousSpectrumError,
@@ -228,16 +225,15 @@ def invariant_fundamental_decompositions(system, tol=DEFAULT_TOL):
 
 
 def _splittable(system, tol):
-    """Metric kind and Krylov report of a passive index-preserving system;
-    any other system is refused as the fundamental splits refuse it."""
-    kind = _metric_kind(system, tol)
-    if kind == SystemKind.NONE:
+    """Classification of a passive index-preserving system; any other
+    system is refused as the fundamental splits refuse it."""
+    cls = classify(system, tol)
+    if cls.kind == SystemKind.NONE:
         raise PreconditionError("fundamental splits need a passive system")
-    rep = krylov_report(system, tol)
-    if not _simp_kar(system, rep, tol).index_preserving:
+    if not cls.krylov.index_preserving:
         raise PreconditionError(
             "fundamental splits need an index-preserving system")
-    return kind, rep
+    return cls
 
 
 def _positive_band(form, basis, state, tol):
@@ -273,7 +269,7 @@ def _fundamental_splits(system, tol):
         Q = sub.basis
         if Q.shape[1] == 0:
             return 0.0
-        resid = float(np.linalg.norm(A @ Q - Q @ (Q.conj().T @ (A @ Q)), 2))
+        resid = _norm2(A @ Q - Q @ (Q.conj().T @ (A @ Q)))
         return _certify_scaled("invariance residual", resid, 1e-9,
                                lambda: max(1.0, _norm2(A)))
 
@@ -506,11 +502,11 @@ def _certify_factorization(system, schur, invb, Z, mode, tol):
             "negative factor failed its conservative minimality certificate")
     if schur.state.neg != 0:
         raise InternalConsistencyError("Schur factor state is not positive")
-    schur_cls = classify(schur, tol, with_krylov=False)
+    schur_kind = system_kind(schur, tol)
     wanted = (SystemKind.COISOMETRIC if mode == "right" else SystemKind.ISOMETRIC)
-    if schur_cls.kind not in (wanted, SystemKind.CONSERVATIVE):
+    if schur_kind not in (wanted, SystemKind.CONSERVATIVE):
         raise InternalConsistencyError(
-            f"Schur factor came out {schur_cls.kind.value}, "
+            f"Schur factor came out {schur_kind.value}, "
             f"expected {wanted.value} or conservative")
     return resid
 
@@ -530,15 +526,12 @@ def kl_factorize_system(system, mode="right", tol=DEFAULT_TOL):
     """
     if mode not in ("right", "left"):
         raise InputError(f"mode must be 'right' or 'left', got {mode!r}")
-    kind = _metric_kind(system, tol)
-    rep = krylov_report(system, tol)
-    return _kl_factorize(system, _krylov_class(kind, rep), rep, mode, tol)
+    return _kl_factorize(system, classify(system, tol), mode, tol)
 
 
-def _kl_factorize(system, cls, rep, mode, tol):
-    """kl_factorize_system on a system already classified as cls, with
-    Krylov report rep."""
-    if not _simp_kar(system, rep, tol).index_preserving:
+def _kl_factorize(system, cls, mode, tol):
+    """kl_factorize_system on a system already classified as cls."""
+    if not cls.krylov.index_preserving:
         raise PreconditionError("factorization needs an index-preserving system")
     if mode == "right":
         ok = cls.kind == SystemKind.CONSERVATIVE or (
@@ -553,7 +546,7 @@ def _kl_factorize(system, cls, rep, mode, tol):
             raise PreconditionError(
                 "left mode needs a conservative or isometric controllable system")
     if cls.kind == SystemKind.CONSERVATIVE and not cls.simple:
-        schur, invb, Z = _factorize_nonsimple(system, rep, mode, tol)
+        schur, invb, Z = _factorize_nonsimple(system, cls.krylov, mode, tol)
     else:
         # the checks above imply the split preconditions: the kind is
         # passive and the report index-preserving
@@ -601,10 +594,9 @@ def stability_classify(system, tol=DEFAULT_TOL):
     one-sided metric classes with the matching Krylov property the I
     classes, the rest of the passive systems the P class.
     """
-    kind, rep = _splittable(system, tol)
+    cls = _splittable(system, tol)
     _, _, radius = _fundamental_splits(system, tol)
     stable = radius < 1.0 - tol.metric_tol
-    cls = _krylov_class(kind, rep)
     if not stable:
         label = "none"
     elif cls.kind == SystemKind.CONSERVATIVE and cls.simple:

@@ -26,11 +26,9 @@ import numpy as np
 from .colligation import (
     Colligation,
     SystemKind,
-    _krylov_class,
-    _metric_kind,
     adjoint_system,
     classify,
-    krylov_report,
+    system_kind,
     transfer_eval,
     transfer_values,
 )
@@ -334,10 +332,8 @@ def _invert_system(system, tol, known_conservative=False):
         system.input_dim, system.output_dim,
         system.A - system.B @ Dinv @ system.C,
         system.B @ Dinv, -Dinv @ system.C, Dinv)
-    was_conservative = known_conservative or classify(
-        system, tol, with_krylov=False).kind == SystemKind.CONSERVATIVE
-    if was_conservative:
-        if classify(out, tol, with_krylov=False).kind != SystemKind.CONSERVATIVE:
+    if known_conservative or system_kind(system, tol) == SystemKind.CONSERVATIVE:
+        if system_kind(out, tol) != SystemKind.CONSERVATIVE:
             raise InternalConsistencyError(
                 "inverse of a conservative system failed the conservativity "
                 "certificate under the negated state metric")
@@ -366,7 +362,7 @@ def blaschke_product(factors, tol=DEFAULT_TOL):
     for f in factors:
         if f.state.neg != 0:
             raise PreconditionError("factors must have Hilbert state spaces")
-        if classify(f, tol, with_krylov=False).kind != SystemKind.CONSERVATIVE:
+        if system_kind(f, tol) != SystemKind.CONSERVATIVE:
             raise PreconditionError("factors must be conservative")
     out = factors[0]
     for f in factors[1:]:
@@ -406,18 +402,18 @@ def _zeros_of_inverse(invb):
     return 1.0 / np.linalg.eigvals(invb.A)
 
 
-def _side_factorization(S, cls, rep, mode, tol):
+def _side_factorization(S, cls, mode, tol):
     """kl_factorize_system on the side's backing: the given one, classified
-    as cls with Krylov report rep, when it qualifies, else a canonical one."""
+    as cls, when it qualifies, else a canonical one."""
     if mode == "right":
         if cls.kind == SystemKind.CONSERVATIVE or (
                 cls.kind == SystemKind.COISOMETRIC and cls.observable):
-            return _kl_factorize(S.backing, cls, rep, mode, tol)
+            return _kl_factorize(S.backing, cls, mode, tol)
         backing = canonical_coisometric_realization(S, tol)
     else:
         if cls.kind == SystemKind.CONSERVATIVE or (
                 cls.kind == SystemKind.ISOMETRIC and cls.controllable):
-            return _kl_factorize(S.backing, cls, rep, mode, tol)
+            return _kl_factorize(S.backing, cls, mode, tol)
         backing = adjoint_system(canonical_coisometric_realization(sharp(S), tol))
     return kl_factorize_system(backing, mode, tol)
 
@@ -455,15 +451,13 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
     right = left = None
     right_err = left_err = None
     # the given backing is classified once, for both sides
-    kind = _metric_kind(S.backing, tol)
-    rep = krylov_report(S.backing, tol)
-    cls = _krylov_class(kind, rep)
+    cls = classify(S.backing, tol)
     try:
-        right = _side_factorization(S, cls, rep, "right", tol)
+        right = _side_factorization(S, cls, "right", tol)
     except (PreconditionError, InternalConsistencyError) as exc:
         right_err = exc
     try:
-        left = _side_factorization(S, cls, rep, "left", tol)
+        left = _side_factorization(S, cls, "left", tol)
     except (PreconditionError, InternalConsistencyError) as exc:
         left_err = exc
     if right is None and left is None:
@@ -522,8 +516,7 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
                 np.nanmax(sigma, initial=0.0), 1.0 + tol.metric_tol)
     for name, fac, inverted in (("right", B_r, right is not None),
                                 ("left", B_l, left is not None)):
-        conservative = inverted or classify(
-            fac.backing, tol, with_krylov=False).kind == SystemKind.CONSERVATIVE
+        conservative = inverted or system_kind(fac.backing, tol) == SystemKind.CONSERVATIVE
         if fac.backing.state.neg != 0 or not conservative:
             raise InternalConsistencyError(
                 f"{name} Blaschke factor is not a conservative Hilbert-state "

@@ -2,11 +2,26 @@
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from pontsys.colligation import Colligation, SystemKind, classify
-from pontsys.indefinite import SignatureSpace
+from pontsys.colligation import (
+    _METRIC_TO_KIND,
+    Colligation,
+    SystemKind,
+    classify,
+    system_kind,
+    system_operator,
+)
+from pontsys.exceptions import InternalConsistencyError
+from pontsys.indefinite import (
+    DEFAULT_TOL,
+    SignatureSpace,
+    is_psd,
+    metric_classify,
+    metric_defects,
+)
 from pontsys.products import cascade
 
 ROOT3 = math.sqrt(3.0)
@@ -90,7 +105,7 @@ def counterexample_observable_system(alpha_a=1.0 / 3.0, alpha_b=0.5):
         [[alpha_a]], [[ra, 0.0]],
         [[ra / math.sqrt(2.0)]],
         [[-alpha_a / math.sqrt(2.0), 1.0 / math.sqrt(2.0)]])
-    assert classify(row, with_krylov=False).kind == SystemKind.COISOMETRIC
+    assert system_kind(row) == SystemKind.COISOMETRIC
     sys1 = cascade(inv_diag, row)
     cls = classify(sys1)
     assert cls.kind == SystemKind.COISOMETRIC and cls.observable
@@ -119,6 +134,31 @@ def shift_numerator_counterexample(alpha_b=0.5):
     cls = classify(sys1)
     assert cls.kind == SystemKind.COISOMETRIC and cls.observable
     return sys1
+
+
+def corner_checked_kind(system, tol=DEFAULT_TOL):
+    """Reference for system_kind: the metric kind of the system operator,
+    refused unless both defects of each corner block A, [A; C] and [A, B]
+    of a passive one are positive semidefinite within min(1/2, 10 psd_tol).
+    """
+    T, dom, cod = system_operator(system)
+    kind = _METRIC_TO_KIND[metric_classify(T, dom, cod, tol)]
+    if kind == SystemKind.NONE:
+        return kind
+    signs = system.state.signs
+    loose = replace(tol, psd_tol=min(0.5, 10.0 * tol.psd_tol))
+    corners = [
+        (system.A, signs, signs),
+        (np.vstack([system.A, system.C]), signs,
+         np.concatenate([signs, np.ones(system.output_dim)])),
+        (np.hstack([system.A, system.B]),
+         np.concatenate([signs, np.ones(system.input_dim)]), signs),
+    ]
+    for M, d, c in corners:
+        if not all(is_psd(P, loose) for P in metric_defects(M, d, c)):
+            raise InternalConsistencyError(
+                "passive system operator with a non-bicontractive corner block")
+    return kind
 
 
 def spy(monkeypatch, fn):

@@ -104,6 +104,17 @@ class TestLazyCertificates:
             _certify_residual("residual", np.diag([2e-8, 1e-9]), 1e-8, lambda: 1.5)
         assert str(info.value) == "residual: 2.000e-08 exceeds the bound 1.500e-08"
 
+    def test_nan_residual_fails_its_certificate(self):
+        # the SVD behind a spectral norm raises LinAlgError on NaN entries
+        R = np.full((2, 2), np.nan)
+        with pytest.raises(InternalConsistencyError):
+            _certify_residual("residual", R, 1e-8)
+        system = conservative_system(pos=2, neg=0)
+        residuals = colligation._intertwining_residuals(system, system, R)
+        with pytest.raises(InternalConsistencyError):
+            _certify_scaled("Krylov map intertwining residual",
+                            np.max(list(residuals.values())), 1e-8, lambda: 1.0)
+
 
 def _plant(monkeypatch, module, attr, target, value):
     """Certify value in place of what the site computes for the

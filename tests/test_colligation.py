@@ -8,7 +8,7 @@ from pontsys.colligation import (
     BareRealization,
     Colligation,
     SystemKind,
-    _check_bicontraction_corners,
+    _certify_bicontraction,
     adjoint_system,
     classify,
     direct_sum,
@@ -19,6 +19,7 @@ from pontsys.colligation import (
     restriction,
     simp_kar_check,
     state_change,
+    system_kind,
     system_operator,
     to_canonical,
     transfer_eval,
@@ -28,6 +29,7 @@ from pontsys.colligation import (
 from pontsys.exceptions import (
     DimensionMismatchError,
     InputError,
+    InternalConsistencyError,
     OrderAmbiguityError,
     PoleProximityError,
     PreconditionError,
@@ -39,7 +41,9 @@ from pontsys.indefinite import (
     SignatureSpace,
     SubspaceKind,
     Tolerances,
+    is_psd,
     metric_classify,
+    metric_defects,
     same_span,
 )
 from pontsys import sampling
@@ -49,7 +53,7 @@ from pontsys.sampling import (
     random_passive_colligation,
 )
 
-from _builders import spy, spy_attr
+from _builders import corner_checked_kind, spy, spy_attr
 
 ROOT3 = math.sqrt(3.0)
 
@@ -115,25 +119,86 @@ class TestClassify:
         for neg in (0, 1, 2):
             sp = SignatureSpace(3, neg)
             con = random_conservative_colligation(rng, sp, 2)
-            assert classify(con, with_krylov=False).kind == SystemKind.CONSERVATIVE
+            assert system_kind(con) == SystemKind.CONSERVATIVE
             pas = random_passive_colligation(rng, sp, 2, 2, strict=0.2)
-            assert classify(pas, with_krylov=False).is_passive
+            assert classify(pas).is_passive
 
     def test_expansion_is_unclassified(self):
         sys1 = Colligation(SignatureSpace(1, 0), 1, 1,
                            [[1.0]], [[1.0]], [[1.0]], [[1.0]])
-        assert classify(sys1, with_krylov=False).kind == SystemKind.NONE
+        assert system_kind(sys1) == SystemKind.NONE
+
+    def test_krylov_report_is_held_out_of_equality(self):
+        system = blaschke_system(0.5)
+        cls = classify(system)
+        assert cls.krylov.controllable and cls.krylov.index_preserving
+        assert cls == classify(system) and "krylov" not in repr(cls)
+
+
+def _sweep_systems():
+    """Seeded passive, conservative, isometric and coisometric systems
+    with n in {8, 16, 40} and kappa <= 8, each with its expected kind."""
+    rng = np.random.default_rng(41)
+    for n in (8, 16, 40):
+        for kappa in (0, 3, 8):
+            sp = SignatureSpace(n - kappa, kappa)
+            for io in (1, 2):
+                for strict in (0.2, 0.0):
+                    yield (random_passive_colligation(rng, sp, io, io, strict=strict),
+                           SystemKind.PASSIVE)
+                con = random_conservative_colligation(rng, sp, io)
+                yield con, SystemKind.CONSERVATIVE
+                wide = random_conservative_colligation(rng, sp, io + 1)
+                # dropping an input channel of a unitary leaves an
+                # isometry, dropping an output channel a coisometry
+                yield (Colligation(sp, io, io + 1, wide.A, wide.B[:, :io],
+                                   wide.C, wide.D[:, :io]), SystemKind.ISOMETRIC)
+                yield (Colligation(sp, io + 1, io, wide.A, wide.B,
+                                   wide.C[:io], wide.D[:io]), SystemKind.COISOMETRIC)
 
 
 class TestCornerCertificates:
     def test_conservative_corners_take_no_eigen_solve(self, monkeypatch):
-        # every corner defect of a conservative system is semidefinite,
-        # clearly enough for the Cholesky route of is_psd
+        # both defects of a conservative system operator are zero, so its
+        # bicontraction certificate has no defect left to factor
         rng = np.random.default_rng(40)
         system = random_conservative_colligation(rng, SignatureSpace(32, 8), 2)
         calls = spy_attr(monkeypatch, np.linalg, "eigvalsh")
-        _check_bicontraction_corners(system, DEFAULT_TOL)
-        assert calls == []
+        psd = spy(monkeypatch, is_psd)
+        assert system_kind(system) == SystemKind.CONSERVATIVE
+        assert calls == [] and psd == []
+
+    def test_one_certificate_agrees_with_the_corner_oracle(self, monkeypatch):
+        calls = spy(monkeypatch, is_psd)
+        for system, want in _sweep_systems():
+            assert corner_checked_kind(system) == system_kind(system) == want
+            before = len(calls)
+            assert classify(system).kind == want
+            assert len(calls) - before <= 1
+
+    def test_indefinite_dual_defect_is_refused(self):
+        # one positive state mapped into one positive and one negative
+        # coordinate: a contraction whose dual defect diag(3/4, -1) is
+        # indefinite, which equal negative indices would rule out
+        M, dom, cod = [[0.5], [0.0]], [1.0], [1.0, -1.0]
+        verdict = metric_classify(M, dom, cod)
+        assert verdict == MetricClass.CONTRACTION
+        primal, dual = metric_defects(M, dom, cod)
+        with pytest.raises(InternalConsistencyError):
+            _certify_bicontraction(verdict, primal, dual, DEFAULT_TOL)
+        # the slack is min(1/2, 10 psd_tol) = 1e-8 at the default psd_tol
+        for verdict in (MetricClass.CONTRACTION, MetricClass.ISOMETRY):
+            _certify_bicontraction(verdict, primal, np.diag([1.0, -5e-9]), DEFAULT_TOL)
+            with pytest.raises(InternalConsistencyError):
+                _certify_bicontraction(verdict, primal, np.diag([1.0, -2e-8]),
+                                       DEFAULT_TOL)
+        _certify_bicontraction(MetricClass.COISOMETRY, np.diag([1.0, -5e-9]), dual,
+                               DEFAULT_TOL)
+        with pytest.raises(InternalConsistencyError):
+            _certify_bicontraction(MetricClass.COISOMETRY, np.diag([1.0, -2e-8]),
+                                   dual, DEFAULT_TOL)
+        for verdict in (MetricClass.UNITARY, MetricClass.NONE):
+            _certify_bicontraction(verdict, dual, dual, DEFAULT_TOL)
 
     def test_conservative_classify_takes_no_eigen_solve(self, monkeypatch):
         rng = np.random.default_rng(40)

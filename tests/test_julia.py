@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from pontsys import indefinite
 from pontsys.colligation import (
     Colligation,
     SystemKind,
-    classify,
+    system_kind,
     system_operator,
     transfer_eval,
 )
@@ -161,7 +162,7 @@ class TestJuliaEmbedding:
         emb = julia_embedding(sys1)
         assert emb.state == sys1.state
         assert np.allclose(emb.A, sys1.A)
-        assert classify(emb, with_krylov=False).kind == SystemKind.CONSERVATIVE
+        assert system_kind(emb) == SystemKind.CONSERVATIVE
 
     def test_corner_transfer_is_preserved(self):
         rng = np.random.default_rng(32)
@@ -231,11 +232,11 @@ class TestJuliaEmbedding:
 
 class TestOneUnitaryCertificate:
     def test_embedding_certifies_the_completion_once(self, monkeypatch):
-        # julia_operator's own certificate would run metric_classify a
-        # third time on the operator that classify(embedded) checks
+        # julia_operator's own certificate would decide a metric class a
+        # third time, on the operator that system_kind(embedded) checks
         rng = np.random.default_rng(34)
         sys1 = random_passive_colligation(rng, SignatureSpace(6, 2), 2, 2, strict=0.2)
-        calls = spy(monkeypatch, metric_classify)
+        calls = spy(monkeypatch, indefinite._defect_class)
         emb = julia_embedding(sys1)
         assert len(calls) == 2
         monkeypatch.undo()

@@ -10,6 +10,7 @@ from pontsys.colligation import (
     adjoint_system,
     classify,
     krylov_report,
+    system_kind,
     transfer_eval,
 )
 from pontsys.exceptions import (
@@ -105,22 +106,21 @@ class TestCascade:
         # passive and conservative closed under cascade
         p1 = random_passive_colligation(rng, SignatureSpace(2, 1), 2, 2, strict=0.2)
         p2 = random_passive_colligation(rng, SignatureSpace(2, 0), 2, 2, strict=0.2)
-        assert classify(cascade(p1, p2), with_krylov=False).is_passive
+        assert system_kind(cascade(p1, p2)) != SystemKind.NONE
         c1 = random_conservative_colligation(rng, SignatureSpace(2, 1), 2)
         c2 = random_conservative_colligation(rng, SignatureSpace(1, 1), 2)
-        assert (classify(cascade(c1, c2), with_krylov=False).kind
-                == SystemKind.CONSERVATIVE)
+        assert system_kind(cascade(c1, c2)) == SystemKind.CONSERVATIVE
         # isometric factors from conservative ones by dropping an input
         i1 = Colligation(c1.state, 1, 2, c1.A, c1.B[:, :1], c1.C, c1.D[:, :1])
         i2 = Colligation(c2.state, 2, 2, c2.A, c2.B, c2.C, c2.D)
-        assert classify(i1, with_krylov=False).kind == SystemKind.ISOMETRIC
-        assert (classify(cascade(i1, i2), with_krylov=False).kind
+        assert system_kind(i1) == SystemKind.ISOMETRIC
+        assert (system_kind(cascade(i1, i2))
                 in (SystemKind.ISOMETRIC, SystemKind.CONSERVATIVE))
         # coisometric factors by dropping an output
         o2 = Colligation(c2.state, 2, 1, c2.A, c2.B, c2.C[:1, :], c2.D[:1, :])
-        assert classify(o2, with_krylov=False).kind == SystemKind.COISOMETRIC
+        assert system_kind(o2) == SystemKind.COISOMETRIC
         o1 = random_conservative_colligation(rng, SignatureSpace(2, 0), 2)
-        assert (classify(cascade(o1, o2), with_krylov=False).kind
+        assert (system_kind(cascade(o1, o2))
                 in (SystemKind.COISOMETRIC, SystemKind.CONSERVATIVE))
 
     def test_dim_mismatch(self):
