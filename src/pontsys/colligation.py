@@ -232,11 +232,16 @@ def system_kind(system, tol=DEFAULT_TOL):
     dual([A; C]) add C^*C, [C, D]^*[C, D], BB^* and [B; D][B; D]^* to
     primal([A; C]), primal(T), dual([A, B]) and dual(T).
     """
-    T, dom, cod = system_operator(system)
+    return _operator_kind(*system_operator(system), tol)[0]
+
+
+def _operator_kind(T, dom, cod, tol):
+    """system_kind of the system operator T from dom to cod, with the
+    primal and dual defects of T it was decided on."""
     primal, dual = metric_defects(T, dom, cod)
     verdict = _defect_class(T, primal, dual, tol)
     _certify_bicontraction(verdict, primal, dual, tol)
-    return _METRIC_TO_KIND[verdict]
+    return _METRIC_TO_KIND[verdict], primal, dual
 
 
 def _certify_bicontraction(verdict, primal, dual, tol):

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import orthogonal_procrustes
 
-from .colligation import Colligation, SystemKind, system_kind, system_operator
+from .colligation import (
+    Colligation,
+    SystemKind,
+    _operator_kind,
+    system_kind,
+    system_operator,
+)
 from .exceptions import InternalConsistencyError, PreconditionError, _certify_residual
 from .indefinite import (
     DEFAULT_TOL,
@@ -90,10 +96,13 @@ def defect_operators(M, dom, cod, tol=DEFAULT_TOL):
     if int(np.sum(dom_s < 0)) != int(np.sum(cod_s < 0)):
         raise PreconditionError(
             "defect factorization needs equal negative indices on both sides")
-    primal, dual = metric_defects(M, dom, cod)
-    E1 = psd_factor(primal, tol)
-    E2 = psd_factor(dual, tol)
-    return dom_s[:, None] * E1, E2
+    return _defect_factors(dom_s, *metric_defects(M, dom, cod), tol)
+
+
+def _defect_factors(dom_s, primal, dual, tol):
+    """defect_operators from the two metric defects, as metric_defects
+    forms them."""
+    return dom_s[:, None] * psd_factor(primal, tol), psd_factor(dual, tol)
 
 
 def julia_operator(M, dom, cod, tol=DEFAULT_TOL):
@@ -103,19 +112,21 @@ def julia_operator(M, dom, cod, tol=DEFAULT_TOL):
     contraction between spaces of equal negative index).  The completion is
     certified unitary before being returned.
     """
-    ju = _julia_completion(M, dom, cod, tol)
+    M = np.asarray(M, dtype=complex)
+    ju = _julia_completion(M, dom, cod, defect_operators(M, dom, cod, tol), tol)
     kind = metric_classify(ju.operator, ju.dom_signs, ju.cod_signs, tol)
     if kind != MetricClass.UNITARY:
         raise InternalConsistencyError("defect completion is not metric-unitary")
     return ju
 
 
-def _julia_completion(M, dom, cod, tol):
-    """julia_operator before its metric-unitary certificate."""
+def _julia_completion(M, dom, cod, factors, tol):
+    """julia_operator before its metric-unitary certificate, from M's
+    defect factors as defect_operators returns them."""
     dom_s = metric_signs(dom)
     cod_s = metric_signs(cod)
     M = np.asarray(M, dtype=complex)
-    D_primal, D_dual = defect_operators(M, dom, cod, tol)
+    D_primal, D_dual = factors
     E1 = dom_s[:, None] * D_primal
     E2 = D_dual
     r1, r2 = E1.shape[1], E2.shape[1]
@@ -183,14 +194,17 @@ def julia_embedding(system, tol=DEFAULT_TOL):
     transfer function everywhere.  Its system operator is the completed
     operator of julia_operator, bit for bit, so the conservativity check
     of the embedded system is the completion's one metric-unitary
-    certificate.
+    certificate.  The defects of the system operator that decide its kind
+    are the ones the completion factors.
     """
-    if system_kind(system, tol) == SystemKind.NONE:
-        raise PreconditionError("defect embedding needs a passive system")
     T, dom, cod = system_operator(system)
-    ju = _julia_completion(T, dom, cod, tol)
-    n = system.state_dim
+    kind, primal, dual = _operator_kind(T, dom, cod, tol)
+    if kind == SystemKind.NONE:
+        raise PreconditionError("defect embedding needs a passive system")
     dom_s = metric_signs(dom)
+    ju = _julia_completion(T, dom, cod, _defect_factors(dom_s, primal, dual, tol),
+                           tol)
+    n = system.state_dim
     E1h = (dom_s[:, None] * ju.defect).conj().T
     E2 = ju.dual_defect
     B_extra = E2[:n, :]

@@ -26,6 +26,7 @@ import numpy as np
 from .colligation import (
     Colligation,
     SystemKind,
+    _krylov_basis,
     adjoint_system,
     classify,
     system_kind,
@@ -223,11 +224,14 @@ def _gram_from_values(points, values, tol):
 
 @dataclass
 class NegativeSquaresEstimate:
-    """Estimated number of negative squares with a stabilization record.
+    """Estimated number of negative squares with the record of its stages.
 
-    estimate is None when sampling did not stabilize (verdict
-    "inconclusive"); pole_count is the independent count of main-operator
-    eigenvalues outside the closed disc, and agrees compares the two.
+    history holds the Gram's negative count at each stage.  The estimate
+    is stable when the count met the disc pole count of a passive backing
+    or stayed unchanged over four stages; it is None when neither
+    happened (verdict "inconclusive").  pole_count is the independent
+    count of main-operator eigenvalues outside the closed disc, and
+    agrees compares the two.
     """
 
     estimate: int | None
@@ -238,18 +242,48 @@ class NegativeSquaresEstimate:
     verdict: str
 
 
+def _backing_kind(S, tol):
+    """system_kind of the backing, or None when its certificate refuses."""
+    try:
+        return system_kind(S.backing, tol)
+    except InternalConsistencyError:
+        return None
+
+
+def _negative_index_bound(S, tol):
+    """disc_pole_count when it bounds the negative index from above, else
+    None.
+
+    A passive backing, of any kind but NONE, realizes a generalized Schur
+    function, whose negative index is its number of poles in the disc;
+    each is 1/lam for an eigenvalue lam of A with |lam| > 1.  The count is
+    trusted only with no eigenvalue within metric_tol of the circle.
+    """
+    if np.any(np.abs(np.abs(S._eigenvalues) - 1.0) <= tol.metric_tol):
+        return None
+    if _backing_kind(S, tol) in (None, SystemKind.NONE):
+        return None
+    return S.disc_pole_count
+
+
 def negative_squares_estimate(S, tol=DEFAULT_TOL):
     """Estimate the kernel's negative squares by growing sample sets.
 
-    The sample set doubles until the Gram's negative count is unchanged
-    over three consecutive enlargements; since supersets never lose
-    negative directions, the count is monotone along the way.  The
-    result is cross-checked against the pole multiplicity of the backing
-    realization inside the disc; non-stabilization yields an
-    inconclusive verdict rather than a wrong certainty.
+    The sample set doubles from 8 to at most 256 disc points; supersets
+    never lose negative directions, so the Gram's negative count is a
+    lower bound on the index that grows along the way.  When the backing
+    is passive and no eigenvalue of its main operator lies within
+    metric_tol of the circle, the disc pole count is an upper bound, and
+    the first stage whose count meets it certifies the index; a count
+    above it raises InternalConsistencyError.  Otherwise, or while the
+    bound is not met, the estimate is declared when the count is
+    unchanged over four consecutive stages, and is cross-checked against
+    the pole count; non-stabilization yields an inconclusive verdict
+    rather than a wrong certainty.
     """
     S = as_transfer(S)
     exclude = S.poles
+    bound = _negative_index_bound(S, tol)
     history = []
     points = np.zeros(0, dtype=complex)
     values = np.zeros((0, S.output_dim, S.input_dim), dtype=complex)
@@ -262,8 +296,15 @@ def negative_squares_estimate(S, tol=DEFAULT_TOL):
         fresh, fresh_values = _kernel_values(S, fresh, tol)
         points = np.concatenate([points, fresh])
         values = np.concatenate([values, fresh_values])
-        history.append(_gram_from_values(points, values, tol).n_minus)
+        count = _gram_from_values(points, values, tol).n_minus
+        history.append(count)
         size *= 2
+        if bound is not None:
+            certify("kernel negative count within the disc pole count",
+                    count, bound)
+            if count == bound:
+                return NegativeSquaresEstimate(
+                    count, True, tuple(history), bound, True, "stable")
         if len(history) >= 4 and len(set(history[-4:])) == 1:
             est = history[-1]
             return NegativeSquaresEstimate(
@@ -834,25 +875,49 @@ def _model_plan(S, per_ring, tol):
     return pts
 
 
+def _observable_dimension(S, tol):
+    """Dimension of the observable space of a co-isometric or conservative
+    backing, else None.
+
+    For such a backing I - S(z)S(w)^* = (1 - z conj(w)) C(I - zA)^-1 J
+    (I - wA)^-* C^*, so every kernel Gram factors through the observable
+    space and its rank is at most that dimension.
+    """
+    if _backing_kind(S, tol) not in (SystemKind.COISOMETRIC,
+                                     SystemKind.CONSERVATIVE):
+        return None
+    A, C = S.backing.A, S.backing.C
+    return _krylov_basis(A.conj().T, C.conj().T, tol)[0].shape[1]
+
+
 def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
     """Co-isometric observable realization on the kernel's section space.
 
     Kernel sections at a saturating sample plan span a finite model
     space; the main operator acts as the difference quotient
     (h(z) - h(0))/z, the input map sends u to (S(z) - S(0))u/z, the
-    output map evaluates at zero.  Rank saturation is declared when the
-    Gram rank is unchanged across three successive sample doublings,
-    otherwise the function is rejected as outside the finite-rank scope.
+    output map evaluates at zero.  The plan grows from 4 to 64 points
+    per ring on three rings.  For a co-isometric or conservative backing
+    the Gram rank is at most the dimension of its observable space, and
+    saturation is certified at the first plan whose rank equals it with
+    at least twice as many Gram rows as the rank.  Otherwise, or while
+    that has not happened, saturation is declared when the Gram rank is
+    unchanged across three successive sample doublings, and a function
+    whose rank never settles is rejected as outside the finite-rank
+    scope.
     """
     S = as_transfer(S)
     p = S.output_dim
     m = S.input_dim
     plans = [4, 8, 16, 32, 64]
+    bound = _observable_dimension(S, tol)
     ranks = []
     for per_ring in plans:
         pts, vals0 = _kernel_values(S, _model_plan(S, per_ring, tol), tol)
         gram = _gram_from_values(pts, vals0, tol)
         ranks.append(gram.rank)
+        if gram.rank == bound and gram.matrix.shape[0] >= 2 * bound:
+            break
         if len(ranks) >= 4 and len(set(ranks[-4:])) == 1:
             break
     else:

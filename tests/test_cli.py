@@ -18,7 +18,7 @@ from _builders import (
     row_schur_left_system,
     spy,
 )
-from pontsys import cli
+from pontsys import cli, indefinite
 from pontsys.cli import load_system, main, save_system, system_to_json
 from pontsys.colligation import krylov_report, markov
 from pontsys.indefinite import DEFAULT_TOL
@@ -187,6 +187,19 @@ class TestProduct:
         assert report["verdicts"]["simplicity_obstruction_dimension"] == 0
         assert report["verdicts"]["product_simple"]
 
+    def test_cascade_kind_takes_no_krylov_report(self, tmp_path, monkeypatch):
+        # the report reads only the cascade's kind, and the obstruction
+        # oracle needs no Krylov report either
+        first = write_system(tmp_path, blaschke_system(1.0 / 3.0), "a.json")
+        second = write_system(tmp_path, blaschke_system(0.5), "b.json")
+        calls = spy(monkeypatch, krylov_report)
+        code, report = run_cli(tmp_path, "product", first, second,
+                               "--check", "obs")
+        assert code == 0
+        assert report["verdicts"]["kind"] == "conservative"
+        assert report["verdicts"]["passive"]
+        assert calls == []
+
     def test_dimension_mismatch_exits_two(self, tmp_path):
         first = write_system(tmp_path, counterexample_observable_system(),
                              "wide.json")
@@ -226,6 +239,16 @@ class TestJuliaEmbed:
         assert report["residuals"]["corner_transfer"] <= 1e-9
         emb, meta = load_system(tmp_path / "julia_embedding.json")
         assert emb.input_dim > 1 and emb.output_dim > 1
+
+    def test_kind_decided_once_per_operator(self, tmp_path, monkeypatch):
+        # one decision for the input's system operator and one for the
+        # embedding's; the report reads the kind the embedding certified
+        path = write_system(tmp_path, half_shift_system())
+        calls = spy(monkeypatch, indefinite._defect_class)
+        code, report = run_cli(tmp_path, "julia-embed", path)
+        assert code == 0
+        assert report["verdicts"]["kind"] == "conservative"
+        assert len(calls) == 2
 
     def test_non_passive_exits_two(self, tmp_path):
         from pontsys.colligation import Colligation

@@ -247,6 +247,18 @@ class TestOneUnitaryCertificate:
         assert np.array_equal(emb_dom.signs, ju.dom_signs)
         assert np.array_equal(emb_cod.signs, ju.cod_signs)
 
+    def test_embedding_forms_the_operator_defects_once(self, monkeypatch):
+        # the defects that decide the kind of T are the ones the completion
+        # factors; the second pair is the embedding's own
+        rng = np.random.default_rng(36)
+        sys1 = random_passive_colligation(rng, SignatureSpace(6, 2), 2, 2, strict=0.2)
+        calls = spy(monkeypatch, indefinite.metric_defects)
+        emb = julia_embedding(sys1)
+        T, _, _ = system_operator(sys1)
+        U, _, _ = system_operator(emb)
+        assert [args[0].shape for args in calls] == [T.shape, U.shape]
+        assert np.array_equal(calls[0][0], T)
+
     def test_embedding_decomposition_counts(self, monkeypatch):
         # passive n = 40, kappa = 8, m = 3: the two defect factors are the
         # only eigen-solves, and no spectral norm is needed

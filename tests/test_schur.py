@@ -21,12 +21,15 @@ from pontsys.colligation import (
     SystemKind,
     adjoint_system,
     classify,
+    direct_sum,
+    state_change,
     system_kind,
     transfer_eval,
     unitary_similarity,
 )
 from pontsys.exceptions import (
     InputError,
+    InternalConsistencyError,
     PoleProximityError,
     PreconditionError,
 )
@@ -169,10 +172,11 @@ class TestNegativeSquares:
         assert np.all(np.diff(hist) >= 0)
 
 
-def _negsq_reference(S, tol=DEFAULT_TOL):
+def _negsq_reference(S, tol=DEFAULT_TOL, bound=None):
     """The stage loop that builds every stage's Gram with the public
-    kernel_gram over the whole sample set; returns (history, estimate,
-    verdict, final Gram)."""
+    kernel_gram over the whole sample set.  It stops at the first stage
+    whose count equals bound, when one is given, else after four equal
+    counts; returns (history, estimate, verdict, final Gram)."""
     S = as_transfer(S)
     history = []
     points = np.zeros(0, dtype=complex)
@@ -184,6 +188,8 @@ def _negsq_reference(S, tol=DEFAULT_TOL):
         gram = kernel_gram(S, points, tol)
         history.append(gram.n_minus)
         size *= 2
+        if gram.n_minus == bound:
+            return tuple(history), bound, "stable", gram
         if len(history) >= 4 and len(set(history[-4:])) == 1:
             return tuple(history), history[-1], "stable", gram
     return tuple(history), None, "inconclusive", gram
@@ -201,24 +207,48 @@ def _negsq_systems():
     return systems
 
 
+def _non_passive_copy(system):
+    """The same transfer function in state coordinates that are not metric
+    unitary, so that system_kind gives NONE."""
+    Z = np.eye(system.state_dim)
+    Z[0, 0] = 3.0
+    changed = state_change(system, Z, system.state)
+    assert system_kind(changed) == SystemKind.NONE
+    return changed
+
+
+def _with_hidden_block(system, A, state):
+    """system beside a block that no input reaches and no output sees."""
+    n = state.dim
+    return direct_sum(system, Colligation(state, 0, 0, A, np.zeros((n, 0)),
+                                          np.zeros((0, n)), np.zeros((0, 0))))
+
+
+def _assert_matches_reference(monkeypatch, system, bound=None):
+    grams = spy(monkeypatch, schur._gram_from_values)
+    est = negative_squares_estimate(system)
+    history, estimate, verdict, gram = _negsq_reference(system, bound=bound)
+    assert est.history == history
+    assert est.estimate == estimate
+    assert est.verdict == verdict
+    points, values, tol = grams[-1]
+    final = schur._gram_from_values(points, values, tol)
+    assert np.array_equal(final.points, gram.points)
+    assert np.array_equal(final.matrix, gram.matrix)
+    assert final.inertia == gram.inertia
+    return est
+
+
 class TestNegativeSquaresReuse:
     """Each sample is evaluated once: every stage builds its Gram from the
     values of the earlier stages plus those of its fresh points."""
 
     @pytest.mark.parametrize("index", range(5))
     def test_matches_the_per_stage_kernel_gram(self, monkeypatch, index):
+        # a non-passive backing runs the ladder of four equal counts
         system = _negsq_systems()[index]
-        grams = spy(monkeypatch, schur._gram_from_values)
-        est = negative_squares_estimate(system)
-        history, estimate, verdict, gram = _negsq_reference(system)
-        assert est.history == history
-        assert est.estimate == estimate
-        assert est.verdict == verdict
-        points, values, tol = grams[-1]
-        final = schur._gram_from_values(points, values, tol)
-        assert np.array_equal(final.points, gram.points)
-        assert np.array_equal(final.matrix, gram.matrix)
-        assert final.inertia == gram.inertia
+        est = _assert_matches_reference(monkeypatch, _non_passive_copy(system))
+        assert len(est.history) >= 4
 
     @pytest.mark.parametrize("index", range(5))
     def test_each_point_evaluated_once(self, monkeypatch, index):
@@ -229,6 +259,59 @@ class TestNegativeSquaresReuse:
                                     if args[0] is system])
         assert evaluated.size == 8 * 2 ** (len(est.history) - 1)
         assert np.unique(evaluated).size == evaluated.size
+
+
+class TestNegativeSquaresBound:
+    """A passive backing stops the ladder where the sampled count meets its
+    disc pole count; every other backing keeps the ladder."""
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_stops_where_the_count_meets_the_pole_count(self, monkeypatch,
+                                                        index):
+        system = _negsq_systems()[index]
+        bound = as_transfer(system).disc_pole_count
+        est = _assert_matches_reference(monkeypatch, system, bound)
+        assert est.estimate == bound and est.stable and est.agrees
+        # the same estimate as the ladder on the same function
+        ladder = negative_squares_estimate(_non_passive_copy(system))
+        assert (ladder.estimate, ladder.stable, ladder.agrees) == (
+            est.estimate, est.stable, est.agrees)
+
+    def test_hidden_pole_keeps_the_ladder(self, monkeypatch):
+        # a hidden J-unitary block adds a disc pole of the realization
+        # that the function does not have, so the bound is never met
+        system = _negsq_systems()[0]
+        t = 0.5
+        hyperbolic = [[math.cosh(t), math.sinh(t)], [math.sinh(t), math.cosh(t)]]
+        hidden = _with_hidden_block(system, hyperbolic, SignatureSpace(1, 1))
+        assert system_kind(hidden) == SystemKind.CONSERVATIVE
+        est = _assert_matches_reference(monkeypatch, hidden)
+        assert est.estimate == 3 and est.pole_count == 4
+        assert est.stable and est.agrees is False
+
+    def test_eigenvalue_near_the_circle_keeps_the_ladder(self, monkeypatch):
+        # the eigenvalue sits inside the disc, within metric_tol of the
+        # circle, where the pole count is not trusted
+        system = _negsq_systems()[0]
+        lam = (1.0 - 0.5 * DEFAULT_TOL.metric_tol) * np.exp(0.3j)
+        hidden = _with_hidden_block(system, [[lam]], SignatureSpace(1, 0))
+        assert system_kind(hidden) != SystemKind.NONE
+        assert as_transfer(hidden).disc_pole_count == 3
+        est = _assert_matches_reference(monkeypatch, hidden)
+        assert est.history == (3, 3, 3, 3) and est.agrees
+
+    def test_count_above_the_pole_count_raises(self, monkeypatch):
+        real = schur._gram_from_values
+
+        def one_extra_negative(points, values, tol):
+            gram = real(points, values, tol)
+            plus, zero, minus = gram.inertia
+            return schur.KernelGram(gram.points, gram.matrix,
+                                    (plus, zero, minus + 1), gram.block_dim)
+
+        monkeypatch.setattr(schur, "_gram_from_values", one_extra_negative)
+        with pytest.raises(InternalConsistencyError):
+            negative_squares_estimate(_negsq_systems()[0])
 
 
 class TestBlaschkePotapov:
@@ -535,6 +618,33 @@ class TestCanonicalRealization:
                                     if args[0] is system])
         for z in np.append(final, 0.0):
             assert np.sum(evaluated == z) == 1
+
+    @pytest.mark.parametrize("n, kappa, io", [(12, 3, 3), (24, 6, 2),
+                                              (40, 8, 2)])
+    def test_conservative_backing_stops_at_the_observable_dimension(
+            self, monkeypatch, n, kappa, io):
+        system = random_conservative_colligation(
+            np.random.default_rng(n), SignatureSpace(n - kappa, kappa), io)
+        S = as_transfer(system)
+        plans = spy(monkeypatch, schur._model_plan)
+        model = canonical_coisometric_realization(S)
+        seen = [args[1] for args in plans]
+        # the first plan whose Gram has rank n with at least 2n rows
+        ranks = {}
+        for per_ring in (4, 8, 16, 32, 64):
+            gram = kernel_gram(S, schur._model_plan(S, per_ring, DEFAULT_TOL))
+            ranks[per_ring] = gram.rank
+            if gram.rank == n and gram.matrix.shape[0] >= 2 * n:
+                break
+        assert seen == list(ranks)
+        assert ranks[seen[-1]] == n
+        assert (model.state.pos, model.state.neg) == (n - kappa, kappa)
+        held = disc_points(6, seed=n, radius=0.8, exclude=S.poles,
+                           min_dist=1e-2)
+        for z in held:
+            want = S(z)
+            assert np.linalg.norm(transfer_eval(model, z) - want, 2) <= (
+                1e-7 * max(1.0, np.linalg.norm(want, 2)))
 
 
 class TestKernelDecomposition:
