@@ -40,7 +40,6 @@ from .colligation import (
 )
 from .julia import (
     JuliaParts,
-    defect_operators,
     julia_embedding,
     julia_operator,
 )

@@ -72,7 +72,6 @@ __all__ = [
     "restriction",
     "state_change",
     "to_canonical",
-    "direct_sum",
     "is_dilation_of",
     "unitary_similarity",
     "weak_similarity",
@@ -425,27 +424,16 @@ class SimpKarReport:
     index_preserving: bool
     complement_kinds: dict
     kappa: int
-    kappa_estimate: int | None = None
-    cross_validated: bool | None = None
 
 
-def simp_kar_check(system, tol=DEFAULT_TOL, cross_validate=False):
+def simp_kar_check(system, tol=DEFAULT_TOL):
     """Whether the transfer function keeps the full negative index.
 
     Holds exactly when the complements of the Krylov subspaces are Hilbert
-    (positive) subspaces.  With cross_validate the kernel-based negative
-    squares estimate of the transfer function is compared against the
-    state negative index.
+    (positive) subspaces.
     """
     rep = krylov_report(system, tol)
-    estimate = agrees = None
-    if cross_validate:
-        from .schur import TransferFunction, negative_squares_estimate
-
-        estimate = negative_squares_estimate(TransferFunction(system), tol).estimate
-        agrees = bool(estimate == system.kappa) if rep.index_preserving else None
-    return SimpKarReport(rep.index_preserving, rep.complement_kinds, system.kappa,
-                         estimate, agrees)
+    return SimpKarReport(rep.index_preserving, rep.complement_kinds, system.kappa)
 
 
 def state_change(system, Z, new_state):
@@ -462,27 +450,6 @@ def to_canonical(system):
     perm = system.state.canonical_permutation()
     P = np.eye(system.state_dim, dtype=complex)[perm, :]
     return state_change(system, P, system.state.canonical())
-
-
-def direct_sum(first, second):
-    """Block-diagonal juxtaposition of two systems (inputs and outputs stacked)."""
-    state = SignatureSpace.from_signs(
-        np.concatenate([first.state.signs, second.state.signs]))
-    n1, n2 = first.state_dim, second.state_dim
-    A = np.block([
-        [first.A, np.zeros((n1, n2))],
-        [np.zeros((n2, n1)), second.A]])
-    B = np.block([
-        [first.B, np.zeros((n1, second.input_dim))],
-        [np.zeros((n2, first.input_dim)), second.B]])
-    C = np.block([
-        [first.C, np.zeros((first.output_dim, n2))],
-        [np.zeros((second.output_dim, n1)), second.C]])
-    D = np.block([
-        [first.D, np.zeros((first.output_dim, second.input_dim))],
-        [np.zeros((second.output_dim, first.input_dim)), second.D]])
-    return Colligation(state, first.input_dim + second.input_dim,
-                       first.output_dim + second.output_dim, A, B, C, D)
 
 
 def restriction(big, subspace, tol=DEFAULT_TOL):

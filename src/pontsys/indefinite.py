@@ -8,7 +8,7 @@ module are taken with respect to such metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,23 +35,19 @@ __all__ = [
     "SpectralRegion",
     "as_matrix",
     "metric_signs",
-    "j_inner",
     "j_adjoint",
     "metric_defects",
     "metric_classify",
     "inertia",
     "subspace_classify",
-    "j_projection",
     "j_complement",
     "psd_factor",
     "eig_hermitian",
-    "eig_general",
     "spectral_subspace",
     "canonical_basis",
     "nullspace",
     "column_space",
     "principal_angles",
-    "same_span",
     "intersect_spans",
 ]
 
@@ -142,10 +138,6 @@ class SignatureSpace:
             space = cls(pos, len(signs) - pos, tuple(signs))
         return space
 
-    @staticmethod
-    def hilbert(dim):
-        return SignatureSpace(dim, 0)
-
     def is_canonical_pattern(self, signs):
         return list(signs) == [1] * self.pos + [-1] * (len(signs) - self.pos)
 
@@ -191,16 +183,6 @@ def metric_signs(space):
     if signs.size and not np.all(np.abs(signs) == 1.0):
         raise InputError("signature vector entries must be +1 or -1")
     return signs
-
-
-def j_inner(x, y, space):
-    """Indefinite inner product <x, y> = y* J x."""
-    signs = metric_signs(space)
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if x.shape != y.shape or x.size != signs.size:
-        raise DimensionMismatchError("vectors do not match the space dimension")
-    return complex(np.sum(np.conj(y) * signs * x))
 
 
 def j_adjoint(M, dom, cod):
@@ -573,23 +555,6 @@ def _clearly_definite(G, tol):
     return _cholesky_within(sign * G - (2.0 * c) * np.eye(k), c / 4.0)
 
 
-def j_projection(space, tol=DEFAULT_TOL):
-    """Metric-orthogonal projection onto a regular subspace.
-
-    P = V (V* J V)^(-1) V* J; P is idempotent and J-selfadjoint.
-    """
-    V = space.basis
-    n = space.ambient.dim
-    if V.shape[1] == 0:
-        return np.zeros((n, n), dtype=np.complex128)
-    G = space.gram
-    s = np.linalg.svd(G, compute_uv=False)
-    if s[-1] <= tol.rank_tol * max(1.0, s[0]):
-        raise NonRegularSubspaceError("subspace Gram matrix is numerically singular")
-    signs = space.ambient.signs
-    return V @ np.linalg.solve(G, V.conj().T * signs[None, :])
-
-
 def j_complement(space, tol=DEFAULT_TOL):
     """Metric-orthogonal complement of a regular subspace.
 
@@ -635,18 +600,6 @@ def psd_factor(M, tol=DEFAULT_TOL):
 def eig_hermitian(H):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
     return _hermitian_eig(H, name="eig_hermitian input", rel=1e-10, vectors=True)
-
-
-def eig_general(A):
-    """Eigenvalues and a unitary Schur decomposition A = Z T Z* (complex)."""
-    A = as_matrix(A, name="eig_general input")
-    if A.shape[0] != A.shape[1]:
-        raise DimensionMismatchError("eig_general input must be square")
-    if A.size == 0:
-        e = np.zeros(0, dtype=np.complex128)
-        return e, A.copy(), A.copy()
-    T, Z = sla.schur(A, output="complex")
-    return np.diag(T).copy(), T, Z
 
 
 class SpectralRegion(str, Enum):
@@ -769,17 +722,6 @@ def principal_angles(A, B, tol=DEFAULT_TOL):
     if QA.shape[1] == 0 or QB.shape[1] == 0:
         return np.zeros(0)
     return sla.subspace_angles(QA, QB)
-
-
-def same_span(A, B, tol=DEFAULT_TOL, angle_tol=1e-8):
-    """Whether two matrices span the same column space within angle_tol."""
-    QA = column_space(A, tol)
-    QB = column_space(B, tol)
-    if QA.shape[1] != QB.shape[1]:
-        return False
-    if QA.shape[1] == 0:
-        return True
-    return float(np.max(sla.subspace_angles(QA, QB))) <= angle_tol
 
 
 def intersect_spans(A, B, tol=DEFAULT_TOL):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import orthogonal_procrustes
 
 from .colligation import (
     Colligation,
@@ -34,9 +33,7 @@ from .indefinite import (
 
 __all__ = [
     "JuliaParts",
-    "defect_operators",
     "julia_operator",
-    "julia_equivalent",
     "julia_embedding",
 ]
 
@@ -79,41 +76,28 @@ class JuliaParts:
         return self.dual_defect.shape[1]
 
 
-def defect_operators(M, dom, cod, tol=DEFAULT_TOL):
-    """Full-column-rank factors of both metric defects of a contraction.
-
-    Returns (defect, dual_defect) mapping Hilbert channels into the domain
-    and the codomain.  The primal factor carries the domain metric so that
-
-        defect @ adjoint(defect) = I - adjoint(M) @ M
-
-    holds exactly, and likewise on the dual side.  Requires equal negative
-    indices; an indefinite defect (the operator is not a contraction for
-    this index pairing) raises IndefiniteDefectError.
-    """
-    dom_s = metric_signs(dom)
-    cod_s = metric_signs(cod)
-    if int(np.sum(dom_s < 0)) != int(np.sum(cod_s < 0)):
-        raise PreconditionError(
-            "defect factorization needs equal negative indices on both sides")
-    return _defect_factors(dom_s, *metric_defects(M, dom, cod), tol)
-
-
 def _defect_factors(dom_s, primal, dual, tol):
-    """defect_operators from the two metric defects, as metric_defects
-    forms them."""
+    """Full-column-rank factors (defect, dual_defect) of the two metric
+    defects, as metric_defects forms them; the primal factor carries the
+    domain metric (see JuliaParts)."""
     return dom_s[:, None] * psd_factor(primal, tol), psd_factor(dual, tol)
 
 
 def julia_operator(M, dom, cod, tol=DEFAULT_TOL):
     """Complete a metric contraction to a metric unitary by defect coordinates.
 
-    Requires both metric defects positive semidefinite (automatic for a
-    contraction between spaces of equal negative index).  The completion is
-    certified unitary before being returned.
+    Requires equal negative indices on both sides, and both metric defects
+    positive semidefinite (automatic for a contraction between such
+    spaces); an indefinite defect raises IndefiniteDefectError.  The
+    completion is certified unitary before being returned.
     """
+    dom_s = metric_signs(dom)
+    if int(np.sum(dom_s < 0)) != int(np.sum(metric_signs(cod) < 0)):
+        raise PreconditionError(
+            "defect factorization needs equal negative indices on both sides")
     M = np.asarray(M, dtype=complex)
-    ju = _julia_completion(M, dom, cod, defect_operators(M, dom, cod, tol), tol)
+    factors = _defect_factors(dom_s, *metric_defects(M, dom, cod), tol)
+    ju = _julia_completion(M, dom, cod, factors, tol)
     kind = metric_classify(ju.operator, ju.dom_signs, ju.cod_signs, tol)
     if kind != MetricClass.UNITARY:
         raise InternalConsistencyError("defect completion is not metric-unitary")
@@ -122,7 +106,7 @@ def julia_operator(M, dom, cod, tol=DEFAULT_TOL):
 
 def _julia_completion(M, dom, cod, factors, tol):
     """julia_operator before its metric-unitary certificate, from M's
-    defect factors as defect_operators returns them."""
+    defect factors as _defect_factors returns them."""
     dom_s = metric_signs(dom)
     cod_s = metric_signs(cod)
     M = np.asarray(M, dtype=complex)
@@ -146,43 +130,6 @@ def _julia_completion(M, dom, cod, factors, tol):
     new_dom = np.concatenate([dom_s, np.ones(r2)])
     new_cod = np.concatenate([cod_s, np.ones(r1)])
     return JuliaParts(U, new_dom, new_cod, M, D_primal, E2, -G.conj().T)
-
-
-def julia_equivalent(first, second, tol=DEFAULT_TOL):
-    """Whether two completions differ only by rotating the defect channels.
-
-    The completion of a fixed block is unique up to unitary changes of
-    basis of the two adjoined Hilbert channels.  This aligns the defect
-    factors by orthogonal Procrustes fits and checks that the rotated
-    operator of ``first`` reproduces ``second``.
-    """
-    if first.block.shape != second.block.shape:
-        return False
-    if first.defect_rank != second.defect_rank:
-        return False
-    if first.dual_defect_rank != second.dual_defect_rank:
-        return False
-    scale = max(1.0, float(np.linalg.norm(first.operator, 2)))
-    thresh = 100.0 * tol.metric_tol * scale
-    if np.linalg.norm(first.block - second.block, 2) > thresh:
-        return False
-    r1, r2 = first.defect_rank, first.dual_defect_rank
-    # second.dual_defect ~ first.dual_defect @ W2 and
-    # second.defect ~ first.defect @ W1^H rotate the adjoined channels
-    W2 = (orthogonal_procrustes(first.dual_defect, second.dual_defect)[0]
-          if r2 else np.zeros((0, 0)))
-    W1 = (orthogonal_procrustes(first.defect, second.defect)[0].conj().T
-          if r1 else np.zeros((0, 0)))
-    p = first.block.shape[0]
-    m = first.block.shape[1]
-    left = np.block([
-        [np.eye(p), np.zeros((p, r1))],
-        [np.zeros((r1, p)), W1]])
-    right = np.block([
-        [np.eye(m), np.zeros((m, r2))],
-        [np.zeros((r2, m)), W2]])
-    rotated = left @ first.operator @ right
-    return bool(np.linalg.norm(rotated - second.operator, 2) <= thresh)
 
 
 def julia_embedding(system, tol=DEFAULT_TOL):

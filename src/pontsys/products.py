@@ -106,14 +106,6 @@ class ObstructionReport:
     def dimension(self):
         return self.basis.shape[1]
 
-    @property
-    def first_components(self):
-        return self.basis[: self.split, :]
-
-    @property
-    def second_components(self):
-        return self.basis[self.split :, :]
-
 
 def _taylor_observability_rows(first, second):
     """Stacked output-coefficient rows of the free cascade evolution.

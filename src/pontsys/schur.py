@@ -18,7 +18,7 @@ rationale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -106,11 +106,6 @@ class TransferFunction:
         """Reciprocals of the nonzero eigenvalues of the main operator."""
         lam = self._eigenvalues
         return np.sort_complex(1.0 / lam[np.abs(lam) > 1e-14])
-
-    @property
-    def disc_poles(self):
-        """The poles lying in the open unit disc."""
-        return self.poles[np.abs(self.poles) < 1.0]
 
     @property
     def disc_pole_count(self):
@@ -341,7 +336,7 @@ def blaschke_potapov_factor(alpha, rho, u, ambient_dim, tol=DEFAULT_TOL):
         np.eye(ambient_dim) - (1.0 + rho * alpha) * P)
 
 
-def invert_system(system, target_metric="auto", tol=DEFAULT_TOL):
+def invert_system(system, tol=DEFAULT_TOL):
     """Realization of the pointwise inverse transfer function.
 
     The state operators follow the usual feedback inversion
@@ -350,8 +345,6 @@ def invert_system(system, target_metric="auto", tol=DEFAULT_TOL):
     realization of the inverse (certified).  The product of the two
     transfer functions is checked against the identity at disc samples.
     """
-    if target_metric != "auto":
-        raise InputError("only the automatic metric choice is supported")
     return _invert_system(system, tol)
 
 
@@ -629,14 +622,15 @@ class BoundaryReport:
 def _circle_survey(S, samples, tol):
     """Top singular values and the norms of I - V^*V and I - VV^* at the
     samples-th roots of unity, as three arrays that are NaN where a point
-    sat too close to a pole."""
+    sat too close to a pole, followed by the values V themselves, whose
+    rows are NaN there."""
     vals, ok = transfer_values(S.backing, boundary_points(samples), tol)
     V = vals[ok]
     VH = V.conj().transpose(0, 2, 1)
     out = np.full((3, samples), np.nan)
     out[:, ok] = [np.linalg.norm(X, 2, axis=(1, 2)) for X in (
         V, np.eye(S.input_dim) - VH @ V, np.eye(S.output_dim) - V @ VH)]
-    return out
+    return (*out, vals)
 
 
 def _decisive_survey(S, samples, tol):
@@ -645,11 +639,15 @@ def _decisive_survey(S, samples, tol):
     raises PoleProximityError."""
     out = _circle_survey(S, samples, tol)
     if np.isnan(out[0]).all():
-        z = complex(boundary_points(samples)[0])
-        poles = S.poles
-        raise PoleProximityError(
-            z, poles[np.argmin(np.abs(poles - z))] if poles.size else None)
+        raise _pole_proximity(S, complex(boundary_points(samples)[0]))
     return out
+
+
+def _pole_proximity(S, z):
+    """PoleProximityError for the point z, naming the pole of S nearest it."""
+    poles = S.poles
+    return PoleProximityError(
+        z, poles[np.argmin(np.abs(poles - z))] if poles.size else None)
 
 
 def boundary_behavior(S, tol=DEFAULT_TOL):
@@ -657,7 +655,7 @@ def boundary_behavior(S, tol=DEFAULT_TOL):
     S = as_transfer(S)
     n = tol.boundary_samples
     angles = 2.0 * np.pi * np.arange(n) / n
-    sig, dr, dl = _circle_survey(S, n, tol)
+    sig, dr, dl, _ = _circle_survey(S, n, tol)
     good = ~np.isnan(sig)
     skipped = int(np.sum(~good))
     if not np.any(good):
@@ -693,9 +691,10 @@ class DefectResult:
     """Outer minorants of the boundary defects, or their vanishing flags.
 
     phi bounds I - S^*S from below on the circle (right side), psi the
-    dual I - SS^*.  For matrix functions only the zero flags are
-    decided; the scalar factorization certificates live in
-    boundary_residual (match of |phi|^2 with 1 - |S|^2 at samples).
+    dual I - SS^*; for scalar S both are 1 - |S|^2, so psi is phi.  For
+    matrix functions only the zero flags are decided; the scalar
+    factorization certificate lives in boundary_residual (match of
+    |phi|^2 with 1 - |S|^2 at samples).
     """
 
     phi: RationalScalar | None
@@ -760,17 +759,22 @@ def _outer_denominator(eigenvalues):
     return coeffs
 
 
-def _right_defect_scalar(S, tol):
+def _right_defect_scalar(S, values, tol):
     """Outer phi with |phi|^2 = 1 - |S|^2 on the circle, or None if zero.
 
+    values holds S at the len(values)-th roots of unity, NaN where a point
+    sat too close to a pole; any such point raises PoleProximityError.
     Returns (phi, boundary_residual).  Spectral factorization of the
     trigonometric polynomial |d|^2 - |n|^2: its roots come in pairs
     (r, 1/conj(r)); keeping the outside-closed-disc half of every pair
     gives the outer numerator, and reflecting the inside-disc zeros of d
     gives the outer denominator with the same boundary modulus.
     """
-    circle = boundary_points(128)
-    target = 1.0 - np.abs(S.values(circle, tol)[:, 0, 0]) ** 2
+    circle = boundary_points(values.size)
+    bad = np.isnan(values)
+    if bad.any():
+        raise _pole_proximity(S, complex(circle[np.argmax(bad)]))
+    target = 1.0 - np.abs(values) ** 2
     worst = float(np.max(np.abs(target)))
     if worst <= tol.metric_tol:
         return None, worst
@@ -814,23 +818,19 @@ def _right_defect_scalar(S, tol):
     return phi, resid
 
 
-def _conjugate_coeffs(rat):
-    return RationalScalar(np.conj(rat.numerator), np.conj(rat.denominator))
-
-
 def defect(S, tol=DEFAULT_TOL):
     """Outer defect functions for scalar S; vanishing flags for any S.
 
     The vanishing tests sample I - S^*S and I - SS^* on the circle; a
     rational defect vanishing there vanishes identically.  The scalar
     branch factors 1 - |S|^2 by root reflection into an outer rational
-    phi, and obtains the left function psi by reflecting the right
-    defect of the reflected function.  With every sample pole-proximal
-    there is nothing to decide on, and the first sample raises
-    PoleProximityError.
+    phi, from the survey's own circle values.  For scalar S the left
+    defect 1 - |S|^2 is the same function, so psi is phi.  With every
+    sample pole-proximal there is nothing to decide on, and the first
+    sample raises PoleProximityError.
     """
     S = as_transfer(S)
-    _, dr, dl = _decisive_survey(S, 128, tol)
+    _, dr, dl, vals = _decisive_survey(S, 128, tol)
     right_max = float(np.nanmax(dr, initial=0.0))
     left_max = float(np.nanmax(dl, initial=0.0))
     phi_zero = right_max <= tol.metric_tol
@@ -842,17 +842,11 @@ def defect(S, tol=DEFAULT_TOL):
                             note=RATIONAL_NOTE + "; matrix case decides "
                             "vanishing only")
     phi = None
-    psi = None
     resid = 0.0
     if not phi_zero:
-        phi, resid = _right_defect_scalar(S, tol)
+        phi, resid = _right_defect_scalar(S, vals[:, 0, 0], tol)
         phi_zero = phi is None
-    if not psi_zero:
-        psi_sharp, resid2 = _right_defect_scalar(sharp(S), tol)
-        psi = None if psi_sharp is None else _conjugate_coeffs(psi_sharp)
-        psi_zero = psi is None
-        resid = max(resid, resid2)
-    return DefectResult(phi, phi_zero, psi, psi_zero, right_max, left_max,
+    return DefectResult(phi, phi_zero, phi, phi_zero, right_max, left_max,
                         resid)
 
 
@@ -1046,10 +1040,7 @@ def check_kernel_decomposition(S1, S2, tol=DEFAULT_TOL, variant="observable"):
     if variant == "controllable":
         rep = check_kernel_decomposition(sharp(S2), sharp(S1), tol,
                                          "observable")
-        return KernelDecompositionReport(
-            rep.holds, rep.rank_first, rep.rank_second, rep.rank_product,
-            rep.rank_additive, rep.isometry_residual, rep.isometric,
-            rep.obstruction_dimension, "controllable", rep.note)
+        return replace(rep, variant="controllable")
     if S2.input_dim != S1.output_dim:
         raise DimensionMismatchError(
             "second factor must accept the first factor's values")

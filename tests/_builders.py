@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 
 import numpy as np
+import scipy.linalg
 
 from pontsys.colligation import (
     _METRIC_TO_KIND,
@@ -18,6 +19,7 @@ from pontsys.exceptions import InternalConsistencyError
 from pontsys.indefinite import (
     DEFAULT_TOL,
     SignatureSpace,
+    column_space,
     is_psd,
     metric_classify,
     metric_defects,
@@ -212,3 +214,26 @@ def roots_of_unity_system(count=128):
     return Colligation(SignatureSpace(count, 0), 1, 1, np.diag(roots),
                        np.full((count, 1), 1.0 / count), np.ones((1, count)),
                        np.zeros((1, 1)))
+
+
+def same_span(A, B, tol=DEFAULT_TOL, angle_tol=1e-8):
+    """Whether two matrices span the same column space within angle_tol."""
+    QA = column_space(A, tol)
+    QB = column_space(B, tol)
+    if QA.shape[1] != QB.shape[1]:
+        return False
+    if QA.shape[1] == 0:
+        return True
+    return float(np.max(scipy.linalg.subspace_angles(QA, QB))) <= angle_tol
+
+
+def direct_sum(first, second):
+    """Block-diagonal juxtaposition of two systems (inputs and outputs stacked)."""
+    state = SignatureSpace.from_signs(
+        np.concatenate([first.state.signs, second.state.signs]))
+    return Colligation(state, first.input_dim + second.input_dim,
+                       first.output_dim + second.output_dim,
+                       scipy.linalg.block_diag(first.A, second.A),
+                       scipy.linalg.block_diag(first.B, second.B),
+                       scipy.linalg.block_diag(first.C, second.C),
+                       scipy.linalg.block_diag(first.D, second.D))

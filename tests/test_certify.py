@@ -214,13 +214,13 @@ class TestLayersRefuse:
         # rank one, so the corner equation has a range to leave
         M = np.diag([1.0, 0.5])
         julia.julia_operator(M, [1, 1], [1, 1])
-        real = julia.defect_operators
+        real = julia._defect_factors
 
         def shifted(*args):
             primal, dual = real(*args)
             return primal, dual + 1e-6
 
-        monkeypatch.setattr(julia, "defect_operators", shifted)
+        monkeypatch.setattr(julia, "_defect_factors", shifted)
         with pytest.raises(InternalConsistencyError,
                            match="defect range intertwining residual"):
             julia.julia_operator(M, [1, 1], [1, 1])

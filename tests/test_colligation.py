@@ -11,7 +11,6 @@ from pontsys.colligation import (
     _certify_bicontraction,
     adjoint_system,
     classify,
-    direct_sum,
     is_dilation_of,
     krylov_report,
     markov,
@@ -44,7 +43,6 @@ from pontsys.indefinite import (
     is_psd,
     metric_classify,
     metric_defects,
-    same_span,
 )
 from pontsys import sampling
 from pontsys.sampling import (
@@ -53,7 +51,7 @@ from pontsys.sampling import (
     random_passive_colligation,
 )
 
-from _builders import corner_checked_kind, spy, spy_attr
+from _builders import corner_checked_kind, direct_sum, same_span, spy, spy_attr
 
 ROOT3 = math.sqrt(3.0)
 

@@ -27,7 +27,6 @@ from pontsys.indefinite import (
     canonical_basis,
     j_complement,
     nullspace,
-    same_span,
     subspace_classify,
 )
 from pontsys.products import (
@@ -53,6 +52,7 @@ from _builders import (
     identity_feedthrough,
     inverse_blaschke_system,
     isometric_column_system,
+    same_span,
     spectral_norms,
     spy,
     spy_attr,
@@ -146,7 +146,7 @@ class TestObstructions:
         rep = obstruction_observable(s1, dead)
         assert rep.dimension >= 2
         # solutions live in the dead state block
-        assert np.linalg.norm(rep.first_components, 2) < 1e-10
+        assert np.linalg.norm(rep.basis[: rep.split], 2) < 1e-10
 
     def test_dead_first_input_is_uncontrollable(self):
         dead = Colligation(SignatureSpace(2, 0), 1, 1,

@@ -6,6 +6,7 @@ import pytest
 from _builders import (
     blaschke_system,
     counterexample_observable_system,
+    direct_sum,
     half_shift_system,
     identity_feedthrough,
     inverse_blaschke_system,
@@ -21,7 +22,6 @@ from pontsys.colligation import (
     SystemKind,
     adjoint_system,
     classify,
-    direct_sum,
     state_change,
     system_kind,
     transfer_eval,
@@ -569,6 +569,40 @@ class TestDefect:
         with pytest.raises(PoleProximityError) as info:
             defect(system)
         assert info.value.point == 1.0
+
+    def test_scalar_defect_factors_once(self, monkeypatch):
+        # 1 - |S|^2 is both defects of a scalar S: the survey's circle values
+        # feed the one factorization, and no adjoint system is evaluated
+        rng = np.random.default_rng(11)
+        system = random_passive_colligation(rng, SignatureSpace(3, 1), 1, 1,
+                                            strict=0.25)
+        calls = spy(monkeypatch, colligation.transfer_values)
+        res = defect(system)
+        assert not res.phi_is_zero
+        assert all(args[0] is system for args in calls)
+        points = np.concatenate([np.ravel(args[1]) for args in calls])
+        roots = np.exp(2j * np.pi * np.arange(128) / 128)
+        hits = np.abs(points[None, :] - roots[:, None]) < 1e-12
+        assert hits.sum(axis=1).tolist() == [1] * 128
+
+    def test_scalar_psi_is_phi(self):
+        rng = np.random.default_rng(5)
+        system = random_passive_colligation(rng, SignatureSpace(2, 1), 1, 1,
+                                            strict=0.25)
+        res = defect(system)
+        assert not res.psi_is_zero and res.psi_is_zero == res.phi_is_zero
+        assert np.array_equal(res.psi.numerator, res.phi.numerator)
+        assert np.array_equal(res.psi.denominator, res.phi.denominator)
+
+    def test_one_pole_on_a_sample_raises(self):
+        # a pole at one 128th root of unity: the other samples survive and
+        # decide a nonzero defect, but its factorization needs every sample
+        w = np.exp(2j * np.pi * 5 / 128)
+        system = Colligation(SignatureSpace(1, 0), 1, 1, [[w]], [[0.5]],
+                             [[0.5]], [[0.0]])
+        with pytest.raises(PoleProximityError) as info:
+            defect(system)
+        assert abs(info.value.point - np.conj(w)) < 1e-12
 
 
 class TestCanonicalRealization:
