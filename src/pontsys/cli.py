@@ -53,6 +53,7 @@ from .products import (
 )
 from .sampling import disc_points
 from .schur import (
+    _negative_squares,
     _relative_mismatch,
     as_transfer,
     blaschke_potapov_factor,
@@ -329,7 +330,8 @@ def cmd_classify(args):
         "observable_rank": rep.observable_space.dim,
         "simple_rank": rep.simple_space.dim,
         "complement_kinds": {k: v.value for k, v in rep.complement_kinds.items()},
-        "kappa_estimate": negative_squares_estimate(as_transfer(system), tol).estimate,
+        "kappa_estimate": _negative_squares(as_transfer(system), cls.kind,
+                                            tol).estimate,
     }
     return _emit_report(
         args, "classify", {"system": _hash_input(args.path)},
@@ -467,8 +469,11 @@ def cmd_julia_embed(args):
 def cmd_defect(args):
     system, meta = load_system(args.path)
     tol = _resolve_tolerances(args, meta)
-    res = defect(system, tol)
-    bnd = boundary_behavior(system, tol)
+    # one function, so defect's 128-point survey is the even half of the
+    # boundary survey's 256 points
+    S = as_transfer(system)
+    bnd = boundary_behavior(S, tol)
+    res = defect(S, tol)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "boundary.csv"

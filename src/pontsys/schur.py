@@ -95,6 +95,8 @@ class TransferFunction:
         self.backing = backing
         self.input_dim = backing.input_dim
         self.output_dim = backing.output_dim
+        # circle surveys by (samples, tol); see _circle_survey
+        self._surveys = {}
 
     @cached_property
     def _eigenvalues(self):
@@ -245,9 +247,9 @@ def _backing_kind(S, tol):
         return None
 
 
-def _negative_index_bound(S, tol):
+def _negative_index_bound(S, kind, tol):
     """disc_pole_count when it bounds the negative index from above, else
-    None.
+    None; kind is the backing's _backing_kind.
 
     A passive backing, of any kind but NONE, realizes a generalized Schur
     function, whose negative index is its number of poles in the disc;
@@ -256,7 +258,7 @@ def _negative_index_bound(S, tol):
     """
     if np.any(np.abs(np.abs(S._eigenvalues) - 1.0) <= tol.metric_tol):
         return None
-    if _backing_kind(S, tol) in (None, SystemKind.NONE):
+    if kind in (None, SystemKind.NONE):
         return None
     return S.disc_pole_count
 
@@ -277,8 +279,14 @@ def negative_squares_estimate(S, tol=DEFAULT_TOL):
     rather than a wrong certainty.
     """
     S = as_transfer(S)
+    return _negative_squares(S, _backing_kind(S, tol), tol)
+
+
+def _negative_squares(S, kind, tol):
+    """negative_squares_estimate of the TransferFunction S whose backing's
+    _backing_kind is kind, for callers that have already decided it."""
     exclude = S.poles
-    bound = _negative_index_bound(S, tol)
+    bound = _negative_index_bound(S, kind, tol)
     history = []
     points = np.zeros(0, dtype=complex)
     values = np.zeros((0, S.output_dim, S.input_dim), dtype=complex)
@@ -623,14 +631,30 @@ def _circle_survey(S, samples, tol):
     """Top singular values and the norms of I - V^*V and I - VV^* at the
     samples-th roots of unity, as three arrays that are NaN where a point
     sat too close to a pole, followed by the values V themselves, whose
-    rows are NaN there."""
-    vals, ok = transfer_values(S.backing, boundary_points(samples), tol)
+    rows are NaN there.
+
+    Surveys are memoized on S by (samples, tol), as read-only arrays.  A
+    survey of count samples serves a request for samples when samples
+    divides count and boundary_points(samples) is bitwise its stride
+    count // samples (true for power-of-two strides, not for every
+    stride); every entry is per point, so the served arrays are the ones
+    a fresh survey would compute."""
+    points = boundary_points(samples)
+    for (count, key_tol), survey in S._surveys.items():
+        if (key_tol == tol and count % samples == 0 and np.array_equal(
+                points, boundary_points(count)[::count // samples])):
+            return tuple(x[::count // samples] for x in survey)
+    vals, ok = transfer_values(S.backing, points, tol)
     V = vals[ok]
     VH = V.conj().transpose(0, 2, 1)
     out = np.full((3, samples), np.nan)
     out[:, ok] = [np.linalg.norm(X, 2, axis=(1, 2)) for X in (
         V, np.eye(S.input_dim) - VH @ V, np.eye(S.output_dim) - V @ VH)]
-    return (*out, vals)
+    survey = (*out, vals)
+    for x in survey:
+        x.flags.writeable = False
+    S._surveys[samples, tol] = survey
+    return survey
 
 
 def _decisive_survey(S, samples, tol):

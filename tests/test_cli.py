@@ -18,11 +18,17 @@ from _builders import (
     row_schur_left_system,
     spy,
 )
-from pontsys import cli, indefinite
+from pontsys import cli, colligation, indefinite
 from pontsys.cli import load_system, main, save_system, system_to_json
 from pontsys.colligation import krylov_report, markov
-from pontsys.indefinite import DEFAULT_TOL
+from pontsys.indefinite import DEFAULT_TOL, SignatureSpace
 from pontsys.products import cascade
+from pontsys.sampling import (
+    boundary_points,
+    random_conservative_colligation,
+    random_passive_colligation,
+)
+from pontsys.schur import TransferFunction, as_transfer
 
 
 def run_cli(tmp_path, *argv):
@@ -141,6 +147,19 @@ class TestClassify:
         code, report = run_cli(tmp_path, "classify", path)
         assert code == 0
         assert report["verdicts"]["observable"]
+        assert len(calls) == 1
+
+    def test_kind_decided_once(self, tmp_path, monkeypatch):
+        # the kappa estimate's pole-count bound reads the kind classify
+        # certified instead of deciding it again
+        rng = np.random.default_rng(4)
+        path = write_system(tmp_path, random_conservative_colligation(
+            rng, SignatureSpace(7, 3), 2))
+        calls = spy(monkeypatch, indefinite._defect_class)
+        code, report = run_cli(tmp_path, "classify", path)
+        assert code == 0
+        assert report["verdicts"]["kind"] == "conservative"
+        assert report["certificates"]["kappa_estimate"] == 3
         assert len(calls) == 1
 
 
@@ -304,6 +323,55 @@ class TestDefect:
         assert code == 2 and report is None
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "PoleProximityError"
+
+
+def _scalar_and_two_channel_inputs():
+    """A strictly passive scalar system and a conservative two-channel one
+    with a three-dimensional negative state part."""
+    rng = np.random.default_rng(9)
+    return {
+        "passive": random_passive_colligation(rng, SignatureSpace(4, 0), 1, 1,
+                                              strict=0.35),
+        "conservative": random_conservative_colligation(
+            rng, SignatureSpace(7, 3), 2),
+    }
+
+
+class TestDefectSurvey:
+    @pytest.mark.parametrize("kind", ["passive", "conservative"])
+    def test_each_root_of_unity_evaluated_once(self, tmp_path, monkeypatch,
+                                               kind):
+        # defect's 128-point survey is the even half of the boundary
+        # survey's 256 points, so it is served from that survey
+        path = write_system(tmp_path, _scalar_and_two_channel_inputs()[kind])
+        calls = spy(monkeypatch, colligation.transfer_values)
+        code, _ = run_cli(tmp_path, "defect", path)
+        assert code == 0
+        points = np.concatenate([np.ravel(args[1]) for args in calls])
+        hits = np.abs(points[None, :] - boundary_points(256)[:, None]) < 1e-12
+        assert hits.sum(axis=1).tolist() == [1] * 256
+
+    @pytest.mark.parametrize("kind", ["passive", "conservative"])
+    @pytest.mark.parametrize("samples", ["100", "512"])
+    def test_report_matches_separate_surveys(self, tmp_path, monkeypatch,
+                                             kind, samples):
+        # 100 is no multiple of 128, so defect surveys afresh; 512 serves
+        # it with stride 4.  Both must equal defect and boundary_behavior
+        # on two fresh functions
+        path = write_system(tmp_path, _scalar_and_two_channel_inputs()[kind])
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert main(["--out", str(shared), "--samples", samples, "defect",
+                     path]) == 0
+        for name in ("defect", "boundary_behavior"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda S, tol, real=real: real(
+                TransferFunction(as_transfer(S).backing), tol))
+        assert main(["--out", str(fresh), "--samples", samples, "defect",
+                     path]) == 0
+        for name in ("defect.report.json", "boundary.csv"):
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+        rows = (shared / "boundary.csv").read_text().strip().splitlines()
+        assert len(rows) == 1 + int(samples)
 
 
 class TestStability:

@@ -515,6 +515,18 @@ class TestBoundaryBehavior:
         assert np.all(rep.defect_right == inputs)
         assert np.all(rep.defect_left == outputs)
 
+    def test_cached_survey_is_read_only(self):
+        # one function's surveys are shared by every later request, so no
+        # caller may write into them
+        S = TransferFunction(half_shift_system())
+        rep = boundary_behavior(S)
+        served = schur._circle_survey(S, 128, DEFAULT_TOL)
+        for x in (rep.sigma_max, rep.defect_right, rep.defect_left, *served):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+        assert np.array_equal(served[0], rep.sigma_max[::2])
+
 
 class TestDefect:
     def test_half_shift_defect_is_constant(self):

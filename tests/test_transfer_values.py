@@ -9,9 +9,10 @@ must reproduce them.
 import numpy as np
 import pytest
 
+from _builders import spy_attr
 from pontsys.colligation import Colligation, transfer_eval, transfer_values
 from pontsys.exceptions import PoleProximityError
-from pontsys.indefinite import DEFAULT_TOL, SignatureSpace
+from pontsys.indefinite import DEFAULT_TOL, SignatureSpace, Tolerances
 from pontsys.sampling import (
     boundary_points,
     disc_points,
@@ -64,13 +65,13 @@ def _one_point(system, z, tol=DEFAULT_TOL):
     return system.D + z * (system.C @ np.linalg.solve(M, system.B))
 
 
-def _loop(system, points, evaluate=_one_point):
+def _loop(system, points, evaluate=_one_point, tol=DEFAULT_TOL):
     vals = np.full((len(points), system.output_dim, system.input_dim), np.nan,
                    dtype=complex)
     ok = np.zeros(len(points), dtype=bool)
     for k, z in enumerate(points):
         try:
-            vals[k] = evaluate(system, complex(z))
+            vals[k] = evaluate(system, complex(z), tol)
             ok[k] = True
         except PoleProximityError:
             pass
@@ -78,7 +79,9 @@ def _loop(system, points, evaluate=_one_point):
 
 
 def _points(system, seed):
-    """Disc and circle samples plus points at and just off every pole."""
+    """Disc and circle samples plus points at and just off every pole, at
+    relative distances that straddle the rejection threshold of every
+    rank_tol tested."""
     poles = TransferFunction(system).poles
     poles = poles[np.abs(poles) < 3.0]
     return np.concatenate([
@@ -87,21 +90,58 @@ def _points(system, seed):
         poles,
         poles * (1.0 + 1e-7),
         poles + 1e-6 * np.exp(0.3j),
+        *(poles * (1.0 + delta) for delta in np.logspace(-4, -14, 11)),
     ])
+
+
+# the default rank_tol and one on each side of it
+RANK_TOLS = (1e-6, 1e-10, 1e-14)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_values_and_mask_match_the_loop(name):
     system = SYSTEMS[name]
     pts = _points(system, seed=len(name))
-    vals, ok = transfer_values(system, pts)
-    assert vals.shape == (pts.size, system.output_dim, system.input_dim)
-    for evaluate in (_one_point, transfer_eval):
-        ref, ref_ok = _loop(system, pts, evaluate)
+    for rank_tol in RANK_TOLS:
+        tol = Tolerances(rank_tol=rank_tol)
+        vals, ok = transfer_values(system, pts, tol)
+        assert vals.shape == (pts.size, system.output_dim, system.input_dim)
+        # transfer_eval is transfer_values on one point; checking it at the
+        # default rank_tol alone keeps its per-point pole search affordable
+        evaluators = ((_one_point, transfer_eval) if tol == DEFAULT_TOL
+                      else (_one_point,))
+        for evaluate in evaluators:
+            ref, ref_ok = _loop(system, pts, evaluate, tol)
+            assert np.array_equal(ok, ref_ok)
+            assert np.array_equal(vals, ref, equal_nan=True)
+        if system.state_dim:
+            assert not ok.all()
+
+
+def test_exactly_singular_member_takes_the_svd():
+    # I - zA is exactly singular at z = 1/2 and z = 2, so the stacked inv
+    # raises and the whole stack is decided by the SVD rule
+    system = Colligation(SignatureSpace(2, 0), 1, 1, np.diag([2.0, 0.5]),
+                         [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+    pts = np.array([0.1, 0.5, 0.3j, 2.0, -0.7, 0.5 + 1e-9])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.eye(2) - pts[:, None, None] * system.A)
+    for rank_tol in RANK_TOLS:
+        tol = Tolerances(rank_tol=rank_tol)
+        vals, ok = transfer_values(system, pts, tol)
+        ref, ref_ok = _loop(system, pts, _one_point, tol)
         assert np.array_equal(ok, ref_ok)
         assert np.array_equal(vals, ref, equal_nan=True)
-    if system.state_dim:
-        assert not ok.all()
+        assert not ok[1] and not ok[3] and ok[[0, 2, 4]].all()
+
+
+def test_circle_far_from_every_pole_takes_no_svd(monkeypatch):
+    system = SYSTEMS["passive-40-8-2"]
+    poles = TransferFunction(system).poles
+    assert np.min(np.abs(np.abs(poles) - 1.0)) > 1e-2
+    calls = spy_attr(monkeypatch, np.linalg, "svd")
+    _, ok = transfer_values(system, boundary_points(256))
+    assert ok.all() and not calls
 
 
 def test_some_points_sit_within_the_pole_margin():
