@@ -13,10 +13,10 @@ fails, 2 on invalid input.
 """
 
 import argparse
-import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
 import sys
@@ -83,13 +83,28 @@ def _decode_entry(obj, field, source):
             or not all(isinstance(x, (int, float)) for x in obj)):
         raise InputError(
             f"{source}: field {field}: expected a two-number [re, im] pair")
-    return complex(obj[0], obj[1])
+    try:
+        return complex(obj[0], obj[1])
+    except OverflowError:
+        raise InputError(
+            f"{source}: field {field}: number too large for a float")
 
 
 def _decode_matrix(obj, rows, cols, field, source):
     if not isinstance(obj, list) or len(obj) != rows:
         raise InputError(
             f"{source}: field {field}: expected {rows} rows")
+    # a well-formed matrix converts in one pass: a malformed row or entry
+    # drops out of flat, and the loop below names it
+    flat = [x for row in obj if type(row) is list and len(row) == cols
+            for entry in row if type(entry) is list and len(entry) == 2
+            for x in entry]
+    if len(flat) == 2 * rows * cols and set(map(type, flat)) <= {int, float}:
+        try:
+            # the [re, im] pairs are the bits of the complex entries
+            return np.array(flat, dtype=float).view(complex).reshape(rows, cols)
+        except OverflowError:
+            pass
     out = np.zeros((rows, cols), dtype=complex)
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
@@ -159,21 +174,32 @@ def system_to_json(system, name=None, notes=None):
 
 
 def _read_json(path):
-    """Decode a JSON file; read and decode errors become InputError."""
+    """Decode a JSON file read once; returns the document and the input
+    record (path and SHA-256 of the bytes) that reports embed.  Read and
+    decode errors become InputError."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}")
+    # decoded as Path.read_text decodes: default encoding, universal newlines
+    text = io.TextIOWrapper(io.BytesIO(data)).read()
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    return doc, {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _load_system_input(path):
+    """load_system, with the input record of the file it read."""
+    doc, record = _read_json(path)
+    return (*system_from_json(doc, source=str(path)), record)
 
 
 def load_system(path):
     """Read a SystemFile; errors carry the path and the failing field."""
-    return system_from_json(_read_json(path), source=str(path))
+    return _load_system_input(path)[:2]
 
 
 def save_system(system, path, name=None, notes=None):
@@ -185,7 +211,7 @@ def save_system(system, path, name=None, notes=None):
 
 
 def _load_taylor(path):
-    doc = _read_json(path)
+    doc, record = _read_json(path)
     source = str(path)
     if not isinstance(doc, dict):
         raise InputError(f"{source}: top level must be an object")
@@ -204,18 +230,11 @@ def _load_taylor(path):
     if order_bound is not None and (not isinstance(order_bound, int)
                                     or isinstance(order_bound, bool)):
         raise InputError(f"{source}: field order_bound: expected an integer")
-    return coeffs, order_bound, doc.get("metadata", {})
+    return coeffs, order_bound, doc.get("metadata", {}), record
 
 
 # ---------------------------------------------------------------------------
 # report plumbing
-
-
-def _hash_input(path):
-    return {
-        "path": str(path),
-        "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest(),
-    }
 
 
 def _jsonable(value):
@@ -310,7 +329,7 @@ def _signature_dict(system):
 
 
 def cmd_classify(args):
-    system, meta = load_system(args.path)
+    system, meta, source = _load_system_input(args.path)
     tol = _resolve_tolerances(args, meta)
     cls = classify(system, tol)
     rep = cls.krylov
@@ -334,14 +353,14 @@ def cmd_classify(args):
                                             tol).estimate,
     }
     return _emit_report(
-        args, "classify", {"system": _hash_input(args.path)},
+        args, "classify", {"system": source},
         _parameters(args), tol, verdicts, {}, certificates,
         ["metric class from the system operator against the signature "
          "metrics; Krylov flags from iterated input and output spans"])
 
 
 def cmd_factor_kl(args):
-    system, meta = load_system(args.path)
+    system, meta, source = _load_system_input(args.path)
     tol = _resolve_tolerances(args, meta)
     fac = kl_factorize_system(system, args.mode, tol)
     schur_path = save_system(
@@ -360,7 +379,7 @@ def cmd_factor_kl(args):
         "artifacts": {"schur": schur_path.name, "inverse_blaschke": invb_path.name},
     }
     return _emit_report(
-        args, "factor-kl", {"system": _hash_input(args.path)},
+        args, "factor-kl", {"system": source},
         _parameters(args, mode=args.mode), tol, verdicts, residuals,
         certificates,
         ["factor order: schur then inverse factor in right mode, reversed "
@@ -368,8 +387,8 @@ def cmd_factor_kl(args):
 
 
 def cmd_product(args):
-    first, meta1 = load_system(args.first)
-    second, meta2 = load_system(args.second)
+    first, meta1, first_source = _load_system_input(args.first)
+    second, meta2, second_source = _load_system_input(args.second)
     tol = _resolve_tolerances(args, meta1, meta2)
     cas = cascade(first, second)
     cas_path = save_system(cas, Path(args.out) / "product_cascade.json",
@@ -400,13 +419,13 @@ def cmd_product(args):
                      "unobservable and unreachable solution spaces")
     return _emit_report(
         args, "product",
-        {"first": _hash_input(args.first), "second": _hash_input(args.second)},
+        {"first": first_source, "second": second_source},
         _parameters(args, check=args.check), tol, verdicts, residuals,
         certificates, notes)
 
 
 def cmd_negsq(args):
-    system, meta = load_system(args.path)
+    system, meta, source = _load_system_input(args.path)
     tol = _resolve_tolerances(args, meta)
     S = as_transfer(system)
     est = negative_squares_estimate(S, tol)
@@ -426,14 +445,14 @@ def cmd_negsq(args):
                            "minus": gram.inertia[2]},
     }
     return _emit_report(
-        args, "negsq", {"system": _hash_input(args.path)},
+        args, "negsq", {"system": source},
         _parameters(args), tol, verdicts, {}, certificates,
         ["negative squares from kernel inertia over growing sample batches; "
          "pole count from the backing realization spectrum"])
 
 
 def cmd_julia_embed(args):
-    system, meta = load_system(args.path)
+    system, meta, source = _load_system_input(args.path)
     tol = _resolve_tolerances(args, meta)
     emb = julia_embedding(system, tol)
     emb_path = save_system(emb, Path(args.out) / "julia_embedding.json",
@@ -460,14 +479,14 @@ def cmd_julia_embed(args):
         "artifacts": {"embedding": emb_path.name},
     }
     return _emit_report(
-        args, "julia-embed", {"system": _hash_input(args.path)},
+        args, "julia-embed", {"system": source},
         _parameters(args), tol, verdicts, residuals, certificates,
         ["defect coordinates appended to input and output; state space "
          "unchanged; original channels form the leading corner"])
 
 
 def cmd_defect(args):
-    system, meta = load_system(args.path)
+    system, meta, source = _load_system_input(args.path)
     tol = _resolve_tolerances(args, meta)
     # one function, so defect's 128-point survey is the even half of the
     # boundary survey's 256 points
@@ -477,12 +496,10 @@ def cmd_defect(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "boundary.csv"
+    # the bytes csv.writer would write: repr fields, CRLF line ends
     with csv_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["theta", "sigma_max", "defect_right_norm",
-                         "defect_left_norm"])
-        for row in bnd.rows():
-            writer.writerow(row)
+        handle.write("theta,sigma_max,defect_right_norm,defect_left_norm\r\n"
+                     + "".join("%r,%r,%r,%r\r\n" % row for row in bnd.rows()))
     verdicts = {
         "phi_is_zero": res.phi_is_zero,
         "psi_is_zero": res.psi_is_zero,
@@ -506,13 +523,13 @@ def cmd_defect(args):
                 "denominator": [_jsonable(complex(c)) for c in fn.denominator],
             }
     return _emit_report(
-        args, "defect", {"system": _hash_input(args.path)},
+        args, "defect", {"system": source},
         _parameters(args), tol, verdicts, residuals, certificates,
         [res.note, bnd.note])
 
 
 def cmd_stability(args):
-    system, meta = load_system(args.path)
+    system, meta, source = _load_system_input(args.path)
     tol = _resolve_tolerances(args, meta)
     st = stability_classify(system, tol)
     verdicts = {
@@ -527,14 +544,14 @@ def cmd_stability(args):
         "backward_radius": st.backward_radius,
     }
     return _emit_report(
-        args, "stability", {"system": _hash_input(args.path)},
+        args, "stability", {"system": source},
         _parameters(args), tol, verdicts, {}, certificates,
         ["spectral radii of the main operator restricted to the positive "
          "halves of the two invariant fundamental decompositions"])
 
 
 def cmd_realize(args):
-    coeffs, order_bound, meta = _load_taylor(args.path)
+    coeffs, order_bound, meta, source = _load_taylor(args.path)
     tol = _resolve_tolerances(args, meta)
     real = realize_from_taylor(coeffs, tol, order_bound=order_bound)
     n = real.A.shape[0]
@@ -556,18 +573,17 @@ def cmd_realize(args):
         "artifacts": {"system": sys_path.name},
     }
     return _emit_report(
-        args, "realize", {"taylor": _hash_input(args.path)},
+        args, "realize", {"taylor": source},
         _parameters(args), tol, verdicts, residuals, certificates,
         ["block Hankel factorization with rank stabilization across window "
          "sizes; the state carries no metric information"])
 
 
 def cmd_similar(args):
-    first, meta1 = load_system(args.first)
-    second, meta2 = load_system(args.second)
+    first, meta1, first_source = _load_system_input(args.first)
+    second, meta2, second_source = _load_system_input(args.second)
     tol = _resolve_tolerances(args, meta1, meta2)
-    inputs = {"first": _hash_input(args.first),
-              "second": _hash_input(args.second)}
+    inputs = {"first": first_source, "second": second_source}
     if args.kind == "unitary":
         res = unitary_similarity(first, second, tol)
     else:

@@ -737,9 +737,12 @@ def realize_from_taylor(coeffs, tol=DEFAULT_TOL, order_bound=None):
         return BareRealization(np.zeros((0, 0)), np.zeros((0, m)),
                                np.zeros((p, 0)), coeffs[0])
 
+    stack = np.stack(coeffs)
+
     def hankel(start, rows, cols):
-        return np.block([[coeffs[start + i + j] for j in range(cols)]
-                         for i in range(rows)])
+        # block (i, j) is coeffs[start + i + j]
+        index = start + np.add.outer(np.arange(rows), np.arange(cols))
+        return stack[index].transpose(0, 2, 1, 3).reshape(rows * p, cols * m)
 
     H = hankel(1, n + 1, n)
     Hup = hankel(2, n + 1, n)

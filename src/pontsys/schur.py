@@ -247,6 +247,13 @@ def _backing_kind(S, tol):
         return None
 
 
+def _eigenvalue_near_circle(S, tol):
+    """Whether an eigenvalue of the backing's main operator lies within
+    metric_tol of the circle: a pole that close to it keeps the disc pole
+    count and the circle survey from deciding a bound."""
+    return bool(np.any(np.abs(np.abs(S._eigenvalues) - 1.0) <= tol.metric_tol))
+
+
 def _negative_index_bound(S, kind, tol):
     """disc_pole_count when it bounds the negative index from above, else
     None; kind is the backing's _backing_kind.
@@ -256,9 +263,7 @@ def _negative_index_bound(S, kind, tol):
     each is 1/lam for an eigenvalue lam of A with |lam| > 1.  The count is
     trusted only with no eigenvalue within metric_tol of the circle.
     """
-    if np.any(np.abs(np.abs(S._eigenvalues) - 1.0) <= tol.metric_tol):
-        return None
-    if kind in (None, SystemKind.NONE):
+    if _eigenvalue_near_circle(S, tol) or kind in (None, SystemKind.NONE):
         return None
     return S.disc_pole_count
 
@@ -451,12 +456,13 @@ def _side_factorization(S, cls, mode, tol):
         if cls.kind == SystemKind.CONSERVATIVE or (
                 cls.kind == SystemKind.COISOMETRIC and cls.observable):
             return _kl_factorize(S.backing, cls, mode, tol)
-        backing = canonical_coisometric_realization(S, tol)
+        backing = _canonical_realization(S, cls.kind, tol)
     else:
         if cls.kind == SystemKind.CONSERVATIVE or (
                 cls.kind == SystemKind.ISOMETRIC and cls.controllable):
             return _kl_factorize(S.backing, cls, mode, tol)
-        backing = adjoint_system(canonical_coisometric_realization(sharp(S), tol))
+        backing = adjoint_system(_canonical_realization(
+            sharp(S), _ADJOINT_KIND.get(cls.kind, cls.kind), tol))
     return kl_factorize_system(backing, mode, tol)
 
 
@@ -893,19 +899,57 @@ def _model_plan(S, per_ring, tol):
     return pts
 
 
-def _observable_dimension(S, tol):
-    """Dimension of the observable space of a co-isometric or conservative
-    backing, else None.
+def _observable_dimension(system, tol):
+    """Dimension of the observable space of the system, the rank of its
+    observability map x -> (C A^k x)_k."""
+    return _krylov_basis(system.A.conj().T, system.C.conj().T, tol)[0].shape[1]
 
-    For such a backing I - S(z)S(w)^* = (1 - z conj(w)) C(I - zA)^-1 J
-    (I - wA)^-* C^*, so every kernel Gram factors through the observable
-    space and its rank is at most that dimension.
+
+# kind of adjoint_system(system) by the kind of system: the adjoint's
+# system operator is the metric adjoint of the original's, so the two
+# defects trade places
+_ADJOINT_KIND = {SystemKind.ISOMETRIC: SystemKind.COISOMETRIC,
+                 SystemKind.COISOMETRIC: SystemKind.ISOMETRIC}
+
+
+def _model_rank_bound(S, kind, tol):
+    """Upper bound on the rank of every kernel Gram of S, or None; kind is
+    the backing's _backing_kind.  Raises PreconditionError when the left
+    defect psi = I - SS^* is nonzero, since the kernel then has infinite
+    rank.
+
+    Let M be the space of the functions C(I - zA)^-1 x, of the dimension
+    of the backing's observable space.  For a co-isometric or
+    conservative backing I - S(z)S(w)^* = (1 - z conj(w)) C(I - zA)^-1 J
+    (I - wA)^-* C^*, so every kernel section lies in M.  Any other
+    backing is decided on defect's 128-point circle survey, with the
+    metric_tol cut of DefectResult.psi_is_zero; a sample on a pole
+    leaves the survey undecided (None).  The rational function F(z) =
+    I - S(z)S(1/conj(z))^* equals psi on the circle.  The section at w
+    is f(z) = (u - S(z)v)/(1 - z conj(w)) with v = S(w)^*u, and its
+    numerator takes the value F(z0)u at z0 = 1/conj(w).
+    - psi nonzero: f has a pole at z0 for all but finitely many w, so
+      sections at distinct points are independent and the rank is
+      infinite.  Refused at once.
+    - psi zero: F vanishes identically, the numerator vanishes at z0,
+      and its difference quotient gives f(z) = C(I - zA)^-1 (I - z0 A)^-1
+      Bv / conj(w), which lies in M.  The bound holds for every negative
+      index and needs no passivity; it is trusted only with no
+      eigenvalue of A within metric_tol of the circle.
     """
-    if _backing_kind(S, tol) not in (SystemKind.COISOMETRIC,
-                                     SystemKind.CONSERVATIVE):
+    if kind in (SystemKind.COISOMETRIC, SystemKind.CONSERVATIVE):
+        return _observable_dimension(S.backing, tol)
+    left = _circle_survey(S, 128, tol)[2]
+    if np.isnan(left).any():
         return None
-    A, C = S.backing.A, S.backing.C
-    return _krylov_basis(A.conj().T, C.conj().T, tol)[0].shape[1]
+    psi = float(np.max(left))
+    if psi > tol.metric_tol:
+        raise PreconditionError(
+            f"left defect {psi:.3e} on the circle exceeds metric_tol: the "
+            "kernel has infinite rank")
+    if _eigenvalue_near_circle(S, tol):
+        return None
+    return _observable_dimension(S.backing, tol)
 
 
 def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
@@ -915,20 +959,33 @@ def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
     space; the main operator acts as the difference quotient
     (h(z) - h(0))/z, the input map sends u to (S(z) - S(0))u/z, the
     output map evaluates at zero.  The plan grows from 4 to 64 points
-    per ring on three rings.  For a co-isometric or conservative backing
-    the Gram rank is at most the dimension of its observable space, and
-    saturation is certified at the first plan whose rank equals it with
-    at least twice as many Gram rows as the rank.  Otherwise, or while
-    that has not happened, saturation is declared when the Gram rank is
+    per ring on three rings.  The section space is finite-dimensional
+    only when the left defect I - SS^* vanishes on the circle: a
+    function whose 128-point circle survey shows it nonzero is refused
+    with PreconditionError before any plan is built.  When it vanishes,
+    or the backing is co-isometric or conservative, the Gram rank is at
+    most the dimension of the backing's observable space (see
+    _model_rank_bound), and saturation is certified at the first plan
+    whose rank equals it with at least twice as many Gram rows as the
+    rank.  Otherwise (a survey sample on a pole, an eigenvalue of A
+    within metric_tol of the circle) or while that has not happened (a
+    non-minimal backing), saturation is declared when the Gram rank is
     unchanged across three successive sample doublings, and a function
     whose rank never settles is rejected as outside the finite-rank
     scope.
     """
     S = as_transfer(S)
+    return _canonical_realization(S, _backing_kind(S, tol), tol)
+
+
+def _canonical_realization(S, kind, tol):
+    """canonical_coisometric_realization of the TransferFunction S whose
+    backing's _backing_kind is kind, for callers that have already
+    decided it."""
     p = S.output_dim
     m = S.input_dim
     plans = [4, 8, 16, 32, 64]
-    bound = _observable_dimension(S, tol)
+    bound = _model_rank_bound(S, kind, tol)
     ranks = []
     for per_ring in plans:
         pts, vals0 = _kernel_values(S, _model_plan(S, per_ring, tol), tol)

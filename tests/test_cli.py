@@ -1,4 +1,7 @@
+import csv
 import dataclasses
+import hashlib
+import io
 import json
 import math
 import os
@@ -28,7 +31,7 @@ from pontsys.sampling import (
     random_conservative_colligation,
     random_passive_colligation,
 )
-from pontsys.schur import TransferFunction, as_transfer
+from pontsys.schur import TransferFunction, as_transfer, boundary_behavior
 
 
 def run_cli(tmp_path, *argv):
@@ -108,6 +111,69 @@ class TestSystemFile:
     def test_missing_file_exits_two(self, tmp_path):
         code, _ = run_cli(tmp_path, "classify", str(tmp_path / "nope.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda doc: doc.update(A=[[[1.0]]]),
+         "field A[0][0]: expected a two-number [re, im] pair"),
+        (lambda doc: doc["A"][0].__setitem__(0, [1.0, "0"]),
+         "field A[0][0]: expected a two-number [re, im] pair"),
+        (lambda doc: doc.update(B=[[[0.5, 0.0], [0.5, 0.0]]]),
+         "field B[0]: expected 1 entries"),
+        (lambda doc: doc.update(C=[]), "field C: expected 1 rows"),
+        (lambda doc: doc.pop("D"), "missing field D"),
+        (lambda doc: doc["A"][0].__setitem__(0, [int("9" * 401), 0]),
+         "field A[0][0]: number too large for a float"),
+        (lambda doc: doc["D"][0].__setitem__(0, [0.0, -int("7" * 401)]),
+         "field D[0][0]: number too large for a float"),
+    ], ids=["short-pair", "string-part", "short-row", "no-rows", "missing",
+            "huge-real", "huge-imag"])
+    def test_decode_errors_name_the_entry(self, tmp_path, capsys, edit,
+                                          reason):
+        path = tmp_path / "entry.json"
+        doc = system_to_json(blaschke_system(0.5))
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        code, _ = run_cli(tmp_path, "classify", str(path))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InputError", "reason": f"{path}: {reason}"}
+
+    def test_malformed_json_message(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        # a lone CR and a CRLF each end a line, as in text-mode reading
+        path.write_bytes(b'{"state":\r {"pos": 1,\r\n "neg": 0,}')
+        code, _ = run_cli(tmp_path, "classify", str(path))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InputError", "reason": f"{path}: line 3 column "
+                       "11: Expecting property name enclosed in double quotes"}
+
+    def test_entries_decode_bit_exactly(self, tmp_path):
+        # the one-pass decoder gives the bits of complex(re, im)
+        entries = [[-0.0, 2 ** 63 + 1], [10 ** 20 + 1, -0.0], [5e-324, -1.5]]
+        doc = system_to_json(blaschke_system(0.5))
+        for k, entry in enumerate(entries):
+            doc["A"][0][0] = entry
+            path = tmp_path / f"{k}.json"
+            path.write_text(json.dumps(doc))
+            value = load_system(path)[0].A[0, 0]
+            want = complex(*entry)
+            assert (value.real.hex(), value.imag.hex()) == (
+                want.real.hex(), want.imag.hex())
+
+    def test_each_input_read_once(self, tmp_path, monkeypatch):
+        path = write_system(tmp_path, blaschke_system(0.5))
+        reads = []
+        for name in ("read_bytes", "read_text"):
+            real = getattr(Path, name)
+            monkeypatch.setattr(Path, name, lambda self, *a, real=real, **k: (
+                reads.append(str(self)), real(self, *a, **k))[1])
+        code, report = run_cli(tmp_path, "classify", path)
+        assert code == 0
+        assert reads.count(path) == 1
+        assert report["inputs"]["system"] == {
+            "path": path,
+            "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
 
 
 class TestClassify:
@@ -295,6 +361,20 @@ class TestDefect:
         assert abs(float(first[1]) - 0.5) < 1e-9
         assert abs(float(first[2]) - 0.75) < 1e-9
 
+    def test_csv_is_what_csv_writer_writes(self, tmp_path):
+        system = random_passive_colligation(np.random.default_rng(6),
+                                            SignatureSpace(3, 1), 2, 2,
+                                            strict=0.3)
+        path = write_system(tmp_path, system)
+        assert run_cli(tmp_path, "defect", path)[0] == 0
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["theta", "sigma_max", "defect_right_norm",
+                         "defect_left_norm"])
+        writer.writerows(boundary_behavior(system).rows())
+        assert (tmp_path / "boundary.csv").read_bytes() == (
+            want.getvalue().encode())
+
     def test_samples_flag_controls_row_count(self, tmp_path):
         path = write_system(tmp_path, blaschke_system(0.5))
         code, report = run_cli(tmp_path, "defect", path, "--samples", "32")
@@ -411,6 +491,16 @@ class TestRealize:
         path.write_text(json.dumps({"coefficients": []}))
         code, _ = run_cli(tmp_path, "realize", str(path))
         assert code == 2
+
+    def test_oversized_taylor_entry_names_the_entry(self, tmp_path, capsys):
+        path = tmp_path / "taylor.json"
+        path.write_text(json.dumps({"coefficients": [
+            [[[0.5, 0]]], [[[int("3" * 401), 0]]], [[[0.25, 0]]]]}))
+        code, _ = run_cli(tmp_path, "realize", str(path))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InputError", "reason": f"{path}: field "
+                       "coefficients[1][0][0]: number too large for a float"}
 
     def test_malformed_taylor_json_names_the_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

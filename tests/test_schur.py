@@ -16,7 +16,7 @@ from _builders import (
     shift_numerator_counterexample,
     spy,
 )
-from pontsys import colligation, schur
+from pontsys import colligation, indefinite, schur
 from pontsys.colligation import (
     Colligation,
     SystemKind,
@@ -477,6 +477,31 @@ class TestKLFactorizeFunction:
         for fac in (res.blaschke_right, res.blaschke_left):
             assert sum(s is fac.backing for s in classified) == 1
 
+    def test_rebuild_reads_the_certified_kind(self, monkeypatch):
+        # neither side's backing qualifies, so both sides rebuild a
+        # canonical model from the kind classify certified: no kind is
+        # decided again for the input or for its adjoint
+        rng = np.random.default_rng(9)
+        strict = random_passive_colligation(rng, SignatureSpace(3, 1), 1, 1,
+                                            strict=0.25)
+        cons = random_conservative_colligation(rng, SignatureSpace(3, 1), 1)
+        R = rng.standard_normal((4, 4))
+        changed = state_change(cons, np.eye(4) + 0.3 * R / np.linalg.norm(R, 2),
+                               cons.state)
+        for system, kappa in ((strict, None), (changed, 1)):
+            operators = [colligation.system_operator(s)[0]
+                         for s in (system, adjoint_system(system))]
+            calls = spy(monkeypatch, indefinite._defect_class)
+            if kappa is None:
+                with pytest.raises(PreconditionError):
+                    kl_factorize_function(system)
+            else:
+                assert kl_factorize_function(system).kappa == kappa
+            decided = [sum(np.array_equal(args[0], T) for args in calls)
+                       for T in operators]
+            assert decided == [1, 0]
+            monkeypatch.undo()
+
 
 class TestBoundaryBehavior:
     def test_blaschke_is_bi_inner(self):
@@ -691,6 +716,57 @@ class TestCanonicalRealization:
             want = S(z)
             assert np.linalg.norm(transfer_eval(model, z) - want, 2) <= (
                 1e-7 * max(1.0, np.linalg.norm(want, 2)))
+
+    @pytest.mark.parametrize("n, kappa, io", [(5, 0, 2), (8, 0, 3), (6, 2, 3),
+                                              (9, 3, 2)])
+    def test_coinner_row_under_state_change_stops_at_the_bound(
+            self, monkeypatch, n, kappa, io):
+        # dropping an output of a conservative system leaves a co-inner
+        # function; a non-unitary state change makes the backing
+        # non-passive, and the zero left defect still bounds the rank by
+        # the observable dimension n
+        rng = np.random.default_rng(n + 10 * kappa)
+        cons = random_conservative_colligation(
+            rng, SignatureSpace(n - kappa, kappa), io)
+        row = Colligation(cons.state, io, io - 1, cons.A, cons.B,
+                          cons.C[:-1], cons.D[:-1])
+        R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        system = state_change(row, np.eye(n) + 0.3 * R / np.linalg.norm(R, 2),
+                              cons.state)
+        assert system_kind(system) == SystemKind.NONE
+        S = as_transfer(system)
+        plans = spy(monkeypatch, schur._model_plan)
+        model = canonical_coisometric_realization(S)
+        seen = [args[1] for args in plans]
+        ranks = {}
+        for per_ring in (4, 8, 16, 32, 64):
+            gram = kernel_gram(S, schur._model_plan(S, per_ring, DEFAULT_TOL))
+            ranks[per_ring] = gram.rank
+            if gram.rank == n and gram.matrix.shape[0] >= 2 * n:
+                break
+        assert seen == list(ranks)
+        assert seen[-1] <= 8
+        assert (model.state.pos, model.state.neg) == (n - kappa, kappa)
+        for z in disc_points(6, seed=n, radius=0.8, exclude=S.poles,
+                             min_dist=1e-2):
+            want = S(z)
+            assert np.linalg.norm(transfer_eval(model, z) - want, 2) <= (
+                1e-7 * max(1.0, np.linalg.norm(want, 2)))
+
+    @pytest.mark.parametrize("system", [
+        random_passive_colligation(np.random.default_rng(2),
+                                   SignatureSpace(3, 0), 2, 1, strict=0.25),
+        random_passive_colligation(np.random.default_rng(3),
+                                   SignatureSpace(4, 1), 1, 2, strict=0.25),
+        Colligation(SignatureSpace(0, 0), 2, 1, np.zeros((0, 0)),
+                    np.zeros((0, 2)), np.zeros((1, 0)), [[0.6, 0.0]]),
+    ])
+    def test_nonzero_left_defect_refused_before_any_plan(self, monkeypatch,
+                                                         system):
+        plans = spy(monkeypatch, schur._model_plan)
+        with pytest.raises(PreconditionError, match="left defect"):
+            canonical_coisometric_realization(system)
+        assert plans == []
 
 
 class TestKernelDecomposition:
