@@ -78,9 +78,14 @@ def _encode_matrix(M):
     return [[[float(v.real), float(v.imag)] for v in row] for row in M]
 
 
+def _is_number(x):
+    # JSON true and false decode to bool, a subclass of int
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _decode_entry(obj, field, source):
     if (not isinstance(obj, (list, tuple)) or len(obj) != 2
-            or not all(isinstance(x, (int, float)) for x in obj)):
+            or not all(map(_is_number, obj))):
         raise InputError(
             f"{source}: field {field}: expected a two-number [re, im] pair")
     try:
@@ -230,7 +235,10 @@ def _load_taylor(path):
     if order_bound is not None and (not isinstance(order_bound, int)
                                     or isinstance(order_bound, bool)):
         raise InputError(f"{source}: field order_bound: expected an integer")
-    return coeffs, order_bound, doc.get("metadata", {}), record
+    meta = doc.get("metadata", {})
+    if not isinstance(meta, dict):
+        raise InputError(f"{source}: field metadata: expected an object")
+    return coeffs, order_bound, meta, record
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +283,13 @@ def _resolve_tolerances(args, *metas):
         for key, value in overrides.items():
             if key not in valid:
                 raise InputError(f"unknown tolerance override {key!r}")
+            if isinstance(getattr(DEFAULT_TOL, key), int):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise InputError(
+                        f"tolerance override {key!r}: expected an integer")
+            elif not _is_number(value):
+                raise InputError(
+                    f"tolerance override {key!r}: expected a number")
             fields[key] = value
     if args.tol is not None:
         fields["metric_tol"] = args.tol

@@ -353,14 +353,28 @@ def markov(system, k):
 
 
 def _taylor_stack(system, order):
-    """Taylor coefficients 0..order as an (order + 1, p, m) stack, C A^(k-1) B
-    taken from one running product A^(k-1) B."""
-    out = np.empty((order + 1,) + system.D.shape, dtype=complex)
+    """Taylor coefficients 0..order as an (order + 1, p, m) stack.
+
+    The block [B, AB, ..., A^(order-1) B] is built by doubling: its first
+    2^j blocks times A^(2^j) are the next 2^j, so it takes one product by
+    A^(2^j) and one squaring per step, and one product by C for all orders.
+    """
+    n = system.A.shape[0]
+    p, m = system.D.shape
+    out = np.empty((order + 1, p, m), dtype=complex)
     out[0] = system.D
-    X = system.B
-    for k in range(1, order + 1):
-        out[k] = system.C @ X
-        X = system.A @ X
+    if order == 0:
+        return out
+    K = np.empty((n, order * m), dtype=complex)  # block k is A^k B
+    K[:, :m] = system.B
+    P, done = system.A, 1  # P = A^done
+    while done < order:
+        step = min(done, order - done)
+        K[:, done * m:(done + step) * m] = P @ K[:, :step * m]
+        done += step
+        if done < order:
+            P = P @ P
+    out[1:] = (system.C @ K).reshape(p, order, m).transpose(1, 0, 2)
     return out
 
 
@@ -369,36 +383,44 @@ def _krylov_basis(A, B, tol):
 
     Each new block is orthogonalized twice against the basis so far, and
     singular values at or below rank_tol * max(1, |A|_F, |B|_F) are
-    deflated.  Also returns the recurrence coefficients (H_k, T_k): block
-    k of Q is (X_k - Q_<k H_k) T_k, with X_0 = B and X_k = A (block k-1);
+    deflated.  The basis is written into one n x n buffer.  Also returns
+    the recurrence steps (H_k, Vh_k, s_k): block k of Q is
+    (X_k - Q_<k H_k) Vh_k^H / s_k, with X_0 = B and X_k = A (block k-1);
     _krylov_map replays them on a second system.
     """
     n = A.shape[0]
     cut = tol.rank_tol * max(1.0, np.linalg.norm(A), np.linalg.norm(B))
-    Q = np.zeros((n, 0), dtype=complex)
+    Q = np.empty((n, n), dtype=complex)
     steps = []
+    k = 0
     X = B
-    while X.shape[1] and Q.shape[1] < n:
-        Qh = Q.conj().T
+    while X.shape[1] and k < n:
+        Qk = Q[:, :k]
+        Qh = Qk.conj().T
         H = Qh @ X
-        H += Qh @ (X - Q @ H)
-        U, s, Vh, info = zgesvd(X - Q @ H, full_matrices=0)
+        H += Qh @ (X - Qk @ H)
+        U, s, Vh, info = zgesvd(X - Qk @ H, full_matrices=0)
         if info:
             raise np.linalg.LinAlgError("SVD did not converge")
-        r = min(int(np.sum(s > cut)), n - Q.shape[1])
+        r = min(sum(v > cut for v in s.tolist()), n - k)
         if r == 0:
             break
-        steps.append((H, Vh[:r].conj().T / s[:r]))
-        Q = np.hstack([Q, U[:, :r]])
+        steps.append((H, Vh[:r], s[:r]))
+        Q[:, k:k + r] = U[:, :r]
         X = A @ U[:, :r]
-    return Q, steps
+        k += r
+    return Q[:, :k], steps
+
+
+def _observable_span(system, tol):
+    """Orthonormal basis of span[C^H, A^H C^H, ...], the orthogonal
+    complement of the unobservable kernel {x : C A^k x = 0 for all k}."""
+    return _krylov_basis(system.A.conj().T, system.C.conj().T, tol)[0]
 
 
 def _unobservable(system, tol):
-    """Kernel of the observability map, {x : C A^k x = 0 for all k}: the
-    orthogonal complement of span[C^H, A^H C^H, ...]."""
-    Q, _ = _krylov_basis(system.A.conj().T, system.C.conj().T, tol)
-    return nullspace(Q.conj().T, tol)
+    """Kernel of the observability map, {x : C A^k x = 0 for all k}."""
+    return nullspace(_observable_span(system, tol).conj().T, tol)
 
 
 @dataclass(frozen=True)
@@ -430,12 +452,16 @@ def krylov_report(system, tol=DEFAULT_TOL):
 
 
 def _krylov_report(system, tol):
-    """krylov_report with the recurrence (Q, steps) of the reachable span."""
+    """krylov_report with the recurrence (Q, steps) of the reachable span.
+
+    The observable span is the reachable span of adjoint_system(system),
+    whose blocks J A^H J and J C^H are A^H and C^H with rows sign-flipped:
+    it is J span[C^H, A^H C^H, ...], taken without building the adjoint.
+    """
     sp = system.state
     n = sp.dim
-    adj = adjoint_system(system)
     Qc, steps = _krylov_basis(system.A, system.B, tol)
-    Qo, _ = _krylov_basis(adj.A, adj.B, tol)  # spans the observable subspace
+    Qo = sp.signs[:, None] * _observable_span(system, tol)
     full = [Q for Q in (Qc, Qo) if Q.shape[1] == n]
     Qs = full[0] if full else column_space(np.hstack([Qc, Qo]), tol)
     Xc = IndefiniteSubspace(sp, Qc)
@@ -622,13 +648,17 @@ def _intertwining_residuals(s1, s2, Z):
 def _krylov_map(recurrence, s2):
     """Z = V2 Q1^H, (Q1, steps) the Krylov recurrence of a system s1 and V2
     its replay on s2, which is Z Q1 when s2 is s1 in the coordinates
-    x2 = Z x1."""
+    x2 = Z x1.  Block k of V2 is (X_k - V2_<k H_k) Vh_k^H / s_k, written
+    into one buffer."""
     Q1, steps = recurrence
-    V = np.zeros((s2.state_dim, 0), dtype=complex)
+    V = np.empty((s2.state_dim, Q1.shape[1]), dtype=complex)
     X = s2.B
-    for H, T in steps:
-        V = np.hstack([V, (X - V @ H) @ T])
-        X = s2.A @ V[:, -T.shape[1]:]
+    k = 0
+    for H, Vh, s in steps:
+        Vk = V[:, k:k + s.size]
+        Vk[...] = (X - V[:, :k] @ H) @ (Vh.conj().T / s)
+        X = s2.A @ Vk
+        k += s.size
     return V @ Q1.conj().T
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .colligation import (
     Colligation,
     SystemKind,
-    _krylov_basis,
+    _observable_span,
     adjoint_system,
     classify,
     system_kind,
@@ -902,7 +902,7 @@ def _model_plan(S, per_ring, tol):
 def _observable_dimension(system, tol):
     """Dimension of the observable space of the system, the rank of its
     observability map x -> (C A^k x)_k."""
-    return _krylov_basis(system.A.conj().T, system.C.conj().T, tol)[0].shape[1]
+    return _observable_span(system, tol).shape[1]
 
 
 # kind of adjoint_system(system) by the kind of system: the adjoint's

@@ -125,8 +125,12 @@ class TestSystemFile:
          "field A[0][0]: number too large for a float"),
         (lambda doc: doc["D"][0].__setitem__(0, [0.0, -int("7" * 401)]),
          "field D[0][0]: number too large for a float"),
+        (lambda doc: doc["A"][0].__setitem__(0, [True, 0.1]),
+         "field A[0][0]: expected a two-number [re, im] pair"),
+        (lambda doc: doc["B"][0].__setitem__(0, [0.5, False]),
+         "field B[0][0]: expected a two-number [re, im] pair"),
     ], ids=["short-pair", "string-part", "short-row", "no-rows", "missing",
-            "huge-real", "huge-imag"])
+            "huge-real", "huge-imag", "bool-real", "bool-imag"])
     def test_decode_errors_name_the_entry(self, tmp_path, capsys, edit,
                                           reason):
         path = tmp_path / "entry.json"
@@ -174,6 +178,56 @@ class TestSystemFile:
         assert report["inputs"]["system"] == {
             "path": path,
             "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+
+
+def _taylor_doc(system, count=8):
+    return {"coefficients": [
+        [[[v.real, v.imag] for v in row] for row in markov(system, k)]
+        for k in range(count)]}
+
+
+_BAD_OVERRIDES = [
+    ("rank_tol", "x", "a number"),
+    ("psd_tol", True, "a number"),
+    ("metric_tol", None, "a number"),
+    ("seed", 1.5, "an integer"),
+    ("disc_samples", False, "an integer"),
+    ("boundary_samples", "64", "an integer"),
+]
+
+
+class TestToleranceOverrides:
+    @pytest.mark.parametrize("key, value, want", _BAD_OVERRIDES,
+                             ids=[f"{k}-{v!r}" for k, v, _ in _BAD_OVERRIDES])
+    @pytest.mark.parametrize("command", ["classify", "realize"])
+    def test_mistyped_override_names_the_field(self, tmp_path, capsys,
+                                               command, key, value, want):
+        system = blaschke_system(0.5)
+        if command == "realize":
+            doc = _taylor_doc(system)
+        else:
+            doc = system_to_json(system)
+        doc["metadata"] = {"tolerances": {key: value}}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, _ = run_cli(tmp_path, command, str(path))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InputError",
+                       "reason": f"tolerance override {key!r}: expected {want}"}
+
+    @pytest.mark.parametrize("command", ["classify", "realize"])
+    def test_typed_override_lands_in_report(self, tmp_path, command):
+        system = blaschke_system(0.5)
+        doc = _taylor_doc(system) if command == "realize" else system_to_json(system)
+        doc["metadata"] = {"tolerances": {"seed": 5, "metric_tol": 1e-7,
+                                          "rank_tol": 1e-11}}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_cli(tmp_path, command, str(path))
+        assert code == 0
+        assert (report["tolerances"]["seed"], report["tolerances"]["metric_tol"],
+                report["tolerances"]["rank_tol"]) == (5, 1e-7, 1e-11)
 
 
 class TestClassify:
@@ -501,6 +555,29 @@ class TestRealize:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "InputError", "reason": f"{path}: field "
                        "coefficients[1][0][0]: number too large for a float"}
+
+    @pytest.mark.parametrize("metadata", [[1], "tolerances", 3])
+    def test_non_object_metadata_is_refused(self, tmp_path, capsys, metadata):
+        doc = _taylor_doc(blaschke_system(0.5))
+        doc["metadata"] = metadata
+        path = tmp_path / "taylor.json"
+        path.write_text(json.dumps(doc))
+        code, _ = run_cli(tmp_path, "realize", str(path))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InputError",
+                       "reason": f"{path}: field metadata: expected an object"}
+
+    def test_boolean_taylor_entry_names_the_entry(self, tmp_path, capsys):
+        doc = _taylor_doc(blaschke_system(0.5))
+        doc["coefficients"][2][0][0] = [True, 0.1]
+        path = tmp_path / "taylor.json"
+        path.write_text(json.dumps(doc))
+        code, _ = run_cli(tmp_path, "realize", str(path))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InputError", "reason": f"{path}: field "
+                       "coefficients[2][0][0]: expected a two-number [re, im] pair"}
 
     def test_malformed_taylor_json_names_the_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -324,6 +324,111 @@ class TestKrylov:
         assert same_span(comp_s, np.eye(3)[:, 2:])
 
 
+def _hidden_block_system(rng, kind, n, kappa, io):
+    """A random passive or conservative system with a decoupled three-state
+    metric-unitary block: neither reachable nor observable."""
+    state = SignatureSpace(n - 3 - kappa, kappa)
+    if kind == "passive":
+        visible = random_passive_colligation(rng, state, io, io, strict=0.2)
+    else:
+        visible = random_conservative_colligation(rng, state, io)
+    U = random_j_unitary(rng, SignatureSpace(2, 1))
+    nv = n - 3
+    return Colligation(
+        SignatureSpace.from_signs(np.concatenate([visible.state.signs, [1.0, 1.0, -1.0]])),
+        io, io,
+        np.block([[visible.A, np.zeros((nv, 3))], [np.zeros((3, nv)), U]]),
+        np.vstack([visible.B, np.zeros((3, io))]),
+        np.hstack([visible.C, np.zeros((io, 3))]), visible.D)
+
+
+def _recurrence_systems():
+    """Passive, conservative and hidden-block systems, some of whose spans
+    are not the whole state, with empty and zero-width edge cases."""
+    rng = np.random.default_rng([15, 2])
+    return {
+        "blaschke": blaschke_system(0.4),
+        "inverse-blaschke": inverse_blaschke_system(0.6),
+        "passive": random_passive_colligation(rng, SignatureSpace(5, 2), 2, 3, strict=0.2),
+        "conservative": random_conservative_colligation(rng, SignatureSpace(10, 3), 2),
+        "hidden-passive": _hidden_block_system(rng, "passive", 12, 2, 1),
+        "hidden-conservative": _hidden_block_system(rng, "conservative", 16, 3, 2),
+        # reachable span e1, observable span e2, third mode dead
+        "split-spans": Colligation(SignatureSpace(2, 1), 1, 1, np.diag([0.3, 0.4, 0.5]),
+                                   [[0.2], [0.0], [0.0]], [[0.0, 0.2, 0.0]], [[0.0]]),
+        "empty-state": Colligation(SignatureSpace(0, 0), 2, 1, np.zeros((0, 0)),
+                                   np.zeros((0, 2)), np.zeros((1, 0)), [[0.5, 0.25]]),
+        "no-input": Colligation(SignatureSpace(2, 1), 0, 2, np.diag([0.3, 0.4, 2.0]),
+                                np.zeros((3, 0)), np.ones((2, 3)), np.zeros((2, 0))),
+        "no-output": Colligation(SignatureSpace(2, 1), 2, 0, np.diag([0.3, 0.4, 2.0]),
+                                 np.ones((3, 2)), np.zeros((0, 3)), np.zeros((0, 2))),
+    }
+
+
+RECURRENCE_SYSTEMS = _recurrence_systems()
+
+
+class TestKrylovRecurrences:
+    @pytest.mark.parametrize("name", list(RECURRENCE_SYSTEMS))
+    def test_taylor_stack_matches_markov(self, name):
+        system = RECURRENCE_SYSTEMS[name]
+        n = system.state_dim
+        for order in sorted({0, 1, 2 * n + 1}):
+            stack = colligation._taylor_stack(system, order)
+            assert stack.shape == (order + 1, system.output_dim, system.input_dim)
+            for k in range(order + 1):
+                want = markov(system, k)
+                scale = max(1.0, np.linalg.norm(system.C) * np.linalg.norm(system.B)
+                            * np.linalg.norm(system.A) ** max(k - 1, 0))
+                assert np.linalg.norm(stack[k] - want) <= 1e-13 * scale, (order, k)
+                if k == 0:
+                    assert np.array_equal(stack[k], want)
+
+    @pytest.mark.parametrize("name", list(RECURRENCE_SYSTEMS))
+    def test_observable_span_is_the_adjoints_reachable_span(self, name):
+        system = RECURRENCE_SYSTEMS[name]
+        observable = krylov_report(system).observable_space.basis
+        reachable = krylov_report(adjoint_system(system)).controllable_space.basis
+        assert observable.shape == reachable.shape
+        assert same_span(observable, reachable, angle_tol=1e-10)
+
+    def test_spans_that_are_not_full_are_covered(self):
+        dims = {name: (krylov_report(s).controllable_space.dim,
+                       krylov_report(s).observable_space.dim, s.state_dim)
+                for name, s in RECURRENCE_SYSTEMS.items()}
+        assert dims["hidden-passive"] == (9, 9, 12)
+        assert dims["hidden-conservative"] == (13, 13, 16)
+        assert dims["split-spans"] == (1, 1, 3)
+        assert dims["no-input"][0] == 0 and dims["no-output"][1] == 0
+
+    def test_krylov_report_builds_no_adjoint(self, monkeypatch):
+        calls = spy(monkeypatch, colligation.adjoint_system)
+        for system in RECURRENCE_SYSTEMS.values():
+            krylov_report(system)
+            classify(system)
+        assert calls == []
+
+    @pytest.mark.parametrize("A, B", [
+        (np.zeros((0, 0)), np.zeros((0, 2))),
+        (np.zeros((0, 0)), np.zeros((0, 0))),
+        (np.diag([0.5, 0.25, 2.0]), np.zeros((3, 0))),
+    ], ids=["empty-state", "empty-state-no-input", "no-input"])
+    def test_krylov_basis_is_empty(self, A, B):
+        Q, steps = colligation._krylov_basis(A, B, DEFAULT_TOL)
+        assert Q.shape == (A.shape[0], 0)
+        assert steps == []
+
+    @pytest.mark.parametrize("name", list(RECURRENCE_SYSTEMS))
+    def test_replay_on_itself_projects_onto_the_reachable_span(self, name):
+        system = RECURRENCE_SYSTEMS[name]
+        Q, steps = colligation._krylov_basis(system.A, system.B, DEFAULT_TOL)
+        assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-12)
+        # the bound of weak_similarity's intertwining certificate: the
+        # replay divides by singular values down to the deflation cut
+        Z = colligation._krylov_map((Q, steps), system)
+        assert np.linalg.norm(Z - Q @ Q.conj().T) <= 1e-8
+
+
 def _hautus(A, B):
     """Hautus (PBH) distance of (A, B): the smallest sigma_min([A - lam I, B])
     over the eigenvalues lam of A; zero exactly when (A, B) is uncontrollable."""
@@ -368,15 +473,7 @@ class TestPBHOracle:
         # a decoupled three-state block with signature (2, 1): neither
         # reachable nor observable, whatever the visible part
         rng, kappa, io = self.shape(kind, n, 10)
-        visible = self.random_system(rng, kind, SignatureSpace(n - 3 - kappa, kappa), io)
-        U = random_j_unitary(rng, SignatureSpace(2, 1))
-        nv = n - 3
-        sys1 = Colligation(
-            SignatureSpace.from_signs(np.concatenate([visible.state.signs, [1.0, 1.0, -1.0]])),
-            io, io,
-            np.block([[visible.A, np.zeros((nv, 3))], [np.zeros((3, nv)), U]]),
-            np.vstack([visible.B, np.zeros((3, io))]),
-            np.hstack([visible.C, np.zeros((io, 3))]), visible.D)
+        sys1 = _hidden_block_system(rng, kind, n, kappa, io)
         assert _hautus(sys1.A, sys1.B) < 1e-12
         rep = krylov_report(sys1)
         assert rep.controllable_space.dim == rep.observable_space.dim == n - 3
