@@ -28,6 +28,7 @@ from .exceptions import (
     InternalConsistencyError,
     OrderAmbiguityError,
     PoleProximityError,
+    PontsysError,
     PreconditionError,
     _certify_scaled,
     _norm2,
@@ -383,20 +384,25 @@ def _krylov_basis(A, B, tol):
 
     Each new block is orthogonalized twice against the basis so far, and
     singular values at or below rank_tol * max(1, |A|_F, |B|_F) are
-    deflated.  The basis is written into one n x n buffer.  Also returns
-    the recurrence steps (H_k, Vh_k, s_k): block k of Q is
-    (X_k - Q_<k H_k) Vh_k^H / s_k, with X_0 = B and X_k = A (block k-1);
-    _krylov_map replays them on a second system.
+    deflated.  The basis is written into one n x n buffer, and its
+    conjugate transpose into a second one beside it, so no step copies the
+    basis so far.  Also returns the recurrence steps (H_k, Vh_k, s_k):
+    block k of Q is (X_k - Q_<k H_k) Vh_k^H / s_k, with X_0 = B and
+    X_k = A (block k-1); _krylov_map replays them on a second system.
     """
     n = A.shape[0]
     cut = tol.rank_tol * max(1.0, np.linalg.norm(A), np.linalg.norm(B))
     Q = np.empty((n, n), dtype=complex)
+    # row j is the conjugate of column j of Q; Fortran order lays the first
+    # k rows out as the conjugate transpose of Q[:, :k] is laid out
+    Qt = np.empty((n, n), dtype=complex, order="F")
     steps = []
     k = 0
     X = B
     while X.shape[1] and k < n:
         Qk = Q[:, :k]
-        Qh = Qk.conj().T
+        # one row makes a BLAS dot, which rounds a strided row differently
+        Qh = Qt[:k] if k > 1 else Qk.conj().T
         H = Qh @ X
         H += Qh @ (X - Qk @ H)
         U, s, Vh, info = zgesvd(X - Qk @ H, full_matrices=0)
@@ -407,6 +413,7 @@ def _krylov_basis(A, B, tol):
             break
         steps.append((H, Vh[:r], s[:r]))
         Q[:, k:k + r] = U[:, :r]
+        Qt[k:k + r] = U[:, :r].conj().T
         X = A @ U[:, :r]
         k += r
     return Q[:, :k], steps
@@ -464,12 +471,10 @@ def _krylov_report(system, tol):
     Qo = sp.signs[:, None] * _observable_span(system, tol)
     full = [Q for Q in (Qc, Qo) if Q.shape[1] == n]
     Qs = full[0] if full else column_space(np.hstack([Qc, Qo]), tol)
-    Xc = IndefiniteSubspace(sp, Qc)
-    Xo = IndefiniteSubspace(sp, Qo)
-    Xs = IndefiniteSubspace(sp, Qs)
+    Xc, Xo, Xs = (IndefiniteSubspace._orthonormal(sp, Q) for Q in (Qc, Qo, Qs))
     # a span that is the whole state has the zero subspace as complement
     kinds = {name: SubspaceKind.HILBERT if X.dim == n else subspace_classify(
-        IndefiniteSubspace(sp, orthocomplement_basis(X, tol)), tol)
+        IndefiniteSubspace._orthonormal(sp, orthocomplement_basis(X, tol)), tol)
         for name, X in (("controllable", Xc), ("observable", Xo), ("simple", Xs))}
     return (KrylovReport(Xc, Xo, Xs, Xc.dim == n, Xo.dim == n, Xs.dim == n, kinds),
             (Qc, steps))
@@ -702,19 +707,41 @@ def unitary_similarity(s1, s2, tol=DEFAULT_TOL):
     return None
 
 
+def _minimal_recurrence(system, tol):
+    """The reachable recurrence of _krylov_report, refused unless the
+    system is minimal."""
+    rep, recurrence = _krylov_report(system, tol)
+    if not (rep.controllable and rep.observable):
+        raise PreconditionError("weak similarity requires minimal systems")
+    return recurrence
+
+
 def weak_similarity(s1, s2, tol=DEFAULT_TOL):
     """Similarity defined on the reachable vectors, certified invertible.
 
     Requires minimal systems whose Taylor coefficients agree through twice
     the larger state dimension.  Z replays the first system's orthonormal
     Krylov recurrence on the second and is invertible at finite dimension.
+    The second system's Krylov report is built only when the state
+    dimensions differ or a later check fails: at equal dimensions the
+    certified invertible intertwiner makes it similar to the minimal first
+    one.  A failing input is refused as non-minimal when the second system
+    is, before any other reason.
     """
-    recurrences = []
-    for s in (s1, s2):
-        rep, recurrence = _krylov_report(s, tol)
-        if not (rep.controllable and rep.observable):
-            raise PreconditionError("weak similarity requires minimal systems")
-        recurrences.append(recurrence)
+    recurrence = _minimal_recurrence(s1, tol)
+    if s1.state_dim != s2.state_dim:
+        _minimal_recurrence(s2, tol)
+    try:
+        return _weak_map(s1, s2, recurrence, tol)
+    except PontsysError:
+        if s1.state_dim == s2.state_dim:
+            _minimal_recurrence(s2, tol)
+        raise
+
+
+def _weak_map(s1, s2, recurrence, tol):
+    """weak_similarity past the minimality of s1 (and of s2 at unequal
+    state dimensions)."""
     if s1.input_dim != s2.input_dim or s1.output_dim != s2.output_dim:
         raise PreconditionError("weak similarity requires matching input/output")
     N = 2 * max(s1.state_dim, s2.state_dim)
@@ -728,7 +755,7 @@ def weak_similarity(s1, s2, tol=DEFAULT_TOL):
     if bad.size:
         raise PreconditionError(
             f"Taylor coefficients differ at order {bad[0]}; no weak similarity")
-    Z = _krylov_map(recurrences[0], s2)
+    Z = _krylov_map(recurrence, s2)
     residuals = _intertwining_residuals(s1, s2, Z)
     # np.linalg.norm(Z, 2) is the largest of these same singular values
     sv = np.linalg.svd(Z, compute_uv=False)

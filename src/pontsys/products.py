@@ -28,6 +28,7 @@ from .exceptions import (
     DimensionMismatchError,
     InputError,
     InternalConsistencyError,
+    NonRegularSubspaceError,
     PreconditionError,
     _certify_residual,
     _certify_scaled,
@@ -41,7 +42,6 @@ from .indefinite import (
     SubspaceKind,
     _DiscSchur,
     canonical_basis,
-    j_complement,
     nullspace,
     orthocomplement_basis,
     principal_angles,
@@ -231,7 +231,8 @@ def _splittable(system, tol):
 def _positive_band(form, basis, state, tol):
     """Refuse the eigenvalues near the unit circle unless their spectral
     subspace (basis) is positive; then they belong with the inside ones."""
-    if subspace_classify(IndefiniteSubspace(state, basis), tol) != SubspaceKind.HILBERT:
+    if subspace_classify(IndefiniteSubspace._orthonormal(state, basis),
+                         tol) != SubspaceKind.HILBERT:
         lam = np.diag(form.T)[form.near][0]
         raise AmbiguousSpectrumError(
             f"eigenvalue {lam} lies within {tol.metric_tol:g} of the unit circle")
@@ -241,7 +242,12 @@ def _fundamental_splits(system, tol):
     """invariant_fundamental_decompositions past its preconditions.
 
     Returns (plus-invariant split, minus-invariant split, radius), radius
-    the spectral radius of A on the positive invariant half.
+    the spectral radius of A on the positive invariant half.  Each split
+    comes from one reordering Z of a single Schur form of A: the invariant
+    half is Z[:, :k], and as Z is unitary its metric complement
+    {x : Z[:, :k]^H J x = 0} is J Z[:, k:], so no SVD is taken.  Each half
+    is classified once; a degenerate invariant half raises
+    NonRegularSubspaceError, as j_complement does.
     """
     kappa = system.kappa
     state = system.state
@@ -251,6 +257,7 @@ def _fundamental_splits(system, tol):
                 FundamentalSplit(SplitKind.MINUS_INVARIANT, empty, empty, 0.0),
                 0.0)
     A = system.A
+    signs = state.signs
 
     def invariance(sub):
         # Euclidean residual on an orthonormal basis.  The metric
@@ -265,17 +272,31 @@ def _fundamental_splits(system, tol):
         return _certify_scaled("invariance residual", resid, 1e-9,
                                lambda: max(1.0, _norm2(A)))
 
-    def check_halves(plus, minus):
+    def halves(Z, k, invariant_is_plus):
+        """(plus, minus): the invariant half Z[:, :k] and its metric
+        complement J Z[:, k:], each classified once and certified of its
+        sign; their dimensions add up by construction."""
+        invariant = IndefiniteSubspace._orthonormal(state, Z[:, :k])
+        invariant_kind = subspace_classify(invariant, tol)
+        if invariant_kind == SubspaceKind.DEGENERATE:
+            raise NonRegularSubspaceError(
+                "complement of a degenerate subspace is not direct")
+        complement = IndefiniteSubspace._orthonormal(state, signs[:, None] * Z[:, k:])
+        plus, minus = ((invariant, complement) if invariant_is_plus
+                       else (complement, invariant))
+
+        def kind(half):
+            return invariant_kind if half is invariant else subspace_classify(half, tol)
+
         if minus.dim != kappa:
             raise InternalConsistencyError(
                 f"negative half has dimension {minus.dim}, expected {kappa}")
-        if plus.dim + minus.dim != state.dim:
-            raise InternalConsistencyError("split dimensions do not add up")
-        if kappa and subspace_classify(minus, tol) != SubspaceKind.ANTIHILBERT:
+        if kappa and kind(minus) != SubspaceKind.ANTIHILBERT:
             raise InternalConsistencyError(
                 "negative half is not uniformly negative")
-        if plus.dim and subspace_classify(plus, tol) != SubspaceKind.HILBERT:
+        if plus.dim and kind(plus) != SubspaceKind.HILBERT:
             raise InternalConsistencyError("positive half is not positive")
+        return plus, minus
 
     # Each split's invariant half is a spectral subspace of one Schur form
     # of A, never a metric complement: the outside-disc subspace for the
@@ -291,9 +312,7 @@ def _fundamental_splits(system, tol):
         Z, _, k = form.reordered(form.near)
         _positive_band(form, Z[:, :k], state, tol)
     Z, _, k = form.reordered(form.outside)
-    minus1 = IndefiniteSubspace(state, Z[:, :k])
-    plus1 = j_complement(minus1, tol)
-    check_halves(plus1, minus1)
+    plus1, minus1 = halves(Z, k, False)
     split_minus = FundamentalSplit(
         SplitKind.MINUS_INVARIANT, plus1, minus1, invariance(minus1))
 
@@ -301,9 +320,7 @@ def _fundamental_splits(system, tol):
         Z, _, k = form.reordered(~form.near)
         _positive_band(form, Z[:, k:], state, tol)
     Z, w, k = form.reordered(~form.outside)
-    plus2 = IndefiniteSubspace(state, Z[:, :k])
-    minus2 = j_complement(plus2, tol)
-    check_halves(plus2, minus2)
+    plus2, minus2 = halves(Z, k, True)
     split_plus = FundamentalSplit(
         SplitKind.PLUS_INVARIANT, plus2, minus2, invariance(plus2))
     return split_plus, split_minus, float(np.max(np.abs(w[:k]), initial=0.0))
@@ -432,8 +449,8 @@ def _factorize_nonsimple(system, rep, mode, tol):
     """
     state = system.state
     Ws, ssigns = canonical_basis(rep.simple_space, tol)
-    comp = orthocomplement_basis(rep.simple_space, tol)
-    comp_space = IndefiniteSubspace(state, comp)
+    comp_space = IndefiniteSubspace._orthonormal(
+        state, orthocomplement_basis(rep.simple_space, tol))
     if subspace_classify(comp_space, tol) != SubspaceKind.HILBERT:
         raise InternalConsistencyError(
             "orthocomplement of the connected part is not positive")

@@ -1,10 +1,16 @@
 """Shared pytest wiring for the suite.
 
-The only global piece is a terminal-summary hook: every test collected
-from test_acceptance.py is echoed after the run as a single PASS / FAIL
-line, so the release gate reads as one line per criterion regardless of
-verbosity settings.
+Two global pieces.  A terminal-summary hook echoes every test collected
+from test_acceptance.py after the run as a single PASS / FAIL line, so
+the release gate reads as one line per criterion regardless of verbosity
+settings.  An autouse fixture checks every basis that the library hands
+to IndefiniteSubspace._orthonormal, which skips the basis checks.
 """
+
+import numpy as np
+import pytest
+
+from pontsys.indefinite import IndefiniteSubspace
 
 _acceptance_outcomes = {}
 
@@ -29,3 +35,30 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         name = nodeid.split("::")[-1]
         terminalreporter.write_line(
             f"{_acceptance_outcomes[nodeid]}  {name}")
+
+
+@pytest.fixture(autouse=True)
+def orthonormal_bases(monkeypatch):
+    """Check every basis handed to IndefiniteSubspace._orthonormal, the
+    constructor that skips the basis checks, in every test of the suite.
+
+    Each basis must have the ambient dimension as its row count and
+    ||V^*V - I||_F <= 1e-3, far inside the 1/2 above which the skipped
+    test would have taken its SVD.  The test's own code may read the list
+    of (ambient dimension, shape, ||V^*V - I||_F) records; any violation
+    fails the test at teardown, so a caller that catches errors cannot
+    hide one.
+    """
+    seen = []
+    real = IndefiniteSubspace._orthonormal.__func__
+
+    def checked(cls, ambient, basis):
+        gram = basis.conj().T @ basis
+        error = float(np.sqrt(np.sum(np.abs(gram - np.eye(basis.shape[1])) ** 2)))
+        seen.append((ambient.dim, basis.shape, error))
+        return real(cls, ambient, basis)
+
+    monkeypatch.setattr(IndefiniteSubspace, "_orthonormal", classmethod(checked))
+    yield seen
+    bad = [rec for rec in seen if rec[1][0] != rec[0] or not rec[2] <= 1e-3]
+    assert not bad, f"validation-free bases out of bounds: {bad[:3]}"

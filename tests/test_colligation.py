@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import zgesvd
 
 from pontsys import colligation
 from pontsys.colligation import (
@@ -45,6 +46,7 @@ from pontsys.indefinite import (
     metric_defects,
 )
 from pontsys import sampling
+from pontsys.products import cascade
 from pontsys.sampling import (
     random_conservative_colligation,
     random_j_unitary,
@@ -368,6 +370,41 @@ def _recurrence_systems():
 RECURRENCE_SYSTEMS = _recurrence_systems()
 
 
+# The block Arnoldi loop before it kept a conjugate-transposed basis
+# buffer: each step copied the conjugate of the basis so far.  Kept as
+# the reference that _krylov_basis must reproduce bit for bit.
+def _old_krylov_basis(A, B, tol):
+    n = A.shape[0]
+    cut = tol.rank_tol * max(1.0, np.linalg.norm(A), np.linalg.norm(B))
+    Q = np.empty((n, n), dtype=complex)
+    steps = []
+    k = 0
+    X = B
+    while X.shape[1] and k < n:
+        Qk = Q[:, :k]
+        Qh = Qk.conj().T
+        H = Qh @ X
+        H += Qh @ (X - Qk @ H)
+        U, s, Vh, info = zgesvd(X - Qk @ H, full_matrices=0)
+        if info:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        r = min(sum(v > cut for v in s.tolist()), n - k)
+        if r == 0:
+            break
+        steps.append((H, Vh[:r], s[:r]))
+        Q[:, k:k + r] = U[:, :r]
+        X = A @ U[:, :r]
+        k += r
+    return Q[:, :k], steps
+
+
+# with one channel the second step multiplies by a single basis row, long
+# enough at n = 40 for BLAS to round a strided row differently
+BITWISE_SYSTEMS = dict(RECURRENCE_SYSTEMS, **{
+    "single-channel-40": random_passive_colligation(
+        np.random.default_rng([40, 1]), SignatureSpace(34, 6), 1, 1, strict=0.2)})
+
+
 class TestKrylovRecurrences:
     @pytest.mark.parametrize("name", list(RECURRENCE_SYSTEMS))
     def test_taylor_stack_matches_markov(self, name):
@@ -417,6 +454,17 @@ class TestKrylovRecurrences:
         Q, steps = colligation._krylov_basis(A, B, DEFAULT_TOL)
         assert Q.shape == (A.shape[0], 0)
         assert steps == []
+
+    @pytest.mark.parametrize("name", list(BITWISE_SYSTEMS))
+    def test_krylov_basis_is_bitwise_the_copying_loop(self, name):
+        system = BITWISE_SYSTEMS[name]
+        for A, B in ((system.A, system.B), (system.A.conj().T, system.C.conj().T)):
+            Q, steps = colligation._krylov_basis(A, B, DEFAULT_TOL)
+            Q_old, steps_old = _old_krylov_basis(A, B, DEFAULT_TOL)
+            assert np.array_equal(Q, Q_old)
+            assert len(steps) == len(steps_old)
+            for step, step_old in zip(steps, steps_old):
+                assert all(np.array_equal(a, b) for a, b in zip(step, step_old))
 
     @pytest.mark.parametrize("name", list(RECURRENCE_SYSTEMS))
     def test_replay_on_itself_projects_onto_the_reachable_span(self, name):
@@ -526,6 +574,29 @@ class TestPBHOracle:
         exact, = self.projected(sys1, np.argmax, [0.0], rng)
         assert _hautus(exact.A, exact.B) < 1e-12
         assert krylov_report(exact).controllable_space.dim in (n - 1, n)
+
+    @pytest.mark.parametrize("kind", ["passive", "conservative"])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_unchecked_bases_are_orthonormal(self, orthonormal_bases, kind, n):
+        # the Krylov report hands its bases to the constructor that skips
+        # the basis checks; the autouse fixture bounds ||V^*V - I||_F by
+        # 1e-3 on the near-uncontrollable, hidden-block and hidden
+        # dominant-mode plants of the tests above
+        rng, kappa, io = self.shape(kind, n, 20)
+        sys1 = self.random_system(rng, kind, SignatureSpace(n - kappa, kappa), io)
+        plants = self.projected(sys1, np.argmin, [0.0, 1e-6, 1e-8, 1e-10, 1e-13], rng)
+        rng, kappa, io = self.shape(kind, n, 10)
+        plants.append(_hidden_block_system(rng, kind, n, kappa, io))
+        rng, kappa, io = self.shape("passive", n, 30)
+        sys1 = self.random_system(rng, "passive", SignatureSpace(n - kappa, kappa), io)
+        plants += self.projected(sys1, np.argmax, [0.0], rng)
+        for plant in plants:
+            del orthonormal_bases[:]
+            krylov_report(plant)
+            # three spans and the complements of those that are not full
+            assert len(orthonormal_bases) >= 3
+            assert all(rows == n and shape[0] == n and error <= 1e-3
+                       for rows, shape, error in orthonormal_bases)
 
 
 class TestSimpKar:
@@ -646,6 +717,36 @@ class TestDilation:
         assert seen == [10, 21]
 
 
+def _weak_failures():
+    """(s1, s2, message) for inputs weak_similarity refuses before any map
+    is certified; each message is the one the two-report order gave."""
+    minimal = blaschke_system(0.5)
+    two = cascade(minimal, blaschke_system(0.3))
+    wide = Colligation(SignatureSpace(2, 0), 2, 1, two.A,
+                       np.hstack([two.B, np.zeros((2, 1))]), two.C,
+                       np.hstack([two.D, [[0.0]]]))
+    # second state unreachable and unobservable
+    dead = Colligation(SignatureSpace(2, 0), 1, 1,
+                       [[0.5, 0.0], [0.0, 0.3]], [[0.8], [0.0]],
+                       [[0.8, 0.0]], [[0.1]])
+    dead_wide = Colligation(SignatureSpace(2, 0), 2, 1, dead.A,
+                            np.hstack([dead.B, np.zeros((2, 1))]), dead.C,
+                            np.hstack([dead.D, [[0.0]]]))
+    nonminimal = "weak similarity requires minimal systems"
+    return {
+        "non-minimal s2, equal dimensions, other Taylor data": (two, dead, nonminimal),
+        "unequal dimensions": (
+            two, minimal, "Taylor coefficients differ at order 0; no weak similarity"),
+        "unequal dimensions, non-minimal s2": (minimal, dead, nonminimal),
+        "unequal dimensions, non-minimal s2, other I/O": (minimal, dead_wide, nonminimal),
+        "mismatched I/O": (two, wide, "weak similarity requires matching input/output"),
+        "mismatched I/O, non-minimal s2": (two, dead_wide, nonminimal),
+    }
+
+
+WEAK_FAILURES = _weak_failures()
+
+
 class TestSimilarity:
     def test_unitary_similarity_round_trip(self):
         rng = np.random.default_rng(7)
@@ -694,6 +795,25 @@ class TestSimilarity:
         assert not any(args[0] is sim.Z for args in norms)
         sv = np.linalg.svd(sim.Z, compute_uv=False)
         assert sim.residuals["inverse_condition"] == sv[-1] / sv[0]
+
+    def test_weak_similarity_builds_one_krylov_report(self, monkeypatch):
+        # at equal state dimensions the certified invertible map makes the
+        # second system similar to the minimal first one
+        rng = np.random.default_rng([24, 4, 2])
+        sys1 = random_conservative_colligation(rng, SignatureSpace(20, 4), 2)
+        sys2 = state_change(sys1, np.eye(24) + 0.01 * rng.standard_normal((24, 24)),
+                            sys1.state)
+        calls = spy(monkeypatch, colligation._krylov_report)
+        weak_similarity(sys1, sys2)
+        assert [args[0] for args in calls] == [sys1]
+
+    @pytest.mark.parametrize("case", list(WEAK_FAILURES))
+    def test_weak_similarity_failures_keep_their_reason(self, case):
+        s1, s2, message = WEAK_FAILURES[case]
+        with pytest.raises(PreconditionError) as info:
+            weak_similarity(s1, s2)
+        assert type(info.value) is PreconditionError
+        assert str(info.value) == message
 
     def test_unitary_similarity_rejects_balanced_form(self):
         sys1 = blaschke_system(0.5)

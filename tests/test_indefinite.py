@@ -350,6 +350,42 @@ class TestSubspaceRankCheck:
         assert len(calls) == len(checked)
 
 
+class TestOrthonormalConstructor:
+    """IndefiniteSubspace._orthonormal holds a basis the library built
+    orthonormal as a read-only view, with no copy and no check."""
+
+    def test_basis_is_a_read_only_view_and_unchecked(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        sp = SignatureSpace(3, 3)
+        Q = _orthonormal(rng, 6, 3)
+        svd = spy_attr(monkeypatch, np.linalg, "svd")
+        norms = spy_attr(monkeypatch, np.linalg, "norm")
+        sub = IndefiniteSubspace._orthonormal(sp, Q)
+        assert svd == [] and norms == []
+        assert np.shares_memory(sub.basis, Q) and not sub.basis.flags.writeable
+        assert Q.flags.writeable
+        assert sub.ambient is sp and sub.dim == 3
+
+    def test_library_subspaces_are_read_only(self):
+        rng = np.random.default_rng(46)
+        sp = SignatureSpace(4, 2)
+        A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        inside = spectral_subspace(A, sp, "inside_open_disc", on_boundary="exclude")
+        complement = j_complement(IndefiniteSubspace(sp, _orthonormal(rng, 6, 2)))
+        for sub in (inside, complement):
+            assert not sub.basis.flags.writeable
+            assert sub.basis.shape[0] == 6
+
+    @pytest.mark.parametrize("space", [SignatureSpace(3, 2),
+                                       SignatureSpace.from_signs([1, -1, 1])])
+    def test_signs_are_computed_once_and_read_only(self, space):
+        signs = space.signs
+        assert space.signs is signs
+        assert not signs.flags.writeable
+        assert signs.dtype == np.float64
+        assert np.array_equal(np.diag(space.J).real, signs)
+
+
 class TestFactorizations:
     def test_psd_factor_reconstructs(self):
         rng = np.random.default_rng(31)

@@ -17,6 +17,7 @@ from pontsys.exceptions import (
     AmbiguousSpectrumError,
     DimensionMismatchError,
     InputError,
+    NonRegularSubspaceError,
     PreconditionError,
 )
 from pontsys.indefinite import (
@@ -253,6 +254,23 @@ class TestFundamentalSplits:
         alpha = 1.0 - 1e-10
         with pytest.raises(AmbiguousSpectrumError):
             invariant_fundamental_decompositions(inverse_blaschke_system(alpha))
+
+    @pytest.mark.parametrize("eigenvectors, eigenvalues", [
+        # the outside-disc line (1, 1) is neutral: the first split fails
+        ([[1.0, 1.0], [1.0, -1.0]], [2.0, 0.5]),
+        # the outside-disc line e2 is negative, the inside one (1, 1)
+        # neutral: the first split passes and the second fails
+        ([[0.0, 1.0], [1.0, 1.0]], [2.0, 0.5]),
+    ], ids=["outside", "inside"])
+    def test_degenerate_invariant_half_is_refused(self, eigenvectors, eigenvalues):
+        # past the preconditions, which no passive system violates this way
+        V = np.array(eigenvectors)
+        A = V @ np.diag(eigenvalues) @ np.linalg.inv(V)
+        system = Colligation(SignatureSpace(1, 1), 1, 1, A,
+                             [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]])
+        with pytest.raises(NonRegularSubspaceError,
+                           match="^complement of a degenerate subspace is not direct$"):
+            _fundamental_splits(system, DEFAULT_TOL)
 
     def test_preconditions(self):
         expansive = Colligation(SignatureSpace(1, 0), 1, 1,
@@ -584,8 +602,9 @@ class TestOneSchurForm:
 
 class TestDecompositionCounts:
     """Conservative n = 40, kappa = 8: the Hermitian certificates of the
-    factorization and of the stability class take no eigenvalue solve, and
-    the factorization's spectral norms are only its reported residuals."""
+    factorization and of the stability class take no eigenvalue solve, the
+    factorization's spectral norms are only its reported residuals, and
+    the splits take no SVD."""
 
     def system(self):
         rng = np.random.default_rng(44)
@@ -606,3 +625,15 @@ class TestDecompositionCounts:
         eigvalsh = spy_attr(monkeypatch, np.linalg, "eigvalsh")
         assert stability_classify(system).kappa == 8
         assert eigvalsh == []
+
+    def test_splits_take_no_svd_and_classify_each_half_once(self, monkeypatch):
+        # each metric complement is J times the other Schur vectors
+        system = self.system()
+        svd = spy_attr(monkeypatch, np.linalg, "svd")
+        kinds = spy(monkeypatch, subspace_classify)
+        split_plus, split_minus, _ = _fundamental_splits(system, DEFAULT_TOL)
+        assert svd == []
+        for split in (split_plus, split_minus):
+            assert (split.Xplus.dim, split.Xminus.dim) == (32, 8)
+            for half in (split.Xplus, split.Xminus):
+                assert sum(args[0] is half for args in kinds) == 1
