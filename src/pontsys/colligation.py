@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum as _Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import zgesvd
@@ -41,6 +42,7 @@ from .indefinite import (
     SignatureSpace,
     SubspaceKind,
     _defect_class,
+    _DiscSchur,
     as_matrix,
     canonical_basis,
     column_space,
@@ -146,9 +148,15 @@ class Colligation:
     def kappa(self):
         return self.state.neg
 
+    @cached_property
+    def _spectrum(self):
+        """Complex Schur form of A, taken on first use; every eigenvalue
+        question about the system reads it."""
+        return _DiscSchur(self.A)
+
 
 def system_operator(system):
-    """Block matrix [[A, B], [C, D]] with its domain and codomain spaces.
+    """Block matrix [[A, B], [C, D]] with its domain and codomain signs.
 
     Domain is the state space extended by the Hilbert input coordinates,
     codomain the state space extended by the output coordinates; the sign
@@ -156,11 +164,8 @@ def system_operator(system):
     """
     T = np.block([[system.A, system.B], [system.C, system.D]])
     state_signs = system.state.signs
-    dom = SignatureSpace.from_signs(
-        np.concatenate([state_signs, np.ones(system.input_dim)]))
-    cod = SignatureSpace.from_signs(
-        np.concatenate([state_signs, np.ones(system.output_dim)]))
-    return T, dom, cod
+    return (T, np.concatenate([state_signs, np.ones(system.input_dim)]),
+            np.concatenate([state_signs, np.ones(system.output_dim)]))
 
 
 class SystemKind(str, _Enum):
@@ -302,6 +307,13 @@ def _pole_guard(M, rank_tol):
     return ok
 
 
+def _pole_proximity(system, z):
+    """PoleProximityError for the point z, naming the system's nearest pole."""
+    poles = system._spectrum.poles
+    return PoleProximityError(
+        z, poles[np.argmin(np.abs(poles - z))] if poles.size else None)
+
+
 def transfer_values(system, points, tol=DEFAULT_TOL, raise_on_pole=False):
     """Values D + z C (I - z A)^(-1) B of the transfer function at every point.
 
@@ -323,12 +335,7 @@ def transfer_values(system, points, tol=DEFAULT_TOL, raise_on_pole=False):
     M = np.eye(n) - z[:, None, None] * system.A
     ok = _pole_guard(M, tol.rank_tol)
     if raise_on_pole and not ok.all():
-        from .schur import TransferFunction
-
-        bad = complex(z[np.argmin(ok)])
-        poles = TransferFunction(system).poles
-        raise PoleProximityError(
-            bad, poles[np.argmin(np.abs(poles - bad))] if poles.size else None)
+        raise _pole_proximity(system, complex(z[np.argmin(ok)]))
     values = np.full((z.size, p, m), np.nan, dtype=complex)
     X = np.linalg.solve(M[ok], np.broadcast_to(system.B, (int(ok.sum()), n, m)))
     values[ok] = system.D + z[ok, None, None] * (system.C @ X)

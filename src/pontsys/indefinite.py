@@ -643,30 +643,43 @@ class SpectralRegion(str, Enum):
 class _DiscSchur:
     """Complex Schur form A = Z T Z^H with its eigenvalues placed on the disc.
 
-    The eigenvalues are the diagonal of T; those within band of the unit
-    circle are near it, the others inside or outside it.  reordered()
-    brings any selection to the leading block with LAPACK ztrsen, so every
-    spectral subspace of A comes from this one Schur form.
+    A comes through as_matrix, so it is finite.  T, Z and the eigenvalues,
+    the diagonal of T, are read-only.  regions(band) places the eigenvalues
+    on the disc, and reordered() brings any selection to the leading block
+    with LAPACK ztrsen, so every spectral subspace of A comes from this one
+    Schur form.
     """
 
-    def __init__(self, A, band):
-        self.T, self.Z = sla.schur(A, output="complex")
-        mod = np.abs(np.diag(self.T))
-        self.near = np.abs(mod - 1.0) <= band
-        self.inside = mod < 1.0 - band
-        self.outside = mod > 1.0 + band
+    def __init__(self, A):
+        self.T, self.Z = (sla.schur(A, output="complex", check_finite=False)
+                          if A.size else (np.zeros((0, 0), complex),) * 2)
+        self.eigenvalues = np.diag(self.T)
+        self.T.flags.writeable = self.Z.flags.writeable = False
+
+    @cached_property
+    def poles(self):
+        """Reciprocals of the eigenvalues above 1e-14 in modulus, sorted."""
+        lam = self.eigenvalues
+        poles = np.sort_complex(1.0 / lam[np.abs(lam) > 1e-14])
+        poles.flags.writeable = False
+        return poles
+
+    def regions(self, band):
+        """Masks (near, inside, outside) of the eigenvalues within band of
+        the unit circle, inside it and outside it."""
+        mod = np.abs(self.eigenvalues)
+        return np.abs(mod - 1.0) <= band, mod < 1.0 - band, mod > 1.0 + band
 
     def reordered(self, select):
-        """(Z, w, k): a unitary Z whose first k columns span the A-invariant
-        subspace of the selected eigenvalues, which lead the reordered
-        eigenvalues w."""
+        """(Z, k): a unitary Z whose first k columns span the A-invariant
+        subspace of the selected eigenvalues."""
         k = int(np.count_nonzero(select))
         if k in (0, select.size):
-            return self.Z, np.diag(self.T), k
-        _, Z, w, k, _, _, info = ztrsen(select, self.T, self.Z, job="N")
+            return self.Z, k
+        _, Z, _, k, _, _, info = ztrsen(select, self.T, self.Z, job="N")
         if info:
             raise np.linalg.LinAlgError("Schur reordering failed")
-        return Z, w, k
+        return Z, k
 
 
 def spectral_subspace(A, space, region, tol=DEFAULT_TOL, on_boundary="error"):
@@ -689,16 +702,17 @@ def spectral_subspace(A, space, region, tol=DEFAULT_TOL, on_boundary="error"):
     if A.size == 0:
         return IndefiniteSubspace(_as_space(space), np.zeros((0, 0), np.complex128))
 
-    form = _DiscSchur(A, tol.metric_tol)
+    form = _DiscSchur(A)
+    near, inside, outside = form.regions(tol.metric_tol)
     if (region != SpectralRegion.MODULUS_ONE_BAND and on_boundary == "error"
-            and form.near.any()):
-        lam = np.diag(form.T)[form.near][0]
+            and near.any()):
         raise AmbiguousSpectrumError(
-            f"eigenvalue {lam} lies within {tol.metric_tol:g} of the unit circle")
-    select = {SpectralRegion.INSIDE_OPEN_DISC: form.inside,
-              SpectralRegion.OUTSIDE_CLOSED_DISC: form.outside,
-              SpectralRegion.MODULUS_ONE_BAND: form.near}[region]
-    Z, _, k = form.reordered(select)
+            f"eigenvalue {form.eigenvalues[near][0]} lies within "
+            f"{tol.metric_tol:g} of the unit circle")
+    select = {SpectralRegion.INSIDE_OPEN_DISC: inside,
+              SpectralRegion.OUTSIDE_CLOSED_DISC: outside,
+              SpectralRegion.MODULUS_ONE_BAND: near}[region]
+    Z, k = form.reordered(select)
     return IndefiniteSubspace._orthonormal(_as_space(space), Z[:, :k])
 
 

@@ -144,13 +144,12 @@ def julia_embedding(system, tol=DEFAULT_TOL):
     certificate.  The defects of the system operator that decide its kind
     are the ones the completion factors.
     """
-    T, dom, cod = system_operator(system)
-    kind, primal, dual = _operator_kind(T, dom, cod, tol)
+    T, dom_s, cod_s = system_operator(system)
+    kind, primal, dual = _operator_kind(T, dom_s, cod_s, tol)
     if kind == SystemKind.NONE:
         raise PreconditionError("defect embedding needs a passive system")
-    dom_s = metric_signs(dom)
-    ju = _julia_completion(T, dom, cod, _defect_factors(dom_s, primal, dual, tol),
-                           tol)
+    ju = _julia_completion(T, dom_s, cod_s,
+                           _defect_factors(dom_s, primal, dual, tol), tol)
     n = system.state_dim
     E1h = (dom_s[:, None] * ju.defect).conj().T
     E2 = ju.dual_defect

@@ -40,7 +40,6 @@ from .indefinite import (
     IndefiniteSubspace,
     SignatureSpace,
     SubspaceKind,
-    _DiscSchur,
     canonical_basis,
     nullspace,
     orthocomplement_basis,
@@ -213,7 +212,7 @@ def invariant_fundamental_decompositions(system, tol=DEFAULT_TOL):
     minus-invariant split).
     """
     _splittable(system, tol)
-    return _fundamental_splits(system, tol)[:2]
+    return _fundamental_splits(system, tol)
 
 
 def _splittable(system, tol):
@@ -228,22 +227,20 @@ def _splittable(system, tol):
     return cls
 
 
-def _positive_band(form, basis, state, tol):
+def _positive_band(near, basis, state, tol):
     """Refuse the eigenvalues near the unit circle unless their spectral
     subspace (basis) is positive; then they belong with the inside ones."""
     if subspace_classify(IndefiniteSubspace._orthonormal(state, basis),
                          tol) != SubspaceKind.HILBERT:
-        lam = np.diag(form.T)[form.near][0]
         raise AmbiguousSpectrumError(
-            f"eigenvalue {lam} lies within {tol.metric_tol:g} of the unit circle")
+            f"eigenvalue {near[0]} lies within {tol.metric_tol:g} of the unit circle")
 
 
 def _fundamental_splits(system, tol):
     """invariant_fundamental_decompositions past its preconditions.
 
-    Returns (plus-invariant split, minus-invariant split, radius), radius
-    the spectral radius of A on the positive invariant half.  Each split
-    comes from one reordering Z of a single Schur form of A: the invariant
+    Returns (plus-invariant split, minus-invariant split).  Each split
+    comes from one reordering Z of the system's Schur form: the invariant
     half is Z[:, :k], and as Z is unitary its metric complement
     {x : Z[:, :k]^H J x = 0} is J Z[:, k:], so no SVD is taken.  Each half
     is classified once; a degenerate invariant half raises
@@ -254,8 +251,7 @@ def _fundamental_splits(system, tol):
     if state.dim == 0:
         empty = IndefiniteSubspace(state, np.zeros((0, 0)))
         return (FundamentalSplit(SplitKind.PLUS_INVARIANT, empty, empty, 0.0),
-                FundamentalSplit(SplitKind.MINUS_INVARIANT, empty, empty, 0.0),
-                0.0)
+                FundamentalSplit(SplitKind.MINUS_INVARIANT, empty, empty, 0.0))
     A = system.A
     signs = state.signs
 
@@ -307,23 +303,24 @@ def _fundamental_splits(system, tol):
     # only when their spectral subspaces, of A and of A^H, are both
     # positive; the one of A^H is the Euclidean complement of the rest of
     # the spectrum of A.
-    form = _DiscSchur(A, tol.metric_tol)
-    if form.near.any():
-        Z, _, k = form.reordered(form.near)
-        _positive_band(form, Z[:, :k], state, tol)
-    Z, _, k = form.reordered(form.outside)
+    form = system._spectrum
+    near, _, outside = form.regions(tol.metric_tol)
+    if near.any():
+        Z, k = form.reordered(near)
+        _positive_band(form.eigenvalues[near], Z[:, :k], state, tol)
+    Z, k = form.reordered(outside)
     plus1, minus1 = halves(Z, k, False)
     split_minus = FundamentalSplit(
         SplitKind.MINUS_INVARIANT, plus1, minus1, invariance(minus1))
 
-    if form.near.any():
-        Z, _, k = form.reordered(~form.near)
-        _positive_band(form, Z[:, k:], state, tol)
-    Z, w, k = form.reordered(~form.outside)
+    if near.any():
+        Z, k = form.reordered(~near)
+        _positive_band(form.eigenvalues[near], Z[:, k:], state, tol)
+    Z, k = form.reordered(~outside)
     plus2, minus2 = halves(Z, k, True)
     split_plus = FundamentalSplit(
         SplitKind.PLUS_INVARIANT, plus2, minus2, invariance(plus2))
-    return split_plus, split_minus, float(np.max(np.abs(w[:k]), initial=0.0))
+    return split_plus, split_minus
 
 
 @dataclass(frozen=True)
@@ -560,7 +557,7 @@ def _kl_factorize(system, cls, mode, tol):
         # the checks above imply the split preconditions: the kind is
         # passive and the report index-preserving
         schur, invb, Z = _factorize_simple(
-            system, _fundamental_splits(system, tol)[:2], mode, tol)
+            system, _fundamental_splits(system, tol), mode, tol)
     resid = _certify_factorization(system, schur, invb, Z, mode, tol)
     return SystemFactorization(schur, invb, mode, Z, resid)
 
@@ -598,13 +595,16 @@ def stability_classify(system, tol=DEFAULT_TOL):
     exactly when its spectral radius is below one; dually for the adjoint
     flow.  The restriction carries the inside and near-circle spectrum of
     A, and the adjoint flow on the positive half of the other split its
-    conjugate, so one radius, read off the Schur form of the splits,
-    serves both.  Conservative connected systems give the C class,
-    one-sided metric classes with the matching Krylov property the I
-    classes, the rest of the passive systems the P class.
+    conjugate, so one radius, read off the Schur form of the splits (whose
+    refusals hold here), serves both.  Conservative connected systems give
+    the C class, one-sided metric classes with the matching Krylov
+    property the I classes, the rest of the passive systems the P class.
     """
     cls = _splittable(system, tol)
-    _, _, radius = _fundamental_splits(system, tol)
+    _fundamental_splits(system, tol)
+    form = system._spectrum
+    outside = form.regions(tol.metric_tol)[2]
+    radius = float(np.max(np.abs(form.eigenvalues[~outside]), initial=0.0))
     stable = radius < 1.0 - tol.metric_tol
     if not stable:
         label = "none"

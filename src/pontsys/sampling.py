@@ -50,22 +50,28 @@ def disc_points(n, seed=0, radius=0.95, exclude=(), min_dist=None):
     """n seeded points in the open disc, keeping clear of excluded points.
 
     Exclusion guards evaluations against poles; min_dist defaults to a
-    conservative multiple of rank_tol per the evaluation contract.
+    conservative multiple of rank_tol per the evaluation contract.  Each
+    candidate draws its radius and then its angle, in blocks from one
+    stream; a radius is the Python float x ** 0.5, as numpy's array power
+    rounds differently.  After 1000 max(n, 1) candidates it refuses.
     """
     if min_dist is None:
         min_dist = 10 * DEFAULT_TOL.rank_tol
     rng = np.random.default_rng(seed)
     exclude = np.asarray(list(exclude), dtype=complex)
+    budget = 1000 * max(n, 1)
     out = []
-    attempts = 0
     while len(out) < n:
-        attempts += 1
-        if attempts > 1000 * max(n, 1):
+        if budget == 0:
             raise InputError("could not place disc samples away from excluded points")
-        z = (rng.random() ** 0.5) * radius * np.exp(2j * np.pi * rng.random())
-        if exclude.size and np.min(np.abs(exclude - z)) <= min_dist:
-            continue
-        out.append(z)
+        k = min(n - len(out), budget)
+        budget -= k
+        u = rng.random(2 * k)
+        z = (np.array([x ** 0.5 for x in u[0::2].tolist()]) * radius
+             * np.exp(2j * np.pi * u[1::2]))
+        if exclude.size:
+            z = z[np.min(np.abs(exclude[None, :] - z[:, None]), axis=1) > min_dist]
+        out.extend(z)
     return np.array(out)
 
 

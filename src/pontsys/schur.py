@@ -19,7 +19,6 @@ rationale.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .colligation import (
     Colligation,
     SystemKind,
     _observable_span,
+    _pole_proximity,
     adjoint_system,
     classify,
     system_kind,
@@ -37,7 +37,6 @@ from .exceptions import (
     DimensionMismatchError,
     InputError,
     InternalConsistencyError,
-    PoleProximityError,
     PreconditionError,
     certify,
 )
@@ -84,9 +83,9 @@ class TransferFunction:
     """Rational matrix function presented through a backing realization.
 
     Evaluation, adjoints and factorizations all delegate to the backing
-    colligation.  The eigenvalues of the main operator are computed once;
-    the pole list holds their reciprocals, whose outside-disc eigenvalues
-    produce the poles in the open disc.
+    colligation.  The poles, reciprocals of the eigenvalues of A, are read
+    off the backing's one Schur form, shared by every TransferFunction on
+    it; eigenvalues outside the disc give the poles in the open disc.
     """
 
     def __init__(self, backing):
@@ -98,22 +97,16 @@ class TransferFunction:
         # circle surveys by (samples, tol); see _circle_survey
         self._surveys = {}
 
-    @cached_property
-    def _eigenvalues(self):
-        A = self.backing.A
-        return np.linalg.eigvals(A) if A.size else np.zeros(0, dtype=complex)
-
-    @cached_property
+    @property
     def poles(self):
-        """Reciprocals of the nonzero eigenvalues of the main operator."""
-        lam = self._eigenvalues
-        return np.sort_complex(1.0 / lam[np.abs(lam) > 1e-14])
+        """Sorted reciprocals of the nonzero eigenvalues of A, read-only."""
+        return self.backing._spectrum.poles
 
     @property
     def disc_pole_count(self):
         """Eigenvalues of the main operator outside the closed disc, with
         multiplicity; equals the number of poles inside the disc."""
-        return int(np.sum(np.abs(self._eigenvalues) > 1.0))
+        return int(np.sum(np.abs(self.backing._spectrum.eigenvalues) > 1.0))
 
     def values(self, points, tol=DEFAULT_TOL):
         """Values at every point as an (N, p, m) stack; a point too close
@@ -194,9 +187,7 @@ def _kernel_values(S, points, tol):
     if S.poles.size:
         dist = np.min(np.abs(points[:, None] - S.poles[None, :]), axis=1)
         if np.any(dist <= _POLE_MARGIN):
-            bad = points[int(np.argmin(dist))]
-            raise PoleProximityError(bad, S.poles[
-                int(np.argmin(np.abs(S.poles - bad)))])
+            raise _pole_proximity(S.backing, points[int(np.argmin(dist))])
     return points, S.values(points, tol)
 
 
@@ -247,13 +238,6 @@ def _backing_kind(S, tol):
         return None
 
 
-def _eigenvalue_near_circle(S, tol):
-    """Whether an eigenvalue of the backing's main operator lies within
-    metric_tol of the circle: a pole that close to it keeps the disc pole
-    count and the circle survey from deciding a bound."""
-    return bool(np.any(np.abs(np.abs(S._eigenvalues) - 1.0) <= tol.metric_tol))
-
-
 def _negative_index_bound(S, kind, tol):
     """disc_pole_count when it bounds the negative index from above, else
     None; kind is the backing's _backing_kind.
@@ -263,7 +247,8 @@ def _negative_index_bound(S, kind, tol):
     each is 1/lam for an eigenvalue lam of A with |lam| > 1.  The count is
     trusted only with no eigenvalue within metric_tol of the circle.
     """
-    if _eigenvalue_near_circle(S, tol) or kind in (None, SystemKind.NONE):
+    if (kind in (None, SystemKind.NONE)
+            or S.backing._spectrum.regions(tol.metric_tol)[0].any()):
         return None
     return S.disc_pole_count
 
@@ -441,14 +426,6 @@ class FactorizationResult:
     notes: str = ""
 
 
-def _zeros_of_inverse(invb):
-    # the inverse Blaschke factor has all eigenvalues outside the closed
-    # disc; their reciprocals are the zeros of the Blaschke product
-    if invb.state_dim == 0:
-        return np.zeros(0, dtype=complex)
-    return 1.0 / np.linalg.eigvals(invb.A)
-
-
 def _side_factorization(S, cls, mode, tol):
     """kl_factorize_system on the side's backing: the given one, classified
     as cls, when it qualifies, else a canonical one."""
@@ -518,13 +495,14 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
         B_r = TransferFunction(_invert_system(
             right.inverse_blaschke_factor, tol, known_conservative=True))
         kappa_r = right.inverse_blaschke_factor.state_dim
-        zeros_r = _zeros_of_inverse(right.inverse_blaschke_factor)
+        # reciprocal eigenvalues of the inverse factor: the product's zeros
+        zeros_r = 1.0 / right.inverse_blaschke_factor._spectrum.eigenvalues
     if left is not None:
         S_l = TransferFunction(left.schur_factor)
         B_l = TransferFunction(_invert_system(
             left.inverse_blaschke_factor, tol, known_conservative=True))
         kappa_l = left.inverse_blaschke_factor.state_dim
-        zeros_l = _zeros_of_inverse(left.inverse_blaschke_factor)
+        zeros_l = 1.0 / left.inverse_blaschke_factor._spectrum.eigenvalues
 
     if left is None:
         if S.output_dim != 1:
@@ -669,15 +647,8 @@ def _decisive_survey(S, samples, tol):
     raises PoleProximityError."""
     out = _circle_survey(S, samples, tol)
     if np.isnan(out[0]).all():
-        raise _pole_proximity(S, complex(boundary_points(samples)[0]))
+        raise _pole_proximity(S.backing, complex(boundary_points(samples)[0]))
     return out
-
-
-def _pole_proximity(S, z):
-    """PoleProximityError for the point z, naming the pole of S nearest it."""
-    poles = S.poles
-    return PoleProximityError(
-        z, poles[np.argmin(np.abs(poles - z))] if poles.size else None)
 
 
 def boundary_behavior(S, tol=DEFAULT_TOL):
@@ -803,12 +774,13 @@ def _right_defect_scalar(S, values, tol):
     circle = boundary_points(values.size)
     bad = np.isnan(values)
     if bad.any():
-        raise _pole_proximity(S, complex(circle[np.argmax(bad)]))
+        raise _pole_proximity(S.backing, complex(circle[np.argmax(bad)]))
     target = 1.0 - np.abs(values) ** 2
     worst = float(np.max(np.abs(target)))
     if worst <= tol.metric_tol:
         return None, worst
-    dcoeffs = _denominator_coeffs(S._eigenvalues)
+    lam = S.backing._spectrum.eigenvalues
+    dcoeffs = _denominator_coeffs(lam)
     ncoeffs = _numerator_coeffs(S, dcoeffs, tol)
     c = _laurent_coeffs(dcoeffs, ncoeffs)
     cmax = float(np.max(np.abs(c)))
@@ -839,7 +811,7 @@ def _right_defect_scalar(S, values, tol):
     certify("spectral factor scaling denominator", -qvals[star],
             -np.finfo(float).smallest_subnormal)
     gamma = np.sqrt(max(lvals[star], 0.0) / qvals[star])
-    phi = RationalScalar(gamma * q, _outer_denominator(S._eigenvalues))
+    phi = RationalScalar(gamma * q, _outer_denominator(lam))
     resid = float(np.max(np.abs(np.abs(phi(circle)) ** 2 - target)))
     scale = max(1.0, float(np.max(np.abs(lvals))), worst)
     certify("spectral factor boundary defect mismatch", resid, 1e-8 * scale)
@@ -947,7 +919,7 @@ def _model_rank_bound(S, kind, tol):
         raise PreconditionError(
             f"left defect {psi:.3e} on the circle exceeds metric_tol: the "
             "kernel has infinite rank")
-    if _eigenvalue_near_circle(S, tol):
+    if S.backing._spectrum.regions(tol.metric_tol)[0].any():
         return None
     return _observable_dimension(S.backing, tol)
 

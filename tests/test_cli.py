@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from _builders import (
     blaschke_system,
@@ -20,6 +21,7 @@ from _builders import (
     roots_of_unity_system,
     row_schur_left_system,
     spy,
+    spy_attr,
 )
 from pontsys import cli, colligation, indefinite
 from pontsys.cli import load_system, main, save_system, system_to_json
@@ -366,6 +368,24 @@ class TestNegsq:
         assert code == 0
         assert report["verdicts"]["estimate"] == 0
         assert report["verdicts"]["stable"]
+
+
+class TestOneSchurForm:
+    @pytest.mark.parametrize("argv", [["negsq"], ["factor-kl"],
+                                      ["factor-kl", "--mode", "left"]])
+    def test_no_operator_is_decomposed_twice(self, tmp_path, monkeypatch, argv):
+        rng = np.random.default_rng(15)
+        path = write_system(
+            tmp_path, random_conservative_colligation(rng, SignatureSpace(7, 3), 2))
+        schur_calls = spy_attr(monkeypatch, scipy.linalg, "schur")
+        eigvals = spy_attr(monkeypatch, np.linalg, "eigvals")
+        code, _ = run_cli(tmp_path, argv[0], path, *argv[1:])
+        assert code == 0
+        operators = [args[0] for args in schur_calls]
+        assert len(operators) >= 1 and eigvals == []
+        assert not any(np.shape(operators[i]) == np.shape(operators[j])
+                       and np.array_equal(operators[i], operators[j])
+                       for i in range(len(operators)) for j in range(i))
 
 
 class TestJuliaEmbed:

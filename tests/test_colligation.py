@@ -91,9 +91,9 @@ class TestConstruction:
         sys1 = inverse_blaschke_system(0.5)
         T, dom, cod = system_operator(sys1)
         assert T.shape == (2, 2)
-        assert np.allclose(dom.signs, [-1.0, 1.0])
-        assert np.allclose(cod.signs, [-1.0, 1.0])
-        assert (dom.pos, dom.neg) == (1, 1)
+        assert np.array_equal(dom, [-1.0, 1.0])
+        assert np.array_equal(cod, [-1.0, 1.0])
+        assert (int(np.sum(dom > 0)), int(np.sum(dom < 0))) == (1, 1)
         assert sys1.kappa == 1
 
     def test_half_disc_oracle_operator(self):

@@ -1056,7 +1056,7 @@ class TestBracketedCertificates:
                       if kind == "conservative" else
                       sampling.random_passive_colligation(rng, sp, io, io, strict=0.2))
             T, dom, cod = system_operator(system)
-            want = _eig_metric_classify(T, dom.signs, cod.signs)
+            want = _eig_metric_classify(T, dom, cod)
             calls = spy_attr(monkeypatch, np.linalg, "eigvalsh")
             got = metric_classify(T, dom, cod)
             monkeypatch.undo()

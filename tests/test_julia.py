@@ -265,8 +265,8 @@ class TestOneUnitaryCertificate:
         ju = julia_operator(T, dom, cod)
         U, emb_dom, emb_cod = system_operator(emb)
         assert np.array_equal(U, ju.operator)
-        assert np.array_equal(emb_dom.signs, ju.dom_signs)
-        assert np.array_equal(emb_cod.signs, ju.cod_signs)
+        assert np.array_equal(emb_dom, ju.dom_signs)
+        assert np.array_equal(emb_cod, ju.cod_signs)
 
     def test_embedding_forms_the_operator_defects_once(self, monkeypatch):
         # the defects that decide the kind of T are the ones the completion

@@ -631,7 +631,7 @@ class TestDecompositionCounts:
         system = self.system()
         svd = spy_attr(monkeypatch, np.linalg, "svd")
         kinds = spy(monkeypatch, subspace_classify)
-        split_plus, split_minus, _ = _fundamental_splits(system, DEFAULT_TOL)
+        split_plus, split_minus = _fundamental_splits(system, DEFAULT_TOL)
         assert svd == []
         for split in (split_plus, split_minus):
             assert (split.Xplus.dim, split.Xminus.dim) == (32, 8)

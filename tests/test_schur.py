@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from _builders import (
     blaschke_system,
@@ -15,6 +16,7 @@ from _builders import (
     row_schur_left_system,
     shift_numerator_counterexample,
     spy,
+    spy_attr,
 )
 from pontsys import colligation, indefinite, schur
 from pontsys.colligation import (
@@ -98,6 +100,80 @@ class TestTransferFunction:
         assert np.allclose(back.B, sys1.B)
         assert np.allclose(back.C, sys1.C)
         assert np.allclose(back.D, sys1.D)
+
+
+def _decompositions(monkeypatch):
+    """Record the main operator of every Schur form taken, and every
+    general eigenvalue solve."""
+    return (spy_attr(monkeypatch, scipy.linalg, "schur"),
+            spy_attr(monkeypatch, np.linalg, "eigvals"))
+
+
+def _repeated(operators):
+    """Pairs of recorded operators that are equal, entry for entry."""
+    return [(i, j) for i in range(len(operators)) for j in range(i)
+            if np.shape(operators[i]) == np.shape(operators[j])
+            and np.array_equal(operators[i], operators[j])]
+
+
+class TestOneSpectrum:
+    """Every eigenvalue question reads the backing's one Schur form."""
+
+    def test_pole_errors_name_the_same_pole(self):
+        # poles at the 128th roots of unity, with the one at 1 moved just
+        # inside the disc: the circle sample 1, a kernel point within
+        # _POLE_MARGIN of that pole and the whole circle survey are refused
+        # with the pole the backing's spectrum lists nearest to 1
+        roots = np.exp(2j * np.pi * np.arange(128) / 128)
+        roots[0] = 1.0 / (1.0 - 1e-12)
+        system = Colligation(SignatureSpace(128, 0), 1, 1, np.diag(roots),
+                             np.full((128, 1), 1.0 / 128), np.ones((1, 128)),
+                             np.zeros((1, 1)))
+        poles = system._spectrum.poles
+        pole = poles[np.argmin(np.abs(poles - 1.0))]
+        assert 0.0 < 1.0 - abs(pole) < 1e-11
+        errors = []
+        for call in (lambda: transfer_eval(system, 1.0),
+                     lambda: kernel_gram(system, [1.0 - 5e-7]),
+                     lambda: defect(system)):
+            with pytest.raises(PoleProximityError) as info:
+                call()
+            errors.append(info.value)
+        assert [e.nearest_pole for e in errors] == [pole] * 3
+        assert [e.point for e in errors] == [1.0, 1.0 - 5e-7, 1.0]
+
+    def test_poles_and_spectrum_are_read_only(self):
+        rng = np.random.default_rng(12)
+        S = as_transfer(random_conservative_colligation(rng, SignatureSpace(5, 2), 2))
+        form = S.backing._spectrum
+        assert np.array_equal(form.eigenvalues, np.diag(form.T))
+        for arr in (S.poles, form.poles, form.T, form.Z, form.eigenvalues):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert S.poles.size == 7 and S.disc_pole_count == 2
+
+    def test_transfer_functions_on_one_backing_share_one_schur_form(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        system = random_conservative_colligation(rng, SignatureSpace(6, 2), 2)
+        schur_calls, eigvals = _decompositions(monkeypatch)
+        first, second = TransferFunction(system), TransferFunction(system)
+        assert first.poles is second.poles
+        assert first.disc_pole_count == second.disc_pole_count == 2
+        assert negative_squares_estimate(second).estimate == 2
+        assert len(schur_calls) == 1 and eigvals == []
+
+    def test_kl_factorize_function_decomposes_no_operator_twice(self, monkeypatch):
+        # both sides factor the given backing: one Schur form serves its
+        # poles and both sides' fundamental splits
+        rng = np.random.default_rng(14)
+        system = random_conservative_colligation(rng, SignatureSpace(7, 3), 2)
+        schur_calls, eigvals = _decompositions(monkeypatch)
+        res = kl_factorize_function(system)
+        assert res.kappa == 3
+        operators = [args[0] for args in schur_calls]
+        assert sum(np.shape(A) == (10, 10) for A in operators) == 1
+        assert _repeated(operators) == [] and eigvals == []
 
 
 class TestKernelGram:
