@@ -371,7 +371,8 @@ def cmd_classify(args):
         args, "classify", {"system": source},
         _parameters(args), tol, verdicts, {}, certificates,
         ["metric class from the system operator against the signature "
-         "metrics; Krylov flags from iterated input and output spans"])
+         "metrics; reachable and observable spans from the Hautus test on "
+         "the Schur form of A"])
 
 
 def cmd_factor_kl(args):

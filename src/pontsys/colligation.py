@@ -217,7 +217,17 @@ class SystemClass:
 
 def classify(system, tol=DEFAULT_TOL):
     """SystemClass of the system: the certified kind of system_kind and the
-    krylov_report that its flags are read from."""
+    krylov_report that its flags are read from.
+
+    The flags are decided by the Hautus test on the system's one Schur
+    form, which the pole, split and stability questions about the system
+    read as well: an eigenvalue is hidden when its eigenvector meets the
+    input (output) map at or below the Arnoldi cut
+    rank_tol max(1, |A|_F, |B|_F) (|C|_F), and eigenvalues within
+    rank_tol^(1/3) max(1, |A|_F) of each other, or nearly defective, are
+    decided together by a block Arnoldi recurrence on their small block
+    of the form.  _schur_spans argues why these thresholds hold.
+    """
     return SystemClass(system_kind(system, tol), krylov_report(system, tol))
 
 
@@ -386,19 +396,23 @@ def _taylor_stack(system, order):
     return out
 
 
-def _krylov_basis(A, B, tol):
+def _krylov_basis(A, B, tol, cut=None):
     """Block Arnoldi: orthonormal basis Q of span[B, AB, A^2 B, ...].
 
     Each new block is orthogonalized twice against the basis so far, and
-    singular values at or below rank_tol * max(1, |A|_F, |B|_F) are
-    deflated.  The basis is written into one n x n buffer, and its
-    conjugate transpose into a second one beside it, so no step copies the
-    basis so far.  Also returns the recurrence steps (H_k, Vh_k, s_k):
-    block k of Q is (X_k - Q_<k H_k) Vh_k^H / s_k, with X_0 = B and
-    X_k = A (block k-1); _krylov_map replays them on a second system.
+    singular values at or below the cut, by default
+    rank_tol * max(1, |A|_F, |B|_F), are deflated.  _schur_spans passes
+    the cut of the whole system when it runs the recurrence on a block of
+    the system's Schur form.  The basis is written into one n x n buffer,
+    and its conjugate transpose into a second one beside it, so no step
+    copies the basis so far.  Also returns the recurrence steps
+    (H_k, Vh_k, s_k): block k of Q is (X_k - Q_<k H_k) Vh_k^H / s_k, with
+    X_0 = B and X_k = A (block k-1); _krylov_map replays them on a second
+    system.
     """
     n = A.shape[0]
-    cut = tol.rank_tol * max(1.0, np.linalg.norm(A), np.linalg.norm(B))
+    if cut is None:
+        cut = tol.rank_tol * max(1.0, np.linalg.norm(A), np.linalg.norm(B))
     Q = np.empty((n, n), dtype=complex)
     # row j is the conjugate of column j of Q; Fortran order lays the first
     # k rows out as the conjugate transpose of Q[:, :k] is laid out
@@ -437,6 +451,121 @@ def _unobservable(system, tol):
     return nullspace(_observable_span(system, tol).conj().T, tol)
 
 
+def _schur_spans(system, observe, tol):
+    """(span, hidden): orthonormal bases of the reachable space
+    span[B, AB, ...] and of its orthogonal complement, or, with observe,
+    of span[C^H, A^H C^H, ...] and of the unobservable kernel
+    {x : C A^k x = 0 for all k}, decided on the Schur form A = Z T Z^H of
+    system._spectrum by the Hautus test (Paige, IEEE TAC 26(1), 1981).
+
+    The hidden space is invariant under A^H (under A with observe), so it
+    splits along the spectrum.  One back-substitution over all shifts
+    gives the left eigenvectors y of A (the right ones x with observe) in
+    Schur coordinates, each scaled to a unit entry at its place on the
+    diagonal of T.  An eigenvalue is isolated
+    when it lies farther than the gap g max(1, |A|_F) from every other
+    one, g = rank_tol^(1/3), and its vector grew by at most 1/g; it is
+    then simple, and hidden exactly when y^H B = 0 (C x = 0).  It is a
+    candidate when |y^H B| / |y| is at or below the deflation cut of
+    _krylov_basis, c = rank_tol max(1, |A|_F, |B|_F) (|C|_F in place of
+    |B|_F with observe).  Every eigenvalue that is not isolated, that is
+    clustered, is a candidate too.  One reordering moves the candidates
+    to the trailing block W of the form (the leading block with
+    observe), whose span holds the whole hidden space.
+    - With a cluster among them, _krylov_basis, with the cut c, decides
+      on the small block (W^H A W, W^H B): the span gains W Q for its
+      basis Q, and the hidden space is W times the orthogonal complement
+      of Q.
+    - Without one, the candidates are hidden when |W^H B|_2 <= c, and the
+      span is the rest of the Schur vectors.  Isolated candidates can meet
+      the cut one by one but not together, when their eigenvectors are
+      far from orthogonal; the hidden set is then the one found by adding
+      them in the order of their own drive, each kept while the block of
+      the set meets the cut.  A recurrence on that block would start from
+      a vector of norm near c, whose direction carries the rounding of
+      W^H B, about u |B| / c, and could read an exactly hidden mode as
+      reached.
+    - With no candidate the span is the whole state.
+
+    Why the thresholds hold.  The computed eigenvector of an eigenvalue at
+    distance d from the rest of the spectrum is off by about u |A|_F / d,
+    u the unit roundoff, times the departure from normality, so above the
+    gap rounding adds about u |B| / g to |y^H B|: 5e-13 |B| at the default
+    rank_tol, a factor 200 below c, so an exactly hidden isolated mode is
+    found, however dominant.  A defective eigenvalue of a Jordan chain of
+    length k is split by about (u |A|)^(1/k) in the computed form, within
+    the gap for chains up to length four at the default rank_tol; longer
+    chains split further, but their vectors grow by about
+    (1 / split)^(k - 1), past 1e12 from length six on, while those of the
+    seeded passive and conservative systems of the tests, n <= 40, grow by
+    at most 12.  Either way such eigenvalues reach the recurrence, whose
+    block holds only candidates, so no dominant reachable mode amplifies
+    the rounding along a hidden one, which is how the recurrence on the
+    whole state misses hidden modes.
+    """
+    form = system._spectrum
+    drive = system.C.conj().T if observe else system.B
+    n = drive.shape[0]
+    Z = form.Z
+    norm_a = float(np.linalg.norm(system.A))
+    cut = tol.rank_tol * max(1.0, norm_a, float(np.linalg.norm(drive)))
+    lam = form.eigenvalues
+    diff = lam[:, None] - lam[None, :]
+    g = tol.rank_tol ** (1.0 / 3.0)
+    close = np.abs(diff) <= g * max(1.0, norm_a)
+    # inv[k, j] = 1 / (lam_k - lam_j) away from lam_k; a clustered row is
+    # a candidate whatever its vector, so its close terms are dropped
+    inv = np.divide(1.0, diff, out=np.zeros_like(diff), where=~close)
+    T = form.T
+    V = np.zeros((n, n), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if observe:
+            # column k: T x = lam_k x with x[k] = 1 and zero below k
+            for j in range(n - 1, -1, -1):
+                V[j] = (T[j, j + 1:] @ V[j + 1:]) * inv[:, j]
+                V[j, j] = 1.0
+            driven = np.linalg.norm(system.C @ Z @ V, axis=0)
+            size = np.linalg.norm(V, axis=0)
+        else:
+            # row k: w T = lam_k w with w[k] = 1 and zero before k
+            for j in range(n):
+                V[:, j] = (V[:, :j] @ T[:j, j]) * inv[:, j]
+                V[j, j] = 1.0
+            driven = np.linalg.norm(V @ (Z.conj().T @ drive), axis=1)
+            size = np.linalg.norm(V, axis=1)
+        ratio = driven / size
+        # a vector that grew past 1/g, or overflowed, belongs to a nearly
+        # defective eigenvalue and is decided with the clusters
+        clustered = (np.count_nonzero(close, axis=1) > 1) | ~(size <= 1.0 / g)
+        candidate = clustered | ~(ratio > cut)
+
+    def moved(select):
+        """(rest, block): the Schur vectors with the selected eigenvalues
+        moved to the end of the form that holds the hidden space."""
+        k = int(np.count_nonzero(select))
+        if observe:
+            Zr, _ = form.reordered(select)
+            return Zr[:, k:], Zr[:, :k]
+        Zr, _ = form.reordered(~select)
+        return Zr[:, :n - k], Zr[:, n - k:]
+
+    rest, block = moved(candidate)
+    if clustered.any():
+        Tb = block.conj().T @ system.A @ block
+        Q = _krylov_basis(Tb.conj().T if observe else Tb, block.conj().T @ drive,
+                          tol, cut=cut)[0]
+        return np.hstack([rest, block @ Q]), block @ nullspace(Q.conj().T, tol)
+    if _norm2(block.conj().T @ drive) > cut:
+        rest, block, hidden = Z, Z[:, :0], np.zeros(n, dtype=bool)
+        for k in np.flatnonzero(candidate)[np.argsort(ratio[candidate], kind="stable")]:
+            trial = hidden.copy()
+            trial[k] = True
+            r, b = moved(trial)
+            if _norm2(b.conj().T @ drive) <= cut:
+                rest, block, hidden = r, b, trial
+    return rest, block
+
+
 @dataclass(frozen=True)
 class KrylovReport:
     """Reachable, observable and combined state subspaces with their flags."""
@@ -456,35 +585,37 @@ class KrylovReport:
 
 
 def krylov_report(system, tol=DEFAULT_TOL):
-    """Spans of the iterated B and adjoint-C columns and their complements.
+    """Reachable span[B, AB, ...], observable J span[C^H, A^H C^H, ...] and
+    combined spans, with the kinds of their metric complements.
 
-    Each span is the orthonormal basis of one block Arnoldi recurrence; the
-    combined span is the whole state when either span is.  The complement
-    of the combined space is the intersection of the two complements.
-    """
-    return _krylov_report(system, tol)[0]
-
-
-def _krylov_report(system, tol):
-    """krylov_report with the recurrence (Q, steps) of the reachable span.
-
-    The observable span is the reachable span of adjoint_system(system),
-    whose blocks J A^H J and J C^H are A^H and C^H with rows sign-flipped:
-    it is J span[C^H, A^H C^H, ...], taken without building the adjoint.
+    Both spans and their orthogonal complements come from _schur_spans on
+    the one Schur form of the system, which states the cut and the
+    cluster gap they are decided at; no Arnoldi recurrence runs on the
+    whole state.  The observable span is the reachable span of
+    adjoint_system(system), whose blocks J A^H J and J C^H make it J times
+    span[C^H, A^H C^H, ...].  The combined span is the whole state when
+    either span is.  As J is unitary, the metric complement of the
+    reachable span is J times its orthogonal complement, and that of the
+    observable span is the unobservable kernel, so neither takes an SVD;
+    the complement of the combined span is the intersection of the two.
     """
     sp = system.state
     n = sp.dim
-    Qc, steps = _krylov_basis(system.A, system.B, tol)
-    Qo = sp.signs[:, None] * _observable_span(system, tol)
+    signs = sp.signs[:, None]
+    Qc, hidden_c = _schur_spans(system, False, tol)
+    span_o, hidden_o = _schur_spans(system, True, tol)
+    Qo = signs * span_o
     full = [Q for Q in (Qc, Qo) if Q.shape[1] == n]
     Qs = full[0] if full else column_space(np.hstack([Qc, Qo]), tol)
     Xc, Xo, Xs = (IndefiniteSubspace._orthonormal(sp, Q) for Q in (Qc, Qo, Qs))
-    # a span that is the whole state has the zero subspace as complement
-    kinds = {name: SubspaceKind.HILBERT if X.dim == n else subspace_classify(
-        IndefiniteSubspace._orthonormal(sp, orthocomplement_basis(X, tol)), tol)
-        for name, X in (("controllable", Xc), ("observable", Xo), ("simple", Xs))}
-    return (KrylovReport(Xc, Xo, Xs, Xc.dim == n, Xo.dim == n, Xs.dim == n, kinds),
-            (Qc, steps))
+    kinds = {}
+    for name, X, complement in (("controllable", Xc, signs * hidden_c),
+                                ("observable", Xo, hidden_o), ("simple", Xs, None)):
+        # a span that is the whole state has the zero subspace as complement
+        kinds[name] = SubspaceKind.HILBERT if X.dim == n else subspace_classify(
+            IndefiniteSubspace._orthonormal(sp, orthocomplement_basis(X, tol)
+                                            if complement is None else complement), tol)
+    return KrylovReport(Xc, Xo, Xs, Xc.dim == n, Xo.dim == n, Xs.dim == n, kinds)
 
 
 @dataclass(frozen=True)
@@ -715,10 +846,22 @@ def unitary_similarity(s1, s2, tol=DEFAULT_TOL):
 
 
 def _minimal_recurrence(system, tol):
-    """The reachable recurrence of _krylov_report, refused unless the
-    system is minimal."""
-    rep, recurrence = _krylov_report(system, tol)
-    if not (rep.controllable and rep.observable):
+    """The reachable Arnoldi recurrence (Q, steps) of the system, refused
+    unless the system is minimal.
+
+    weak_similarity replays the recurrence on a second system
+    (_krylov_map), so its reachable span comes from _krylov_basis on the
+    whole state rather than from _schur_spans, and a weak job takes no
+    Schur form.  Minimality is read off
+    the ranks of the reachable span and of span[C^H, A^H C^H, ...], each
+    at the cut rank_tol max(1, |A|_F, |B|_F) (|C|_F for the second), and
+    the observable recurrence runs only when the reachable span is the
+    whole state.  No complement is classified.
+    """
+    n = system.state_dim
+    recurrence = _krylov_basis(system.A, system.B, tol)
+    if (recurrence[0].shape[1] != n
+            or _observable_span(system, tol).shape[1] != n):
         raise PreconditionError("weak similarity requires minimal systems")
     return recurrence
 
@@ -729,7 +872,7 @@ def weak_similarity(s1, s2, tol=DEFAULT_TOL):
     Requires minimal systems whose Taylor coefficients agree through twice
     the larger state dimension.  Z replays the first system's orthonormal
     Krylov recurrence on the second and is invertible at finite dimension.
-    The second system's Krylov report is built only when the state
+    The second system's minimality is checked only when the state
     dimensions differ or a later check fails: at equal dimensions the
     certified invertible intertwiner makes it similar to the minimal first
     one.  A failing input is refused as non-minimal when the second system

@@ -501,9 +501,10 @@ class IndefiniteSubspace:
         __post_init__: no copy, no finiteness scan, no ||V^*V - I||_F.
 
         The callers pass Schur vectors, the singular vectors of nullspace
-        and column_space, their images under the unitary J, and the block
-        Arnoldi basis of colligation._krylov_basis, each computed from
-        validated finite matrices with ambient.dim rows.  The skipped test
+        and column_space, their images under the unitary J, and Schur
+        vectors times the block Arnoldi basis of colligation._krylov_basis
+        on a block of the Schur form (colligation._schur_spans), each
+        computed from validated finite matrices with ambient.dim rows.  The skipped test
         takes its SVD only when ||V^*V - I||_F exceeds 1/2.  Schur and
         singular vectors are orthonormal to a small multiple of n u, u the
         unit roundoff.  The Arnoldi basis is orthogonalized twice (CGS2)

@@ -17,10 +17,10 @@ import numpy as np
 from .colligation import (
     Colligation,
     SystemKind,
+    _schur_spans,
     _unobservable,
     adjoint_system,
     classify,
-    markov,
     system_kind,
 )
 from .exceptions import (
@@ -106,34 +106,6 @@ class ObstructionReport:
         return self.basis.shape[1]
 
 
-def _taylor_observability_rows(first, second):
-    """Stacked output-coefficient rows of the free cascade evolution.
-
-    Row block m is [sum_j M_j C1 A1^(m-j), C2 A2^m] for m = 0..2n, where
-    M_j are the Taylor coefficients of the second transfer function.  Its
-    kernel is the unobservable space of the cascade, computed without
-    ever forming the cascade.
-    """
-    n1, n2 = first.state_dim, second.state_dim
-    orders = 2 * (n1 + n2) + 1
-    pow1 = [np.eye(n1, dtype=complex)]
-    pow2 = [np.eye(n2, dtype=complex)]
-    for _ in range(orders):
-        pow1.append(first.A @ pow1[-1])
-        pow2.append(second.A @ pow2[-1])
-    coeffs = [markov(second, j) for j in range(orders)]
-    rows = []
-    for m in range(orders):
-        left = sum(coeffs[j] @ first.C @ pow1[m - j] for j in range(m + 1))
-        blk = np.hstack([left, second.C @ pow2[m]])
-        # normalizing each block row leaves the kernel unchanged but keeps
-        # powers of an antistable main operator from drowning the early
-        # rows at the relative rank cut
-        nrm = np.linalg.norm(blk)
-        rows.append(blk if nrm < 1e-280 else blk / nrm)
-    return np.vstack(rows)
-
-
 def _compare_kernels(primary, secondary, where):
     if primary.shape[1] != secondary.shape[1]:
         raise InternalConsistencyError(
@@ -151,11 +123,13 @@ def obstruction_observable(first, second, tol=DEFAULT_TOL):
 
     The primary route takes the orthogonal complement of the block
     Krylov space of the assembled cascade's adjoint output columns; the
-    secondary route solves the coupled Taylor-coefficient equations of the
-    pair through twice the state dimension.  The two spaces must coincide.
+    second route reads the unobservable kernel off the cascade's Schur
+    form by the Hautus test (colligation._schur_spans).  The two spaces
+    must coincide.
     """
-    primary = _unobservable(cascade(first, second), tol)
-    secondary = nullspace(_taylor_observability_rows(first, second), tol)
+    cas = cascade(first, second)
+    primary = _unobservable(cas, tol)
+    secondary = _schur_spans(cas, True, tol)[1]
     worst = _compare_kernels(primary, secondary, "observability obstruction")
     return ObstructionReport(primary, first.state_dim, worst)
 
@@ -165,16 +139,13 @@ def obstruction_controllable(first, second, tol=DEFAULT_TOL):
 
     The primary route takes the unobservable kernel of the adjoint of the
     assembled cascade, {x : Q^H J x = 0} for its Krylov basis Q; the
-    secondary route runs the Taylor equations on the adjoint pair, whose
-    unobservable vectors are exactly the annihilator, and swaps the blocks
-    back.
+    second route reads the orthogonal complement of the reachable space
+    off the cascade's Schur form by the Hautus test
+    (colligation._schur_spans), and J maps it onto the annihilator.
     """
-    primary = _unobservable(adjoint_system(cascade(first, second)), tol)
-    dual = nullspace(
-        _taylor_observability_rows(adjoint_system(second), adjoint_system(first)),
-        tol)
-    n2 = second.state_dim
-    secondary = np.vstack([dual[n2:, :], dual[:n2, :]])
+    cas = cascade(first, second)
+    primary = _unobservable(adjoint_system(cas), tol)
+    secondary = cas.state.signs[:, None] * _schur_spans(cas, False, tol)[1]
     worst = _compare_kernels(primary, secondary, "controllability obstruction")
     return ObstructionReport(primary, first.state_dim, worst)
 

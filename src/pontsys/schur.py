@@ -25,8 +25,8 @@ import numpy as np
 from .colligation import (
     Colligation,
     SystemKind,
-    _observable_span,
     _pole_proximity,
+    _schur_spans,
     adjoint_system,
     classify,
     system_kind,
@@ -873,8 +873,9 @@ def _model_plan(S, per_ring, tol):
 
 def _observable_dimension(system, tol):
     """Dimension of the observable space of the system, the rank of its
-    observability map x -> (C A^k x)_k."""
-    return _observable_span(system, tol).shape[1]
+    observability map x -> (C A^k x)_k, read off the system's Schur form
+    (colligation._schur_spans)."""
+    return _schur_spans(system, True, tol)[0].shape[1]
 
 
 # kind of adjoint_system(system) by the kind of system: the adjoint's

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg.lapack import zgesvd
 
 from pontsys import colligation
@@ -485,6 +486,13 @@ def _hautus(A, B):
                for lam in np.linalg.eigvals(A))
 
 
+def _hautus_at(A, B, lam):
+    """sigma_min([A - lam I, B]), zero exactly when lam is an eigenvalue of A
+    hidden from B."""
+    n = A.shape[0]
+    return np.linalg.svd(np.hstack([A - lam * np.eye(n), B]), compute_uv=False)[n - 1]
+
+
 class TestPBHOracle:
     """Krylov flags against the Hautus test on seeded passive (strict=0.2) and
     conservative systems with n up to 40, kappa up to 8 and 1-3 channels."""
@@ -567,13 +575,52 @@ class TestPBHOracle:
     @pytest.mark.parametrize("n", SIZES)
     def test_hidden_dominant_mode(self, n):
         # hiding the mode of largest modulus of a strictly passive system:
-        # rounding along that mode grows through the recurrence, and from
-        # about n = 12 on the plant is usually reported controllable
+        # rounding along that mode grows through a recurrence on the whole
+        # state, which from about n = 12 on usually reads it controllable;
+        # its left eigenvector on the Schur form does not
         rng, kappa, io = self.shape("passive", n, 30)
         sys1 = self.random_system(rng, "passive", SignatureSpace(n - kappa, kappa), io)
         exact, = self.projected(sys1, np.argmax, [0.0], rng)
         assert _hautus(exact.A, exact.B) < 1e-12
-        assert krylov_report(exact).controllable_space.dim in (n - 1, n)
+        assert krylov_report(exact).controllable_space.dim == n - 1
+
+    @pytest.mark.parametrize("dominant", [True, False], ids=["dominant", "interior"])
+    @pytest.mark.parametrize("n", [8, 24, 40])
+    def test_repeated_eigenvalue_with_two_dimensional_eigenspace(self, n, dominant):
+        # lam twice with two eigenvectors and one input: a left eigenvector
+        # of lam orthogonal to B always exists, so exactly one mode is hidden
+        rng = np.random.default_rng([n, 77])
+        lam = 0.95 if dominant else 0.3 + 0.2j
+        rest = 0.8 * np.sqrt(rng.random(n - 2)) * np.exp(2j * np.pi * rng.random(n - 2))
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        S = np.eye(n) + 0.3 * G / np.linalg.norm(G, 2)
+        A = S @ np.diag(np.concatenate([[lam, lam], rest])) @ np.linalg.inv(S)
+        B = S @ (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1)))
+        C = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
+        plant = Colligation(SignatureSpace(n, 0), 1, 1, A, B, C, [[0.0]])
+        assert _hautus_at(A, B, lam) < 1e-12
+        assert _hautus_at(A.conj().T, C.conj().T, np.conj(lam)) < 1e-12
+        rep = krylov_report(plant)
+        assert rep.controllable_space.dim == rep.observable_space.dim == n - 1
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6, 8, 12])
+    def test_jordan_block_driven_at_its_chain_end(self, k):
+        # one Jordan block in a random unitary basis: driven at the end of
+        # its chain it is controllable, at the start only the eigenvector
+        # is reached; rounding splits the computed eigenvalue by about
+        # u^(1/k), within the cluster gap up to k = 4, and the growth of
+        # the eigenvectors marks the longer chains as nearly defective
+        rng = np.random.default_rng([k, 78])
+        lam = 0.6 + 0.1j
+        U = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+        A = U @ (lam * np.eye(k) + np.diag(np.ones(k - 1), 1)) @ U.conj().T
+        for B, want in ((U[:, -1:], k), (U[:, :1], 1)):
+            plant = Colligation(SignatureSpace(k, 0), 1, 1, A, B, np.ones((1, k)), [[0.0]])
+            hidden = _hautus_at(A, B, lam) < 1e-12
+            assert hidden == (want < k)
+            if not hidden:
+                assert _hautus(A, B) > 0.9
+            assert krylov_report(plant).controllable_space.dim == want
 
     @pytest.mark.parametrize("kind", ["passive", "conservative"])
     @pytest.mark.parametrize("n", SIZES)
@@ -597,6 +644,89 @@ class TestPBHOracle:
             assert len(orthonormal_bases) >= 3
             assert all(rows == n and shape[0] == n and error <= 1e-3
                        for rows, shape, error in orthonormal_bases)
+
+
+class TestSchurSpans:
+    """The spans of _schur_spans against those of the block Arnoldi
+    recurrence on the whole state, on the generic, hidden-block and
+    near-uncontrollable (eps = 1e-6 to 1e-8) plants of TestPBHOracle."""
+
+    @staticmethod
+    def plants(kind, n):
+        rng, kappa, io = TestPBHOracle.shape(kind, n, 0)
+        state = SignatureSpace(n - kappa, kappa)
+        plants = [TestPBHOracle.random_system(rng, kind, state, io)]
+        rng, kappa, io = TestPBHOracle.shape(kind, n, 10)
+        plants.append(_hidden_block_system(rng, kind, n, kappa, io))
+        rng, kappa, io = TestPBHOracle.shape(kind, n, 20)
+        sys1 = TestPBHOracle.random_system(rng, kind, SignatureSpace(n - kappa, kappa), io)
+        return plants + TestPBHOracle.projected(sys1, np.argmin, [1e-6, 1e-7, 1e-8], rng)
+
+    @pytest.mark.parametrize("kind", ["passive", "conservative"])
+    @pytest.mark.parametrize("n", TestPBHOracle.SIZES)
+    def test_spans_agree_with_the_recurrence(self, kind, n):
+        for plant in self.plants(kind, n):
+            arnoldi = {False: colligation._krylov_basis(plant.A, plant.B, DEFAULT_TOL)[0],
+                       True: colligation._observable_span(plant, DEFAULT_TOL)}
+            for observe, want in arnoldi.items():
+                span, hidden = colligation._schur_spans(plant, observe, DEFAULT_TOL)
+                assert span.shape == want.shape
+                assert hidden.shape == (n, n - want.shape[1])
+                assert same_span(span, want, angle_tol=1e-8)
+                # the hidden basis completes the span to a unitary
+                both = np.hstack([span, hidden])
+                assert np.linalg.norm(both.conj().T @ both - np.eye(n)) <= 1e-12
+
+    def test_candidates_that_meet_the_cut_alone_but_not_together(self, monkeypatch):
+        # isolated eigenvalues 0.5 and 0.6 with nearly parallel left
+        # eigenvectors (1, -10) and (0, 1) in Schur coordinates, and B on
+        # the right eigenvector (10, 1) of 0.6 at 0.9 times the cut: each
+        # left eigenvector meets B at or below the cut, but their
+        # orthonormal block meets it at about 9 times the cut.  The mode
+        # 0.5 is exactly hidden and is kept; 0.6 would break the cut.  A
+        # recurrence on the block, started from a vector of norm 9 times
+        # the cut, reads both reached.
+        n = 6
+        rng = np.random.default_rng(3)
+        T = np.diag([0.5, 0.6, -0.5, 0.3j, -0.2 - 0.4j, 0.1]).astype(complex)
+        T[0, 1] = 1.0
+        U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        A = U @ T @ U.conj().T
+        b = np.ones((n, 1), dtype=complex)
+        b[:2] = 0.0
+        cut = DEFAULT_TOL.rank_tol * max(1.0, np.linalg.norm(A), np.linalg.norm(b))
+        b[:2, 0] = 0.9 * cut * np.array([10.0, 1.0])
+        plant = Colligation(SignatureSpace(n, 0), 1, 1, A, U @ b, np.ones((1, n)), [[0.0]])
+        assert _hautus_at(A, plant.B, 0.5) < 1e-14
+        arnoldi = spy(monkeypatch, colligation._krylov_basis)
+        span, hidden = colligation._schur_spans(plant, False, DEFAULT_TOL)
+        assert arnoldi == []
+        assert (span.shape[1], hidden.shape[1]) == (n - 1, 1)
+        # the hidden direction is the left eigenvector of 0.5
+        y = U @ np.array([1.0, -10.0, 0, 0, 0, 0]) / np.sqrt(101.0)
+        assert abs(abs(np.vdot(hidden[:, 0], y)) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["empty-state", "no-input", "no-output"])
+    def test_empty_spans(self, name):
+        plant = RECURRENCE_SYSTEMS[name]
+        n = plant.state_dim
+        for observe, width in ((False, plant.input_dim), (True, plant.output_dim)):
+            span, hidden = colligation._schur_spans(plant, observe, DEFAULT_TOL)
+            assert span.shape == (n, n if width else 0)
+            assert hidden.shape == (n, 0 if width else n)
+        rep = krylov_report(plant)
+        assert rep.controllable_space.dim == (n if plant.input_dim else 0)
+        assert rep.observable_space.dim == (n if plant.output_dim else 0)
+
+    def test_weak_similarity_runs_two_recurrences(self, monkeypatch):
+        rng = np.random.default_rng([40, 8])
+        sys1 = random_conservative_colligation(rng, SignatureSpace(32, 8), 1)
+        Z = np.eye(40) + 0.01 * rng.standard_normal((40, 40))
+        sys2 = state_change(sys1, Z, sys1.state)
+        arnoldi = spy(monkeypatch, colligation._krylov_basis)
+        forms = spy_attr(monkeypatch, scipy.linalg, "schur")
+        weak_similarity(sys1, sys2)
+        assert len(arnoldi) == 2 and forms == []
 
 
 class TestSimpKar:
@@ -803,7 +933,7 @@ class TestSimilarity:
         sys1 = random_conservative_colligation(rng, SignatureSpace(20, 4), 2)
         sys2 = state_change(sys1, np.eye(24) + 0.01 * rng.standard_normal((24, 24)),
                             sys1.state)
-        calls = spy(monkeypatch, colligation._krylov_report)
+        calls = spy(monkeypatch, colligation._minimal_recurrence)
         weak_similarity(sys1, sys2)
         assert [args[0] for args in calls] == [sys1]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pontsys import colligation
 from pontsys.colligation import (
     Colligation,
     SystemKind,
@@ -17,6 +18,7 @@ from pontsys.exceptions import (
     AmbiguousSpectrumError,
     DimensionMismatchError,
     InputError,
+    InternalConsistencyError,
     NonRegularSubspaceError,
     PreconditionError,
 )
@@ -208,6 +210,39 @@ class TestObstructions:
         assert classify(s1).minimal and classify(s2).minimal
         rep = obstruction_controllable(s1, s2)
         assert rep.dimension == 0
+
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_pole_zero_cancellation_pair(self, n):
+        # first = cascade(passive Hilbert P, b_beta) and second = 1/b_beta:
+        # the pole of the second at beta meets the zero of the first, and
+        # the zero of the second at 1/conj(beta) meets the pole of the
+        # first, so the cascade hides one mode from each side.  The Hautus
+        # test sees it on every size; the recurrence of the primary route
+        # loses the hidden reachable mode from 8 states on, and the
+        # controllability obstruction then refuses, typed, rather than
+        # answer 0.  Each outcome is recorded here.
+        beta = 0.5
+        P = random_passive_colligation(np.random.default_rng([n, 0]),
+                                       SignatureSpace(n, 0), 1, 1, strict=0.2)
+        first, second = cascade(P, blaschke_system(beta)), inverse_blaschke_system(beta)
+        cas = cascade(first, second)
+        for A, B in ((cas.A, cas.B), (cas.A.conj().T, cas.C.conj().T)):
+            dist = sorted(np.linalg.svd(np.hstack([A - lam * np.eye(n + 2), B]),
+                                        compute_uv=False)[n + 1]
+                          for lam in np.linalg.eigvals(A))
+            assert dist[0] < 1e-12 < 1e-3 < dist[1]
+        outcomes = []
+        for check in (obstruction_observable, obstruction_controllable):
+            try:
+                rep = check(first, second)
+            except InternalConsistencyError as exc:
+                outcomes.append(str(exc))
+            else:
+                assert rep.agreement_residual <= 1e-8
+                outcomes.append(rep.dimension)
+        refused = "controllability obstruction: kernel dimensions disagree (0 vs 1)"
+        assert outcomes == {4: [1, 1], 8: [1, refused], 12: [1, refused]}[n]
 
 
 class TestFundamentalSplits:
@@ -485,6 +520,28 @@ class TestOneClassificationPerSystem:
         for mode in ("right", "left"):
             with pytest.raises(PreconditionError, match="index-preserving"):
                 kl_factorize_system(hidden, mode)
+
+
+class TestHautusOnTheSharedForm:
+    """Generic conservative n = 40, kappa = 8, one channel: every entry point
+    that classifies its input decides reachability and observability on
+    the input's one Schur form, with no Arnoldi recurrence."""
+
+    @pytest.mark.parametrize("call", [
+        classify,
+        lambda system: kl_factorize_system(system, "right"),
+        lambda system: kl_factorize_system(system, "left"),
+        stability_classify,
+        invariant_fundamental_decompositions,
+    ], ids=["classify", "kl-right", "kl-left", "stability", "splits"])
+    def test_no_recurrence_and_one_schur_form(self, monkeypatch, call):
+        system = random_conservative_colligation(
+            np.random.default_rng([40, 8]), SignatureSpace(32, 8), 1)
+        arnoldi = spy(monkeypatch, colligation._krylov_basis)
+        forms = spy_attr(monkeypatch, scipy.linalg, "schur")
+        call(system)
+        assert arnoldi == []
+        assert sum(args[0] is system.A for args in forms) == 1
 
 
 # The splits and radii before one Schur form served them: each outside
