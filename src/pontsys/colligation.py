@@ -21,7 +21,7 @@ from enum import Enum as _Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import zgesvd
+from scipy.linalg.lapack import zgeev, zgesvd
 
 from .exceptions import (
     DimensionMismatchError,
@@ -43,6 +43,8 @@ from .indefinite import (
     SubspaceKind,
     _defect_class,
     _DiscSchur,
+    _metric_defects,
+    _UNIT_ROUNDOFF,
     as_matrix,
     canonical_basis,
     column_space,
@@ -50,7 +52,6 @@ from .indefinite import (
     is_psd,
     j_adjoint,
     metric_classify,
-    metric_defects,
     nullspace,
     orthocomplement_basis,
     subspace_classify,
@@ -162,7 +163,12 @@ def system_operator(system):
     codomain the state space extended by the output coordinates; the sign
     patterns keep the state block in place.
     """
-    T = np.block([[system.A, system.B], [system.C, system.D]])
+    n = system.state_dim
+    T = np.empty((n + system.output_dim, n + system.input_dim), dtype=complex)
+    T[:n, :n] = system.A
+    T[:n, n:] = system.B
+    T[n:, :n] = system.C
+    T[n:, n:] = system.D
     state_signs = system.state.signs
     return (T, np.concatenate([state_signs, np.ones(system.input_dim)]),
             np.concatenate([state_signs, np.ones(system.output_dim)]))
@@ -253,9 +259,11 @@ def system_kind(system, tol=DEFAULT_TOL):
 
 
 def _operator_kind(T, dom, cod, tol):
-    """system_kind of the system operator T from dom to cod, with the
-    primal and dual defects of T it was decided on."""
-    primal, dual = metric_defects(T, dom, cod)
+    """system_kind of the system operator T from dom to cod, given by
+    their sign vectors, with the primal and dual defects of T it was
+    decided on.  T is a fresh complex array built from validated blocks,
+    so its defects are formed unchecked."""
+    primal, dual = _metric_defects(T, dom, cod)
     verdict = _defect_class(T, primal, dual, tol)
     _certify_bicontraction(verdict, primal, dual, tol)
     return _METRIC_TO_KIND[verdict], primal, dual
@@ -401,7 +409,7 @@ def _krylov_basis(A, B, tol, cut=None):
 
     Each new block is orthogonalized twice against the basis so far, and
     singular values at or below the cut, by default
-    rank_tol * max(1, |A|_F, |B|_F), are deflated.  _schur_spans passes
+    rank_tol * max(1, |A|_F, |B|_F), are deflated.  _hidden_split passes
     the cut of the whole system when it runs the recurrence on a block of
     the system's Schur form.  The basis is written into one n x n buffer,
     and its conjugate transpose into a second one beside it, so no step
@@ -451,27 +459,45 @@ def _unobservable(system, tol):
     return nullspace(_observable_span(system, tol).conj().T, tol)
 
 
-def _schur_spans(system, observe, tol):
-    """(span, hidden): orthonormal bases of the reachable space
-    span[B, AB, ...] and of its orthogonal complement, or, with observe,
-    of span[C^H, A^H C^H, ...] and of the unobservable kernel
+# zgeev scales a matrix whose largest entry lies outside about
+# [1e-138, 1e138], and the LAPACK bundled with scipy 1.17 then returns the
+# eigenvalues of the scaled matrix; _schur_spans first scales T into this
+# range by a power of two, which is exact and keeps the eigenvectors
+_EIG_RANGE = (2.0 ** -400, 2.0 ** 400)
+# eigenvalues within this many unit roundoffs of the largest modulus of
+# each other lie within the cluster gap of _schur_spans, so their vectors
+# decide nothing; any other vector returned out of the order of diag(T)
+# fails the bound
+_ORDER_ULPS = 64.0
+
+
+def _schur_spans(system, sides, tol):
+    """[(span, hidden) for observe in sides]: orthonormal bases of the
+    reachable space span[B, AB, ...] and of its orthogonal complement, or,
+    with observe, of span[C^H, A^H C^H, ...] and of the unobservable kernel
     {x : C A^k x = 0 for all k}, decided on the Schur form A = Z T Z^H of
     system._spectrum by the Hautus test (Paige, IEEE TAC 26(1), 1981).
 
     The hidden space is invariant under A^H (under A with observe), so it
-    splits along the spectrum.  One back-substitution over all shifts
-    gives the left eigenvectors y of A (the right ones x with observe) in
-    Schur coordinates, each scaled to a unit entry at its place on the
-    diagonal of T.  An eigenvalue is isolated
-    when it lies farther than the gap g max(1, |A|_F) from every other
-    one, g = rank_tol^(1/3), and its vector grew by at most 1/g; it is
-    then simple, and hidden exactly when y^H B = 0 (C x = 0).  It is a
-    candidate when |y^H B| / |y| is at or below the deflation cut of
-    _krylov_basis, c = rank_tol max(1, |A|_F, |B|_F) (|C|_F in place of
-    |B|_F with observe).  Every eigenvalue that is not isolated, that is
-    clustered, is a candidate too.  One reordering moves the candidates
-    to the trailing block W of the form (the leading block with
-    observe), whose span holds the whole hidden space.
+    splits along the spectrum.  One LAPACK zgeev call on the triangular T
+    gives the unit left eigenvectors y_k of T (the right ones x_k with
+    observe) of every side asked for.  Balancing isolates each eigenvalue
+    of a triangular matrix in place, so no QR sweep runs and ztrevc
+    back-substitutes on T itself, returning vector k for the k-th diagonal
+    entry; a certificate holds the returned eigenvalues to diag(T) to
+    rounding.  T goes in scaled by a power of two when its largest entry
+    leaves _EIG_RANGE, so zgeev never scales it itself.  The vector
+    y_k / y_k[k], unit at its place on the diagonal, has grown to
+    1 / |y_k[k]|.  An eigenvalue is isolated when it lies farther than the
+    gap g max(1, |A|_F) from every other one, g = rank_tol^(1/3), and its
+    vector grew by at most 1/g; it is then simple, and hidden exactly
+    when y^H B = 0 (C x = 0).  It is a candidate when |y^H Z^H B| (or
+    |C Z x|) is at or below the deflation cut of _krylov_basis,
+    c = rank_tol max(1, |A|_F, |B|_F) (|C|_F in place of |B|_F with
+    observe).  Every eigenvalue that is not isolated, that is clustered,
+    is a candidate too.  One reordering moves the candidates to the
+    trailing block W of the form (the leading block with observe), whose
+    span holds the whole hidden space.
     - With a cluster among them, _krylov_basis, with the cut c, decides
       on the small block (W^H A W, W^H B): the span gains W Q for its
       basis Q, and the hidden space is W times the orthogonal complement
@@ -485,59 +511,80 @@ def _schur_spans(system, observe, tol):
       a vector of norm near c, whose direction carries the rounding of
       W^H B, about u |B| / c, and could read an exactly hidden mode as
       reached.
-    - With no candidate the span is the whole state.
+    - With no candidate the span is the whole state, and a side without
+      input (output) columns hides the whole state; neither reorders.
 
-    Why the thresholds hold.  The computed eigenvector of an eigenvalue at
-    distance d from the rest of the spectrum is off by about u |A|_F / d,
-    u the unit roundoff, times the departure from normality, so above the
-    gap rounding adds about u |B| / g to |y^H B|: 5e-13 |B| at the default
-    rank_tol, a factor 200 below c, so an exactly hidden isolated mode is
-    found, however dominant.  A defective eigenvalue of a Jordan chain of
-    length k is split by about (u |A|)^(1/k) in the computed form, within
-    the gap for chains up to length four at the default rank_tol; longer
-    chains split further, but their vectors grow by about
-    (1 / split)^(k - 1), past 1e12 from length six on, while those of the
-    seeded passive and conservative systems of the tests, n <= 40, grow by
-    at most 12.  Either way such eigenvalues reach the recurrence, whose
-    block holds only candidates, so no dominant reachable mode amplifies
-    the rounding along a hidden one, which is how the recurrence on the
-    whole state misses hidden modes.
+    Why the thresholds hold.  The back-substitution of ztrevc divides by
+    the differences lam_j - lam_k of the diagonal, so the computed
+    eigenvector of an eigenvalue at distance d from the rest of the
+    spectrum is off by about u |A|_F / d, u the unit roundoff, times the
+    departure from normality; above the gap rounding adds about u |B| / g
+    to |y^H B|: 5e-13 |B| at the default rank_tol, a factor 200 below c,
+    so an exactly hidden isolated mode is found, however dominant.  ztrevc
+    raises a pivot lam_j - lam_k below ulp |lam_k| to that size, which
+    happens only within a cluster, whose eigenvalues are candidates
+    anyway.  A defective eigenvalue of a Jordan chain of length k is split
+    by about (u |A|)^(1/k) in the computed form, within the gap for
+    chains up to length four at the default rank_tol; longer chains split
+    further, but their vectors grow by about (1 / split)^(k - 1), past
+    1e12 from length six on, while those of the seeded passive and
+    conservative systems of the tests, n <= 40, grow by at most 12.
+    Either way such eigenvalues reach the recurrence, whose block holds
+    only candidates, so no dominant reachable mode amplifies the rounding
+    along a hidden one, which is how the recurrence on the whole state
+    misses hidden modes.
     """
     form = system._spectrum
-    drive = system.C.conj().T if observe else system.B
-    n = drive.shape[0]
     Z = form.Z
+    if not Z.size:
+        return [(Z, Z)] * len(sides)
     norm_a = float(np.linalg.norm(system.A))
-    cut = tol.rank_tol * max(1.0, norm_a, float(np.linalg.norm(drive)))
     lam = form.eigenvalues
-    diff = lam[:, None] - lam[None, :]
     g = tol.rank_tol ** (1.0 / 3.0)
-    close = np.abs(diff) <= g * max(1.0, norm_a)
-    # inv[k, j] = 1 / (lam_k - lam_j) away from lam_k; a clustered row is
-    # a candidate whatever its vector, so its close terms are dropped
-    inv = np.divide(1.0, diff, out=np.zeros_like(diff), where=~close)
-    T = form.T
-    V = np.zeros((n, n), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
+    close = np.abs(lam[:, None] - lam[None, :]) <= g * max(1.0, norm_a)
+    near = np.count_nonzero(close, axis=1) > 1
+    # a side without input (output) columns hides the whole state
+    driven = [observe for observe in sides if (system.C if observe else system.B).size]
+    if driven:
+        top = float(np.max(np.abs(form.T)))
+        shift = 0
+        if not _EIG_RANGE[0] <= top <= _EIG_RANGE[1]:
+            shift = int(np.clip(np.frexp(top)[1], -1000, 1000))
+        w, left, right, info = zgeev(form.T * 2.0 ** -shift if shift else form.T,
+                                     int(False in driven), int(True in driven))
+        if info:
+            raise np.linalg.LinAlgError("eigenvectors of the Schur form did not converge")
+        certify("Schur form eigenvalue order", float(np.max(np.abs(w * 2.0 ** shift - lam))),
+                _ORDER_ULPS * _UNIT_ROUNDOFF * float(np.max(np.abs(lam))))
+    spans = []
+    for observe in sides:
+        if observe not in driven:
+            spans.append((Z[:, :0], Z))
+            continue
         if observe:
-            # column k: T x = lam_k x with x[k] = 1 and zero below k
-            for j in range(n - 1, -1, -1):
-                V[j] = (T[j, j + 1:] @ V[j + 1:]) * inv[:, j]
-                V[j, j] = 1.0
-            driven = np.linalg.norm(system.C @ Z @ V, axis=0)
-            size = np.linalg.norm(V, axis=0)
+            vectors, drive = right, system.C
+            ratio = np.linalg.norm(system.C @ Z @ right, axis=0)
         else:
-            # row k: w T = lam_k w with w[k] = 1 and zero before k
-            for j in range(n):
-                V[:, j] = (V[:, :j] @ T[:j, j]) * inv[:, j]
-                V[j, j] = 1.0
-            driven = np.linalg.norm(V @ (Z.conj().T @ drive), axis=1)
-            size = np.linalg.norm(V, axis=1)
-        ratio = driven / size
-        # a vector that grew past 1/g, or overflowed, belongs to a nearly
-        # defective eigenvalue and is decided with the clusters
-        clustered = (np.count_nonzero(close, axis=1) > 1) | ~(size <= 1.0 / g)
+            vectors, drive = left, system.B
+            ratio = np.linalg.norm(left.conj().T @ (Z.conj().T @ system.B), axis=1)
+        cut = tol.rank_tol * max(1.0, norm_a, float(np.linalg.norm(drive)))
+        # a growth 1 / |y_k[k]| past 1/g, or a vector lost to overflow,
+        # marks a nearly defective eigenvalue, decided with the clusters
+        clustered = near | ~(np.abs(np.diagonal(vectors)) >= g)
         candidate = clustered | ~(ratio > cut)
+        spans.append(_hidden_split(system, observe, clustered, candidate, ratio, cut, tol)
+                     if candidate.any() else (Z, Z[:, :0]))
+    return spans
+
+
+def _hidden_split(system, observe, clustered, candidate, ratio, cut, tol):
+    """(span, hidden) of one side of _schur_spans from its masks of
+    clustered and candidate eigenvalues, at least one a candidate, and the
+    drive of each eigenvector against the cut."""
+    form = system._spectrum
+    Z = form.Z
+    n = Z.shape[0]
+    drive = system.C.conj().T if observe else system.B
 
     def moved(select):
         """(rest, block): the Schur vectors with the selected eigenvalues
@@ -588,9 +635,10 @@ def krylov_report(system, tol=DEFAULT_TOL):
     """Reachable span[B, AB, ...], observable J span[C^H, A^H C^H, ...] and
     combined spans, with the kinds of their metric complements.
 
-    Both spans and their orthogonal complements come from _schur_spans on
-    the one Schur form of the system, which states the cut and the
-    cluster gap they are decided at; no Arnoldi recurrence runs on the
+    Both spans and their orthogonal complements come from one
+    _schur_spans call on the one Schur form of the system, which takes the
+    eigenvectors of both sides from one LAPACK call and states the cut and
+    the cluster gap they are decided at; no Arnoldi recurrence runs on the
     whole state.  The observable span is the reachable span of
     adjoint_system(system), whose blocks J A^H J and J C^H make it J times
     span[C^H, A^H C^H, ...].  The combined span is the whole state when
@@ -602,8 +650,7 @@ def krylov_report(system, tol=DEFAULT_TOL):
     sp = system.state
     n = sp.dim
     signs = sp.signs[:, None]
-    Qc, hidden_c = _schur_spans(system, False, tol)
-    span_o, hidden_o = _schur_spans(system, True, tol)
+    (Qc, hidden_c), (span_o, hidden_o) = _schur_spans(system, (False, True), tol)
     Qo = signs * span_o
     full = [Q for Q in (Qc, Qo) if Q.shape[1] == n]
     Qs = full[0] if full else column_space(np.hstack([Qc, Qo]), tol)
@@ -895,13 +942,13 @@ def _weak_map(s1, s2, recurrence, tol):
     if s1.input_dim != s2.input_dim or s1.output_dim != s2.output_dim:
         raise PreconditionError("weak similarity requires matching input/output")
     N = 2 * max(s1.state_dim, s2.state_dim)
-    scale = max(1.0, np.linalg.norm(s1.D, 2))
-    t1, t2 = _taylor_stack(s1, N), _taylor_stack(s2, N)
-    # order k is compared against the largest coefficient norm up to k
-    growth = np.maximum.accumulate(
-        np.maximum(1.0, np.linalg.norm(t1, 2, axis=(1, 2))))
-    bad = np.flatnonzero(np.linalg.norm(t1 - t2, 2, axis=(1, 2))
-                         > tol.metric_tol * np.maximum(scale, growth))
+    t1 = _taylor_stack(s1, N)
+    size, diff = _spectral_norms(
+        np.concatenate([t1, t1 - _taylor_stack(s2, N)])).reshape(2, -1)
+    # order k is compared against the largest coefficient norm up to k, the
+    # norm of D = t1[0] included
+    growth = np.maximum.accumulate(np.maximum(1.0, size))
+    bad = np.flatnonzero(diff > tol.metric_tol * growth)
     if bad.size:
         raise PreconditionError(
             f"Taylor coefficients differ at order {bad[0]}; no weak similarity")
@@ -918,6 +965,18 @@ def _weak_map(s1, s2, recurrence, tol):
         certify("weak similarity smallest singular value", -sv[-1],
                 -tol.rank_tol * max(1.0, sv[0]))
     return SimilarityResult("weak", Z, residuals)
+
+
+def _spectral_norms(stack):
+    """Spectral norms of a stack of matrices, each the square root of the
+    largest eigenvalue of its smaller Gram matrix, from one stacked
+    Hermitian eigen-solve; 0 for an empty matrix."""
+    k, p, m = stack.shape
+    if not p * m:
+        return np.zeros(k)
+    gram = (stack @ stack.conj().transpose(0, 2, 1) if p <= m
+            else stack.conj().transpose(0, 2, 1) @ stack)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
 def realize_from_taylor(coeffs, tol=DEFAULT_TOL, order_bound=None):

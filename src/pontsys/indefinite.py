@@ -285,9 +285,15 @@ def metric_defects(M, dom, cod):
     dom_s = metric_signs(dom)
     cod_s = metric_signs(cod)
     M = as_matrix(M, rows=cod_s.size, cols=dom_s.size, name="operator")
-    primal = np.diag(dom_s) - M.conj().T @ (cod_s[:, None] * M)
-    dual = np.diag(cod_s) - M @ (dom_s[:, None] * M.conj().T)
-    return primal.astype(np.complex128), dual.astype(np.complex128)
+    return _metric_defects(M, dom_s, cod_s)
+
+
+def _metric_defects(M, dom_s, cod_s):
+    """metric_defects of a complex128 M from the sign vectors of its domain
+    and codomain, with no check of its shape or entries."""
+    Mh = M.conj().T
+    return (np.diag(dom_s) - Mh @ (cod_s[:, None] * M),
+            np.diag(cod_s) - M @ (dom_s[:, None] * Mh))
 
 
 def metric_classify(M, dom, cod, tol=DEFAULT_TOL):

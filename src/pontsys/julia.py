@@ -116,10 +116,13 @@ def _julia_completion(M, dom, cod, factors, tol):
     r1, r2 = E1.shape[1], E2.shape[1]
 
     # corner solving E1 G = -M* J_cod E2; solvable since the defect ranges
-    # intertwine, the residual certifies that
+    # intertwine, the residual certifies that.  E1 = V diag(sqrt(w)) with
+    # orthonormal V (psd_factor), so its columns are orthogonal with squared
+    # norms w and G = diag(1/w) E1^H rhs = diag(1/sqrt(w)) V^H rhs
     rhs = -(M.conj().T @ (cod_s[:, None] * E2))
     if r1 and r2:
-        G = np.linalg.lstsq(E1, rhs, rcond=None)[0]
+        w = np.einsum("ij,ij->j", E1.conj(), E1).real
+        G = (E1.conj().T @ rhs) / w[:, None]
         _certify_residual("defect range intertwining residual", E1 @ G - rhs,
                           1e3 * tol.rank_tol,
                           lambda: max(1.0, float(np.linalg.norm(M, 2)) ** 2))

@@ -129,7 +129,7 @@ def obstruction_observable(first, second, tol=DEFAULT_TOL):
     """
     cas = cascade(first, second)
     primary = _unobservable(cas, tol)
-    secondary = _schur_spans(cas, True, tol)[1]
+    secondary = _schur_spans(cas, (True,), tol)[0][1]
     worst = _compare_kernels(primary, secondary, "observability obstruction")
     return ObstructionReport(primary, first.state_dim, worst)
 
@@ -145,7 +145,7 @@ def obstruction_controllable(first, second, tol=DEFAULT_TOL):
     """
     cas = cascade(first, second)
     primary = _unobservable(adjoint_system(cas), tol)
-    secondary = cas.state.signs[:, None] * _schur_spans(cas, False, tol)[1]
+    secondary = cas.state.signs[:, None] * _schur_spans(cas, (False,), tol)[0][1]
     worst = _compare_kernels(primary, secondary, "controllability obstruction")
     return ObstructionReport(primary, first.state_dim, worst)
 

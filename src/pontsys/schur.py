@@ -875,7 +875,7 @@ def _observable_dimension(system, tol):
     """Dimension of the observable space of the system, the rank of its
     observability map x -> (C A^k x)_k, read off the system's Schur form
     (colligation._schur_spans)."""
-    return _schur_spans(system, True, tol)[0].shape[1]
+    return _schur_spans(system, (True,), tol)[0][0].shape[1]
 
 
 # kind of adjoint_system(system) by the kind of system: the adjoint's

@@ -42,12 +42,15 @@ from pontsys.indefinite import (
     SignatureSpace,
     SubspaceKind,
     Tolerances,
+    as_matrix,
     is_psd,
     metric_classify,
     metric_defects,
+    metric_signs,
+    nullspace,
 )
-from pontsys import sampling
-from pontsys.products import cascade
+from pontsys import indefinite, sampling, schur
+from pontsys.products import cascade, obstruction_controllable, obstruction_observable
 from pontsys.sampling import (
     random_conservative_colligation,
     random_j_unitary,
@@ -371,6 +374,44 @@ def _recurrence_systems():
 RECURRENCE_SYSTEMS = _recurrence_systems()
 
 
+# metric_defects before system_kind formed its defects with the unchecked
+# core, kept verbatim as the reference the core must reproduce bit for bit
+def _old_metric_defects(M, dom, cod):
+    dom_s = metric_signs(dom)
+    cod_s = metric_signs(cod)
+    M = as_matrix(M, rows=cod_s.size, cols=dom_s.size, name="operator")
+    primal = np.diag(dom_s) - M.conj().T @ (cod_s[:, None] * M)
+    dual = np.diag(cod_s) - M @ (dom_s[:, None] * M.conj().T)
+    return primal.astype(np.complex128), dual.astype(np.complex128)
+
+
+class TestOperatorDefects:
+    """system_operator and the unchecked defect core of system_kind against
+    np.block and the checked metric_defects as it was, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(RECURRENCE_SYSTEMS))
+    def test_system_operator_is_the_block_matrix(self, name):
+        plant = RECURRENCE_SYSTEMS[name]
+        T, dom, cod = system_operator(plant)
+        want = np.block([[plant.A, plant.B], [plant.C, plant.D]])
+        assert T.dtype == want.dtype and T.shape == want.shape
+        assert T.tobytes() == want.tobytes()
+        for core, checked, old in zip(indefinite._metric_defects(T, dom, cod),
+                                      metric_defects(want, dom, cod),
+                                      _old_metric_defects(want, dom, cod)):
+            for got in (core, checked):
+                assert got.dtype == old.dtype == np.complex128
+                assert got.shape == old.shape and got.tobytes() == old.tobytes()
+
+    def test_metric_defects_keeps_its_checks(self):
+        with pytest.raises(InputError):
+            metric_defects(np.array([[np.nan]]), 1, 1)
+        with pytest.raises(DimensionMismatchError):
+            metric_defects(np.eye(2), 3, 2)
+        with pytest.raises(InputError):
+            metric_defects(np.eye(2), [1.0, 2.0], 2)
+
+
 # The block Arnoldi loop before it kept a conjugate-transposed basis
 # buffer: each step copied the conjugate of the basis so far.  Kept as
 # the reference that _krylov_basis must reproduce bit for bit.
@@ -669,7 +710,7 @@ class TestSchurSpans:
             arnoldi = {False: colligation._krylov_basis(plant.A, plant.B, DEFAULT_TOL)[0],
                        True: colligation._observable_span(plant, DEFAULT_TOL)}
             for observe, want in arnoldi.items():
-                span, hidden = colligation._schur_spans(plant, observe, DEFAULT_TOL)
+                (span, hidden), = colligation._schur_spans(plant, (observe,), DEFAULT_TOL)
                 assert span.shape == want.shape
                 assert hidden.shape == (n, n - want.shape[1])
                 assert same_span(span, want, angle_tol=1e-8)
@@ -699,7 +740,7 @@ class TestSchurSpans:
         plant = Colligation(SignatureSpace(n, 0), 1, 1, A, U @ b, np.ones((1, n)), [[0.0]])
         assert _hautus_at(A, plant.B, 0.5) < 1e-14
         arnoldi = spy(monkeypatch, colligation._krylov_basis)
-        span, hidden = colligation._schur_spans(plant, False, DEFAULT_TOL)
+        (span, hidden), = colligation._schur_spans(plant, (False,), DEFAULT_TOL)
         assert arnoldi == []
         assert (span.shape[1], hidden.shape[1]) == (n - 1, 1)
         # the hidden direction is the left eigenvector of 0.5
@@ -711,7 +752,7 @@ class TestSchurSpans:
         plant = RECURRENCE_SYSTEMS[name]
         n = plant.state_dim
         for observe, width in ((False, plant.input_dim), (True, plant.output_dim)):
-            span, hidden = colligation._schur_spans(plant, observe, DEFAULT_TOL)
+            (span, hidden), = colligation._schur_spans(plant, (observe,), DEFAULT_TOL)
             assert span.shape == (n, n if width else 0)
             assert hidden.shape == (n, 0 if width else n)
         rep = krylov_report(plant)
@@ -727,6 +768,261 @@ class TestSchurSpans:
         forms = spy_attr(monkeypatch, scipy.linalg, "schur")
         weak_similarity(sys1, sys2)
         assert len(arnoldi) == 2 and forms == []
+
+
+# The Hautus decision of _schur_spans before its eigenvectors came from one
+# zgeev call: a back-substitution over all shifts, one numpy step per
+# diagonal entry of the Schur form.  Kept verbatim, split where its masks
+# are read, as the oracle that the LAPACK route must reproduce.
+def _backsub_masks(system, observe, tol):
+    """(clustered, candidate, ratio, cut) of one side, by back-substitution."""
+    form = system._spectrum
+    drive = system.C.conj().T if observe else system.B
+    n = drive.shape[0]
+    Z = form.Z
+    norm_a = float(np.linalg.norm(system.A))
+    cut = tol.rank_tol * max(1.0, norm_a, float(np.linalg.norm(drive)))
+    lam = form.eigenvalues
+    diff = lam[:, None] - lam[None, :]
+    g = tol.rank_tol ** (1.0 / 3.0)
+    close = np.abs(diff) <= g * max(1.0, norm_a)
+    # inv[k, j] = 1 / (lam_k - lam_j) away from lam_k; a clustered row is
+    # a candidate whatever its vector, so its close terms are dropped
+    inv = np.divide(1.0, diff, out=np.zeros_like(diff), where=~close)
+    T = form.T
+    V = np.zeros((n, n), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if observe:
+            # column k: T x = lam_k x with x[k] = 1 and zero below k
+            for j in range(n - 1, -1, -1):
+                V[j] = (T[j, j + 1:] @ V[j + 1:]) * inv[:, j]
+                V[j, j] = 1.0
+            driven = np.linalg.norm(system.C @ Z @ V, axis=0)
+            size = np.linalg.norm(V, axis=0)
+        else:
+            # row k: w T = lam_k w with w[k] = 1 and zero before k
+            for j in range(n):
+                V[:, j] = (V[:, :j] @ T[:j, j]) * inv[:, j]
+                V[j, j] = 1.0
+            driven = np.linalg.norm(V @ (Z.conj().T @ drive), axis=1)
+            size = np.linalg.norm(V, axis=1)
+        ratio = driven / size
+        # a vector that grew past 1/g, or overflowed, belongs to a nearly
+        # defective eigenvalue and is decided with the clusters
+        clustered = (np.count_nonzero(close, axis=1) > 1) | ~(size <= 1.0 / g)
+        candidate = clustered | ~(ratio > cut)
+    return clustered, candidate, ratio, cut
+
+
+def _backsub_spans(system, observe, tol):
+    """(span, hidden) of one side, split on the masks of _backsub_masks."""
+    form = system._spectrum
+    drive = system.C.conj().T if observe else system.B
+    n = drive.shape[0]
+    Z = form.Z
+    clustered, candidate, ratio, cut = _backsub_masks(system, observe, tol)
+
+    def moved(select):
+        """(rest, block): the Schur vectors with the selected eigenvalues
+        moved to the end of the form that holds the hidden space."""
+        k = int(np.count_nonzero(select))
+        if observe:
+            Zr, _ = form.reordered(select)
+            return Zr[:, k:], Zr[:, :k]
+        Zr, _ = form.reordered(~select)
+        return Zr[:, :n - k], Zr[:, n - k:]
+
+    rest, block = moved(candidate)
+    if clustered.any():
+        Tb = block.conj().T @ system.A @ block
+        Q = colligation._krylov_basis(Tb.conj().T if observe else Tb,
+                                      block.conj().T @ drive, tol, cut=cut)[0]
+        return np.hstack([rest, block @ Q]), block @ nullspace(Q.conj().T, tol)
+    if colligation._norm2(block.conj().T @ drive) > cut:
+        rest, block, hidden = Z, Z[:, :0], np.zeros(n, dtype=bool)
+        for k in np.flatnonzero(candidate)[np.argsort(ratio[candidate], kind="stable")]:
+            trial = hidden.copy()
+            trial[k] = True
+            r, b = moved(trial)
+            if colligation._norm2(b.conj().T @ drive) <= cut:
+                rest, block, hidden = r, b, trial
+    return rest, block
+
+
+def _sweep_plants(n):
+    """Per seeded system, the system and its plants: B of 8 passive
+    (strict = 0.2) and 8 conservative systems, kappa <= 8 and 1-3 channels,
+    projected off each left eigenvector in turn, and then 1e-8 times a
+    unit vector added back along it."""
+    for kind in ("passive", "conservative"):
+        for seed in range(100, 108):
+            rng, kappa, io = TestPBHOracle.shape(kind, n, seed)
+            sys1 = TestPBHOracle.random_system(rng, kind, SignatureSpace(n - kappa, kappa), io)
+            W = np.linalg.eig(sys1.A.conj().T)[1]
+            W /= np.linalg.norm(W, axis=0)
+            pairs = []
+            for w in W.T:
+                u = rng.standard_normal(io) + 1j * rng.standard_normal(io)
+                B0 = sys1.B - np.outer(w, w.conj() @ sys1.B)
+                pair = [Colligation(sys1.state, io, io, sys1.A, B, sys1.C, sys1.D)
+                        for B in (B0, B0 + 1e-8 * np.outer(w, u.conj() / np.linalg.norm(u)))]
+                # the plants share A, so each would take bitwise this Schur form
+                for plant in pair:
+                    plant.__dict__["_spectrum"] = sys1._spectrum
+                pairs.append(pair)
+            yield sys1, pairs
+
+
+class TestBacksubOracle:
+    """_schur_spans against the back-substitution it replaced: equal
+    candidate and cluster masks, and bitwise equal span and hidden bases,
+    which are blocks of Schur vectors."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        return spy(monkeypatch, colligation._hidden_split)
+
+    @staticmethod
+    def assert_matches(splits, plant, sides=(False, True)):
+        del splits[:]
+        got = colligation._schur_spans(plant, sides, DEFAULT_TOL)
+        masks = {args[1]: args[2:4] for args in splits}
+        assert len(masks) == len(splits)
+        for observe, (span, hidden) in zip(sides, got):
+            clustered, candidate = _backsub_masks(plant, observe, DEFAULT_TOL)[:2]
+            if observe in masks:
+                assert np.array_equal(masks[observe][0], clustered)
+                assert np.array_equal(masks[observe][1], candidate)
+            else:
+                assert not candidate.any()
+            for mine, want in zip((span, hidden),
+                                  _backsub_spans(plant, observe, DEFAULT_TOL)):
+                assert mine.shape == want.shape and mine.tobytes() == want.tobytes()
+        return got
+
+    @pytest.mark.parametrize("kind", ["passive", "conservative"])
+    @pytest.mark.parametrize("n", TestPBHOracle.SIZES)
+    def test_pbh_plants(self, splits, kind, n):
+        plants = TestSchurSpans.plants(kind, n)
+        rng, kappa, io = TestPBHOracle.shape(kind, n, 20)
+        sys1 = TestPBHOracle.random_system(rng, kind, SignatureSpace(n - kappa, kappa), io)
+        plants += TestPBHOracle.projected(
+            sys1, np.argmin, [0.0, 1e-10, 1e-11, 1e-12, 1e-13], rng)
+        rng, kappa, io = TestPBHOracle.shape("passive", n, 30)
+        sys1 = TestPBHOracle.random_system(rng, "passive", SignatureSpace(n - kappa, kappa), io)
+        plants += TestPBHOracle.projected(sys1, np.argmax, [0.0], rng)
+        for plant in plants:
+            self.assert_matches(splits, plant)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6, 8, 12])
+    def test_jordan_chains(self, splits, k):
+        rng = np.random.default_rng([k, 78])
+        lam = 0.6 + 0.1j
+        U = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+        A = U @ (lam * np.eye(k) + np.diag(np.ones(k - 1), 1)) @ U.conj().T
+        for B in (U[:, -1:], U[:, :1]):
+            for C in (np.ones((1, k)), U[:, :1].conj().T, U[:, -1:].conj().T):
+                self.assert_matches(splits, Colligation(
+                    SignatureSpace(k, 0), 1, 1, A, B, C, [[0.0]]))
+
+    @pytest.mark.parametrize("n", [8, 24, 40])
+    def test_repeated_eigenvalues(self, splits, n):
+        for dominant in (True, False):
+            rng = np.random.default_rng([n, 77])
+            lam = 0.95 if dominant else 0.3 + 0.2j
+            rest = 0.8 * np.sqrt(rng.random(n - 2)) * np.exp(2j * np.pi * rng.random(n - 2))
+            G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            S = np.eye(n) + 0.3 * G / np.linalg.norm(G, 2)
+            A = S @ np.diag(np.concatenate([[lam, lam], rest])) @ np.linalg.inv(S)
+            B = S @ (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1)))
+            C = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
+            self.assert_matches(splits, Colligation(
+                SignatureSpace(n, 0), 1, 1, A, B, C, [[0.0]]))
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 40])
+    def test_projected_sweep(self, splits, n):
+        # 16 systems per size, 1,408 plants over the four sizes: each reads
+        # exactly n - 1 reachable dimensions, and n with 1e-8 added back
+        for sys1, pairs in _sweep_plants(n):
+            self.assert_matches(splits, sys1, (True,))
+            for exact, near in pairs:
+                (span, _), = self.assert_matches(splits, exact, (False,))
+                assert span.shape[1] == n - 1
+                (span, _), = self.assert_matches(splits, near, (False,))
+                assert span.shape[1] == n
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    @pytest.mark.parametrize("kind", ["passive", "conservative"])
+    @pytest.mark.parametrize("n", [8, 24, 40])
+    def test_scaled_plants(self, splits, monkeypatch, scale, kind, n):
+        # zgeev would scale these forms itself; the eigenvector call gets T
+        # scaled into range by a power of two, and the decisions are the
+        # back-substitution's on the same plant.  At 1e150 they are also
+        # those of the unscaled plant; at 1e-150 the floor max(1, .) of the
+        # gap makes every eigenvalue clustered, as it did before
+        calls = spy(monkeypatch, colligation.zgeev)
+        for plant in TestSchurSpans.plants(kind, n):
+            scaled = Colligation(plant.state, plant.input_dim, plant.output_dim,
+                                 scale * plant.A, scale * plant.B, scale * plant.C, plant.D)
+            del calls[:]
+            got = self.assert_matches(splits, scaled)
+            top = np.max(np.abs(calls[0][0]))
+            assert 2.0 ** -400 <= top <= 2.0 ** 400
+            if scale > 1:
+                want = colligation._schur_spans(plant, (False, True), DEFAULT_TOL)
+                assert [s.shape for s, _ in got] == [s.shape for s, _ in want]
+
+
+class TestEigenvectorCall:
+    """The one zgeev call of _schur_spans per system and request."""
+
+    @staticmethod
+    def plant():
+        rng = np.random.default_rng([12, 2])
+        return random_conservative_colligation(rng, SignatureSpace(10, 2), 2)
+
+    def test_krylov_report_asks_both_sides_in_one_call(self, monkeypatch):
+        plant = self.plant()
+        calls = spy(monkeypatch, colligation.zgeev)
+        krylov_report(plant)
+        assert len(calls) == 1
+        assert calls[0][0] is plant._spectrum.T and calls[0][1:] == (1, 1)
+
+    def test_single_side_callers_ask_one_side(self, monkeypatch):
+        plant = self.plant()
+        calls = spy(monkeypatch, colligation.zgeev)
+        schur._observable_dimension(plant, DEFAULT_TOL)
+        obstruction_observable(blaschke_system(0.5), blaschke_system(-0.3))
+        obstruction_controllable(blaschke_system(0.5), blaschke_system(-0.3))
+        assert [args[1:] for args in calls] == [(0, 1), (0, 1), (1, 0)]
+
+    def test_out_of_order_eigenvalues_are_refused(self, monkeypatch):
+        real = colligation.zgeev
+
+        def reversed_order(*args):
+            w, left, right, info = real(*args)
+            return w[::-1], left[:, ::-1], right[:, ::-1], info
+
+        monkeypatch.setattr(colligation, "zgeev", reversed_order)
+        for sides in ((False, True), (False,), (True,)):
+            with pytest.raises(InternalConsistencyError, match="eigenvalue order"):
+                colligation._schur_spans(self.plant(), sides, DEFAULT_TOL)
+
+    @pytest.mark.parametrize("name", ["empty-state", "no-input", "no-output", "conservative"])
+    def test_no_candidate_takes_no_reordering(self, monkeypatch, name):
+        # the empty state and a side with no candidate return the Schur
+        # vectors as they are; a side without columns takes no eigenvectors
+        plant = RECURRENCE_SYSTEMS[name]
+        plant._spectrum
+        calls = spy(monkeypatch, colligation.zgeev)
+        reorders = spy_attr(monkeypatch, type(plant._spectrum), "reordered")
+        norms = spy(monkeypatch, colligation._norm2)
+        rep = krylov_report(plant)
+        assert reorders == [] and norms == []
+        driven = (plant.input_dim > 0, plant.output_dim > 0)
+        assert [args[1:] for args in calls] == ([driven] if plant.state_dim and any(driven)
+                                                else [])
+        assert rep.controllable == (plant.input_dim > 0 or not plant.state_dim)
 
 
 class TestSimpKar:
@@ -967,19 +1263,70 @@ class TestSimilarity:
             weak_similarity(blaschke_system(0.5), blaschke_system(0.3))
 
     def test_weak_similarity_rejects_mismatch_at_last_order(self):
-        # cyclic shift realizations: C A^(k-1) B is 1 at k = n, the corner
-        # entry at k = 2n = N, and 0 at every other order up to N, so two
-        # corners differ first at the last order compared
-        def cyclic(corner, n=4):
-            A = np.diag(np.ones(n - 1), -1).astype(complex)
-            A[0, n - 1] = corner
-            return Colligation(SignatureSpace(n, 0), 1, 1, A,
-                               np.eye(n)[:, :1], np.eye(n)[-1:, :], [[0.2]])
-
-        assert weak_similarity(cyclic(0.5), cyclic(0.5)).residuals["A"] < 1e-12
+        # cyclic shift realizations read at the last state: C A^(k-1) B is 1
+        # at k = n, the corner entry at k = 2n = N, and 0 at every other
+        # order up to N, so two corners differ first at the last order
+        # compared
+        assert weak_similarity(self.cyclic(0.5, 4), self.cyclic(0.5, 4)).residuals["A"] < 1e-12
         with pytest.raises(PreconditionError, match=(
                 r"^Taylor coefficients differ at order 8; no weak similarity$")):
-            weak_similarity(cyclic(0.5), cyclic(0.3))
+            weak_similarity(self.cyclic(0.5, 4), self.cyclic(0.3, 4))
+
+    @staticmethod
+    def cyclic(corner, row, gain=1.0, n=4):
+        """Cyclic shift realization read at state row: C A^(k-1) B is gain
+        at k = row, gain times the corner at k = row + n, and 0 at every
+        other order from 1 to 2n."""
+        A = np.diag(np.ones(n - 1), -1).astype(complex)
+        A[0, n - 1] = corner
+        return Colligation(SignatureSpace(n, 0), 1, 1, A, np.eye(n)[:, :1],
+                           gain * np.eye(n)[row - 1:row, :], [[0.2]])
+
+    @pytest.mark.parametrize("order", range(9))
+    def test_weak_similarity_names_the_first_differing_order(self, order):
+        # a gain differs first at order row, a corner at order row + 4, and
+        # the feedthrough at order 0
+        if order == 0:
+            s2 = self.cyclic(0.5, 1)
+            s2 = Colligation(s2.state, 1, 1, s2.A, s2.B, s2.C, [[0.3]])
+            pair = (self.cyclic(0.5, 1), s2)
+        elif order <= 4:
+            pair = (self.cyclic(0.5, order), self.cyclic(0.5, order, gain=2.0))
+        else:
+            pair = (self.cyclic(0.5, order - 4), self.cyclic(0.3, order - 4))
+        assert weak_similarity(pair[0], pair[0]).residuals["A"] < 1e-12
+        with pytest.raises(PreconditionError, match=(
+                rf"^Taylor coefficients differ at order {order}; no weak similarity$")):
+            weak_similarity(*pair)
+
+    @pytest.mark.parametrize("p, m", [(0, 2), (2, 0), (0, 0)])
+    def test_weak_similarity_without_inputs_or_outputs(self, p, m):
+        # with no state the window holds only the empty or zero-width D
+        s1 = Colligation(SignatureSpace(0, 0), m, p, np.zeros((0, 0)), np.zeros((0, m)),
+                         np.zeros((p, 0)), np.zeros((p, m)))
+        sim = weak_similarity(s1, s1)
+        assert sim.Z.shape == (0, 0) and sim.residuals["inverse_condition"] == 1.0
+
+    @pytest.mark.parametrize("shape", [(3, 1, 4), (5, 4, 2), (2, 3, 3), (4, 0, 3),
+                                       (4, 3, 0)])
+    def test_window_norms_are_the_spectral_norms(self, shape):
+        rng = np.random.default_rng(list(shape))
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stack[:1] *= 1e-9
+        want = (np.linalg.norm(stack, 2, axis=(1, 2)) if stack.size
+                else np.zeros(shape[0]))
+        got = colligation._spectral_norms(stack)
+        assert got.shape == (shape[0],)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(want, 1e-300))
+
+    def test_window_norms_take_one_eigen_solve(self, monkeypatch):
+        rng = np.random.default_rng([24, 4, 2])
+        sys1 = random_conservative_colligation(rng, SignatureSpace(20, 4), 2)
+        sys2 = state_change(sys1, np.eye(24) + 0.01 * rng.standard_normal((24, 24)),
+                            sys1.state)
+        eigvalsh = spy_attr(monkeypatch, np.linalg, "eigvalsh")
+        weak_similarity(sys1, sys2)
+        assert [args[0].shape for args in eigvalsh] == [(2 * 49, 2, 2)]
 
 
 class TestRealize:

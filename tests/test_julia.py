@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import orthogonal_procrustes
 
-from pontsys import indefinite
+from pontsys import indefinite, julia
 from pontsys.colligation import (
     Colligation,
     SystemKind,
@@ -12,14 +12,20 @@ from pontsys.colligation import (
 )
 from pontsys.exceptions import IndefiniteDefectError, PreconditionError
 from pontsys.indefinite import (
+    DEFAULT_TOL,
     MetricClass,
     SignatureSpace,
     metric_classify,
 )
 from pontsys.julia import JuliaParts, julia_embedding, julia_operator
-from pontsys.sampling import disc_grid, random_j_contraction, random_passive_colligation
+from pontsys.sampling import (
+    disc_grid,
+    random_conservative_colligation,
+    random_j_contraction,
+    random_passive_colligation,
+)
 
-from _builders import spectral_norms, spy, spy_attr
+from _builders import direct_sum, spectral_norms, spy, spy_attr
 
 
 class TestJuliaOperator:
@@ -270,10 +276,11 @@ class TestOneUnitaryCertificate:
 
     def test_embedding_forms_the_operator_defects_once(self, monkeypatch):
         # the defects that decide the kind of T are the ones the completion
-        # factors; the second pair is the embedding's own
+        # factors; the second pair is the embedding's own.  Both come from
+        # the unchecked core that metric_defects wraps
         rng = np.random.default_rng(36)
         sys1 = random_passive_colligation(rng, SignatureSpace(6, 2), 2, 2, strict=0.2)
-        calls = spy(monkeypatch, indefinite.metric_defects)
+        calls = spy(monkeypatch, indefinite._metric_defects)
         emb = julia_embedding(sys1)
         T, _, _ = system_operator(sys1)
         U, _, _ = system_operator(emb)
@@ -291,3 +298,45 @@ class TestOneUnitaryCertificate:
         emb = julia_embedding(sys1)
         assert emb.state == sys1.state
         assert (len(eigvalsh), len(eigh), len(spectral_norms(norms))) == (0, 2, 0)
+
+
+def _corner_plants():
+    """Seeded passive systems, n = 4 to 40: strictly passive ones, whose
+    defects have full rank, and direct sums of a conservative system with a
+    strictly passive one, whose defects are rank-deficient."""
+    plants = []
+    for n in (4, 8, 16, 24, 40):
+        rng = np.random.default_rng([n, 61])
+        kappa = n // 4
+        io = 1 + n % 3
+        plants.append(random_passive_colligation(
+            rng, SignatureSpace(n - kappa, kappa), io, io, strict=0.2))
+        visible = random_conservative_colligation(rng, SignatureSpace(n - 2 - kappa, kappa), io)
+        plants.append(direct_sum(visible, random_passive_colligation(
+            rng, SignatureSpace(2, 0), 1, 1, strict=0.2)))
+    return plants
+
+
+class TestCornerInClosedForm:
+    @pytest.mark.parametrize("plant", _corner_plants())
+    def test_corner_matches_least_squares(self, plant):
+        # E1 = V diag(sqrt(w)) with orthonormal V: the closed-form corner is
+        # the least-squares solution of E1 G = rhs
+        T, dom, cod = system_operator(plant)
+        factors = julia._defect_factors(dom, *indefinite.metric_defects(T, dom, cod),
+                                        DEFAULT_TOL)
+        ju = julia._julia_completion(T, dom, cod, factors, DEFAULT_TOL)
+        E1 = dom[:, None] * factors[0]
+        rhs = -(T.conj().T @ (cod[:, None] * factors[1]))
+        want = np.linalg.lstsq(E1, rhs, rcond=None)[0]
+        got = -ju.link.conj().T
+        assert 0 < E1.shape[1] and 0 < factors[1].shape[1]
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_direct_sums_have_rank_deficient_defects(self):
+        for plant in _corner_plants()[1::2]:
+            T, dom, cod = system_operator(plant)
+            primal, dual = indefinite.metric_defects(T, dom, cod)
+            factors = julia._defect_factors(dom, primal, dual, DEFAULT_TOL)
+            assert 0 < factors[0].shape[1] < T.shape[1]
+            assert 0 < factors[1].shape[1] < T.shape[0]
