@@ -736,7 +736,8 @@ def is_dilation_of(big, small, tol=DEFAULT_TOL, decomposition=None):
     spanning, with A-invariant D annihilated by C, and adjoint-invariant
     D_star annihilated by the adjoint input map.  When no decomposition is
     supplied, D is the unobservable kernel of big and D_star that of its
-    adjoint system, which realizes the canonical search.
+    adjoint system, which realizes the canonical search; both are read off
+    the Hautus spans of big's Schur form (_schur_spans).
     Transfer functions must agree on the disc sample plan, whose rings
     hold tol.disc_samples // 3 points each (at least four).
     """
@@ -746,8 +747,10 @@ def is_dilation_of(big, small, tol=DEFAULT_TOL, decomposition=None):
     n = sp.dim
     defects = {}
     if decomposition is None:
-        D_basis = _unobservable(big, tol)
-        Dstar_basis = _unobservable(adjoint_system(big), tol)
+        (_, hidden_c), (_, D_basis) = _schur_spans(big, (False, True), tol)
+        # the unobservable kernel of the adjoint system is J times the
+        # orthogonal complement of the reachable space
+        Dstar_basis = sp.signs[:, None] * hidden_c
         if intersect_spans(D_basis, Dstar_basis, tol).shape[1]:
             return DilationReport(False, defects,
                                   "search failed: candidate parts overlap; "

@@ -42,7 +42,6 @@ from .indefinite import (
     SubspaceKind,
     canonical_basis,
     nullspace,
-    orthocomplement_basis,
     principal_angles,
     subspace_classify,
 )
@@ -407,53 +406,6 @@ def _factorize_simple(system, splits, mode, tol):
     return schur, invb, V
 
 
-def _factorize_nonsimple(system, rep, mode, tol):
-    """Split off the orthocomplement of the connected part, then factor.
-
-    The complement is positive and reduces the system with zero input and
-    output maps, so it can be carried over to the Schur-class factor
-    unchanged after the connected restriction is factorized.  rep is the
-    Krylov report of the system.
-    """
-    state = system.state
-    Ws, ssigns = canonical_basis(rep.simple_space, tol)
-    comp_space = IndefiniteSubspace._orthonormal(
-        state, orthocomplement_basis(rep.simple_space, tol))
-    if subspace_classify(comp_space, tol) != SubspaceKind.HILBERT:
-        raise InternalConsistencyError(
-            "orthocomplement of the connected part is not positive")
-    Wq, _ = canonical_basis(comp_space, tol)
-    J_X = state.signs
-    proj_s = ssigns[:, None] * (Ws.conj().T * J_X[None, :])
-    proj_q = Wq.conj().T * J_X[None, :]
-    sub = Colligation(SignatureSpace.from_signs(ssigns),
-                      system.input_dim, system.output_dim,
-                      proj_s @ system.A @ Ws, proj_s @ system.B,
-                      system.C @ Ws, system.D)
-    A_q = proj_q @ system.A @ Wq
-    q = Wq.shape[1]
-    schur0, invb, V0 = _factorize_simple(
-        sub, invariant_fundamental_decompositions(sub, tol), mode, tol)
-    r0 = schur0.state_dim
-    m, p = schur0.input_dim, schur0.output_dim
-    A_full = np.block([
-        [schur0.A, np.zeros((r0, q))],
-        [np.zeros((q, r0)), A_q]])
-    schur = Colligation(SignatureSpace(r0 + q, 0), m, p,
-                        A_full,
-                        np.vstack([schur0.B, np.zeros((q, m))]),
-                        np.hstack([schur0.C, np.zeros((p, q))]),
-                        schur0.D)
-    kappa = system.kappa
-    if mode == "right":
-        # cascade state order [invb, schur0, complement]
-        Z = np.hstack([Ws @ V0[:, :kappa], Ws @ V0[:, kappa:], Wq])
-    else:
-        # cascade state order [schur0, complement, invb]
-        Z = np.hstack([Ws @ V0[:, :r0], Wq, Ws @ V0[:, r0:]])
-    return schur, invb, Z
-
-
 def _certify_factorization(system, schur, invb, Z, mode, tol):
     kappa = system.kappa
     cas = cascade(invb, schur) if mode == "right" else cascade(schur, invb)
@@ -506,29 +458,40 @@ def kl_factorize_system(system, mode="right", tol=DEFAULT_TOL):
     return _kl_factorize(system, classify(system, tol), mode, tol)
 
 
+def _qualifies(cls, mode):
+    """Whether a system classified as cls has a factorization in mode:
+    conservative, or coisometric and observable (right), or isometric and
+    controllable (left)."""
+    if cls.kind == SystemKind.CONSERVATIVE:
+        return True
+    if mode == "right":
+        return cls.kind == SystemKind.COISOMETRIC and cls.observable
+    return cls.kind == SystemKind.ISOMETRIC and cls.controllable
+
+
 def _kl_factorize(system, cls, mode, tol):
-    """kl_factorize_system on a system already classified as cls."""
+    """kl_factorize_system on a system already classified as cls.
+
+    Every qualifying system factors on its own fundamental splits, simple
+    or not.  For an index-preserving conservative system the
+    orthocomplement of the simple space is a Hilbert subspace that reduces
+    A, and B^H and C vanish on it, so A is unitary there: its eigenvalues
+    lie on the circle and their spectral subspace is positive.
+    _positive_band admits them, both splits put them in the plus half, and
+    the inverse Blaschke factor, built on the minus half, never sees them;
+    they stay in the Schur factor.
+    """
     if not cls.krylov.index_preserving:
         raise PreconditionError("factorization needs an index-preserving system")
-    if mode == "right":
-        ok = cls.kind == SystemKind.CONSERVATIVE or (
-            cls.kind == SystemKind.COISOMETRIC and cls.observable)
-        if not ok:
-            raise PreconditionError(
-                "right mode needs a conservative or coisometric observable system")
-    else:
-        ok = cls.kind == SystemKind.CONSERVATIVE or (
-            cls.kind == SystemKind.ISOMETRIC and cls.controllable)
-        if not ok:
-            raise PreconditionError(
-                "left mode needs a conservative or isometric controllable system")
-    if cls.kind == SystemKind.CONSERVATIVE and not cls.simple:
-        schur, invb, Z = _factorize_nonsimple(system, cls.krylov, mode, tol)
-    else:
-        # the checks above imply the split preconditions: the kind is
-        # passive and the report index-preserving
-        schur, invb, Z = _factorize_simple(
-            system, _fundamental_splits(system, tol), mode, tol)
+    if not _qualifies(cls, mode):
+        raise PreconditionError(
+            "right mode needs a conservative or coisometric observable system"
+            if mode == "right" else
+            "left mode needs a conservative or isometric controllable system")
+    # the checks above imply the split preconditions: the kind is passive
+    # and the report index-preserving
+    schur, invb, Z = _factorize_simple(
+        system, _fundamental_splits(system, tol), mode, tol)
     resid = _certify_factorization(system, schur, invb, Z, mode, tol)
     return SystemFactorization(schur, invb, mode, Z, resid)
 

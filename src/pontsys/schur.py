@@ -43,6 +43,7 @@ from .exceptions import (
 from .indefinite import DEFAULT_TOL, SignatureSpace
 from .products import (
     _kl_factorize,
+    _qualifies,
     cascade,
     kl_factorize_system,
     obstruction_observable,
@@ -429,15 +430,11 @@ class FactorizationResult:
 def _side_factorization(S, cls, mode, tol):
     """kl_factorize_system on the side's backing: the given one, classified
     as cls, when it qualifies, else a canonical one."""
+    if _qualifies(cls, mode):
+        return _kl_factorize(S.backing, cls, mode, tol)
     if mode == "right":
-        if cls.kind == SystemKind.CONSERVATIVE or (
-                cls.kind == SystemKind.COISOMETRIC and cls.observable):
-            return _kl_factorize(S.backing, cls, mode, tol)
         backing = _canonical_realization(S, cls.kind, tol)
     else:
-        if cls.kind == SystemKind.CONSERVATIVE or (
-                cls.kind == SystemKind.ISOMETRIC and cls.controllable):
-            return _kl_factorize(S.backing, cls, mode, tol)
         backing = adjoint_system(_canonical_realization(
             sharp(S), _ADJOINT_KIND.get(cls.kind, cls.kind), tol))
     return kl_factorize_system(backing, mode, tol)

@@ -259,8 +259,8 @@ class TestCliExitCodeOne:
         path = tmp_path / "taylor.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        real = cli.markov
-        monkeypatch.setattr(cli, "markov", lambda *args: real(*args) + 1e-6)
+        real = cli._taylor_stack
+        monkeypatch.setattr(cli, "_taylor_stack", lambda *args: real(*args) + 1e-6)
         assert main(["--out", str(out), "realize", str(path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InternalConsistencyError"

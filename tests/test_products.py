@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from pontsys import colligation
 from pontsys.colligation import (
@@ -47,6 +48,7 @@ from pontsys.sampling import (
     disc_grid,
     random_conservative_colligation,
     random_passive_colligation,
+    random_unitary,
 )
 
 from _builders import (
@@ -381,6 +383,28 @@ class TestKLFactorizeSystem:
             assert result.schur_factor.state_dim == 2
             assert result.reconstruction_residual <= 1e-8
 
+    @pytest.mark.parametrize("mode", ["right", "left"])
+    @pytest.mark.parametrize("n, kappa, channels, hidden", [
+        (2, 0, 1, 1), (3, 1, 1, 2), (5, 2, 2, 1), (8, 3, 1, 3),
+        (10, 0, 3, 2), (12, 4, 2, 4), (16, 5, 1, 5), (20, 6, 3, 1),
+        (24, 2, 2, 3), (28, 7, 1, 2), (32, 8, 2, 4), (35, 8, 3, 5),
+    ])
+    def test_nonsimple_factors_on_its_splits(self, n, kappa, channels, hidden, mode):
+        # the unitary Hilbert block stays in the Schur factor; the inverse
+        # Blaschke factor carries exactly the spectrum outside the disc
+        system = _padded_conservative(n, kappa, channels, hidden)
+        assert not classify(system).simple
+        # returns only past its reconstruction and minimality certificates
+        result = kl_factorize_system(system, mode)
+        assert result.schur_factor.state_dim == n - kappa + hidden
+        lam = np.linalg.eigvals(system.A)
+        outside = lam[np.abs(lam) > 1.0 + 1e-6]
+        got = np.linalg.eigvals(result.inverse_blaschke_factor.A)
+        assert got.size == outside.size == kappa
+        rows, cols = scipy.optimize.linear_sum_assignment(
+            np.abs(got[:, None] - outside[None, :]))
+        assert np.max(np.abs(got[rows] - outside[cols]), initial=0.0) <= 1e-6
+
     def test_one_sided_preconditions(self):
         iso = isometric_column_system()
         cls = classify(iso)
@@ -477,6 +501,25 @@ def _nonsimple_conservative():
         np.hstack([core.C, [[0.0]]]), core.D)
 
 
+def _padded_conservative(n, kappa, channels, hidden):
+    """A random conservative core of n states, kappa of them negative, beside
+    a decoupled unitary Hilbert block of `hidden` states, in permuted
+    coordinates: a non-simple conservative system of n + hidden states."""
+    rng = np.random.default_rng([20, n, kappa, channels, hidden])
+    core = random_conservative_colligation(
+        rng, SignatureSpace(n - kappa, kappa), channels)
+    size = n + hidden
+    A = np.zeros((size, size), dtype=complex)
+    A[:n, :n] = core.A
+    A[n:, n:] = random_unitary(rng, hidden)
+    B = np.vstack([core.B, np.zeros((hidden, channels))])
+    C = np.hstack([core.C, np.zeros((channels, hidden))])
+    signs = np.concatenate([core.state.signs, np.ones(hidden)])
+    perm = rng.permutation(size)
+    return Colligation(SignatureSpace.from_signs(signs[perm]), channels, channels,
+                       A[np.ix_(perm, perm)], B[perm], C[:, perm], core.D)
+
+
 class TestOneClassificationPerSystem:
     """Each entry point builds the Krylov report of its input once."""
 
@@ -492,10 +535,25 @@ class TestOneClassificationPerSystem:
     def test_kl_factorize_system(self, monkeypatch, mode):
         calls = spy(monkeypatch, krylov_report)
         for system in self.systems():
-            kl_factorize_system(system, mode)
+            calls.clear()
+            fac = kl_factorize_system(system, mode)
             assert sum(args[0] is system for args in calls) == 1
-        # the nonsimple path still checks its connected restriction
-        assert any(args[0].state_dim == 2 for args in calls)
+            # the only other report certifies the inverse Blaschke factor
+            assert all(args[0] is system or args[0] is fac.inverse_blaschke_factor
+                       for args in calls)
+
+    @pytest.mark.parametrize("mode", ["right", "left"])
+    def test_nonsimple_takes_two_forms_and_two_reports(self, monkeypatch, mode):
+        # one Schur form and one report each for the input and for the
+        # inverse Blaschke factor; no restriction is classified again
+        system = _padded_conservative(31, 6, 2, 5)
+        forms = spy_attr(monkeypatch, scipy.linalg, "schur")
+        reports = spy(monkeypatch, krylov_report)
+        fac = kl_factorize_system(system, mode)
+        assert len(forms) == 2
+        assert len(reports) == 2
+        assert fac.inverse_blaschke_factor.state_dim == 6
+        assert not classify(system).simple
 
     def test_stability_classify(self, monkeypatch):
         calls = spy(monkeypatch, krylov_report)
