@@ -176,9 +176,10 @@ def invariant_fundamental_decompositions(system, tol=DEFAULT_TOL):
 
     For a passive index-preserving system the spectrum of A outside the
     closed disc spans an antihilbert subspace of dimension kappa; its
-    metric complement completes one split.  Running the same construction
-    on the metric adjoint of A gives the other split, whose positive half
-    is invariant under A itself.  Returns (plus-invariant split,
+    metric complement completes the minus-invariant split.  The rest of
+    the spectrum spans the hilbert half of the other split, which is
+    invariant under A as well; its metric complement is J times the
+    outside-disc subspace of A^H.  Returns (plus-invariant split,
     minus-invariant split).
     """
     _splittable(system, tol)
@@ -206,91 +207,85 @@ def _positive_band(near, basis, state, tol):
             f"eigenvalue {near[0]} lies within {tol.metric_tol:g} of the unit circle")
 
 
-def _fundamental_splits(system, tol):
-    """invariant_fundamental_decompositions past its preconditions.
+def _split_spectrum(system, tol):
+    """The refusals of the fundamental splits that a passive index-preserving
+    system can meet, decided on its Schur form before any half is formed.
 
-    Returns (plus-invariant split, minus-invariant split).  Each split
-    comes from one reordering Z of the system's Schur form: the invariant
-    half is Z[:, :k], and as Z is unitary its metric complement
-    {x : Z[:, :k]^H J x = 0} is J Z[:, k:], so no SVD is taken.  Each half
-    is classified once; a degenerate invariant half raises
-    NonRegularSubspaceError, as j_complement does.
+    Near-circle eigenvalues are allowed only when their spectral
+    subspaces, of A and of A^H, are both positive; the one of A^H is the
+    Euclidean complement of the rest of the spectrum of A, so Schur
+    reorderings happen only when such eigenvalues exist.  The outside-disc
+    spectrum, the negative half of either split, must count kappa.
+    Returns the mask of the eigenvalues outside the closed disc.
     """
-    kappa = system.kappa
-    state = system.state
-    if state.dim == 0:
-        empty = IndefiniteSubspace(state, np.zeros((0, 0)))
-        return (FundamentalSplit(SplitKind.PLUS_INVARIANT, empty, empty, 0.0),
-                FundamentalSplit(SplitKind.MINUS_INVARIANT, empty, empty, 0.0))
-    A = system.A
-    signs = state.signs
-
-    def invariance(sub):
-        # Euclidean residual on an orthonormal basis.  The metric
-        # projection onto a half can have huge norm when the other half
-        # sits close to neutrality, which would drown the certificate in
-        # amplified roundoff; invariance is a property of the subspace
-        # alone, so the Euclidean measure is the right one.
-        Q = sub.basis
-        if Q.shape[1] == 0:
-            return 0.0
-        resid = _norm2(A @ Q - Q @ (Q.conj().T @ (A @ Q)))
-        return _certify_scaled("invariance residual", resid, 1e-9,
-                               lambda: max(1.0, _norm2(A)))
-
-    def halves(Z, k, invariant_is_plus):
-        """(plus, minus): the invariant half Z[:, :k] and its metric
-        complement J Z[:, k:], each classified once and certified of its
-        sign; their dimensions add up by construction."""
-        invariant = IndefiniteSubspace._orthonormal(state, Z[:, :k])
-        invariant_kind = subspace_classify(invariant, tol)
-        if invariant_kind == SubspaceKind.DEGENERATE:
-            raise NonRegularSubspaceError(
-                "complement of a degenerate subspace is not direct")
-        complement = IndefiniteSubspace._orthonormal(state, signs[:, None] * Z[:, k:])
-        plus, minus = ((invariant, complement) if invariant_is_plus
-                       else (complement, invariant))
-
-        def kind(half):
-            return invariant_kind if half is invariant else subspace_classify(half, tol)
-
-        if minus.dim != kappa:
-            raise InternalConsistencyError(
-                f"negative half has dimension {minus.dim}, expected {kappa}")
-        if kappa and kind(minus) != SubspaceKind.ANTIHILBERT:
-            raise InternalConsistencyError(
-                "negative half is not uniformly negative")
-        if plus.dim and kind(plus) != SubspaceKind.HILBERT:
-            raise InternalConsistencyError("positive half is not positive")
-        return plus, minus
-
-    # Each split's invariant half is a spectral subspace of one Schur form
-    # of A, never a metric complement: the outside-disc subspace for the
-    # minus-invariant split, and for the other the subspace of the inside
-    # and near-circle spectrum, whose Euclidean complement is the
-    # outside-disc subspace of A^H.  The metric complement only ever
-    # supplies the non-invariant half.  Near-circle eigenvalues are allowed
-    # only when their spectral subspaces, of A and of A^H, are both
-    # positive; the one of A^H is the Euclidean complement of the rest of
-    # the spectrum of A.
     form = system._spectrum
     near, _, outside = form.regions(tol.metric_tol)
     if near.any():
         Z, k = form.reordered(near)
-        _positive_band(form.eigenvalues[near], Z[:, :k], state, tol)
-    Z, k = form.reordered(outside)
-    plus1, minus1 = halves(Z, k, False)
-    split_minus = FundamentalSplit(
-        SplitKind.MINUS_INVARIANT, plus1, minus1, invariance(minus1))
-
-    if near.any():
+        _positive_band(form.eigenvalues[near], Z[:, :k], system.state, tol)
         Z, k = form.reordered(~near)
-        _positive_band(form.eigenvalues[near], Z[:, k:], state, tol)
-    Z, k = form.reordered(~outside)
-    plus2, minus2 = halves(Z, k, True)
-    split_plus = FundamentalSplit(
-        SplitKind.PLUS_INVARIANT, plus2, minus2, invariance(plus2))
-    return split_plus, split_minus
+        _positive_band(form.eigenvalues[near], Z[:, k:], system.state, tol)
+    count = int(np.count_nonzero(outside))
+    if count != system.kappa:
+        raise InternalConsistencyError(
+            f"negative half has dimension {count}, expected {system.kappa}")
+    return outside
+
+
+def _fundamental_splits(system, tol):
+    """invariant_fundamental_decompositions past its preconditions:
+    _split_spectrum, then the minus-invariant and the plus-invariant
+    split, each by _fundamental_split."""
+    outside = _split_spectrum(system, tol)
+    split_minus = _fundamental_split(system, outside, SplitKind.MINUS_INVARIANT, tol)
+    return (_fundamental_split(system, outside, SplitKind.PLUS_INVARIANT, tol),
+            split_minus)
+
+
+def _fundamental_split(system, outside, which, tol):
+    """One fundamental split past _split_spectrum, whose outside mask it
+    takes, from one reordering Z of the system's Schur form.
+
+    The invariant half Z[:, :k] is a spectral subspace: the outside-disc
+    one for the minus-invariant split, the rest for the plus-invariant
+    split.  As Z is unitary its metric complement {x : Z[:, :k]^H J x = 0}
+    is J Z[:, k:], so no SVD is taken.  Each half is classified once and
+    certified of its sign; a degenerate invariant half raises
+    NonRegularSubspaceError, as j_complement does.  The invariance
+    residual is Euclidean, on the orthonormal basis: a metric projection
+    onto a half near neutrality would amplify roundoff, and invariance is
+    a property of the subspace alone.
+    """
+    state = system.state
+    if state.dim == 0:
+        empty = IndefiniteSubspace(state, np.zeros((0, 0)))
+        return FundamentalSplit(which, empty, empty, 0.0)
+    plus_invariant = which == SplitKind.PLUS_INVARIANT
+    Z, k = system._spectrum.reordered(~outside if plus_invariant else outside)
+    invariant = IndefiniteSubspace._orthonormal(state, Z[:, :k])
+    invariant_kind = subspace_classify(invariant, tol)
+    if invariant_kind == SubspaceKind.DEGENERATE:
+        raise NonRegularSubspaceError(
+            "complement of a degenerate subspace is not direct")
+    complement = IndefiniteSubspace._orthonormal(
+        state, state.signs[:, None] * Z[:, k:])
+    plus, minus = ((invariant, complement) if plus_invariant
+                   else (complement, invariant))
+
+    def kind(half):
+        return invariant_kind if half is invariant else subspace_classify(half, tol)
+
+    if system.kappa and kind(minus) != SubspaceKind.ANTIHILBERT:
+        raise InternalConsistencyError("negative half is not uniformly negative")
+    if plus.dim and kind(plus) != SubspaceKind.HILBERT:
+        raise InternalConsistencyError("positive half is not positive")
+    resid = 0.0
+    if k:
+        A, Q = system.A, invariant.basis
+        resid = _certify_scaled(
+            "invariance residual", _norm2(A @ Q - Q @ (Q.conj().T @ (A @ Q))),
+            1e-9, lambda: max(1.0, _norm2(A)))
+    return FundamentalSplit(which, plus, minus, resid)
 
 
 @dataclass(frozen=True)
@@ -361,8 +356,10 @@ def _adapted_blocks(system, split, minus_first, tol):
     return V, A_ad, B_ad, C_ad
 
 
-def _factorize_simple(system, splits, mode, tol):
-    split_plus, split_minus = splits
+def _factorize_simple(system, split, mode, tol):
+    """Schur and inverse Blaschke factors and the state map Z on split, the
+    plus-invariant split in right mode and the minus-invariant one in left
+    mode."""
     kappa = system.kappa
     n = system.state_dim
     m, p = system.input_dim, system.output_dim
@@ -370,7 +367,7 @@ def _factorize_simple(system, splits, mode, tol):
     if mode == "right":
         # adapted order [minus, plus]; the plus half is invariant, so the
         # adapted main operator is lower block triangular
-        V, A_ad, B_ad, C_ad = _adapted_blocks(system, split_plus, True, tol)
+        V, A_ad, B_ad, C_ad = _adapted_blocks(system, split, True, tol)
         A_ff, A_sf, A_ss = A_ad[:kappa, :kappa], A_ad[kappa:, :kappa], A_ad[kappa:, kappa:]
         B_f, B_s = B_ad[:kappa, :], B_ad[kappa:, :]
         C_f, C_s = C_ad[:, :kappa], C_ad[:, kappa:]
@@ -388,7 +385,7 @@ def _factorize_simple(system, splits, mode, tol):
                             A_ss, B2, C_s, D2)
     else:
         # adapted order [plus, minus]; the minus half is invariant
-        V, A_ad, B_ad, C_ad = _adapted_blocks(system, split_minus, False, tol)
+        V, A_ad, B_ad, C_ad = _adapted_blocks(system, split, False, tol)
         r = n - kappa
         A_ff, A_sf, A_ss = A_ad[:r, :r], A_ad[r:, :r], A_ad[r:, r:]
         B_f, B_s = B_ad[:r, :], B_ad[r:, :]
@@ -472,14 +469,17 @@ def _qualifies(cls, mode):
 def _kl_factorize(system, cls, mode, tol):
     """kl_factorize_system on a system already classified as cls.
 
-    Every qualifying system factors on its own fundamental splits, simple
-    or not.  For an index-preserving conservative system the
-    orthocomplement of the simple space is a Hilbert subspace that reduces
-    A, and B^H and C vanish on it, so A is unitary there: its eigenvalues
-    lie on the circle and their spectral subspace is positive.
-    _positive_band admits them, both splits put them in the plus half, and
-    the inverse Blaschke factor, built on the minus half, never sees them;
-    they stay in the Schur factor.
+    Every qualifying system factors on the one fundamental split its mode
+    reads, plus-invariant in right mode and minus-invariant in left mode,
+    simple or not; _split_spectrum refuses the spectrum as both splits
+    would, and only the split read is formed and certified.  For an
+    index-preserving conservative system the orthocomplement of the simple
+    space is a Hilbert subspace that reduces A, and B^H and C vanish on
+    it, so A is unitary there: its eigenvalues lie on the circle and their
+    spectral subspace is positive.  _positive_band admits them, both
+    splits put them in the plus half, and the inverse Blaschke factor,
+    built on the minus half, never sees them; they stay in the Schur
+    factor.
     """
     if not cls.krylov.index_preserving:
         raise PreconditionError("factorization needs an index-preserving system")
@@ -490,8 +490,9 @@ def _kl_factorize(system, cls, mode, tol):
             "left mode needs a conservative or isometric controllable system")
     # the checks above imply the split preconditions: the kind is passive
     # and the report index-preserving
-    schur, invb, Z = _factorize_simple(
-        system, _fundamental_splits(system, tol), mode, tol)
+    which = SplitKind.PLUS_INVARIANT if mode == "right" else SplitKind.MINUS_INVARIANT
+    split = _fundamental_split(system, _split_spectrum(system, tol), which, tol)
+    schur, invb, Z = _factorize_simple(system, split, mode, tol)
     resid = _certify_factorization(system, schur, invb, Z, mode, tol)
     return SystemFactorization(schur, invb, mode, Z, resid)
 
@@ -529,16 +530,20 @@ def stability_classify(system, tol=DEFAULT_TOL):
     exactly when its spectral radius is below one; dually for the adjoint
     flow.  The restriction carries the inside and near-circle spectrum of
     A, and the adjoint flow on the positive half of the other split its
-    conjugate, so one radius, read off the Schur form of the splits (whose
-    refusals hold here), serves both.  Conservative connected systems give
-    the C class, one-sided metric classes with the matching Krylov
-    property the I classes, the rest of the passive systems the P class.
+    conjugate, so one radius, read off the diagonal of the system's Schur
+    form, serves both.  The spectral refusals of the splits hold here:
+    AmbiguousSpectrumError for a near-circle eigenvalue whose spectral
+    subspace, of A or of A^H, is not positive, and InternalConsistencyError
+    when the outside-disc spectrum does not count kappa.  The sign,
+    degeneracy and invariance certificates of the halves do not apply, as
+    no half is formed.  Conservative connected systems give the C class,
+    one-sided metric classes with the matching Krylov property the I
+    classes, the rest of the passive systems the P class.
     """
     cls = _splittable(system, tol)
-    _fundamental_splits(system, tol)
-    form = system._spectrum
-    outside = form.regions(tol.metric_tol)[2]
-    radius = float(np.max(np.abs(form.eigenvalues[~outside]), initial=0.0))
+    outside = _split_spectrum(system, tol)
+    radius = float(np.max(np.abs(system._spectrum.eigenvalues[~outside]),
+                          initial=0.0))
     stable = radius < 1.0 - tol.metric_tol
     if not stable:
         label = "none"

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+from scipy.linalg.lapack import ztrsen
 
 from pontsys import colligation
 from pontsys.colligation import (
@@ -21,7 +23,9 @@ from pontsys.exceptions import (
     InputError,
     InternalConsistencyError,
     NonRegularSubspaceError,
+    PontsysError,
     PreconditionError,
+    _norm2,
 )
 from pontsys.indefinite import (
     DEFAULT_TOL,
@@ -35,7 +39,10 @@ from pontsys.indefinite import (
 )
 from pontsys.products import (
     SplitKind,
+    _certify_factorization,
+    _factorize_simple,
     _fundamental_splits,
+    _qualifies,
     cascade,
     invariant_fundamental_decompositions,
     kl_factorize_system,
@@ -287,10 +294,16 @@ class TestFundamentalSplits:
         assert minus.Xminus.dim == 0
         assert plus.Xplus.dim == 1
 
-    def test_negative_boundary_mode_is_refused(self):
+    @pytest.mark.parametrize("call", [
+        invariant_fundamental_decompositions,
+        stability_classify,
+        lambda system: kl_factorize_system(system, "right"),
+        lambda system: kl_factorize_system(system, "left"),
+    ], ids=["splits", "stability", "kl-right", "kl-left"])
+    def test_negative_boundary_mode_is_refused(self, call):
         alpha = 1.0 - 1e-10
         with pytest.raises(AmbiguousSpectrumError):
-            invariant_fundamental_decompositions(inverse_blaschke_system(alpha))
+            call(inverse_blaschke_system(alpha))
 
     @pytest.mark.parametrize("eigenvectors, eigenvalues", [
         # the outside-disc line (1, 1) is neutral: the first split fails
@@ -309,6 +322,25 @@ class TestFundamentalSplits:
                            match="^complement of a degenerate subspace is not direct$"):
             _fundamental_splits(system, DEFAULT_TOL)
 
+    @pytest.mark.parametrize("eigenvalues, error, message", [
+        # the near-circle line e1 is positive, but the left eigenvector
+        # (1, 0, -2) is not: refused on A^H before the outside-disc line
+        # (1, 0, 1/2), which is not negative, is formed as a half
+        ([1.0 - 1e-10, 0.5, 2.0], AmbiguousSpectrumError,
+         "lies within 1e-08 of the unit circle$"),
+        # nothing outside the disc for kappa = 1
+        ([0.5, 0.3, 0.2], InternalConsistencyError,
+         "^negative half has dimension 0, expected 1$"),
+    ], ids=["left-eigenvector", "count"])
+    def test_spectral_refusals_precede_the_halves(self, eigenvalues, error, message):
+        # past the preconditions, which no passive system violates this way
+        V = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+        A = V @ np.diag(eigenvalues) @ np.linalg.inv(V)
+        system = Colligation(SignatureSpace(2, 1), 1, 1, A,
+                             [[1.0], [0.0], [0.0]], [[1.0, 0.0, 0.0]], [[0.0]])
+        with pytest.raises(error, match=message):
+            _fundamental_splits(system, DEFAULT_TOL)
+
     def test_preconditions(self):
         expansive = Colligation(SignatureSpace(1, 0), 1, 1,
                                 [[1.0]], [[1.0]], [[1.0]], [[1.0]])
@@ -321,6 +353,15 @@ class TestFundamentalSplits:
                              [[base.C[0, 0], 0.0]], base.D)
         with pytest.raises(PreconditionError):
             invariant_fundamental_decompositions(hidden)
+
+
+# (n, kappa, channels, hidden) of the non-simple conservative plants that
+# _padded_conservative builds
+_PADDED_CASES = [
+    (2, 0, 1, 1), (3, 1, 1, 2), (5, 2, 2, 1), (8, 3, 1, 3),
+    (10, 0, 3, 2), (12, 4, 2, 4), (16, 5, 1, 5), (20, 6, 3, 1),
+    (24, 2, 2, 3), (28, 7, 1, 2), (32, 8, 2, 4), (35, 8, 3, 5),
+]
 
 
 class TestKLFactorizeSystem:
@@ -384,11 +425,7 @@ class TestKLFactorizeSystem:
             assert result.reconstruction_residual <= 1e-8
 
     @pytest.mark.parametrize("mode", ["right", "left"])
-    @pytest.mark.parametrize("n, kappa, channels, hidden", [
-        (2, 0, 1, 1), (3, 1, 1, 2), (5, 2, 2, 1), (8, 3, 1, 3),
-        (10, 0, 3, 2), (12, 4, 2, 4), (16, 5, 1, 5), (20, 6, 3, 1),
-        (24, 2, 2, 3), (28, 7, 1, 2), (32, 8, 2, 4), (35, 8, 3, 5),
-    ])
+    @pytest.mark.parametrize("n, kappa, channels, hidden", _PADDED_CASES)
     def test_nonsimple_factors_on_its_splits(self, n, kappa, channels, hidden, mode):
         # the unitary Hilbert block stays in the Schur factor; the inverse
         # Blaschke factor carries exactly the spectrum outside the disc
@@ -718,28 +755,45 @@ class TestOneSchurForm:
 class TestDecompositionCounts:
     """Conservative n = 40, kappa = 8: the Hermitian certificates of the
     factorization and of the stability class take no eigenvalue solve, the
-    factorization's spectral norms are only its reported residuals, and
-    the splits take no SVD."""
+    factorization forms only the split its mode reads and its spectral
+    norms are only its reported residuals, the stability class forms no
+    split, and the splits take no SVD."""
 
     def system(self):
         rng = np.random.default_rng(44)
         return random_conservative_colligation(rng, SignatureSpace(32, 8), 2)
 
-    def test_kl_factorize_right(self, monkeypatch):
+    def kl_factorize(self, monkeypatch, mode):
         system = self.system()
         eigvalsh = spy_attr(monkeypatch, np.linalg, "eigvalsh")
         norms = spy_attr(monkeypatch, np.linalg, "norm")
-        fac = kl_factorize_system(system, "right")
+        reorders = spy(monkeypatch, ztrsen)
+        kinds = spy(monkeypatch, subspace_classify)
+        fac = kl_factorize_system(system, mode)
         assert fac.inverse_blaschke_factor.state_dim == 8
         assert eigvalsh == []
-        # two invariance residuals and four reconstruction residuals
-        assert len(spectral_norms(norms)) <= 6
+        # one split: one reordering, its two halves classified once each
+        assert len(reorders) == 1
+        assert len(kinds) == 2
+        # one invariance residual and four reconstruction residuals
+        assert len(spectral_norms(norms)) <= 5
+
+    def test_kl_factorize_right(self, monkeypatch):
+        self.kl_factorize(monkeypatch, "right")
+
+    def test_kl_factorize_left(self, monkeypatch):
+        self.kl_factorize(monkeypatch, "left")
 
     def test_stability_classify(self, monkeypatch):
         system = self.system()
         eigvalsh = spy_attr(monkeypatch, np.linalg, "eigvalsh")
+        reorders = spy(monkeypatch, ztrsen)
+        kinds = spy(monkeypatch, subspace_classify)
+        norms = spy(monkeypatch, _norm2)
         assert stability_classify(system).kappa == 8
         assert eigvalsh == []
+        # no split: no reordering, no half, no invariance residual
+        assert reorders == kinds == norms == []
 
     def test_splits_take_no_svd_and_classify_each_half_once(self, monkeypatch):
         # each metric complement is J times the other Schur vectors
@@ -752,3 +806,105 @@ class TestDecompositionCounts:
             assert (split.Xplus.dim, split.Xminus.dim) == (32, 8)
             for half in (split.Xplus, split.Xminus):
                 assert sum(args[0] is half for args in kinds) == 1
+
+
+def _near_band_plants():
+    """One-state Blaschke and inverse Blaschke plants with alpha within
+    1e-12 to 1e-6 of one, alone and behind inverse_blaschke_system(0.5).
+    The builders realize only |alpha| < 1: the eigenvalue sits at alpha
+    inside the circle, or at 1 / alpha outside it."""
+    for delta in (1e-12, 1e-10, 2e-9, 1e-6):
+        for build in (blaschke_system, inverse_blaschke_system):
+            plant = build(1.0 - delta)
+            yield plant
+            yield cascade(inverse_blaschke_system(0.5), plant)
+
+
+_PARITY_SYSTEMS = (
+    list(_seeded_systems()) + list(_near_band_plants())
+    + [Colligation(SignatureSpace(1, 0), 1, 1,
+                   [[np.exp(0.7j)]], [[0.0]], [[0.0]], [[1.0]])]
+    + [_padded_conservative(*case) for case in _PADDED_CASES])
+
+
+def _two_split_stability(system, tol=DEFAULT_TOL):
+    """(label, radius) of stability_classify as read past both fundamental
+    splits, whose every refusal fires first; the reference the split-free
+    stability class must reproduce."""
+    invariant_fundamental_decompositions(system, tol)
+    cls = classify(system, tol)
+    form = system._spectrum
+    outside = form.regions(tol.metric_tol)[2]
+    radius = float(np.max(np.abs(form.eigenvalues[~outside]), initial=0.0))
+    if radius >= 1.0 - tol.metric_tol:
+        return "none", radius
+    if cls.kind == SystemKind.CONSERVATIVE and cls.simple:
+        return "C00", radius
+    if cls.kind == SystemKind.ISOMETRIC and cls.controllable:
+        return "I0.", radius
+    if cls.kind == SystemKind.COISOMETRIC and cls.observable:
+        return "I*.0", radius
+    return "P00", radius
+
+
+def _two_split_factorization(system, mode, tol=DEFAULT_TOL):
+    """(schur, invb, state map, residual) from both fundamental splits, of
+    which _factorize_simple reads the one of its mode; the reference the
+    one-split factorization must reproduce past its classification."""
+    split_plus, split_minus = _fundamental_splits(system, tol)
+    split = split_plus if mode == "right" else split_minus
+    schur, invb, Z = _factorize_simple(system, split, mode, tol)
+    return schur, invb, Z, _certify_factorization(system, schur, invb, Z, mode, tol)
+
+
+def _raises_as(exc, call, *args):
+    """call(*args) raises an error of exactly the type and message of exc."""
+    with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$") as info:
+        call(*args)
+    assert type(info.value) is type(exc)
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestOneSplitPerVerdict:
+    """The stability class forms no split and each factorization only the
+    split its mode reads; both refuse and answer, to the bit, as the
+    construction of both splits does, on seeded, near-band, rotation and
+    non-simple plants."""
+
+    @pytest.mark.parametrize("system", _PARITY_SYSTEMS)
+    def test_stability_matches_the_two_split_route(self, system):
+        try:
+            want = _two_split_stability(system)
+        except PontsysError as exc:
+            _raises_as(exc, stability_classify, system)
+            return
+        st = stability_classify(system)
+        assert st.label == want[0]
+        assert _same_bits(st.forward_radius, want[1])
+        assert _same_bits(st.backward_radius, want[1])
+
+    @pytest.mark.parametrize("mode", ["right", "left"])
+    @pytest.mark.parametrize("system", _PARITY_SYSTEMS)
+    def test_kl_factors_match_the_two_split_route(self, system, mode):
+        cls = classify(system)
+        if not (cls.krylov.index_preserving and _qualifies(cls, mode)):
+            # refused on its classification, before any split is formed
+            with pytest.raises(PreconditionError):
+                kl_factorize_system(system, mode)
+            return
+        try:
+            schur, invb, Z, resid = _two_split_factorization(system, mode)
+        except PontsysError as exc:
+            _raises_as(exc, kl_factorize_system, system, mode)
+            return
+        fac = kl_factorize_system(system, mode)
+        for got, want in ((fac.schur_factor, schur), (fac.inverse_blaschke_factor, invb)):
+            assert _same_bits(got.state.signs, want.state.signs)
+            for name in "ABCD":
+                assert _same_bits(getattr(got, name), getattr(want, name))
+        assert _same_bits(fac.state_map, Z)
+        assert _same_bits(fac.reconstruction_residual, resid)
