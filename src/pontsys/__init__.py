@@ -73,6 +73,14 @@ from .schur import (
     kl_factorize_function,
     negative_squares_estimate,
 )
-from .cli import load_system, save_system
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the SystemFile helpers live in the cli module, imported on first use,
+    # so that ``python -m pontsys.cli`` runs a module not yet imported
+    if name in ("load_system", "save_system"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,11 +2,12 @@
 
 Systems travel as SystemFile documents holding the state signature and the
 four block operators with complex entries written as [re, im] pairs, which
-round-trip bit stably through the shortest-repr float formatting of the
-json module.  Every command writes a ReportDocument that embeds the
-tolerances and seed it ran under and hashes of its file inputs, and saves
-each system it constructs as a SystemFile of its own, so multi-step
-pipelines can be replayed and diffed file by file.
+round-trip bit stably through shortest-repr float formatting.  Every
+command writes a ReportDocument that embeds the tolerances and seed it ran
+under and hashes of its file inputs, and saves each system it constructs
+as a SystemFile of its own, so multi-step pipelines can be replayed and
+diffed file by file.  One writer, _json_text, produces every JSON file in
+one pass with the bytes of json.dumps(..., indent=2).
 
 Exit codes: 0 on success, 1 when an internal consistency certificate
 fails, 2 on invalid input.
@@ -71,12 +72,78 @@ __all__ = ["main", "load_system", "save_system"]
 
 
 # ---------------------------------------------------------------------------
+# JSON text
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _block(items, pad, brackets="[]"):
+    """Indented JSON text of an array (an object with brackets "{}") of
+    item texts, sitting at pad."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
+@functools.lru_cache(maxsize=256)
+def _matrix_template(rows, cols, pad):
+    """%r template of a complex matrix as rows of [re, im] pairs."""
+    pair = _block(["%r", "%r"], pad + "    ")
+    return _block([_block([pair] * cols, pad + "  ")] * rows, pad)
+
+
+def _float_text(x):
+    if math.isfinite(x):
+        return float.__repr__(x)
+    raise ValueError(
+        f"Out of range float values are not JSON compliant: {x!r}")
+
+
+def _json_text(value, pad="\n"):
+    """json.dumps(value, indent=2, allow_nan=False) of value sitting at pad,
+    in one pass that also converts numpy scalars and arrays to Python
+    values, complex numbers to [re, im], Path and dict keys to str, and a
+    NaN float to null.  A finite complex matrix fills one template."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        return _block([_encode_str(str(k)) + ": " + _json_text(v, inner)
+                       for k, v in value.items()], pad, "{}")
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return repr(int(value))
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return "null" if math.isnan(value) else _float_text(value)
+    if isinstance(value, (list, tuple)):
+        return _block([_json_text(v, inner) for v in value], pad)
+    if isinstance(value, (complex, np.complexfloating)):
+        # complex128 parts stay numpy floats, whose repr an error shows
+        if not isinstance(value, complex):
+            value = complex(value)
+        return _block([_float_text(value.real), _float_text(value.imag)], pad)
+    if isinstance(value, np.ndarray):
+        if value.ndim == 2 and value.dtype == complex:
+            flat = np.ascontiguousarray(value).view(float).ravel().tolist()
+            # a non-finite entry makes the sum non-finite; an overflowing
+            # sum of finite entries only sends them the long way
+            if math.isfinite(sum(flat)):
+                return _matrix_template(*value.shape, pad) % tuple(flat)
+        return _json_text(value.tolist(), pad)
+    if isinstance(value, Path):
+        return _encode_str(str(value))
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# ---------------------------------------------------------------------------
 # SystemFile encoding
-
-
-def _encode_matrix(M):
-    M = np.asarray(M, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in M]
 
 
 def _is_number(x):
@@ -156,7 +223,7 @@ def system_from_json(doc, source="<system>"):
     return Colligation(SignatureSpace(pos, neg), m, p, A, B, C, D), meta
 
 
-def system_to_json(system, name=None, notes=None):
+def _system_doc(system, name=None, notes=None):
     # the file format orders the state canonically (positive part first),
     # so permute a patterned signature into that order before writing
     system = to_canonical(system)
@@ -164,10 +231,10 @@ def system_to_json(system, name=None, notes=None):
         "state": {"pos": system.state.pos, "neg": system.state.neg},
         "input_dim": system.input_dim,
         "output_dim": system.output_dim,
-        "A": _encode_matrix(system.A),
-        "B": _encode_matrix(system.B),
-        "C": _encode_matrix(system.C),
-        "D": _encode_matrix(system.D),
+        "A": system.A,
+        "B": system.B,
+        "C": system.C,
+        "D": system.D,
     }
     meta = {}
     if name is not None:
@@ -177,6 +244,11 @@ def system_to_json(system, name=None, notes=None):
     if meta:
         doc["metadata"] = meta
     return doc
+
+
+def system_to_json(system, name=None, notes=None):
+    """The SystemFile document of system, as json.loads reads it back."""
+    return json.loads(_json_text(_system_doc(system, name, notes)))
 
 
 def _read_json(path):
@@ -211,8 +283,7 @@ def load_system(path):
 def save_system(system, path, name=None, notes=None):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(system_to_json(system, name, notes),
-                               indent=2) + "\n")
+    path.write_text(_json_text(_system_doc(system, name, notes)) + "\n")
     return path
 
 
@@ -244,29 +315,6 @@ def _load_taylor(path):
 
 # ---------------------------------------------------------------------------
 # report plumbing
-
-
-def _jsonable(value):
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        return None if math.isnan(value) else value
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, np.complexfloating):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, Path):
-        return str(value)
-    return value
 
 
 def _tol_dict(tol):
@@ -326,7 +374,7 @@ def _emit_report(args, command, inputs, parameters, tol, verdicts,
         "certificates": certificates,
         "notes": list(notes),
     }
-    text = json.dumps(_jsonable(report), indent=2, allow_nan=False)
+    text = _json_text(report)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{command}.report.json").write_text(text + "\n")
@@ -513,10 +561,14 @@ def cmd_defect(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "boundary.csv"
-    # the bytes csv.writer would write: repr fields, CRLF line ends
+    # the bytes csv.writer would write over bnd.rows(): repr fields, CRLF
+    # line ends
+    table = np.column_stack([bnd.angles, bnd.sigma_max, bnd.defect_right,
+                             bnd.defect_left])
     with csv_path.open("w", newline="") as handle:
         handle.write("theta,sigma_max,defect_right_norm,defect_left_norm\r\n"
-                     + "".join("%r,%r,%r,%r\r\n" % row for row in bnd.rows()))
+                     + ("%r,%r,%r,%r\r\n" * len(table))
+                     % tuple(table.ravel().tolist()))
     verdicts = {
         "phi_is_zero": res.phi_is_zero,
         "psi_is_zero": res.psi_is_zero,
@@ -536,8 +588,8 @@ def cmd_defect(args):
     for name, fn in (("phi", res.phi), ("psi", res.psi)):
         if fn is not None:
             certificates[name] = {
-                "numerator": [_jsonable(complex(c)) for c in fn.numerator],
-                "denominator": [_jsonable(complex(c)) for c in fn.denominator],
+                "numerator": fn.numerator.astype(complex),
+                "denominator": fn.denominator.astype(complex),
             }
     return _emit_report(
         args, "defect", {"system": source},
@@ -614,8 +666,8 @@ def cmd_similar(args):
             ["no metric-unitary state map intertwines the two systems"])
     map_path = Path(args.out) / "similarity_map.json"
     map_path.parent.mkdir(parents=True, exist_ok=True)
-    map_path.write_text(json.dumps(_jsonable(
-        {"kind": res.kind, "Z": _encode_matrix(res.Z)}), indent=2) + "\n")
+    map_path.write_text(_json_text(
+        {"kind": res.kind, "Z": np.asarray(res.Z, dtype=complex)}) + "\n")
     verdicts = {"related": True, "kind": res.kind}
     residuals = dict(res.residuals)
     certificates = {"artifacts": {"state_map": map_path.name}}

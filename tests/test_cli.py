@@ -25,7 +25,7 @@ from _builders import (
 )
 from pontsys import cli, colligation, indefinite
 from pontsys.cli import load_system, main, save_system, system_to_json
-from pontsys.colligation import krylov_report, markov
+from pontsys.colligation import Colligation, krylov_report, markov, to_canonical
 from pontsys.indefinite import DEFAULT_TOL, SignatureSpace
 from pontsys.products import cascade
 from pontsys.sampling import (
@@ -47,6 +47,91 @@ def write_system(tmp_path, system, name="system.json"):
     path = tmp_path / name
     save_system(system, path)
     return str(path)
+
+
+# ---------------------------------------------------------------------------
+# the json module's encoding, which every JSON file the CLI writes matches
+# byte for byte
+
+
+def _jsonable(value):
+    """The reference conversion of report values for json.dumps."""
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating, float)):
+        value = float(value)
+        return None if math.isnan(value) else value
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, np.complexfloating):
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, np.ndarray):
+        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, Path):
+        return str(value)
+    return value
+
+
+def _pairs(M):
+    """A matrix as rows of [re, im] float pairs."""
+    return [[[float(v.real), float(v.imag)] for v in row]
+            for row in np.asarray(M, dtype=complex)]
+
+
+def _reference_text(doc):
+    """The reference text of a SystemFile, a state map or a report: blocks
+    and maps as [re, im] float pairs, maps and reports through _jsonable,
+    then json.dumps(..., indent=2), with allow_nan=False for reports."""
+    if "state" in doc:
+        return json.dumps({k: _pairs(v) if k in ("A", "B", "C", "D") else v
+                           for k, v in doc.items()}, indent=2)
+    if "Z" in doc:
+        return json.dumps(_jsonable({"kind": doc["kind"],
+                                     "Z": _pairs(doc["Z"])}), indent=2)
+    return json.dumps(_jsonable(doc), indent=2, allow_nan=False)
+
+
+def _assert_same(got, want):
+    """got == want for two texts, or error outcomes; a failure shows where
+    they part instead of diffing long texts."""
+    if got != want:
+        at = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        part = slice(max(at - 60, 0), at + 60)
+        pytest.fail(f"differ at {at}: {got[part]!r} != {want[part]!r}")
+
+
+def _outcome(encode, doc):
+    """The text, or the type and message of the error raised instead."""
+    try:
+        return encode(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(autouse=True)
+def stdlib_bytes(monkeypatch):
+    """Check every document the CLI encodes in a test of this module, each
+    report, SystemFile and state map, against _reference_text; yields the
+    documents checked."""
+    real = cli._json_text
+    checked = []
+
+    def text(value, pad="\n"):
+        if pad == "\n":
+            _assert_same(_outcome(real, value),
+                         _outcome(_reference_text, value))
+            checked.append(value)
+        return real(value, pad)
+
+    monkeypatch.setattr(cli, "_json_text", text)
+    yield checked
 
 
 class TestSystemFile:
@@ -741,3 +826,171 @@ class TestParserReuse:
         assert done.returncode == 0, done.stderr
         assert ((here / "negsq.report.json").read_bytes()
                 == (fresh / "negsq.report.json").read_bytes())
+
+    def test_module_runs_without_a_runpy_warning(self):
+        # importing the package must not import pontsys.cli ahead of runpy
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "pontsys.cli", "--help"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0,
+                   2.5e-17, 123456789.0, 1e16, -3.0]
+_TEXTS = ["plain", 'say "hi"', "two\nlines", "tab\tand\\slash",
+          "näive Σ ∞ 😀", "\x00\x1f\x7f", ""]
+
+
+def _random_block(rng, rows, cols):
+    M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    mask = rng.random((rows, cols)) < 0.3
+    count = int(mask.sum())
+    M[mask] = (rng.choice(_SPECIAL_FLOATS, count)
+               + 1j * rng.choice(_SPECIAL_FLOATS, count))
+    return M
+
+
+def _random_system(rng):
+    n = int(rng.integers(0, 12))
+    m, p = (int(k) for k in rng.integers(0, 4, 2))
+    state = SignatureSpace.from_signs(rng.choice([-1.0, 1.0], n))
+    return Colligation(state, m, p, _random_block(rng, n, n),
+                       _random_block(rng, n, m), _random_block(rng, p, n),
+                       _random_block(rng, p, m))
+
+
+def _random_value(rng, depth=0):
+    """A report value: numpy and Python scalars, complex numbers, NaN,
+    strings, Path, arrays and nested containers, empty ones included."""
+    x = float(rng.standard_normal()) * 10.0 ** int(rng.integers(-20, 20))
+    leaves = [
+        x, -0.0, 5e-324, 1e308, float("nan"), np.float64(x), np.float32(x),
+        np.float64("nan"), int(rng.integers(-10 ** 6, 10 ** 6)),
+        np.int64(rng.integers(-10 ** 6, 10 ** 6)), np.int32(7), True, False,
+        np.bool_(True), None, complex(x, -0.0), np.complex128(complex(0.5, x)),
+        _TEXTS[int(rng.integers(len(_TEXTS)))], Path("out") / "a b.json",
+        rng.standard_normal(int(rng.integers(0, 4))),
+        np.array([1.0, float("nan")]), np.arange(3), np.array([True, False]),
+        _random_block(rng, int(rng.integers(0, 3)), int(rng.integers(0, 3))),
+        np.array([[1e308 + 1e308j, -1e308 + 0j]]),
+        rng.standard_normal(2) + 1j * rng.standard_normal(2), [], {}, (),
+    ]
+    pick = int(rng.integers(len(leaves) + (3 if depth < 4 else 0)))
+    if pick < len(leaves):
+        return leaves[pick]
+    width = int(rng.integers(0, 5))
+    if pick == len(leaves):
+        return [_random_value(rng, depth + 1) for _ in range(width)]
+    if pick == len(leaves) + 1:
+        return tuple(_random_value(rng, depth + 1) for _ in range(width))
+    # string and integer keys that no two can share after str()
+    return {(f"k{k}" if k % 2 else 100 + k): _random_value(rng, depth + 1)
+            for k in range(width)}
+
+
+class TestJsonText:
+    """The CLI's one writer gives exactly the json module's bytes."""
+
+    def test_every_kind_of_document_is_checked(self, tmp_path,
+                                               stdlib_bytes):
+        sys1 = cascade(blaschke_system(0.3), blaschke_system(-0.2))
+        Z = np.array([[1.0, 0.4], [0.0, 1.1]])
+        p1 = write_system(tmp_path, sys1, "s1.json")
+        p2 = write_system(tmp_path, colligation.state_change(sys1, Z, sys1.state),
+                          "s2.json")
+        assert run_cli(tmp_path, "similar", p1, p2, "--kind", "weak")[0] == 0
+        assert run_cli(tmp_path, "defect",
+                       write_system(tmp_path, half_shift_system()))[0] == 0
+        kinds = [("state" in d) + 2 * ("Z" in d) + 4 * ("command" in d)
+                 for d in stdlib_bytes]
+        assert sorted(set(kinds)) == [1, 2, 4]
+        # the files hold the checked text and a newline
+        for name, key in (("similarity_map.json", "Z"),
+                          ("defect.report.json", "command")):
+            doc = [d for d in stdlib_bytes if key in d][-1]
+            _assert_same((tmp_path / name).read_bytes(),
+                         (_reference_text(doc) + "\n").encode())
+        report = json.loads((tmp_path / "defect.report.json").read_text())
+        assert len(report["certificates"]["phi"]["numerator"][0]) == 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_system_files(self, tmp_path, seed):
+        rng = np.random.default_rng([seed, 22])
+        for k in range(40):
+            system = _random_system(rng)
+            name, notes = (_TEXTS[int(j)] if j < len(_TEXTS) else None
+                           for j in rng.integers(0, len(_TEXTS) + 1, 2))
+            path = save_system(system, tmp_path / f"{k}.json", name, notes)
+            canonical = to_canonical(system)
+            doc = {"state": {"pos": system.state.pos, "neg": system.state.neg},
+                   "input_dim": system.input_dim,
+                   "output_dim": system.output_dim}
+            doc.update((key, _pairs(getattr(canonical, key)))
+                       for key in ("A", "B", "C", "D"))
+            meta = {key: value for key, value in
+                    (("name", name), ("notes", notes)) if value is not None}
+            if meta:
+                doc["metadata"] = meta
+            _assert_same(path.read_bytes(),
+                         (json.dumps(doc, indent=2) + "\n").encode())
+            assert system_to_json(system, name, notes) == doc
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_report_documents(self, seed):
+        rng = np.random.default_rng([seed, 23])
+        for _ in range(60):
+            doc = {f"k{k}": _random_value(rng) for k in range(4)}
+            _assert_same(cli._json_text(doc), json.dumps(
+                _jsonable(doc), indent=2, allow_nan=False))
+
+    @pytest.mark.parametrize("value", [
+        math.inf, -math.inf, np.float64(-math.inf), complex(math.nan, 0.0),
+        complex(1.0, math.inf), np.complex128(complex(0.0, math.nan)),
+        np.array([[complex(math.inf, 0.0)]]), np.array([1.0, math.inf]),
+        [{"deep": (math.inf,)}]])
+    def test_non_finite_values_raise_as_the_json_module(self, value):
+        doc = {"residual": value}
+        with pytest.raises(ValueError) as want:
+            json.dumps(_jsonable(doc), indent=2, allow_nan=False)
+        with pytest.raises(ValueError) as got:
+            cli._json_text(doc)
+        assert str(got.value) == str(want.value)
+
+
+class TestReportEncodingEdges:
+    """A NaN residual is written as null; an infinite one, or a complex
+    value with a NaN part, refuses the report with exit code 2."""
+
+    @pytest.fixture
+    def factor_kl(self, tmp_path, monkeypatch):
+        path = write_system(tmp_path, cascade(inverse_blaschke_system(0.5),
+                                              blaschke_system(0.3)))
+
+        def run(residual):
+            real = cli.kl_factorize_system
+            monkeypatch.setattr(cli, "kl_factorize_system", lambda *a: (
+                dataclasses.replace(real(*a), reconstruction_residual=residual)))
+            return run_cli(tmp_path / "out", "factor-kl", path)
+        return run
+
+    def test_nan_residual_is_null(self, tmp_path, factor_kl):
+        code, report = factor_kl(np.float64(math.nan))
+        assert code == 0
+        assert report["residuals"] == {"cascade_reconstruction": None}
+        assert '"cascade_reconstruction": null' in (
+            tmp_path / "out" / "factor-kl.report.json").read_text()
+
+    @pytest.mark.parametrize("residual, shown", [
+        (math.inf, "inf"), (-math.inf, "-inf"), (np.float64(math.inf), "inf"),
+        (complex(math.nan, 0.0), "nan"), (complex(0.5, -math.inf), "-inf")])
+    def test_non_finite_residual_exits_two(self, tmp_path, capsys, factor_kl,
+                                           residual, shown):
+        code, report = factor_kl(residual)
+        assert (code, report) == (2, None)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ('{"error": "ValueError", "reason": "Out of range float '
+                       f'values are not JSON compliant: {shown}"}}\n')
