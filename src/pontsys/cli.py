@@ -588,8 +588,8 @@ def cmd_defect(args):
     for name, fn in (("phi", res.phi), ("psi", res.psi)):
         if fn is not None:
             certificates[name] = {
-                "numerator": fn.numerator.astype(complex),
-                "denominator": fn.denominator.astype(complex),
+                "numerator": fn.numerator,
+                "denominator": fn.denominator,
             }
     return _emit_report(
         args, "defect", {"system": source},

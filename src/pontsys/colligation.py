@@ -11,7 +11,10 @@ transfer_values evaluates it at a batch of points with one stacked pole
 guard and one stacked solve; every sampled check in the package, and
 transfer_eval as its one-point case, runs on it.  The guard decides most
 points by a Frobenius bound on one stacked inverse and runs the stacked
-SVD only on the points that bound leaves open.
+SVD only on the points that bound leaves open.  Circle surveys at the
+N-th roots of unity take _root_of_unity_values instead, which reads all
+N values off the system's Schur form with one FFT and falls back to
+transfer_values for a named reason.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from enum import Enum as _Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import zgeev, zgesvd
+from scipy.linalg.lapack import zgeev, zgesvd, ztrsyl, ztrtri
 
 from .exceptions import (
     DimensionMismatchError,
@@ -367,6 +370,210 @@ def transfer_eval(system, z, tol=DEFAULT_TOL):
     is numerically singular with PoleProximityError.
     """
     return transfer_values(system, [complex(z)], tol, raise_on_pole=True)[0][0]
+
+
+# why _root_of_unity_values leaves a circle survey to the stacked LU route
+ALIAS_NO_BLOCKS = "no state, input or output"
+ALIAS_POLE_ON_SAMPLE = "I - T^N singular on a block: a pole on a sample"
+ALIAS_NONFINITE = "non-finite Taylor stack or error estimate"
+ALIAS_ILL_CONDITIONED = "split too ill-conditioned for the error bound"
+
+
+def _hoelder_norm2(M):
+    """sqrt(|M|_1 |M|_inf), an upper bound on |M|_2 with no SVD."""
+    a = np.abs(M)
+    return float(np.sqrt(np.max(a.sum(axis=0)) * np.max(a.sum(axis=1))))
+
+
+def _aliased_stack(T, B, C, N, rank_tol, rel=0.0):
+    """One block of the split Schur form on the N-th roots of unity.
+
+    T is upper triangular with spectral radius at most 1, and known to a
+    relative error rel.  Returns None when I - T^N has a diagonal entry at
+    or below rank_tol (a pole on a sample), else (G, Q, rho, growth, err):
+    - G, the (N, p, m) stack C T^r Q B, r < N, with Q = (I - T^N)^(-1)
+    - rho >= sum_{r<N} |T^r|_2: the product of 1 + a_j over the bits of
+      N - 1, with a_j >= |T^(2^j)|_F the smaller of a_(j-1)^2 and the
+      computed norm plus its estimated rounding, so rho |Q|_F bounds the
+      block's resolvent on the circle
+    - growth = sum_r |T^r B|_F, as computed
+    - err, an estimate of the error of sum_r z^r G_r at a root of unity.
+      A product of order k rounds at sqrt(k) u |X|_F |Y|_F (the
+      probabilistic model of rounding), summed over the squarings and
+      products that give T^N; the diagonal of T^N carries the N u
+      relative error that repeated squaring gives lambda^N, so an
+      eigenvalue near a root of unity shows through Q = (I - T^N)^(-1),
+      whose 2-norm is taken as sqrt(|Q|_1 |Q|_inf).  The stack takes k u
+      per product along the doubling chain and the FFT u log2 N; rel
+      enters the r-th power of T r times.
+
+    The powers T^(2^j) come from repeated squaring, and the block
+    [B, TB, ..., T^(N-1) B] by doubling, as _taylor_stack builds its
+    window.
+    """
+    k, m = B.shape
+    u = _UNIT_ROUNDOFF
+    g = np.sqrt(k) * u
+    radius = float(np.max(np.abs(np.diagonal(T))))
+    powers = [T]
+    fro = [float(np.linalg.norm(T))]
+    err = [0.0]  # estimated error of each computed power
+    while len(powers) < N.bit_length():
+        err.append(err[-1] + g * fro[-1] * fro[-1])
+        powers.append(powers[-1] @ powers[-1])
+        fro.append(float(np.linalg.norm(powers[-1])))
+    rho, a = 1.0, fro[0]
+    for j in range((N - 1).bit_length()):
+        if j:
+            a = min(a * a, fro[j] + err[j])
+        rho *= 1.0 + a
+    TN = None
+    for j in range(N.bit_length()):
+        if N >> j & 1:
+            if TN is None:
+                TN, tf, te = powers[j], fro[j], err[j]
+            else:
+                te += err[j] + g * tf * fro[j]
+                TN = TN @ powers[j]
+                tf = float(np.linalg.norm(TN))
+    IT = np.eye(k) - TN
+    if np.min(np.abs(np.diagonal(IT))) <= rank_tol:
+        return None
+    Q, info = ztrtri(IT)
+    if info:
+        return None
+    K = np.empty((k, N * m), dtype=complex)  # block r is T^r B
+    K[:, :m] = B
+    done = 1
+    for P in powers:
+        if done >= N:
+            break
+        step = min(done, N - done)
+        K[:, done * m:(done + step) * m] = P @ K[:, :step * m]
+        done += step
+    CQ = C @ Q
+    G = (CQ @ K).reshape(C.shape[0], N, m).transpose(1, 0, 2)
+    norms = np.linalg.norm(K.reshape(k, N, m), axis=(0, 2))
+    growth = float(np.sum(norms))
+    # I - T^N is off by the error of T^N, by the N u relative error of its
+    # diagonal, by N rel |T^N| from T itself, and by the backward error of
+    # its inversion
+    te += (N * rel * tf + g * N * radius ** N
+           + g * float(np.linalg.norm(IT)))
+    log_N = max(1, (N - 1).bit_length())
+    err = float(np.linalg.norm(CQ)) * (
+        growth * (u * (k * (log_N + 2) + log_N) + _hoelder_norm2(Q) * te)
+        + rel * float(np.dot(np.arange(1, N + 1), norms)))
+    return G, Q, rho, growth, err
+
+
+def _root_of_unity_values(system, samples, tol):
+    """Transfer values at the samples-th roots of unity by aliasing.
+
+    For z^N = 1, (I - zA) sum_{r<N} z^r A^r = I - A^N, so on the roots of
+    unity the resolvent is a polynomial of degree N - 1 in z and the N
+    values are one discrete Fourier transform of a Taylor stack.  The
+    system's Schur form is reordered inside/outside the unit circle and
+    block-diagonalized by one Sylvester solve, A = Z L diag(T1, T2) L^-1
+    Z^H with L = [[I, X], [0, I]].  T1 takes the stack of _aliased_stack;
+    T2 takes that of U = T2^(-1), since z (I - z T2)^(-1) =
+    -(I - wU)^(-1) U with w = 1/z, a root of unity too.  The two stacks
+    share one inverse FFT.
+
+    Returns (values, ok, err, reason).  Where reason is None, values is
+    (N, p, m), NaN where ok is False; ok is the pole rule of
+    transfer_values, decided as README rule 5 states; err is the
+    estimated error of every value against the transfer function of the
+    Schur form, below rank_tol max(1, max |value|_F).  Otherwise reason is
+    one of the ALIAS_* constants, the rest is None, and the caller takes
+    the stacked LU route.
+    """
+    N = int(samples)
+    n = system.A.shape[0]
+    p, m = system.D.shape
+    if n == 0 or p == 0 or m == 0:
+        return None, None, None, ALIAS_NO_BLOCKS
+    u = _UNIT_ROUNDOFF
+    form = system._spectrum
+    T, Z, k = form.ordered(np.abs(form.eigenvalues) < 1.0)
+    Bz = Z.conj().T @ system.B
+    Cz = system.C @ Z
+    X = np.zeros((k, n - k), dtype=complex)
+    x = 0.0
+    coeffs = np.zeros((N, p, m), dtype=complex)
+    resolvent = err = 0.0
+    with np.errstate(all="ignore"):
+        if 0 < k < n:
+            X, shrink, info = ztrsyl(T[:k, :k], T[k:, k:], -T[:k, k:], isgn=-1)
+            if info or not shrink:
+                return None, None, None, ALIAS_ILL_CONDITIONED
+            X /= shrink
+            x = float(np.linalg.norm(X))
+        if k:
+            B1 = Bz[:k] - X @ Bz[k:]
+            out = _aliased_stack(T[:k, :k], B1, Cz[:, :k], N, tol.rank_tol)
+            if out is None:
+                return None, None, None, ALIAS_POLE_ON_SAMPLE
+            G, Q1, rho, growth1, err1 = out
+            coeffs[1:] += G[:-1]
+            coeffs[0] += G[-1]
+            bound = float(np.linalg.norm(Q1)) * rho
+            resolvent += bound * bound
+            err += err1
+        if k < n:
+            T2 = T[k:, k:]
+            U, info = ztrtri(T2)
+            if info:
+                return None, None, None, ALIAS_ILL_CONDITIONED
+            C2 = Cz[:, :k] @ X + Cz[:, k:]
+            # the computed U inverts T2 up to a relative error k u |U| |T2|
+            rel = (n - k) * u * float(np.linalg.norm(U) * np.linalg.norm(T2))
+            out = _aliased_stack(U, U @ Bz[k:], C2, N, tol.rank_tol, rel)
+            if out is None:
+                return None, None, None, ALIAS_POLE_ON_SAMPLE
+            H, Q2, rho, growth2, err2 = out
+            coeffs -= H[(-np.arange(N)) % N]
+            bound = float(np.linalg.norm(Q2 @ U)) * rho
+            resolvent += bound * bound
+            err += err2
+        if 0 < k < n:
+            # the split is exact for the computed X up to its residual E:
+            # the coupling z C1 R1(z) E R2(z) B2 is left out, and forming
+            # B1 and C2 rounds at the size of X
+            E = T[:k, :k] @ X - X @ T[k:, k:] + T[:k, k:]
+            e = float(np.linalg.norm(E)) + np.sqrt(n) * u * x * float(
+                np.linalg.norm(T[:k, :k]) + np.linalg.norm(T2))
+            b1 = float(np.linalg.norm(B1))
+            row1 = float(np.linalg.norm(Cz[:, :k] @ Q1)) * (
+                growth1 / b1 if b1 else rho)
+            col2 = _hoelder_norm2(Q2) * growth2
+            err += (row1 * (e * col2 + np.sqrt(n) * u * float(
+                np.linalg.norm(Bz[:k]) + x * np.linalg.norm(Bz[k:])))
+                + np.sqrt(n) * u * float(x * np.linalg.norm(Cz[:, :k])
+                                         + np.linalg.norm(Cz[:, k:])) * col2)
+        values = system.D + N * np.fft.ifft(coeffs, axis=0)
+        scale = max(1.0, float(np.max(np.linalg.norm(values, axis=(1, 2)))))
+        if not (np.isfinite(values).all() and np.isfinite(err)):
+            return None, None, None, ALIAS_NONFINITE
+        if err > tol.rank_tol * scale:
+            return None, None, None, ALIAS_ILL_CONDITIONED
+        # README rule 5 on the bound cond(L) |R_block(z)|_F >=
+        # |(I - zA)^-1|_F, with cond(L) = |L|_2 |L^-1|_2 at |X|_2 = x, which
+        # increases with x, and the closed form of |I - zA|_F on the circle
+        cond_L = 0.5 * (x + np.sqrt(x * x + 4.0))
+        cond_L *= cond_L
+        z = np.exp(1j * (2 * np.pi * np.arange(N) / N))  # boundary_points(N)
+        a_fro = float(np.linalg.norm(system.A))
+        m_fro = np.sqrt(np.maximum(0.0, n + a_fro * a_fro
+                                   - 2.0 * (z * np.trace(system.A)).real))
+        ok = (cond_L * np.sqrt(resolvent) * tol.rank_tol
+              * np.maximum(1.0, m_fro) < _GUARD_MARGIN)
+    if not ok.all():
+        M = np.eye(n) - z[~ok, None, None] * system.A
+        s = np.linalg.svd(M, compute_uv=False)
+        ok[~ok] = s[:, -1] > tol.rank_tol * np.maximum(1.0, s[:, 0])
+        values[~ok] = np.nan
+    return values, ok, np.full(N, err), None
 
 
 def markov(system, k):

@@ -680,13 +680,18 @@ class _DiscSchur:
     def reordered(self, select):
         """(Z, k): a unitary Z whose first k columns span the A-invariant
         subspace of the selected eigenvalues."""
+        return self.ordered(select)[1:]
+
+    def ordered(self, select):
+        """(T, Z, k): the Schur form A = Z T Z^H reordered so that the
+        selected eigenvalues lead the diagonal of T, in its first k places."""
         k = int(np.count_nonzero(select))
         if k in (0, select.size):
-            return self.Z, k
-        _, Z, _, k, _, _, info = ztrsen(select, self.T, self.Z, job="N")
+            return self.T, self.Z, k
+        T, Z, _, k, _, _, info = ztrsen(select, self.T, self.Z, job="N")
         if info:
             raise np.linalg.LinAlgError("Schur reordering failed")
-        return Z, k
+        return T, Z, k
 
 
 def spectral_subspace(A, space, region, tol=DEFAULT_TOL, on_boundary="error"):

@@ -26,6 +26,7 @@ from .colligation import (
     Colligation,
     SystemKind,
     _pole_proximity,
+    _root_of_unity_values,
     _schur_spans,
     adjoint_system,
     classify,
@@ -612,30 +613,61 @@ def _circle_survey(S, samples, tol):
     """Top singular values and the norms of I - V^*V and I - VV^* at the
     samples-th roots of unity, as three arrays that are NaN where a point
     sat too close to a pole, followed by the values V themselves, whose
-    rows are NaN there.
+    rows are NaN there, and the estimated error of each value (0 where
+    the stacked LU route of transfer_values served).
 
     Surveys are memoized on S by (samples, tol), as read-only arrays.  A
     survey of count samples serves a request for samples when samples
     divides count and boundary_points(samples) is bitwise its stride
     count // samples (true for power-of-two strides, not for every
-    stride); every entry is per point, so the served arrays are the ones
-    a fresh survey would compute."""
+    stride).  Every entry is per point and each route's values are within
+    its stated error of the transfer function (README rule 5), so the
+    served arrays are within that error of the ones a fresh survey would
+    compute, with the same pole mask."""
     points = boundary_points(samples)
     for (count, key_tol), survey in S._surveys.items():
         if (key_tol == tol and count % samples == 0 and np.array_equal(
                 points, boundary_points(count)[::count // samples])):
             return tuple(x[::count // samples] for x in survey)
-    vals, ok = transfer_values(S.backing, points, tol)
-    V = vals[ok]
-    VH = V.conj().transpose(0, 2, 1)
-    out = np.full((3, samples), np.nan)
-    out[:, ok] = [np.linalg.norm(X, 2, axis=(1, 2)) for X in (
-        V, np.eye(S.input_dim) - VH @ V, np.eye(S.output_dim) - V @ VH)]
-    survey = (*out, vals)
+    survey = _fresh_survey(S, samples, tol)
     for x in survey:
         x.flags.writeable = False
     S._surveys[samples, tol] = survey
     return survey
+
+
+def _fresh_survey(S, samples, tol):
+    """The arrays of _circle_survey, computed: by aliasing on the Schur
+    form of the backing, or by the stacked LU route of transfer_values
+    where _root_of_unity_values names a reason not to."""
+    vals, ok, err, reason = _root_of_unity_values(S.backing, samples, tol)
+    if reason is not None:
+        vals, ok = transfer_values(S.backing, boundary_points(samples), tol)
+        err = np.zeros(samples)
+    out = np.full((3, samples), np.nan)
+    out[:, ok] = _survey_norms(vals[ok])
+    return (*out, vals, err)
+
+
+def _survey_norms(V):
+    """|V|_2, |I - V^*V|_2 and |I - VV^*|_2 over a (K, p, m) stack.
+
+    One stacked singular-value solve gives all three: the defects are
+    max_i |1 - sigma_i^2|, and the side of the larger dimension has
+    |p - m| more eigenvalues 1.  A scalar stack takes |v| and |1 - |v|^2|,
+    with no LAPACK call."""
+    _, p, m = V.shape
+    if p == m == 1:
+        a = np.abs(V[:, 0, 0])
+        with np.errstate(over="ignore"):
+            d = np.abs(1.0 - a * a)
+        return a, d, d
+    s = np.linalg.svd(V, compute_uv=False)
+    with np.errstate(over="ignore"):  # a defect beyond the range is inf
+        d = np.max(np.abs(1.0 - s * s), axis=1, initial=0.0)
+    return (np.max(s, axis=1, initial=0.0),
+            np.maximum(d, 1.0) if m > p else d,
+            np.maximum(d, 1.0) if p > m else d)
 
 
 def _decisive_survey(S, samples, tol):
@@ -653,7 +685,7 @@ def boundary_behavior(S, tol=DEFAULT_TOL):
     S = as_transfer(S)
     n = tol.boundary_samples
     angles = 2.0 * np.pi * np.arange(n) / n
-    sig, dr, dl, _ = _circle_survey(S, n, tol)
+    sig, dr, dl = _circle_survey(S, n, tol)[:3]
     good = ~np.isnan(sig)
     skipped = int(np.sum(~good))
     if not np.any(good):
@@ -673,10 +705,14 @@ def boundary_behavior(S, tol=DEFAULT_TOL):
 
 @dataclass
 class RationalScalar:
-    """Scalar rational function as ascending coefficient lists."""
+    """Scalar rational function as ascending complex128 coefficient lists."""
 
     numerator: np.ndarray
     denominator: np.ndarray
+
+    def __post_init__(self):
+        self.numerator = np.asarray(self.numerator, dtype=complex)
+        self.denominator = np.asarray(self.denominator, dtype=complex)
 
     def __call__(self, z):
         num = np.polynomial.polynomial.polyval(z, self.numerator)
@@ -829,7 +865,7 @@ def defect(S, tol=DEFAULT_TOL):
     sample raises PoleProximityError.
     """
     S = as_transfer(S)
-    _, dr, dl, vals = _decisive_survey(S, 128, tol)
+    _, dr, dl, vals, _ = _decisive_survey(S, 128, tol)
     right_max = float(np.nanmax(dr, initial=0.0))
     left_max = float(np.nanmax(dl, initial=0.0))
     phi_zero = right_max <= tol.metric_tol

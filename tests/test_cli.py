@@ -23,13 +23,12 @@ from _builders import (
     spy,
     spy_attr,
 )
-from pontsys import cli, colligation, indefinite
+from pontsys import cli, colligation, indefinite, schur
 from pontsys.cli import load_system, main, save_system, system_to_json
 from pontsys.colligation import Colligation, krylov_report, markov, to_canonical
 from pontsys.indefinite import DEFAULT_TOL, SignatureSpace
 from pontsys.products import cascade
 from pontsys.sampling import (
-    boundary_points,
     random_conservative_colligation,
     random_passive_colligation,
 )
@@ -576,28 +575,41 @@ def _scalar_and_two_channel_inputs():
     }
 
 
+def _survey_error(system, *counts):
+    """The largest stated error of fresh circle surveys of the system."""
+    return max(float(np.max(schur._circle_survey(
+        TransferFunction(system), count, DEFAULT_TOL)[4])) for count in counts)
+
+
 class TestDefectSurvey:
     @pytest.mark.parametrize("kind", ["passive", "conservative"])
     def test_each_root_of_unity_evaluated_once(self, tmp_path, monkeypatch,
                                                kind):
         # defect's 128-point survey is the even half of the boundary
-        # survey's 256 points, so it is served from that survey
-        path = write_system(tmp_path, _scalar_and_two_channel_inputs()[kind])
-        calls = spy(monkeypatch, colligation.transfer_values)
+        # survey's 256 points, so it is served from that survey: one fresh
+        # survey per command, on the input system
+        system = _scalar_and_two_channel_inputs()[kind]
+        path = write_system(tmp_path, system)
+        calls = spy(monkeypatch, schur._fresh_survey)
         code, _ = run_cli(tmp_path, "defect", path)
         assert code == 0
-        points = np.concatenate([np.ravel(args[1]) for args in calls])
-        hits = np.abs(points[None, :] - boundary_points(256)[:, None]) < 1e-12
-        assert hits.sum(axis=1).tolist() == [1] * 256
+        assert [args[1] for args in calls] == [256]
+        backing = calls[0][0].backing
+        for block in "ABCD":
+            assert np.array_equal(getattr(backing, block),
+                                  getattr(system, block))
 
     @pytest.mark.parametrize("kind", ["passive", "conservative"])
     @pytest.mark.parametrize("samples", ["100", "512"])
     def test_report_matches_separate_surveys(self, tmp_path, monkeypatch,
                                              kind, samples):
-        # 100 is no multiple of 128, so defect surveys afresh; 512 serves
-        # it with stride 4.  Both must equal defect and boundary_behavior
-        # on two fresh functions
-        path = write_system(tmp_path, _scalar_and_two_channel_inputs()[kind])
+        # 100 is no multiple of 128, so defect surveys afresh and the report
+        # equals that of defect and boundary_behavior on two fresh
+        # functions.  512 serves defect with stride 4: the verdicts are
+        # those of the fresh 128-point survey, and the survey numbers are
+        # within what the two surveys' stated errors allow
+        system = _scalar_and_two_channel_inputs()[kind]
+        path = write_system(tmp_path, system)
         shared, fresh = tmp_path / "shared", tmp_path / "fresh"
         assert main(["--out", str(shared), "--samples", samples, "defect",
                      path]) == 0
@@ -607,10 +619,25 @@ class TestDefectSurvey:
                 TransferFunction(as_transfer(S).backing), tol))
         assert main(["--out", str(fresh), "--samples", samples, "defect",
                      path]) == 0
-        for name in ("defect.report.json", "boundary.csv"):
-            assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+        assert ((shared / "boundary.csv").read_bytes()
+                == (fresh / "boundary.csv").read_bytes())
         rows = (shared / "boundary.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + int(samples)
+        if samples == "100":
+            assert ((shared / "defect.report.json").read_bytes()
+                    == (fresh / "defect.report.json").read_bytes())
+            return
+        got, want = (json.loads((d / "defect.report.json").read_text())
+                     for d in (shared, fresh))
+        assert got["verdicts"] == want["verdicts"]
+        assert got["certificates"] == want["certificates"]
+        gap = 2 * _survey_error(load_system(path)[0], 128, 512)
+        assert 0 < gap <= 1e-9
+        # |1 - |v|^2| and the defect norms move by at most gap (2 |v| + gap)
+        top = 1.0 + max(got["residuals"].values())
+        for name, value in got["residuals"].items():
+            assert abs(value - want["residuals"][name]) <= (
+                gap * (2 * top + gap) + 16 * np.finfo(float).eps * top * top)
 
 
 class TestStability:

@@ -684,19 +684,27 @@ class TestDefect:
         assert info.value.point == 1.0
 
     def test_scalar_defect_factors_once(self, monkeypatch):
-        # 1 - |S|^2 is both defects of a scalar S: the survey's circle values
-        # feed the one factorization, and no adjoint system is evaluated
+        # 1 - |S|^2 is both defects of a scalar S: one fresh survey of the
+        # 128th roots of unity on the system itself feeds the one
+        # factorization, and no adjoint system is surveyed
         rng = np.random.default_rng(11)
         system = random_passive_colligation(rng, SignatureSpace(3, 1), 1, 1,
                                             strict=0.25)
-        calls = spy(monkeypatch, colligation.transfer_values)
+        calls = spy(monkeypatch, schur._fresh_survey)
         res = defect(system)
         assert not res.phi_is_zero
-        assert all(args[0] is system for args in calls)
-        points = np.concatenate([np.ravel(args[1]) for args in calls])
-        roots = np.exp(2j * np.pi * np.arange(128) / 128)
-        hits = np.abs(points[None, :] - roots[:, None]) < 1e-12
-        assert hits.sum(axis=1).tolist() == [1] * 128
+        assert [(args[0].backing, args[1]) for args in calls] == [(system, 128)]
+
+    def test_coefficients_are_complex(self):
+        # the spectral factor of z/2 has no roots, so its numerator is a
+        # constant; it is complex128 like every other coefficient list
+        res = defect(half_shift_system())
+        assert res.phi.numerator.shape == (1,)
+        for fn in (res.phi, res.psi):
+            assert fn.numerator.dtype == fn.denominator.dtype == np.complex128
+        rat = schur.RationalScalar([1.0, 0.5], [1])
+        assert rat.numerator.dtype == rat.denominator.dtype == np.complex128
+        assert rat(0.5) == 1.25
 
     def test_scalar_psi_is_phi(self):
         rng = np.random.default_rng(5)

@@ -2,15 +2,27 @@
 
 The loops in this module are the reference: each evaluates one point at
 a time with the pole guard and solve of the one-point evaluator.  The
-batched primitive, and the boundary survey and kernel Gram built on it,
-must reproduce them.
+batched primitive and the kernel Gram built on it must reproduce them.
+The boundary survey, which evaluates the roots of unity by aliasing,
+must reproduce their pole masks and verdicts and stay within its stated
+error of their values (README rule 5), on the test systems and on an
+adversarial set.
 """
 
 import numpy as np
 import pytest
 
 from _builders import spy_attr
-from pontsys.colligation import Colligation, transfer_eval, transfer_values
+from pontsys import schur
+from pontsys.colligation import (
+    ALIAS_ILL_CONDITIONED,
+    ALIAS_NO_BLOCKS,
+    ALIAS_POLE_ON_SAMPLE,
+    Colligation,
+    _root_of_unity_values,
+    transfer_eval,
+    transfer_values,
+)
 from pontsys.exceptions import PoleProximityError
 from pontsys.indefinite import DEFAULT_TOL, SignatureSpace, Tolerances
 from pontsys.sampling import (
@@ -184,20 +196,70 @@ def test_stateless_and_empty_batches():
     assert vals.shape == (0, 2, 2) and ok.shape == (0,)
 
 
-def _boundary_loop(system, n):
-    """The boundary survey one point at a time."""
-    sig = np.full(n, np.nan)
-    dr = np.full(n, np.nan)
-    dl = np.full(n, np.nan)
-    for k, theta in enumerate(2.0 * np.pi * np.arange(n) / n):
-        try:
-            val = transfer_eval(system, np.exp(1j * theta))
-        except PoleProximityError:
-            continue
-        sig[k] = np.linalg.norm(val, 2)
-        dr[k] = np.linalg.norm(np.eye(system.input_dim) - val.conj().T @ val, 2)
-        dl[k] = np.linalg.norm(np.eye(system.output_dim) - val @ val.conj().T, 2)
-    return sig, dr, dl
+_U = np.finfo(float).eps / 2
+
+
+def _boundary_loop(system, n, tol=DEFAULT_TOL):
+    """The boundary survey one point at a time: the loop's LU values, the
+    pole mask and the SVD norms of V, I - V^*V and I - VV^*."""
+    vals, ok = _loop(system, boundary_points(n), tol=tol)
+    norms = np.full((3, n), np.nan)
+    for k in np.flatnonzero(ok):
+        V = vals[k]
+        norms[:, k] = [np.linalg.norm(X, 2) for X in (
+            V, np.eye(system.input_dim) - V.conj().T @ V,
+            np.eye(system.output_dim) - V @ V.conj().T)]
+    return vals, ok, norms
+
+
+def _route_bound(system, points):
+    """What two backward-stable evaluations may differ by besides the
+    aliasing route's own estimate: a backward error 4 n u max(1, |A|_F)
+    in A, carried through the resolvent, |C| |B| |(I - zA)^-1|^2 times."""
+    n = system.state_dim
+    if n == 0:
+        return np.zeros(len(points))
+    M = np.eye(n) - np.asarray(points)[:, None, None] * system.A
+    s = np.linalg.svd(M, compute_uv=False)[:, -1]
+    with np.errstate(divide="ignore"):
+        return (4 * n * _U * max(1.0, np.linalg.norm(system.A))
+                * np.linalg.norm(system.B, 2) * np.linalg.norm(system.C, 2)
+                / s ** 2)
+
+
+def _flags(sig, dr, dl, tol):
+    good = ~np.isnan(sig)
+    return (bool(np.max(sig[good], initial=0.0) <= 1.0 + tol.metric_tol),
+            bool(np.max(dr[good], initial=0.0) <= tol.metric_tol),
+            bool(np.max(dl[good], initial=0.0) <= tol.metric_tol))
+
+
+def _check_survey(system, samples, tol=DEFAULT_TOL):
+    """A fresh circle survey against the LU loop: the same pole mask and
+    verdict flags, every value within the survey's error estimate plus the
+    route bound, and every norm within what that gap allows.  Values the
+    LU route served are the loop's, bitwise.  Returns the error estimate."""
+    sig, dr, dl, vals, err = schur._circle_survey(
+        TransferFunction(system), samples, tol)
+    ref, ok, norms = _boundary_loop(system, samples, tol)
+    assert np.array_equal(~np.isnan(sig), ok)
+    assert np.array_equal(np.isnan(vals).any(axis=(1, 2)), ~ok)
+    assert _flags(sig, dr, dl, tol) == _flags(*norms, tol)
+    if not err.any():
+        assert np.array_equal(vals, ref, equal_nan=True)
+    gap = np.linalg.norm(vals[ok] - ref[ok], 2, axis=(1, 2))
+    bound = (err + _route_bound(system, boundary_points(samples)))[ok]
+    assert np.all(gap <= bound)
+    # Weyl: sigma_max moves by at most the gap, the defects by the gap
+    # times |V| + |V'|; both also round at a few ulps of their scale
+    top = norms[0, ok]
+    ulps = 16 * _U * np.maximum(1.0, top * top)
+    assert np.all(np.abs(sig[ok] - top) <= gap + ulps)
+    for got, want in ((dr, norms[1]), (dl, norms[2])):
+        assert np.all(np.abs(got[ok] - want[ok]) <= gap * (2 * top + gap) + ulps)
+    if system.input_dim * system.output_dim > 1:
+        assert np.array_equal(sig[ok], np.linalg.norm(vals[ok], 2, axis=(1, 2)))
+    return err
 
 
 def _pole_at_one():
@@ -206,18 +268,174 @@ def _pole_at_one():
                        [[0.0]])
 
 
+def _lu_served(name, system):
+    return (name == "pole-at-one" or system.state_dim == 0
+            or not system.input_dim * system.output_dim)
+
+
 @pytest.mark.parametrize("name", sorted(SYSTEMS) + ["pole-at-one"])
 def test_boundary_arrays_match_the_loop(name):
     system = _pole_at_one() if name == "pole-at-one" else SYSTEMS[name]
+    err = _check_survey(system, DEFAULT_TOL.boundary_samples)
+    # the aliasing route serves every system with a state, an input and an
+    # output and no pole on a sample
+    assert err.any() != _lu_served(name, system)
     rep = boundary_behavior(system)
-    n = DEFAULT_TOL.boundary_samples
-    sig, dr, dl = _boundary_loop(system, n)
-    assert np.array_equal(rep.sigma_max, sig, equal_nan=True)
-    assert np.array_equal(rep.defect_right, dr, equal_nan=True)
-    assert np.array_equal(rep.defect_left, dl, equal_nan=True)
-    assert rep.skipped == int(np.sum(np.isnan(sig)))
+    assert rep.skipped == int(np.sum(np.isnan(rep.sigma_max)))
     if name == "pole-at-one":
         assert rep.skipped == 1
+
+
+# ---------------------------------------------------------------------------
+# circle surveys by aliasing on an adversarial set
+
+
+def _moved(system, index, lam):
+    """The system with diagonal entry index of its Schur form set to lam."""
+    T = np.array(system._spectrum.T)
+    Z = system._spectrum.Z
+    T[index, index] = lam
+    return Colligation(system.state, system.input_dim, system.output_dim,
+                       Z @ T @ Z.conj().T, system.B, system.C, system.D)
+
+
+def _reason(system, samples=256):
+    return _root_of_unity_values(system, samples, DEFAULT_TOL)[3]
+
+
+NEAR_CIRCLE = [1 - 1e-6, 1 - 1e-9, 1 + 1e-9, 1 + 1e-6, 0.99999, 1.00001,
+               (1 - 1e-6) * np.exp(0.3j), (1 + 1e-9) * np.exp(0.3j),
+               (1 - 1e-7) * np.exp(0.3j), (1 + 1e-4) * np.exp(0.3j),
+               (1 - 1e-7) * boundary_points(256)[3]]
+
+
+def _near_circle(kind, lam):
+    return _moved(_family(kind, 12, 3, 2, seed=11), 2, lam)
+
+
+@pytest.mark.parametrize("rank_tol", RANK_TOLS)
+@pytest.mark.parametrize("kind", ["conservative", "passive"])
+@pytest.mark.parametrize("lam", NEAR_CIRCLE, ids=lambda lam: f"{lam:.9f}")
+def test_eigenvalue_near_the_circle(kind, lam, rank_tol):
+    system = _near_circle(kind, lam)
+    assert np.min(np.abs(np.linalg.eigvals(system.A) - lam)) < 1e-6
+    _check_survey(system, 256, Tolerances(rank_tol=rank_tol))
+
+
+def test_near_circle_set_meets_every_branch(monkeypatch):
+    # the set means something only if it sends systems down both routes
+    # and, at the loosest rank_tol, through the guard's stacked SVD with
+    # some point rejected on the aliasing route
+    svd = spy_attr(monkeypatch, np.linalg, "svd")
+    reasons, rejected = set(), 0
+    for rank_tol in RANK_TOLS:
+        tol = Tolerances(rank_tol=rank_tol)
+        for kind in ("conservative", "passive"):
+            for lam in NEAR_CIRCLE:
+                svd.clear()
+                _, ok, _, reason = _root_of_unity_values(
+                    _near_circle(kind, lam), 256, tol)
+                reasons.add(reason)
+                if reason is None and svd:
+                    rejected += int(np.sum(~ok))
+    assert {None, ALIAS_ILL_CONDITIONED, ALIAS_POLE_ON_SAMPLE} <= reasons
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("kind", ["conservative", "passive"])
+def test_eigenvalue_at_a_root_of_unity_takes_the_lu_route(kind):
+    # 1/lambda is sample 251 of 256, up to the rounding of the Schur form
+    system = _moved(_family(kind, 12, 3, 2, seed=11), 2,
+                    boundary_points(256)[5])
+    assert _reason(system) == ALIAS_POLE_ON_SAMPLE
+    assert not _check_survey(system, 256).any()
+    S = TransferFunction(system)
+    assert np.isnan(schur._circle_survey(S, 256, DEFAULT_TOL)[0][251])
+
+
+def test_coupled_inside_and_outside_eigenvalues_fall_back():
+    # eigenvalues 1e-7 inside and outside the circle, coupled by 1: the
+    # Sylvester solution has norm 5e6
+    lam = np.exp(0.3j)
+    system = Colligation(SignatureSpace(2, 0), 1, 1,
+                         [[(1 - 1e-7) * lam, 1.0], [0.0, (1 + 1e-7) * lam]],
+                         [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+    assert _reason(system) == ALIAS_ILL_CONDITIONED
+    assert not _check_survey(system, 256).any()
+
+
+@pytest.mark.parametrize("signs", [(6, 0), (0, 6)], ids=["k=n", "k=0"])
+def test_all_eigenvalues_on_one_side(signs):
+    # a contraction on a Hilbert state has its eigenvalues inside the disc,
+    # one on an anti-Hilbert state outside
+    rng = np.random.default_rng(sum(signs) + signs[0])
+    system = random_passive_colligation(rng, SignatureSpace(*signs), 2, 2,
+                                        strict=0.2)
+    moduli = np.abs(np.linalg.eigvals(system.A))
+    assert np.all(moduli < 1.0) if signs[0] else np.all(moduli > 1.0)
+    assert _reason(system) is None
+    assert _check_survey(system, 256).any()
+
+
+def _jordan(diagonal):
+    """One input and output on a Jordan-type A: the diagonal given, ones
+    on the superdiagonal, so A is as far from normal as its size allows."""
+    n = len(diagonal)
+    A = np.diag(np.asarray(diagonal, dtype=complex)) + np.diag(np.ones(n - 1), 1)
+    return Colligation(SignatureSpace(n, 0), 1, 1, A, np.ones((n, 1)),
+                       np.ones((1, n)), [[0.0]])
+
+
+def _scaled(a=1.0, bc=1.0):
+    system = SYSTEMS["passive-12-3-2"]
+    return Colligation(system.state, 2, 2, a * system.A, bc * system.B,
+                       bc * system.C, system.D)
+
+
+ODD_SYSTEMS = {
+    "nilpotent": lambda: _jordan([0.0] * 6),
+    "jordan-inside": lambda: _jordan([0.9] * 6),
+    "jordan-outside": lambda: _jordan([1.5] * 6),
+    "jordan-both-sides": lambda: _jordan([0.9] * 3 + [1.2] * 3),
+    "jordan-near-circle": lambda: _jordan([0.999] * 6),
+    "tiny-A": lambda: _scaled(a=1e-150),
+    "huge-A": lambda: _scaled(a=1e150),
+    "tiny-B-and-C": lambda: _scaled(bc=1e-150),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_SYSTEMS))
+def test_defective_and_scaled_systems(name):
+    # the error estimate bounds products by Frobenius norms, so it is far
+    # above the error on a 6 x 6 Jordan block at 0.9, whose powers reach
+    # norm 1e5 before they decay, and that survey falls back
+    system = ODD_SYSTEMS[name]()
+    err = _check_survey(system, 256)
+    assert err.any() == (name not in ("jordan-inside", "jordan-near-circle"))
+
+
+@pytest.mark.parametrize("samples", [1, 3, 100, 256, 512])
+@pytest.mark.parametrize("name", ["conservative-12-3-2", "passive-40-8-1",
+                                  "conservative-4-1-1"])
+def test_sample_counts(name, samples):
+    assert _check_survey(SYSTEMS[name], samples).any()
+
+
+@pytest.mark.parametrize("name", ["passive-0-0-2", "passive-12-3-2to0",
+                                  "conservative-4-1-0to2"])
+def test_no_state_or_zero_width_takes_the_lu_route(name):
+    assert _reason(SYSTEMS[name]) == ALIAS_NO_BLOCKS
+    assert not _check_survey(SYSTEMS[name], 256).any()
+
+
+def test_error_estimate_is_below_the_fallback_threshold():
+    # an accepted aliasing survey states its error within rank_tol of the
+    # value scale; every other survey went to the LU route
+    for system in SYSTEMS.values():
+        vals, ok, err, reason = _root_of_unity_values(system, 256, DEFAULT_TOL)
+        if reason is None:
+            scale = max(1.0, np.max(np.linalg.norm(vals[ok], axis=(1, 2))))
+            assert np.all(err > 0) and np.all(err <= DEFAULT_TOL.rank_tol * scale)
 
 
 def _gram_loop(system, points):
