@@ -17,9 +17,8 @@ import numpy as np
 from .colligation import (
     Colligation,
     SystemKind,
+    _sampled_hidden,
     _schur_spans,
-    _unobservable,
-    adjoint_system,
     classify,
     system_kind,
 )
@@ -105,48 +104,41 @@ class ObstructionReport:
         return self.basis.shape[1]
 
 
-def _compare_kernels(primary, secondary, where):
+def _obstruction(first, second, observe, where, tol):
+    """ObstructionReport of the cascade on one side: the hidden space that
+    _schur_spans reads off its Schur form against the _sampled_hidden one,
+    both times J on the reachable side."""
+    cas = cascade(first, second)
+    spaces = _schur_spans(cas, (observe,), tol)[0][1], _sampled_hidden(cas, observe, tol)
+    primary, secondary = spaces if observe else (cas.state.signs[:, None] * v for v in spaces)
     if primary.shape[1] != secondary.shape[1]:
         raise InternalConsistencyError(
             f"{where}: kernel dimensions disagree "
             f"({primary.shape[1]} vs {secondary.shape[1]})")
-    if primary.shape[1] == 0:
-        return 0.0
-    angles = principal_angles(primary, secondary)
-    worst = float(np.max(angles)) if angles.size else 0.0
-    return certify(f"{where}: solution space angle", worst, 1e-8)
+    worst = float(np.max(principal_angles(primary, secondary), initial=0.0))
+    return ObstructionReport(primary, first.state_dim,
+                             certify(f"{where}: solution space angle", worst, 1e-8))
 
 
 def obstruction_observable(first, second, tol=DEFAULT_TOL):
     """Kernel of the observability map of the cascade, cross-checked.
 
-    The primary route takes the orthogonal complement of the block
-    Krylov space of the assembled cascade's adjoint output columns; the
-    second route reads the unobservable kernel off the cascade's Schur
-    form by the Hautus test (colligation._schur_spans).  The two spaces
-    must coincide.
+    The Hautus test reads it off the cascade's Schur form; the resolvent
+    samples (I - conj(z) A^H)^(-1) C^H next to its eigenvalues, which keep
+    rounding along a hidden mode far below rank_tol (_sample_points), must
+    leave the same space.
     """
-    cas = cascade(first, second)
-    primary = _unobservable(cas, tol)
-    secondary = _schur_spans(cas, (True,), tol)[0][1]
-    worst = _compare_kernels(primary, secondary, "observability obstruction")
-    return ObstructionReport(primary, first.state_dim, worst)
+    return _obstruction(first, second, True, "observability obstruction", tol)
 
 
 def obstruction_controllable(first, second, tol=DEFAULT_TOL):
     """Metric-orthogonal annihilator of the reachable space of the cascade.
 
-    The primary route takes the unobservable kernel of the adjoint of the
-    assembled cascade, {x : Q^H J x = 0} for its Krylov basis Q; the
-    second route reads the orthogonal complement of the reachable space
-    off the cascade's Schur form by the Hautus test
-    (colligation._schur_spans), and J maps it onto the annihilator.
+    J times the orthogonal complement of the reachable space, which the
+    Hautus test reads off the cascade's Schur form; the resolvent samples
+    (I - zA)^(-1) B next to its eigenvalues must leave the same space.
     """
-    cas = cascade(first, second)
-    primary = _unobservable(adjoint_system(cas), tol)
-    secondary = cas.state.signs[:, None] * _schur_spans(cas, (False,), tol)[0][1]
-    worst = _compare_kernels(primary, secondary, "controllability obstruction")
-    return ObstructionReport(primary, first.state_dim, worst)
+    return _obstruction(first, second, False, "controllability obstruction", tol)
 
 
 class SplitKind(str, Enum):

@@ -59,6 +59,13 @@ def shift_system():
                        [[0.0]], [[1.0]], [[1.0]], [[0.0]])
 
 
+def shift_chain_system(k):
+    """Minimal k-state shift realization of z^k: one Jordan chain of k links
+    at exactly 0, driven at its first state and read at its last."""
+    return Colligation(SignatureSpace(k, 0), 1, 1, np.diag(np.ones(k - 1), -1),
+                       np.eye(k)[:, :1], np.eye(k)[-1:], [[0.0]])
+
+
 def half_shift_system():
     """Strictly passive realization of z/2."""
     return Colligation(SignatureSpace(1, 0), 1, 1,

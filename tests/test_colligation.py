@@ -57,7 +57,15 @@ from pontsys.sampling import (
     random_passive_colligation,
 )
 
-from _builders import corner_checked_kind, direct_sum, same_span, spy, spy_attr
+from _builders import (
+    corner_checked_kind,
+    direct_sum,
+    identity_feedthrough,
+    same_span,
+    shift_chain_system,
+    spy,
+    spy_attr,
+)
 
 ROOT3 = math.sqrt(3.0)
 
@@ -708,7 +716,8 @@ class TestSchurSpans:
     def test_spans_agree_with_the_recurrence(self, kind, n):
         for plant in self.plants(kind, n):
             arnoldi = {False: colligation._krylov_basis(plant.A, plant.B, DEFAULT_TOL)[0],
-                       True: colligation._observable_span(plant, DEFAULT_TOL)}
+                       True: colligation._krylov_basis(plant.A.conj().T, plant.C.conj().T,
+                                                 DEFAULT_TOL)[0]}
             for observe, want in arnoldi.items():
                 (span, hidden), = colligation._schur_spans(plant, (observe,), DEFAULT_TOL)
                 assert span.shape == want.shape
@@ -916,14 +925,8 @@ class TestBacksubOracle:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6, 8, 12])
     def test_jordan_chains(self, splits, k):
-        rng = np.random.default_rng([k, 78])
-        lam = 0.6 + 0.1j
-        U = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
-        A = U @ (lam * np.eye(k) + np.diag(np.ones(k - 1), 1)) @ U.conj().T
-        for B in (U[:, -1:], U[:, :1]):
-            for C in (np.ones((1, k)), U[:, :1].conj().T, U[:, -1:].conj().T):
-                self.assert_matches(splits, Colligation(
-                    SignatureSpace(k, 0), 1, 1, A, B, C, [[0.0]]))
+        for plant in _jordan_plants(k):
+            self.assert_matches(splits, plant)
 
     @pytest.mark.parametrize("n", [8, 24, 40])
     def test_repeated_eigenvalues(self, splits, n):
@@ -971,6 +974,76 @@ class TestBacksubOracle:
             if scale > 1:
                 want = colligation._schur_spans(plant, (False, True), DEFAULT_TOL)
                 assert [s.shape for s, _ in got] == [s.shape for s, _ in want]
+
+
+def _jordan_plants(k):
+    """One Jordan block of length k at 0.6 + 0.1i in random unitary
+    coordinates, driven at either end of the chain and read at either end
+    or along ones."""
+    rng = np.random.default_rng([k, 78])
+    lam = 0.6 + 0.1j
+    U = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+    A = U @ (lam * np.eye(k) + np.diag(np.ones(k - 1), 1)) @ U.conj().T
+    for B in (U[:, -1:], U[:, :1]):
+        for C in (np.ones((1, k)), U[:, :1].conj().T, U[:, -1:].conj().T):
+            yield Colligation(SignatureSpace(k, 0), 1, 1, A, B, C, [[0.0]])
+
+
+class TestSampledHiddenSpaces:
+    """The second route of the obstructions, the null space of resolvent
+    samples next to the eigenvalues (colligation._sampled_hidden), against
+    the hidden spaces of _schur_spans."""
+
+    @staticmethod
+    def compare(plant, observe):
+        """(sampled, Hautus) hidden bases of one side of the plant."""
+        return (colligation._sampled_hidden(plant, observe, DEFAULT_TOL),
+                colligation._schur_spans(plant, (observe,), DEFAULT_TOL)[0][1])
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 40])
+    def test_projected_sweep_subset(self, n):
+        # the first passive and the first conservative system of
+        # test_projected_sweep, with all their plants: one hidden mode
+        # each, or none with 1e-8 added back
+        for index, (sys1, pairs) in enumerate(_sweep_plants(n)):
+            if index % 8:
+                continue
+            plants = [(sys1, True)] + [(plant, False) for pair in pairs for plant in pair]
+            for plant, observe in plants:
+                got, want = self.compare(plant, observe)
+                assert got.shape == want.shape
+                assert same_span(got, want, angle_tol=1e-8)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6, 8, 12])
+    def test_jordan_chains(self, k):
+        # from six links on rounding splits the chain wider than the cluster
+        # gap; its points move out until the resolvent meets the bound, and
+        # decide it like the Hautus test
+        feed = identity_feedthrough(1)
+        for plant in _jordan_plants(k):
+            for observe, check in ((False, obstruction_controllable),
+                                   (True, obstruction_observable)):
+                got, want = self.compare(plant, observe)
+                assert got.shape == want.shape
+                assert same_span(got, want, angle_tol=1e-8)
+                assert check(plant, feed).dimension == want.shape[1]
+
+    def test_points_meet_the_resolvent_bound(self):
+        # every point keeps |(sigma - A)^(-1)|_F |A|_F within the slack of
+        # 1 / g; isolated eigenvalues keep the radius g |A|_F, a chain of
+        # twelve unit links at exactly 0 pushes its ring out past g^(1/12)
+        g = DEFAULT_TOL.rank_tol ** (1.0 / 3.0)
+        cases = [(random_passive_colligation(np.random.default_rng([n, 53]),
+                                             SignatureSpace(n - 2, 2), 2, 2, strict=0.2), None)
+                 for n in (8, 24)] + [(shift_chain_system(12), g ** (1 / 12))]
+        for plant, ring in cases:
+            sigma = 1.0 / colligation._sample_points(plant, DEFAULT_TOL)
+            scale = np.linalg.norm(plant.A)
+            R = np.linalg.inv(sigma[:, None, None] * np.eye(plant.state_dim) - plant.A)
+            assert np.all(np.linalg.norm(R, axis=(1, 2)) * scale * g
+                          <= colligation._SAMPLE_SLACK)
+            dist = np.min(np.abs(sigma[:, None] - plant._spectrum.eigenvalues), axis=1)
+            assert np.all(dist >= (ring or 0.99 * g * scale))
 
 
 class TestEigenvectorCall:
@@ -1196,6 +1269,49 @@ def _weak_failures():
 WEAK_FAILURES = _weak_failures()
 
 
+# unitary_similarity before the resolvent samples: the intertwining
+# relations as one dense Kronecker least-squares problem in the n^2 entries
+# of Z, then the same two certificates.  Kept as the reference the sampled
+# map must reproduce at n <= 8.
+def _old_unitary_similarity(s1, s2, tol=DEFAULT_TOL):
+    n = s1.state_dim
+    I = np.eye(n)
+    M = np.vstack([np.kron(I, s2.A) - np.kron(s1.A.T, I), np.kron(s1.B.T, I),
+                   np.kron(I, s2.C)])
+    v = np.concatenate([np.zeros(n * n, dtype=complex), s2.B.reshape(-1, order="F"),
+                        s1.C.reshape(-1, order="F")])
+    Z = np.linalg.lstsq(M, v, rcond=None)[0].reshape(n, n, order="F")
+    residuals = colligation._intertwining_residuals(s1, s2, Z)
+    if max(residuals.values()) > tol.metric_tol * 100 * max(1.0, np.linalg.norm(Z, 2)):
+        return None
+    if metric_classify(Z, s1.state, s2.state, tol) != MetricClass.UNITARY:
+        return None
+    return Z
+
+
+def _planted_unitary_pair(n, seed, kind):
+    """A passive (strict = 0.2) or conservative system, kappa = n // 5 and
+    two channels, and its image under a random metric unitary Z."""
+    rng = np.random.default_rng([n, seed, kind == "passive", 5])
+    state = SignatureSpace(n - n // 5, n // 5)
+    s1 = (random_passive_colligation(rng, state, 2, 2, strict=0.2) if kind == "passive"
+          else random_conservative_colligation(rng, state, 2))
+    Z = random_j_unitary(rng, state)
+    return s1, state_change(s1, Z, state), Z
+
+
+def _nonsimple_unitary_pair(seed):
+    """cascade(cascade(P, b_1/2), 1/b_1/2), P conservative with a Hilbert
+    state of 2-6 states: the pole and zero at 1/2 cancel and leave a
+    neutral one-dimensional complement of the simple space.  With its
+    image under a random metric unitary Z."""
+    rng = np.random.default_rng([seed, 51])
+    P = random_conservative_colligation(rng, SignatureSpace(int(rng.integers(2, 7)), 0), 1)
+    s1 = cascade(cascade(P, blaschke_system(0.5)), inverse_blaschke_system(0.5))
+    Z = random_j_unitary(rng, s1.state)
+    return s1, state_change(s1, Z, s1.state), Z
+
+
 class TestSimilarity:
     def test_unitary_similarity_round_trip(self):
         rng = np.random.default_rng(7)
@@ -1207,6 +1323,64 @@ class TestSimilarity:
         assert sim is not None
         assert metric_classify(sim.Z, sp, sp) == MetricClass.UNITARY
         assert max(sim.residuals.values()) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["passive", "conservative"])
+    @pytest.mark.parametrize("n", [24, 40])
+    def test_unitary_similarity_recovers_planted_map(self, n, kind):
+        answered = 0
+        for seed in range(15):
+            s1, s2, Z = _planted_unitary_pair(n, seed, kind)
+            sim = unitary_similarity(s1, s2)
+            if sim is not None:
+                answered += 1
+                assert np.linalg.norm(sim.Z - Z, 2) <= 1e-6 * np.linalg.norm(Z, 2)
+        assert answered >= 14
+
+    def test_unitary_similarity_of_a_nonsimple_cascade(self):
+        for seed in range(10):
+            s1, s2, Z = _nonsimple_unitary_pair(seed)
+            rep = krylov_report(s1)
+            assert rep.simple_space.dim == s1.state_dim - 1
+            assert rep.complement_kinds["simple"] == SubspaceKind.DEGENERATE
+            sim = unitary_similarity(s1, s2)
+            assert np.linalg.norm(sim.Z - Z, 2) <= 1e-6 * np.linalg.norm(Z, 2)
+
+    @pytest.mark.parametrize("k", [3, 8, 16])
+    def test_unitary_similarity_of_a_nilpotent_chain(self, k):
+        N = shift_chain_system(k)
+        U = random_j_unitary(np.random.default_rng([k, 52]), N.state)
+        sim = unitary_similarity(N, state_change(N, U, N.state))
+        assert np.linalg.norm(sim.Z - U, 2) <= 1e-6
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-3])
+    def test_unitary_similarity_with_fast_poles(self, t):
+        s1, _, Z = _planted_unitary_pair(8, 0, "passive")
+        s1 = Colligation(s1.state, 2, 2, t * s1.A, s1.B, s1.C, s1.D)
+        sim = unitary_similarity(s1, state_change(s1, Z, s1.state))
+        assert np.linalg.norm(sim.Z - Z, 2) <= 1e-6 * np.linalg.norm(Z, 2)
+
+    def test_unitary_similarity_forms_no_kronecker_product_when_simple(self, monkeypatch):
+        s1, s2, _ = _planted_unitary_pair(40, 0, "conservative")
+        calls = spy_attr(monkeypatch, np, "kron")
+        assert unitary_similarity(s1, s2) is not None
+        assert calls == []
+
+    def test_unitary_similarity_matches_the_kronecker_solve(self):
+        sys1 = blaschke_system(0.5)
+        bare = realize_from_taylor([markov(sys1, k) for k in range(6)])
+        pairs = [_planted_unitary_pair(n, seed, kind)[:2] for n in (4, 8)
+                 for kind in ("passive", "conservative") for seed in range(5)]
+        pairs += [_nonsimple_unitary_pair(seed)[:2] for seed in range(10)]
+        pairs += [(sys1, Colligation(SignatureSpace(1, 0), 1, 1, bare.A, bare.B, bare.C, bare.D)),
+                  (sys1, blaschke_system(0.3)),
+                  (pairs[0][0], pairs[1][1])]
+        for s1, s2 in pairs:
+            assert s1.state_dim <= 8
+            want = _old_unitary_similarity(s1, s2)
+            sim = unitary_similarity(s1, s2)
+            assert (sim is None) == (want is None)
+            if want is not None:
+                assert np.linalg.norm(sim.Z - want, 2) <= 1e-8 * np.linalg.norm(want, 2)
 
     @pytest.mark.parametrize("entropy, n, kappa, io", [
         ([8, 1, 1], 8, 1, 1), ([8, 2, 3], 8, 2, 3), ([24, 4, 2], 24, 4, 2),

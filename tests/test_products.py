@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.optimize
 from scipy.linalg.lapack import ztrsen
 
-from pontsys import colligation
+from pontsys import colligation, products
 from pontsys.colligation import (
     Colligation,
     SystemKind,
@@ -65,6 +65,7 @@ from _builders import (
     inverse_blaschke_system,
     isometric_column_system,
     same_span,
+    shift_chain_system,
     spectral_norms,
     spy,
     spy_attr,
@@ -226,32 +227,83 @@ class TestObstructions:
         # first = cascade(passive Hilbert P, b_beta) and second = 1/b_beta:
         # the pole of the second at beta meets the zero of the first, and
         # the zero of the second at 1/conj(beta) meets the pole of the
-        # first, so the cascade hides one mode from each side.  The Hautus
-        # test sees it on every size; the recurrence of the primary route
-        # loses the hidden reachable mode from 8 states on, and the
-        # controllability obstruction then refuses, typed, rather than
-        # answer 0.  Each outcome is recorded here.
+        # first, so the cascade hides one mode from each side.  Both routes
+        # see it on every size and seed: the Hautus test on the Schur form
+        # and the resolvent samples next to the eigenvalues.
         beta = 0.5
-        P = random_passive_colligation(np.random.default_rng([n, 0]),
-                                       SignatureSpace(n, 0), 1, 1, strict=0.2)
-        first, second = cascade(P, blaschke_system(beta)), inverse_blaschke_system(beta)
-        cas = cascade(first, second)
-        for A, B in ((cas.A, cas.B), (cas.A.conj().T, cas.C.conj().T)):
-            dist = sorted(np.linalg.svd(np.hstack([A - lam * np.eye(n + 2), B]),
-                                        compute_uv=False)[n + 1]
-                          for lam in np.linalg.eigvals(A))
-            assert dist[0] < 1e-12 < 1e-3 < dist[1]
-        outcomes = []
-        for check in (obstruction_observable, obstruction_controllable):
-            try:
+        for seed in range(4):
+            P = random_passive_colligation(np.random.default_rng([n, seed]),
+                                           SignatureSpace(n, 0), 1, 1, strict=0.2)
+            first = cascade(P, blaschke_system(beta))
+            second = inverse_blaschke_system(beta)
+            cas = cascade(first, second)
+            # one hidden mode per side; the nearest reached one, at Hautus
+            # distance 9.7e-4 for n = 12, seed 1, is far from the cut
+            for A, B in ((cas.A, cas.B), (cas.A.conj().T, cas.C.conj().T)):
+                dist = sorted(np.linalg.svd(np.hstack([A - lam * np.eye(n + 2), B]),
+                                            compute_uv=False)[n + 1]
+                              for lam in np.linalg.eigvals(A))
+                assert dist[0] < 1e-12 < 1e-4 < dist[1]
+            for check in (obstruction_observable, obstruction_controllable):
                 rep = check(first, second)
-            except InternalConsistencyError as exc:
-                outcomes.append(str(exc))
-            else:
+                assert rep.dimension == 1
                 assert rep.agreement_residual <= 1e-8
-                outcomes.append(rep.dimension)
-        refused = "controllability obstruction: kernel dimensions disagree (0 vs 1)"
-        assert outcomes == {4: [1, 1], 8: [1, refused], 12: [1, refused]}[n]
+
+    @pytest.mark.parametrize("k", [2, 4, 8, 12])
+    def test_nilpotent_chains(self, k):
+        # the shift realization of z^k cascaded with itself: one Jordan
+        # chain of 2k links at exactly 0, minimal, which rounding splits
+        # wider than the cluster gap from six links on.  Its ring of points
+        # moves out until the resolvent meets the bound, and resolves it
+        N = shift_chain_system(k)
+        for check in (obstruction_observable, obstruction_controllable):
+            assert check(N, N).dimension == 0
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-3, 1e3])
+    def test_scaled_main_operator(self, t):
+        # the points scale with |A|_F, with no floor, so (tA, B) has the
+        # samples of (A, B): fast poles are decided as slow ones
+        s = random_passive_colligation(np.random.default_rng(4), SignatureSpace(8, 2),
+                                       2, 2, strict=0.2)
+        scaled = Colligation(s.state, 2, 2, t * s.A, s.B, s.C, s.D)
+        for check in (obstruction_observable, obstruction_controllable):
+            assert check(scaled, identity_feedthrough(2)).dimension == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_crowded_cascade(self, seed):
+        # two strictly passive 6-state systems with A scaled by 1e-2: the 12
+        # eigenvalues lie within about 0.03 while the coupling keeps |A|_F
+        # near 0.3.  The points stay close enough to resolve them; at 1e-3
+        # and below, the resolvent bound keeps them too far out and the
+        # obstructions refuse, typed
+        rng = np.random.default_rng(seed)
+        first, second = (Colligation(s.state, 1, 1, 1e-2 * s.A, s.B, s.C, s.D) for s in [
+            random_passive_colligation(rng, SignatureSpace(5, 1), 1, 1, strict=0.2)
+            for _ in range(2)])
+        for check in (obstruction_observable, obstruction_controllable):
+            rep = check(first, second)
+            assert rep.dimension == 0 and rep.agreement_residual == 0.0
+
+    def test_stateless_cascades(self):
+        for second in (identity_feedthrough(1), blaschke_system(0.3)):
+            for check in (obstruction_observable, obstruction_controllable):
+                rep = check(identity_feedthrough(1), second)
+                assert rep.dimension == 0 and rep.agreement_residual == 0.0
+
+    def test_a_dropped_hidden_vector_is_refused(self, monkeypatch):
+        # the Hautus route perturbed to lose one hidden vector: the
+        # resolvent samples still see it, and both obstructions refuse
+        P = random_passive_colligation(np.random.default_rng([4, 0]),
+                                       SignatureSpace(4, 0), 1, 1, strict=0.2)
+        first, second = cascade(P, blaschke_system(0.5)), inverse_blaschke_system(0.5)
+        real = products._schur_spans
+        monkeypatch.setattr(products, "_schur_spans", lambda *args: [
+            (span, hidden[:, 1:]) for span, hidden in real(*args)])
+        for check, where in ((obstruction_observable, "observability"),
+                             (obstruction_controllable, "controllability")):
+            with pytest.raises(InternalConsistencyError, match=re.escape(
+                    f"{where} obstruction: kernel dimensions disagree (0 vs 1)")):
+                check(first, second)
 
 
 class TestFundamentalSplits:
@@ -622,6 +674,11 @@ class TestHautusOnTheSharedForm:
     that classifies its input decides reachability and observability on
     the input's one Schur form, with no Arnoldi recurrence."""
 
+    @staticmethod
+    def system():
+        return random_conservative_colligation(
+            np.random.default_rng([40, 8]), SignatureSpace(32, 8), 1)
+
     @pytest.mark.parametrize("call", [
         classify,
         lambda system: kl_factorize_system(system, "right"),
@@ -630,13 +687,24 @@ class TestHautusOnTheSharedForm:
         invariant_fundamental_decompositions,
     ], ids=["classify", "kl-right", "kl-left", "stability", "splits"])
     def test_no_recurrence_and_one_schur_form(self, monkeypatch, call):
-        system = random_conservative_colligation(
-            np.random.default_rng([40, 8]), SignatureSpace(32, 8), 1)
+        system = self.system()
         arnoldi = spy(monkeypatch, colligation._krylov_basis)
         forms = spy_attr(monkeypatch, scipy.linalg, "schur")
         call(system)
         assert arnoldi == []
         assert sum(args[0] is system.A for args in forms) == 1
+
+    @pytest.mark.parametrize("check", [obstruction_observable, obstruction_controllable])
+    def test_obstructions_take_the_cascades_form(self, monkeypatch, check):
+        # the cascade of the input and a Blaschke factor: both routes run
+        # on its one Schur form, whose leading block is the input's A
+        system = self.system()
+        arnoldi = spy(monkeypatch, colligation._krylov_basis)
+        forms = spy_attr(monkeypatch, scipy.linalg, "schur")
+        check(system, blaschke_system(0.3))
+        assert arnoldi == []
+        assert len(forms) == 1 and forms[0][0].shape == (41, 41)
+        assert np.array_equal(forms[0][0][:40, :40], system.A)
 
 
 # The splits and radii before one Schur form served them: each outside
