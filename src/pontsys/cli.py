@@ -553,8 +553,8 @@ def cmd_julia_embed(args):
 def cmd_defect(args):
     system, meta, source = _load_system_input(args.path)
     tol = _resolve_tolerances(args, meta)
-    # one function, so defect's 128-point survey is the even half of the
-    # boundary survey's 256 points
+    # one function, so defect's survey of 128 points (256 past 63 states)
+    # is a stride of the boundary survey's 256 points
     S = as_transfer(system)
     bnd = boundary_behavior(S, tol)
     res = defect(S, tol)

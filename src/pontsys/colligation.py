@@ -1122,9 +1122,12 @@ def unitary_similarity(s1, s2, tol=DEFAULT_TOL):
     _sample_points of s1, which keep rounding along a hidden mode far
     below rank_tol).  One SVD gives Z0 = X2 X1^+, Z on the simple space
     that X1 spans; on the complement P of that span, of dimension h,
-    Z = Z0 + D P^H with the n h entries of D from the intertwining
-    relations in least squares.  Z is certified metric-unitary, its four
-    intertwining residuals within 100 metric_tol max(1, |Z|_2).
+    Z = Z0 + (P + E) P^H with the n h entries of E from the intertwining
+    relations in least squares.  E corrects the identity on P, so where
+    the identity intertwines on the hidden part (the whole state, say)
+    the minimum-norm E is zero and Z keeps it.  Z is certified
+    metric-unitary, its four intertwining residuals within 100 metric_tol
+    max(1, |Z|_2).
     """
     if (s1.state_dim != s2.state_dim or s1.kappa != s2.kappa
             or s1.input_dim != s2.input_dim or s1.output_dim != s2.output_dim):
@@ -1146,14 +1149,17 @@ def unitary_similarity(s1, s2, tol=DEFAULT_TOL):
     Z = (X2 @ (Vh[:r].conj().T / sv[:r])) @ U[:, :r].conj().T
     P = U[:, r:]
     if P.shape[1]:
-        # vec(D P^H A1 - A2 D P^H) = A2 Z0 - Z0 A1 and vec(C2 D P^H) =
-        # C1 - C2 Z0; P^H B1 vanishes, so the B relation holds already
+        # D = P + E, so the least-squares E is a correction to the identity
+        # on P: vec(E P^H A1 - A2 E P^H) = A2 Z0' - Z0' A1 and
+        # vec(C2 E P^H) = C1 - C2 Z0' with Z0' = Z0 + P P^H; P^H B1
+        # vanishes, so the B relation holds already
+        Z = Z + P @ P.conj().T
         M = np.vstack([np.kron((P.conj().T @ s1.A).T, np.eye(n)) - np.kron(P.conj(), s2.A),
                        np.kron(P.conj(), s2.C)])
         rhs = np.concatenate([(s2.A @ Z - Z @ s1.A).ravel(order="F"),
                               (s1.C - s2.C @ Z).ravel(order="F")])
-        D = np.linalg.lstsq(M, rhs, rcond=None)[0].reshape(n, P.shape[1], order="F")
-        Z = Z + D @ P.conj().T
+        E = np.linalg.lstsq(M, rhs, rcond=None)[0].reshape(n, P.shape[1], order="F")
+        Z = Z + E @ P.conj().T
     residuals = _intertwining_residuals(s1, s2, Z)
     if max(residuals.values()) > tol.metric_tol * 100 * max(1.0, np.linalg.norm(Z, 2)):
         return None

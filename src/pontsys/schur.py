@@ -13,7 +13,11 @@ Boundary conditions are decided at finitely many samples.  All functions
 involved are rational, and a rational function that vanishes on a subset
 of full measure of the circle vanishes identically, so sampled verdicts
 upgrade to identities; every report that relies on this records the
-rationale.
+rationale.  The scalar defect needs no second sampling: times
+|det(I - zA)|^2, 1 - |S|^2 is a trigonometric polynomial of degree n = dim A
+on the circle, and the defect survey has N >= 2n + 1 roots of unity, so
+one FFT of the survey's values gives its coefficients with no aliasing,
+off only by the survey's stated error (README rule 5).
 """
 
 from __future__ import annotations
@@ -741,46 +745,6 @@ class DefectResult:
     note: str = RATIONAL_NOTE
 
 
-def _denominator_coeffs(lam):
-    """Ascending coefficients of det(I - zA) from the eigenvalues of A."""
-    if lam.size == 0:
-        return np.array([1.0 + 0.0j])
-    # np.poly gives x^n + ... for prod (x - lam); read backwards those are
-    # the ascending coefficients of prod (1 - lam z)
-    return np.asarray(np.poly(lam), dtype=complex)
-
-
-def _numerator_coeffs(S, dcoeffs, tol):
-    """Ascending coefficients of S(z) * det(I - zA) for scalar S."""
-    n = dcoeffs.size - 1
-    N = n + 1
-    moduli = np.abs(S.poles)
-    radius = None
-    for cand in (0.5, 0.41, 0.63, 0.37, 0.71, 0.29, 0.83):
-        if moduli.size == 0 or np.min(np.abs(moduli - cand)) > 0.03:
-            radius = cand
-            break
-    if radius is None:
-        raise InternalConsistencyError("could not place a sampling circle "
-                                       "between the pole moduli")
-    nodes = radius * np.exp(2j * np.pi * np.arange(N) / N)
-    fvals = S.values(nodes, tol)[:, 0, 0] * np.polynomial.polynomial.polyval(
-        nodes, dcoeffs)
-    coeffs = np.fft.fft(fvals) / N
-    return coeffs / radius ** np.arange(N)
-
-
-def _laurent_coeffs(dcoeffs, ncoeffs):
-    """c_k of |d|^2 - |n|^2 on the circle, k = 0..deg."""
-    n = dcoeffs.size - 1
-    c = np.zeros(n + 1, dtype=complex)
-    for k in range(n + 1):
-        for j in range(n + 1 - k):
-            c[k] += (dcoeffs[j + k] * np.conj(dcoeffs[j])
-                     - ncoeffs[j + k] * np.conj(ncoeffs[j]))
-    return c
-
-
 def _outer_denominator(eigenvalues):
     """det(I - zA) with inside-disc zeros reflected out, ascending coeffs."""
     coeffs = np.array([1.0 + 0.0j])
@@ -796,13 +760,22 @@ def _outer_denominator(eigenvalues):
 def _right_defect_scalar(S, values, tol):
     """Outer phi with |phi|^2 = 1 - |S|^2 on the circle, or None if zero.
 
-    values holds S at the len(values)-th roots of unity, NaN where a point
-    sat too close to a pole; any such point raises PoleProximityError.
-    Returns (phi, boundary_residual).  Spectral factorization of the
-    trigonometric polynomial |d|^2 - |n|^2: its roots come in pairs
-    (r, 1/conj(r)); keeping the outside-closed-disc half of every pair
-    gives the outer numerator, and reflecting the inside-disc zeros of d
-    gives the outer denominator with the same boundary modulus.
+    values holds S at the N = len(values)-th roots of unity, NaN where a
+    point sat too close to a pole; any such point raises PoleProximityError.
+    Returns (phi, boundary_residual).  With d(z) = det(I - zA), the product
+    of 1 - lam z over the backing's Schur diagonal, S d is a polynomial of
+    degree at most n = dim A, so on the circle |d|^2 (1 - |S|^2) =
+    |d|^2 - |S d|^2 is a trigonometric polynomial sum_{|k| <= n} c_k w^k.
+    As N >= 2n + 1, no frequency aliases onto another, and c_k is entry k
+    of one FFT of its N samples, divided by N.  The samples carry the
+    survey's stated error e per value (README rule 5), which moves a
+    sample by at most |d|^2 e (2 |S| + e) and each c_k by at most the mean
+    of that.  Spectral factorization of the Laurent polynomial: its roots
+    come in pairs (r, 1/conj(r)); keeping the outside-closed-disc half of
+    every pair gives the outer numerator, and reflecting the inside-disc
+    zeros of d gives the outer denominator with the same boundary modulus.
+    |phi|^2 is certified within 1e-8 max(1, max |1 - |S|^2|) of the
+    surveyed 1 - |S|^2, a bound the coefficients under test do not enter.
     """
     circle = boundary_points(values.size)
     bad = np.isnan(values)
@@ -813,20 +786,16 @@ def _right_defect_scalar(S, values, tol):
     if worst <= tol.metric_tol:
         return None, worst
     lam = S.backing._spectrum.eigenvalues
-    dcoeffs = _denominator_coeffs(lam)
-    ncoeffs = _numerator_coeffs(S, dcoeffs, tol)
-    c = _laurent_coeffs(dcoeffs, ncoeffs)
+    dvals = np.prod(1.0 - circle[:, None] * lam, axis=1)
+    c = np.fft.fft(np.abs(dvals) ** 2 * target)[:lam.size + 1] / values.size
     cmax = float(np.max(np.abs(c)))
     keep = np.flatnonzero(np.abs(c) > 1e-12 * max(1.0, cmax))
     if keep.size == 0:
         return None, worst
     neff = int(keep[-1])
+    c = c[:neff + 1]
     # p(z) = z^neff * sum c_k z^k including conjugate tail
-    p = np.zeros(2 * neff + 1, dtype=complex)
-    p[neff] = c[0].real
-    for k in range(1, neff + 1):
-        p[neff + k] = c[k]
-        p[neff - k] = np.conj(c[k])
+    p = np.concatenate([c[:0:-1].conj(), [c[0].real], c[1:]])
     if neff == 0:
         roots_out = np.zeros(0, dtype=complex)
     else:
@@ -835,9 +804,7 @@ def _right_defect_scalar(S, values, tol):
         roots_out = roots[order[:neff]]
     q = np.polynomial.polynomial.polyfromroots(roots_out)
 
-    lvals = np.full(circle.size, c[0].real + 0.0)
-    for k in range(1, neff + 1):
-        lvals += 2.0 * (c[k] * circle ** k).real
+    lvals = 2.0 * np.polynomial.polynomial.polyval(circle, c).real - c[0].real
     qvals = np.abs(np.polynomial.polynomial.polyval(circle, q)) ** 2
     star = int(np.argmax(lvals))
     # |q|^2 at the peak sets the scale: only an exact zero is refused
@@ -846,26 +813,37 @@ def _right_defect_scalar(S, values, tol):
     gamma = np.sqrt(max(lvals[star], 0.0) / qvals[star])
     phi = RationalScalar(gamma * q, _outer_denominator(lam))
     resid = float(np.max(np.abs(np.abs(phi(circle)) ** 2 - target)))
-    scale = max(1.0, float(np.max(np.abs(lvals))), worst)
-    certify("spectral factor boundary defect mismatch", resid, 1e-8 * scale)
+    certify("spectral factor boundary defect mismatch", resid,
+            1e-8 * max(1.0, worst))
     certify("spectral factor root modulus", -np.min(np.abs(roots_out), initial=np.inf),
             -(1.0 - tol.metric_tol))
     return phi, resid
 
 
+def _defect_samples(n):
+    """Circle points of the defect survey for n states: 128, or the least
+    power of two >= 2n + 1, enough to read a trigonometric polynomial of
+    degree n off its samples without aliasing."""
+    return max(128, 1 << (2 * n).bit_length())
+
+
 def defect(S, tol=DEFAULT_TOL):
     """Outer defect functions for scalar S; vanishing flags for any S.
 
-    The vanishing tests sample I - S^*S and I - SS^* on the circle; a
-    rational defect vanishing there vanishes identically.  The scalar
-    branch factors 1 - |S|^2 by root reflection into an outer rational
-    phi, from the survey's own circle values.  For scalar S the left
-    defect 1 - |S|^2 is the same function, so psi is phi.  With every
+    The vanishing tests sample I - S^*S and I - SS^* on the circle, at the
+    N-th roots of unity with N = 128 or the least power of two >= 2n + 1
+    for n states; a rational defect vanishing there vanishes identically.
+    The scalar branch factors 1 - |S|^2 into an outer rational phi from
+    the survey's own values: times |det(I - zA)|^2 it is a trigonometric
+    polynomial of degree n, which N >= 2n + 1 samples fix exactly, so its
+    coefficients inherit only the survey's stated error.  For scalar S the
+    left defect 1 - |S|^2 is the same function, so psi is phi.  With every
     sample pole-proximal there is nothing to decide on, and the first
     sample raises PoleProximityError.
     """
     S = as_transfer(S)
-    _, dr, dl, vals, _ = _decisive_survey(S, 128, tol)
+    _, dr, dl, vals, _ = _decisive_survey(
+        S, _defect_samples(S.backing.state_dim), tol)
     right_max = float(np.nanmax(dr, initial=0.0))
     left_max = float(np.nanmax(dl, initial=0.0))
     phi_zero = right_max <= tol.metric_tol
@@ -928,8 +906,8 @@ def _model_rank_bound(S, kind, tol):
     of the backing's observable space.  For a co-isometric or
     conservative backing I - S(z)S(w)^* = (1 - z conj(w)) C(I - zA)^-1 J
     (I - wA)^-* C^*, so every kernel section lies in M.  Any other
-    backing is decided on defect's 128-point circle survey, with the
-    metric_tol cut of DefectResult.psi_is_zero; a sample on a pole
+    backing is decided on defect's circle survey (_defect_samples), with
+    the metric_tol cut of DefectResult.psi_is_zero; a sample on a pole
     leaves the survey undecided (None).  The rational function F(z) =
     I - S(z)S(1/conj(z))^* equals psi on the circle.  The section at w
     is f(z) = (u - S(z)v)/(1 - z conj(w)) with v = S(w)^*u, and its
@@ -945,7 +923,7 @@ def _model_rank_bound(S, kind, tol):
     """
     if kind in (SystemKind.COISOMETRIC, SystemKind.CONSERVATIVE):
         return _observable_dimension(S.backing, tol)
-    left = _circle_survey(S, 128, tol)[2]
+    left = _circle_survey(S, _defect_samples(S.backing.state_dim), tol)[2]
     if np.isnan(left).any():
         return None
     psi = float(np.max(left))
@@ -967,7 +945,7 @@ def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
     output map evaluates at zero.  The plan grows from 4 to 64 points
     per ring on three rings.  The section space is finite-dimensional
     only when the left defect I - SS^* vanishes on the circle: a
-    function whose 128-point circle survey shows it nonzero is refused
+    function whose defect survey shows it nonzero is refused
     with PreconditionError before any plan is built.  When it vanishes,
     or the backing is co-isometric or conservative, the Gram rank is at
     most the dimension of the backing's observable space (see

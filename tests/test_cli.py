@@ -29,10 +29,16 @@ from pontsys.colligation import Colligation, krylov_report, markov, to_canonical
 from pontsys.indefinite import DEFAULT_TOL, SignatureSpace
 from pontsys.products import cascade
 from pontsys.sampling import (
+    boundary_points,
     random_conservative_colligation,
     random_passive_colligation,
 )
-from pontsys.schur import TransferFunction, as_transfer, boundary_behavior
+from pontsys.schur import (
+    RationalScalar,
+    TransferFunction,
+    as_transfer,
+    boundary_behavior,
+)
 
 
 def run_cli(tmp_path, *argv):
@@ -606,8 +612,9 @@ class TestDefectSurvey:
         # 100 is no multiple of 128, so defect surveys afresh and the report
         # equals that of defect and boundary_behavior on two fresh
         # functions.  512 serves defect with stride 4: the verdicts are
-        # those of the fresh 128-point survey, and the survey numbers are
-        # within what the two surveys' stated errors allow
+        # those of the fresh 128-point survey, and the survey numbers, and
+        # |phi|^2 factored from them, are within what the two surveys'
+        # stated errors allow
         system = _scalar_and_two_channel_inputs()[kind]
         path = write_system(tmp_path, system)
         shared, fresh = tmp_path / "shared", tmp_path / "fresh"
@@ -630,14 +637,33 @@ class TestDefectSurvey:
         got, want = (json.loads((d / "defect.report.json").read_text())
                      for d in (shared, fresh))
         assert got["verdicts"] == want["verdicts"]
+        factors = [{name: c.pop(name, None) for name in ("phi", "psi")}
+                   for c in (got["certificates"], want["certificates"])]
         assert got["certificates"] == want["certificates"]
         gap = 2 * _survey_error(load_system(path)[0], 128, 512)
         assert 0 < gap <= 1e-9
         # |1 - |v|^2| and the defect norms move by at most gap (2 |v| + gap)
         top = 1.0 + max(got["residuals"].values())
+        moved = gap * (2 * top + gap) + 16 * np.finfo(float).eps * top * top
         for name, value in got["residuals"].items():
-            assert abs(value - want["residuals"][name]) <= (
-                gap * (2 * top + gap) + 16 * np.finfo(float).eps * top * top)
+            assert abs(value - want["residuals"][name]) <= moved
+        # phi is factored from the survey's values: its denominator is read
+        # off the Schur diagonal alone, and |phi|^2 at the survey points is
+        # certified within its residual of 1 - |v|^2, which moves by at most
+        # moved between the two surveys
+        mine, theirs = factors
+        if kind == "conservative":
+            assert mine == theirs == {"phi": None, "psi": None}
+            return
+        z = boundary_points(128)
+        bound = moved + sum(r["residuals"]["scalar_factorization_boundary"]
+                            for r in (got, want))
+        for name in ("phi", "psi"):
+            assert mine[name]["denominator"] == theirs[name]["denominator"]
+            a, b = (RationalScalar(*(np.array(f[name][part]) @ [1.0, 1j]
+                                     for part in ("numerator", "denominator")))
+                    for f in (mine, theirs))
+            assert np.max(np.abs(np.abs(a(z)) ** 2 - np.abs(b(z)) ** 2)) <= bound
 
 
 class TestStability:

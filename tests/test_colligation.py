@@ -1382,6 +1382,34 @@ class TestSimilarity:
             if want is not None:
                 assert np.linalg.norm(sim.Z - want, 2) <= 1e-8 * np.linalg.norm(want, 2)
 
+    @pytest.mark.parametrize("io, kappa", [(1, 0), (1, 1), (0, 0), (0, 1)])
+    def test_unitary_similarity_with_the_whole_state_hidden(self, io, kappa):
+        # B = 0 and C = 0, or no inputs and outputs: the identity intertwines
+        # and is metric-unitary, and the remainder's least squares keeps it
+        A = random_j_unitary(np.random.default_rng([io, kappa, 53]),
+                             SignatureSpace(3 - kappa, kappa)) / 2
+        s = Colligation(SignatureSpace(3 - kappa, kappa), io, io, A,
+                        np.zeros((3, io)), np.zeros((io, 3)), 0.3 * np.eye(io))
+        sim = unitary_similarity(s, s)
+        assert np.linalg.norm(sim.Z - np.eye(3), 2) <= 1e-12
+
+    def test_unitary_similarity_keeps_a_hidden_block_of_a_reachable_system(self):
+        # a conservative system beside a decoupled hidden block A0: Z is
+        # the planted map on the simple part and the identity on the block
+        rng = np.random.default_rng(54)
+        s0 = random_conservative_colligation(rng, SignatureSpace(3, 1), 1)
+        A0 = random_j_unitary(rng, SignatureSpace(1, 1)) / 2
+        n = s0.state_dim
+        state = SignatureSpace.from_signs(np.concatenate([s0.state.signs, [1.0, -1.0]]))
+        A = np.zeros((n + 2, n + 2), dtype=complex)
+        A[:n, :n], A[n:, n:] = s0.A, A0
+        s1 = Colligation(state, 1, 1, A, np.vstack([s0.B, np.zeros((2, 1))]),
+                         np.hstack([s0.C, np.zeros((1, 2))]), s0.D)
+        Z = np.eye(n + 2, dtype=complex)
+        Z[:n, :n] = random_j_unitary(rng, s0.state)
+        sim = unitary_similarity(s1, state_change(s1, Z, state))
+        assert np.linalg.norm(sim.Z - Z, 2) <= 1e-6 * np.linalg.norm(Z, 2)
+
     @pytest.mark.parametrize("entropy, n, kappa, io", [
         ([8, 1, 1], 8, 1, 1), ([8, 2, 3], 8, 2, 3), ([24, 4, 2], 24, 4, 2),
         ([24, 8, 1], 24, 8, 1), ([40, 6, 2], 40, 6, 2),

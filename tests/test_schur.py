@@ -725,6 +725,104 @@ class TestDefect:
             defect(system)
         assert abs(info.value.point - np.conj(w)) < 1e-12
 
+    @pytest.mark.parametrize("n, kappa", [(32, 0), (40, 0), (64, 0), (80, 0),
+                                          (40, 8), (64, 8)])
+    def test_strictly_passive_sweep(self, n, kappa):
+        # a certified outer phi matches 1 - |S|^2 off the survey too, or the
+        # factorization is refused typed; never a silently wrong phi
+        for seed in range(5):
+            system = _strict_scalar(n, kappa, seed)
+            try:
+                res = defect(system)
+            except (InternalConsistencyError, PreconditionError):
+                continue
+            assert not res.phi_is_zero
+            _assert_outer_defect(system, res)
+
+    def test_forty_states_answer(self):
+        # the survey's own 128 values fix the degree-40 coefficients, so
+        # the factorization is certified where a second sampling circle
+        # inside the disc amplified rounding past the bound
+        system = _strict_scalar(40, 0, 0)
+        res = defect(system)
+        assert res.boundary_residual <= 1e-8
+        _assert_outer_defect(system, res)
+
+    @pytest.mark.parametrize("n, kappa, seed", [(2, 0, 0), (4, 1, 1), (8, 0, 2),
+                                                (8, 3, 3), (12, 2, 4)])
+    def test_laurent_coefficients_match_a_sampling_circle(self, n, kappa, seed):
+        # |phi|^2 |d|^2 on the circle is the trigonometric polynomial whose
+        # coefficients the radius-0.5 circle gives, at held-out points
+        system = _strict_scalar(n, kappa, seed)
+        res = defect(system)
+        c = _sampling_circle_laurent(system)
+        z = _held_out_circle()
+        lvals = 2.0 * np.polynomial.polynomial.polyval(z, c).real - c[0].real
+        dvals = np.polynomial.polynomial.polyval(
+            z, np.poly(system._spectrum.eigenvalues))
+        got = np.abs(res.phi(z) * dvals) ** 2
+        assert np.max(np.abs(got - lvals)) <= 1e-9 * max(1.0, np.max(np.abs(c)))
+
+    def test_scalar_defect_evaluates_no_transfer_values(self, monkeypatch):
+        # the coefficients come from the survey alone: no second circle
+        rng = np.random.default_rng(11)
+        system = random_passive_colligation(rng, SignatureSpace(3, 1), 1, 1,
+                                            strict=0.25)
+        calls = spy(monkeypatch, colligation.transfer_values)
+        res = defect(system)
+        assert not res.phi_is_zero
+        assert calls == []
+
+    @pytest.mark.parametrize("n, samples", [(63, 128), (64, 256), (96, 256),
+                                            (128, 512)])
+    def test_survey_has_two_n_plus_one_points(self, monkeypatch, n, samples):
+        system = _strict_scalar(n, 0, 0)
+        calls = spy(monkeypatch, schur._fresh_survey)
+        defect(system)
+        assert [(args[0].backing, args[1]) for args in calls] == [(system, samples)]
+        assert samples >= 2 * n + 1
+
+
+def _strict_scalar(n, kappa, seed):
+    return random_passive_colligation(
+        np.random.default_rng([n, kappa, seed]),
+        SignatureSpace(n - kappa, kappa), 1, 1, strict=0.35)
+
+
+def _held_out_circle(count=1000):
+    """count circle points, each halfway between two count-th roots of
+    unity, so none is a survey point."""
+    return np.exp(2j * np.pi * (np.arange(count) + 0.5) / count)
+
+
+def _assert_outer_defect(system, res):
+    """|phi|^2 within 1e-8 max(1, max |1 - |S|^2|) of 1 - |S|^2 at 1,000
+    held-out circle points, and no numerator root in the open disc."""
+    S = as_transfer(system)
+    z = _held_out_circle()
+    want = np.concatenate([1.0 - np.abs(S.values(part)[:, 0, 0]) ** 2
+                           for part in np.split(z, 4)])
+    gap = np.max(np.abs(np.abs(res.phi(z)) ** 2 - want))
+    assert gap <= 1e-8 * max(1.0, float(np.max(np.abs(want))))
+    if res.phi.numerator.size > 1:
+        assert np.min(np.abs(np.roots(res.phi.numerator[::-1]))) >= 1.0 - 1e-8
+
+
+def _sampling_circle_laurent(system):
+    """c_k of |d|^2 - |n|^2 on the circle, k = 0..n, from the coefficients
+    of d = det(I - zA) and of n = S d, the latter read off a circle of
+    radius 0.5 at n + 1 points and rescaled by 0.5^-k.  An oracle only
+    for small n, where that rescaling amplifies rounding by at most 2^n."""
+    S = as_transfer(system)
+    # np.poly's descending coefficients of prod (x - lam) are the ascending
+    # ones of prod (1 - lam z)
+    d = np.poly(system._spectrum.eigenvalues).astype(complex)
+    nodes = 0.5 * np.exp(2j * np.pi * np.arange(d.size) / d.size)
+    num = np.fft.fft(S.values(nodes)[:, 0, 0] * np.polynomial.polynomial.polyval(
+        nodes, d)) / d.size / 0.5 ** np.arange(d.size)
+    return np.array([np.vdot(d[:d.size - k], d[k:]) - np.vdot(num[:d.size - k], num[k:])
+                     for k in range(d.size)])
+
 
 class TestCanonicalRealization:
     def test_blaschke_model_matches_the_colligation(self):
