@@ -145,6 +145,36 @@ class Colligation:
         for name, val in (("A", A), ("B", B), ("C", C), ("D", D)):
             object.__setattr__(self, name, val)
 
+    @classmethod
+    def _built(cls, state, A, B, C, D):
+        """Colligation on complex128 blocks that the library computed from
+        validated ones, in the shapes that state and D fix, without the
+        copies and shape checks of __post_init__.
+
+        The finiteness scan stays, in the order A, B, C, D of
+        __post_init__: products of finite blocks can overflow, and a
+        block that did is refused with the same InputError.  Each block is
+        held read-only in the layout of the copy that __post_init__ makes
+        (np.array keeps the order of its input): a contiguous block is
+        kept without a copy, and only a strided slice is copied, so every
+        later product meets the memory layout, and so the BLAS route and
+        the rounding, of the validated copy.  The callers are cascade and
+        the factors of kl_factorize_system.
+        """
+        system = object.__new__(cls)
+        object.__setattr__(system, "state", state)
+        object.__setattr__(system, "input_dim", D.shape[1])
+        object.__setattr__(system, "output_dim", D.shape[0])
+        for name, val in (("A", A), ("B", B), ("C", C), ("D", D)):
+            if val.size and not np.all(np.isfinite(val)):
+                raise InputError(f"{name} contains non-finite entries")
+            if not (val.flags.c_contiguous or val.flags.f_contiguous):
+                val = val.copy(order="K")
+            view = val.view()
+            view.setflags(write=False)
+            object.__setattr__(system, name, view)
+        return system
+
     @property
     def state_dim(self):
         return self.state.dim
@@ -1214,20 +1244,35 @@ def weak_similarity(s1, s2, tol=DEFAULT_TOL):
 
 def _weak_map(s1, s2, recurrence, tol):
     """weak_similarity past the minimality of s1 (and of s2 at unequal
-    state dimensions)."""
+    state dimensions).
+
+    The Taylor window holds when each ||T1_k - T2_k||_2 is within
+    metric_tol times the running maximum of max(1, ||T1_j||_2), j <= k.
+    Frobenius norms settle it first: ||X||_2 <= ||X||_F, and
+    ||T||_F / sqrt(min(p, m)) <= ||T||_2 bounds the growth from below, so
+    a window whose every ||T1_k - T2_k||_F is within metric_tol times the
+    running maximum of max(1, ||T1_k||_F / sqrt(min(p, m))), deflated by
+    1e-14 for the rounding of norms that coincide, holds.  Only a window
+    that one order fails takes the stacked eigen-solve of _spectral_norms,
+    so a refusal names the first order at which the spectral test fails.
+    """
     if s1.input_dim != s2.input_dim or s1.output_dim != s2.output_dim:
         raise PreconditionError("weak similarity requires matching input/output")
     N = 2 * max(s1.state_dim, s2.state_dim)
     t1 = _taylor_stack(s1, N)
-    size, diff = _spectral_norms(
-        np.concatenate([t1, t1 - _taylor_stack(s2, N)])).reshape(2, -1)
+    delta = t1 - _taylor_stack(s2, N)
     # order k is compared against the largest coefficient norm up to k, the
     # norm of D = t1[0] included
-    growth = np.maximum.accumulate(np.maximum(1.0, size))
-    bad = np.flatnonzero(diff > tol.metric_tol * growth)
-    if bad.size:
-        raise PreconditionError(
-            f"Taylor coefficients differ at order {bad[0]}; no weak similarity")
+    root = max(1, min(s1.output_dim, s1.input_dim)) ** 0.5
+    growth = np.maximum.accumulate(np.maximum(1.0, np.linalg.norm(t1, axis=(1, 2)) / root))
+    if not np.all(np.linalg.norm(delta, axis=(1, 2))
+                  <= tol.metric_tol * (1.0 - 1e-14) * growth):
+        size, diff = _spectral_norms(np.concatenate([t1, delta])).reshape(2, -1)
+        growth = np.maximum.accumulate(np.maximum(1.0, size))
+        bad = np.flatnonzero(diff > tol.metric_tol * growth)
+        if bad.size:
+            raise PreconditionError(
+                f"Taylor coefficients differ at order {bad[0]}; no weak similarity")
     Z = _krylov_map(recurrence, s2)
     residuals = _intertwining_residuals(s1, s2, Z)
     # np.linalg.norm(Z, 2) is the largest of these same singular values

@@ -348,28 +348,29 @@ def _frobenius_scale_bound(M, tol):
 
 
 def _defect_bracket(P):
-    """(lo, hi, sym P, ||P - P^*||_F) for a finite square defect P, with
-    lo <= d <= hi for the bound d = max|eig(sym P)| + ||P - P^*||_F / 2
-    that metric_classify computes with an eigen-solve.
+    """(lo, hi) for a square defect P, with lo <= d <= hi for the
+    bound d = max|eig(sym P)| + ||P - P^*||_F / 2 that metric_classify
+    computes with an eigen-solve, from ||P||_F and Re diag P alone.
 
-    The diagonal entries of sym P are Rayleigh quotients, so
-    max|diag(sym P)| <= max|eig(sym P)| <= ||sym P||_F.  Both ends are
-    widened by 32 (n + 1) u (||sym P||_F + ||P - P^*||_F), u the unit
-    roundoff: the Hermitian eigen-solve is backward stable, its eigenvalues
-    within a small multiple of (n + 1) u ||sym P||_2 of the exact ones, and
-    the slack also covers the rounding of the norms and of the sums, so
-    the bracket holds for the computed d.  A non-finite norm gives NaN
-    ends, which decide nothing.
+    The diagonal of sym P is Re diag P, and its entries are Rayleigh
+    quotients, so max|Re p_ii| <= max|eig(sym P)| <= d.  sym P and
+    (P - P^*)/2 are orthogonal parts of P, so with a = ||sym P||_F and
+    b = ||P - P^*||_F / 2, a^2 + b^2 = ||P||_F^2 and
+    d <= a + b <= sqrt(2) ||P||_F.  Both ends are widened by the slack
+    s = 96 (n + 1) u ||P||_F, u the unit roundoff: the Hermitian
+    eigen-solve is backward stable (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002), its eigenvalues within a small multiple
+    of (n + 1) u ||sym P||_2 of the exact ones, a and b are at most
+    ||P||_F, and the slack also covers the rounding of forming sym P, of
+    the norms and of the sums, so the bracket holds for the computed d.
+    A NaN or infinite ||P||_F, from a non-finite P or one whose norm
+    overflows, gives ends that decide nothing: NaN, or -inf and inf.
     """
-    Ph = P.conj().T
-    skew = float(np.linalg.norm(P - Ph))
-    Hs = (P + Ph) / 2.0
-    fro = float(np.linalg.norm(Hs))
-    if not (np.isfinite(fro) and np.isfinite(skew)):
-        return np.nan, np.nan, Hs, skew
-    slack = 32.0 * (P.shape[0] + 1) * _UNIT_ROUNDOFF * (fro + skew)
-    diag = float(np.max(np.abs(np.diagonal(Hs)), initial=0.0))
-    return diag + skew / 2.0 - slack, fro + skew / 2.0 + slack, Hs, skew
+    fro = float(np.linalg.norm(P))
+    # Python floats, so that the NaN and infinite ends come without warnings
+    slack = 96.0 * (P.shape[0] + 1) * float(_UNIT_ROUNDOFF) * fro
+    diag = float(np.max(np.abs(np.diagonal(P).real), initial=0.0))
+    return diag - slack, 2.0 ** 0.5 * fro + slack
 
 
 def _bracketed_metric_class(M, primal, dual, tol):
@@ -381,16 +382,15 @@ def _bracketed_metric_class(M, primal, dual, tol):
     the eigen-solve route could use.  With both defects nonzero,
     _cholesky_accepts on the primal defect proves the CONTRACTION that
     route's is_psd test would return; its skew limit of 1e-10 also keeps
-    that route's Hermitian guard from refusing.  A non-finite defect is
-    left to the eigen-solve route, which refuses it.
+    that route's Hermitian guard from refusing.  Only that test forms the
+    symmetrized defect and the norm of its skew part.  A non-finite
+    defect has a NaN or infinite ||P||_F, so its bracket decides nothing
+    and it is left to the eigen-solve route, which refuses it.
     """
-    if not (np.all(np.isfinite(primal)) and np.all(np.isfinite(dual))):
-        return None
-    # the norms run in the order of the eigen-solve route's
-    brackets = [_defect_bracket(P) for P in (primal, dual)]
     upper = _frobenius_scale_bound(M, tol)
     zero = []
-    for lo, hi, _, _ in brackets:
+    for P in (primal, dual):
+        lo, hi = _defect_bracket(P)
         if hi <= tol.metric_tol:
             zero.append(True)
         elif lo > upper:
@@ -398,8 +398,7 @@ def _bracketed_metric_class(M, primal, dual, tol):
         else:
             return None
     verdict = _zero_defect_class(*zero)
-    _, _, sym_primal, skew_primal = brackets[0]
-    if verdict is None and _sym_cholesky_accepts(sym_primal, skew_primal, tol):
+    if verdict is None and _cholesky_accepts(primal, tol):
         return MetricClass.CONTRACTION
     return verdict
 
@@ -445,15 +444,9 @@ def _cholesky_accepts(H, tol):
     if H.shape[0] == 0:
         return False
     Hh = H.conj().T
-    return _sym_cholesky_accepts((H + Hh) / 2.0, float(np.linalg.norm(H - Hh)), tol)
-
-
-def _sym_cholesky_accepts(Hs, skew, tol):
-    """_cholesky_accepts from the symmetrized part Hs = sym H and the
-    skew norm ||H - H^*||_F of a nonempty H."""
-    if not skew <= 1e-10:
+    if not float(np.linalg.norm(H - Hh)) <= 1e-10:
         return False
-    shifted = Hs + (tol.psd_tol / 2.0) * np.eye(Hs.shape[0])
+    shifted = (H + Hh) / 2.0 + (tol.psd_tol / 2.0) * np.eye(H.shape[0])
     return _cholesky_within(shifted, tol.psd_tol / 4.0)
 
 

@@ -66,22 +66,31 @@ def cascade(first, second):
     The state is the direct sum of the two state spaces, first block on
     top; the transfer function of the result is the pointwise product
     theta_second(z) @ theta_first(z).  Passive, isometric, coisometric
-    and conservative inputs give a product of the same class.
+    and conservative inputs give a product of the same class.  The blocks
+    are written into fresh arrays, as system_operator writes its operator,
+    and held read-only by Colligation._built, which refuses a product
+    that overflowed as the public constructor does.
     """
     if first.output_dim != second.input_dim:
         raise DimensionMismatchError(
             f"output dimension {first.output_dim} does not feed input "
             f"dimension {second.input_dim}")
-    n1, n2 = first.state_dim, second.state_dim
+    n1 = first.state_dim
+    n = n1 + second.state_dim
     state = SignatureSpace.from_signs(
         np.concatenate([first.state.signs, second.state.signs]))
-    A = np.block([
-        [first.A, np.zeros((n1, n2))],
-        [second.B @ first.C, second.A]])
-    B = np.vstack([first.B, second.B @ first.D])
-    C = np.hstack([second.D @ first.C, second.C])
-    D = second.D @ first.D
-    return Colligation(state, first.input_dim, second.output_dim, A, B, C, D)
+    A = np.empty((n, n), dtype=complex)
+    A[:n1, :n1] = first.A
+    A[:n1, n1:] = 0.0
+    A[n1:, :n1] = second.B @ first.C
+    A[n1:, n1:] = second.A
+    B = np.empty((n, first.input_dim), dtype=complex)
+    B[:n1] = first.B
+    B[n1:] = second.B @ first.D
+    C = np.empty((second.output_dim, n), dtype=complex)
+    C[:, :n1] = second.D @ first.C
+    C[:, n1:] = second.C
+    return Colligation._built(state, A, B, C, second.D @ first.D)
 
 
 @dataclass(frozen=True)
@@ -329,7 +338,17 @@ def _j_orthonormal_completion(known_gram_basis, J, expect):
 
 
 def _adapted_blocks(system, split, minus_first, tol):
-    """State change onto a fundamental split, negative or positive block first."""
+    """State change onto a fundamental split, negative or positive block
+    first: (V, A_ad, B_ad, C_ad, G) with G = V^H J V - diag(pattern), the
+    residual of the basis's metric-orthonormality.
+
+    The adapted basis inverse is Vinv = diag(pattern) V^H J, so
+    Vinv V - I = diag(pattern) G, G up to exact +-1 row signs: both have
+    the norms of G, which the adapted-basis certificate reads here and
+    the cascade's metric-orthonormality certificate reads again in
+    _certify_factorization, where the cascade's state pattern is the
+    adapted one and its state basis is V.
+    """
     Wm, _ = canonical_basis(split.Xminus, tol)
     Wp, _ = canonical_basis(split.Xplus, tol)
     if minus_first:
@@ -339,63 +358,74 @@ def _adapted_blocks(system, split, minus_first, tol):
         V = np.hstack([Wp, Wm])
         pattern = np.concatenate([np.ones(Wp.shape[1]), -np.ones(Wm.shape[1])])
     J_X = system.state.signs
+    gram = V.conj().T @ (J_X[:, None] * V) - np.diag(pattern)
+    _certify_residual("adapted basis inverse residual", gram, 1e-8)
     Vinv = pattern[:, None] * (V.conj().T * J_X[None, :])
-    _certify_residual("adapted basis inverse residual",
-                      Vinv @ V - np.eye(V.shape[1]), 1e-8)
     A_ad = Vinv @ system.A @ V
     B_ad = Vinv @ system.B
     C_ad = system.C @ V
-    return V, A_ad, B_ad, C_ad
+    return V, A_ad, B_ad, C_ad, gram
 
 
 def _factorize_simple(system, split, mode, tol):
-    """Schur and inverse Blaschke factors and the state map Z on split, the
+    """Schur and inverse Blaschke factors, the state map Z on split, the
     plus-invariant split in right mode and the minus-invariant one in left
-    mode."""
+    mode, and Z's metric-orthonormality residual (_adapted_blocks).
+
+    In right mode the row blocks that the factors read in stacked pairs
+    are written once into one array W, as system_operator writes its
+    operator; its row slices are the contiguous stacks that np.hstack
+    would build.  The factors hold slices and products of the adapted
+    blocks through Colligation._built.
+    """
     kappa = system.kappa
     n = system.state_dim
     m, p = system.input_dim, system.output_dim
-    D = system.D
     if mode == "right":
         # adapted order [minus, plus]; the plus half is invariant, so the
-        # adapted main operator is lower block triangular
-        V, A_ad, B_ad, C_ad = _adapted_blocks(system, split, True, tol)
-        A_ff, A_sf, A_ss = A_ad[:kappa, :kappa], A_ad[kappa:, :kappa], A_ad[kappa:, kappa:]
-        B_f, B_s = B_ad[:kappa, :], B_ad[kappa:, :]
-        C_f, C_s = C_ad[:, :kappa], C_ad[:, kappa:]
+        # adapted main operator is lower block triangular.  The rows of
+        # W = [[A_ad[:, :kappa], B_ad], [C_ad[:, :kappa], D]] hold the
+        # negative block row R = [A_ff, B_f], then [A_sf, B_s] and [C_f, D]
+        V, A_ad, B_ad, C_ad, gram = _adapted_blocks(system, split, True, tol)
+        W = np.empty((n + p, kappa + m), dtype=complex)
+        W[:n, :kappa] = A_ad[:, :kappa]
+        W[:n, kappa:] = B_ad
+        W[n:, :kappa] = C_ad[:, :kappa]
+        W[n:, kappa:] = system.D
         Jp = np.diag(np.concatenate([-np.ones(kappa), np.ones(m)]))
-        R = np.hstack([A_ff, B_f])
+        R = W[:kappa]
         _certify_residual("negative block row metric-isometry residual",
                           R @ Jp @ R.conj().T + np.eye(kappa), 1e-8)
         # rows completing R to a metric-unitary (kappa+m)-frame
         S = _j_orthonormal_completion(R.conj().T, Jp, m).conj().T
-        invb = Colligation(SignatureSpace(0, kappa), m, m,
-                           A_ff, B_f, S[:, :kappa], S[:, kappa:])
-        B2 = np.hstack([A_sf, B_s]) @ Jp @ S.conj().T
-        D2 = np.hstack([C_f, D]) @ Jp @ S.conj().T
-        schur = Colligation(SignatureSpace(n - kappa, 0), m, p,
-                            A_ss, B2, C_s, D2)
+        invb = Colligation._built(SignatureSpace(0, kappa), A_ad[:kappa, :kappa],
+                                  B_ad[:kappa], S[:, :kappa], S[:, kappa:])
+        B2 = W[kappa:n] @ Jp @ S.conj().T
+        D2 = W[n:] @ Jp @ S.conj().T
+        schur = Colligation._built(SignatureSpace(n - kappa, 0), A_ad[kappa:, kappa:],
+                                   B2, C_ad[:, kappa:], D2)
     else:
-        # adapted order [plus, minus]; the minus half is invariant
-        V, A_ad, B_ad, C_ad = _adapted_blocks(system, split, False, tol)
+        # adapted order [plus, minus]; the minus half is invariant.  Its
+        # stacks are column blocks, which one array would hand to the
+        # products as strided slices, so each is stacked on its own
+        V, A_ad, B_ad, C_ad, gram = _adapted_blocks(system, split, False, tol)
         r = n - kappa
-        A_ff, A_sf, A_ss = A_ad[:r, :r], A_ad[r:, :r], A_ad[r:, r:]
-        B_f, B_s = B_ad[:r, :], B_ad[r:, :]
+        A_sf, A_ss = A_ad[r:, :r], A_ad[r:, r:]
         C_f, C_s = C_ad[:, :r], C_ad[:, r:]
         Jpp = np.diag(np.concatenate([-np.ones(kappa), np.ones(p)]))
         Ck = np.vstack([A_ss, C_s])
         _certify_residual("negative block column metric-isometry residual",
                           Ck.conj().T @ Jpp @ Ck + np.eye(kappa), 1e-8)
         Cn = _j_orthonormal_completion(Ck, Jpp, p)
-        invb = Colligation(SignatureSpace(0, kappa), p, p,
-                           A_ss, Cn[:kappa, :], C_s, Cn[kappa:, :])
+        invb = Colligation._built(SignatureSpace(0, kappa), A_ss, Cn[:kappa, :], C_s,
+                                  Cn[kappa:, :])
         C1 = Cn.conj().T @ Jpp @ np.vstack([A_sf, C_f])
-        D1 = Cn.conj().T @ Jpp @ np.vstack([B_s, D])
-        schur = Colligation(SignatureSpace(r, 0), m, p, A_ff, B_f, C1, D1)
-    return schur, invb, V
+        D1 = Cn.conj().T @ Jpp @ np.vstack([B_ad[r:], system.D])
+        schur = Colligation._built(SignatureSpace(r, 0), A_ad[:r, :r], B_ad[:r], C1, D1)
+    return schur, invb, V, gram
 
 
-def _certify_factorization(system, schur, invb, Z, mode, tol):
+def _certify_factorization(system, schur, invb, Z, gram, mode, tol):
     kappa = system.kappa
     cas = cascade(invb, schur) if mode == "right" else cascade(schur, invb)
     # np.max, unlike max, carries a NaN residual through to the certificate
@@ -407,10 +437,10 @@ def _certify_factorization(system, schur, invb, Z, mode, tol):
     ]))
     _certify_scaled("cascade reconstruction residual", resid, 1e-8,
                     lambda: _block_norm(system))
-    J_X = system.state.signs
+    # Z^H J Z - diag(cascade signs) is gram: Z = V and the cascade's state
+    # pattern is the adapted one
     _certify_residual("cascade state basis metric-orthonormality residual",
-                      Z.conj().T @ (J_X[:, None] * Z) - np.diag(cas.state.signs),
-                      1e-8)
+                      gram, 1e-8)
     if (invb.state.pos, invb.state.neg) != (0, kappa):
         raise InternalConsistencyError(
             "negative factor state has the wrong signature")
@@ -484,8 +514,8 @@ def _kl_factorize(system, cls, mode, tol):
     # and the report index-preserving
     which = SplitKind.PLUS_INVARIANT if mode == "right" else SplitKind.MINUS_INVARIANT
     split = _fundamental_split(system, _split_spectrum(system, tol), which, tol)
-    schur, invb, Z = _factorize_simple(system, split, mode, tol)
-    resid = _certify_factorization(system, schur, invb, Z, mode, tol)
+    schur, invb, Z, gram = _factorize_simple(system, split, mode, tol)
+    resid = _certify_factorization(system, schur, invb, Z, gram, mode, tol)
     return SystemFactorization(schur, invb, mode, Z, resid)
 
 

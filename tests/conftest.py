@@ -1,15 +1,18 @@
 """Shared pytest wiring for the suite.
 
-Two global pieces.  A terminal-summary hook echoes every test collected
-from test_acceptance.py after the run as a single PASS / FAIL line, so
-the release gate reads as one line per criterion regardless of verbosity
-settings.  An autouse fixture checks every basis that the library hands
-to IndefiniteSubspace._orthonormal, which skips the basis checks.
+Three global pieces.  A terminal-summary hook echoes every test
+collected from test_acceptance.py after the run as a single PASS / FAIL
+line, so the release gate reads as one line per criterion regardless of
+verbosity settings.  Two autouse fixtures check what the library hands
+to its unchecked constructors: every basis given to
+IndefiniteSubspace._orthonormal, which skips the basis checks, and every
+block given to Colligation._built, which skips the shape checks.
 """
 
 import numpy as np
 import pytest
 
+from pontsys.colligation import Colligation
 from pontsys.indefinite import IndefiniteSubspace
 
 _acceptance_outcomes = {}
@@ -62,3 +65,31 @@ def orthonormal_bases(monkeypatch):
     yield seen
     bad = [rec for rec in seen if rec[1][0] != rec[0] or not rec[2] <= 1e-3]
     assert not bad, f"validation-free bases out of bounds: {bad[:3]}"
+
+
+@pytest.fixture(autouse=True)
+def built_blocks(monkeypatch):
+    """Check every set of blocks that the library hands to
+    Colligation._built, the constructor that skips the shape checks, in
+    every test of the suite.
+
+    Each block must be a complex128 matrix, and A, B, C, D must have the
+    shapes (n, n), (n, m), (p, n), (p, m) that the state dimension n and
+    the shape (p, m) of D fix.  A violation fails the test at teardown,
+    so a caller that catches errors cannot hide one.
+    """
+    bad = []
+    real = Colligation._built.__func__
+
+    def checked(cls, state, A, B, C, D):
+        n = state.dim
+        p, m = D.shape
+        shapes = [(n, n), (n, m), (p, n), (p, m)]
+        for name, block, shape in zip("ABCD", (A, B, C, D), shapes):
+            if block.dtype != np.complex128 or block.shape != shape:
+                bad.append((name, block.dtype, block.shape, shape))
+        return real(cls, state, A, B, C, D)
+
+    monkeypatch.setattr(Colligation, "_built", classmethod(checked))
+    yield
+    assert not bad, f"unchecked blocks out of shape: {bad[:3]}"

@@ -1544,14 +1544,29 @@ class TestSimilarity:
         assert got.shape == (shape[0],)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(want, 1e-300))
 
-    def test_window_norms_take_one_eigen_solve(self, monkeypatch):
+    @pytest.mark.parametrize("shift, eigen_solves, refused", [
+        # Frobenius norms settle the window
+        ((0.0, 0.0), 0, False),
+        # ||dD||_F = 1.13e-8 exceeds metric_tol, ||dD||_2 = 0.8e-8 does not
+        ((0.8e-8, 0.8e-8), 1, False),
+        ((2e-8, 0.0), 1, True),
+    ])
+    def test_window_takes_the_eigen_solve_only_past_frobenius(
+            self, monkeypatch, shift, eigen_solves, refused):
         rng = np.random.default_rng([24, 4, 2])
         sys1 = random_conservative_colligation(rng, SignatureSpace(20, 4), 2)
         sys2 = state_change(sys1, np.eye(24) + 0.01 * rng.standard_normal((24, 24)),
                             sys1.state)
+        sys2 = Colligation(sys2.state, 2, 2, sys2.A, sys2.B, sys2.C,
+                           sys2.D + np.diag(shift))
         eigvalsh = spy_attr(monkeypatch, np.linalg, "eigvalsh")
-        weak_similarity(sys1, sys2)
-        assert [args[0].shape for args in eigvalsh] == [(2 * 49, 2, 2)]
+        if refused:
+            with pytest.raises(PreconditionError, match=(
+                    r"^Taylor coefficients differ at order 0; no weak similarity$")):
+                weak_similarity(sys1, sys2)
+        else:
+            assert weak_similarity(sys1, sys2).residuals["A"] < 1e-8
+        assert [args[0].shape for args in eigvalsh] == [(2 * 49, 2, 2)] * eigen_solves
 
 
 class TestRealize:

@@ -7,11 +7,12 @@ import pytest
 import scipy.linalg
 
 from pontsys import indefinite, sampling
-from pontsys.colligation import system_operator
+from pontsys.colligation import Colligation, SystemKind, system_kind, system_operator
 from pontsys.exceptions import (
     AmbiguousSpectrumError,
     IndefiniteDefectError,
     InputError,
+    InternalConsistencyError,
     NonRegularSubspaceError,
     NotHermitianError,
     PontsysError,
@@ -42,6 +43,7 @@ from pontsys.indefinite import (
     spectral_subspace,
     subspace_classify,
 )
+from pontsys.products import kl_factorize_system
 
 from _builders import same_span, spy_attr
 
@@ -907,6 +909,40 @@ def _planted_gram_subspace(w, t):
     return IndefiniteSubspace(SignatureSpace(k, k), np.vstack([P, N]))
 
 
+def _eigen_route(monkeypatch, fn, *args):
+    """_verdict of fn with the norm brackets of metric_classify switched
+    off, so that _defect_class decides by the eigen-solve route alone."""
+    with monkeypatch.context() as patched:
+        patched.setattr(indefinite, "_bracketed_metric_class", lambda *_: None)
+        return _verdict(fn, *args)
+
+
+def _bracket_parity_systems():
+    """Seeded conservative and strictly passive systems with n = 4-40,
+    kappa <= 8 and 1-3 channels; the conservative one with its last input
+    or output dropped (isometric, coisometric); both kl factors of it in
+    both modes; and it moved off its class by A + eps E (||E||_2 = 1) and
+    by A (1 - eps), eps from 3e-9 to 0.3, around metric_tol."""
+    for n, kappas in ((4, (0, 1, 2)), (8, (0, 2, 4)), (16, (0, 4, 8)), (24, (2, 8)),
+                      (40, (3, 8))):
+        for kappa in kappas:
+            for io in (1, 2, 3):
+                rng = np.random.default_rng([n, kappa, io, 26])
+                sp = SignatureSpace(n - kappa, kappa)
+                cons = sampling.random_conservative_colligation(rng, sp, io)
+                yield cons
+                yield sampling.random_passive_colligation(rng, sp, io, io, strict=0.2)
+                yield Colligation(sp, io - 1, io, cons.A, cons.B[:, 1:], cons.C, cons.D[:, 1:])
+                yield Colligation(sp, io, io - 1, cons.A, cons.B, cons.C[1:], cons.D[1:])
+                for mode in ("right", "left"):
+                    yield from kl_factorize_system(cons, mode)
+                E = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                E /= np.linalg.norm(E, 2)
+                for eps in (3e-9, 7e-9, 1e-8, 1.4e-8, 3e-8, 1e-6, 0.3):
+                    for A in (cons.A + eps * E, cons.A * (1.0 - eps)):
+                        yield Colligation(sp, io, io, A, cons.B, cons.C, cons.D)
+
+
 class TestBracketedCertificates:
     """The norm brackets and Cholesky routes of metric_classify and
     subspace_classify against the eigen-solve references."""
@@ -1063,6 +1099,54 @@ class TestBracketedCertificates:
             assert got == want == (MetricClass.UNITARY if kind == "conservative"
                                    else MetricClass.CONTRACTION)
             assert calls == []
+
+    def test_system_verdicts_match_the_eigen_route(self, monkeypatch):
+        seen = set()
+        for system in _bracket_parity_systems():
+            T, dom, cod = system_operator(system)
+            for fn, args in ((system_kind, (system,)), (metric_classify, (T, dom, cod))):
+                want = _eigen_route(monkeypatch, fn, *args)
+                assert _verdict(fn, *args) == want
+                seen.add(want)
+        # every kind and metric class, and the bicontraction refusal of
+        # the plants just off the class
+        assert set(SystemKind) | set(MetricClass) | {InternalConsistencyError} <= seen
+
+    @pytest.mark.parametrize("overflow", ["error", "ignore"])
+    def test_non_finite_system_defects_are_refused_alike(self, monkeypatch, overflow):
+        sp = SignatureSpace(6, 2)
+        cons = sampling.random_conservative_colligation(np.random.default_rng(3), sp, 2)
+        for c in (1e160, 1e200):
+            system = Colligation(sp, 2, 2, c * cons.A, c * cons.B, c * cons.C, c * cons.D)
+            T, dom, cod = system_operator(system)
+            with warnings.catch_warnings():
+                warnings.simplefilter(overflow, RuntimeWarning)
+                for fn, args in ((system_kind, (system,)), (metric_classify, (T, dom, cod))):
+                    want = _eigen_route(monkeypatch, fn, *args)
+                    assert _verdict(fn, *args) is want
+                    assert want is (RuntimeWarning if overflow == "error" else InputError)
+
+    def test_conservative_system_kind_forms_no_symmetrized_defect(self, monkeypatch):
+        # both defects bracket within metric_tol from their own Frobenius
+        # norms, so the only norms taken are those of T and of the two
+        # defects, and neither _cholesky_accepts nor _sym_eig, which form
+        # (P + P^*)/2, runs
+        rng = np.random.default_rng(29)
+        systems = [sampling.random_conservative_colligation(rng, SignatureSpace(n - k, k), io)
+                   for n, k, io in ((4, 1, 1), (16, 4, 2), (40, 8, 3))]
+        calls = ([spy_attr(monkeypatch, indefinite, name)
+                  for name in ("_cholesky_accepts", "_sym_eig", "zpotrf")]
+                 + [spy_attr(monkeypatch, np.linalg, name) for name in ("eigvalsh", "eigh")])
+        norms = spy_attr(monkeypatch, np.linalg, "norm")
+        for system in systems:
+            T, dom, cod = system_operator(system)
+            want = (T,) + metric_defects(T, dom, cod)
+            norms.clear()
+            assert system_kind(system) == SystemKind.CONSERVATIVE
+            assert len(norms) == 3
+            assert all(len(args) == 1 and np.array_equal(args[0], M)
+                       for args, M in zip(norms, want))
+        assert calls == [[]] * 5
 
     def gram_cases(self, tol):
         """Subspaces whose Gram has lambda_min at +-0.1-10x the zero cut of

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,71 @@ class TestCascade:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             cascade(blaschke_system(0.4), identity_feedthrough(2))
+
+    @pytest.mark.parametrize("overflow", ["error", "ignore"])
+    def test_overflowing_product_is_refused(self, overflow):
+        # finite blocks whose product second.B @ first.C overflows: with
+        # the suite's RuntimeWarning filter the product stops the cascade,
+        # with warnings ignored the cascade's A is refused as the public
+        # constructor refuses it
+        big = Colligation(SignatureSpace(1, 0), 1, 1, [[0.5]], [[1e200]], [[1e200]],
+                          [[0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter(overflow, RuntimeWarning)
+            if overflow == "error":
+                with pytest.raises(RuntimeWarning):
+                    cascade(big, big)
+            else:
+                with pytest.raises(InputError, match=r"^A contains non-finite entries$"):
+                    cascade(big, big)
+
+    @staticmethod
+    def block_assembly(first, second):
+        """The cascade's blocks as np.block and the public constructor
+        assembled them."""
+        n1, n2 = first.state_dim, second.state_dim
+        return (np.array(np.block([[first.A, np.zeros((n1, n2))],
+                                   [second.B @ first.C, second.A]]), dtype=complex),
+                np.array(np.vstack([first.B, second.B @ first.D]), dtype=complex),
+                np.array(np.hstack([second.D @ first.C, second.C]), dtype=complex),
+                np.array(second.D @ first.D, dtype=complex))
+
+    @pytest.mark.parametrize("n1, n2, m, k, p", [
+        (3, 4, 2, 3, 1), (5, 2, 1, 1, 2), (0, 3, 2, 2, 2), (3, 0, 1, 2, 3),
+        (0, 0, 2, 1, 2), (2, 3, 0, 2, 1), (2, 3, 2, 0, 1), (2, 3, 1, 2, 0),
+        (0, 2, 0, 0, 0)])
+    def test_blocks_are_those_of_the_block_assembly(self, n1, n2, m, k, p):
+        rng = np.random.default_rng([n1, n2, m, k, p])
+
+        def system(n, inputs, outputs):
+            def block(rows, cols):
+                return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            state = SignatureSpace(n - n // 3, n // 3)
+            return Colligation(state, inputs, outputs, block(n, n), block(n, inputs),
+                               block(outputs, n), block(outputs, inputs))
+
+        first, second = system(n1, m, k), system(n2, k, p)
+        cas = cascade(first, second)
+        for got, want in zip((cas.A, cas.B, cas.C, cas.D), self.block_assembly(first, second)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert np.array_equal(cas.state.signs,
+                              np.concatenate([first.state.signs, second.state.signs]))
+        assert (cas.input_dim, cas.output_dim) == (m, p)
+
+    @pytest.mark.parametrize("mode", ["right", "left"])
+    def test_factor_blocks_are_read_only(self, mode):
+        system = random_conservative_colligation(
+            np.random.default_rng([12, 3, 2]), SignatureSpace(9, 3), 2)
+        fac = kl_factorize_system(system, mode)
+        for factor in fac:
+            for name in "ABCD":
+                block = getattr(factor, name)
+                assert block.dtype == np.complex128
+                assert block.flags.c_contiguous or block.flags.f_contiguous
+                with pytest.raises(ValueError):
+                    block[...] = 0.0
 
 
 class TestObstructions:
@@ -921,8 +987,8 @@ def _two_split_factorization(system, mode, tol=DEFAULT_TOL):
     one-split factorization must reproduce past its classification."""
     split_plus, split_minus = _fundamental_splits(system, tol)
     split = split_plus if mode == "right" else split_minus
-    schur, invb, Z = _factorize_simple(system, split, mode, tol)
-    return schur, invb, Z, _certify_factorization(system, schur, invb, Z, mode, tol)
+    schur, invb, Z, gram = _factorize_simple(system, split, mode, tol)
+    return schur, invb, Z, _certify_factorization(system, schur, invb, Z, gram, mode, tol)
 
 
 def _raises_as(exc, call, *args):
