@@ -25,7 +25,7 @@ def main():
 
     est = negative_squares_estimate(theta)
     print(f"negative squares: {est.estimate} "
-          f"(history {list(est.history)}, poles in disc {est.pole_count})")
+          f"(route {est.route}, poles in disc {est.pole_count})")
 
     res = kl_factorize_function(theta)
     print(f"Blaschke degree: {res.kappa}")

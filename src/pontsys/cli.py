@@ -414,7 +414,7 @@ def cmd_classify(args):
         "simple_rank": rep.simple_space.dim,
         "complement_kinds": {k: v.value for k, v in rep.complement_kinds.items()},
         "kappa_estimate": _negative_squares(as_transfer(system), cls.kind,
-                                            tol).estimate,
+                                            tol, rep).estimate,
     }
     return _emit_report(
         args, "classify", {"system": source},
@@ -489,6 +489,17 @@ def cmd_product(args):
         certificates, notes)
 
 
+_NEGSQ_NOTES = {
+    "kernel_ladder": "negative squares from kernel inertia over growing "
+                     "sample batches; pole count from the backing "
+                     "realization spectrum",
+    "index_preserving": "negative squares are the state index of a passive "
+                        "index-preserving backing, certified against the "
+                        "pole count from the backing realization spectrum; "
+                        "the sampled inertia is checked against them",
+}
+
+
 def cmd_negsq(args):
     system, meta, source = _load_system_input(args.path)
     tol = _resolve_tolerances(args, meta)
@@ -497,6 +508,10 @@ def cmd_negsq(args):
     pts = disc_points(min(tol.disc_samples, 48), seed=tol.seed * 53 + 1,
                       radius=0.9, exclude=S.poles, min_dist=1e-4)
     gram = kernel_gram(S, pts, tol)
+    # any Gram's negative count is a lower bound on the index
+    if est.estimate is not None:
+        certify("sampled kernel negative count within the estimate",
+                gram.inertia[2], est.estimate)
     verdicts = {
         "estimate": est.estimate,
         "stable": est.stable,
@@ -504,6 +519,7 @@ def cmd_negsq(args):
         "pole_count_agrees": est.agrees,
     }
     certificates = {
+        "route": est.route,
         "history": list(est.history),
         "disc_pole_count": est.pole_count,
         "sample_inertia": {"plus": gram.inertia[0], "zero": gram.inertia[1],
@@ -512,8 +528,7 @@ def cmd_negsq(args):
     return _emit_report(
         args, "negsq", {"system": source},
         _parameters(args), tol, verdicts, {}, certificates,
-        ["negative squares from kernel inertia over growing sample batches; "
-         "pole count from the backing realization spectrum"])
+        [_NEGSQ_NOTES[est.route]])
 
 
 def cmd_julia_embed(args):

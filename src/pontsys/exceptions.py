@@ -97,12 +97,14 @@ def _certify_scaled(name, value, bound, scale):
 
 
 def _norm2(M):
-    """Spectral norm of M; 0 when empty, NaN when not finite (the SVD raises)."""
+    """Spectral norm of M, its largest singular value, from the SVD that
+    np.linalg.norm(M, 2) would take, without that wrapper; 0 when empty,
+    NaN when not finite (the SVD raises)."""
     if not M.size:
         return 0.0
     if not np.isfinite(M).all():
         return np.nan
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 def _certify_residual(name, R, bound, scale=lambda: 1.0):

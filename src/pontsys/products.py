@@ -20,6 +20,7 @@ from .colligation import (
     _sampled_hidden,
     _schur_spans,
     classify,
+    krylov_report,
     system_kind,
 )
 from .exceptions import (
@@ -41,7 +42,6 @@ from .indefinite import (
     SubspaceKind,
     canonical_basis,
     nullspace,
-    principal_angles,
     subspace_classify,
 )
 
@@ -116,7 +116,13 @@ class ObstructionReport:
 def _obstruction(first, second, observe, where, tol):
     """ObstructionReport of the cascade on one side: the hidden space that
     _schur_spans reads off its Schur form against the _sampled_hidden one,
-    both times J on the reachable side."""
+    both times J on the reachable side.
+
+    The primary basis holds Schur vectors, or J times them, and the
+    secondary one right singular vectors of nullspace, so both are
+    orthonormal; once their dimensions agree, the largest principal angle
+    between them is arcsin |S - P P^H S|_2 for primary P and secondary S,
+    one product and one singular-value solve."""
     cas = cascade(first, second)
     spaces = _schur_spans(cas, (observe,), tol)[0][1], _sampled_hidden(cas, observe, tol)
     primary, secondary = spaces if observe else (cas.state.signs[:, None] * v for v in spaces)
@@ -124,7 +130,11 @@ def _obstruction(first, second, observe, where, tol):
         raise InternalConsistencyError(
             f"{where}: kernel dimensions disagree "
             f"({primary.shape[1]} vs {secondary.shape[1]})")
-    worst = float(np.max(principal_angles(primary, secondary), initial=0.0))
+    # both bases are orthonormal with the same number of columns, so the
+    # sine of their largest principal angle is the norm of the part of the
+    # secondary basis outside the primary span
+    gap = _norm2(secondary - primary @ (primary.conj().T @ secondary))
+    worst = float(np.arcsin(np.minimum(1.0, gap)))
     return ObstructionReport(primary, first.state_dim,
                              certify(f"{where}: solution space angle", worst, 1e-8))
 
@@ -425,7 +435,52 @@ def _factorize_simple(system, split, mode, tol):
     return schur, invb, V, gram
 
 
+def _antihilbert_conservative_minimal(system, tol):
+    """Whether a system on a purely negative state, which system_kind
+    certified conservative, is controllable and observable.
+
+    With J = -I on the state, conservativity reads A^H A = I + C^H C and
+    A A^H = I + B B^H in the state blocks of the two metric defects.  A
+    unit vector x then has |Cx|^2 = |Ax|^2 - 1, and a unit y has
+    |B^H y|^2 = |A^H y|^2 - 1.  On an A-invariant subspace that C
+    annihilates, A is therefore isometric, and each of its eigenvalues,
+    eigenvalues of A, lies on the circle; dually for an A^H-invariant
+    subspace that B^H annihilates.  So the system is minimal exactly when
+    no eigenvalue of A lies on the circle.
+
+    The margin.  The conservative verdict bounds each defect, and so its
+    state block, by d = metric_tol max(1, |T|_F^2) for the system operator
+    T, the largest bound system_kind's scale reaches
+    (indefinite._frobenius_scale_bound).  The Hautus test of
+    krylov_report hides a subspace only where its drive, |C x| (|B^H y|),
+    stays at or below a cut no larger than c = rank_tol max(1, |A|_F,
+    |B|_F, |C|_F).  On such a subspace |Ax|^2 - 1 lies within d + c^2 of
+    zero for every unit x, and so does |lam|^2 - 1 for each eigenvalue lam
+    of A on it: an eigenvalue's modulus lies between the least and the
+    largest singular value of the restriction.  Hence when every
+    eigenvalue has |lam|^2 - 1 > d + c^2, no subspace is hidden at the
+    cut, and the system is minimal as the Hautus test would find.  The
+    eigenvalues are read off the system's Schur form, the one that test
+    reads.  Inside the margin, krylov_report decides.
+    """
+    norms = [float(np.linalg.norm(M)) for M in (system.A, system.B, system.C, system.D)]
+    cut = tol.rank_tol * max(1.0, *norms[:3])
+    margin = tol.metric_tol * max(1.0, sum(x * x for x in norms)) + cut * cut
+    lam = system._spectrum.eigenvalues
+    if float(np.min(np.abs(lam) ** 2, initial=np.inf)) - 1.0 > margin:
+        return True
+    rep = krylov_report(system, tol)
+    return rep.controllable and rep.observable
+
+
 def _certify_factorization(system, schur, invb, Z, gram, mode, tol):
+    """The certificates of a factorization from _factorize_simple, and its
+    reconstruction residual: the cascade of the factors against the system
+    through the state map Z, Z's metric-orthonormality (gram), the inverse
+    factor's signature (0, kappa), its conservativity by system_kind and
+    its minimality by _antihilbert_conservative_minimal, which reads it
+    off the factor's eigenvalues with no Krylov report outside a stated
+    margin, and the Schur factor's positive state and kind."""
     kappa = system.kappa
     cas = cascade(invb, schur) if mode == "right" else cascade(schur, invb)
     # np.max, unlike max, carries a NaN residual through to the certificate
@@ -444,8 +499,8 @@ def _certify_factorization(system, schur, invb, Z, gram, mode, tol):
     if (invb.state.pos, invb.state.neg) != (0, kappa):
         raise InternalConsistencyError(
             "negative factor state has the wrong signature")
-    invb_cls = classify(invb, tol)
-    if invb_cls.kind != SystemKind.CONSERVATIVE or not invb_cls.minimal:
+    if (system_kind(invb, tol) != SystemKind.CONSERVATIVE
+            or not _antihilbert_conservative_minimal(invb, tol)):
         raise InternalConsistencyError(
             "negative factor failed its conservative minimality certificate")
     if schur.state.neg != 0:

@@ -34,6 +34,7 @@ from .colligation import (
     _schur_spans,
     adjoint_system,
     classify,
+    krylov_report,
     system_kind,
     transfer_eval,
     transfer_values,
@@ -220,12 +221,14 @@ def _gram_from_values(points, values, tol):
 class NegativeSquaresEstimate:
     """Estimated number of negative squares with the record of its stages.
 
-    history holds the Gram's negative count at each stage.  The estimate
-    is stable when the count met the disc pole count of a passive backing
-    or stayed unchanged over four stages; it is None when neither
-    happened (verdict "inconclusive").  pole_count is the independent
-    count of main-operator eigenvalues outside the closed disc, and
-    agrees compares the two.
+    route names how the estimate was reached.  On "index_preserving" it is
+    the state index kappa of a passive index-preserving backing, certified
+    against the disc pole count, and history is empty.  On "kernel_ladder"
+    history holds the Gram's negative count at each stage, and the
+    estimate is stable when the count stayed unchanged over four stages;
+    it is None when it did not (verdict "inconclusive").  pole_count is
+    the independent count of main-operator eigenvalues outside the closed
+    disc, and agrees compares the two.
     """
 
     estimate: int | None
@@ -234,6 +237,7 @@ class NegativeSquaresEstimate:
     pole_count: int
     agrees: bool | None
     verdict: str
+    route: str = "kernel_ladder"
 
 
 def _backing_kind(S, tol):
@@ -260,29 +264,51 @@ def _negative_index_bound(S, kind, tol):
 
 
 def negative_squares_estimate(S, tol=DEFAULT_TOL):
-    """Estimate the kernel's negative squares by growing sample sets.
+    """The kernel's number of negative squares, from the backing's state
+    space where it settles it, else by growing sample sets.
 
-    The sample set doubles from 8 to at most 256 disc points; supersets
-    never lose negative directions, so the Gram's negative count is a
-    lower bound on the index that grows along the way.  When the backing
-    is passive and no eigenvalue of its main operator lies within
-    metric_tol of the circle, the disc pole count is an upper bound, and
-    the first stage whose count meets it certifies the index; a count
-    above it raises InternalConsistencyError.  Otherwise, or while the
-    bound is not met, the estimate is declared when the count is
-    unchanged over four consecutive stages, and is cross-checked against
-    the pole count; non-stabilization yields an inconclusive verdict
-    rather than a wrong certainty.
+    When the backing is passive, no eigenvalue of its main operator lies
+    within metric_tol of the circle and its Krylov report is
+    index-preserving, the index is the state index kappa: by the paper's
+    geometric characterization a passive system keeps the full index
+    exactly when every Krylov complement is a Hilbert subspace.  The disc
+    pole count must equal kappa, or InternalConsistencyError is raised.
+    Every other backing takes the kernel ladder: the sample set doubles
+    from 8 to at most 256 disc points; supersets never lose negative
+    directions, so the Gram's negative count is a lower bound on the index
+    that grows along the way.  On a passive backing clear of the circle
+    the disc pole count bounds the index from above, and a count above it
+    raises InternalConsistencyError.  The estimate is declared when the
+    count is unchanged over four consecutive stages, and is cross-checked
+    against the pole count; non-stabilization yields an inconclusive
+    verdict rather than a wrong certainty.
     """
     S = as_transfer(S)
     return _negative_squares(S, _backing_kind(S, tol), tol)
 
 
-def _negative_squares(S, kind, tol):
+def _negative_squares(S, kind, tol, krylov=None):
     """negative_squares_estimate of the TransferFunction S whose backing's
-    _backing_kind is kind, for callers that have already decided it."""
-    exclude = S.poles
+    _backing_kind is kind, for callers that have already decided it;
+    krylov is the backing's krylov_report when the caller holds it.
+
+    The report is read only for a passive backing clear of the circle,
+    where the disc pole count bounds the index.  One that is not
+    index-preserving has index below its state index kappa, which that
+    count equals, so the ladder's count never meets the bound there."""
     bound = _negative_index_bound(S, kind, tol)
+    if bound is not None:
+        if krylov is None:
+            krylov = krylov_report(S.backing, tol)
+        if krylov.index_preserving:
+            kappa = S.backing.kappa
+            if bound != kappa:
+                raise InternalConsistencyError(
+                    f"disc pole count {bound} of an index-preserving passive "
+                    f"backing differs from its index {kappa}")
+            return NegativeSquaresEstimate(kappa, True, (), bound, True,
+                                           "stable", "index_preserving")
+    exclude = S.poles
     history = []
     points = np.zeros(0, dtype=complex)
     values = np.zeros((0, S.output_dim, S.input_dim), dtype=complex)
@@ -301,9 +327,6 @@ def _negative_squares(S, kind, tol):
         if bound is not None:
             certify("kernel negative count within the disc pole count",
                     count, bound)
-            if count == bound:
-                return NegativeSquaresEstimate(
-                    count, True, tuple(history), bound, True, "stable")
         if len(history) >= 4 and len(set(history[-4:])) == 1:
             est = history[-1]
             return NegativeSquaresEstimate(
@@ -656,22 +679,51 @@ def _fresh_survey(S, samples, tol):
 def _survey_norms(V):
     """|V|_2, |I - V^*V|_2 and |I - VV^*|_2 over a (K, p, m) stack.
 
-    One stacked singular-value solve gives all three: the defects are
-    max_i |1 - sigma_i^2|, and the side of the larger dimension has
-    |p - m| more eigenvalues 1.  A scalar stack takes |v| and |1 - |v|^2|,
-    with no LAPACK call."""
+    All three come from the squared singular values s^2 of each value: the
+    defects are max_i |1 - s_i^2|, and the side of the larger dimension
+    has |p - m| more eigenvalues 1.  A scalar stack takes |v| and
+    |1 - |v|^2|, with no LAPACK call.  With min(p, m) <= 2 the s^2 are the
+    eigenvalues of the smaller Gram G, in closed form: |v|^2 for a row or a
+    column, and (a + c)/2 +- hypot((a - c)/2, |b|) for G = [[a, b], [b^*,
+    c]].  Each is within a few ulps of a + c of the exact value, as the
+    stacked SVD's s^2 are, so the defects keep its absolute accuracy; the
+    discriminant form f^2 - 4 |det V|^2 would cancel near a unitary value.
+    Values whose Gram overflows take the SVD.  Larger stacks take one
+    stacked singular-value solve."""
     _, p, m = V.shape
     if p == m == 1:
         a = np.abs(V[:, 0, 0])
         with np.errstate(over="ignore"):
             d = np.abs(1.0 - a * a)
         return a, d, d
-    s = np.linalg.svd(V, compute_uv=False)
-    with np.errstate(over="ignore"):  # a defect beyond the range is inf
-        d = np.max(np.abs(1.0 - s * s), axis=1, initial=0.0)
-    return (np.max(s, axis=1, initial=0.0),
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a defect beyond the range is inf
+        if min(p, m) > 2:
+            s = np.linalg.svd(V, compute_uv=False)
+            top, sq = np.max(s, axis=1, initial=0.0), s * s
+        else:
+            sq = _gram_eigenvalues(V if p <= m else V.conj().transpose(0, 2, 1))
+            top = np.sqrt(np.max(sq, axis=1, initial=0.0))
+            bad = ~np.isfinite(sq).all(axis=1)
+            if bad.any():
+                s = np.linalg.svd(V[bad], compute_uv=False)
+                top[bad], sq[bad] = s[:, 0], s * s
+        d = np.max(np.abs(1.0 - sq), axis=1, initial=0.0)
+    return (top,
             np.maximum(d, 1.0) if m > p else d,
             np.maximum(d, 1.0) if p > m else d)
+
+
+def _gram_eigenvalues(W):
+    """Eigenvalues of W W^H, descending, over a (K, q, r) stack with q <= 2:
+    the squared singular values of each W."""
+    G = W @ W.conj().transpose(0, 2, 1)
+    if W.shape[1] < 2:
+        return np.diagonal(G, axis1=1, axis2=2).real.copy()
+    a, c = G[:, 0, 0].real, G[:, 1, 1].real
+    mid = 0.5 * (a + c)
+    rad = np.hypot(0.5 * (a - c), np.abs(G[:, 0, 1]))
+    return np.stack([mid + rad, mid - rad], axis=1)
 
 
 def _decisive_survey(S, samples, tol):

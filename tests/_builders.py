@@ -11,6 +11,8 @@ from pontsys.colligation import (
     _METRIC_TO_KIND,
     Colligation,
     SystemKind,
+    _sampled_hidden,
+    _schur_spans,
     classify,
     system_kind,
     system_operator,
@@ -23,6 +25,7 @@ from pontsys.indefinite import (
     is_psd,
     metric_classify,
     metric_defects,
+    principal_angles,
 )
 from pontsys.products import cascade
 
@@ -244,3 +247,16 @@ def direct_sum(first, second):
                        scipy.linalg.block_diag(first.B, second.B),
                        scipy.linalg.block_diag(first.C, second.C),
                        scipy.linalg.block_diag(first.D, second.D))
+
+
+def obstruction_angle_oracle(first, second, observe, tol=DEFAULT_TOL):
+    """The largest principal angle between the two hidden spaces of an
+    obstruction of cascade(first, second), both times J on the reachable
+    side, by indefinite.principal_angles: two column_space SVDs and scipy's
+    subspace_angles."""
+    cas = cascade(first, second)
+    spaces = (_schur_spans(cas, (observe,), tol)[0][1],
+              _sampled_hidden(cas, observe, tol))
+    if not observe:
+        spaces = [cas.state.signs[:, None] * v for v in spaces]
+    return float(np.max(principal_angles(*spaces, tol), initial=0.0))

@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from _builders import blaschke_system, spectral_norms, spy_attr
+from _builders import blaschke_system, spy_attr
 from pontsys import cli, colligation, julia, products, schur
 from pontsys.cli import main, save_system
 from pontsys.colligation import (
@@ -86,17 +86,18 @@ class TestLazyCertificates:
             _certify_scaled("residual", np.nan, 1e-8, lambda: 4.0)
 
     def test_frobenius_within_the_bound_skips_the_svd(self, monkeypatch):
-        calls = spy_attr(monkeypatch, np.linalg, "norm")
+        svd = spy_attr(monkeypatch, np.linalg, "svd")
         _certify_residual("residual", np.diag([0.6e-8, 0.6e-8]), 1e-8)
-        assert spectral_norms(calls) == []
+        assert svd == []
 
     def test_the_spectral_norm_decides_above_the_frobenius_bound(self, monkeypatch):
-        calls = spy_attr(monkeypatch, np.linalg, "norm")
+        # _norm2 takes the singular values directly, one SVD per norm
+        svd = spy_attr(monkeypatch, np.linalg, "svd")
         # ||R||_F = 1.13e-8 > 1e-8 >= ||R||_2 = 0.8e-8
         _certify_residual("residual", np.diag([0.8e-8, 0.8e-8]), 1e-8)
         # rank one on the bound: the two norms coincide
         _certify_residual("residual", np.diag([1e-8, 0.0]), 1e-8)
-        assert len(spectral_norms(calls)) == 2
+        assert len(svd) == 2
         with pytest.raises(InternalConsistencyError) as info:
             _certify_residual("residual", np.diag([2e-8, 1e-9]), 1e-8)
         assert str(info.value) == "residual: 2.000e-08 exceeds the bound 1.000e-08"

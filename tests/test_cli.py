@@ -353,6 +353,16 @@ class TestClassify:
         assert code == 0
         assert len(report["inputs"]["system"]["sha256"]) == 64
 
+    def test_kappa_estimate_reads_the_one_report(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(16)
+        path = write_system(
+            tmp_path, random_conservative_colligation(rng, SignatureSpace(7, 3), 2))
+        reports = spy(monkeypatch, krylov_report)
+        code, report = run_cli(tmp_path, "classify", path)
+        assert code == 0
+        assert report["certificates"]["kappa_estimate"] == 3
+        assert len(reports) == 1
+
     def test_one_krylov_report(self, tmp_path, monkeypatch):
         path = write_system(tmp_path, counterexample_observable_system())
         calls = spy(monkeypatch, krylov_report)
@@ -458,6 +468,49 @@ class TestNegsq:
         assert code == 0
         assert report["verdicts"]["estimate"] == 0
         assert report["verdicts"]["stable"]
+
+    def test_route_and_history(self, tmp_path):
+        # a passive index-preserving backing takes the state index with no
+        # ladder stage; the same function in non-passive coordinates climbs
+        # the ladder
+        rng = np.random.default_rng(17)
+        system = random_passive_colligation(
+            rng, SignatureSpace(28, 12), 1, 1, strict=0.35)
+        code, report = run_cli(tmp_path, "negsq", write_system(tmp_path, system))
+        assert code == 0
+        assert report["verdicts"]["estimate"] == 12
+        assert report["certificates"]["route"] == "index_preserving"
+        assert report["certificates"]["history"] == []
+        assert report["certificates"]["sample_inertia"]["minus"] <= 12
+        changed = colligation.state_change(
+            inverse_blaschke_system(0.5), np.eye(1) * 3.0, SignatureSpace(0, 1))
+        code, report = run_cli(tmp_path, "negsq",
+                               write_system(tmp_path, changed, "changed.json"))
+        assert code == 0
+        assert report["verdicts"]["estimate"] == 1
+        assert report["certificates"]["route"] == "kernel_ladder"
+        assert len(report["certificates"]["history"]) >= 4
+
+    def test_sampled_count_above_the_estimate_is_refused(
+            self, tmp_path, monkeypatch, capsys):
+        # the report's 48-point Gram meets the theorem route's estimate: a
+        # count planted one above kappa fails its certificate
+        rng = np.random.default_rng(15)
+        path = write_system(
+            tmp_path, random_conservative_colligation(rng, SignatureSpace(7, 3), 2))
+        real = schur._gram_from_values
+
+        def one_extra_negative(points, values, tol):
+            gram = real(points, values, tol)
+            plus, zero, minus = gram.inertia
+            return schur.KernelGram(gram.points, gram.matrix,
+                                    (plus, zero, minus + 1), gram.block_dim)
+
+        monkeypatch.setattr(schur, "_gram_from_values", one_extra_negative)
+        code, report = run_cli(tmp_path, "negsq", path)
+        assert code == 1 and report is None
+        assert "sampled kernel negative count within the estimate: 4" in (
+            capsys.readouterr().err)
 
 
 class TestOneSchurForm:

@@ -61,6 +61,7 @@ from _builders import (
     corner_checked_kind,
     direct_sum,
     identity_feedthrough,
+    obstruction_angle_oracle,
     same_span,
     shift_chain_system,
     spy,
@@ -989,6 +990,14 @@ def _jordan_plants(k):
             yield Colligation(SignatureSpace(k, 0), 1, 1, A, B, C, [[0.0]])
 
 
+def _angle_parity(n):
+    """How far the obstruction angle and principal_angles may differ on n
+    state rows: both read bases orthonormal to a small multiple of n eps,
+    and a whole hidden state (a Jordan chain of 12 links) reads 4e-15
+    against 1e-15."""
+    return 2 * n * np.finfo(float).eps
+
+
 class TestSampledHiddenSpaces:
     """The second route of the obstructions, the null space of resolvent
     samples next to the eigenvalues (colligation._sampled_hidden), against
@@ -1026,7 +1035,25 @@ class TestSampledHiddenSpaces:
                 got, want = self.compare(plant, observe)
                 assert got.shape == want.shape
                 assert same_span(got, want, angle_tol=1e-8)
-                assert check(plant, feed).dimension == want.shape[1]
+                rep = check(plant, feed)
+                assert rep.dimension == want.shape[1]
+                assert abs(rep.agreement_residual - obstruction_angle_oracle(
+                    plant, feed, observe)) <= _angle_parity(k)
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 40])
+    def test_obstruction_angle_on_the_sweep_subset(self, n):
+        # the one-SVD angle of the obstructions against principal_angles,
+        # on the plants of test_projected_sweep_subset behind a feedthrough
+        feed = identity_feedthrough
+        for index, (sys1, pairs) in enumerate(_sweep_plants(n)):
+            if index % 8:
+                continue
+            plants = [(sys1, True)] + [(plant, False) for pair in pairs for plant in pair]
+            for plant, observe in plants:
+                check = obstruction_observable if observe else obstruction_controllable
+                rep = check(plant, feed(plant.output_dim))
+                assert abs(rep.agreement_residual - obstruction_angle_oracle(
+                    plant, feed(plant.output_dim), observe)) <= _angle_parity(n)
 
     def test_points_meet_the_resolvent_bound(self):
         # every point keeps |(sigma - A)^(-1)|_F |A|_F within the slack of

@@ -34,16 +34,20 @@ from pontsys.indefinite import (
     SignatureSpace,
     SubspaceKind,
     canonical_basis,
+    column_space,
     j_complement,
     nullspace,
     subspace_classify,
 )
 from pontsys.products import (
     SplitKind,
+    _antihilbert_conservative_minimal,
     _certify_factorization,
     _factorize_simple,
+    _fundamental_split,
     _fundamental_splits,
     _qualifies,
+    _split_spectrum,
     cascade,
     invariant_fundamental_decompositions,
     kl_factorize_system,
@@ -59,15 +63,18 @@ from pontsys.sampling import (
     random_unitary,
 )
 
+from pontsys.schur import blaschke_potapov_factor, invert_system
+
 from _builders import (
     blaschke_system,
     counterexample_observable_system,
+    direct_sum,
     identity_feedthrough,
     inverse_blaschke_system,
     isometric_column_system,
+    obstruction_angle_oracle,
     same_span,
     shift_chain_system,
-    spectral_norms,
     spy,
     spy_attr,
 )
@@ -310,10 +317,32 @@ class TestObstructions:
                                             compute_uv=False)[n + 1]
                               for lam in np.linalg.eigvals(A))
                 assert dist[0] < 1e-12 < 1e-4 < dist[1]
-            for check in (obstruction_observable, obstruction_controllable):
+            for observe, check in ((True, obstruction_observable),
+                                   (False, obstruction_controllable)):
                 rep = check(first, second)
                 assert rep.dimension == 1
                 assert rep.agreement_residual <= 1e-8
+                assert abs(rep.agreement_residual - obstruction_angle_oracle(
+                    first, second, observe)) <= 2 * (n + 2) * np.finfo(float).eps
+
+    @pytest.mark.parametrize("observe", [True, False])
+    def test_angle_takes_one_svd(self, monkeypatch, observe):
+        # the two hidden spaces cost what they cost; the angle between them
+        # adds one singular-value solve and no subspace_angles
+        rng = np.random.default_rng([12, 1])
+        P = random_passive_colligation(rng, SignatureSpace(12, 0), 1, 1, strict=0.2)
+        first, second = cascade(P, blaschke_system(0.5)), inverse_blaschke_system(0.5)
+        svd = spy_attr(monkeypatch, np.linalg, "svd")
+        angles = spy_attr(monkeypatch, scipy.linalg, "subspace_angles")
+        check = obstruction_observable if observe else obstruction_controllable
+        assert check(first, second).dimension == 1
+        total = len(svd)
+        del svd[:]
+        cas = cascade(first, second)
+        colligation._schur_spans(cas, (observe,), DEFAULT_TOL)
+        colligation._sampled_hidden(cas, observe, DEFAULT_TOL)
+        assert total == len(svd) + 1
+        assert angles == []
 
     @pytest.mark.parametrize("k", [2, 4, 8, 12])
     def test_nilpotent_chains(self, k):
@@ -693,20 +722,22 @@ class TestOneClassificationPerSystem:
             calls.clear()
             fac = kl_factorize_system(system, mode)
             assert sum(args[0] is system for args in calls) == 1
-            # the only other report certifies the inverse Blaschke factor
+            # the only other report would certify the inverse Blaschke
+            # factor inside the margin of its conservative identity
             assert all(args[0] is system or args[0] is fac.inverse_blaschke_factor
                        for args in calls)
 
     @pytest.mark.parametrize("mode", ["right", "left"])
-    def test_nonsimple_takes_two_forms_and_two_reports(self, monkeypatch, mode):
-        # one Schur form and one report each for the input and for the
-        # inverse Blaschke factor; no restriction is classified again
+    def test_nonsimple_takes_two_forms_and_one_report(self, monkeypatch, mode):
+        # one Schur form each for the input and for the inverse Blaschke
+        # factor, and one report, the input's: the factor's minimality is
+        # read off its eigenvalues; no restriction is classified again
         system = _padded_conservative(31, 6, 2, 5)
         forms = spy_attr(monkeypatch, scipy.linalg, "schur")
         reports = spy(monkeypatch, krylov_report)
         fac = kl_factorize_system(system, mode)
         assert len(forms) == 2
-        assert len(reports) == 2
+        assert [args[0] for args in reports] == [system]
         assert fac.inverse_blaschke_factor.state_dim == 6
         assert not classify(system).simple
 
@@ -900,7 +931,7 @@ class TestDecompositionCounts:
     def kl_factorize(self, monkeypatch, mode):
         system = self.system()
         eigvalsh = spy_attr(monkeypatch, np.linalg, "eigvalsh")
-        norms = spy_attr(monkeypatch, np.linalg, "norm")
+        norms = spy(monkeypatch, _norm2)
         reorders = spy(monkeypatch, ztrsen)
         kinds = spy(monkeypatch, subspace_classify)
         fac = kl_factorize_system(system, mode)
@@ -910,7 +941,7 @@ class TestDecompositionCounts:
         assert len(reorders) == 1
         assert len(kinds) == 2
         # one invariance residual and four reconstruction residuals
-        assert len(spectral_norms(norms)) <= 5
+        assert len(norms) <= 5
 
     def test_kl_factorize_right(self, monkeypatch):
         self.kl_factorize(monkeypatch, "right")
@@ -929,13 +960,20 @@ class TestDecompositionCounts:
         # no split: no reordering, no half, no invariance residual
         assert reorders == kinds == norms == []
 
-    def test_splits_take_no_svd_and_classify_each_half_once(self, monkeypatch):
-        # each metric complement is J times the other Schur vectors
+    def test_splits_take_no_complement_svd_and_classify_each_half_once(
+            self, monkeypatch):
+        # each metric complement is J times the other Schur vectors, so
+        # the only SVDs are the two invariance residuals' spectral norms
         system = self.system()
         svd = spy_attr(monkeypatch, np.linalg, "svd")
+        nulls = spy(monkeypatch, nullspace)
+        columns = spy(monkeypatch, column_space)
         kinds = spy(monkeypatch, subspace_classify)
         split_plus, split_minus = _fundamental_splits(system, DEFAULT_TOL)
-        assert svd == []
+        assert nulls == columns == []
+        # the minus-invariant split is formed first, on its 8-dimensional
+        # invariant half
+        assert [args[0].shape for args in svd] == [(40, 8), (40, 32)]
         for split in (split_plus, split_minus):
             assert (split.Xplus.dim, split.Xminus.dim) == (32, 8)
             for half in (split.Xplus, split.Xminus):
@@ -1042,3 +1080,78 @@ class TestOneSplitPerVerdict:
                 assert _same_bits(getattr(got, name), getattr(want, name))
         assert _same_bits(fac.state_map, Z)
         assert _same_bits(fac.reconstruction_residual, resid)
+
+
+def _inverse_potapov(alpha):
+    """Conservative one-state factor on a negative state, eigenvalue
+    1 / alpha: the inverse of the Blaschke-Potapov factor with zero alpha."""
+    return invert_system(blaschke_potapov_factor(alpha, 1.0, [1.0], 1))
+
+
+def _factor_plants():
+    """The inverse Blaschke factor of each mode of seeded conservative
+    systems, built past its split and before any certificate."""
+    for n, kappa, m in [(8, 1, 1), (8, 2, 3), (12, 3, 2), (16, 3, 1), (24, 5, 2),
+                        (32, 6, 3), (40, 8, 1), (40, 8, 3), (20, 10, 2), (30, 15, 1)]:
+        for seed in range(4):
+            system = random_conservative_colligation(
+                np.random.default_rng([n, kappa, m, seed]),
+                SignatureSpace(n - kappa, kappa), m)
+            outside = _split_spectrum(system, DEFAULT_TOL)
+            for mode, which in (("right", SplitKind.PLUS_INVARIANT),
+                                ("left", SplitKind.MINUS_INVARIANT)):
+                split = _fundamental_split(system, outside, which, DEFAULT_TOL)
+                yield _factorize_simple(system, split, mode, DEFAULT_TOL)[1]
+
+
+class TestInverseFactorMinimality:
+    """The inverse Blaschke factor's minimality from its conservative
+    identity, against the Hautus test of krylov_report."""
+
+    def test_theorem_matches_the_hautus_test(self, monkeypatch):
+        # every factor clears the margin, so no report is read
+        reports = spy(monkeypatch, krylov_report)
+        plants = 0
+        for invb in _factor_plants():
+            del reports[:]
+            assert system_kind(invb) == SystemKind.CONSERVATIVE
+            assert _antihilbert_conservative_minimal(invb, DEFAULT_TOL)
+            assert reports == []
+            assert classify(invb).minimal
+            plants += 1
+        assert plants == 80
+
+    def test_unimodular_mode_is_refused(self, monkeypatch):
+        # a conservative factor on a negative state with a hidden mode on
+        # the circle: inside the margin, the Hautus test refuses it with
+        # the message of the classification it replaces
+        hidden = Colligation(SignatureSpace(0, 1), 0, 0, [[np.exp(0.4j)]],
+                             np.zeros((1, 0)), np.zeros((0, 1)), np.zeros((0, 0)))
+        invb = direct_sum(_inverse_potapov(0.5), hidden)
+        feed = identity_feedthrough(1)
+        system = cascade(invb, feed)
+        assert system_kind(invb) == SystemKind.CONSERVATIVE
+        assert not classify(invb).minimal
+        reports = spy(monkeypatch, krylov_report)
+        with pytest.raises(InternalConsistencyError,
+                           match="negative factor failed its conservative "
+                                 "minimality certificate"):
+            _certify_factorization(system, feed, invb, np.eye(2),
+                                   np.zeros((2, 2)), "right", DEFAULT_TOL)
+        assert [args[0] for args in reports] == [invb]
+
+    def test_inside_the_margin_takes_the_hautus_test(self, monkeypatch):
+        # |lam|^2 - 1 = 2e-10 lies inside the margin of about 2e-8; the
+        # eigenvector still drives B and C at 1.4e-5, far above the cut
+        invb = _inverse_potapov(1.0 - 1e-10)
+        lam = invb._spectrum.eigenvalues
+        assert 0.0 < abs(lam[0]) ** 2 - 1.0 < 1e-9
+        reports = spy(monkeypatch, krylov_report)
+        assert _antihilbert_conservative_minimal(invb, DEFAULT_TOL)
+        assert [args[0] for args in reports] == [invb]
+
+    def test_clear_of_the_margin_reads_no_report(self, monkeypatch):
+        invb = _inverse_potapov(0.5)
+        reports = spy(monkeypatch, krylov_report)
+        assert _antihilbert_conservative_minimal(invb, DEFAULT_TOL)
+        assert reports == []

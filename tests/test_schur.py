@@ -328,9 +328,10 @@ class TestNegativeSquaresReuse:
 
     @pytest.mark.parametrize("index", range(5))
     def test_each_point_evaluated_once(self, monkeypatch, index):
-        system = _negsq_systems()[index]
+        system = _non_passive_copy(_negsq_systems()[index])
         calls = spy(monkeypatch, colligation.transfer_values)
         est = negative_squares_estimate(system)
+        assert est.route == "kernel_ladder"
         evaluated = np.concatenate([np.ravel(args[1]) for args in calls
                                     if args[0] is system])
         assert evaluated.size == 8 * 2 ** (len(est.history) - 1)
@@ -338,32 +339,79 @@ class TestNegativeSquaresReuse:
 
 
 class TestNegativeSquaresBound:
-    """A passive backing stops the ladder where the sampled count meets its
-    disc pole count; every other backing keeps the ladder."""
+    """A passive index-preserving backing clear of the circle takes its
+    index from the state space, certified against its disc pole count;
+    every other backing keeps the ladder."""
 
     @pytest.mark.parametrize("index", range(5))
-    def test_stops_where_the_count_meets_the_pole_count(self, monkeypatch,
-                                                        index):
+    def test_index_preserving_backing_takes_the_theorem_route(self, monkeypatch,
+                                                              index):
         system = _negsq_systems()[index]
-        bound = as_transfer(system).disc_pole_count
-        est = _assert_matches_reference(monkeypatch, system, bound)
-        assert est.estimate == bound and est.stable and est.agrees
-        # the same estimate as the ladder on the same function
-        ladder = negative_squares_estimate(_non_passive_copy(system))
+        grams = spy(monkeypatch, schur._gram_from_values)
+        est = negative_squares_estimate(system)
+        assert grams == []
+        assert est.route == "index_preserving" and est.history == ()
+        assert est.estimate == est.pole_count == system.kappa
+        assert est.stable and est.agrees and est.verdict == "stable"
+        # the ladder on the same function in non-passive coordinates
+        ladder = _assert_matches_reference(monkeypatch, _non_passive_copy(system))
+        assert ladder.route == "kernel_ladder"
         assert (ladder.estimate, ladder.stable, ladder.agrees) == (
             est.estimate, est.stable, est.agrees)
 
+    @pytest.mark.parametrize("n, kappa", [(40, 8), (40, 12), (40, 16),
+                                          (60, 20), (80, 30)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_large_index_probes_answer_kappa(self, monkeypatch, n, kappa, seed):
+        # strictly passive backings on which the ladder saturates below
+        # kappa from kappa = 12 on
+        system = random_passive_colligation(
+            np.random.default_rng([n, kappa, seed]),
+            SignatureSpace(n - kappa, kappa), 1, 1, strict=0.35)
+        grams = spy(monkeypatch, schur._gram_from_values)
+        est = negative_squares_estimate(system)
+        assert (est.estimate, est.route, est.agrees) == (kappa, "index_preserving", True)
+        assert grams == []
+
+    def test_a_given_report_is_read(self, monkeypatch):
+        system = _negsq_systems()[0]
+        report = colligation.krylov_report(system)
+        reports = spy(monkeypatch, colligation.krylov_report)
+        est = schur._negative_squares(as_transfer(system), system_kind(system),
+                                      DEFAULT_TOL, report)
+        assert est.estimate == 3 and reports == []
+
+    def test_a_non_passive_backing_reads_no_report(self, monkeypatch):
+        reports = spy(monkeypatch, colligation.krylov_report)
+        est = negative_squares_estimate(_non_passive_copy(_negsq_systems()[0]))
+        assert est.route == "kernel_ladder" and reports == []
+
+    def test_pole_count_off_the_index_raises(self, monkeypatch):
+        # a passive index-preserving backing counts kappa disc poles; a
+        # count planted one off is refused, not reported
+        system = _negsq_systems()[0]
+        monkeypatch.setattr(schur.TransferFunction, "disc_pole_count", 4)
+        with pytest.raises(InternalConsistencyError, match="differs from its index 3"):
+            negative_squares_estimate(system)
+
     def test_hidden_pole_keeps_the_ladder(self, monkeypatch):
         # a hidden J-unitary block adds a disc pole of the realization
-        # that the function does not have, so the bound is never met
-        system = _negsq_systems()[0]
-        t = 0.5
-        hyperbolic = [[math.cosh(t), math.sinh(t)], [math.sinh(t), math.cosh(t)]]
-        hidden = _with_hidden_block(system, hyperbolic, SignatureSpace(1, 1))
+        # that the function does not have; its indefinite block lies in the
+        # Krylov complements, so the backing is not index-preserving
+        hidden = self.hidden_pole()
         assert system_kind(hidden) == SystemKind.CONSERVATIVE
+        assert not colligation.krylov_report(hidden).index_preserving
         est = _assert_matches_reference(monkeypatch, hidden)
+        assert est.route == "kernel_ladder"
         assert est.estimate == 3 and est.pole_count == 4
         assert est.stable and est.agrees is False
+
+    @staticmethod
+    def hidden_pole():
+        t = 0.5
+        hyperbolic = [[math.cosh(t), math.sinh(t)], [math.sinh(t), math.cosh(t)]]
+        return _with_hidden_block(_negsq_systems()[0], hyperbolic,
+                                  SignatureSpace(1, 1))
 
     def test_eigenvalue_near_the_circle_keeps_the_ladder(self, monkeypatch):
         # the eigenvalue sits inside the disc, within metric_tol of the
@@ -374,20 +422,25 @@ class TestNegativeSquaresBound:
         assert system_kind(hidden) != SystemKind.NONE
         assert as_transfer(hidden).disc_pole_count == 3
         est = _assert_matches_reference(monkeypatch, hidden)
+        assert est.route == "kernel_ladder"
         assert est.history == (3, 3, 3, 3) and est.agrees
 
     def test_count_above_the_pole_count_raises(self, monkeypatch):
+        # the hidden-pole backing takes the ladder under the bound 4; two
+        # planted negatives lift its count of 3 past it
         real = schur._gram_from_values
 
-        def one_extra_negative(points, values, tol):
+        def two_extra_negatives(points, values, tol):
             gram = real(points, values, tol)
             plus, zero, minus = gram.inertia
             return schur.KernelGram(gram.points, gram.matrix,
-                                    (plus, zero, minus + 1), gram.block_dim)
+                                    (plus, zero, minus + 2), gram.block_dim)
 
-        monkeypatch.setattr(schur, "_gram_from_values", one_extra_negative)
-        with pytest.raises(InternalConsistencyError):
-            negative_squares_estimate(_negsq_systems()[0])
+        hidden = self.hidden_pole()
+        monkeypatch.setattr(schur, "_gram_from_values", two_extra_negatives)
+        with pytest.raises(InternalConsistencyError,
+                           match="kernel negative count within the disc pole count"):
+            negative_squares_estimate(hidden)
 
 
 class TestBlaschkePotapov:
@@ -577,6 +630,70 @@ class TestKLFactorizeFunction:
                        for T in operators]
             assert decided == [1, 0]
             monkeypatch.undo()
+
+
+def _svd_survey_norms(V):
+    """The norms of _survey_norms from one stacked SVD of V."""
+    _, p, m = V.shape
+    s = np.linalg.svd(V, compute_uv=False)
+    with np.errstate(over="ignore"):
+        d = np.max(np.abs(1.0 - s * s), axis=1, initial=0.0)
+    return (np.max(s, axis=1, initial=0.0),
+            np.maximum(d, 1.0) if m > p else d,
+            np.maximum(d, 1.0) if p > m else d)
+
+
+def _assert_survey_norms_match(got, V):
+    """got within a few ulps of the stacked SVD's norms: sigma relative to
+    max(1, sigma), the defects to max(1, sigma^2)."""
+    want = _svd_survey_norms(V)
+    u = np.finfo(float).eps / 2
+    scale = np.maximum(1.0, want[0])
+    assert np.all(np.abs(got[0] - want[0]) <= 16 * u * scale)
+    for g, w in zip(got[1:], want[1:]):
+        assert np.array_equal(np.isinf(g), np.isinf(w))
+        fin = np.isfinite(w)
+        assert np.all(np.abs(g[fin] - w[fin]) <= 16 * u * scale[fin] ** 2)
+
+
+class TestSurveyNorms:
+    """The closed-form norms of _survey_norms, min(p, m) <= 2, against the
+    stacked SVD."""
+
+    @pytest.mark.parametrize("p, m", [(1, 2), (2, 1), (1, 4), (4, 1), (2, 2),
+                                      (2, 3), (3, 2), (3, 3), (0, 2), (2, 0)])
+    def test_random_and_unitary_values(self, p, m):
+        rng = np.random.default_rng([p, m, 61])
+        V = (rng.standard_normal((64, p, m)) + 1j * rng.standard_normal((64, p, m))) / 2
+        if p and m:
+            # isometric and co-isometric values, a hair off, where a
+            # cancelling formula would lose the defect
+            k = max(p, m)
+            Q = np.linalg.qr(rng.standard_normal((8, k, k))
+                             + 1j * rng.standard_normal((8, k, k)))[0][:, :p, :m]
+            V = np.concatenate([V, Q, Q * (1.0 + 1e-13), Q * 1e200])
+        _assert_survey_norms_match(schur._survey_norms(V), V)
+
+    @pytest.mark.parametrize("system, inner, co_inner, masked", [
+        (isometric_column_system(), True, False, 0),
+        (counterexample_observable_system(), False, True, 0),
+        (blaschke_potapov_factor(0.3 + 0.2j, np.exp(0.4j),
+                                 np.array([1.0, 1.0j]) / math.sqrt(2.0), 2),
+         True, True, 0),
+        # a pole at z = 1, the first sample, beside a Blaschke factor
+        (direct_sum(Colligation(SignatureSpace(1, 0), 1, 1, [[1.0]], [[1.0]],
+                                [[0.5]], [[0.0]]), blaschke_system(0.5)),
+         False, False, 1),
+    ], ids=["inner", "co-inner", "bi-inner", "pole-masked"])
+    def test_surveys(self, system, inner, co_inner, masked):
+        sig, dr, dl, vals, _ = schur._circle_survey(
+            TransferFunction(system), 256, DEFAULT_TOL)
+        ok = ~np.isnan(vals).any(axis=(1, 2))
+        assert np.count_nonzero(~ok) == masked
+        assert np.array_equal(np.isnan(sig), ~ok) and np.isnan(dr[~ok]).all()
+        _assert_survey_norms_match((sig[ok], dr[ok], dl[ok]), vals[ok])
+        rep = boundary_behavior(system)
+        assert (rep.inner, rep.co_inner) == (inner, co_inner)
 
 
 class TestBoundaryBehavior:
