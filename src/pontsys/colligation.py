@@ -29,8 +29,8 @@ from scipy.linalg.lapack import zgeev, zgesvd, ztrsyl, ztrtri
 
 from .exceptions import (
     DimensionMismatchError,
+    IndefiniteDefectError,
     InputError,
-    InternalConsistencyError,
     OrderAmbiguityError,
     PoleProximityError,
     PontsysError,
@@ -305,12 +305,14 @@ def _operator_kind(T, dom, cod, tol):
 
 def _certify_bicontraction(verdict, primal, dual, tol):
     """Refuse a passive verdict whose defect not found zero is indefinite
-    beyond the slack of system_kind."""
+    beyond the slack of system_kind, with IndefiniteDefectError: such an
+    operator lies within a few metric_tol of a passive one without being
+    one, an input that is ambiguous at the stated tolerances."""
     defect = {MetricClass.CONTRACTION: dual, MetricClass.ISOMETRY: dual,
               MetricClass.COISOMETRY: primal}.get(verdict)
     if defect is not None and not is_psd(defect, replace(
             tol, psd_tol=min(0.5, _BICONTRACTION_SLACK * tol.psd_tol))):
-        raise InternalConsistencyError(
+        raise IndefiniteDefectError(
             "passive system operator with an indefinite defect")
 
 

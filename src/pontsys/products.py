@@ -526,25 +526,6 @@ def kl_factorize_system(system, mode="right", tol=DEFAULT_TOL):
     one in left mode; the index of the transfer function must match kappa.
     The cascade of the returned factors is certified unitarily similar to
     the input through an explicit state map before returning.
-    """
-    if mode not in ("right", "left"):
-        raise InputError(f"mode must be 'right' or 'left', got {mode!r}")
-    return _kl_factorize(system, classify(system, tol), mode, tol)
-
-
-def _qualifies(cls, mode):
-    """Whether a system classified as cls has a factorization in mode:
-    conservative, or coisometric and observable (right), or isometric and
-    controllable (left)."""
-    if cls.kind == SystemKind.CONSERVATIVE:
-        return True
-    if mode == "right":
-        return cls.kind == SystemKind.COISOMETRIC and cls.observable
-    return cls.kind == SystemKind.ISOMETRIC and cls.controllable
-
-
-def _kl_factorize(system, cls, mode, tol):
-    """kl_factorize_system on a system already classified as cls.
 
     Every qualifying system factors on the one fundamental split its mode
     reads, plus-invariant in right mode and minus-invariant in left mode,
@@ -558,6 +539,9 @@ def _kl_factorize(system, cls, mode, tol):
     built on the minus half, never sees them; they stay in the Schur
     factor.
     """
+    if mode not in ("right", "left"):
+        raise InputError(f"mode must be 'right' or 'left', got {mode!r}")
+    cls = classify(system, tol)
     if not cls.krylov.index_preserving:
         raise PreconditionError("factorization needs an index-preserving system")
     if not _qualifies(cls, mode):
@@ -572,6 +556,17 @@ def _kl_factorize(system, cls, mode, tol):
     schur, invb, Z, gram = _factorize_simple(system, split, mode, tol)
     resid = _certify_factorization(system, schur, invb, Z, gram, mode, tol)
     return SystemFactorization(schur, invb, mode, Z, resid)
+
+
+def _qualifies(cls, mode):
+    """Whether a system classified as cls has a factorization in mode:
+    conservative, or coisometric and observable (right), or isometric and
+    controllable (left)."""
+    if cls.kind == SystemKind.CONSERVATIVE:
+        return True
+    if mode == "right":
+        return cls.kind == SystemKind.COISOMETRIC and cls.observable
+    return cls.kind == SystemKind.ISOMETRIC and cls.controllable
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ Functions here are never free-form symbolic objects: every one is backed
 by a colligation, so pole data, adjoints and products stay exact.  On top
 of that backing the module builds kernel Gram matrices and their inertia,
 negative-square estimates, Blaschke-Potapov constructors, state-space
-inversion, function-level factorization into a Schur factor and an
-inverse Blaschke product, boundary reports, scalar defect functions via
-trigonometric spectral factorization, canonical kernel-model
-realizations, and kernel-decomposition checks for products.
+inversion, the two-sided Krein-Langer factorization into a Schur factor
+and a Blaschke product, peeled pole by pole off the Schur form of a
+minimal realization (README rule 7), boundary reports, scalar defect
+functions via trigonometric spectral factorization, canonical
+kernel-model realizations, and kernel-decomposition checks for products.
 
 Boundary conditions are decided at finitely many samples.  All functions
 involved are rational, and a rational function that vanishes on a subset
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import ztrexc
 
 from .colligation import (
     Colligation,
@@ -40,20 +42,22 @@ from .colligation import (
     transfer_values,
 )
 from .exceptions import (
+    AmbiguousSpectrumError,
     DimensionMismatchError,
+    IndefiniteDefectError,
     InputError,
     InternalConsistencyError,
     PreconditionError,
     certify,
 )
-from .indefinite import DEFAULT_TOL, SignatureSpace
-from .products import (
-    _kl_factorize,
-    _qualifies,
-    cascade,
-    kl_factorize_system,
-    obstruction_observable,
+from .indefinite import (
+    _UNIT_ROUNDOFF,
+    DEFAULT_TOL,
+    SignatureSpace,
+    _DiscSchur,
+    column_space,
 )
+from .products import cascade, obstruction_observable
 from .sampling import boundary_points, disc_points
 
 __all__ = [
@@ -241,10 +245,11 @@ class NegativeSquaresEstimate:
 
 
 def _backing_kind(S, tol):
-    """system_kind of the backing, or None when its certificate refuses."""
+    """system_kind of the backing, or None when it is refused as passive
+    with an indefinite defect."""
     try:
         return system_kind(S.backing, tol)
-    except InternalConsistencyError:
+    except IndefiniteDefectError:
         return None
 
 
@@ -372,13 +377,6 @@ def invert_system(system, tol=DEFAULT_TOL):
     realization of the inverse (certified).  The product of the two
     transfer functions is checked against the identity at disc samples.
     """
-    return _invert_system(system, tol)
-
-
-def _invert_system(system, tol, known_conservative=False):
-    """invert_system; known_conservative skips classifying a system already
-    certified conservative.  The inverse of a conservative system comes
-    back certified conservative."""
     if system.input_dim != system.output_dim:
         raise DimensionMismatchError("inversion needs a square feedthrough")
     D = system.D
@@ -393,7 +391,7 @@ def _invert_system(system, tol, known_conservative=False):
         system.input_dim, system.output_dim,
         system.A - system.B @ Dinv @ system.C,
         system.B @ Dinv, -Dinv @ system.C, Dinv)
-    if known_conservative or system_kind(system, tol) == SystemKind.CONSERVATIVE:
+    if system_kind(system, tol) == SystemKind.CONSERVATIVE:
         if system_kind(out, tol) != SystemKind.CONSERVATIVE:
             raise InternalConsistencyError(
                 "inverse of a conservative system failed the conservativity "
@@ -437,12 +435,13 @@ def blaschke_product(factors, tol=DEFAULT_TOL):
 
 @dataclass
 class FactorizationResult:
-    """Two-sided factorization of a generalized Schur function.
+    """Two-sided Krein-Langer factorization of a generalized Schur function.
 
     The function equals schur_right * blaschke_right^-1 and also
-    blaschke_left^-1 * schur_left; both Schur factors have no negative
-    squares, and both Blaschke products are conservative with Hilbert
-    state dimension equal to the function's negative index.
+    blaschke_left^-1 * schur_left.  Both Schur factors are Schur functions
+    on a Hilbert state with an upper triangular main operator; both
+    Blaschke products are conservative Hilbert-state systems whose state
+    dimension kappa, the number of poles in the disc, is the negative index.
     """
 
     schur_right: TransferFunction
@@ -455,128 +454,149 @@ class FactorizationResult:
     notes: str = ""
 
 
-def _side_factorization(S, cls, mode, tol):
-    """kl_factorize_system on the side's backing: the given one, classified
-    as cls, when it qualifies, else a canonical one."""
-    if _qualifies(cls, mode):
-        return _kl_factorize(S.backing, cls, mode, tol)
-    if mode == "right":
-        backing = _canonical_realization(S, cls.kind, tol)
-    else:
-        backing = adjoint_system(_canonical_realization(
-            sharp(S), _ADJOINT_KIND.get(cls.kind, cls.kind), tol))
-    return kl_factorize_system(backing, mode, tol)
+def _minimal_part(system, tol):
+    """(form, B, C): a minimal realization (A_m, B, C, D) of the system's
+    transfer function, A_m given by its Schur form.  That is the system
+    itself, on its cached form, when both Hautus spans of _schur_spans are
+    the whole state.  Otherwise it is (W^H A W, W^H B, C W, D) for an
+    orthonormal basis W of the reachable space R orthogonal to R & N, N
+    the unobservable kernel: R and R & N are A-invariant, B lies in R and
+    C vanishes on R & N.  W is Q times the range of Q^H O, for orthonormal
+    bases Q of R and O of the observable span, the complement of N.
+    """
+    (reach, _), (observed, hidden) = _schur_spans(system, (False, True), tol)
+    if reach.shape[1] == system.state_dim and not hidden.shape[1]:
+        return system._spectrum, system.B, system.C
+    W = reach @ column_space(reach.conj().T @ observed, tol)
+    return (_DiscSchur(W.conj().T @ system.A @ W), W.conj().T @ system.B,
+            system.C @ W)
 
 
-def _scalar_denominator_system(zeros, tol):
-    """Conservative realization of the scalar Blaschke product vanishing
-    at the given points (with multiplicity); identity when none."""
-    if len(zeros) == 0:
-        return Colligation(SignatureSpace(0, 0), 1, 1,
-                           np.zeros((0, 0)), np.zeros((0, 1)),
-                           np.zeros((1, 0)), np.eye(1))
-    return blaschke_product(
-        [blaschke_potapov_factor(w, 1.0, [1.0], 1, tol) for w in zeros], tol)
+def _peel(T, B, C, D, tol):
+    """((T, B, C, D), M): the right coprime factorization S = N M^-1 of the
+    function of the realization (T, B, C, D), T upper triangular with no
+    eigenvalue within metric_tol of the circle.  N comes realized on an
+    upper triangular T with every eigenvalue inside the disc, and M is
+    inner, realized conservative on a Hilbert state.
+
+    One pole at a time (README rule 7): ztrexc brings the last diagonal
+    entry lam with |lam| > 1 to the bottom of T, and b is the last row of
+    B.  With x = (|lam|^2 - 1) / |b|^2 and R = I + x b^H b, the feedback
+    u = f x_n + R^-1/2 v, f = -x lam R^-1 b^H = -x b^H / conj(lam), adds
+    B f to the last column of T, which moves lam to 1/conj(lam), and D f
+    to that of C, and scales B and D by R^-1/2 = I - (1 - 1/|lam|) P, P the
+    projection onto b^H.  The last state of a triangular T is driven by no
+    other, so v -> u is the one-state system (1/conj(lam), b R^-1/2, f,
+    R^-1/2): the Blaschke-Potapov factor with zero 1/lam, rotation
+    -lam/|lam| and direction b^H/|b|, M_j of M = M_1 M_2 ... M_k.  A row b
+    at or below the Hautus cut rank_tol max(1, |T|_F, |B|_F) leaves the
+    pole unreached by the input, and is refused.
+    """
+    T, B, C, D = np.triu(T), B.copy(), C.copy(), D.copy()
+    n, m = B.shape
+    cut = tol.rank_tol * max(1.0, float(np.linalg.norm(T)),
+                             float(np.linalg.norm(B)))
+    M = Colligation(SignatureSpace(0, 0), m, m, np.zeros((0, 0)),
+                    np.zeros((0, m)), np.zeros((m, 0)), np.eye(m))
+    while True:
+        outside = np.flatnonzero(np.abs(np.diagonal(T)) > 1.0)
+        if not outside.size:
+            return (T, B, C, D), M
+        if outside[-1] < n - 1:
+            T, Q, info = ztrexc(T, np.eye(n, dtype=complex), outside[-1] + 1, n)
+            if info:
+                raise np.linalg.LinAlgError("Schur reordering failed")
+            B, C = Q.conj().T @ B, C @ Q
+        lam, b = T[-1, -1], B[-1]
+        size = float(np.linalg.norm(b))
+        if not size > cut:
+            raise PreconditionError(
+                f"the pole {1.0 / lam} is reached from the input by {size:.3e}, "
+                f"at or below the cut {cut:.3e}")
+        u = b.conj() / size
+        mod = abs(lam)
+        M = cascade(blaschke_potapov_factor(1.0 / lam, -lam / mod, u, m, tol), M)
+        f = -((mod * mod - 1.0) / (size * np.conj(lam))) * u
+        T[:, -1] += B @ f
+        C[:, -1] += D @ f
+        half = np.eye(m) - (1.0 - 1.0 / mod) * np.outer(u, u.conj())
+        B, D = B @ half, D @ half
+
+
+def _flip(T, B, C, D):
+    """The realization (T^H, C^H, B^H, D^H) of the function sharp(S) in the
+    reversed basis, which keeps T upper triangular."""
+    return (T.conj().T[::-1, ::-1], C.conj().T[::-1], B.conj().T[:, ::-1],
+            D.conj().T)
+
+
+def _triangular_system(T, B, C, D):
+    """Hilbert-state colligation on an upper triangular T that carries T as
+    its Schur form, so its poles and surveys take no decomposition."""
+    system = Colligation(SignatureSpace(T.shape[0], 0), B.shape[1], C.shape[0],
+                         T, B, C, D)
+    system.__dict__["_spectrum"] = _DiscSchur(system.A, triangular=True)
+    return system
 
 
 def kl_factorize_function(S, tol=DEFAULT_TOL):
     """Factor a rational generalized Schur function on both sides.
 
-    Routes through the state-space factorization: the right side runs on
-    a conservative or co-isometric observable backing (built canonically
-    when the given one does not qualify), the left side on a
-    conservative or isometric controllable backing obtained from the
-    reflected function.  A side can be unavailable by shape (non-square
-    functions realize on one side only) or because the one-shot state
-    similarity declines to certify itself at an ill-conditioned
-    instance; when the other side succeeded and the unavailable side has
-    scalar input or output, its Blaschke factor is the scalar product
-    over the pole locations certified by the first side, and its Schur
-    factor is certified by sampled negative-squares and boundary
-    contractivity instead of state positivity.  Certifies matching
-    Blaschke degrees, reconstruction at samples, and the absence of
-    common zeros.
+    On a minimal realization of S (_minimal_part), whose kappa eigenvalues
+    outside the disc are the reciprocals of the poles of S in the disc,
+    S = S_r B_r^-1 is the coprime factorization with an inner denominator,
+    peeled one pole at a time off the Schur form ordered with those
+    eigenvalues last (_peel).  The left one, S = B_l^-1 S_l, is the same
+    peel on sharp(S), whose realization (A^H, C^H, B^H, D^H) has the Schur
+    form (Z P, P T^H P) of the same form, P the flip.
+
+    Certificates (README rule 7): each Blaschke product is a conservative
+    Hilbert-state system; each Schur factor's main operator has spectral
+    radius below 1 and its boundary norm on 64 circle samples is at most
+    1 + metric_tol, so it is a Schur function by the maximum principle;
+    the factors reconstruct S at disc samples; and no pair has a common
+    zero.  An eigenvalue within metric_tol of the circle raises
+    AmbiguousSpectrumError.  A pole the peel does not reach, and a Schur
+    factor of larger boundary norm (|S_r| = |S| on the circle, so S is no
+    generalized Schur function), raise PreconditionError.
     """
     S = as_transfer(S)
-    right = left = None
-    right_err = left_err = None
-    # the given backing is classified once, for both sides
-    cls = classify(S.backing, tol)
-    try:
-        right = _side_factorization(S, cls, "right", tol)
-    except (PreconditionError, InternalConsistencyError) as exc:
-        right_err = exc
-    try:
-        left = _side_factorization(S, cls, "left", tol)
-    except (PreconditionError, InternalConsistencyError) as exc:
-        left_err = exc
-    if right is None and left is None:
-        raise right_err
+    form, B, C = _minimal_part(S.backing, tol)
+    near, inside, _ = form.regions(tol.metric_tol)
+    if near.any():
+        raise AmbiguousSpectrumError(
+            f"eigenvalue {form.eigenvalues[near][0]} lies within "
+            f"{tol.metric_tol:g} of the unit circle")
+    D = S.backing.D
+    T, Z, _ = form.ordered(inside)
+    right, inner_r = _peel(T, Z.conj().T @ B, C @ Z, D, tol)
+    T, Z, _ = form.ordered(~inside)
+    left, inner_l = _peel(*_flip(T, Z.conj().T @ B, C @ Z, D), tol)
+    S_r = TransferFunction(_triangular_system(*right))
+    S_l = TransferFunction(_triangular_system(*_flip(*left)))
+    B_r = TransferFunction(inner_r)
+    B_l = TransferFunction(adjoint_system(inner_l))
+    # the peel keeps the diagonal of the form bitwise, so both products
+    # vanish exactly at the reciprocals of the outside eigenvalues
+    zeros = 1.0 / form.eigenvalues[~inside]
 
-    # each side's negative factor was certified conservative by its
-    # factorization, and its inverse comes back certified conservative
-    if right is not None:
-        S_r = TransferFunction(right.schur_factor)
-        B_r = TransferFunction(_invert_system(
-            right.inverse_blaschke_factor, tol, known_conservative=True))
-        kappa_r = right.inverse_blaschke_factor.state_dim
-        # reciprocal eigenvalues of the inverse factor: the product's zeros
-        zeros_r = 1.0 / right.inverse_blaschke_factor._spectrum.eigenvalues
-    if left is not None:
-        S_l = TransferFunction(left.schur_factor)
-        B_l = TransferFunction(_invert_system(
-            left.inverse_blaschke_factor, tol, known_conservative=True))
-        kappa_l = left.inverse_blaschke_factor.state_dim
-        zeros_l = 1.0 / left.inverse_blaschke_factor._spectrum.eigenvalues
-
-    if left is None:
-        if S.output_dim != 1:
-            raise left_err
-        bl_sys = _scalar_denominator_system(zeros_r, tol)
-        S_l = TransferFunction(cascade(S.backing, bl_sys))
-        B_l = TransferFunction(bl_sys)
-        kappa_l = bl_sys.state_dim
-        zeros_l = np.asarray(zeros_r, dtype=complex)
-    if right is None:
-        if S.input_dim != 1:
-            raise right_err
-        br_sys = _scalar_denominator_system(zeros_l, tol)
-        S_r = TransferFunction(cascade(br_sys, S.backing))
-        B_r = TransferFunction(br_sys)
-        kappa_r = br_sys.state_dim
-        zeros_r = np.asarray(zeros_l, dtype=complex)
-
-    if kappa_r != kappa_l:
-        raise InternalConsistencyError(
-            f"right and left Blaschke degrees disagree ({kappa_r} vs {kappa_l})")
-
-    for name, fac, via_state in (("right", S_r, right is not None),
-                                 ("left", S_l, left is not None)):
-        if via_state:
-            if fac.backing.state.neg != 0:
-                raise InternalConsistencyError(
-                    f"{name} Schur factor kept a negative state direction")
-        else:
-            est = negative_squares_estimate(fac, tol)
-            if est.estimate != 0 or not est.stable:
-                raise InternalConsistencyError(
-                    f"{name} Schur factor failed the sampled zero-index "
-                    f"certificate (estimate {est.estimate!r})")
-        sigma = _decisive_survey(fac, 64, tol)[0]
-        certify(f"{name} Schur factor boundary norm",
-                np.nanmax(sigma, initial=0.0), 1.0 + tol.metric_tol)
-    for name, fac, inverted in (("right", B_r, right is not None),
-                                ("left", B_l, left is not None)):
-        conservative = inverted or system_kind(fac.backing, tol) == SystemKind.CONSERVATIVE
-        if fac.backing.state.neg != 0 or not conservative:
+    for name, Sf, Bf in (("right", S_r, B_r), ("left", S_l, B_l)):
+        if system_kind(Bf.backing, tol) != SystemKind.CONSERVATIVE:
             raise InternalConsistencyError(
                 f"{name} Blaschke factor is not a conservative Hilbert-state "
                 "system")
+        certify(f"{name} Schur factor spectral radius",
+                float(np.max(np.abs(Sf.backing._spectrum.eigenvalues), initial=0.0)),
+                1.0 - _UNIT_ROUNDOFF)
+        sigma = float(np.nanmax(_decisive_survey(Sf, 64, tol)[0], initial=0.0))
+        if sigma > 1.0 + tol.metric_tol:
+            raise PreconditionError(
+                f"{name} Schur factor boundary norm {sigma:.3e} exceeds 1: not "
+                "a generalized Schur function")
 
     # reconstruction at samples kept away from every pole involved
     pts = disc_points(64, seed=tol.seed * 613 + 7, radius=0.9,
-                      exclude=np.concatenate([S.poles, zeros_r, zeros_l]),
-                      min_dist=1e-4)
+                      exclude=np.concatenate([S.poles, zeros]), min_dist=1e-4)
     val = S.values(pts, tol)
     res_r = certify("right factor reconstruction", _relative_mismatch(
         S_r.values(pts, tol) @ np.linalg.inv(B_r.values(pts, tol)), val), 1e-7)
@@ -584,26 +604,18 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
         np.linalg.solve(B_l.values(pts, tol), S_l.values(pts, tol)), val), 1e-7)
 
     # no common zeros: at each zero of the Blaschke product the stacked
-    # (right) or flanked (left) pair keeps full rank; a fallback side is
-    # probed just off the zero because its raw cascade state is singular
-    # exactly there (the transfer value itself stays regular)
-    off_r = 0.0 if right is not None else 1e-5 * np.exp(0.7j)
-    off_l = 0.0 if left is not None else 1e-5 * np.exp(0.7j)
-    for name, B, Sf, w, axis in (("right", B_r, S_r, zeros_r + off_r, 1),
-                                 ("left", B_l, S_l, zeros_l + off_l, 2)):
+    # (right) or flanked (left) pair keeps full rank.  A function with no
+    # input or no output has nothing reachable or observable, and no zero
+    pairs = (("right", B_r, S_r, 1), ("left", B_l, S_l, 2)) if zeros.size else ()
+    for name, Bf, Sf, axis in pairs:
         sv = np.linalg.svd(np.concatenate(
-            [B.values(w, tol), Sf.values(w, tol)], axis=axis), compute_uv=False)
+            [Bf.values(zeros, tol), Sf.values(zeros, tol)], axis=axis),
+            compute_uv=False)
         certify(f"{name} factors' relative singular value at the zeros",
-                -np.min(sv[:, -1] / np.maximum(1.0, sv[:, 0]), initial=np.inf),
-                -1e-8)
+                -np.min(sv[:, -1] / np.maximum(1.0, sv[:, 0])), -1e-8)
 
-    notes = RATIONAL_NOTE
-    if right is None:
-        notes += "; right factors came from the scalar route"
-    if left is None:
-        notes += "; left factors came from the scalar route"
-    return FactorizationResult(S_r, B_r, S_l, B_l, kappa_r, res_r, res_l,
-                               notes=notes)
+    return FactorizationResult(S_r, B_r, S_l, B_l, zeros.size, res_r, res_l,
+                               notes=RATIONAL_NOTE)
 
 
 # ---------------------------------------------------------------------------
@@ -941,13 +953,6 @@ def _observable_dimension(system, tol):
     return _schur_spans(system, (True,), tol)[0][0].shape[1]
 
 
-# kind of adjoint_system(system) by the kind of system: the adjoint's
-# system operator is the metric adjoint of the original's, so the two
-# defects trade places
-_ADJOINT_KIND = {SystemKind.ISOMETRIC: SystemKind.COISOMETRIC,
-                 SystemKind.COISOMETRIC: SystemKind.ISOMETRIC}
-
-
 def _model_rank_bound(S, kind, tol):
     """Upper bound on the rank of every kernel Gram of S, or None; kind is
     the backing's _backing_kind.  Raises PreconditionError when the left
@@ -1011,17 +1016,10 @@ def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
     scope.
     """
     S = as_transfer(S)
-    return _canonical_realization(S, _backing_kind(S, tol), tol)
-
-
-def _canonical_realization(S, kind, tol):
-    """canonical_coisometric_realization of the TransferFunction S whose
-    backing's _backing_kind is kind, for callers that have already
-    decided it."""
     p = S.output_dim
     m = S.input_dim
     plans = [4, 8, 16, 32, 64]
-    bound = _model_rank_bound(S, kind, tol)
+    bound = _model_rank_bound(S, _backing_kind(S, tol), tol)
     ranks = []
     for per_ring in plans:
         pts, vals0 = _kernel_values(S, _model_plan(S, per_ring, tol), tol)

@@ -16,12 +16,7 @@ import pytest
 from _builders import blaschke_system, spy_attr
 from pontsys import cli, colligation, julia, products, schur
 from pontsys.cli import main, save_system
-from pontsys.colligation import (
-    Colligation,
-    markov,
-    state_change,
-    weak_similarity,
-)
+from pontsys.colligation import markov, state_change, weak_similarity
 from pontsys.exceptions import (
     InternalConsistencyError,
     _certify_residual,
@@ -227,16 +222,17 @@ class TestLayersRefuse:
             julia.julia_operator(M, [1, 1], [1, 1])
 
     def test_schur_factor_reconstruction(self, monkeypatch):
+        # the Schur factor scaled by 1 - 1e-6 stays contractive on the
+        # circle, so only the reconstruction sees it
         system = conservative_system()
         kl_factorize_function(system)
-        real = schur._invert_system
+        real = schur._peel
 
-        def scaled(*args, **kwargs):
-            out = real(*args, **kwargs)
-            return Colligation(out.state, out.input_dim, out.output_dim,
-                               out.A, out.B, out.C, out.D * (1.0 + 1e-6))
+        def scaled(*args):
+            (T, B, C, D), inner = real(*args)
+            return (T, B, C * (1.0 - 1e-6), D * (1.0 - 1e-6)), inner
 
-        monkeypatch.setattr(schur, "_invert_system", scaled)
+        monkeypatch.setattr(schur, "_peel", scaled)
         with pytest.raises(InternalConsistencyError,
                            match="factor reconstruction"):
             kl_factorize_function(system)

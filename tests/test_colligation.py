@@ -29,6 +29,7 @@ from pontsys.colligation import (
 )
 from pontsys.exceptions import (
     DimensionMismatchError,
+    IndefiniteDefectError,
     InputError,
     InternalConsistencyError,
     OrderAmbiguityError,
@@ -197,17 +198,17 @@ class TestCornerCertificates:
         verdict = metric_classify(M, dom, cod)
         assert verdict == MetricClass.CONTRACTION
         primal, dual = metric_defects(M, dom, cod)
-        with pytest.raises(InternalConsistencyError):
+        with pytest.raises(IndefiniteDefectError):
             _certify_bicontraction(verdict, primal, dual, DEFAULT_TOL)
         # the slack is min(1/2, 10 psd_tol) = 1e-8 at the default psd_tol
         for verdict in (MetricClass.CONTRACTION, MetricClass.ISOMETRY):
             _certify_bicontraction(verdict, primal, np.diag([1.0, -5e-9]), DEFAULT_TOL)
-            with pytest.raises(InternalConsistencyError):
+            with pytest.raises(IndefiniteDefectError):
                 _certify_bicontraction(verdict, primal, np.diag([1.0, -2e-8]),
                                        DEFAULT_TOL)
         _certify_bicontraction(MetricClass.COISOMETRY, np.diag([1.0, -5e-9]), dual,
                                DEFAULT_TOL)
-        with pytest.raises(InternalConsistencyError):
+        with pytest.raises(IndefiniteDefectError):
             _certify_bicontraction(MetricClass.COISOMETRY, np.diag([1.0, -2e-8]),
                                    dual, DEFAULT_TOL)
         for verdict in (MetricClass.UNITARY, MetricClass.NONE):

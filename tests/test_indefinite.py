@@ -12,7 +12,6 @@ from pontsys.exceptions import (
     AmbiguousSpectrumError,
     IndefiniteDefectError,
     InputError,
-    InternalConsistencyError,
     NonRegularSubspaceError,
     NotHermitianError,
     PontsysError,
@@ -1110,7 +1109,7 @@ class TestBracketedCertificates:
                 seen.add(want)
         # every kind and metric class, and the bicontraction refusal of
         # the plants just off the class
-        assert set(SystemKind) | set(MetricClass) | {InternalConsistencyError} <= seen
+        assert set(SystemKind) | set(MetricClass) | {IndefiniteDefectError} <= seen
 
     @pytest.mark.parametrize("overflow", ["error", "ignore"])
     def test_non_finite_system_defects_are_refused_alike(self, monkeypatch, overflow):

@@ -30,13 +30,14 @@ from pontsys.colligation import (
     unitary_similarity,
 )
 from pontsys.exceptions import (
+    AmbiguousSpectrumError,
     InputError,
     InternalConsistencyError,
     PoleProximityError,
     PreconditionError,
 )
 from pontsys.indefinite import DEFAULT_TOL, SignatureSpace
-from pontsys.products import cascade, obstruction_observable
+from pontsys.products import cascade, kl_factorize_system, obstruction_observable
 from pontsys.sampling import (
     disc_points,
     random_conservative_colligation,
@@ -574,9 +575,9 @@ class TestKLFactorizeFunction:
         assert abs(val0[0, 0]) < 1e-7
         assert abs(abs(val0[0, 1]) - 1.0 / math.sqrt(2.0)) < 1e-7
 
-    def test_tall_column_right_fallback(self):
-        # inner column with scalar input: the right side has no
-        # state-space route and must come from the scalar denominator
+    def test_tall_column_factors_on_both_sides(self):
+        # inner column with scalar input: the right side peels its pole
+        # on the one input channel, the left side on the two outputs
         sys1 = adjoint_system(counterexample_observable_system())
         res = kl_factorize_function(sys1)
         assert res.kappa == 1
@@ -585,31 +586,38 @@ class TestKLFactorizeFunction:
         assert abs(abs(val0[0, 0]) - 1.0 / (6.0 * math.sqrt(2.0))) < 1e-7
         assert abs(abs(val0[1, 0]) - 1.0 / math.sqrt(2.0)) < 1e-7
 
-    def test_strictly_passive_backing_rejected(self):
-        with pytest.raises(PreconditionError):
-            kl_factorize_function(half_shift_system())
+    def test_strictly_passive_backing_factors(self):
+        # no pole in the disc: both Blaschke products are the identity and
+        # both Schur factors are the function itself
+        system = half_shift_system()
+        res = kl_factorize_function(system)
+        assert res.kappa == 0
+        assert res.blaschke_right.backing.state_dim == 0
+        assert res.blaschke_left.backing.state_dim == 0
+        pts = disc_points(6, seed=8, radius=0.8)
+        want = as_transfer(system).values(pts)
+        for side in (res.schur_right, res.schur_left):
+            assert np.max(np.abs(side.values(pts) - want)) < 1e-12
 
-    def test_each_system_is_classified_once(self, monkeypatch):
-        # the backing serves both sides, and each inverse Blaschke factor
-        # is certified conservative once, on inversion
+    def test_only_the_blaschke_products_are_classified(self, monkeypatch):
+        # the backing is read through its Hautus spans and never
+        # classified; each Blaschke product is certified conservative once
         rng = np.random.default_rng(3)
         backing = random_conservative_colligation(rng, SignatureSpace(7, 3), 2)
         krylov_calls = spy(monkeypatch, colligation.krylov_report)
         calls = spy(monkeypatch, colligation.system_operator)
         res = kl_factorize_function(backing)
-        krylov = [args[0] for args in krylov_calls]
         classified = [args[0] for args in calls]
         assert res.kappa == 3
-        assert sum(s is backing for s in krylov) == 1
-        assert sum(s is backing for s in classified) == 1
-        assert len({id(s) for s in classified}) == len(classified)
-        for fac in (res.blaschke_right, res.blaschke_left):
-            assert sum(s is fac.backing for s in classified) == 1
+        assert krylov_calls == []
+        assert [id(s) for s in classified] == [
+            id(res.blaschke_right.backing), id(res.blaschke_left.backing)]
 
-    def test_rebuild_reads_the_certified_kind(self, monkeypatch):
-        # neither side's backing qualifies, so both sides rebuild a
-        # canonical model from the kind classify certified: no kind is
-        # decided again for the input or for its adjoint
+    def test_no_backing_kind_is_decided(self, monkeypatch):
+        # a strictly passive backing and a conservative one under a state
+        # change factor alike, on the function's minimal part: no kind is
+        # decided for the input or for its adjoint, and no canonical model
+        # is built
         rng = np.random.default_rng(9)
         strict = random_passive_colligation(rng, SignatureSpace(3, 1), 1, 1,
                                             strict=0.25)
@@ -617,19 +625,132 @@ class TestKLFactorizeFunction:
         R = rng.standard_normal((4, 4))
         changed = state_change(cons, np.eye(4) + 0.3 * R / np.linalg.norm(R, 2),
                                cons.state)
-        for system, kappa in ((strict, None), (changed, 1)):
+        for system in (strict, changed):
             operators = [colligation.system_operator(s)[0]
                          for s in (system, adjoint_system(system))]
             calls = spy(monkeypatch, indefinite._defect_class)
-            if kappa is None:
-                with pytest.raises(PreconditionError):
-                    kl_factorize_function(system)
-            else:
-                assert kl_factorize_function(system).kappa == kappa
+            models = spy(monkeypatch, schur.canonical_coisometric_realization)
+            assert kl_factorize_function(system).kappa == 1
             decided = [sum(np.array_equal(args[0], T) for args in calls)
                        for T in operators]
-            assert decided == [1, 0]
+            assert decided == [0, 0] and models == []
             monkeypatch.undo()
+
+    # ROADMAP item 2's strictly passive probes: (n, kappa, channels, strict)
+    PROBES = [(3, 1, 1, 0.0), (4, 1, 1, 0.2), (6, 2, 1, 0.35), (12, 3, 2, 0.35),
+              (40, 12, 1, 0.35), (40, 16, 2, 0.35), (60, 20, 1, 0.35),
+              (80, 30, 2, 0.35)]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n, kappa, m, strict", PROBES)
+    def test_strictly_passive_probes(self, n, kappa, m, strict, seed):
+        system = random_passive_colligation(
+            np.random.default_rng([n, kappa, seed]),
+            SignatureSpace(n - kappa, kappa), m, m, strict)
+        if (n, kappa) == (60, 20):
+            # each zero w of B_r has 19 others crowding it, so |B_r'(w)|
+            # is about 1e-6 and |S_r(w)| = |res_w S| |B_r'(w)| about 1e-9,
+            # below the fixed bound of the no-common-zeros certificate
+            with pytest.raises(InternalConsistencyError,
+                               match="relative singular value at the zeros"):
+                kl_factorize_function(system)
+            return
+        res = kl_factorize_function(system)
+        assert res.kappa == as_transfer(system).disc_pole_count == kappa
+        assert res.right_residual <= 1e-7 and res.left_residual <= 1e-7
+
+    def test_twice_a_schur_function_is_refused(self):
+        system = blaschke_system(0.5)
+        doubled = Colligation(system.state, 1, 1, system.A, system.B,
+                              2.0 * system.C, 2.0 * system.D)
+        with pytest.raises(PreconditionError,
+                           match="not a generalized Schur function"):
+            kl_factorize_function(doubled)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_eigenvalue_on_the_band_is_ambiguous(self, sign):
+        lam = 1.0 + sign * DEFAULT_TOL.metric_tol / 2
+        system = Colligation(SignatureSpace(1, 0), 1, 1, [[lam]], [[1.0]],
+                             [[1.0]], [[0.0]])
+        with pytest.raises(AmbiguousSpectrumError):
+            kl_factorize_function(system)
+
+    def test_unreached_pole_is_refused_by_the_peel(self):
+        # a minimal part never hands the peel such a row: its outside
+        # eigenvalue 2 is driven by 1e-12, below the cut rank_tol |T|_F,
+        # about 2.3e-10
+        T = np.array([[0.5, 1.0], [0.0, 2.0]], dtype=complex)
+        B = np.array([[1.0], [1e-12]], dtype=complex)
+        with pytest.raises(PreconditionError, match=r"the pole \(0.5"):
+            schur._peel(T, B, np.ones((1, 2), complex), np.zeros((1, 1), complex),
+                        DEFAULT_TOL)
+
+    @pytest.mark.parametrize("inputs, outputs", [(0, 1), (1, 0), (0, 0)])
+    def test_hidden_outside_mode_adds_no_degree(self, inputs, outputs):
+        # an unreachable, unobservable or decoupled negative state with
+        # eigenvalue 2 beside an inverse Blaschke factor: the function has
+        # one pole in the disc, the backing's state index is 2
+        hidden = Colligation(SignatureSpace(0, 1), inputs, outputs, [[2.0]],
+                             np.ones((1, inputs)), np.ones((outputs, 1)),
+                             np.zeros((outputs, inputs)))
+        system = direct_sum(inverse_blaschke_system(0.5), hidden)
+        assert system.kappa == as_transfer(system).disc_pole_count == 2
+        res = kl_factorize_function(system)
+        assert res.kappa == 1
+        assert res.blaschke_right.backing.state_dim == 1
+        assert res.blaschke_left.backing.state_dim == 1
+        for B in (res.blaschke_right, res.blaschke_left):
+            assert np.linalg.svd(B(0.5), compute_uv=False)[-1] < 1e-12
+
+    @pytest.mark.parametrize("inputs, outputs", [(0, 1), (1, 0), (0, 0)])
+    def test_zero_width_function_has_degree_zero(self, inputs, outputs):
+        # nothing is reachable or observable, so the minimal part has no
+        # state, whatever the backing's index
+        system = Colligation(SignatureSpace(1, 1), inputs, outputs,
+                             np.diag([0.5, 2.0]), np.ones((2, inputs)),
+                             np.ones((outputs, 2)), np.zeros((outputs, inputs)))
+        res = kl_factorize_function(system)
+        assert res.kappa == 0
+        assert res.schur_right.backing.state_dim == res.schur_left.backing.state_dim == 0
+
+    @pytest.mark.parametrize("n, kappa, m", [(10, 3, 2), (24, 5, 2), (40, 8, 3)])
+    def test_agrees_with_the_product_representation(self, n, kappa, m):
+        # the Krein-Langer factors are unique up to a constant unitary, on
+        # the right of the right pair and on the left of the left pair
+        system = random_conservative_colligation(
+            np.random.default_rng([n, kappa, m]), SignatureSpace(n - kappa, kappa), m)
+        res = kl_factorize_function(system)
+        pts = disc_points(8, seed=3, radius=0.5)
+        for mode, Sf, Bf in (("right", res.schur_right, res.blaschke_right),
+                             ("left", res.schur_left, res.blaschke_left)):
+            fac = kl_factorize_system(system, mode)
+            schur_vals = as_transfer(fac.schur_factor).values(pts)
+            invb_vals = as_transfer(fac.inverse_blaschke_factor).values(pts)
+            if mode == "right":
+                U = invb_vals @ Bf.values(pts)
+                moved = schur_vals @ U[0]
+            else:
+                U = Bf.values(pts) @ invb_vals
+                moved = U[0] @ schur_vals
+            assert res.kappa == fac.inverse_blaschke_factor.state_dim == kappa
+            assert np.max(np.abs(U - U[0])) <= 1e-10
+            assert np.max(np.abs(U[0].conj().T @ U[0] - np.eye(m))) <= 1e-10
+            assert np.max(np.abs(Sf.values(pts) - moved)) <= 1e-10
+            zeros = np.sort_complex(1.0 / fac.inverse_blaschke_factor._spectrum.eigenvalues)
+            smallest = np.linalg.svd(Bf.values(zeros), compute_uv=False)[:, -1]
+            assert np.max(smallest) <= 1e-10
+
+    def test_answers_where_the_product_representation_refuses(self):
+        # the left cascade reconstruction of kl_factorize_system grows with
+        # the norm of its state map past its fixed bound on this system
+        system = random_conservative_colligation(
+            np.random.default_rng([8, 40, 8]), SignatureSpace(32, 8), 1)
+        with pytest.raises(InternalConsistencyError,
+                           match="cascade reconstruction residual"):
+            kl_factorize_system(system, "left")
+        res = kl_factorize_function(system)
+        assert res.kappa == 8
+        assert res.right_residual <= 1e-7 and res.left_residual <= 1e-7
 
 
 def _svd_survey_norms(V):
