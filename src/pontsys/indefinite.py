@@ -647,16 +647,16 @@ class _DiscSchur:
     the diagonal of T, are read-only.  regions(band) places the eigenvalues
     on the disc, and reordered() brings any selection to the leading block
     with LAPACK ztrsen, so every spectral subspace of A comes from this one
-    Schur form.  With triangular, A is upper triangular and is its own
-    form, Z = I, with no LAPACK call.
+    Schur form.  An upper triangular A is its own form, Z = I, with no
+    LAPACK call.
     """
 
-    def __init__(self, A, triangular=False):
-        if triangular:
-            self.T, self.Z = A, np.eye(A.shape[0], dtype=complex)
+    def __init__(self, A):
+        if np.tril(A, -1).any():
+            self.T, self.Z = sla.schur(A, output="complex", check_finite=False)
         else:
-            self.T, self.Z = (sla.schur(A, output="complex", check_finite=False)
-                              if A.size else (np.zeros((0, 0), complex),) * 2)
+            self.T = np.asarray(A, dtype=complex).view()
+            self.Z = np.eye(A.shape[0], dtype=complex)
         self.eigenvalues = np.diag(self.T)
         self.T.flags.writeable = self.Z.flags.writeable = False
 

@@ -14,7 +14,9 @@ Boundary conditions are decided at finitely many samples.  All functions
 involved are rational, and a rational function that vanishes on a subset
 of full measure of the circle vanishes identically, so sampled verdicts
 upgrade to identities; every report that relies on this records the
-rationale.  The scalar defect needs no second sampling: times
+rationale.  Samples bound nothing between them, so the Krein-Langer
+factorization certifies its Schur factors passive on the state space.  The
+scalar defect needs no second sampling: times
 |det(I - zA)|^2, 1 - |S|^2 is a trigonometric polynomial of degree n = dim A
 on the circle, and the defect survey has N >= 2n + 1 roots of unity, so
 one FFT of the survey's values gives its coefficients with no aliasing,
@@ -26,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import ztrexc
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import zpotrf, ztrexc
 
 from .colligation import (
     Colligation,
@@ -51,7 +54,6 @@ from .exceptions import (
     certify,
 )
 from .indefinite import (
-    _UNIT_ROUNDOFF,
     DEFAULT_TOL,
     SignatureSpace,
     _DiscSchur,
@@ -438,10 +440,10 @@ class FactorizationResult:
     """Two-sided Krein-Langer factorization of a generalized Schur function.
 
     The function equals schur_right * blaschke_right^-1 and also
-    blaschke_left^-1 * schur_left.  Both Schur factors are Schur functions
-    on a Hilbert state with an upper triangular main operator; both
-    Blaschke products are conservative Hilbert-state systems whose state
-    dimension kappa, the number of poles in the disc, is the negative index.
+    blaschke_left^-1 * schur_left.  Both Schur factors are minimal passive
+    Hilbert-state systems, so Schur functions; both Blaschke products are
+    conservative Hilbert-state systems whose state dimension kappa, the
+    number of poles in the disc, is the negative index.
     """
 
     schur_right: TransferFunction
@@ -455,44 +457,49 @@ class FactorizationResult:
 
 
 def _minimal_part(system, tol):
-    """(form, B, C): a minimal realization (A_m, B, C, D) of the system's
-    transfer function, A_m given by its Schur form.  That is the system
-    itself, on its cached form, when both Hautus spans of _schur_spans are
-    the whole state.  Otherwise it is (W^H A W, W^H B, C W, D) for an
-    orthonormal basis W of the reachable space R orthogonal to R & N, N
-    the unobservable kernel: R and R & N are A-invariant, B lies in R and
-    C vanishes on R & N.  W is Q times the range of Q^H O, for orthonormal
-    bases Q of R and O of the observable span, the complement of N.
+    """(form, B, C, H): a minimal realization (A_m, B, C, D) of the system's
+    transfer function, A_m given by its Schur form, with the metric H of
+    its state: the system itself, on its cached form, with its signature
+    J, when both Hautus spans of _schur_spans are the whole state.
+    Otherwise it is (W^H A W, W^H B, C W, D) and W^H J W, W an orthonormal
+    basis of the reachable space R orthogonal to R & N, N the unobservable
+    kernel: R and R & N are A-invariant, B lies in R and C vanishes on
+    R & N.  W is Q times the range of Q^H O, for orthonormal bases Q of R
+    and O of the observable span, the complement of N.
     """
     (reach, _), (observed, hidden) = _schur_spans(system, (False, True), tol)
+    signs = system.state.signs
     if reach.shape[1] == system.state_dim and not hidden.shape[1]:
-        return system._spectrum, system.B, system.C
+        return system._spectrum, system.B, system.C, np.diag(signs)
     W = reach @ column_space(reach.conj().T @ observed, tol)
     return (_DiscSchur(W.conj().T @ system.A @ W), W.conj().T @ system.B,
-            system.C @ W)
+            system.C @ W, (W.conj().T * signs) @ W)
 
 
-def _peel(T, B, C, D, tol):
+def _hilbert_system(T, B, C, D):
+    """Colligation of the realization (T, B, C, D) on a Hilbert state."""
+    return Colligation(SignatureSpace(T.shape[0], 0), B.shape[1], C.shape[0],
+                       T, B, C, D)
+
+
+def _peel(T, B, C, D, H, tol):
     """((T, B, C, D), M): the right coprime factorization S = N M^-1 of the
-    function of the realization (T, B, C, D), T upper triangular with no
-    eigenvalue within metric_tol of the circle.  N comes realized on an
-    upper triangular T with every eigenvalue inside the disc, and M is
-    inner, realized conservative on a Hilbert state.
+    function of the minimal realization (T, B, C, D), T upper triangular
+    with no eigenvalue within metric_tol of the circle, passive in the
+    Hermitian metric H of its state.  M is inner, realized conservative on
+    a Hilbert state, and N minimal and passive on a Hilbert state.
 
-    One pole at a time (README rule 7): ztrexc brings the last diagonal
-    entry lam with |lam| > 1 to the bottom of T, and b is the last row of
-    B.  With x = (|lam|^2 - 1) / |b|^2 and R = I + x b^H b, the feedback
-    u = f x_n + R^-1/2 v, f = -x lam R^-1 b^H = -x b^H / conj(lam), adds
-    B f to the last column of T, which moves lam to 1/conj(lam), and D f
-    to that of C, and scales B and D by R^-1/2 = I - (1 - 1/|lam|) P, P the
-    projection onto b^H.  The last state of a triangular T is driven by no
-    other, so v -> u is the one-state system (1/conj(lam), b R^-1/2, f,
-    R^-1/2): the Blaschke-Potapov factor with zero 1/lam, rotation
-    -lam/|lam| and direction b^H/|b|, M_j of M = M_1 M_2 ... M_k.  A row b
-    at or below the Hautus cut rank_tol max(1, |T|_F, |B|_F) leaves the
-    pole unreached by the input, and is refused.
+    One pole at a time (README rule 7): ztrexc brings an eigenvalue lam
+    outside the disc to the bottom of T, with b the last row of B, and the
+    feedback f = -x b^H / conj(lam), x = (|lam|^2 - 1) / |b|^2, on the last
+    state moves it to 1/conj(lam) and splits off the one-state factor of M
+    with zero 1/lam, conservative in the metric x; so the realization
+    stays passive in H + x e_n e_n^T.  A row b at or below the Hautus cut
+    is refused.  N is the result on the orthogonal complement O of its
+    unobservable kernel, which holds the kernel of H, in the state U x for
+    O^H H O = U^H U; a metric not positive definite there is refused.
     """
-    T, B, C, D = np.triu(T), B.copy(), C.copy(), D.copy()
+    T, B, C, D, H = np.triu(T), B.copy(), C.copy(), D.copy(), H.copy()
     n, m = B.shape
     cut = tol.rank_tol * max(1.0, float(np.linalg.norm(T)),
                              float(np.linalg.norm(B)))
@@ -501,12 +508,12 @@ def _peel(T, B, C, D, tol):
     while True:
         outside = np.flatnonzero(np.abs(np.diagonal(T)) > 1.0)
         if not outside.size:
-            return (T, B, C, D), M
+            break
         if outside[-1] < n - 1:
             T, Q, info = ztrexc(T, np.eye(n, dtype=complex), outside[-1] + 1, n)
             if info:
                 raise np.linalg.LinAlgError("Schur reordering failed")
-            B, C = Q.conj().T @ B, C @ Q
+            B, C, H = Q.conj().T @ B, C @ Q, Q.conj().T @ H @ Q
         lam, b = T[-1, -1], B[-1]
         size = float(np.linalg.norm(b))
         if not size > cut:
@@ -516,11 +523,23 @@ def _peel(T, B, C, D, tol):
         u = b.conj() / size
         mod = abs(lam)
         M = cascade(blaschke_potapov_factor(1.0 / lam, -lam / mod, u, m, tol), M)
-        f = -((mod * mod - 1.0) / (size * np.conj(lam))) * u
+        x = (mod * mod - 1.0) / (size * size)
+        f = -(x * size / np.conj(lam)) * u
         T[:, -1] += B @ f
         C[:, -1] += D @ f
         half = np.eye(m) - (1.0 - 1.0 / mod) * np.outer(u, u.conj())
         B, D = B @ half, D @ half
+        H[-1, -1] += x
+    (O, hidden), = _schur_spans(_hilbert_system(T, B, C, D), (True,), tol)
+    if hidden.shape[1]:
+        T, B, C, H = O.conj().T @ T @ O, O.conj().T @ B, C @ O, O.conj().T @ H @ O
+    U, info = zpotrf(H)
+    if info:
+        raise PreconditionError("the peeled metric is not positive definite: "
+                                "the backing is not passive on its minimal part")
+    T = solve_triangular(U, (U @ T).conj().T, trans="C").conj().T
+    C = solve_triangular(U, C.conj().T, trans="C").conj().T
+    return (T, U @ B, C, D), M
 
 
 def _flip(T, B, C, D):
@@ -528,15 +547,6 @@ def _flip(T, B, C, D):
     reversed basis, which keeps T upper triangular."""
     return (T.conj().T[::-1, ::-1], C.conj().T[::-1], B.conj().T[:, ::-1],
             D.conj().T)
-
-
-def _triangular_system(T, B, C, D):
-    """Hilbert-state colligation on an upper triangular T that carries T as
-    its Schur form, so its poles and surveys take no decomposition."""
-    system = Colligation(SignatureSpace(T.shape[0], 0), B.shape[1], C.shape[0],
-                         T, B, C, D)
-    system.__dict__["_spectrum"] = _DiscSchur(system.A, triangular=True)
-    return system
 
 
 def kl_factorize_function(S, tol=DEFAULT_TOL):
@@ -548,20 +558,21 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
     peeled one pole at a time off the Schur form ordered with those
     eigenvalues last (_peel).  The left one, S = B_l^-1 S_l, is the same
     peel on sharp(S), whose realization (A^H, C^H, B^H, D^H) has the Schur
-    form (Z P, P T^H P) of the same form, P the flip.
+    form (Z P, P T^H P) of the same form, P the flip.  Both peels start
+    from the backing's signature J: a passive backing's adjoint is passive
+    in J^-1 = J.
 
     Certificates (README rule 7): each Blaschke product is a conservative
-    Hilbert-state system; each Schur factor's main operator has spectral
-    radius below 1 and its boundary norm on 64 circle samples is at most
-    1 + metric_tol, so it is a Schur function by the maximum principle;
-    the factors reconstruct S at disc samples; and no pair has a common
-    zero.  An eigenvalue within metric_tol of the circle raises
-    AmbiguousSpectrumError.  A pole the peel does not reach, and a Schur
-    factor of larger boundary norm (|S_r| = |S| on the circle, so S is no
-    generalized Schur function), raise PreconditionError.
+    Hilbert-state system and each Schur factor a passive one, so a Schur
+    function, with no boundary sample; the factors reconstruct S at disc
+    samples; and no pair has a common zero by construction, which would be
+    an unobservable eigenvector of the minimal realization.  An eigenvalue
+    within metric_tol of the circle raises AmbiguousSpectrumError.  A pole
+    the peel does not reach, and a backing that is not passive on its
+    minimal part, raise PreconditionError.
     """
     S = as_transfer(S)
-    form, B, C = _minimal_part(S.backing, tol)
+    form, B, C, H = _minimal_part(S.backing, tol)
     near, inside, _ = form.regions(tol.metric_tol)
     if near.any():
         raise AmbiguousSpectrumError(
@@ -569,11 +580,12 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
             f"{tol.metric_tol:g} of the unit circle")
     D = S.backing.D
     T, Z, _ = form.ordered(inside)
-    right, inner_r = _peel(T, Z.conj().T @ B, C @ Z, D, tol)
+    right, inner_r = _peel(T, Z.conj().T @ B, C @ Z, D, Z.conj().T @ H @ Z, tol)
     T, Z, _ = form.ordered(~inside)
-    left, inner_l = _peel(*_flip(T, Z.conj().T @ B, C @ Z, D), tol)
-    S_r = TransferFunction(_triangular_system(*right))
-    S_l = TransferFunction(_triangular_system(*_flip(*left)))
+    left, inner_l = _peel(*_flip(T, Z.conj().T @ B, C @ Z, D),
+                          (Z.conj().T @ H @ Z)[::-1, ::-1], tol)
+    S_r = TransferFunction(_hilbert_system(*right))
+    S_l = TransferFunction(_hilbert_system(*_flip(*left)))
     B_r = TransferFunction(inner_r)
     B_l = TransferFunction(adjoint_system(inner_l))
     # the peel keeps the diagonal of the form bitwise, so both products
@@ -585,14 +597,11 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
             raise InternalConsistencyError(
                 f"{name} Blaschke factor is not a conservative Hilbert-state "
                 "system")
-        certify(f"{name} Schur factor spectral radius",
-                float(np.max(np.abs(Sf.backing._spectrum.eigenvalues), initial=0.0)),
-                1.0 - _UNIT_ROUNDOFF)
-        sigma = float(np.nanmax(_decisive_survey(Sf, 64, tol)[0], initial=0.0))
-        if sigma > 1.0 + tol.metric_tol:
+        if system_kind(Sf.backing, tol) == SystemKind.NONE:
             raise PreconditionError(
-                f"{name} Schur factor boundary norm {sigma:.3e} exceeds 1: not "
-                "a generalized Schur function")
+                f"{name} Schur factor is not passive in the metric carried "
+                "from the backing: the backing is not passive on its minimal "
+                "part")
 
     # reconstruction at samples kept away from every pole involved
     pts = disc_points(64, seed=tol.seed * 613 + 7, radius=0.9,
@@ -602,18 +611,6 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
         S_r.values(pts, tol) @ np.linalg.inv(B_r.values(pts, tol)), val), 1e-7)
     res_l = certify("left factor reconstruction", _relative_mismatch(
         np.linalg.solve(B_l.values(pts, tol), S_l.values(pts, tol)), val), 1e-7)
-
-    # no common zeros: at each zero of the Blaschke product the stacked
-    # (right) or flanked (left) pair keeps full rank.  A function with no
-    # input or no output has nothing reachable or observable, and no zero
-    pairs = (("right", B_r, S_r, 1), ("left", B_l, S_l, 2)) if zeros.size else ()
-    for name, Bf, Sf, axis in pairs:
-        sv = np.linalg.svd(np.concatenate(
-            [Bf.values(zeros, tol), Sf.values(zeros, tol)], axis=axis),
-            compute_uv=False)
-        certify(f"{name} factors' relative singular value at the zeros",
-                -np.min(sv[:, -1] / np.maximum(1.0, sv[:, 0])), -1e-8)
-
     return FactorizationResult(S_r, B_r, S_l, B_l, zeros.size, res_r, res_l,
                                notes=RATIONAL_NOTE)
 

@@ -656,7 +656,12 @@ class TestSpectralSubspace:
     def test_one_schur_form_and_no_eigenvalue_solve(self, monkeypatch):
         schur = spy_attr(monkeypatch, scipy.linalg, "schur")
         eigvals = spy_attr(monkeypatch, np.linalg, "eigvals")
+        # a triangular operator is its own Schur form; any other takes one
         A = np.diag([0.5, 2.0, 0.3, 3.0])
+        S = spectral_subspace(A, SignatureSpace(2, 2), SpectralRegion.OUTSIDE_CLOSED_DISC)
+        assert S.dim == 2
+        assert (len(schur), len(eigvals)) == (0, 0)
+        A[3, 0] = 0.1
         S = spectral_subspace(A, SignatureSpace(2, 2), SpectralRegion.OUTSIDE_CLOSED_DISC)
         assert S.dim == 2
         assert (len(schur), len(eigvals)) == (1, 0)

@@ -599,9 +599,10 @@ class TestKLFactorizeFunction:
         for side in (res.schur_right, res.schur_left):
             assert np.max(np.abs(side.values(pts) - want)) < 1e-12
 
-    def test_only_the_blaschke_products_are_classified(self, monkeypatch):
+    def test_each_factor_is_classified_once(self, monkeypatch):
         # the backing is read through its Hautus spans and never
-        # classified; each Blaschke product is certified conservative once
+        # classified; each Blaschke product is certified conservative and
+        # each Schur factor passive, once
         rng = np.random.default_rng(3)
         backing = random_conservative_colligation(rng, SignatureSpace(7, 3), 2)
         krylov_calls = spy(monkeypatch, colligation.krylov_report)
@@ -611,13 +612,15 @@ class TestKLFactorizeFunction:
         assert res.kappa == 3
         assert krylov_calls == []
         assert [id(s) for s in classified] == [
-            id(res.blaschke_right.backing), id(res.blaschke_left.backing)]
+            id(res.blaschke_right.backing), id(res.schur_right.backing),
+            id(res.blaschke_left.backing), id(res.schur_left.backing)]
 
     def test_no_backing_kind_is_decided(self, monkeypatch):
-        # a strictly passive backing and a conservative one under a state
-        # change factor alike, on the function's minimal part: no kind is
-        # decided for the input or for its adjoint, and no canonical model
-        # is built
+        # the peel carries the backing's signature and decides no kind for
+        # the input or for its adjoint, and builds no canonical model.  A
+        # strictly passive backing factors; a conservative one under a
+        # state change is not passive in its signature, and its Schur
+        # factor is refused as not passive in the metric carried from it
         rng = np.random.default_rng(9)
         strict = random_passive_colligation(rng, SignatureSpace(3, 1), 1, 1,
                                             strict=0.25)
@@ -625,12 +628,18 @@ class TestKLFactorizeFunction:
         R = rng.standard_normal((4, 4))
         changed = state_change(cons, np.eye(4) + 0.3 * R / np.linalg.norm(R, 2),
                                cons.state)
+        assert system_kind(changed) == SystemKind.NONE
         for system in (strict, changed):
             operators = [colligation.system_operator(s)[0]
                          for s in (system, adjoint_system(system))]
             calls = spy(monkeypatch, indefinite._defect_class)
             models = spy(monkeypatch, schur.canonical_coisometric_realization)
-            assert kl_factorize_function(system).kappa == 1
+            if system is strict:
+                assert kl_factorize_function(system).kappa == 1
+            else:
+                with pytest.raises(PreconditionError,
+                                   match="Schur factor is not passive"):
+                    kl_factorize_function(system)
             decided = [sum(np.array_equal(args[0], T) for args in calls)
                        for T in operators]
             assert decided == [0, 0] and models == []
@@ -647,25 +656,34 @@ class TestKLFactorizeFunction:
         system = random_passive_colligation(
             np.random.default_rng([n, kappa, seed]),
             SignatureSpace(n - kappa, kappa), m, m, strict)
-        if (n, kappa) == (60, 20):
-            # each zero w of B_r has 19 others crowding it, so |B_r'(w)|
-            # is about 1e-6 and |S_r(w)| = |res_w S| |B_r'(w)| about 1e-9,
-            # below the fixed bound of the no-common-zeros certificate
-            with pytest.raises(InternalConsistencyError,
-                               match="relative singular value at the zeros"):
-                kl_factorize_function(system)
-            return
         res = kl_factorize_function(system)
         assert res.kappa == as_transfer(system).disc_pole_count == kappa
         assert res.right_residual <= 1e-7 and res.left_residual <= 1e-7
+        for side in (res.schur_right, res.schur_left):
+            assert side.backing.kappa == 0
+            assert system_kind(side.backing) != SystemKind.NONE
 
     def test_twice_a_schur_function_is_refused(self):
         system = blaschke_system(0.5)
         doubled = Colligation(system.state, 1, 1, system.A, system.B,
                               2.0 * system.C, 2.0 * system.D)
-        with pytest.raises(PreconditionError,
-                           match="not a generalized Schur function"):
+        with pytest.raises(PreconditionError, match="Schur factor is not passive"):
             kl_factorize_function(doubled)
+
+    def test_peak_between_circle_samples_is_refused(self):
+        # |S| peaks at about 1.05 at angle -pi/64, between two of 64 circle
+        # samples, where it reads at most 0.56; the backing is not passive
+        # and the Schur factor is refused on the state space
+        lam = 0.97 * np.exp(1j * np.pi / 64)
+        c = math.sqrt(0.0315)
+        system = Colligation(SignatureSpace(1, 0), 1, 1, [[lam]], [[c]], [[c]],
+                             [[0.0]])
+        S = as_transfer(system)
+        samples = np.exp(2j * np.pi * np.arange(64) / 64)
+        assert np.max(np.abs(S.values(samples))) < 0.6
+        assert abs(S(np.exp(-1j * np.pi / 64))[0, 0]) > 1.04
+        with pytest.raises(PreconditionError, match="Schur factor is not passive"):
+            kl_factorize_function(system)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_eigenvalue_on_the_band_is_ambiguous(self, sign):
@@ -683,7 +701,7 @@ class TestKLFactorizeFunction:
         B = np.array([[1.0], [1e-12]], dtype=complex)
         with pytest.raises(PreconditionError, match=r"the pole \(0.5"):
             schur._peel(T, B, np.ones((1, 2), complex), np.zeros((1, 1), complex),
-                        DEFAULT_TOL)
+                        np.eye(2), DEFAULT_TOL)
 
     @pytest.mark.parametrize("inputs, outputs", [(0, 1), (1, 0), (0, 0)])
     def test_hidden_outside_mode_adds_no_degree(self, inputs, outputs):
@@ -733,6 +751,13 @@ class TestKLFactorizeFunction:
                 U = Bf.values(pts) @ invb_vals
                 moved = U[0] @ schur_vals
             assert res.kappa == fac.inverse_blaschke_factor.state_dim == kappa
+            # the moved eigenvalues are unobservable and drop out: the
+            # Schur factor is minimal and conservative, of the product
+            # representation's degree, and its index is read off its state
+            assert Sf.backing.state_dim == fac.schur_factor.state_dim == n - kappa
+            assert system_kind(Sf.backing) == SystemKind.CONSERVATIVE
+            est = negative_squares_estimate(Sf)
+            assert (est.estimate, est.route) == (0, "index_preserving")
             assert np.max(np.abs(U - U[0])) <= 1e-10
             assert np.max(np.abs(U[0].conj().T @ U[0] - np.eye(m))) <= 1e-10
             assert np.max(np.abs(Sf.values(pts) - moved)) <= 1e-10
