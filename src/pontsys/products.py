@@ -40,6 +40,7 @@ from .indefinite import (
     IndefiniteSubspace,
     SignatureSpace,
     SubspaceKind,
+    _UNIT_ROUNDOFF,
     canonical_basis,
     nullspace,
     subspace_classify,
@@ -480,7 +481,13 @@ def _certify_factorization(system, schur, invb, Z, gram, mode, tol):
     factor's signature (0, kappa), its conservativity by system_kind and
     its minimality by _antihilbert_conservative_minimal, which reads it
     off the factor's eigenvalues with no Krylov report outside a stated
-    margin, and the Schur factor's positive state and kind."""
+    margin, and the Schur factor's positive state and kind.
+
+    The cascade holds Z^-1 A Z and its kin, |Z^-1|_2 = |Z|_2 for a
+    metric-orthonormal Z, and each product behind a residual block rounds
+    by about n u |Z|_2 times its factors, n states and u the unit
+    roundoff.  A failing residual within 4 n u |Z|_2^3 max(1, |A|_2, |B|_2,
+    |C|_2, |D|_2) is rounding, not a wrong factor: PreconditionError."""
     kappa = system.kappa
     cas = cascade(invb, schur) if mode == "right" else cascade(schur, invb)
     # np.max, unlike max, carries a NaN residual through to the certificate
@@ -490,6 +497,16 @@ def _certify_factorization(system, schur, invb, Z, gram, mode, tol):
         _norm2(system.C @ Z - cas.C),
         _norm2(system.D - cas.D),
     ]))
+    scale = _block_norm(system) if resid > 1e-8 else 1.0
+    if resid > 1e-8 * scale:
+        growth = _norm2(Z)
+        rounding = 4 * system.state_dim * _UNIT_ROUNDOFF * growth ** 3 * scale
+        if resid <= rounding:
+            raise PreconditionError(
+                f"cascade reconstruction residual {resid:.3e} lies within the "
+                f"rounding scale {rounding:.3e} of the state map Z, "
+                f"|Z|_2 = {growth:.3e}: the split is too ill-conditioned to "
+                "certify the factors")
     _certify_scaled("cascade reconstruction residual", resid, 1e-8,
                     lambda: _block_norm(system))
     # Z^H J Z - diag(cascade signs) is gram: Z = V and the cascade's state

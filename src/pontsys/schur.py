@@ -8,7 +8,8 @@ inversion, the two-sided Krein-Langer factorization into a Schur factor
 and a Blaschke product, peeled pole by pole off the Schur form of a
 minimal realization (README rule 7), boundary reports, scalar defect
 functions via trigonometric spectral factorization, canonical
-kernel-model realizations, and kernel-decomposition checks for products.
+co-isometric realizations from one Stein equation on a minimal
+realization, and kernel-decomposition checks for products (rule 8).
 
 Boundary conditions are decided at finitely many samples.  All functions
 involved are rational, and a rational function that vanishes on a subset
@@ -34,13 +35,14 @@ from scipy.linalg.lapack import zpotrf, ztrexc
 from .colligation import (
     Colligation,
     SystemKind,
+    _operator_kind,
     _pole_proximity,
     _root_of_unity_values,
     _schur_spans,
     adjoint_system,
-    classify,
     krylov_report,
     system_kind,
+    system_operator,
     transfer_eval,
     transfer_values,
 )
@@ -51,6 +53,7 @@ from .exceptions import (
     InputError,
     InternalConsistencyError,
     PreconditionError,
+    _norm2,
     certify,
 )
 from .indefinite import (
@@ -457,29 +460,83 @@ class FactorizationResult:
 
 
 def _minimal_part(system, tol):
-    """(form, B, C, H): a minimal realization (A_m, B, C, D) of the system's
-    transfer function, A_m given by its Schur form, with the metric H of
-    its state: the system itself, on its cached form, with its signature
-    J, when both Hautus spans of _schur_spans are the whole state.
-    Otherwise it is (W^H A W, W^H B, C W, D) and W^H J W, W an orthonormal
-    basis of the reachable space R orthogonal to R & N, N the unobservable
-    kernel: R and R & N are A-invariant, B lies in R and C vanishes on
-    R & N.  W is Q times the range of Q^H O, for orthonormal bases Q of R
-    and O of the observable span, the complement of N.
+    """(form, B, C, H, inside): a minimal realization (A_m, B, C, D) of the
+    system's transfer function, A_m given by its Schur form, with the
+    metric H of its state and the mask of the eigenvalues inside the disc:
+    the system itself, on its cached form, with its signature J, when both
+    Hautus spans of _schur_spans are the whole state.  Otherwise it is
+    (W^H A W, W^H B, C W, D) and W^H J W, W an orthonormal basis of the
+    reachable space R orthogonal to R & N, N the unobservable kernel: R
+    and R & N are A-invariant, B lies in R and C vanishes on R & N.  W is
+    Q times the range of Q^H O, for orthonormal bases Q of R and O of the
+    observable span, the complement of N.  An eigenvalue of A_m within
+    metric_tol of the circle raises AmbiguousSpectrumError.
     """
     (reach, _), (observed, hidden) = _schur_spans(system, (False, True), tol)
     signs = system.state.signs
     if reach.shape[1] == system.state_dim and not hidden.shape[1]:
-        return system._spectrum, system.B, system.C, np.diag(signs)
-    W = reach @ column_space(reach.conj().T @ observed, tol)
-    return (_DiscSchur(W.conj().T @ system.A @ W), W.conj().T @ system.B,
-            system.C @ W, (W.conj().T * signs) @ W)
+        form, B, C, H = system._spectrum, system.B, system.C, np.diag(signs)
+    else:
+        W = reach @ column_space(reach.conj().T @ observed, tol)
+        form, B, C, H = (_DiscSchur(W.conj().T @ system.A @ W), W.conj().T @ system.B,
+                         system.C @ W, (W.conj().T * signs) @ W)
+    near, inside, _ = form.regions(tol.metric_tol)
+    if near.any():
+        raise AmbiguousSpectrumError(
+            f"eigenvalue {form.eigenvalues[near][0]} lies within "
+            f"{tol.metric_tol:g} of the unit circle")
+    return form, B, C, H, inside
 
 
 def _hilbert_system(T, B, C, D):
     """Colligation of the realization (T, B, C, D) on a Hilbert state."""
     return Colligation(SignatureSpace(T.shape[0], 0), B.shape[1], C.shape[0],
                        T, B, C, D)
+
+
+def _reflect_poles(T, B, C, D, tol):
+    """((T, B, C, D), moves): the realization (T, B, C, D), T upper
+    triangular with no eigenvalue within metric_tol of the circle, with
+    each eigenvalue lam outside the disc moved to 1/conj(lam), one at a
+    time (README rule 7): ztrexc brings lam to the bottom of T, with b the
+    last row of B, the feedback f = -x b^H / conj(lam), x = (|lam|^2 - 1)
+    / |b|^2, on the last state moves it, and B and D are scaled on the
+    right by I - (1 - 1/|lam|) u u^H, u = b^H / |b|.  The result is
+    (Q^H (T + B F) Q, Q^H B R, (C + D F) Q, D R) for a unitary Q, a
+    feedback F and an invertible R.  A row b at or below the Hautus cut is
+    refused.  moves lists each step's (Q_k, lam, u, x), Q_k its
+    reordering or None.
+    """
+    T, B, C, D = np.triu(T), B.copy(), C.copy(), D.copy()
+    n, m = B.shape
+    cut = tol.rank_tol * max(1.0, float(np.linalg.norm(T)),
+                             float(np.linalg.norm(B)))
+    moves = []
+    while True:
+        outside = np.flatnonzero(np.abs(np.diagonal(T)) > 1.0)
+        if not outside.size:
+            return (T, B, C, D), moves
+        Q = None
+        if outside[-1] < n - 1:
+            T, Q, info = ztrexc(T, np.eye(n, dtype=complex), outside[-1] + 1, n)
+            if info:
+                raise np.linalg.LinAlgError("Schur reordering failed")
+            B, C = Q.conj().T @ B, C @ Q
+        lam, b = T[-1, -1], B[-1]
+        size = float(np.linalg.norm(b))
+        if not size > cut:
+            raise PreconditionError(
+                f"the pole {1.0 / lam} is reached from the input by {size:.3e}, "
+                f"at or below the cut {cut:.3e}")
+        u = b.conj() / size
+        mod = abs(lam)
+        x = (mod * mod - 1.0) / (size * size)
+        f = -(x * size / np.conj(lam)) * u
+        T[:, -1] += B @ f
+        C[:, -1] += D @ f
+        half = np.eye(m) - (1.0 - 1.0 / mod) * np.outer(u, u.conj())
+        B, D = B @ half, D @ half
+        moves.append((Q, lam, u, x))
 
 
 def _peel(T, B, C, D, H, tol):
@@ -489,46 +546,22 @@ def _peel(T, B, C, D, H, tol):
     Hermitian metric H of its state.  M is inner, realized conservative on
     a Hilbert state, and N minimal and passive on a Hilbert state.
 
-    One pole at a time (README rule 7): ztrexc brings an eigenvalue lam
-    outside the disc to the bottom of T, with b the last row of B, and the
-    feedback f = -x b^H / conj(lam), x = (|lam|^2 - 1) / |b|^2, on the last
-    state moves it to 1/conj(lam) and splits off the one-state factor of M
-    with zero 1/lam, conservative in the metric x; so the realization
-    stays passive in H + x e_n e_n^T.  A row b at or below the Hautus cut
-    is refused.  N is the result on the orthogonal complement O of its
-    unobservable kernel, which holds the kernel of H, in the state U x for
-    O^H H O = U^H U; a metric not positive definite there is refused.
+    Each move of _reflect_poles splits off the one-state factor of M with
+    zero 1/lam, conservative in the metric x, so the realization stays
+    passive in H + x e_n e_n^T.  N is the result on the orthogonal
+    complement O of its unobservable kernel, which holds the kernel of H,
+    in the state U x for O^H H O = U^H U; a metric not positive definite
+    there is refused.
     """
-    T, B, C, D, H = np.triu(T), B.copy(), C.copy(), D.copy(), H.copy()
-    n, m = B.shape
-    cut = tol.rank_tol * max(1.0, float(np.linalg.norm(T)),
-                             float(np.linalg.norm(B)))
+    (T, B, C, D), moves = _reflect_poles(T, B, C, D, tol)
+    m = B.shape[1]
     M = Colligation(SignatureSpace(0, 0), m, m, np.zeros((0, 0)),
                     np.zeros((0, m)), np.zeros((m, 0)), np.eye(m))
-    while True:
-        outside = np.flatnonzero(np.abs(np.diagonal(T)) > 1.0)
-        if not outside.size:
-            break
-        if outside[-1] < n - 1:
-            T, Q, info = ztrexc(T, np.eye(n, dtype=complex), outside[-1] + 1, n)
-            if info:
-                raise np.linalg.LinAlgError("Schur reordering failed")
-            B, C, H = Q.conj().T @ B, C @ Q, Q.conj().T @ H @ Q
-        lam, b = T[-1, -1], B[-1]
-        size = float(np.linalg.norm(b))
-        if not size > cut:
-            raise PreconditionError(
-                f"the pole {1.0 / lam} is reached from the input by {size:.3e}, "
-                f"at or below the cut {cut:.3e}")
-        u = b.conj() / size
-        mod = abs(lam)
-        M = cascade(blaschke_potapov_factor(1.0 / lam, -lam / mod, u, m, tol), M)
-        x = (mod * mod - 1.0) / (size * size)
-        f = -(x * size / np.conj(lam)) * u
-        T[:, -1] += B @ f
-        C[:, -1] += D @ f
-        half = np.eye(m) - (1.0 - 1.0 / mod) * np.outer(u, u.conj())
-        B, D = B @ half, D @ half
+    H = H.copy()
+    for Q, lam, u, x in moves:
+        M = cascade(blaschke_potapov_factor(1.0 / lam, -lam / abs(lam), u, m, tol), M)
+        if Q is not None:
+            H = Q.conj().T @ H @ Q
         H[-1, -1] += x
     (O, hidden), = _schur_spans(_hilbert_system(T, B, C, D), (True,), tol)
     if hidden.shape[1]:
@@ -572,12 +605,7 @@ def kl_factorize_function(S, tol=DEFAULT_TOL):
     minimal part, raise PreconditionError.
     """
     S = as_transfer(S)
-    form, B, C, H = _minimal_part(S.backing, tol)
-    near, inside, _ = form.regions(tol.metric_tol)
-    if near.any():
-        raise AmbiguousSpectrumError(
-            f"eigenvalue {form.eigenvalues[near][0]} lies within "
-            f"{tol.metric_tol:g} of the unit circle")
+    form, B, C, H, inside = _minimal_part(S.backing, tol)
     D = S.backing.D
     T, Z, _ = form.ordered(inside)
     right, inner_r = _peel(T, Z.conj().T @ B, C @ Z, D, Z.conj().T @ H @ Z, tol)
@@ -733,16 +761,6 @@ def _gram_eigenvalues(W):
     mid = 0.5 * (a + c)
     rad = np.hypot(0.5 * (a - c), np.abs(G[:, 0, 1]))
     return np.stack([mid + rad, mid - rad], axis=1)
-
-
-def _decisive_survey(S, samples, tol):
-    """The circle survey behind a sampled verdict.  With every sample
-    pole-proximal there is nothing to decide on, and the first sample
-    raises PoleProximityError."""
-    out = _circle_survey(S, samples, tol)
-    if np.isnan(out[0]).all():
-        raise _pole_proximity(S.backing, complex(boundary_points(samples)[0]))
-    return out
 
 
 def boundary_behavior(S, tol=DEFAULT_TOL):
@@ -903,8 +921,10 @@ def defect(S, tol=DEFAULT_TOL):
     sample raises PoleProximityError.
     """
     S = as_transfer(S)
-    _, dr, dl, vals, _ = _decisive_survey(
-        S, _defect_samples(S.backing.state_dim), tol)
+    samples = _defect_samples(S.backing.state_dim)
+    sig, dr, dl, vals, _ = _circle_survey(S, samples, tol)
+    if np.isnan(sig).all():
+        raise _pole_proximity(S.backing, complex(boundary_points(samples)[0]))
     right_max = float(np.nanmax(dr, initial=0.0))
     left_max = float(np.nanmax(dl, initial=0.0))
     phi_zero = right_max <= tol.metric_tol
@@ -925,152 +945,81 @@ def defect(S, tol=DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# canonical kernel-model realization
+# canonical co-isometric realization
 
 
-def _model_plan(S, per_ring, tol):
-    pts = []
-    for r in (0.3, 0.6, 0.9):
-        offset = np.random.default_rng(
-            tol.seed * 131 + per_ring).random() * 2 * np.pi / per_ring
-        ring = r * np.exp(1j * (offset + 2 * np.pi *
-                                np.arange(per_ring) / per_ring))
-        pts.append(ring)
-    pts = np.concatenate(pts)
-    if S.poles.size:
-        dist = np.min(np.abs(pts[:, None] - S.poles[None, :]), axis=1)
-        pts = pts[dist > max(10 * tol.rank_tol, 1e-4)]
-    return pts
-
-
-def _observable_dimension(system, tol):
-    """Dimension of the observable space of the system, the rank of its
-    observability map x -> (C A^k x)_k, read off the system's Schur form
-    (colligation._schur_spans)."""
-    return _schur_spans(system, (True,), tol)[0][0].shape[1]
-
-
-def _model_rank_bound(S, kind, tol):
-    """Upper bound on the rank of every kernel Gram of S, or None; kind is
-    the backing's _backing_kind.  Raises PreconditionError when the left
-    defect psi = I - SS^* is nonzero, since the kernel then has infinite
-    rank.
-
-    Let M be the space of the functions C(I - zA)^-1 x, of the dimension
-    of the backing's observable space.  For a co-isometric or
-    conservative backing I - S(z)S(w)^* = (1 - z conj(w)) C(I - zA)^-1 J
-    (I - wA)^-* C^*, so every kernel section lies in M.  Any other
-    backing is decided on defect's circle survey (_defect_samples), with
-    the metric_tol cut of DefectResult.psi_is_zero; a sample on a pole
-    leaves the survey undecided (None).  The rational function F(z) =
-    I - S(z)S(1/conj(z))^* equals psi on the circle.  The section at w
-    is f(z) = (u - S(z)v)/(1 - z conj(w)) with v = S(w)^*u, and its
-    numerator takes the value F(z0)u at z0 = 1/conj(w).
-    - psi nonzero: f has a pole at z0 for all but finitely many w, so
-      sections at distinct points are independent and the rank is
-      infinite.  Refused at once.
-    - psi zero: F vanishes identically, the numerator vanishes at z0,
-      and its difference quotient gives f(z) = C(I - zA)^-1 (I - z0 A)^-1
-      Bv / conj(w), which lies in M.  The bound holds for every negative
-      index and needs no passivity; it is trusted only with no
-      eigenvalue of A within metric_tol of the circle.
-    """
-    if kind in (SystemKind.COISOMETRIC, SystemKind.CONSERVATIVE):
-        return _observable_dimension(S.backing, tol)
-    left = _circle_survey(S, _defect_samples(S.backing.state_dim), tol)[2]
-    if np.isnan(left).any():
-        return None
-    psi = float(np.max(left))
-    if psi > tol.metric_tol:
-        raise PreconditionError(
-            f"left defect {psi:.3e} on the circle exceeds metric_tol: the "
-            "kernel has infinite rank")
-    if S.backing._spectrum.regions(tol.metric_tol)[0].any():
-        return None
-    return _observable_dimension(S.backing, tol)
+def _stein(T, Q):
+    """The solution X of X - T^H X T = Q, T upper triangular with every
+    eigenvalue in the open disc.  Column j of T^H X T is
+    T^H (X[:, :j] T[:j, j]) + T[j, j] T^H X[:, j], so the columns follow in
+    order, each from one lower triangular solve."""
+    n = T.shape[0]
+    L = T.conj().T
+    X = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        X[:, j] = solve_triangular(np.eye(n) - T[j, j] * L,
+                                   Q[:, j] + L @ (X[:, :j] @ T[:j, j]), lower=True,
+                                   check_finite=False)
+    return X
 
 
 def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
-    """Co-isometric observable realization on the kernel's section space.
+    """Co-isometric observable realization of S, unique up to unitary
+    similarity (README rule 8).
 
-    Kernel sections at a saturating sample plan span a finite model
-    space; the main operator acts as the difference quotient
-    (h(z) - h(0))/z, the input map sends u to (S(z) - S(0))u/z, the
-    output map evaluates at zero.  The plan grows from 4 to 64 points
-    per ring on three rings.  The section space is finite-dimensional
-    only when the left defect I - SS^* vanishes on the circle: a
-    function whose defect survey shows it nonzero is refused
-    with PreconditionError before any plan is built.  When it vanishes,
-    or the backing is co-isometric or conservative, the Gram rank is at
-    most the dimension of the backing's observable space (see
-    _model_rank_bound), and saturation is certified at the first plan
-    whose rank equals it with at least twice as many Gram rows as the
-    rank.  Otherwise (a survey sample on a pole, an eigenvalue of A
-    within metric_tol of the circle) or while that has not happened (a
-    non-minimal backing), saturation is declared when the Gram rank is
-    unchanged across three successive sample doublings, and a function
-    whose rank never settles is rejected as outside the finite-rank
-    scope.
+    On a minimal realization (A, B, C, D) of S (_minimal_part) the model's
+    metric solves the co-isometry equations P - A P A^H = B B^H,
+    C P A^H + D B^H = 0 and C P C^H + D D^H = I, which have a Hermitian
+    solution exactly when the left defect I - S S^* vanishes on the
+    circle.  For every output injection G they give
+    P - A_G P A_G^H = B_G B_G^H - G G^H with A_G = A + G C and
+    B_G = B + G D; G is the pole-moving feedback of _reflect_poles on the
+    flipped adjoint, so A_G has every eigenvalue in the disc, and this
+    Stein equation has one solution, back-substituted on its triangular
+    form.  For P = V diag(w) V^H, positives first, the model has the state
+    |w|^-1/2 V^H x and the signature sign(w).
+
+    An eigenvalue of A within metric_tol of the circle raises
+    AmbiguousSpectrumError.  The residual of the three equations, carried
+    to the model's state, is the model's dual defect: system_kind must
+    read the model co-isometric or conservative, or the left defect is
+    nonzero and PreconditionError is raised, as the kernel then has
+    infinite rank.  Certificates: the model is observable, its values
+    match S at 8 held-out disc points, and it reproduces the kernel at one
+    held-out pair.
     """
     S = as_transfer(S)
-    p = S.output_dim
-    m = S.input_dim
-    plans = [4, 8, 16, 32, 64]
-    bound = _model_rank_bound(S, _backing_kind(S, tol), tol)
-    ranks = []
-    for per_ring in plans:
-        pts, vals0 = _kernel_values(S, _model_plan(S, per_ring, tol), tol)
-        gram = _gram_from_values(pts, vals0, tol)
-        ranks.append(gram.rank)
-        if gram.rank == bound and gram.matrix.shape[0] >= 2 * bound:
-            break
-        if len(ranks) >= 4 and len(set(ranks[-4:])) == 1:
-            break
-    else:
+    form, B, C, _, inside = _minimal_part(S.backing, tol)
+    D = S.backing.D
+    p, m = D.shape
+    n = inside.size
+    T, Z, _ = form.ordered(~inside)
+    T, Ba, Ca, Da = _flip(T, Z.conj().T @ B, C @ Z, D)
+    # outputs added to the adjoint: identity feedthrough reads its input
+    # u = F x + R v, so returns the feedback F, and the state map Ba^H with
+    # none returns the output map of S, in the final state basis
+    (T, _, out, _), _ = _reflect_poles(
+        T, Ba, np.vstack([Ca, np.zeros((p, n)), Ba.conj().T]),
+        np.vstack([Da, np.eye(p), np.zeros((p, p))]), tol)
+    BG, G, C = out[:m].conj().T, out[m:m + p].conj().T, out[m + p:]
+    P = _stein(T, BG @ BG.conj().T - G @ G.conj().T)
+    w, V = np.linalg.eigh(0.5 * (P + P.conj().T))
+    order = np.argsort(-np.sign(w), kind="stable")
+    w, V = w[order], V[:, order]
+    root = np.sqrt(np.abs(w))
+    model = Colligation(
+        SignatureSpace(int(np.sum(w > 0)), int(np.sum(w < 0))), m, p,
+        (V.conj().T @ (T.conj().T - G @ C) @ V) * (root[None, :] / root[:, None]),
+        (V.conj().T @ (BG - G @ D)) / root[:, None], (C @ V) * root[None, :], D)
+    # the model's dual defect is the residual of the co-isometry equations
+    kind, _, dual = _operator_kind(*system_operator(model), tol)
+    if kind not in (SystemKind.COISOMETRIC, SystemKind.CONSERVATIVE):
         raise PreconditionError(
-            f"kernel rank did not saturate; observed growth {ranks}")
-    G = gram.matrix
-    w, V = np.linalg.eigh(G)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    kept = np.flatnonzero(np.abs(w) > tol.rank_tol * scale)
-    # positives first to match the canonical signature order
-    kept = kept[np.argsort(-np.sign(w[kept]), kind="stable")]
-    signs = np.sign(w[kept])
-    coeff = V[:, kept] / np.sqrt(np.abs(w[kept]))[None, :]
-    r = kept.size
-    state = SignatureSpace(int(np.sum(signs > 0)), int(np.sum(signs < 0)))
-
-    S0 = S.values([0.0], tol)[0]
-    N = pts.size
-    # values of the basis functions at the samples: (N*p) x r
-    Val = G @ coeff
-    # kernel sections evaluated at zero give the basis values at zero
-    K0 = np.eye(p) - S0 @ vals0.conj().transpose(0, 2, 1)
-    E0 = K0.transpose(1, 0, 2).reshape(p, N * p) @ coeff  # p x r
-
-    wcol = np.repeat(pts, p).reshape(-1, 1)
-    shifted = (Val - np.tile(E0, (N, 1))) / wcol
-    A = (signs[:, None] * (coeff.conj().T @ shifted))
-    # membership certificate: the shifted functions must stay in the model
-    back = G @ coeff @ A
-    resid = np.linalg.norm(back - shifted, 2) if shifted.size else 0.0
-    certify("difference quotient model residual", resid,
-            1e-7 * max(1.0, np.linalg.norm(shifted, 2) if shifted.size else 1.0))
-
-    invec = ((vals0 - S0) / pts[:, None, None]).reshape(N * p, m)
-    B = signs[:, None] * (coeff.conj().T @ invec)
-    backB = G @ coeff @ B
-    residB = np.linalg.norm(backB - invec, 2) if invec.size else 0.0
-    certify("shifted input section model residual", residB,
-            1e-7 * max(1.0, np.linalg.norm(invec, 2) if invec.size else 1.0))
-
-    model = Colligation(state, m, p, A, B, E0, S0)
-
-    cls = classify(model, tol)
-    if cls.kind not in (SystemKind.COISOMETRIC, SystemKind.CONSERVATIVE):
-        raise InternalConsistencyError(
-            f"canonical model failed the co-isometry certificate ({cls.kind})")
-    if not cls.observable:
+            f"left defect {_norm2(dual):.3e} of the co-isometry equations is "
+            f"not zero at metric_tol {tol.metric_tol:g} times max(1, |T|_2^2): "
+            "the kernel has infinite rank, or the equations are too "
+            "ill-conditioned to show it finite")
+    if not krylov_report(model, tol).observable:
         raise InternalConsistencyError("canonical model is not observable")
     held = disc_points(8, seed=tol.seed * 499 + 11, radius=0.8,
                        exclude=S.poles, min_dist=1e-4)
@@ -1078,16 +1027,13 @@ def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
     got = TransferFunction(model).values(held, tol)
     certify("canonical model transfer mismatch",
             _relative_mismatch(got, ref), 1e-7)
-    # reproducing identity on a held-out section
-    if r:
-        wref, zref = held[0], held[1]
-        Sw = ref[0].conj().T
-        Kw = ((np.eye(p) - vals0 @ Sw)
-              / (1.0 - pts * np.conj(wref))[:, None, None]).reshape(N * p, p)
-        coords = signs[:, None] * (coeff.conj().T @ Kw)  # r x p
-        lhs = E0 @ np.linalg.solve(
-            np.eye(r) - zref * A, coords)
-        rhs = (np.eye(p) - ref[1] @ Sw) / (1.0 - zref * np.conj(wref))
+    if n:
+        # C (I - zA)^-1 J (I - wA)^-H C^H against the kernel at z, w
+        w_ref, z_ref = held[0], held[1]
+        Rz, Rw = (np.linalg.solve((np.eye(n) - z * model.A).T, model.C.T).T
+                  for z in (z_ref, w_ref))
+        lhs = (Rz * model.state.signs[None, :]) @ Rw.conj().T
+        rhs = (np.eye(p) - ref[1] @ ref[0].conj().T) / (1.0 - z_ref * np.conj(w_ref))
         certify("reproducing identity residual", np.linalg.norm(lhs - rhs, 2),
                 1e-6 * max(1.0, np.linalg.norm(rhs, 2)))
     return model
@@ -1119,15 +1065,6 @@ class KernelDecompositionReport:
     note: str = RATIONAL_NOTE
 
 
-def _schur_precondition(S, name, tol):
-    if S.disc_pole_count != 0:
-        raise PreconditionError(
-            f"{name} must be Schur class; backing has poles in the disc")
-    if np.nanmax(_decisive_survey(S, 32, tol)[0], initial=0.0) > 1.0 + 1e-6:
-        raise PreconditionError(
-            f"{name} must be Schur class; boundary values exceed one")
-
-
 def _pinv_hermitian(G, rank_tol):
     w, V = np.linalg.eigh(G)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
@@ -1137,13 +1074,23 @@ def _pinv_hermitian(G, rank_tol):
     return (V * inv[None, :]) @ V.conj().T
 
 
+_KERNEL_PLAN_CAP = 384
+
+
 def check_kernel_decomposition(S1, S2, tol=DEFAULT_TOL, variant="observable"):
     """Decide the kernel split behind product observability.
 
-    For the controllable variant the same test runs on the reflected
-    functions in swapped order, mirroring the duality between
-    controllability of a product and observability of the adjoint
-    product.
+    Both factors must be Schur class: their canonical models have no
+    negative state.  The kernel Grams of both factors and the product are
+    sampled on a disc plan that doubles from 24 points, evaluating only
+    the fresh ones (disc_points extends its own prefix), until their ranks
+    are the models' state dimensions n1, n2 and n1 + n2 minus the
+    dimension of the observability obstruction of their cascade; past
+    _KERNEL_PLAN_CAP points PreconditionError is raised.  The obstruction
+    must agree with the sampled split, or InternalConsistencyError is
+    raised.  For the controllable variant the same test runs on the
+    reflected functions in swapped order, mirroring the duality between
+    controllability of a product and observability of the adjoint product.
     """
     if variant not in ("observable", "controllable"):
         raise InputError("variant must be 'observable' or 'controllable'")
@@ -1156,16 +1103,39 @@ def check_kernel_decomposition(S1, S2, tol=DEFAULT_TOL, variant="observable"):
     if S2.input_dim != S1.output_dim:
         raise DimensionMismatchError(
             "second factor must accept the first factor's values")
-    _schur_precondition(S1, "first factor", tol)
-    _schur_precondition(S2, "second factor", tol)
+    m1 = canonical_coisometric_realization(S1, tol)
+    m2 = canonical_coisometric_realization(S2, tol)
+    for name, model in (("first factor", m1), ("second factor", m2)):
+        if model.state.neg:
+            raise PreconditionError(
+                f"{name} must be Schur class; its kernel has "
+                f"{model.state.neg} negative squares")
+    obstruction = obstruction_observable(m1, m2, tol).dimension
+    want = (m1.state_dim, m2.state_dim,
+            m1.state_dim + m2.state_dim - obstruction)
     S12 = TransferFunction(cascade(S1.backing, S2.backing))
 
-    pts = disc_points(24, seed=tol.seed * 271 + 3, radius=0.9)
-    g1 = kernel_gram(S1, pts, tol)
-    pts, v2 = _kernel_values(S2, pts, tol)
-    g2 = _gram_from_values(pts, v2, tol)
-    g12 = kernel_gram(S12, pts, tol)
-    r1, r2, r12 = g1.rank, g2.rank, g12.rank
+    factors = (S1, S2, S12)
+    pts = np.zeros(0, dtype=complex)
+    vals = [np.zeros((0, S.output_dim, S.input_dim), dtype=complex)
+            for S in factors]
+    size = 24
+    while True:
+        fresh = disc_points(size, seed=tol.seed * 271 + 3, radius=0.9)[pts.size:]
+        for k, S in enumerate(factors):
+            fresh, v = _kernel_values(S, fresh, tol)
+            vals[k] = np.concatenate([vals[k], v])
+        pts = np.concatenate([pts, fresh])
+        g1, g2, g12 = (_gram_from_values(pts, v, tol) for v in vals)
+        ranks = (g1.rank, g2.rank, g12.rank)
+        if ranks == want:
+            break
+        if size >= _KERNEL_PLAN_CAP:
+            raise PreconditionError(
+                f"kernel Gram ranks {ranks} at {size} disc points do not meet "
+                f"the state-space ranks {want}")
+        size *= 2
+    r1, r2, r12 = ranks
     rank_additive = r12 == r1 + r2
 
     # images of the first factor's sections under multiplication by the
@@ -1173,7 +1143,7 @@ def check_kernel_decomposition(S1, S2, tol=DEFAULT_TOL, variant="observable"):
     p1 = S1.output_dim
     p2 = S2.output_dim
     N = pts.size
-    images = (v2 @ g1.matrix.reshape(N, p1, N * p1)).reshape(
+    images = (vals[1] @ g1.matrix.reshape(N, p1, N * p1)).reshape(
         N * p2, N * p1)
     Gpinv = _pinv_hermitian(g12.matrix, tol.rank_tol)
     membership = np.linalg.norm(
@@ -1186,14 +1156,11 @@ def check_kernel_decomposition(S1, S2, tol=DEFAULT_TOL, variant="observable"):
     isometric = iso_resid <= 1e-6
     holds = rank_additive and isometric
 
-    m1 = canonical_coisometric_realization(S1, tol)
-    m2 = canonical_coisometric_realization(S2, tol)
-    rep = obstruction_observable(m1, m2, tol)
-    clean = rep.dimension == 0
+    clean = obstruction == 0
     if clean != holds:
         raise InternalConsistencyError(
             "kernel decomposition and state-space obstruction disagree "
-            f"(kernel holds={holds}, obstruction dim={rep.dimension})")
+            f"(kernel holds={holds}, obstruction dim={obstruction})")
     return KernelDecompositionReport(
         holds, r1, r2, r12, rank_additive, iso_resid, isometric,
-        rep.dimension, "observable")
+        obstruction, "observable")

@@ -50,7 +50,7 @@ from pontsys.indefinite import (
     metric_signs,
     nullspace,
 )
-from pontsys import indefinite, sampling, schur
+from pontsys import indefinite, sampling
 from pontsys.products import cascade, obstruction_controllable, obstruction_observable
 from pontsys.sampling import (
     random_conservative_colligation,
@@ -1092,7 +1092,7 @@ class TestEigenvectorCall:
     def test_single_side_callers_ask_one_side(self, monkeypatch):
         plant = self.plant()
         calls = spy(monkeypatch, colligation.zgeev)
-        schur._observable_dimension(plant, DEFAULT_TOL)
+        colligation._schur_spans(plant, (True,), DEFAULT_TOL)
         obstruction_observable(blaschke_system(0.5), blaschke_system(-0.3))
         obstruction_controllable(blaschke_system(0.5), blaschke_system(-0.3))
         assert [args[1:] for args in calls] == [(0, 1), (0, 1), (1, 0)]
