@@ -1295,8 +1295,8 @@ class TestKernelDecomposition:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("n", [16, 20, 24, 32, 40])
     def test_scalar_probe_holds(self, n, seed):
-        # ranks reach (n, 3, n + 3) only past the first 24 points from
-        # n = 20 on; they are met on the doubled plan
+        # from n = 20 on, and at n = 16 for seed 1, the ranks (n, 3, n + 3)
+        # need a plan doubled to 48-384 points
         first, second = _kernel_probe(n, seed)
         rep = check_kernel_decomposition(first, second)
         assert rep.holds and rep.obstruction_dimension == 0
