@@ -805,6 +805,10 @@ def _schur_spans(system, sides, tol):
     - With no candidate the span is the whole state, and a side without
       input (output) columns hides the whole state; neither reorders.
 
+    Below scale s = max(|A|_F, |B|_F) < 1 a drive that only the floor of c
+    hides is refused (_reached), and a recurrence must reach its rank at
+    rank_tol s too; a gap only the floor closes just routes a recurrence.
+
     Why the thresholds hold.  The back-substitution of ztrevc divides by
     the differences lam_j - lam_k of the diagonal, so the computed
     eigenvector of an eigenvalue at distance d from the rest of the
@@ -858,20 +862,31 @@ def _schur_spans(system, sides, tol):
         else:
             vectors, drive = left, system.B
             ratio = np.linalg.norm(left.conj().T @ (Z.conj().T @ system.B), axis=1)
-        cut = tol.rank_tol * max(1.0, norm_a, float(np.linalg.norm(drive)))
+        scale = max(norm_a, float(np.linalg.norm(drive)))
         # a growth 1 / |y_k[k]| past 1/g, or a vector lost to overflow,
         # marks a nearly defective eigenvalue, decided with the clusters
         clustered = near | ~(np.abs(np.diagonal(vectors)) >= g)
-        candidate = clustered | ~(ratio > cut)
-        spans.append(_hidden_split(system, observe, clustered, candidate, ratio, cut, tol)
+        candidate = clustered | ~_reached(ratio, scale, tol)
+        spans.append(_hidden_split(system, observe, clustered, candidate, ratio, scale, tol)
                      if candidate.any() else (Z, Z[:, :0]))
     return spans
 
 
-def _hidden_split(system, observe, clustered, candidate, ratio, cut, tol):
+def _reached(drives, scale, tol):
+    """drives > rank_tol max(1, s), the cut of _schur_spans at the system's
+    scale s; a drive that only the floor hides, above rank_tol s, is refused."""
+    reached = drives > tol.rank_tol * max(1.0, scale)
+    if scale < 1.0 and np.any(~reached & (drives > tol.rank_tol * scale)):
+        raise PreconditionError(
+            f"system scale {scale:.3e} lies below 1, where the floor of the "
+            "Hautus cut, not the system, decides a drive: rescale A, B and C")
+    return reached
+
+
+def _hidden_split(system, observe, clustered, candidate, ratio, scale, tol):
     """(span, hidden) of one side of _schur_spans from its masks of
     clustered and candidate eigenvalues, at least one a candidate, and the
-    drive of each eigenvector against the cut."""
+    drive of each eigenvector against the cut at the system's scale."""
     form = system._spectrum
     Z = form.Z
     n = Z.shape[0]
@@ -890,16 +905,19 @@ def _hidden_split(system, observe, clustered, candidate, ratio, cut, tol):
     rest, block = moved(candidate)
     if clustered.any():
         Tb = block.conj().T @ system.A @ block
-        Q = _krylov_basis(Tb.conj().T if observe else Tb, block.conj().T @ drive,
-                          tol, cut=cut)[0]
+        krylov = lambda c: _krylov_basis(
+            Tb.conj().T if observe else Tb, block.conj().T @ drive, tol, cut=c)[0]
+        Q = krylov(tol.rank_tol * max(1.0, scale))
+        if scale < 1.0 and krylov(tol.rank_tol * scale).shape[1] != Q.shape[1]:
+            _reached(tol.rank_tol, scale, tol)  # the floor decided a deflation
         return np.hstack([rest, block @ Q]), block @ nullspace(Q.conj().T, tol)
-    if _norm2(block.conj().T @ drive) > cut:
+    if _reached(_norm2(block.conj().T @ drive), scale, tol):
         rest, block, hidden = Z, Z[:, :0], np.zeros(n, dtype=bool)
         for k in np.flatnonzero(candidate)[np.argsort(ratio[candidate], kind="stable")]:
             trial = hidden.copy()
             trial[k] = True
             r, b = moved(trial)
-            if _norm2(b.conj().T @ drive) <= cut:
+            if not _reached(_norm2(b.conj().T @ drive), scale, tol):
                 rest, block, hidden = r, b, trial
     return rest, block
 

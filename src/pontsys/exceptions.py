@@ -1,6 +1,7 @@
 """Exception types raised by the pontsys package."""
 
 import numpy as np
+from scipy.linalg.blas import dnrm2, dznrm2
 
 __all__ = [
     "PontsysError",
@@ -99,11 +100,14 @@ def _certify_scaled(name, value, bound, scale):
 def _norm2(M):
     """Spectral norm of M, its largest singular value, from the SVD that
     np.linalg.norm(M, 2) would take, without that wrapper; 0 when empty,
-    NaN when not finite (the SVD raises)."""
+    NaN when not finite (the SVD raises).  A single row or column takes
+    its Euclidean norm from BLAS nrm2, which scales against overflow."""
     if not M.size:
         return 0.0
     if not np.isfinite(M).all():
         return np.nan
+    if min(M.shape) == 1:
+        return float((dznrm2 if M.dtype.kind == "c" else dnrm2)(M.ravel()))
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg.lapack import zpotrf, ztrtri
 
 from .colligation import (
     Colligation,
@@ -41,7 +42,6 @@ from .indefinite import (
     SignatureSpace,
     SubspaceKind,
     _UNIT_ROUNDOFF,
-    canonical_basis,
     nullspace,
     subspace_classify,
 )
@@ -123,7 +123,7 @@ def _obstruction(first, second, observe, where, tol):
     secondary one right singular vectors of nullspace, so both are
     orthonormal; once their dimensions agree, the largest principal angle
     between them is arcsin |S - P P^H S|_2 for primary P and secondary S,
-    one product and one singular-value solve."""
+    one product and one spectral norm."""
     cas = cascade(first, second)
     spaces = _schur_spans(cas, (observe,), tol)[0][1], _sampled_hidden(cas, observe, tol)
     primary, secondary = spaces if observe else (cas.state.signs[:, None] * v for v in spaces)
@@ -249,55 +249,77 @@ def _fundamental_splits(system, tol):
     _split_spectrum, then the minus-invariant and the plus-invariant
     split, each by _fundamental_split."""
     outside = _split_spectrum(system, tol)
-    split_minus = _fundamental_split(system, outside, SplitKind.MINUS_INVARIANT, tol)
-    return (_fundamental_split(system, outside, SplitKind.PLUS_INVARIANT, tol),
+    split_minus = _fundamental_split(system, outside, SplitKind.MINUS_INVARIANT, tol)[0]
+    return (_fundamental_split(system, outside, SplitKind.PLUS_INVARIANT, tol)[0],
             split_minus)
 
 
 def _fundamental_split(system, outside, which, tol):
     """One fundamental split past _split_spectrum, whose outside mask it
-    takes, from one reordering Z of the system's Schur form.
+    takes, from one reordering A = Z T Z^H of the system's Schur form, and
+    the data a factorization reads: (split, (T, Z, k, F_i, F_c)).
 
-    The invariant half Z[:, :k] is a spectral subspace: the outside-disc
-    one for the minus-invariant split, the rest for the plus-invariant
-    split.  As Z is unitary its metric complement {x : Z[:, :k]^H J x = 0}
-    is J Z[:, k:], so no SVD is taken.  Each half is classified once and
-    certified of its sign; a degenerate invariant half raises
-    NonRegularSubspaceError, as j_complement does.  The invariance
-    residual is Euclidean, on the orthonormal basis: a metric projection
-    onto a half near neutrality would amplify roundoff, and invariance is
-    a property of the subspace alone.
+    The invariant half Z[:, :k] is the outside-disc spectral subspace, or
+    the rest of the spectrum's; its metric complement is J Z[:, k:], with
+    no SVD.  F_i and F_c, the Cholesky pairs of _half on the two halves,
+    certify their signs.  A degenerate invariant half raises
+    NonRegularSubspaceError, as j_complement does, before a half of the
+    wrong sign raises InternalConsistencyError.  The invariance residual is
+    Euclidean on the Schur vectors: a metric projection onto a half near
+    neutrality would amplify roundoff.
     """
     state = system.state
-    if state.dim == 0:
-        empty = IndefiniteSubspace(state, np.zeros((0, 0)))
-        return FundamentalSplit(which, empty, empty, 0.0)
     plus_invariant = which == SplitKind.PLUS_INVARIANT
-    Z, k = system._spectrum.reordered(~outside if plus_invariant else outside)
+    T, Z, k = system._spectrum.ordered(~outside if plus_invariant else outside)
     invariant = IndefiniteSubspace._orthonormal(state, Z[:, :k])
-    invariant_kind = subspace_classify(invariant, tol)
+    complement = IndefiniteSubspace._orthonormal(state, state.signs[:, None] * Z[:, k:])
+    invariant_kind, *F_i = _half(invariant, not plus_invariant, False, tol)
     if invariant_kind == SubspaceKind.DEGENERATE:
-        raise NonRegularSubspaceError(
-            "complement of a degenerate subspace is not direct")
-    complement = IndefiniteSubspace._orthonormal(
-        state, state.signs[:, None] * Z[:, k:])
-    plus, minus = ((invariant, complement) if plus_invariant
-                   else (complement, invariant))
-
-    def kind(half):
-        return invariant_kind if half is invariant else subspace_classify(half, tol)
-
-    if system.kappa and kind(minus) != SubspaceKind.ANTIHILBERT:
+        raise NonRegularSubspaceError("complement of a degenerate subspace is not direct")
+    complement_kind, *F_c = _half(complement, plus_invariant, True, tol)
+    halves = (invariant, invariant_kind), (complement, complement_kind)
+    (plus, plus_kind), (minus, minus_kind) = halves if plus_invariant else halves[::-1]
+    if system.kappa and minus_kind != SubspaceKind.ANTIHILBERT:
         raise InternalConsistencyError("negative half is not uniformly negative")
-    if plus.dim and kind(plus) != SubspaceKind.HILBERT:
+    if plus.dim and plus_kind != SubspaceKind.HILBERT:
         raise InternalConsistencyError("positive half is not positive")
-    resid = 0.0
-    if k:
-        A, Q = system.A, invariant.basis
-        resid = _certify_scaled(
-            "invariance residual", _norm2(A @ Q - Q @ (Q.conj().T @ (A @ Q))),
-            1e-9, lambda: max(1.0, _norm2(A)))
-    return FundamentalSplit(which, plus, minus, resid)
+    A, Q = system.A, invariant.basis
+    resid = _certify_scaled(
+        "invariance residual", _norm2(A @ Q - Q @ (Q.conj().T @ (A @ Q))),
+        1e-9, lambda: max(1.0, _norm2(A)))
+    return FundamentalSplit(which, plus, minus, resid), (T, Z, k, F_i, F_c)
+
+
+def _half(space, negative, upper, tol):
+    """(kind, F, F^-1) of one half of a split: F F^H = s G for the Gram G
+    of its basis Q, s = -1 on a negative half, so Q F^-H is metric
+    orthonormal.  F is lower, or with upper the reversed upper factor (the
+    lower one of s G with rows and columns reversed, reversed back).  It
+    certifies the sign with the margin of _clearly_definite, README rule
+    3: with c = psd_tol max(1, |G|_F), (k + 1) u tr(s G) <= c/4 and
+    lambda_min(F F^H) >= 2c give lambda_min(s G) >= 7/4 c.  A half that
+    misses it is classified by subspace_classify; the zero one is hilbert.
+    """
+    if space.dim == 0:
+        return SubspaceKind.HILBERT, space.basis[:0, :0], space.basis[:0, :0]
+    X = -space.gram if negative else space.gram
+    c = tol.psd_tol * max(1.0, float(np.linalg.norm(X)))
+    F, Finv, bound = _cholesky(X[::-1, ::-1] if upper else X)
+    if upper:
+        F, Finv = F[::-1, ::-1], Finv[::-1, ::-1]
+    if bound >= 2.0 * c and (space.dim + 1) * _UNIT_ROUNDOFF * np.trace(X).real <= c / 4:
+        return (SubspaceKind.ANTIHILBERT if negative else SubspaceKind.HILBERT), F, Finv
+    return subspace_classify(space, tol), F, Finv
+
+
+def _cholesky(X):
+    """(F, F^-1, b): the lower Cholesky factor F F^H = X of a Hermitian X,
+    its inverse and b = |F^-1|_F^-2 <= lambda_min(F F^H), 0 on failure."""
+    F, info = zpotrf(X, lower=1, clean=1)
+    Finv, info = (F, info) if info else ztrtri(F, lower=1)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(Finv))
+    return F, Finv, 1.0 / (norm * norm) if not info and norm > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -310,8 +332,10 @@ class SystemFactorization:
     the reciprocal of a finite Blaschke product.  In right mode the
     product theta_schur * theta_invb reproduces the input transfer
     function, in left mode theta_invb * theta_schur does.  state_map
-    carries the cascade state basis in the original coordinates;
-    unpacking yields (schur_factor, inverse_blaschke_factor).
+    carries the cascade state basis, on which both factors' main operators
+    are upper triangular; their transfer functions are fixed up to one
+    constant unitary on the channel between them.  Unpacking yields
+    (schur_factor, inverse_blaschke_factor).
     """
 
     schur_factor: Colligation
@@ -333,7 +357,9 @@ def _j_orthonormal_completion(known_gram_basis, J, expect):
     """Columns completing a negative frame to a J-orthonormal one.
 
     known_gram_basis has Gram -I in the metric J; the returned matrix N
-    satisfies N^H J N = I_expect and is J-orthogonal to the known part.
+    satisfies N^H J N = I_expect and is J-orthogonal to the known part: the
+    null space of known^H J times the inverse Cholesky factor of its Gram,
+    certified at least 1e-10 by _cholesky's bound or else by eigenvalue.
     """
     comp = nullspace(known_gram_basis.conj().T @ J)
     if comp.shape[1] != expect:
@@ -343,126 +369,86 @@ def _j_orthonormal_completion(known_gram_basis, J, expect):
         return comp
     G = comp.conj().T @ J @ comp
     G = (G + G.conj().T) / 2.0
-    w, U = np.linalg.eigh(G)
-    certify("metric completion Gram eigenvalue", -w[0], -1e-10)
-    return comp @ U @ np.diag(1.0 / np.sqrt(w))
+    _, Linv, bound = _cholesky(G)
+    if not bound >= 1e-10:
+        certify("metric completion Gram eigenvalue", -np.linalg.eigvalsh(G)[0], -1e-10)
+    return comp @ Linv.conj().T
 
 
-def _adapted_blocks(system, split, minus_first, tol):
-    """State change onto a fundamental split, negative or positive block
-    first: (V, A_ad, B_ad, C_ad, G) with G = V^H J V - diag(pattern), the
-    residual of the basis's metric-orthonormality.
+def _factorize_simple(system, halves, mode, tol):
+    """Schur and inverse Blaschke factors, the state map V and its
+    metric-orthonormality residual G = V^H J V - diag(pattern), on the
+    halves (T, Z, k, F_i, F_c) of the split _fundamental_split formed for
+    the mode: plus-invariant in right mode, minus-invariant in left.
 
-    The adapted basis inverse is Vinv = diag(pattern) V^H J, so
-    Vinv V - I = diag(pattern) G, G up to exact +-1 row signs: both have
-    the norms of G, which the adapted-basis certificate reads here and
-    the cascade's metric-orthonormality certificate reads again in
-    _certify_factorization, where the cascade's state pattern is the
-    adapted one and its state basis is V.
+    V = [J Z_2 F_c^-H, Z_1 F_i^-H], Z_1 = Z[:, :k], Z_2 = Z[:, k:].  As
+    A Z_1 = Z_1 T_11 and Z_2^H A = T_22 Z_2^H, V^-1 A V is lower block
+    triangular with diagonal blocks F_c^-1 T_22 F_c and F_i^H T_11 F_i^-H,
+    formed so, exactly upper triangular (README rule 4); the block X below
+    is a product.  V^-1 = diag(pattern) V^H J has V^-1 V - I =
+    diag(pattern) G.  The inverse Blaschke factor's negative half is the
+    complement in right mode, whose row stacks go into one array W.
     """
-    Wm, _ = canonical_basis(split.Xminus, tol)
-    Wp, _ = canonical_basis(split.Xplus, tol)
-    if minus_first:
-        V = np.hstack([Wm, Wp])
-        pattern = np.concatenate([-np.ones(Wm.shape[1]), np.ones(Wp.shape[1])])
-    else:
-        V = np.hstack([Wp, Wm])
-        pattern = np.concatenate([np.ones(Wp.shape[1]), -np.ones(Wm.shape[1])])
-    J_X = system.state.signs
+    T, Z, k, (Fi, Fi_inv), (Fc, Fc_inv) = halves
+    n, kappa, m, p = system.state_dim, system.kappa, system.input_dim, system.output_dim
+    J_X, j = system.state.signs, n - k
+    V = np.empty_like(Z)
+    V[:, :j] = (J_X[:, None] * Z[:, k:]) @ Fc_inv.conj().T
+    V[:, j:] = Z[:, :k] @ Fi_inv.conj().T
+    pattern = np.concatenate([np.ones(j), -np.ones(k)]) * (1.0 if mode == "left" else -1.0)
     gram = V.conj().T @ (J_X[:, None] * V) - np.diag(pattern)
     _certify_residual("adapted basis inverse residual", gram, 1e-8)
     Vinv = pattern[:, None] * (V.conj().T * J_X[None, :])
-    A_ad = Vinv @ system.A @ V
-    B_ad = Vinv @ system.B
-    C_ad = system.C @ V
-    return V, A_ad, B_ad, C_ad, gram
-
-
-def _factorize_simple(system, split, mode, tol):
-    """Schur and inverse Blaschke factors, the state map Z on split, the
-    plus-invariant split in right mode and the minus-invariant one in left
-    mode, and Z's metric-orthonormality residual (_adapted_blocks).
-
-    In right mode the row blocks that the factors read in stacked pairs
-    are written once into one array W, as system_operator writes its
-    operator; its row slices are the contiguous stacks that np.hstack
-    would build.  The factors hold slices and products of the adapted
-    blocks through Colligation._built.
-    """
-    kappa = system.kappa
-    n = system.state_dim
-    m, p = system.input_dim, system.output_dim
+    A_c = Fc_inv @ T[k:, k:] @ Fc
+    A_i = Fi.conj().T @ T[:k, :k] @ Fi_inv.conj().T
+    X = Vinv[j:] @ (system.A @ V[:, :j])
+    B_ad, C_ad = Vinv @ system.B, system.C @ V
     if mode == "right":
-        # adapted order [minus, plus]; the plus half is invariant, so the
-        # adapted main operator is lower block triangular.  The rows of
-        # W = [[A_ad[:, :kappa], B_ad], [C_ad[:, :kappa], D]] hold the
-        # negative block row R = [A_ff, B_f], then [A_sf, B_s] and [C_f, D]
-        V, A_ad, B_ad, C_ad, gram = _adapted_blocks(system, split, True, tol)
-        W = np.empty((n + p, kappa + m), dtype=complex)
-        W[:n, :kappa] = A_ad[:, :kappa]
-        W[:n, kappa:] = B_ad
-        W[n:, :kappa] = C_ad[:, :kappa]
-        W[n:, kappa:] = system.D
+        # the negative block row R = [A_c, B_f] leads W
+        W = np.block([[A_c, B_ad[:kappa]], [X, B_ad[kappa:]],
+                      [C_ad[:, :kappa], system.D]])
         Jp = np.diag(np.concatenate([-np.ones(kappa), np.ones(m)]))
         R = W[:kappa]
         _certify_residual("negative block row metric-isometry residual",
                           R @ Jp @ R.conj().T + np.eye(kappa), 1e-8)
         # rows completing R to a metric-unitary (kappa+m)-frame
         S = _j_orthonormal_completion(R.conj().T, Jp, m).conj().T
-        invb = Colligation._built(SignatureSpace(0, kappa), A_ad[:kappa, :kappa],
+        invb = Colligation._built(SignatureSpace(0, kappa), A_c,
                                   B_ad[:kappa], S[:, :kappa], S[:, kappa:])
-        B2 = W[kappa:n] @ Jp @ S.conj().T
-        D2 = W[n:] @ Jp @ S.conj().T
-        schur = Colligation._built(SignatureSpace(n - kappa, 0), A_ad[kappa:, kappa:],
-                                   B2, C_ad[:, kappa:], D2)
+        schur = Colligation._built(SignatureSpace(n - kappa, 0), A_i,
+                                   W[kappa:n] @ Jp @ S.conj().T, C_ad[:, kappa:],
+                                   W[n:] @ Jp @ S.conj().T)
     else:
-        # adapted order [plus, minus]; the minus half is invariant.  Its
-        # stacks are column blocks, which one array would hand to the
-        # products as strided slices, so each is stacked on its own
-        V, A_ad, B_ad, C_ad, gram = _adapted_blocks(system, split, False, tol)
-        r = n - kappa
-        A_sf, A_ss = A_ad[r:, :r], A_ad[r:, r:]
-        C_f, C_s = C_ad[:, :r], C_ad[:, r:]
+        C_f, C_s = C_ad[:, :j], C_ad[:, j:]
         Jpp = np.diag(np.concatenate([-np.ones(kappa), np.ones(p)]))
-        Ck = np.vstack([A_ss, C_s])
+        Ck = np.vstack([A_i, C_s])
         _certify_residual("negative block column metric-isometry residual",
                           Ck.conj().T @ Jpp @ Ck + np.eye(kappa), 1e-8)
         Cn = _j_orthonormal_completion(Ck, Jpp, p)
-        invb = Colligation._built(SignatureSpace(0, kappa), A_ss, Cn[:kappa, :], C_s,
+        invb = Colligation._built(SignatureSpace(0, kappa), A_i, Cn[:kappa, :], C_s,
                                   Cn[kappa:, :])
-        C1 = Cn.conj().T @ Jpp @ np.vstack([A_sf, C_f])
-        D1 = Cn.conj().T @ Jpp @ np.vstack([B_ad[r:], system.D])
-        schur = Colligation._built(SignatureSpace(r, 0), A_ad[:r, :r], B_ad[:r], C1, D1)
+        C1 = Cn.conj().T @ Jpp @ np.vstack([X, C_f])
+        D1 = Cn.conj().T @ Jpp @ np.vstack([B_ad[j:], system.D])
+        schur = Colligation._built(SignatureSpace(j, 0), A_c, B_ad[:j], C1, D1)
     return schur, invb, V, gram
 
 
 def _antihilbert_conservative_minimal(system, tol):
     """Whether a system on a purely negative state, which system_kind
-    certified conservative, is controllable and observable.
+    certified conservative, is controllable and observable (README rule 6).
 
-    With J = -I on the state, conservativity reads A^H A = I + C^H C and
-    A A^H = I + B B^H in the state blocks of the two metric defects.  A
-    unit vector x then has |Cx|^2 = |Ax|^2 - 1, and a unit y has
-    |B^H y|^2 = |A^H y|^2 - 1.  On an A-invariant subspace that C
-    annihilates, A is therefore isometric, and each of its eigenvalues,
-    eigenvalues of A, lies on the circle; dually for an A^H-invariant
-    subspace that B^H annihilates.  So the system is minimal exactly when
-    no eigenvalue of A lies on the circle.
-
-    The margin.  The conservative verdict bounds each defect, and so its
-    state block, by d = metric_tol max(1, |T|_F^2) for the system operator
-    T, the largest bound system_kind's scale reaches
-    (indefinite._frobenius_scale_bound).  The Hautus test of
-    krylov_report hides a subspace only where its drive, |C x| (|B^H y|),
-    stays at or below a cut no larger than c = rank_tol max(1, |A|_F,
-    |B|_F, |C|_F).  On such a subspace |Ax|^2 - 1 lies within d + c^2 of
-    zero for every unit x, and so does |lam|^2 - 1 for each eigenvalue lam
-    of A on it: an eigenvalue's modulus lies between the least and the
-    largest singular value of the restriction.  Hence when every
-    eigenvalue has |lam|^2 - 1 > d + c^2, no subspace is hidden at the
-    cut, and the system is minimal as the Hautus test would find.  The
-    eigenvalues are read off the system's Schur form, the one that test
-    reads.  Inside the margin, krylov_report decides.
+    With J = -I, conservativity gives |Cx|^2 = |Ax|^2 - 1 for unit x and
+    |B^H y|^2 = |A^H y|^2 - 1 for unit y, so A is isometric on an invariant
+    subspace that C annihilates, dually for A^H and B^H: the system is
+    minimal exactly when no eigenvalue of A lies on the circle.  Within
+    the conservative bound d = metric_tol max(1, |T|_F^2) of system_kind,
+    T the system operator, and the Hautus cut c = rank_tol max(1, |A|_F,
+    |B|_F, |C|_F), each eigenvalue of a hidden subspace has |lam|^2 - 1
+    within d + c^2 of zero, so eigenvalues all beyond that margin prove
+    minimality with no Krylov report; inside it krylov_report decides.
+    The eigenvalues are read off the system's Schur form; the factor of
+    _factorize_simple has an upper triangular main operator, its own Schur
+    form, so they are its diagonal and no decomposition is taken.
     """
     norms = [float(np.linalg.norm(M)) for M in (system.A, system.B, system.C, system.D)]
     cut = tol.rank_tol * max(1.0, *norms[:3])
@@ -479,15 +465,11 @@ def _certify_factorization(system, schur, invb, Z, gram, mode, tol):
     reconstruction residual: the cascade of the factors against the system
     through the state map Z, Z's metric-orthonormality (gram), the inverse
     factor's signature (0, kappa), its conservativity by system_kind and
-    its minimality by _antihilbert_conservative_minimal, which reads it
-    off the factor's eigenvalues with no Krylov report outside a stated
-    margin, and the Schur factor's positive state and kind.
-
-    The cascade holds Z^-1 A Z and its kin, |Z^-1|_2 = |Z|_2 for a
-    metric-orthonormal Z, and each product behind a residual block rounds
-    by about n u |Z|_2 times its factors, n states and u the unit
-    roundoff.  A failing residual within 4 n u |Z|_2^3 max(1, |A|_2, |B|_2,
-    |C|_2, |D|_2) is rounding, not a wrong factor: PreconditionError."""
+    its minimality by _antihilbert_conservative_minimal, and the Schur
+    factor's positive state and kind.  A failing residual within the
+    rounding scale 4 n u |Z|_2^3 max(1, |A|_2, |B|_2, |C|_2, |D|_2) of a
+    metric-orthonormal Z is refused as PreconditionError (README rule 4).
+    """
     kappa = system.kappa
     cas = cascade(invb, schur) if mode == "right" else cascade(schur, invb)
     # np.max, unlike max, carries a NaN residual through to the certificate
@@ -546,15 +528,11 @@ def kl_factorize_system(system, mode="right", tol=DEFAULT_TOL):
 
     Every qualifying system factors on the one fundamental split its mode
     reads, plus-invariant in right mode and minus-invariant in left mode,
-    simple or not; _split_spectrum refuses the spectrum as both splits
-    would, and only the split read is formed and certified.  For an
+    simple or not, from the system's one Schur form.  For an
     index-preserving conservative system the orthocomplement of the simple
-    space is a Hilbert subspace that reduces A, and B^H and C vanish on
-    it, so A is unitary there: its eigenvalues lie on the circle and their
-    spectral subspace is positive.  _positive_band admits them, both
-    splits put them in the plus half, and the inverse Blaschke factor,
-    built on the minus half, never sees them; they stay in the Schur
-    factor.
+    space reduces A to a unitary on a Hilbert subspace: _positive_band
+    admits its eigenvalues, on the circle, and they stay in the plus half
+    and in the Schur factor.
     """
     if mode not in ("right", "left"):
         raise InputError(f"mode must be 'right' or 'left', got {mode!r}")
@@ -569,8 +547,8 @@ def kl_factorize_system(system, mode="right", tol=DEFAULT_TOL):
     # the checks above imply the split preconditions: the kind is passive
     # and the report index-preserving
     which = SplitKind.PLUS_INVARIANT if mode == "right" else SplitKind.MINUS_INVARIANT
-    split = _fundamental_split(system, _split_spectrum(system, tol), which, tol)
-    schur, invb, Z, gram = _factorize_simple(system, split, mode, tol)
+    halves = _fundamental_split(system, _split_spectrum(system, tol), which, tol)[1]
+    schur, invb, Z, gram = _factorize_simple(system, halves, mode, tol)
     resid = _certify_factorization(system, schur, invb, Z, gram, mode, tol)
     return SystemFactorization(schur, invb, mode, Z, resid)
 

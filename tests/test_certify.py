@@ -21,6 +21,7 @@ from pontsys.exceptions import (
     InternalConsistencyError,
     _certify_residual,
     _certify_scaled,
+    _norm2,
     certify,
 )
 from pontsys.indefinite import DEFAULT_TOL, SignatureSpace
@@ -99,6 +100,33 @@ class TestLazyCertificates:
         with pytest.raises(InternalConsistencyError) as info:
             _certify_residual("residual", np.diag([2e-8, 1e-9]), 1e-8, lambda: 1.5)
         assert str(info.value) == "residual: 2.000e-08 exceeds the bound 1.500e-08"
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1), (1, 40), (40, 1)])
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+    def test_one_row_or_column_takes_no_svd(self, monkeypatch, shape, scale):
+        # the Euclidean norm is the one singular value, within a few ulps of
+        # the SVD's, with no square overflowing or underflowing
+        rng = np.random.default_rng([shape[0], shape[1], 3])
+        cases = [scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                 for _ in range(20)]
+        cases.append(scale * rng.standard_normal(shape))
+        want = [np.linalg.norm(M, 2) for M in cases]
+        svd = spy_attr(monkeypatch, np.linalg, "svd")
+        for M, w in zip(cases, want):
+            assert abs(_norm2(M) - w) <= 8 * np.finfo(float).eps * w
+        assert _norm2(np.zeros(shape)) == 0.0
+        assert svd == []
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_norm_is_zero(self, shape):
+        assert _norm2(np.zeros(shape)) == 0.0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (3, 3)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_norm_is_nan(self, shape, bad):
+        M = np.ones(shape, dtype=complex)
+        M[-1, -1] = bad
+        assert np.isnan(_norm2(M))
 
     def test_nan_residual_fails_its_certificate(self):
         # the SVD behind a spectral norm raises LinAlgError on NaN entries

@@ -956,26 +956,70 @@ class TestBacksubOracle:
                 (span, _), = self.assert_matches(splits, near, (False,))
                 assert span.shape[1] == n
 
-    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    @pytest.mark.parametrize("scale", [1e150, 1e-50, 1e-150])
     @pytest.mark.parametrize("kind", ["passive", "conservative"])
     @pytest.mark.parametrize("n", [8, 24, 40])
     def test_scaled_plants(self, splits, monkeypatch, scale, kind, n):
         # zgeev would scale these forms itself; the eigenvector call gets T
-        # scaled into range by a power of two, and the decisions are the
-        # back-substitution's on the same plant.  At 1e150 they are also
-        # those of the unscaled plant; at 1e-150 the floor max(1, .) of the
-        # gap makes every eigenvalue clustered, as it did before
+        # scaled into range by a power of two.  At 1e150 the decisions are
+        # the back-substitution's on the same plant and those of the
+        # unscaled plant.  At 1e-50 and 1e-150 the floor max(1, .) of the
+        # cut, not the plant, would decide every drive: refused, naming the
+        # plant's scale
         calls = spy(monkeypatch, colligation.zgeev)
         for plant in TestSchurSpans.plants(kind, n):
             scaled = Colligation(plant.state, plant.input_dim, plant.output_dim,
                                  scale * plant.A, scale * plant.B, scale * plant.C, plant.D)
             del calls[:]
-            got = self.assert_matches(splits, scaled)
+            if scale < 1:
+                with pytest.raises(PreconditionError,
+                                   match=r"^system scale \S+ lies below 1, .* decides a drive"):
+                    colligation._schur_spans(scaled, (False, True), DEFAULT_TOL)
+            else:
+                got = self.assert_matches(splits, scaled)
             top = np.max(np.abs(calls[0][0]))
             assert 2.0 ** -400 <= top <= 2.0 ** 400
             if scale > 1:
                 want = colligation._schur_spans(plant, (False, True), DEFAULT_TOL)
                 assert [s.shape for s, _ in got] == [s.shape for s, _ in want]
+
+
+class TestScaleFloor:
+    """The cuts of _schur_spans are floored at rank_tol max(1, |A|_F, |B|_F);
+    below scale 1 a drive that the floor alone would hide is refused."""
+
+    @staticmethod
+    def plant(t):
+        # minimal, six states, |A|_F = 0.46 and |B|_F = 0.21 at t = 1
+        p = random_passive_colligation(np.random.default_rng(6), SignatureSpace(6, 0),
+                                       1, 1, strict=0.2)
+        return Colligation(p.state, 1, 1, t * p.A, t * p.B, t * p.C, p.D)
+
+    @pytest.mark.parametrize("t", [1.0, 1e-3, 1e-5, 1e150])
+    def test_reads_the_whole_state(self, t):
+        spans = colligation._schur_spans(self.plant(t), (False, True), DEFAULT_TOL)
+        assert [span.shape[1] for span, _ in spans] == [6, 6]
+
+    @pytest.mark.parametrize("t", [1e-50, 1e-150])
+    def test_refuses_a_drive_the_floor_decides(self, t):
+        scale = float(np.linalg.norm(self.plant(t).A))
+        for observe in (False, True):
+            with pytest.raises(PreconditionError,
+                               match=f"^system scale {scale:.3e} lies below 1"):
+                colligation._schur_spans(self.plant(t), (observe,), DEFAULT_TOL)
+        with pytest.raises(PreconditionError, match="decides a drive"):
+            colligation.classify(self.plant(t))
+
+    def test_exactly_hidden_modes_stay_hidden(self):
+        # a zero drive is hidden at every cut, so a small plant whose
+        # only hidden modes are exact reads as the unscaled one
+        p = self.plant(1e-3)
+        hidden = Colligation(SignatureSpace(8, 0), 1, 1,
+                             scipy.linalg.block_diag(p.A, 0.4e-3 * np.eye(2)),
+                             np.vstack([p.B, np.zeros((2, 1))]),
+                             np.hstack([p.C, np.zeros((1, 2))]), p.D)
+        spans = colligation._schur_spans(hidden, (False, True), DEFAULT_TOL)
+        assert [span.shape[1] for span, _ in spans] == [6, 6]
 
 
 def _jordan_plants(k):

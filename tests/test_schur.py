@@ -58,6 +58,7 @@ from pontsys.schur import (
     negative_squares_estimate,
     sharp,
 )
+from test_acceptance import _mixed_family
 
 
 class TestTransferFunction:
@@ -766,14 +767,21 @@ class TestKLFactorizeFunction:
             assert np.max(smallest) <= 1e-10
 
     def test_answers_where_the_product_representation_refuses(self):
-        # the left cascade reconstruction of kl_factorize_system grows with
-        # the norm of its state map, |Z|_2 = 465, past its fixed bound on
-        # this system, within the rounding scale of Z: refused as such
-        system = random_conservative_colligation(
-            np.random.default_rng([8, 40, 8]), SignatureSpace(32, 8), 1)
+        # entry 14 of criterion 03's family: the right cascade
+        # reconstruction of kl_factorize_system grows with the norm of its
+        # state map, |Z|_2 = 256, past its fixed bound, within the rounding
+        # scale of Z: refused as such
+        system = _mixed_family()[14][0]
         with pytest.raises(PreconditionError,
                            match="cascade reconstruction residual .* state map Z"):
-            kl_factorize_system(system, "left")
+            kl_factorize_system(system, "right")
+        res = kl_factorize_function(system)
+        assert res.kappa == 3
+        assert res.right_residual <= 1e-7 and res.left_residual <= 1e-7
+        # a left split with |Z|_2 = 465, whose reconstruction residual lies
+        # within the rounding scale of Z either side of the bound
+        system = random_conservative_colligation(
+            np.random.default_rng([8, 40, 8]), SignatureSpace(32, 8), 1)
         res = kl_factorize_function(system)
         assert res.kappa == 8
         assert res.right_residual <= 1e-7 and res.left_residual <= 1e-7
