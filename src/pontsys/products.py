@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import zpotrf, ztrtri
 
 from .colligation import (
@@ -42,7 +43,6 @@ from .indefinite import (
     SignatureSpace,
     SubspaceKind,
     _UNIT_ROUNDOFF,
-    nullspace,
     subspace_classify,
 )
 
@@ -333,9 +333,11 @@ class SystemFactorization:
     product theta_schur * theta_invb reproduces the input transfer
     function, in left mode theta_invb * theta_schur does.  state_map
     carries the cascade state basis, on which both factors' main operators
-    are upper triangular; their transfer functions are fixed up to one
-    constant unitary on the channel between them.  Unpacking yields
-    (schur_factor, inverse_blaschke_factor).
+    are upper triangular.  The inverse factor's value at 0 is triangular
+    with a positive diagonal, upper in right mode and lower in left mode,
+    which fixes both transfer functions: they do not depend on the state
+    basis of the input.  Unpacking yields (schur_factor,
+    inverse_blaschke_factor).
     """
 
     schur_factor: Colligation
@@ -353,31 +355,32 @@ def _block_norm(system):
         _norm2(M) for M in (system.A, system.B, system.C, system.D)))
 
 
-def _j_orthonormal_completion(known_gram_basis, J, expect):
-    """Columns completing a negative frame to a J-orthonormal one.
+def _schur_complement(A, B_n, X, B_p, C_n, D, lower):
+    """The rows completing the negative block row R = [A, B_n] of a
+    metric-unitary colligation in closed form, and the Schur complement
+    they leave: (C_i, D_i, B_s, D_s).
 
-    known_gram_basis has Gram -I in the metric J; the returned matrix N
-    satisfies N^H J N = I_expect and is J-orthogonal to the known part: the
-    null space of known^H J times the inverse Cholesky factor of its Gram,
-    certified at least 1e-10 by _cholesky's bound or else by eigenvalue.
+    R diag(-I, I) R^H = -I, certified here, is A A^H = I + B_n B_n^H, so
+    sigma_min(A) >= 1 and G = A^-1 B_n is one triangular solve on A, upper
+    triangular or, with lower, lower triangular.  The rows S = L^H [G^H, I], with the lower
+    Cholesky factor L L^H = I + B_n^H B_n = (I - G^H G)^-1, are metric
+    orthonormal and metric orthogonal to R; their feedthrough block L^H is
+    upper triangular with a positive diagonal, which fixes them.  The rows
+    below R, [X, B_p] and [C_n, D], times diag(-I, I) S^H give
+    B_s = (B_p - X G) L and D_s = (D - C_n G) L.
     """
-    comp = nullspace(known_gram_basis.conj().T @ J)
-    if comp.shape[1] != expect:
-        raise InternalConsistencyError(
-            "metric completion has the wrong dimension")
-    if expect == 0:
-        return comp
-    G = comp.conj().T @ J @ comp
-    G = (G + G.conj().T) / 2.0
-    _, Linv, bound = _cholesky(G)
-    if not bound >= 1e-10:
-        certify("metric completion Gram eigenvalue", -np.linalg.eigvalsh(G)[0], -1e-10)
-    return comp @ Linv.conj().T
+    k = A.shape[0]
+    _certify_residual(
+        f"negative block {'column' if lower else 'row'} metric-isometry residual",
+        B_n @ B_n.conj().T - A @ A.conj().T + np.eye(k), 1e-8)
+    G = solve_triangular(A, B_n, lower=lower, check_finite=False)
+    L = zpotrf(np.eye(B_n.shape[1]) + B_n.conj().T @ B_n, lower=1, clean=1)[0]
+    Lh = L.conj().T
+    return Lh @ G.conj().T, Lh, (B_p - X @ G) @ L, (D - C_n @ G) @ L
 
 
 def _factorize_simple(system, halves, mode, tol):
-    """Schur and inverse Blaschke factors, the state map V and its
-    metric-orthonormality residual G = V^H J V - diag(pattern), on the
+    """Schur and inverse Blaschke factors and the state map V, on the
     halves (T, Z, k, F_i, F_c) of the split _fundamental_split formed for
     the mode: plus-invariant in right mode, minus-invariant in left.
 
@@ -386,51 +389,40 @@ def _factorize_simple(system, halves, mode, tol):
     triangular with diagonal blocks F_c^-1 T_22 F_c and F_i^H T_11 F_i^-H,
     formed so, exactly upper triangular (README rule 4); the block X below
     is a product.  V^-1 = diag(pattern) V^H J has V^-1 V - I =
-    diag(pattern) G.  The inverse Blaschke factor's negative half is the
-    complement in right mode, whose row stacks go into one array W.
+    diag(pattern) (V^H J V - diag(pattern)), the one Gram residual of V,
+    certified here; the cascade's state pattern is the adapted one, so it
+    also makes V metric orthonormal for _certify_factorization.  The
+    inverse Blaschke factor's negative half is the complement in right
+    mode, whose block row _schur_complement completes; in left mode it
+    completes the conjugate transpose of the invariant half's block
+    column, so the inverse factor's feedthrough is lower triangular.
     """
     T, Z, k, (Fi, Fi_inv), (Fc, Fc_inv) = halves
-    n, kappa, m, p = system.state_dim, system.kappa, system.input_dim, system.output_dim
+    n, kappa = system.state_dim, system.kappa
     J_X, j = system.state.signs, n - k
     V = np.empty_like(Z)
     V[:, :j] = (J_X[:, None] * Z[:, k:]) @ Fc_inv.conj().T
     V[:, j:] = Z[:, :k] @ Fi_inv.conj().T
     pattern = np.concatenate([np.ones(j), -np.ones(k)]) * (1.0 if mode == "left" else -1.0)
-    gram = V.conj().T @ (J_X[:, None] * V) - np.diag(pattern)
-    _certify_residual("adapted basis inverse residual", gram, 1e-8)
+    _certify_residual("adapted basis inverse residual",
+                      V.conj().T @ (J_X[:, None] * V) - np.diag(pattern), 1e-8)
     Vinv = pattern[:, None] * (V.conj().T * J_X[None, :])
     A_c = Fc_inv @ T[k:, k:] @ Fc
     A_i = Fi.conj().T @ T[:k, :k] @ Fi_inv.conj().T
     X = Vinv[j:] @ (system.A @ V[:, :j])
     B_ad, C_ad = Vinv @ system.B, system.C @ V
     if mode == "right":
-        # the negative block row R = [A_c, B_f] leads W
-        W = np.block([[A_c, B_ad[:kappa]], [X, B_ad[kappa:]],
-                      [C_ad[:, :kappa], system.D]])
-        Jp = np.diag(np.concatenate([-np.ones(kappa), np.ones(m)]))
-        R = W[:kappa]
-        _certify_residual("negative block row metric-isometry residual",
-                          R @ Jp @ R.conj().T + np.eye(kappa), 1e-8)
-        # rows completing R to a metric-unitary (kappa+m)-frame
-        S = _j_orthonormal_completion(R.conj().T, Jp, m).conj().T
-        invb = Colligation._built(SignatureSpace(0, kappa), A_c,
-                                  B_ad[:kappa], S[:, :kappa], S[:, kappa:])
-        schur = Colligation._built(SignatureSpace(n - kappa, 0), A_i,
-                                   W[kappa:n] @ Jp @ S.conj().T, C_ad[:, kappa:],
-                                   W[n:] @ Jp @ S.conj().T)
+        C_i, D_i, B_s, D_s = _schur_complement(
+            A_c, B_ad[:j], X, B_ad[j:], C_ad[:, :j], system.D, False)
+        invb = Colligation._built(SignatureSpace(0, kappa), A_c, B_ad[:j], C_i, D_i)
+        schur = Colligation._built(SignatureSpace(k, 0), A_i, B_s, C_ad[:, j:], D_s)
     else:
-        C_f, C_s = C_ad[:, :j], C_ad[:, j:]
-        Jpp = np.diag(np.concatenate([-np.ones(kappa), np.ones(p)]))
-        Ck = np.vstack([A_i, C_s])
-        _certify_residual("negative block column metric-isometry residual",
-                          Ck.conj().T @ Jpp @ Ck + np.eye(kappa), 1e-8)
-        Cn = _j_orthonormal_completion(Ck, Jpp, p)
-        invb = Colligation._built(SignatureSpace(0, kappa), A_i, Cn[:kappa, :], C_s,
-                                  Cn[kappa:, :])
-        C1 = Cn.conj().T @ Jpp @ np.vstack([X, C_f])
-        D1 = Cn.conj().T @ Jpp @ np.vstack([B_ad[j:], system.D])
-        schur = Colligation._built(SignatureSpace(j, 0), A_c, B_ad[:j], C1, D1)
-    return schur, invb, V, gram
+        B_i, D_i, C_s, D_s = (M.conj().T for M in _schur_complement(
+            A_i.conj().T, C_ad[:, j:].conj().T, X.conj().T, C_ad[:, :j].conj().T,
+            B_ad[j:].conj().T, system.D.conj().T, True))
+        invb = Colligation._built(SignatureSpace(0, kappa), A_i, B_i, C_ad[:, j:], D_i)
+        schur = Colligation._built(SignatureSpace(j, 0), A_c, B_ad[:j], C_s, D_s)
+    return schur, invb, V
 
 
 def _antihilbert_conservative_minimal(system, tol):
@@ -460,13 +452,14 @@ def _antihilbert_conservative_minimal(system, tol):
     return rep.controllable and rep.observable
 
 
-def _certify_factorization(system, schur, invb, Z, gram, mode, tol):
+def _certify_factorization(system, schur, invb, Z, mode, tol):
     """The certificates of a factorization from _factorize_simple, and its
     reconstruction residual: the cascade of the factors against the system
-    through the state map Z, Z's metric-orthonormality (gram), the inverse
-    factor's signature (0, kappa), its conservativity by system_kind and
-    its minimality by _antihilbert_conservative_minimal, and the Schur
-    factor's positive state and kind.  A failing residual within the
+    through the state map Z, whose metric-orthonormality _factorize_simple
+    certified, the inverse factor's signature (0, kappa), its
+    conservativity by system_kind and its minimality by
+    _antihilbert_conservative_minimal, and the Schur factor's positive
+    state and kind.  A failing residual within the
     rounding scale 4 n u |Z|_2^3 max(1, |A|_2, |B|_2, |C|_2, |D|_2) of a
     metric-orthonormal Z is refused as PreconditionError (README rule 4).
     """
@@ -491,10 +484,6 @@ def _certify_factorization(system, schur, invb, Z, gram, mode, tol):
                 "certify the factors")
     _certify_scaled("cascade reconstruction residual", resid, 1e-8,
                     lambda: _block_norm(system))
-    # Z^H J Z - diag(cascade signs) is gram: Z = V and the cascade's state
-    # pattern is the adapted one
-    _certify_residual("cascade state basis metric-orthonormality residual",
-                      gram, 1e-8)
     if (invb.state.pos, invb.state.neg) != (0, kappa):
         raise InternalConsistencyError(
             "negative factor state has the wrong signature")
@@ -548,8 +537,8 @@ def kl_factorize_system(system, mode="right", tol=DEFAULT_TOL):
     # and the report index-preserving
     which = SplitKind.PLUS_INVARIANT if mode == "right" else SplitKind.MINUS_INVARIANT
     halves = _fundamental_split(system, _split_spectrum(system, tol), which, tol)[1]
-    schur, invb, Z, gram = _factorize_simple(system, halves, mode, tol)
-    resid = _certify_factorization(system, schur, invb, Z, gram, mode, tol)
+    schur, invb, Z = _factorize_simple(system, halves, mode, tol)
+    resid = _certify_factorization(system, schur, invb, Z, mode, tol)
     return SystemFactorization(schur, invb, mode, Z, resid)
 
 

@@ -205,9 +205,9 @@ class TestLazyScaleSites:
 
 
 def _scaled_completion(monkeypatch):
-    real = products._j_orthonormal_completion
-    monkeypatch.setattr(products, "_j_orthonormal_completion",
-                        lambda *args: real(*args) * (1.0 + 1e-6))
+    real = products._schur_complement
+    monkeypatch.setattr(products, "_schur_complement",
+                        lambda *args: tuple(M * (1.0 + 1e-6) for M in real(*args)))
 
 
 class TestLayersRefuse:
