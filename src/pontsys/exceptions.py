@@ -111,16 +111,26 @@ def _norm2(M):
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
-def _certify_residual(name, R, bound, scale=lambda: 1.0):
-    """_certify_scaled(name, ||R||_2, bound, scale) for a residual matrix R
-    whose value no caller reads.
+def _residual_norm(R, bound):
+    """The value that certifies a residual matrix R against bound: an upper
+    bound on ||R||_2, and ||R||_2 itself wherever ||R||_F cannot decide.
 
-    ||R||_F >= ||R||_2, so a Frobenius norm within bound * (1 - 1e-14)
-    passes without an SVD; the deflation, about 45 ulps, covers the
-    rounding of either norm where the two coincide (rank one).  Above it
-    the spectral norm is certified, so a failing certificate reports the
-    same value as one that always took the SVD.
+    ||R||_F >= ||R||_2, so where _norm2 would take an SVD, a Frobenius norm
+    within bound * (1 - 1e-14) is returned without one; the deflation,
+    about 45 ulps, covers the rounding of either norm where the two
+    coincide (rank one).  Above it, and for an empty R or a single row or
+    column, _norm2(R) is returned, so a value above bound, and every
+    failing certificate, is the one that always taking _norm2 gives.
     """
-    if np.linalg.norm(R) <= bound * (1.0 - 1e-14):
-        return
-    _certify_scaled(name, _norm2(R), bound, scale)
+    if min(R.shape) > 1:
+        fro = float(np.linalg.norm(R))
+        if fro <= bound * (1.0 - 1e-14):
+            return fro
+    return _norm2(R)
+
+
+def _certify_residual(name, R, bound, scale=lambda: 1.0):
+    """_certify_scaled(name, _residual_norm(R, bound), bound, scale): the
+    certified value, the Frobenius norm where that passes and the spectral
+    norm otherwise."""
+    return _certify_scaled(name, _residual_norm(R, bound), bound, scale)

@@ -35,6 +35,7 @@ from .exceptions import (
     _certify_residual,
     _certify_scaled,
     _norm2,
+    _residual_norm,
     certify,
 )
 from .indefinite import (
@@ -76,10 +77,16 @@ def cascade(first, second):
         raise DimensionMismatchError(
             f"output dimension {first.output_dim} does not feed input "
             f"dimension {second.input_dim}")
-    n1 = first.state_dim
-    n = n1 + second.state_dim
     state = SignatureSpace.from_signs(
         np.concatenate([first.state.signs, second.state.signs]))
+    return Colligation._built(state, *_cascade_blocks(first, second))
+
+
+def _cascade_blocks(first, second):
+    """The blocks (A, B, C, D) of cascade(first, second), each a fresh
+    contiguous complex array, for systems whose channels line up."""
+    n1 = first.state_dim
+    n = n1 + second.state_dim
     A = np.empty((n, n), dtype=complex)
     A[:n1, :n1] = first.A
     A[:n1, n1:] = 0.0
@@ -91,7 +98,7 @@ def cascade(first, second):
     C = np.empty((second.output_dim, n), dtype=complex)
     C[:, :n1] = second.D @ first.C
     C[:, n1:] = second.C
-    return Colligation._built(state, A, B, C, second.D @ first.D)
+    return A, B, C, second.D @ first.D
 
 
 @dataclass(frozen=True)
@@ -174,7 +181,10 @@ class FundamentalSplit:
 
     Xplus is a hilbert subspace, Xminus an antihilbert one, mutually
     metric-orthogonal with dimensions summing to the state dimension.
-    ``which`` names the invariant half.
+    ``which`` names the invariant half.  invariance_residual is the
+    _residual_norm of the invariance residual at its bound 1e-9: an upper
+    bound on its spectral norm, its Frobenius norm when that is within the
+    bound and its spectral norm otherwise (README rule 4).
     """
 
     which: SplitKind
@@ -284,8 +294,8 @@ def _fundamental_split(system, outside, which, tol):
     if plus.dim and plus_kind != SubspaceKind.HILBERT:
         raise InternalConsistencyError("positive half is not positive")
     A, Q = system.A, invariant.basis
-    resid = _certify_scaled(
-        "invariance residual", _norm2(A @ Q - Q @ (Q.conj().T @ (A @ Q))),
+    resid = _certify_residual(
+        "invariance residual", A @ Q - Q @ (Q.conj().T @ (A @ Q)),
         1e-9, lambda: max(1.0, _norm2(A)))
     return FundamentalSplit(which, plus, minus, resid), (T, Z, k, F_i, F_c)
 
@@ -336,8 +346,11 @@ class SystemFactorization:
     are upper triangular.  The inverse factor's value at 0 is triangular
     with a positive diagonal, upper in right mode and lower in left mode,
     which fixes both transfer functions: they do not depend on the state
-    basis of the input.  Unpacking yields (schur_factor,
-    inverse_blaschke_factor).
+    basis of the input.  reconstruction_residual is the largest
+    _residual_norm of the four cascade blocks at the bound 1e-8, an upper
+    bound on their largest spectral norm that is that norm whenever a
+    Frobenius norm misses the bound (README rule 4).  Unpacking yields
+    (schur_factor, inverse_blaschke_factor).
     """
 
     schur_factor: Colligation
@@ -459,19 +472,19 @@ def _certify_factorization(system, schur, invb, Z, mode, tol):
     certified, the inverse factor's signature (0, kappa), its
     conservativity by system_kind and its minimality by
     _antihilbert_conservative_minimal, and the Schur factor's positive
-    state and kind.  A failing residual within the
+    state and kind.  The cascade's blocks come from _cascade_blocks, with
+    no Colligation built.  The residual is the largest _residual_norm of
+    the four blocks at the bound 1e-8; above that bound it is the largest
+    spectral norm, as every block within it has a spectral norm below
+    1e-8.  A failing residual within the
     rounding scale 4 n u |Z|_2^3 max(1, |A|_2, |B|_2, |C|_2, |D|_2) of a
     metric-orthonormal Z is refused as PreconditionError (README rule 4).
     """
     kappa = system.kappa
-    cas = cascade(invb, schur) if mode == "right" else cascade(schur, invb)
+    A, B, C, D = _cascade_blocks(*((invb, schur) if mode == "right" else (schur, invb)))
     # np.max, unlike max, carries a NaN residual through to the certificate
-    resid = float(np.max([
-        _norm2(system.A @ Z - Z @ cas.A),
-        _norm2(system.B - Z @ cas.B),
-        _norm2(system.C @ Z - cas.C),
-        _norm2(system.D - cas.D),
-    ]))
+    resid = float(np.max([_residual_norm(R, 1e-8) for R in (
+        system.A @ Z - Z @ A, system.B - Z @ B, system.C @ Z - C, system.D - D)]))
     scale = _block_norm(system) if resid > 1e-8 else 1.0
     if resid > 1e-8 * scale:
         growth = _norm2(Z)

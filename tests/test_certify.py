@@ -12,21 +12,27 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from _builders import blaschke_system, spy_attr
 from pontsys import cli, colligation, julia, products, schur
 from pontsys.cli import main, save_system
-from pontsys.colligation import markov, state_change, weak_similarity
+from pontsys.colligation import markov, state_change, unitary_similarity, weak_similarity
 from pontsys.exceptions import (
     InternalConsistencyError,
     _certify_residual,
     _certify_scaled,
     _norm2,
+    _residual_norm,
     certify,
 )
 from pontsys.indefinite import DEFAULT_TOL, SignatureSpace
 from pontsys.products import invariant_fundamental_decompositions, kl_factorize_system
-from pontsys.sampling import random_conservative_colligation, random_j_contraction
+from pontsys.sampling import (
+    random_conservative_colligation,
+    random_j_contraction,
+    random_unitary,
+)
 from pontsys.schur import kl_factorize_function
 
 
@@ -101,6 +107,24 @@ class TestLazyCertificates:
             _certify_residual("residual", np.diag([2e-8, 1e-9]), 1e-8, lambda: 1.5)
         assert str(info.value) == "residual: 2.000e-08 exceeds the bound 1.500e-08"
 
+    def test_returns_the_value_it_certified(self, monkeypatch):
+        # the Frobenius norm where it passes, the spectral norm above it,
+        # bit for bit, and _norm2 for a single row or column
+        rng = np.random.default_rng(7)
+        R = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        fro, two = np.linalg.norm(R), _norm2(R)
+        assert fro > two
+        svd = spy_attr(monkeypatch, np.linalg, "svd")
+        assert _certify_residual("residual", R, 1.5 * fro) == fro
+        assert _residual_norm(R, 1.5 * fro) == fro
+        assert svd == []
+        assert _certify_residual("residual", R, fro) == two
+        assert _residual_norm(R, fro) == two
+        assert len(svd) == 2
+        for M in (R[:, :1], R[:1]):
+            assert _residual_norm(M, 1e3) == _norm2(M)
+        assert _residual_norm(np.zeros((0, 3)), 1e-8) == 0.0
+
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1), (1, 40), (40, 1)])
     @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
     def test_one_row_or_column_takes_no_svd(self, monkeypatch, shape, scale):
@@ -134,7 +158,9 @@ class TestLazyCertificates:
         with pytest.raises(InternalConsistencyError):
             _certify_residual("residual", R, 1e-8)
         system = conservative_system(pos=2, neg=0)
-        residuals = colligation._intertwining_residuals(system, system, R)
+        residuals = colligation._intertwining_residuals(system, system, R, 1e-8)
+        # D does not meet Z
+        assert all(np.isnan(residuals[key]) for key in "ABC")
         with pytest.raises(InternalConsistencyError):
             _certify_scaled("Krylov map intertwining residual",
                             np.max(list(residuals.values())), 1e-8, lambda: 1.0)
@@ -149,6 +175,14 @@ def _plant(monkeypatch, module, attr, target, value):
         return real(name, value if name == target else computed, *rest)
 
     monkeypatch.setattr(module, attr, planted)
+
+
+def _weak_pair():
+    """A conservative system and its image under a state change near I."""
+    rng = np.random.default_rng(11)
+    sys1 = random_conservative_colligation(rng, SignatureSpace(6, 3), 2)
+    return sys1, state_change(sys1, np.eye(9) + 0.05 * rng.standard_normal((9, 9)),
+                              sys1.state)
 
 
 class TestLazyScaleSites:
@@ -170,8 +204,9 @@ class TestLazyScaleSites:
     def test_invariance_residual(self, monkeypatch):
         system = conservative_system(seed=2, pos=6, neg=3, io=2)
         full = 1e-9 * max(1.0, float(np.linalg.norm(system.A, 2)))
-        self.check(monkeypatch, products, "_certify_scaled", "invariance residual",
-                   1e-9, full, lambda: invariant_fundamental_decompositions(system))
+        self.check(monkeypatch, products, "_certify_residual", "invariance residual",
+                   1e-9, full, lambda: invariant_fundamental_decompositions(system),
+                   wrap=lambda v: np.array([[v, 0.0], [0.0, 0.0]]))
 
     def test_cascade_reconstruction_residual(self, monkeypatch):
         system = conservative_system(seed=2, pos=6, neg=3, io=2)
@@ -192,16 +227,106 @@ class TestLazyScaleSites:
                    wrap=lambda v: np.array([[v, 0.0], [0.0, 0.0]]))
 
     def test_krylov_map_intertwining_residual(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        sys1 = random_conservative_colligation(rng, SignatureSpace(6, 3), 2)
-        sys2 = state_change(sys1, np.eye(9) + 0.05 * rng.standard_normal((9, 9)),
-                            sys1.state)
+        sys1, sys2 = _weak_pair()
         Z = weak_similarity(sys1, sys2).Z
         k = 1e-8 * max(1.0, float(np.linalg.norm(Z, 2)))
         full = k * max(1.0, float(np.linalg.norm(sys1.A, 2)))
         self.check(monkeypatch, colligation, "_certify_scaled",
                    "Krylov map intertwining residual", k, full,
                    lambda: weak_similarity(sys1, sys2))
+
+
+def _plant_block(monkeypatch, module, index, M):
+    """Hand M to module._residual_norm in place of the residual block it
+    is given at the index-th call; returns the list of blocks it saw."""
+    real = module._residual_norm
+    seen = []
+
+    def planted(R, bound):
+        seen.append(R)
+        return real(M if len(seen) == index + 1 else R, bound)
+
+    monkeypatch.setattr(module, "_residual_norm", planted)
+    return seen
+
+
+def _spread(k):
+    """A residual at 0.8 k whose Frobenius norm, 1.22 k, misses the bound k."""
+    M = k * np.diag([0.8, 0.7, 0.6])
+    assert np.linalg.norm(M) > k >= _norm2(M)
+    return M
+
+
+class TestFrobeniusMisses:
+    """At each site that decides a residual on its Frobenius norm first, a
+    residual whose Frobenius norm misses the bound while its spectral norm
+    meets it passes and returns the spectral norm bit for bit, and one
+    above the full bound fails as it did with the spectral norm alone."""
+
+    def test_invariance_residual(self, monkeypatch):
+        system = conservative_system(seed=2, pos=6, neg=3, io=2)
+        M = _spread(1e-9)
+        _plant(monkeypatch, products, "_certify_residual", "invariance residual", M)
+        for split in invariant_fundamental_decompositions(system):
+            assert split.invariance_residual == _norm2(M)
+        monkeypatch.undo()
+        full = 1e-9 * max(1.0, float(np.linalg.norm(system.A, 2)))
+        _plant(monkeypatch, products, "_certify_residual", "invariance residual",
+               np.diag([2.0 * full, full]))
+        with pytest.raises(InternalConsistencyError, match=re.escape(
+                f"invariance residual: {2.0 * full:.3e} exceeds the bound {full:.3e}")):
+            invariant_fundamental_decompositions(system)
+
+    @pytest.mark.parametrize("mode", ["right", "left"])
+    @pytest.mark.parametrize("block", range(4))
+    def test_cascade_reconstruction_block(self, monkeypatch, mode, block):
+        system = conservative_system(seed=2, pos=6, neg=3, io=2)
+        M = _spread(1e-8)
+        seen = _plant_block(monkeypatch, products, block, M)
+        assert kl_factorize_system(system, mode).reconstruction_residual == _norm2(M)
+        assert len(seen) == 4
+        monkeypatch.undo()
+        full = 1e-8 * max(1.0, *(float(np.linalg.norm(X, 2)) for X in (
+            system.A, system.B, system.C, system.D)))
+        _plant_block(monkeypatch, products, block, np.diag([2.0 * full, full]))
+        with pytest.raises(InternalConsistencyError, match=re.escape(
+                f"cascade reconstruction residual: {2.0 * full:.3e} exceeds "
+                f"the bound {full:.3e}")):
+            kl_factorize_system(system, mode)
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_weak_intertwining_block(self, monkeypatch, block):
+        sys1, sys2 = _weak_pair()
+        k = 1e-8 * max(1.0, float(np.linalg.norm(weak_similarity(sys1, sys2).Z, 2)))
+        M = _spread(k)
+        seen = _plant_block(monkeypatch, colligation, block, M)
+        assert weak_similarity(sys1, sys2).residuals["ABCD"[block]] == _norm2(M)
+        assert len(seen) == 4
+        monkeypatch.undo()
+        full = k * max(1.0, float(np.linalg.norm(sys1.A, 2)))
+        _plant_block(monkeypatch, colligation, block, np.diag([2.0 * full, full]))
+        with pytest.raises(InternalConsistencyError, match=re.escape(
+                f"Krylov map intertwining residual: {2.0 * full:.3e} exceeds "
+                f"the bound {full:.3e}")):
+            weak_similarity(sys1, sys2)
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_unitary_intertwining_block(self, monkeypatch, block):
+        # a sign-preserving unitary state change: |Z|_2 = 1, so the bound
+        # is 100 metric_tol
+        rng = np.random.default_rng(13)
+        sys1 = conservative_system(seed=2, pos=6, neg=3, io=2)
+        U = scipy.linalg.block_diag(random_unitary(rng, 6), random_unitary(rng, 3))
+        sys2 = state_change(sys1, U, sys1.state)
+        k = 100 * DEFAULT_TOL.metric_tol
+        M = _spread(k)
+        seen = _plant_block(monkeypatch, colligation, block, M)
+        assert unitary_similarity(sys1, sys2).residuals["ABCD"[block]] == _norm2(M)
+        assert len(seen) == 4
+        monkeypatch.undo()
+        full = k * max(1.0, float(np.linalg.norm(unitary_similarity(sys1, sys2).Z, 2)))
+        _plant_block(monkeypatch, colligation, block, np.diag([2.0 * full, full]))
+        assert unitary_similarity(sys1, sys2) is None
 
 
 def _scaled_completion(monkeypatch):

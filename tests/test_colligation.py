@@ -1353,8 +1353,9 @@ def _old_unitary_similarity(s1, s2, tol=DEFAULT_TOL):
     v = np.concatenate([np.zeros(n * n, dtype=complex), s2.B.reshape(-1, order="F"),
                         s1.C.reshape(-1, order="F")])
     Z = np.linalg.lstsq(M, v, rcond=None)[0].reshape(n, n, order="F")
-    residuals = colligation._intertwining_residuals(s1, s2, Z)
-    if max(residuals.values()) > tol.metric_tol * 100 * max(1.0, np.linalg.norm(Z, 2)):
+    residuals = [np.linalg.norm(R, 2) for R in (
+        Z @ s1.A - s2.A @ Z, Z @ s1.B - s2.B, s1.C - s2.C @ Z, s1.D - s2.D)]
+    if max(residuals) > tol.metric_tol * 100 * max(1.0, np.linalg.norm(Z, 2)):
         return None
     if metric_classify(Z, s1.state, s2.state, tol) != MetricClass.UNITARY:
         return None
@@ -1518,6 +1519,26 @@ class TestSimilarity:
         assert not any(args[0] is sim.Z for args in norms)
         sv = np.linalg.svd(sim.Z, compute_uv=False)
         assert sim.residuals["inverse_condition"] == sv[-1] / sv[0]
+
+    def test_passing_intertwining_residuals_take_no_svd(self, monkeypatch):
+        # n = 40 with three channels: the four residuals pass on their
+        # Frobenius norms, so weak similarity takes only the SVD of Z and
+        # unitary similarity only that of its samples, with no |Z|_2
+        rng = np.random.default_rng([40, 8, 3])
+        sys1 = random_conservative_colligation(rng, SignatureSpace(32, 8), 3)
+        R = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        Z = np.eye(40) + 0.05 * R / max(1.0, np.linalg.norm(R, 2))
+        U = scipy.linalg.block_diag(sampling.random_unitary(rng, 32),
+                                    sampling.random_unitary(rng, 8))
+        svd = spy_attr(monkeypatch, np.linalg, "svd")
+        norms = spy_attr(monkeypatch, np.linalg, "norm")
+        sim = weak_similarity(sys1, state_change(sys1, Z, sys1.state))
+        assert [args[0] is sim.Z for args in svd] == [True]
+        del svd[:]
+        sim = unitary_similarity(sys1, state_change(sys1, U, sys1.state))
+        assert [args[0].shape for args in svd] == [(40, 240)]
+        assert not any(args[0] is sim.Z and args[1:2] == (2,) for args in norms)
+        assert all(0.0 <= sim.residuals[key] <= 1e-10 for key in "ABCD")
 
     def test_weak_similarity_builds_one_krylov_report(self, monkeypatch):
         # at equal state dimensions the certified invertible map makes the

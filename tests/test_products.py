@@ -968,8 +968,9 @@ class TestDecompositionCounts:
 
     def test_splits_take_no_complement_svd_and_classify_no_half(
             self, monkeypatch):
-        # each metric complement is J times the other Schur vectors, so
-        # the only SVDs are the two invariance residuals' spectral norms
+        # each metric complement is J times the other Schur vectors, and a
+        # passing invariance residual is decided on its Frobenius norm, so
+        # the splits take no SVD
         system = self.system()
         svd = spy_attr(monkeypatch, np.linalg, "svd")
         nulls = spy(monkeypatch, nullspace)
@@ -977,12 +978,22 @@ class TestDecompositionCounts:
         kinds = spy(monkeypatch, subspace_classify)
         split_plus, split_minus = _fundamental_splits(system, DEFAULT_TOL)
         assert nulls == columns == []
-        # the minus-invariant split is formed first, on its 8-dimensional
-        # invariant half
-        assert [args[0].shape for args in svd] == [(40, 8), (40, 32)]
+        assert svd == []
         assert kinds == []
         for split in (split_plus, split_minus):
             assert (split.Xplus.dim, split.Xminus.dim) == (32, 8)
+            assert 0.0 < split.invariance_residual <= 1e-9
+
+    @pytest.mark.parametrize("mode", ["right", "left"])
+    def test_kl_factorize_takes_no_svd(self, monkeypatch, mode):
+        # the invariance residual and the four reconstruction blocks pass
+        # on their Frobenius norms, and the bound's scale is never needed
+        system = random_conservative_colligation(
+            np.random.default_rng([40, 8, 1]), SignatureSpace(32, 8), 1)
+        svd = spy_attr(monkeypatch, np.linalg, "svd")
+        fac = kl_factorize_system(system, mode)
+        assert svd == []
+        assert 0.0 < fac.reconstruction_residual <= 1e-8
 
 
 def _near_band_plants():
@@ -1236,13 +1247,24 @@ def _eigen_route(system, mode):
     return schur, invb
 
 
+def _reconstruction_blocks(system, fac):
+    """The four cascade reconstruction residuals of a factorization, on the
+    cascade of its factors."""
+    schur, invb = fac
+    cas = cascade(invb, schur) if fac.mode == "right" else cascade(schur, invb)
+    Z = fac.state_map
+    return (system.A @ Z - Z @ cas.A, system.B - Z @ cas.B,
+            system.C @ Z - cas.C, system.D - cas.D)
+
+
 class TestCholeskyHalves:
     """kl_factorize_system on Cholesky bases of the split halves, whose
     factors' main operators are the triangular similarities of the diagonal
     blocks of the reordered Schur form: one Schur form and no Hermitian
     eigen-solve per call, kappa as on the eigen-solve route, factors whose
-    product reproduces theta, and factors of the eigen-solve route's
-    transfer functions wherever that route reproduces theta itself."""
+    product reproduces theta, and, wherever the eigen-solve route
+    reproduces theta itself, the values of its factors once its inverse
+    factor's feedthrough is made triangular with a positive diagonal."""
 
     CASES = [(name, system, mode) for name, system in _cholesky_family()
              for mode in ("right", "left")]
@@ -1260,6 +1282,13 @@ class TestCholeskyHalves:
         assert len(forms) <= 1 and eigh == eigvalsh == []
         schur, invb = fac
         assert invb.state_dim == system.kappa
+        # the returned residual bounds the largest spectral norm of the
+        # four reconstruction blocks, and above the bound 1e-8, where no
+        # Frobenius norm decided it, is that norm bit for bit
+        spectral = max(_norm2(R) for R in _reconstruction_blocks(system, fac))
+        assert spectral <= fac.reconstruction_residual
+        if fac.reconstruction_residual > 1e-8:
+            assert fac.reconstruction_residual == spectral
         for factor in fac:
             assert not np.tril(factor.A, -1).any()
         # the inverse factor's diagonal is the outside spectrum of the
@@ -1280,22 +1309,30 @@ class TestCholeskyHalves:
         assert np.max(np.abs(product - theta).max(axis=(1, 2)) / scale) <= 1e-10
         if (name, mode) in _REFERENCE_MISSES:
             return
-        # the transfer functions of the eigen-solve route's factors, up to
-        # the constant unitary U of the channel between the factors that
-        # the null space of its metric completion leaves free
+        # the transfer functions of the eigen-solve route's factors, put in
+        # the canonical form of the channel between the factors: the
+        # unitary Q of the QR (right) or LQ (left) factorization of the
+        # reference inverse factor's D, with a positive diagonal, moves it
+        # to the triangular D of kl_factorize_system
         ref_schur, ref_invb = _eigen_route(system, mode)
         ref_s = np.array([transfer_eval(ref_schur, z) for z in points])
         ref_i = np.array([transfer_eval(ref_invb, z) for z in points])
+        Q = _positive_qr_unitary(ref_invb.D if mode == "right" else ref_invb.D.conj().T)
         if mode == "right":
-            U = np.linalg.lstsq(np.vstack(ref_s), np.vstack(new_s), rcond=None)[0]
-            moved_s, moved_i = ref_s @ U, U.conj().T @ ref_i
+            moved_s, moved_i = ref_s @ Q, Q.conj().T @ ref_i
         else:
-            U = np.linalg.lstsq(np.hstack(ref_s).T, np.hstack(new_s).T, rcond=None)[0].T
-            moved_s, moved_i = U @ ref_s, ref_i @ U.conj().T
-        assert np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) <= 1e-10
+            moved_s, moved_i = Q.conj().T @ ref_s, ref_i @ Q
         assert np.max(np.abs(new_s - moved_s)) <= 1e-10
         scale = np.maximum(1.0, np.abs(ref_i).max(axis=(1, 2)))
         assert np.max(np.abs(new_i - moved_i).max(axis=(1, 2)) / scale) <= 1e-10
+
+
+def _positive_qr_unitary(M):
+    """The unitary Q of M = Q R with R upper triangular and a positive
+    diagonal, for an invertible M."""
+    Q, R = np.linalg.qr(M)
+    d = np.diag(R)
+    return Q * (d / np.abs(d))[None, :]
 
 
 def _unitary_state_changes():
@@ -1341,3 +1378,28 @@ class TestCanonicalFactors:
             got = np.array([transfer_eval(other, z) for z in points])
             scale = np.maximum(1.0, np.abs(want).max(axis=(1, 2)))
             assert np.max(np.abs(got - want).max(axis=(1, 2)) / scale) <= 1e-10
+
+
+class TestIllConditionedSplits:
+    """Two factorizations whose state maps are ill-conditioned answer with
+    their reconstruction residuals inside the rounding scale of the map."""
+
+    def test_entry_14_right_takes_the_spectral_norm(self):
+        # |Z|_2 = 256: a block's Frobenius norm misses the bound 1e-8, so the
+        # residual, between the bound and its scaled bound, is the largest
+        # spectral norm
+        system = _mixed_family()[14][0]
+        fac = kl_factorize_system(system, "right")
+        blocks = _reconstruction_blocks(system, fac)
+        assert max(np.linalg.norm(R) for R in blocks) > 1e-8
+        assert fac.reconstruction_residual == max(_norm2(R) for R in blocks)
+        assert 1.4e-7 <= fac.reconstruction_residual <= 1.6e-7
+
+    def test_left_split_of_a_large_state_map_answers(self):
+        # |Z|_2 = 465: the residual, about 9.0e-9, lies below the bound 1e-8
+        system = random_conservative_colligation(
+            np.random.default_rng([8, 40, 8]), SignatureSpace(32, 8), 1)
+        fac = kl_factorize_system(system, "left")
+        blocks = _reconstruction_blocks(system, fac)
+        assert max(_norm2(R) for R in blocks) <= fac.reconstruction_residual <= 1e-8
+        assert fac.inverse_blaschke_factor.state_dim == 8
