@@ -159,8 +159,9 @@ class Colligation:
         (np.array keeps the order of its input): a contiguous block is
         kept without a copy, and only a strided slice is copied, so every
         later product meets the memory layout, and so the BLAS route and
-        the rounding, of the validated copy.  The callers are cascade and
-        the factors of kl_factorize_system.
+        the rounding, of the validated copy.  The callers are cascade,
+        the factors of kl_factorize_system and julia_embedding, which
+        passes the blocks of its completed operator.
         """
         system = object.__new__(cls)
         object.__setattr__(system, "state", state)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import zpotrf, ztrsen
+from scipy.linalg.lapack import zpotrf, ztrsen, ztrtri
 
 from .exceptions import (
     AmbiguousSpectrumError,
@@ -217,17 +217,22 @@ class Inertia(tuple):
         return self[2]
 
 
+def _symmetrized(H, name):
+    """(sym H, ||H - H^*||_F) of a square H, validated by as_matrix."""
+    H = as_matrix(H, name=name)
+    if H.shape[0] != H.shape[1]:
+        raise DimensionMismatchError(f"{name} must be square")
+    Hh = H.conj().T
+    return (H + Hh) / 2.0, float(np.linalg.norm(H - Hh))
+
+
 def _sym_eig(H, name="matrix", vectors=False):
     """Eigen-solve of the symmetrized (H + H^*)/2 of a square H.
 
     Returns (w, V, skew): ascending eigenvalues, eigenvectors (None unless
     vectors) and the Frobenius norm of H - H^*.
     """
-    H = as_matrix(H, name=name)
-    if H.shape[0] != H.shape[1]:
-        raise DimensionMismatchError(f"{name} must be square")
-    skew = float(np.linalg.norm(H - H.conj().T))
-    Hs = (H + H.conj().T) / 2.0
+    Hs, skew = _symmetrized(H, name)
     if vectors:
         w, V = np.linalg.eigh(Hs)
         return w, V, skew
@@ -587,6 +592,35 @@ def _clearly_definite(G, tol):
     return _cholesky_within(sign * G - (2.0 * c) * np.eye(k), c / 4.0)
 
 
+def _definite_cholesky(X, tol, upper=False):
+    """(F, F^-1, definite): the lower Cholesky factor F F^H = X of an
+    exactly Hermitian nonempty X, its inverse, and whether the two certify
+    X positive definite far beyond the zero cut of inertia and psd_factor,
+    README rule 3.  With upper, F is the reversed upper factor: the lower
+    one of X with rows and columns reversed, reversed back.
+
+    With c = psd_tol * max(1, ||X||_F), at least the cut
+    psd_tol * max(1, max|eig|), (k + 1) u tr(X) <= c/4 keeps the backward
+    error of the factorization at about c/4 (see _cholesky_accepts), and
+    b = ||F^-1||_F^-2 <= lambda_min(F F^H) with b >= 2c gives
+    lambda_min(X) >= 7/4 c; the trace condition also keeps the rounding of
+    an eigen-solve of X near c/4, so every eigenvalue it computes lies
+    above the cut (see _clearly_definite).  A failed factorization, or an
+    inverse whose norm overflows, gives b = 0.
+    """
+    c = tol.psd_tol * max(1.0, float(np.linalg.norm(X)))
+    F, info = zpotrf(X[::-1, ::-1] if upper else X, lower=1, clean=1)
+    Finv, info = (F, info) if info else ztrtri(F, lower=1)
+    if upper:
+        F, Finv = F[::-1, ::-1], Finv[::-1, ::-1]
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(Finv))
+    bound = 1.0 / (norm * norm) if not info and norm > 0 else 0.0
+    definite = bound >= 2.0 * c and (
+        (X.shape[0] + 1) * _UNIT_ROUNDOFF * np.trace(X).real <= c / 4)
+    return F, Finv, bool(definite)
+
+
 def j_complement(space, tol=DEFAULT_TOL):
     """Metric-orthogonal complement of a regular subspace.
 
@@ -616,17 +650,41 @@ def psd_factor(M, tol=DEFAULT_TOL):
     """Full-column-rank E with E E* = M for positive semidefinite M.
 
     Eigenvalues in [-psd_tol * scale, 0) are clamped to zero; anything
-    below that raises, since the input was not semidefinite.
+    below that raises, since the input was not semidefinite.  A matrix
+    that one Cholesky factorization certifies definite beyond the cut,
+    README rule 3, returns its lower Cholesky factor, of full rank, with
+    no eigen-solve; every other one returns V diag(sqrt(w)) on the
+    eigenvalues w above the cut and their orthonormal eigenvectors V.
     """
-    w, V = _hermitian_eig(M, name="psd_factor input", rel=1e-10, vectors=True)
+    return _psd_factor(M, tol)[0]
+
+
+def _psd_factor(M, tol):
+    """(E, E^+): psd_factor of M and a left inverse of it, E^+ E = I.
+
+    The Cholesky route runs when ||M - M^*||_F <= 1e-10, so the Hermitian
+    guard of the eigen route would pass, and _definite_cholesky certifies
+    sym M definite: every eigenvalue then lies above the cut, the eigen
+    route would keep them all, and E = L, E^+ = L^-1.  Every other input
+    takes the eigen route, E^+ = diag(1/sqrt(w)) V^H.
+    """
+    Hs, skew = _symmetrized(M, "psd_factor input")
+    if Hs.size and skew <= 1e-10:
+        L, Linv, definite = _definite_cholesky(Hs, tol)
+        if definite:
+            return L, Linv
+    w, V = np.linalg.eigh(Hs)
+    _certify_hermitian(w, skew, "psd_factor input", 1e-10)
     if w.size == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
+        empty = np.zeros((0, 0), dtype=np.complex128)
+        return empty, empty
     cut = tol.psd_tol * max(1.0, _spectral_radius(w))
     if w[0] < -cut:
         raise IndefiniteDefectError(
             f"matrix has a negative eigenvalue {w[0]:.3e} beyond psd slack")
     keep = w > cut
-    return V[:, keep] * np.sqrt(w[keep])[None, :]
+    V, root = V[:, keep], np.sqrt(w[keep])[None, :]
+    return V * root, (V / root).conj().T
 
 
 def eig_hermitian(H):

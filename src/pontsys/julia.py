@@ -18,13 +18,13 @@ from .colligation import (
     Colligation,
     SystemKind,
     _operator_kind,
-    system_kind,
     system_operator,
 )
 from .exceptions import InternalConsistencyError, PreconditionError, _certify_residual
 from .indefinite import (
     DEFAULT_TOL,
     MetricClass,
+    _psd_factor,
     metric_classify,
     metric_defects,
     metric_signs,
@@ -56,7 +56,12 @@ class JuliaParts:
 
     and is metric-unitary from dom_signs to cod_signs.  Both factors
     have full column rank, so the adjoined channels are as narrow as
-    the defects allow.
+    the defects allow.  Each is psd_factor's factor of its defect, the
+    primal one times the domain metric: the lower Cholesky factor of a
+    defect certified definite (README rule 3), else V diag(sqrt(w)) on
+    its eigenvalues w above the cut.  The completion is fixed up to a
+    unitary change of basis of each adjoined channel, so the two routes
+    give completions that differ only by such constant unitaries.
     """
 
     operator: np.ndarray
@@ -77,10 +82,12 @@ class JuliaParts:
 
 
 def _defect_factors(dom_s, primal, dual, tol):
-    """Full-column-rank factors (defect, dual_defect) of the two metric
-    defects, as metric_defects forms them; the primal factor carries the
-    domain metric (see JuliaParts)."""
-    return dom_s[:, None] * psd_factor(primal, tol), psd_factor(dual, tol)
+    """(defect, dual_defect, left): full-column-rank factors of the two
+    metric defects, as metric_defects forms them, and a left inverse of
+    the primal factor without its domain metric, left @ (J defect) = I.
+    The primal factor carries the domain metric (see JuliaParts)."""
+    E1, left = _psd_factor(primal, tol)
+    return dom_s[:, None] * E1, psd_factor(dual, tol), left
 
 
 def julia_operator(M, dom, cod, tol=DEFAULT_TOL):
@@ -106,23 +113,26 @@ def julia_operator(M, dom, cod, tol=DEFAULT_TOL):
 
 def _julia_completion(M, dom, cod, factors, tol):
     """julia_operator before its metric-unitary certificate, from M's
-    defect factors as _defect_factors returns them."""
+    defect factors and the primal factor's left inverse as
+    _defect_factors returns them.  The corner G solves E1 G = rhs by that
+    left inverse, one product: the inverse Cholesky factor of a definite
+    primal defect, else diag(1/sqrt(w)) V^H.  Its residual is certified,
+    which also covers the intertwining of the two defect ranges."""
     dom_s = metric_signs(dom)
     cod_s = metric_signs(cod)
     M = np.asarray(M, dtype=complex)
-    D_primal, D_dual = factors
+    D_primal, D_dual, left = factors
     E1 = dom_s[:, None] * D_primal
     E2 = D_dual
     r1, r2 = E1.shape[1], E2.shape[1]
 
     # corner solving E1 G = -M* J_cod E2; solvable since the defect ranges
-    # intertwine, the residual certifies that.  E1 = V diag(sqrt(w)) with
-    # orthonormal V (psd_factor), so its columns are orthogonal with squared
-    # norms w and G = diag(1/w) E1^H rhs = diag(1/sqrt(w)) V^H rhs
+    # intertwine, the residual certifies that.  E1 is psd_factor's factor
+    # of the primal defect, so G = left rhs with its left inverse: the
+    # inverse Cholesky factor, or diag(1/sqrt(w)) V^H on its eigen route
     rhs = -(M.conj().T @ (cod_s[:, None] * E2))
     if r1 and r2:
-        w = np.einsum("ij,ij->j", E1.conj(), E1).real
-        G = (E1.conj().T @ rhs) / w[:, None]
+        G = left @ rhs
         _certify_residual("defect range intertwining residual", E1 @ G - rhs,
                           1e3 * tol.rank_tol,
                           lambda: max(1.0, float(np.linalg.norm(M, 2)) ** 2))
@@ -142,10 +152,13 @@ def julia_embedding(system, tol=DEFAULT_TOL):
     operator are appended to the input and the output; the block of the
     new transfer function on the original channels equals the original
     transfer function everywhere.  Its system operator is the completed
-    operator of julia_operator, bit for bit, so the conservativity check
-    of the embedded system is the completion's one metric-unitary
-    certificate.  The defects of the system operator that decide its kind
-    are the ones the completion factors.
+    operator U of julia_operator, bit for bit: the embedded system is
+    built on the blocks of U by Colligation._built, and its kind is
+    decided on U itself, the completion's one metric-unitary certificate,
+    with no second operator assembly.  The defects of the system operator
+    that decide its kind are the ones the completion factors; on a
+    strictly passive system both are definite, so each is factored by one
+    Cholesky factorization and no eigen-solve runs.
     """
     T, dom_s, cod_s = system_operator(system)
     kind, primal, dual = _operator_kind(T, dom_s, cod_s, tol)
@@ -154,22 +167,8 @@ def julia_embedding(system, tol=DEFAULT_TOL):
     ju = _julia_completion(T, dom_s, cod_s,
                            _defect_factors(dom_s, primal, dual, tol), tol)
     n = system.state_dim
-    E1h = (dom_s[:, None] * ju.defect).conj().T
-    E2 = ju.dual_defect
-    B_extra = E2[:n, :]
-    C_extra = E1h[:, :n]
-    D_new = np.block([
-        [system.D, E2[n:, :]],
-        [E1h[:, n:], -ju.link.conj().T]])
-    embedded = Colligation(
-        system.state,
-        system.input_dim + ju.dual_defect_rank,
-        system.output_dim + ju.defect_rank,
-        system.A,
-        np.hstack([system.B, B_extra]),
-        np.vstack([system.C, C_extra]),
-        D_new,
-    )
-    if system_kind(embedded, tol) != SystemKind.CONSERVATIVE:
+    U = ju.operator
+    embedded = Colligation._built(system.state, U[:n, :n], U[:n, n:], U[n:, :n], U[n:, n:])
+    if _operator_kind(U, ju.dom_signs, ju.cod_signs, tol)[0] != SystemKind.CONSERVATIVE:
         raise InternalConsistencyError("embedded system failed the conservativity check")
     return embedded

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import zpotrf, ztrtri
+from scipy.linalg.lapack import zpotrf
 
 from .colligation import (
     Colligation,
@@ -44,6 +44,7 @@ from .indefinite import (
     SignatureSpace,
     SubspaceKind,
     _UNIT_ROUNDOFF,
+    _definite_cholesky,
     subspace_classify,
 )
 
@@ -303,33 +304,19 @@ def _fundamental_split(system, outside, which, tol):
 def _half(space, negative, upper, tol):
     """(kind, F, F^-1) of one half of a split: F F^H = s G for the Gram G
     of its basis Q, s = -1 on a negative half, so Q F^-H is metric
-    orthonormal.  F is lower, or with upper the reversed upper factor (the
-    lower one of s G with rows and columns reversed, reversed back).  It
-    certifies the sign with the margin of _clearly_definite, README rule
-    3: with c = psd_tol max(1, |G|_F), (k + 1) u tr(s G) <= c/4 and
-    lambda_min(F F^H) >= 2c give lambda_min(s G) >= 7/4 c.  A half that
-    misses it is classified by subspace_classify; the zero one is hilbert.
+    orthonormal.  F is lower, or with upper the reversed upper factor.
+    The one certified Cholesky factorization of indefinite, README rule 3,
+    gives F and certifies the sign: lambda_min(s G) >= 7/4 c with
+    c = psd_tol max(1, |G|_F).  A half that misses it is classified by
+    subspace_classify; the zero one is hilbert.
     """
     if space.dim == 0:
         return SubspaceKind.HILBERT, space.basis[:0, :0], space.basis[:0, :0]
-    X = -space.gram if negative else space.gram
-    c = tol.psd_tol * max(1.0, float(np.linalg.norm(X)))
-    F, Finv, bound = _cholesky(X[::-1, ::-1] if upper else X)
-    if upper:
-        F, Finv = F[::-1, ::-1], Finv[::-1, ::-1]
-    if bound >= 2.0 * c and (space.dim + 1) * _UNIT_ROUNDOFF * np.trace(X).real <= c / 4:
+    F, Finv, definite = _definite_cholesky(
+        -space.gram if negative else space.gram, tol, upper)
+    if definite:
         return (SubspaceKind.ANTIHILBERT if negative else SubspaceKind.HILBERT), F, Finv
     return subspace_classify(space, tol), F, Finv
-
-
-def _cholesky(X):
-    """(F, F^-1, b): the lower Cholesky factor F F^H = X of a Hermitian X,
-    its inverse and b = |F^-1|_F^-2 <= lambda_min(F F^H), 0 on failure."""
-    F, info = zpotrf(X, lower=1, clean=1)
-    Finv, info = (F, info) if info else ztrtri(F, lower=1)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(Finv))
-    return F, Finv, 1.0 / (norm * norm) if not info and norm > 0 else 0.0
 
 
 @dataclass(frozen=True)

@@ -366,8 +366,8 @@ class TestLayersRefuse:
         real = julia._defect_factors
 
         def shifted(*args):
-            primal, dual = real(*args)
-            return primal, dual + 1e-6
+            primal, dual, left = real(*args)
+            return primal, dual + 1e-6, left
 
         monkeypatch.setattr(julia, "_defect_factors", shifted)
         with pytest.raises(InternalConsistencyError,

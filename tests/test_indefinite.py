@@ -477,6 +477,14 @@ def _old_metric_classify(M, dom, cod, tol=DEFAULT_TOL):
     return MetricClass.NONE
 
 
+def _psd_eigen_route(monkeypatch, M):
+    """_outcome of psd_factor with its Cholesky route switched off."""
+    with monkeypatch.context() as patched:
+        patched.setattr(indefinite, "_definite_cholesky",
+                        lambda *_, **__: (None, None, False))
+        return _outcome(psd_factor, M)
+
+
 def _outcome(fn, *args):
     """Result of fn, or the exception type it raised."""
     try:
@@ -535,6 +543,38 @@ class TestHermitianCertificate:
                         check(H)
         # the planted families straddle the bound
         assert 0 < refused < len(list(self.planted(rel)))
+
+    def test_definite_inputs_never_looser_than_the_spectral_guard(self, monkeypatch):
+        # psd_factor's Cholesky route takes ||H - H^*||_F <= 1e-10, which
+        # the Hermitian guard of its eigen route accepts at every scale:
+        # planted around the spectral guard, definite inputs are refused
+        # as before, and the accepted ones keep the eigen route's rank
+        rng = np.random.default_rng(2025)
+        eigh = spy_attr(monkeypatch, np.linalg, "eigh")
+        outcomes = {"refused": 0, "cholesky": 0, "eigen": 0}
+        for n in self.SIZES:
+            for scale in (1e-3, 1.0, 1e3):
+                for rank_one in (False, True):
+                    H0 = _definite(rng, n, scale)
+                    K = _random_skew(rng, n, rank_one)
+                    unit = 1e-10 * max(1.0, np.linalg.norm(H0, 2)) / (
+                        2.0 * np.linalg.norm(K, 2))
+                    for factor in (0.0,) + self.FACTORS:
+                        H = H0 + factor * unit * K
+                        want = _psd_eigen_route(monkeypatch, H)
+                        eigh.clear()
+                        got = _outcome(psd_factor, H)
+                        try:
+                            _old_symmetrized(H, 1e-10)
+                        except NotHermitianError:
+                            assert got is NotHermitianError
+                        if isinstance(want, type):
+                            assert got is want
+                            outcomes["refused"] += 1
+                        else:
+                            assert got.shape == want.shape
+                            outcomes["eigen" if eigh else "cholesky"] += 1
+        assert all(outcomes.values()), outcomes
 
     def test_identical_results_on_hermitian_inputs(self):
         rng = np.random.default_rng(77)
@@ -595,6 +635,73 @@ class TestHermitianCertificate:
                 assert metric_classify(T, dom, cod) == _old_metric_classify(
                     T, dom, cod)
         assert seen == set(MetricClass)
+
+
+def _definite(rng, n, scale, exact=True):
+    """scale * Q diag(w) Q^H with w spread in [1/2, 2], symmetrized to be
+    exactly Hermitian unless exact is false."""
+    Q = sampling.random_unitary(rng, n)
+    X = scale * (Q * rng.uniform(0.5, 2.0, n)[None, :]) @ Q.conj().T
+    return (X + X.conj().T) / 2.0 if exact else X
+
+
+class TestPsdFactorRoutes:
+    """psd_factor's Cholesky route on clearly definite inputs, against the
+    eigen route it replaces there and keeps everywhere else."""
+
+    SIZES = (1, 2, 5, 12, 43, 86)
+    SCALES = (1e-3, 1e-1, 1.0, 1e1, 1e3)
+
+    def test_definite_inputs_take_the_cholesky_route(self, monkeypatch):
+        rng = np.random.default_rng(808)
+        eigh = spy_attr(monkeypatch, np.linalg, "eigh")
+        u = np.finfo(float).eps / 2.0
+        for n in self.SIZES:
+            for scale in self.SCALES:
+                # exactly Hermitian, and Hermitian only up to rounding
+                for M in (_definite(rng, n, scale), _definite(rng, n, scale, False)):
+                    E = psd_factor(M)
+                    assert eigh == []
+                    want = _old_psd_factor(M)
+                    eigh.clear()
+                    assert E.shape == want.shape == (n, n)
+                    assert not np.triu(E, 1).any()
+                    fro = np.linalg.norm(M)
+                    sym = (M + M.conj().T) / 2.0
+                    assert np.linalg.norm(E @ E.conj().T - sym) <= 4.0 * n * u * fro
+                    W = scipy.linalg.orthogonal_procrustes(want, E)[0]
+                    assert np.linalg.norm(want @ W - E) <= 1e-10 * np.linalg.norm(E)
+
+    def eigen_route_cases(self):
+        """(M, rank): a smallest eigenvalue 3/2 c, between the eigen
+        route's cut and 7/4 c, c = psd_tol max(1, |M|_F); rank-deficient
+        inputs; definite inputs at scale 1e-150, below the floor of the cut."""
+        rng = np.random.default_rng(809)
+        for n in self.SIZES[1:]:
+            for scale in self.SCALES:
+                Q = sampling.random_unitary(rng, n)
+                w = scale * rng.uniform(0.5, 2.0, n)
+                w[0] = 0.0
+                w[0] = 1.5 * DEFAULT_TOL.psd_tol * max(1.0, float(np.linalg.norm(w)))
+                X = (Q * w[None, :]) @ Q.conj().T
+                yield (X + X.conj().T) / 2.0, n
+                r = n // 2
+                E0 = scale * (rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))
+                yield E0 @ E0.conj().T, r
+            yield _definite(rng, n, 1e-150), 0
+
+    def test_other_inputs_keep_the_eigen_route(self, monkeypatch):
+        eigh = spy_attr(monkeypatch, np.linalg, "eigh")
+        count = 0
+        for M, rank in self.eigen_route_cases():
+            E = psd_factor(M)
+            assert len(eigh) == 1
+            want = _old_psd_factor(M)
+            eigh.clear()
+            assert E.shape == (M.shape[0], rank)
+            assert np.array_equal(E, want)
+            count += 1
+        assert count == 55
 
 
 class TestSpectralSubspace:

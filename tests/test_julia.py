@@ -288,16 +288,19 @@ class TestOneUnitaryCertificate:
         assert np.array_equal(calls[0][0], T)
 
     def test_embedding_decomposition_counts(self, monkeypatch):
-        # passive n = 40, kappa = 8, m = 3: the two defect factors are the
-        # only eigen-solves, and no spectral norm is needed
+        # strictly passive n = 40, kappa = 8, m = 3: both defects are
+        # definite, so each defect factor is one certified Cholesky
+        # factorization; no eigen-solve runs and no spectral norm is needed
         rng = np.random.default_rng(35)
         sys1 = random_passive_colligation(rng, SignatureSpace(32, 8), 3, 3, strict=0.2)
         eigvalsh = spy_attr(monkeypatch, np.linalg, "eigvalsh")
         eigh = spy_attr(monkeypatch, np.linalg, "eigh")
         norms = spy_attr(monkeypatch, np.linalg, "norm")
+        factors = spy(monkeypatch, indefinite._definite_cholesky)
         emb = julia_embedding(sys1)
         assert emb.state == sys1.state
-        assert (len(eigvalsh), len(eigh), len(spectral_norms(norms))) == (0, 2, 0)
+        assert (len(eigvalsh), len(eigh), len(spectral_norms(norms))) == (0, 0, 0)
+        assert [args[0].shape for args in factors] == [(43, 43), (43, 43)]
 
 
 def _corner_plants():
@@ -320,8 +323,10 @@ def _corner_plants():
 class TestCornerInClosedForm:
     @pytest.mark.parametrize("plant", _corner_plants())
     def test_corner_matches_least_squares(self, plant):
-        # E1 = V diag(sqrt(w)) with orthonormal V: the closed-form corner is
-        # the least-squares solution of E1 G = rhs
+        # E1 is psd_factor's factor of the primal defect: its Cholesky factor
+        # on the strictly passive plants, V diag(sqrt(w)) with orthonormal V
+        # on the direct sums; either way the corner is the least-squares
+        # solution of E1 G = rhs
         T, dom, cod = system_operator(plant)
         factors = julia._defect_factors(dom, *indefinite.metric_defects(T, dom, cod),
                                         DEFAULT_TOL)
@@ -340,3 +345,22 @@ class TestCornerInClosedForm:
             factors = julia._defect_factors(dom, primal, dual, DEFAULT_TOL)
             assert 0 < factors[0].shape[1] < T.shape[1]
             assert 0 < factors[1].shape[1] < T.shape[0]
+
+    @pytest.mark.parametrize("plant, strict", [
+        (plant, k % 2 == 0) for k, plant in enumerate(_corner_plants())])
+    def test_plants_take_both_factor_routes(self, plant, strict, monkeypatch):
+        # strictly passive plants factor both defects by Cholesky, with no
+        # eigen-solve; the direct sums take the eigen route on both, and the
+        # embedding adds as many channels as the eigen route's ranks
+        T, dom, cod = system_operator(plant)
+        primal, dual = indefinite.metric_defects(T, dom, cod)
+        ranks = []
+        for P in (primal, dual):
+            w = np.linalg.eigvalsh((P + P.conj().T) / 2.0)
+            ranks.append(int(np.sum(w > DEFAULT_TOL.psd_tol * max(1.0, np.max(np.abs(w))))))
+        eigh = spy_attr(monkeypatch, np.linalg, "eigh")
+        emb = julia_embedding(plant)
+        assert (ranks == [T.shape[1], T.shape[0]]) == strict
+        assert len(eigh) == (0 if strict else 2)
+        assert emb.output_dim - plant.output_dim == ranks[0]
+        assert emb.input_dim - plant.input_dim == ranks[1]

@@ -1160,6 +1160,27 @@ class TestCanonicalRealization:
         assert grams == []
         assert np.array_equal(np.sort_complex(evaluated), np.sort_complex(held))
 
+    @pytest.mark.parametrize("system", [
+        counterexample_observable_system(),
+        random_conservative_colligation(np.random.default_rng(5),
+                                        SignatureSpace(4, 2), 2),
+        random_conservative_colligation(np.random.default_rng(6),
+                                        SignatureSpace(9, 3), 1),
+    ])
+    def test_model_observability_takes_one_hautus_side(self, monkeypatch, system):
+        # the model's observability is read off the observable side of its
+        # Schur form alone: one zgeev with right eigenvectors only, and no
+        # Krylov report with its reachable side and complement kinds
+        reports = spy(monkeypatch, colligation.krylov_report)
+        eig = spy_attr(monkeypatch, colligation, "zgeev")
+        model = canonical_coisometric_realization(system)
+        T, left, right = eig[-1][:3]
+        assert reports == []
+        assert (left, right) == (0, 1)
+        assert np.array_equal(T, model._spectrum.T)
+        monkeypatch.undo()
+        assert classify(model).observable
+
     @pytest.mark.parametrize("n, kappa, io", [(12, 3, 3), (24, 6, 2),
                                               (40, 8, 2)])
     def test_minimal_conservative_model_is_unitarily_similar(self, n, kappa, io):
