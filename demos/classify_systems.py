@@ -13,21 +13,20 @@ from pontsys import (
     blaschke_potapov_factor,
     classify,
     invert_system,
-    simp_kar_check,
 )
 from pontsys.sampling import random_passive_colligation
 
 
 def describe(name, system):
     cls = classify(system)
-    rep = simp_kar_check(system)
     print(f"{name}:")
     print(f"  state signature   (+{system.state.pos}, -{system.state.neg})")
     print(f"  operator kind     {cls.kind.value}")
     print(f"  controllable      {cls.controllable}")
     print(f"  observable        {cls.observable}")
     print(f"  simple            {cls.simple}")
-    print(f"  index preserving  {rep.index_preserving} (kappa={rep.kappa})")
+    print(f"  index preserving  {cls.krylov.index_preserving} "
+          f"(kappa={system.kappa})")
     print()
 
 

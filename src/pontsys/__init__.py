@@ -20,7 +20,6 @@ from .colligation import (
     Colligation,
     KrylovReport,
     SimilarityResult,
-    SimpKarReport,
     SystemClass,
     SystemKind,
     adjoint_system,
@@ -28,7 +27,6 @@ from .colligation import (
     krylov_report,
     markov,
     realize_from_taylor,
-    simp_kar_check,
     state_change,
     system_kind,
     system_operator,

@@ -414,7 +414,7 @@ def cmd_classify(args):
         "simple_rank": rep.simple_space.dim,
         "complement_kinds": {k: v.value for k, v in rep.complement_kinds.items()},
         "kappa_estimate": _negative_squares(as_transfer(system), cls.kind,
-                                            tol, rep).estimate,
+                                            tol).estimate,
     }
     return _emit_report(
         args, "classify", {"system": source},
@@ -493,10 +493,11 @@ _NEGSQ_NOTES = {
     "kernel_ladder": "negative squares from kernel inertia over growing "
                      "sample batches; pole count from the backing "
                      "realization spectrum",
-    "index_preserving": "negative squares are the state index of a passive "
-                        "index-preserving backing, certified against the "
-                        "pole count from the backing realization spectrum; "
-                        "the sampled inertia is checked against them",
+    "minimal_part": "negative squares are the eigenvalues outside the "
+                    "closed disc of a minimal realization of a passive "
+                    "backing, certified by the inertia of its state metric; "
+                    "pole count from the backing realization spectrum; the "
+                    "sampled inertia is checked against them",
 }
 
 

@@ -68,7 +68,6 @@ __all__ = [
     "SystemKind",
     "SystemClass",
     "KrylovReport",
-    "SimpKarReport",
     "DilationReport",
     "SimilarityResult",
     "system_operator",
@@ -79,7 +78,6 @@ __all__ = [
     "transfer_values",
     "markov",
     "krylov_report",
-    "simp_kar_check",
     "restriction",
     "state_change",
     "to_canonical",
@@ -334,7 +332,8 @@ def adjoint_system(system):
 
 
 # a point whose Frobenius bound stays below this fraction of the pole rule
-# passes the rule; the factor 2 absorbs the rounding of inv and of the SVD
+# passes the rule; the factor 2 absorbs the rounding of the solve and of
+# the SVD
 _GUARD_MARGIN = 0.5
 
 
@@ -345,24 +344,30 @@ def _resolvent(A, B, z, rank_tol):
 
     s_min(M) >= 1/|M^-1|_F and s_max(M) <= |M|_F, so a matrix with
     |M^-1|_F * rank_tol * max(1, |M|_F) below _GUARD_MARGIN passes the
-    rule; one stacked inv decides those.  The rest, including non-finite
-    bounds and the whole stack when inv meets an exactly singular member,
-    take the stacked SVD and the rule itself.
+    rule.  One stacked solve against [B, I] factors each I - z_k A once and
+    gives both X_k and the inverse that decides those.  The rest, including
+    non-finite bounds and the whole stack when the solve meets an exactly
+    singular member, take the stacked SVD and the rule itself, and the
+    points that pass are solved again against [B, I], so X_k is the same
+    solve at every point whatever its route.
     """
-    M = np.eye(A.shape[0]) - z[:, None, None] * A
+    n, m = B.shape
+    M = np.eye(n) - z[:, None, None] * A
+    rhs = np.hstack([B, np.eye(n)])
     try:
-        inv = np.linalg.inv(M)
+        Y = np.linalg.solve(M, np.broadcast_to(rhs, (len(M),) + rhs.shape))
     except np.linalg.LinAlgError:
         ok = np.zeros(len(M), dtype=bool)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            ok = (np.linalg.norm(inv, axis=(1, 2)) * rank_tol
+            ok = (np.linalg.norm(Y[:, :, m:], axis=(1, 2)) * rank_tol
                   * np.maximum(1.0, np.linalg.norm(M, axis=(1, 2)))
                   < _GUARD_MARGIN)
     if not ok.all():
         s = np.linalg.svd(M[~ok], compute_uv=False)
         ok[~ok] = s[:, -1] > rank_tol * np.maximum(1.0, s[:, 0])
-    return np.linalg.solve(M[ok], np.broadcast_to(B, (int(ok.sum()),) + B.shape)), ok
+        Y = np.linalg.solve(M[ok], np.broadcast_to(rhs, (int(ok.sum()),) + rhs.shape))
+    return Y[:, :, :m], ok
 
 
 def _pole_proximity(system, z):
@@ -974,25 +979,6 @@ def krylov_report(system, tol=DEFAULT_TOL):
             IndefiniteSubspace._orthonormal(sp, orthocomplement_basis(X, tol)
                                             if complement is None else complement), tol)
     return KrylovReport(Xc, Xo, Xs, Xc.dim == n, Xo.dim == n, Xs.dim == n, kinds)
-
-
-@dataclass(frozen=True)
-class SimpKarReport:
-    """Index-preservation verdict from the Krylov complement classifications."""
-
-    index_preserving: bool
-    complement_kinds: dict
-    kappa: int
-
-
-def simp_kar_check(system, tol=DEFAULT_TOL):
-    """Whether the transfer function keeps the full negative index.
-
-    Holds exactly when the complements of the Krylov subspaces are Hilbert
-    (positive) subspaces.
-    """
-    rep = krylov_report(system, tol)
-    return SimpKarReport(rep.index_preserving, rep.complement_kinds, system.kappa)
 
 
 def state_change(system, Z, new_state):

@@ -40,7 +40,6 @@ from .colligation import (
     _root_of_unity_values,
     _schur_spans,
     adjoint_system,
-    krylov_report,
     system_kind,
     system_operator,
     transfer_eval,
@@ -61,6 +60,7 @@ from .indefinite import (
     SignatureSpace,
     _DiscSchur,
     column_space,
+    inertia,
 )
 from .products import cascade, obstruction_observable
 from .sampling import boundary_points, disc_points
@@ -230,14 +230,15 @@ def _gram_from_values(points, values, tol):
 class NegativeSquaresEstimate:
     """Estimated number of negative squares with the record of its stages.
 
-    route names how the estimate was reached.  On "index_preserving" it is
-    the state index kappa of a passive index-preserving backing, certified
-    against the disc pole count, and history is empty.  On "kernel_ladder"
-    history holds the Gram's negative count at each stage, and the
-    estimate is stable when the count stayed unchanged over four stages;
-    it is None when it did not (verdict "inconclusive").  pole_count is
-    the independent count of main-operator eigenvalues outside the closed
-    disc, and agrees compares the two.
+    route names how the estimate was reached.  On "minimal_part" it is the
+    number of eigenvalues outside the closed disc of a minimal realization
+    of a passive backing, certified by the inertia of that realization's
+    state metric, and history is empty.  On "kernel_ladder" history holds
+    the Gram's negative count at each stage, and the estimate is stable
+    when the count stayed unchanged over four stages; it is None when it
+    did not (verdict "inconclusive").  pole_count is the backing's count
+    of main-operator eigenvalues outside the closed disc, and agrees
+    compares the two: it is False on a backing with a hidden pole.
     """
 
     estimate: int | None
@@ -258,66 +259,70 @@ def _backing_kind(S, tol):
         return None
 
 
-def _negative_index_bound(S, kind, tol):
-    """disc_pole_count when it bounds the negative index from above, else
-    None; kind is the backing's _backing_kind.
-
-    A passive backing, of any kind but NONE, realizes a generalized Schur
-    function, whose negative index is its number of poles in the disc;
-    each is 1/lam for an eigenvalue lam of A with |lam| > 1.  The count is
-    trusted only with no eigenvalue within metric_tol of the circle.
-    """
-    if (kind in (None, SystemKind.NONE)
-            or S.backing._spectrum.regions(tol.metric_tol)[0].any()):
-        return None
-    return S.disc_pole_count
-
-
 def negative_squares_estimate(S, tol=DEFAULT_TOL):
-    """The kernel's number of negative squares, from the backing's state
-    space where it settles it, else by growing sample sets.
+    """The kernel's number of negative squares, from the minimal part of a
+    passive backing, else by growing sample sets.
 
-    When the backing is passive, no eigenvalue of its main operator lies
-    within metric_tol of the circle and its Krylov report is
-    index-preserving, the index is the state index kappa: by the paper's
-    geometric characterization a passive system keeps the full index
-    exactly when every Krylov complement is a Hilbert subspace.  The disc
-    pole count must equal kappa, or InternalConsistencyError is raised.
-    Every other backing takes the kernel ladder: the sample set doubles
-    from 8 to at most 256 disc points; supersets never lose negative
-    directions, so the Gram's negative count is a lower bound on the index
-    that grows along the way.  On a passive backing clear of the circle
-    the disc pole count bounds the index from above, and a count above it
-    raises InternalConsistencyError.  The estimate is declared when the
-    count is unchanged over four consecutive stages, and is cross-checked
-    against the pole count; non-stabilization yields an inconclusive
-    verdict rather than a wrong certainty.
+    A passive backing realizes a generalized Schur function, whose index
+    is its number of poles in the disc (Krein-Langer): the eigenvalues
+    outside the closed disc of a minimal realization.  They are counted on
+    _minimal_part and certified against the negative index of its state
+    metric (_minimal_index).  Every other backing, and a passive one whose
+    minimal part has an eigenvalue within metric_tol of the circle or a
+    metric that does not certify the count, takes the kernel ladder: the
+    sample set doubles from 8 to at most 256 disc points; supersets never
+    lose negative directions, so the Gram's negative count is a lower
+    bound on the index that grows along the way.  The estimate is declared
+    when the count is unchanged over four consecutive stages, and is
+    cross-checked against the pole count; non-stabilization yields an
+    inconclusive verdict rather than a wrong certainty.
     """
     S = as_transfer(S)
     return _negative_squares(S, _backing_kind(S, tol), tol)
 
 
-def _negative_squares(S, kind, tol, krylov=None):
-    """negative_squares_estimate of the TransferFunction S whose backing's
-    _backing_kind is kind, for callers that have already decided it;
-    krylov is the backing's krylov_report when the caller holds it.
+def _minimal_index(S, tol):
+    """The negative index of S, whose backing is passive, read off the
+    backing's minimal part, or None when the part does not settle it.
 
-    The report is read only for a passive backing clear of the circle,
-    where the disc pole count bounds the index.  One that is not
-    index-preserving has index below its state index kappa, which that
-    count equals, so the ladder's count never meets the bound there."""
-    bound = _negative_index_bound(S, kind, tol)
-    if bound is not None:
-        if krylov is None:
-            krylov = krylov_report(S.backing, tol)
-        if krylov.index_preserving:
-            kappa = S.backing.kappa
-            if bound != kappa:
-                raise InternalConsistencyError(
-                    f"disc pole count {bound} of an index-preserving passive "
-                    f"backing differs from its index {kappa}")
-            return NegativeSquaresEstimate(kappa, True, (), bound, True,
-                                           "stable", "index_preserving")
+    The count is the number of eigenvalues outside the closed disc of
+    the minimal part (A_m, B, C, D) with state metric H = W^H J W.  A
+    minimal passive system is index-preserving, so by the paper's
+    characterization the count equals the negative index of H, which is
+    at most the state index kappa.  An eigenvalue of A_m within metric_tol
+    of the circle, a singular H and a compressed part whose H disagrees
+    with the count give None.  On a backing that is its own minimal part,
+    H = J, whose inertia its signature gives with no eigen-solve, a
+    disagreement raises InternalConsistencyError.
+    """
+    try:
+        _, _, _, H, inside = _minimal_part(S.backing, tol)
+    except AmbiguousSpectrumError:
+        return None
+    count = int(np.count_nonzero(~inside))
+    own = len(H) == S.backing.state_dim
+    _, zero, minus = (0, 0, S.backing.kappa) if own else inertia(H, tol)
+    if zero:
+        return None
+    if minus != count:
+        if own:
+            raise InternalConsistencyError(
+                f"outside count {count} of a minimal passive backing differs "
+                f"from its index {minus}")
+        return None
+    return certify("minimal part outside count within the state index",
+                   count, S.backing.kappa)
+
+
+def _negative_squares(S, kind, tol):
+    """negative_squares_estimate of the TransferFunction S whose backing's
+    _backing_kind is kind, for callers that have already decided it."""
+    if kind not in (None, SystemKind.NONE):
+        count = _minimal_index(S, tol)
+        if count is not None:
+            poles = S.disc_pole_count
+            return NegativeSquaresEstimate(count, True, (), poles, count == poles,
+                                           "stable", "minimal_part")
     exclude = S.poles
     history = []
     points = np.zeros(0, dtype=complex)
@@ -334,9 +339,6 @@ def _negative_squares(S, kind, tol, krylov=None):
         count = _gram_from_values(points, values, tol).n_minus
         history.append(count)
         size *= 2
-        if bound is not None:
-            certify("kernel negative count within the disc pole count",
-                    count, bound)
         if len(history) >= 4 and len(set(history[-4:])) == 1:
             est = history[-1]
             return NegativeSquaresEstimate(
@@ -470,7 +472,8 @@ def _minimal_part(system, tol):
     and R & N are A-invariant, B lies in R and C vanishes on R & N.  W is
     Q times the range of Q^H O, for orthonormal bases Q of R and O of the
     observable span, the complement of N.  An eigenvalue of A_m within
-    metric_tol of the circle raises AmbiguousSpectrumError.
+    metric_tol of the circle raises AmbiguousSpectrumError.  Both
+    kl_factorize_function and the index count of _minimal_index read it.
     """
     (reach, _), (observed, hidden) = _schur_spans(system, (False, True), tol)
     signs = system.state.signs
@@ -841,10 +844,12 @@ def _right_defect_scalar(S, values, tol):
 
     values holds S at the N = len(values)-th roots of unity, NaN where a
     point sat too close to a pole; any such point raises PoleProximityError.
-    Returns (phi, boundary_residual).  With d(z) = det(I - zA), the product
-    of 1 - lam z over the backing's Schur diagonal, S d is a polynomial of
-    degree at most n = dim A, so on the circle |d|^2 (1 - |S|^2) =
-    |d|^2 - |S d|^2 is a trigonometric polynomial sum_{|k| <= n} c_k w^k.
+    Returns (phi, boundary_residual).  defect calls it only once the
+    survey has found max |1 - |S|^2| above metric_tol.  With d(z) =
+    det(I - zA), the product of 1 - lam z over the backing's Schur
+    diagonal, S d is a polynomial of degree at most n = dim A, so on the
+    circle |d|^2 (1 - |S|^2) = |d|^2 - |S d|^2 is a trigonometric
+    polynomial sum_{|k| <= n} c_k w^k.
     As N >= 2n + 1, no frequency aliases onto another, and c_k is entry k
     of one FFT of its N samples, divided by N.  The samples carry the
     survey's stated error e per value (README rule 5), which moves a
@@ -862,8 +867,6 @@ def _right_defect_scalar(S, values, tol):
         raise _pole_proximity(S.backing, complex(circle[np.argmax(bad)]))
     target = 1.0 - np.abs(values) ** 2
     worst = float(np.max(np.abs(target)))
-    if worst <= tol.metric_tol:
-        return None, worst
     lam = S.backing._spectrum.eigenvalues
     dvals = np.prod(1.0 - circle[:, None] * lam, axis=1)
     c = np.fft.fft(np.abs(dvals) ** 2 * target)[:lam.size + 1] / values.size

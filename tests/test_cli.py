@@ -372,8 +372,8 @@ class TestClassify:
         assert len(calls) == 1
 
     def test_kind_decided_once(self, tmp_path, monkeypatch):
-        # the kappa estimate's pole-count bound reads the kind classify
-        # certified instead of deciding it again
+        # the kappa estimate's route reads the kind classify certified
+        # instead of deciding it again
         rng = np.random.default_rng(4)
         path = write_system(tmp_path, random_conservative_colligation(
             rng, SignatureSpace(7, 3), 2))
@@ -470,7 +470,7 @@ class TestNegsq:
         assert report["verdicts"]["stable"]
 
     def test_route_and_history(self, tmp_path):
-        # a passive index-preserving backing takes the state index with no
+        # a passive backing takes its index from its minimal part with no
         # ladder stage; the same function in non-passive coordinates climbs
         # the ladder
         rng = np.random.default_rng(17)
@@ -479,7 +479,7 @@ class TestNegsq:
         code, report = run_cli(tmp_path, "negsq", write_system(tmp_path, system))
         assert code == 0
         assert report["verdicts"]["estimate"] == 12
-        assert report["certificates"]["route"] == "index_preserving"
+        assert report["certificates"]["route"] == "minimal_part"
         assert report["certificates"]["history"] == []
         assert report["certificates"]["sample_inertia"]["minus"] <= 12
         changed = colligation.state_change(
@@ -493,7 +493,7 @@ class TestNegsq:
 
     def test_sampled_count_above_the_estimate_is_refused(
             self, tmp_path, monkeypatch, capsys):
-        # the report's 48-point Gram meets the theorem route's estimate: a
+        # the report's 48-point Gram meets the minimal part's estimate: a
         # count planted one above kappa fails its certificate
         rng = np.random.default_rng(15)
         path = write_system(

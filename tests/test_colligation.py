@@ -18,7 +18,6 @@ from pontsys.colligation import (
     markov,
     realize_from_taylor,
     restriction,
-    simp_kar_check,
     state_change,
     system_kind,
     system_operator,
@@ -1172,9 +1171,9 @@ class TestEigenvectorCall:
 
 class TestSimpKar:
     def test_minimal_negative_state_preserves_index(self):
-        rep = simp_kar_check(inverse_blaschke_system(0.5))
-        assert rep.index_preserving
-        assert rep.kappa == 1
+        system = inverse_blaschke_system(0.5)
+        assert krylov_report(system).index_preserving
+        assert system.kappa == 1
 
     def test_hidden_negative_block_fails(self):
         base = inverse_blaschke_system(0.5)
@@ -1183,7 +1182,7 @@ class TestSimpKar:
                            [[base.A[0, 0], 0.0], [0.0, 1.5]],
                            [[base.B[0, 0]], [0.0]],
                            [[base.C[0, 0], 0.0]], base.D)
-        rep = simp_kar_check(sys1)
+        rep = krylov_report(sys1)
         assert not rep.index_preserving
         assert rep.complement_kinds["simple"] == SubspaceKind.ANTIHILBERT
 

@@ -250,10 +250,9 @@ class TestNegativeSquares:
         assert np.all(np.diff(hist) >= 0)
 
 
-def _negsq_reference(S, tol=DEFAULT_TOL, bound=None):
+def _negsq_reference(S, tol=DEFAULT_TOL):
     """The stage loop that builds every stage's Gram with the public
-    kernel_gram over the whole sample set.  It stops at the first stage
-    whose count equals bound, when one is given, else after four equal
+    kernel_gram over the whole sample set.  It stops after four equal
     counts; returns (history, estimate, verdict, final Gram)."""
     S = as_transfer(S)
     history = []
@@ -266,8 +265,6 @@ def _negsq_reference(S, tol=DEFAULT_TOL, bound=None):
         gram = kernel_gram(S, points, tol)
         history.append(gram.n_minus)
         size *= 2
-        if gram.n_minus == bound:
-            return tuple(history), bound, "stable", gram
         if len(history) >= 4 and len(set(history[-4:])) == 1:
             return tuple(history), history[-1], "stable", gram
     return tuple(history), None, "inconclusive", gram
@@ -302,10 +299,10 @@ def _with_hidden_block(system, A, state):
                                           np.zeros((0, n)), np.zeros((0, 0))))
 
 
-def _assert_matches_reference(monkeypatch, system, bound=None):
+def _assert_matches_reference(monkeypatch, system):
     grams = spy(monkeypatch, schur._gram_from_values)
     est = negative_squares_estimate(system)
-    history, estimate, verdict, gram = _negsq_reference(system, bound=bound)
+    history, estimate, verdict, gram = _negsq_reference(system)
     assert est.history == history
     assert est.estimate == estimate
     assert est.verdict == verdict
@@ -340,10 +337,25 @@ class TestNegativeSquaresReuse:
         assert np.unique(evaluated).size == evaluated.size
 
 
+def _hidden_pole_probe(n, kappa, seed):
+    """The hidden-pole probe: a strictly passive backing of index kappa
+    beside a decoupled negative state with A = 2, a disc pole of the
+    realization that the function does not have."""
+    system = random_passive_colligation(
+        np.random.default_rng([n, kappa, seed]),
+        SignatureSpace(n - kappa, kappa), 1, 1, strict=0.35)
+    return _with_hidden_block(system, [[2.0]], SignatureSpace(0, 1))
+
+
+def _metric_inertia(system):
+    """Inertia of the state metric H of the system's minimal part."""
+    return tuple(indefinite.inertia(schur._minimal_part(system, DEFAULT_TOL)[3]))
+
+
 class TestNegativeSquaresBound:
-    """A passive index-preserving backing clear of the circle takes its
-    index from the state space, certified against its disc pole count;
-    every other backing keeps the ladder."""
+    """A passive backing takes its index from its minimal part: the
+    eigenvalues outside the closed disc, certified by the inertia of the
+    part's state metric.  Every other backing keeps the ladder."""
 
     @pytest.mark.parametrize("index", range(5))
     def test_index_preserving_backing_takes_the_theorem_route(self, monkeypatch,
@@ -352,7 +364,7 @@ class TestNegativeSquaresBound:
         grams = spy(monkeypatch, schur._gram_from_values)
         est = negative_squares_estimate(system)
         assert grams == []
-        assert est.route == "index_preserving" and est.history == ()
+        assert est.route == "minimal_part" and est.history == ()
         assert est.estimate == est.pole_count == system.kappa
         assert est.stable and est.agrees and est.verdict == "stable"
         # the ladder on the same function in non-passive coordinates
@@ -372,41 +384,116 @@ class TestNegativeSquaresBound:
             SignatureSpace(n - kappa, kappa), 1, 1, strict=0.35)
         grams = spy(monkeypatch, schur._gram_from_values)
         est = negative_squares_estimate(system)
-        assert (est.estimate, est.route, est.agrees) == (kappa, "index_preserving", True)
+        assert (est.estimate, est.route, est.agrees) == (kappa, "minimal_part", True)
         assert grams == []
 
-    def test_a_given_report_is_read(self, monkeypatch):
+    @pytest.mark.parametrize("n, kappa, seed", [(12, 3, 0), (40, 8, 0), (40, 12, 0),
+                                                (40, 12, 1), (60, 20, 0), (80, 30, 1)])
+    def test_hidden_pole_probes_answer_kappa(self, monkeypatch, n, kappa, seed):
+        # the ladder is inconclusive on (40, 8), (40, 12) and (60, 20), and
+        # kl_factorize_function refuses (80, 30, 1); the minimal part drops
+        # the hidden state and its metric certifies the count
+        system = _hidden_pole_probe(n, kappa, seed)
+        assert system_kind(system) == SystemKind.PASSIVE
+        grams = spy(monkeypatch, schur._gram_from_values)
+        reports = spy(monkeypatch, colligation.krylov_report)
+        est = negative_squares_estimate(system)
+        assert grams == [] and reports == []
+        assert (est.estimate, est.route, est.history) == (kappa, "minimal_part", ())
+        assert est.pole_count == kappa + 1 and est.agrees is False
+        assert _metric_inertia(system) == (n - kappa, 0, kappa)
+
+    def test_no_krylov_report_is_taken(self, monkeypatch):
         system = _negsq_systems()[0]
-        report = colligation.krylov_report(system)
         reports = spy(monkeypatch, colligation.krylov_report)
         est = schur._negative_squares(as_transfer(system), system_kind(system),
-                                      DEFAULT_TOL, report)
+                                      DEFAULT_TOL)
         assert est.estimate == 3 and reports == []
 
     def test_a_non_passive_backing_reads_no_report(self, monkeypatch):
         reports = spy(monkeypatch, colligation.krylov_report)
+        parts = spy(monkeypatch, schur._minimal_part)
         est = negative_squares_estimate(_non_passive_copy(_negsq_systems()[0]))
-        assert est.route == "kernel_ladder" and reports == []
+        assert est.route == "kernel_ladder" and reports == [] and parts == []
+
+    @staticmethod
+    def one_more_outside(monkeypatch, more=1):
+        """Plant more eigenvalues outside the disc in the minimal part."""
+        real = schur._minimal_part
+
+        def planted(system, tol):
+            form, B, C, H, inside = real(system, tol)
+            inside = inside.copy()
+            inside[np.flatnonzero(inside)[:more]] = False
+            return form, B, C, H, inside
+
+        monkeypatch.setattr(schur, "_minimal_part", planted)
 
     def test_pole_count_off_the_index_raises(self, monkeypatch):
-        # a passive index-preserving backing counts kappa disc poles; a
-        # count planted one off is refused, not reported
+        # a backing that is its own minimal part counts kappa eigenvalues
+        # outside the disc; a count planted one off is refused, not reported
         system = _negsq_systems()[0]
-        monkeypatch.setattr(schur.TransferFunction, "disc_pole_count", 4)
+        self.one_more_outside(monkeypatch)
         with pytest.raises(InternalConsistencyError, match="differs from its index 3"):
             negative_squares_estimate(system)
 
-    def test_hidden_pole_keeps_the_ladder(self, monkeypatch):
+    def test_count_above_kappa_raises(self, monkeypatch):
+        # a count that its metric confirms still may not exceed kappa: the
+        # hidden-pole backing's part counts 3 of kappa = 4, planted 5
+        def two_more_negatives(H, tol):
+            plus, zero, minus = indefinite.inertia(H, tol)
+            return indefinite.Inertia(plus - 2, zero, minus + 2)
+
+        hidden = self.hidden_pole()
+        assert hidden.kappa == 4
+        self.one_more_outside(monkeypatch, 2)
+        monkeypatch.setattr(schur, "inertia", two_more_negatives)
+        with pytest.raises(InternalConsistencyError, match="within the state index"):
+            negative_squares_estimate(hidden)
+
+    def test_compressed_part_off_its_metric_keeps_the_ladder(self, monkeypatch):
+        # on a compressed part the same planted count is left to the ladder
+        self.one_more_outside(monkeypatch)
+        est = _assert_matches_reference(monkeypatch, self.hidden_pole())
+        assert est.route == "kernel_ladder" and est.estimate == 3
+
+    def test_singular_metric_keeps_the_ladder(self, monkeypatch):
+        # only a compressed part's metric can be singular; J is not
+        def singular(H, tol):
+            return indefinite.Inertia(len(H) - 1, 1, 0)
+
+        monkeypatch.setattr(schur, "inertia", singular)
+        est = _assert_matches_reference(monkeypatch, self.hidden_pole())
+        assert est.route == "kernel_ladder" and est.estimate == 3
+
+    def test_hidden_pole_answers_by_the_minimal_part(self, monkeypatch):
         # a hidden J-unitary block adds a disc pole of the realization
         # that the function does not have; its indefinite block lies in the
         # Krylov complements, so the backing is not index-preserving
         hidden = self.hidden_pole()
         assert system_kind(hidden) == SystemKind.CONSERVATIVE
         assert not colligation.krylov_report(hidden).index_preserving
-        est = _assert_matches_reference(monkeypatch, hidden)
-        assert est.route == "kernel_ladder"
+        grams = spy(monkeypatch, schur._gram_from_values)
+        est = negative_squares_estimate(hidden)
+        assert grams == [] and est.route == "minimal_part"
         assert est.estimate == 3 and est.pole_count == 4
         assert est.stable and est.agrees is False
+        assert _metric_inertia(hidden) == (7, 0, 3)
+
+    @pytest.mark.parametrize("inverse_first", [False, True])
+    def test_cancelling_cascade_answers_zero(self, monkeypatch, inverse_first):
+        # (b_beta b_alpha) / b_beta: the pole of 1/b_beta cancels against
+        # the zero of b_beta, in either order of the cascade
+        numerator = cascade(blaschke_system(0.5), blaschke_system(-0.3 + 0.2j))
+        inverse = inverse_blaschke_system(0.5)
+        system = (cascade(inverse, numerator) if inverse_first
+                  else cascade(numerator, inverse))
+        assert system_kind(system) == SystemKind.CONSERVATIVE
+        grams = spy(monkeypatch, schur._gram_from_values)
+        est = negative_squares_estimate(system)
+        assert grams == [] and est.route == "minimal_part"
+        assert (est.estimate, est.pole_count, est.agrees) == (0, 1, False)
+        assert _metric_inertia(system) == (1, 0, 0)
 
     @staticmethod
     def hidden_pole():
@@ -415,34 +502,99 @@ class TestNegativeSquaresBound:
         return _with_hidden_block(_negsq_systems()[0], hyperbolic,
                                   SignatureSpace(1, 1))
 
-    def test_eigenvalue_near_the_circle_keeps_the_ladder(self, monkeypatch):
-        # the eigenvalue sits inside the disc, within metric_tol of the
-        # circle, where the pole count is not trusted
+    def test_hidden_eigenvalue_near_the_circle_is_dropped(self, monkeypatch):
+        # a hidden eigenvalue inside the disc, within metric_tol of the
+        # circle, is not in the minimal part
         system = _negsq_systems()[0]
         lam = (1.0 - 0.5 * DEFAULT_TOL.metric_tol) * np.exp(0.3j)
         hidden = _with_hidden_block(system, [[lam]], SignatureSpace(1, 0))
         assert system_kind(hidden) != SystemKind.NONE
         assert as_transfer(hidden).disc_pole_count == 3
-        est = _assert_matches_reference(monkeypatch, hidden)
+        grams = spy(monkeypatch, schur._gram_from_values)
+        est = negative_squares_estimate(hidden)
+        assert grams == [] and est.route == "minimal_part"
+        assert (est.estimate, est.agrees) == (3, True)
+        assert _metric_inertia(hidden) == (7, 0, 3)
+
+    def test_eigenvalue_near_the_circle_keeps_the_ladder(self, monkeypatch):
+        # beside a Blaschke factor whose zero lies within metric_tol of the
+        # circle, the eigenvalue is reachable and observable, so it stays
+        # in the minimal part, where the pole count is not trusted
+        system = direct_sum(_negsq_systems()[0], blaschke_system(
+            (1.0 - 0.5 * DEFAULT_TOL.metric_tol) * np.exp(0.3j)))
+        assert system_kind(system) == SystemKind.CONSERVATIVE
+        assert colligation.krylov_report(system).simple
+        with pytest.raises(AmbiguousSpectrumError):
+            schur._minimal_part(system, DEFAULT_TOL)
+        est = _assert_matches_reference(monkeypatch, system)
         assert est.route == "kernel_ladder"
-        assert est.history == (3, 3, 3, 3) and est.agrees
+        assert est.estimate == 3 and est.agrees
 
-    def test_count_above_the_pole_count_raises(self, monkeypatch):
-        # the hidden-pole backing takes the ladder under the bound 4; two
-        # planted negatives lift its count of 3 past it
-        real = schur._gram_from_values
+    def test_non_passive_probe_is_inconclusive(self, monkeypatch):
+        # the (40, 12, 0) probe in coordinates that are not metric unitary:
+        # the ladder saturates at 8 and says so
+        system = random_passive_colligation(
+            np.random.default_rng([40, 12, 0]), SignatureSpace(28, 12), 1, 1,
+            strict=0.35)
+        Z = np.eye(40)
+        Z[0, 0], Z[-1, -1] = 3.0, 1.0 / 3.0
+        changed = state_change(system, Z, system.state)
+        assert system_kind(changed) == SystemKind.NONE
+        est = _assert_matches_reference(monkeypatch, changed)
+        assert (est.estimate, est.verdict, est.history) == (
+            None, "inconclusive", (0, 2, 7, 8, 8, 8))
+        assert not est.stable and est.agrees is None and est.pole_count == 12
 
-        def two_extra_negatives(points, values, tol):
-            gram = real(points, values, tol)
-            plus, zero, minus = gram.inertia
-            return schur.KernelGram(gram.points, gram.matrix,
-                                    (plus, zero, minus + 2), gram.block_dim)
 
-        hidden = self.hidden_pole()
-        monkeypatch.setattr(schur, "_gram_from_values", two_extra_negatives)
-        with pytest.raises(InternalConsistencyError,
-                           match="kernel negative count within the disc pole count"):
-            negative_squares_estimate(hidden)
+def _characterization_sweep():
+    """(name, backing): seeded passive and conservative backings, alone and
+    beside hidden blocks of either sign."""
+    hidden = {"none": None,
+              "positive": ([[0.5]], SignatureSpace(1, 0)),
+              "negative": ([[2.0]], SignatureSpace(0, 1)),
+              "hyperbolic": ([[math.cosh(0.5), math.sinh(0.5)],
+                              [math.sinh(0.5), math.cosh(0.5)]], SignatureSpace(1, 1))}
+    for n, kappa in ((3, 1), (6, 2), (10, 3), (24, 5)):
+        for seed in (0, 1):
+            rng = np.random.default_rng([n, kappa, seed, 35])
+            state = SignatureSpace(n - kappa, kappa)
+            bases = {"conservative": random_conservative_colligation(rng, state, 1),
+                     "passive": random_passive_colligation(rng, state, 2, 1,
+                                                           strict=0.3)}
+            for kind, base in bases.items():
+                for name, block in hidden.items():
+                    system = base if block is None else _with_hidden_block(base, *block)
+                    yield f"{kind}-{n}-{kappa}-{seed}-{name}", system
+
+
+SWEEP = dict(_characterization_sweep())
+
+
+class TestIndexCharacterization:
+    """The paper's characterization both ways: a passive backing keeps its
+    full index exactly when its Krylov complements are Hilbert."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP))
+    def test_index_preserving_iff_the_index_is_kappa(self, name):
+        system = SWEEP[name]
+        assert system_kind(system) != SystemKind.NONE
+        est = negative_squares_estimate(system)
+        assert est.route == "minimal_part"
+        preserving = colligation.krylov_report(system).index_preserving
+        assert preserving == (est.estimate == system.kappa)
+        assert preserving == name.endswith(("none", "positive"))
+
+    def test_estimate_is_the_factorization_degree(self):
+        answered = 0
+        for system in SWEEP.values():
+            est = negative_squares_estimate(system)
+            try:
+                kappa = kl_factorize_function(system).kappa
+            except (PreconditionError, AmbiguousSpectrumError):
+                continue
+            assert est.estimate == kappa
+            answered += 1
+        assert answered >= len(SWEEP) // 2
 
 
 class TestBlaschkePotapov:
@@ -758,7 +910,7 @@ class TestKLFactorizeFunction:
             assert Sf.backing.state_dim == fac.schur_factor.state_dim == n - kappa
             assert system_kind(Sf.backing) == SystemKind.CONSERVATIVE
             est = negative_squares_estimate(Sf)
-            assert (est.estimate, est.route) == (0, "index_preserving")
+            assert (est.estimate, est.route) == (0, "minimal_part")
             assert np.max(np.abs(U - U[0])) <= 1e-10
             assert np.max(np.abs(U[0].conj().T @ U[0] - np.eye(m))) <= 1e-10
             assert np.max(np.abs(Sf.values(pts) - moved)) <= 1e-10

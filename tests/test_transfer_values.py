@@ -66,15 +66,17 @@ SYSTEMS = dict(_systems())
 
 
 def _one_point(system, z, tol=DEFAULT_TOL):
-    """Reference evaluation at one point: SVD guard, then one solve."""
-    n = system.A.shape[0]
+    """Reference evaluation at one point: SVD guard, then one solve against
+    [B, I], whose leading columns are (I - zA)^-1 B."""
+    n, m = system.B.shape
     if n == 0:
         return system.D.copy()
     M = np.eye(n) - z * system.A
     s = np.linalg.svd(M, compute_uv=False)
     if s[-1] <= tol.rank_tol * max(1.0, s[0]):
         raise PoleProximityError(z)
-    return system.D + z * (system.C @ np.linalg.solve(M, system.B))
+    X = np.linalg.solve(M, np.hstack([system.B, np.eye(n)]))[:, :m]
+    return system.D + z * (system.C @ X)
 
 
 def _loop(system, points, evaluate=_one_point, tol=DEFAULT_TOL):
@@ -131,13 +133,13 @@ def test_values_and_mask_match_the_loop(name):
 
 
 def test_exactly_singular_member_takes_the_svd():
-    # I - zA is exactly singular at z = 1/2 and z = 2, so the stacked inv
+    # I - zA is exactly singular at z = 1/2 and z = 2, so the stacked solve
     # raises and the whole stack is decided by the SVD rule
     system = Colligation(SignatureSpace(2, 0), 1, 1, np.diag([2.0, 0.5]),
                          [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
     pts = np.array([0.1, 0.5, 0.3j, 2.0, -0.7, 0.5 + 1e-9])
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(np.eye(2) - pts[:, None, None] * system.A)
+        np.linalg.solve(np.eye(2) - pts[:, None, None] * system.A, np.ones((6, 2, 1)))
     for rank_tol in RANK_TOLS:
         tol = Tolerances(rank_tol=rank_tol)
         vals, ok = transfer_values(system, pts, tol)
@@ -154,6 +156,21 @@ def test_circle_far_from_every_pole_takes_no_svd(monkeypatch):
     calls = spy_attr(monkeypatch, np.linalg, "svd")
     _, ok = transfer_values(system, boundary_points(256))
     assert ok.all() and not calls
+
+
+@pytest.mark.parametrize("name", ["conservative-12-3-2", "passive-40-8-1"])
+def test_each_batch_factors_once(monkeypatch, name):
+    # one stacked solve against [B, I] gives the values and the inverse
+    # that the pole guard reads; no inv and no second solve
+    system = SYSTEMS[name]
+    pts = disc_points(40, seed=5, radius=0.9, exclude=TransferFunction(system).poles,
+                      min_dist=1e-2)
+    solves = spy_attr(monkeypatch, np.linalg, "solve")
+    inverses = spy_attr(monkeypatch, np.linalg, "inv")
+    _, ok = transfer_values(system, pts)
+    assert ok.all()
+    assert len(solves) == 1 and not inverses
+    assert solves[0][0].shape == (40, system.state_dim, system.state_dim)
 
 
 def test_some_points_sit_within_the_pole_margin():
