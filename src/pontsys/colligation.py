@@ -7,15 +7,13 @@ Hilbert input and output.  The system operator acts block-wise:
     [ y      ] = [ C  D ] [ u ]
 
 and the transfer function is D + z C (I - z A)^(-1) B, holomorphic at 0.
-transfer_values evaluates it at a batch of points with one stacked pole
-guard and one stacked solve (_resolvent, which also serves the resolvent
-samples of _unit_samples); every sampled check in the package, and
-transfer_eval as its one-point case, runs on it.  The guard decides most
-points by a Frobenius bound on one stacked inverse and runs the stacked
-SVD only on the points that bound leaves open.  Circle surveys at the
-N-th roots of unity take _root_of_unity_values instead, which reads all
-N values off the system's Schur form with one FFT and falls back to
-transfer_values for a named reason.
+transfer_values evaluates it at a batch of points on the system's cached
+Schur form A = Z T Z^H: one back-substitution on I - z T, vectorized over
+the points, with one pole guard read off the same sweep (_resolvent, which
+also serves the resolvent samples of _unit_samples).  Every sampled check
+in the package, the circle surveys, and transfer_eval as its one-point
+case, run on it.  The guard decides most points by a comparison-matrix
+bound and runs the stacked SVD only on the points that bound leaves open.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from enum import Enum as _Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import zgeev, zgesvd, ztrsyl, ztrtri
+from scipy.linalg.lapack import zgeev, zgesvd
 
 from .exceptions import (
     DimensionMismatchError,
@@ -331,43 +329,64 @@ def adjoint_system(system):
     )
 
 
-# a point whose Frobenius bound stays below this fraction of the pole rule
-# passes the rule; the factor 2 absorbs the rounding of the solve and of
-# the SVD
+# a point whose comparison bound stays below this fraction of the pole rule
+# passes the rule; the factor 2 absorbs the rounding of the Schur form, of
+# the sweep and of the SVD
 _GUARD_MARGIN = 0.5
 
 
-def _resolvent(A, B, z, rank_tol):
-    """(X, ok): X_k = (I - z_k A)^(-1) B, stacked, at the points that ok
-    marks as passing the pole rule s_min > rank_tol * max(1, s_max) of
-    I - z_k A, from one stacked solve.
+def _sweep(T, W, z):
+    """(X, y) for an upper triangular T, W of shape (n, m) and N points:
+    X[:, k] = (I - z_k T)^(-1) W, shape (n, N, m), and y[:, k] =
+    M_k^(-1) e, shape (n, N), with M_k the comparison matrix of I - z_k T
+    (diagonal |1 - z_k T_ii|, off-diagonal -|z_k| |T_ij|) and e the vector
+    of ones.  One back-substitution serves every point and column: row i
+    is one product of row i of T, and of |T|, by the rows below, so n
+    steps of O(n N m) work.  A point where I - z_k T is singular, or whose
+    sweep overflows, has non-finite rows."""
+    n, m = W.shape
+    N = z.size
+    with np.errstate(all="ignore"):
+        inv = 1.0 / (1.0 - np.outer(np.diagonal(T), z))
+        # row i starts at W_i / d_i and gains z / d_i times T[i, i+1:] X[i+1:]
+        X = (W[:, None, :] * inv[:, :, None]).reshape(n, N * m)
+        step = np.repeat(z * inv, m, axis=1)
+        y = np.abs(inv)
+        grow = np.abs(z) * y
+        absolute = np.abs(T)
+        for i in range(n - 2, -1, -1):
+            X[i] += step[i] * np.dot(T[i, i + 1:], X[i + 1:])
+            y[i] += grow[i] * np.dot(absolute[i, i + 1:], y[i + 1:])
+    return X.reshape(n, N, m), y
 
-    s_min(M) >= 1/|M^-1|_F and s_max(M) <= |M|_F, so a matrix with
-    |M^-1|_F * rank_tol * max(1, |M|_F) below _GUARD_MARGIN passes the
-    rule.  One stacked solve against [B, I] factors each I - z_k A once and
-    gives both X_k and the inverse that decides those.  The rest, including
-    non-finite bounds and the whole stack when the solve meets an exactly
-    singular member, take the stacked SVD and the rule itself, and the
-    points that pass are solved again against [B, I], so X_k is the same
-    solve at every point whatever its route.
+
+def _resolvent(T, W, z, rank_tol, A):
+    """(X, ok): X of _sweep, X[:, k] = (I - z_k T)^(-1) W, for the Schur
+    form A = Z T Z^H, W = Z^H B, and ok marking the points that pass the
+    pole rule s_min > rank_tol * max(1, s_max) of I - z_k A (README rule 5).
+
+    For the triangular M = I - z T, |M^-1| <= M(M)^-1 entrywise, M(M) the
+    comparison matrix (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 8.3), so s_min(M) >= 1 / (sqrt(n) |y|_inf) with y
+    the sweep's second output, and s_max(M) <= |M|_F, whose square is
+    n + |z|^2 |T|_F^2 - 2 Re(z tr T).  A point whose bound
+    sqrt(n) |y|_inf * rank_tol * max(1, |M|_F) is below _GUARD_MARGIN
+    passes the rule.  The rest, including non-finite bounds, take the
+    stacked SVD of I - z A and the rule itself; X is the sweep's at every
+    point whatever its route.
     """
-    n, m = B.shape
-    M = np.eye(n) - z[:, None, None] * A
-    rhs = np.hstack([B, np.eye(n)])
-    try:
-        Y = np.linalg.solve(M, np.broadcast_to(rhs, (len(M),) + rhs.shape))
-    except np.linalg.LinAlgError:
-        ok = np.zeros(len(M), dtype=bool)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            ok = (np.linalg.norm(Y[:, :, m:], axis=(1, 2)) * rank_tol
-                  * np.maximum(1.0, np.linalg.norm(M, axis=(1, 2)))
-                  < _GUARD_MARGIN)
+    n = T.shape[0]
+    X, y = _sweep(T, W, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # max(1, |M|_F)^2, a non-finite square or bound failing the test
+        fro2 = np.maximum(1.0, n + (np.abs(z) * np.linalg.norm(T)) ** 2
+                          - 2.0 * (z * np.trace(T)).real)
+        ok = (np.max(y, axis=0, initial=0.0) * np.sqrt(fro2) * (rank_tol * np.sqrt(n))
+              < _GUARD_MARGIN)
     if not ok.all():
-        s = np.linalg.svd(M[~ok], compute_uv=False)
+        s = np.linalg.svd(np.eye(n) - z[~ok, None, None] * A, compute_uv=False)
         ok[~ok] = s[:, -1] > rank_tol * np.maximum(1.0, s[:, 0])
-        Y = np.linalg.solve(M[ok], np.broadcast_to(rhs, (int(ok.sum()),) + rhs.shape))
-    return Y[:, :, :m], ok
+    return X, ok
 
 
 def _pole_proximity(system, z):
@@ -380,23 +399,33 @@ def _pole_proximity(system, z):
 def transfer_values(system, points, tol=DEFAULT_TOL, raise_on_pole=False):
     """Values D + z C (I - z A)^(-1) B of the transfer function at every point.
 
-    One batch through _resolvent: the stack I - z A, one pole guard (a
-    point is rejected when s_min <= rank_tol * max(1, s_max)) and one
-    stacked solve.  Returns (values, ok) with values of shape (N, p, m)
-    and ok marking the accepted points; rejected rows are NaN.  With
-    raise_on_pole the first rejected point raises PoleProximityError,
-    reporting the nearest reciprocal eigenvalue of A as the offending pole.
+    One batch through _resolvent on the system's Schur form: one sweep, one
+    pole guard (a point is rejected when s_min <= rank_tol * max(1, s_max)
+    of I - z A) and one product by C Z.  Returns (values, ok) with values
+    of shape (N, p, m) and ok marking the accepted points; rejected rows
+    are NaN.  With raise_on_pole the first rejected point raises
+    PoleProximityError, reporting the nearest reciprocal eigenvalue of A as
+    the offending pole.
     """
     z = np.asarray(points, dtype=complex).ravel()
+    n = system.A.shape[0]
     p, m = system.D.shape
-    if system.A.shape[0] == 0:
+    if n == 0:
         values = np.broadcast_to(system.D, (z.size, p, m)).copy()
         return values, np.ones(z.size, dtype=bool)
-    X, ok = _resolvent(system.A, system.B, z, tol.rank_tol)
-    if raise_on_pole and not ok.all():
-        raise _pole_proximity(system, complex(z[np.argmin(ok)]))
-    values = np.full((z.size, p, m), np.nan, dtype=complex)
-    values[ok] = system.D + z[ok, None, None] * (system.C @ X)
+    form = system._spectrum
+    X, ok = _resolvent(form.T, form.Z.conj().T @ system.B, z, tol.rank_tol, system.A)
+    rejected = ~ok
+    if rejected.any():
+        if raise_on_pole:
+            raise _pole_proximity(system, complex(z[np.argmax(rejected)]))
+        # a rejected point's sweep may have overflowed; its row is NaN below
+        X[:, rejected] = 0.0
+    CX = ((system.C @ form.Z) @ X.reshape(n, z.size * m)).reshape(p, z.size, m)
+    values = np.multiply(z[:, None, None], CX.transpose(1, 0, 2),
+                         out=np.empty((z.size, p, m), dtype=complex))
+    values += system.D
+    values[rejected] = np.nan
     return values, ok
 
 
@@ -413,7 +442,8 @@ def _sample_points(system, tol):
     lam_k among the c eigenvalues within r_k of it.  Every r_k starts at
     g |A|_F, g = rank_tol^(1/3) as in _schur_spans, and doubles with its
     cluster until |(sigma_k - A)^(-1)|_F |A|_F <= _SAMPLE_SLACK / g, so a
-    cluster or a Jordan chain moves its points out.
+    cluster or a Jordan chain moves its points out.  The norm is that of
+    (sigma_k - T)^(-1), unitarily similar, from one _sweep of the identity.
     The samples (I - z_k A)^(-1) B span the reachable space, a rational
     Krylov space (Ruhe, 1984).  Each is inverse iteration at sigma_k: the
     solve's rounding, a small multiple of u |A|_F, reaches a hidden mode
@@ -425,7 +455,8 @@ def _sample_points(system, tol):
     g = tol.rank_tol ** (1.0 / 3.0)
     # in units of |A|_F (1 for A = 0), so no resolvent norm overflows
     scale = float(np.linalg.norm(system.A)) or 1.0
-    A, lam = system.A / scale, system._spectrum.eigenvalues / scale
+    form = system._spectrum
+    T, lam = form.T / scale, form.eigenvalues / scale
     gap = np.abs(lam[:, None] - lam)
     radius = np.full(lam.size, g)
     while True:
@@ -433,26 +464,33 @@ def _sample_points(system, tol):
         size = np.count_nonzero(close, axis=1)
         rank = np.count_nonzero(np.tril(close, -1), axis=1)
         sigma = lam + radius * np.exp(2j * np.pi * rank / size)
-        try:
-            inv = np.linalg.inv(sigma[:, None, None] * np.eye(lam.size) - A)
-        except np.linalg.LinAlgError:
-            near = np.ones(lam.size, dtype=bool)
-        else:
-            near = np.linalg.norm(inv, axis=(1, 2)) * g > _SAMPLE_SLACK
+        # (I - T / sigma)^(-1) = sigma (sigma - T)^(-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            X = _sweep(T, np.eye(lam.size), 1.0 / sigma)[0]
+            near = ~(np.linalg.norm(X, axis=(0, 2)) / np.abs(sigma) * g <= _SAMPLE_SLACK)
         if not near.any():
             return 1.0 / (scale * sigma)
         radius[close[:, near].any(axis=1)] *= 2.0
 
 
-def _unit_samples(pairs, z, rank_tol):
+def _unit_samples(systems, z, rank_tol, observe=False):
     """[S_1, S_2, ...]: the resolvent samples (I - z_k A)^(-1) B of each
-    pair (A, B) at the points that all of them accept, side by side as an
-    n x (points m) matrix, each column divided by the norm of the first
-    pair's column, whose zero columns are dropped."""
-    X, ok = zip(*(_resolvent(A, B, z, rank_tol) for A, B in pairs))
-    accepted = np.logical_and.reduce(ok)
-    S = [Xi[accepted[oki]].transpose(1, 0, 2) for Xi, oki in zip(X, ok)]
-    S = [Si.reshape(Si.shape[0], Si.shape[1] * Si.shape[2]) for Si in S]
+    system, or with observe (I - conj(z_k) A^H)^(-1) C^H, at the points
+    that all of them accept, side by side as an n x (points m) matrix, each
+    column divided by the norm of the first system's column, whose zero
+    columns are dropped.  Both sides solve on the system's one Schur form:
+    the observe side on its flip (P T^H P, Z P), P the reversal, the Schur
+    form of A^H, as schur._flip does."""
+    sides = []
+    for s in systems:
+        T, Z, A, B, w = s._spectrum.T, s._spectrum.Z, s.A, s.B, z
+        if observe:
+            T, Z, A, B, w = (np.ascontiguousarray(T.conj().T[::-1, ::-1]), Z[:, ::-1],
+                             A.conj().T, s.C.conj().T, z.conj())
+        sides.append((Z, *_resolvent(T, Z.conj().T @ B, w, rank_tol, A)))
+    accepted = np.logical_and.reduce([ok for _, _, ok in sides])
+    k = int(np.count_nonzero(accepted))
+    S = [Z @ X[:, accepted].reshape(X.shape[0], k * X.shape[2]) for Z, X, _ in sides]
     norms = np.linalg.norm(S[0], axis=0)
     keep = norms > 0
     return [Si[:, keep] / norms[keep] for Si in S]
@@ -462,9 +500,7 @@ def _sampled_hidden(system, observe, tol):
     """The hidden space of _schur_spans on one side, from samples: the
     orthogonal complement of the span of (I - z A)^(-1) B at the
     _sample_points, or with observe of (I - conj(z) A^H)^(-1) C^H."""
-    z = _sample_points(system, tol)
-    pair = (system.A.conj().T, system.C.conj().T) if observe else (system.A, system.B)
-    S, = _unit_samples([pair], z.conj() if observe else z, tol.rank_tol)
+    S, = _unit_samples([system], _sample_points(system, tol), tol.rank_tol, observe)
     return nullspace(S.conj().T, tol)
 
 
@@ -477,201 +513,6 @@ def transfer_eval(system, z, tol=DEFAULT_TOL):
     return transfer_values(system, [complex(z)], tol, raise_on_pole=True)[0][0]
 
 
-# why _root_of_unity_values leaves a circle survey to the stacked LU route
-ALIAS_NO_BLOCKS = "no state, input or output"
-ALIAS_POLE_ON_SAMPLE = "I - T^N singular on a block: a pole on a sample"
-ALIAS_NONFINITE = "non-finite Taylor stack or error estimate"
-ALIAS_ILL_CONDITIONED = "split too ill-conditioned for the error bound"
-
-
-def _hoelder_norm2(M):
-    """sqrt(|M|_1 |M|_inf), an upper bound on |M|_2 with no SVD."""
-    a = np.abs(M)
-    return float(np.sqrt(np.max(a.sum(axis=0)) * np.max(a.sum(axis=1))))
-
-
-def _aliased_stack(T, B, C, N, rank_tol, rel=0.0):
-    """One block of the split Schur form on the N-th roots of unity.
-
-    T is upper triangular with spectral radius at most 1, and known to a
-    relative error rel.  Returns None when I - T^N has a diagonal entry at
-    or below rank_tol (a pole on a sample), else (G, Q, rho, growth, err):
-    - G, the (N, p, m) stack C T^r Q B, r < N, with Q = (I - T^N)^(-1)
-    - rho >= sum_{r<N} |T^r|_2: the product of 1 + a_j over the bits of
-      N - 1, with a_j >= |T^(2^j)|_F the smaller of a_(j-1)^2 and the
-      computed norm plus its estimated rounding, so rho |Q|_F bounds the
-      block's resolvent on the circle
-    - growth = sum_r |T^r B|_F, as computed
-    - err, an estimate of the error of sum_r z^r G_r at a root of unity.
-      A product of order k rounds at sqrt(k) u |X|_F |Y|_F (the
-      probabilistic model of rounding), summed over the squarings and
-      products that give T^N; the diagonal of T^N carries the N u
-      relative error that repeated squaring gives lambda^N, so an
-      eigenvalue near a root of unity shows through Q = (I - T^N)^(-1),
-      whose 2-norm is taken as sqrt(|Q|_1 |Q|_inf).  The stack takes k u
-      per product along the doubling chain and the FFT u log2 N; rel
-      enters the r-th power of T r times.
-
-    The powers T^(2^j) come from repeated squaring, and the block
-    [B, TB, ..., T^(N-1) B] from them by _power_block.
-    """
-    k, m = B.shape
-    u = _UNIT_ROUNDOFF
-    g = np.sqrt(k) * u
-    radius = float(np.max(np.abs(np.diagonal(T))))
-    powers = [T]
-    fro = [float(np.linalg.norm(T))]
-    err = [0.0]  # estimated error of each computed power
-    while len(powers) < N.bit_length():
-        err.append(err[-1] + g * fro[-1] * fro[-1])
-        powers.append(powers[-1] @ powers[-1])
-        fro.append(float(np.linalg.norm(powers[-1])))
-    rho, a = 1.0, fro[0]
-    for j in range((N - 1).bit_length()):
-        if j:
-            a = min(a * a, fro[j] + err[j])
-        rho *= 1.0 + a
-    TN = None
-    for j in range(N.bit_length()):
-        if N >> j & 1:
-            if TN is None:
-                TN, tf, te = powers[j], fro[j], err[j]
-            else:
-                te += err[j] + g * tf * fro[j]
-                TN = TN @ powers[j]
-                tf = float(np.linalg.norm(TN))
-    IT = np.eye(k) - TN
-    if np.min(np.abs(np.diagonal(IT))) <= rank_tol:
-        return None
-    Q, info = ztrtri(IT)
-    if info:
-        return None
-    K = _power_block(B, powers, N)
-    CQ = C @ Q
-    G = (CQ @ K).reshape(C.shape[0], N, m).transpose(1, 0, 2)
-    norms = np.linalg.norm(K.reshape(k, N, m), axis=(0, 2))
-    growth = float(np.sum(norms))
-    # I - T^N is off by the error of T^N, by the N u relative error of its
-    # diagonal, by N rel |T^N| from T itself, and by the backward error of
-    # its inversion
-    te += (N * rel * tf + g * N * radius ** N
-           + g * float(np.linalg.norm(IT)))
-    log_N = max(1, (N - 1).bit_length())
-    err = float(np.linalg.norm(CQ)) * (
-        growth * (u * (k * (log_N + 2) + log_N) + _hoelder_norm2(Q) * te)
-        + rel * float(np.dot(np.arange(1, N + 1), norms)))
-    return G, Q, rho, growth, err
-
-
-def _root_of_unity_values(system, samples, tol):
-    """Transfer values at the samples-th roots of unity by aliasing.
-
-    For z^N = 1, (I - zA) sum_{r<N} z^r A^r = I - A^N, so on the roots of
-    unity the resolvent is a polynomial of degree N - 1 in z and the N
-    values are one discrete Fourier transform of a Taylor stack.  The
-    system's Schur form is reordered inside/outside the unit circle and
-    block-diagonalized by one Sylvester solve, A = Z L diag(T1, T2) L^-1
-    Z^H with L = [[I, X], [0, I]].  T1 takes the stack of _aliased_stack;
-    T2 takes that of U = T2^(-1), since z (I - z T2)^(-1) =
-    -(I - wU)^(-1) U with w = 1/z, a root of unity too.  The two stacks
-    share one inverse FFT.
-
-    Returns (values, ok, err, reason).  Where reason is None, values is
-    (N, p, m), NaN where ok is False; ok is the pole rule of
-    transfer_values, decided as README rule 5 states; err is the
-    estimated error of every value against the transfer function of the
-    Schur form, below rank_tol max(1, max |value|_F).  Otherwise reason is
-    one of the ALIAS_* constants, the rest is None, and the caller takes
-    the stacked LU route.
-    """
-    N = int(samples)
-    n = system.A.shape[0]
-    p, m = system.D.shape
-    if n == 0 or p == 0 or m == 0:
-        return None, None, None, ALIAS_NO_BLOCKS
-    u = _UNIT_ROUNDOFF
-    form = system._spectrum
-    T, Z, k = form.ordered(np.abs(form.eigenvalues) < 1.0)
-    Bz = Z.conj().T @ system.B
-    Cz = system.C @ Z
-    X = np.zeros((k, n - k), dtype=complex)
-    x = 0.0
-    coeffs = np.zeros((N, p, m), dtype=complex)
-    resolvent = err = 0.0
-    with np.errstate(all="ignore"):
-        if 0 < k < n:
-            X, shrink, info = ztrsyl(T[:k, :k], T[k:, k:], -T[:k, k:], isgn=-1)
-            if info or not shrink:
-                return None, None, None, ALIAS_ILL_CONDITIONED
-            X /= shrink
-            x = float(np.linalg.norm(X))
-        if k:
-            B1 = Bz[:k] - X @ Bz[k:]
-            out = _aliased_stack(T[:k, :k], B1, Cz[:, :k], N, tol.rank_tol)
-            if out is None:
-                return None, None, None, ALIAS_POLE_ON_SAMPLE
-            G, Q1, rho, growth1, err1 = out
-            coeffs[1:] += G[:-1]
-            coeffs[0] += G[-1]
-            bound = float(np.linalg.norm(Q1)) * rho
-            resolvent += bound * bound
-            err += err1
-        if k < n:
-            T2 = T[k:, k:]
-            U, info = ztrtri(T2)
-            if info:
-                return None, None, None, ALIAS_ILL_CONDITIONED
-            C2 = Cz[:, :k] @ X + Cz[:, k:]
-            # the computed U inverts T2 up to a relative error k u |U| |T2|
-            rel = (n - k) * u * float(np.linalg.norm(U) * np.linalg.norm(T2))
-            out = _aliased_stack(U, U @ Bz[k:], C2, N, tol.rank_tol, rel)
-            if out is None:
-                return None, None, None, ALIAS_POLE_ON_SAMPLE
-            H, Q2, rho, growth2, err2 = out
-            coeffs -= H[(-np.arange(N)) % N]
-            bound = float(np.linalg.norm(Q2 @ U)) * rho
-            resolvent += bound * bound
-            err += err2
-        if 0 < k < n:
-            # the split is exact for the computed X up to its residual E:
-            # the coupling z C1 R1(z) E R2(z) B2 is left out, and forming
-            # B1 and C2 rounds at the size of X
-            E = T[:k, :k] @ X - X @ T[k:, k:] + T[:k, k:]
-            e = float(np.linalg.norm(E)) + np.sqrt(n) * u * x * float(
-                np.linalg.norm(T[:k, :k]) + np.linalg.norm(T2))
-            b1 = float(np.linalg.norm(B1))
-            row1 = float(np.linalg.norm(Cz[:, :k] @ Q1)) * (
-                growth1 / b1 if b1 else rho)
-            col2 = _hoelder_norm2(Q2) * growth2
-            err += (row1 * (e * col2 + np.sqrt(n) * u * float(
-                np.linalg.norm(Bz[:k]) + x * np.linalg.norm(Bz[k:])))
-                + np.sqrt(n) * u * float(x * np.linalg.norm(Cz[:, :k])
-                                         + np.linalg.norm(Cz[:, k:])) * col2)
-        values = system.D + N * np.fft.ifft(coeffs, axis=0)
-        scale = max(1.0, float(np.max(np.linalg.norm(values, axis=(1, 2)))))
-        if not (np.isfinite(values).all() and np.isfinite(err)):
-            return None, None, None, ALIAS_NONFINITE
-        if err > tol.rank_tol * scale:
-            return None, None, None, ALIAS_ILL_CONDITIONED
-        # README rule 5 on the bound cond(L) |R_block(z)|_F >=
-        # |(I - zA)^-1|_F, with cond(L) = |L|_2 |L^-1|_2 at |X|_2 = x, which
-        # increases with x, and the closed form of |I - zA|_F on the circle
-        cond_L = 0.5 * (x + np.sqrt(x * x + 4.0))
-        cond_L *= cond_L
-        z = np.exp(1j * (2 * np.pi * np.arange(N) / N))  # boundary_points(N)
-        a_fro = float(np.linalg.norm(system.A))
-        m_fro = np.sqrt(np.maximum(0.0, n + a_fro * a_fro
-                                   - 2.0 * (z * np.trace(system.A)).real))
-        ok = (cond_L * np.sqrt(resolvent) * tol.rank_tol
-              * np.maximum(1.0, m_fro) < _GUARD_MARGIN)
-    if not ok.all():
-        M = np.eye(n) - z[~ok, None, None] * system.A
-        s = np.linalg.svd(M, compute_uv=False)
-        ok[~ok] = s[:, -1] > tol.rank_tol * np.maximum(1.0, s[:, 0])
-        values[~ok] = np.nan
-    return values, ok, np.full(N, err), None
-
-
 def markov(system, k):
     """Taylor coefficient of the transfer function: D at k=0, C A^(k-1) B after."""
     if k < 0:
@@ -681,34 +522,24 @@ def markov(system, k):
     return system.C @ np.linalg.matrix_power(system.A, k - 1) @ system.B
 
 
-def _power_block(B, powers, count):
-    """The block [B, TB, ..., T^(count-1) B], count >= 1, built by doubling
-    from powers = [T, T^2, T^4, ...]: its first 2^j blocks times T^(2^j)
-    are the next 2^j."""
-    n, m = B.shape
-    K = np.empty((n, count * m), dtype=complex)  # block r is T^r B
-    K[:, :m] = B
-    done = 1
-    for P in powers[:(count - 1).bit_length()]:
-        step = min(done, count - done)
-        K[:, done * m:(done + step) * m] = P @ K[:, :step * m]
-        done += step
-    return K
-
-
 def _taylor_stack(system, order):
     """Taylor coefficients 0..order as an (order + 1, p, m) stack, one
-    product by C for all orders on the block [B, AB, ..., A^(order-1) B]
-    of _power_block."""
+    product by C for all orders on the block [B, AB, ..., A^(order-1) B],
+    built by doubling: its first 2^j blocks times A^(2^j) are the next 2^j."""
     p, m = system.D.shape
     out = np.empty((order + 1, p, m), dtype=complex)
     out[0] = system.D
     if order == 0:
         return out
-    powers = [system.A]
-    while len(powers) < (order - 1).bit_length():
-        powers.append(powers[-1] @ powers[-1])
-    K = _power_block(system.B, powers, order)
+    K = np.empty((system.state_dim, order * m), dtype=complex)  # block r is A^r B
+    K[:, :m] = system.B
+    done, P = 1, system.A
+    while done < order:
+        step = min(done, order - done)
+        K[:, done * m:(done + step) * m] = P @ K[:, :step * m]
+        done += step
+        if done < order:
+            P = P @ P
     out[1:] = (system.C @ K).reshape(p, order, m).transpose(1, 0, 2)
     return out
 
@@ -1188,10 +1019,10 @@ def unitary_similarity(s1, s2, tol=DEFAULT_TOL):
                                 _intertwining_residuals(s1, s2, np.zeros((0, 0)), bound))
     z = _sample_points(s1, tol)
     # J (I - conj(z) A^H)^(-1) C^H samples the adjoint system at conj(z)
-    X1, X2 = map(np.hstack, zip(
-        _unit_samples([(s.A, s.B) for s in (s1, s2)], z, tol.rank_tol),
-        _unit_samples([(a.A, a.B) for a in map(adjoint_system, (s1, s2))], z.conj(),
-                      tol.rank_tol)))
+    X1, X2 = (np.hstack([reach, s.state.signs[:, None] * observe])
+              for s, reach, observe in zip(
+                  (s1, s2), _unit_samples((s1, s2), z, tol.rank_tol),
+                  _unit_samples((s1, s2), z, tol.rank_tol, observe=True)))
     U, sv, Vh = np.linalg.svd(X1)
     r = int(np.sum(sv > tol.rank_tol * max(1.0, sv[0]))) if sv.size else 0
     Z = (X2 @ (Vh[:r].conj().T / sv[:r])) @ U[:, :r].conj().T

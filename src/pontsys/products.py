@@ -129,9 +129,12 @@ def _obstruction(first, second, observe, where, tol):
 
     The primary basis holds Schur vectors, or J times them, and the
     secondary one right singular vectors of nullspace, so both are
-    orthonormal; once their dimensions agree, the largest principal angle
-    between them is arcsin |S - P P^H S|_2 for primary P and secondary S,
-    one product and one spectral norm."""
+    orthonormal to a few u; once their dimensions agree, the largest
+    principal angle between them is arcsin |S - P G^-1 P^H S|_2 for
+    primary P and secondary S, G = P^H P: one small solve, one product and
+    one spectral norm.  The plain projector P P^H would read the few u by
+    which G misses I as an angle, and on spaces closer than that it would
+    read nothing else."""
     cas = cascade(first, second)
     spaces = _schur_spans(cas, (observe,), tol)[0][1], _sampled_hidden(cas, observe, tol)
     primary, secondary = spaces if observe else (cas.state.signs[:, None] * v for v in spaces)
@@ -139,10 +142,11 @@ def _obstruction(first, second, observe, where, tol):
         raise InternalConsistencyError(
             f"{where}: kernel dimensions disagree "
             f"({primary.shape[1]} vs {secondary.shape[1]})")
-    # both bases are orthonormal with the same number of columns, so the
-    # sine of their largest principal angle is the norm of the part of the
-    # secondary basis outside the primary span
-    gap = _norm2(secondary - primary @ (primary.conj().T @ secondary))
+    # both bases have the same number of columns, so the sine of their
+    # largest principal angle is the norm of the part of the secondary
+    # basis outside the primary span
+    Ph = primary.conj().T
+    gap = _norm2(secondary - primary @ np.linalg.solve(Ph @ primary, Ph @ secondary))
     worst = float(np.arcsin(np.minimum(1.0, gap)))
     return ObstructionReport(primary, first.state_dim,
                              certify(f"{where}: solution space angle", worst, 1e-8))

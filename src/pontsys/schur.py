@@ -20,8 +20,9 @@ factorization certifies its Schur factors passive on the state space.  The
 scalar defect needs no second sampling: times
 |det(I - zA)|^2, 1 - |S|^2 is a trigonometric polynomial of degree n = dim A
 on the circle, and the defect survey has N >= 2n + 1 roots of unity, so
-one FFT of the survey's values gives its coefficients with no aliasing,
-off only by the survey's stated error (README rule 5).
+one FFT of the survey's values gives its coefficients with no aliasing.
+Those values are backward-stable evaluations on the backing's Schur form
+(README rule 5), so the coefficients carry only their rounding.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .colligation import (
     SystemKind,
     _operator_kind,
     _pole_proximity,
-    _root_of_unity_values,
     _schur_spans,
     adjoint_system,
     system_kind,
@@ -680,17 +680,16 @@ def _circle_survey(S, samples, tol):
     """Top singular values and the norms of I - V^*V and I - VV^* at the
     samples-th roots of unity, as three arrays that are NaN where a point
     sat too close to a pole, followed by the values V themselves, whose
-    rows are NaN there, and the estimated error of each value (0 where
-    the stacked LU route of transfer_values served).
+    rows are NaN there.
 
     Surveys are memoized on S by (samples, tol), as read-only arrays.  A
     survey of count samples serves a request for samples when samples
     divides count and boundary_points(samples) is bitwise its stride
     count // samples (true for power-of-two strides, not for every
-    stride).  Every entry is per point and each route's values are within
-    its stated error of the transfer function (README rule 5), so the
-    served arrays are within that error of the ones a fresh survey would
-    compute, with the same pole mask."""
+    stride).  Every entry is per point, with the pole mask of the point's
+    own guard, and every value is a backward-stable evaluation (README
+    rule 5), so the served arrays differ from a fresh survey's only by
+    the rounding of two such evaluations."""
     points = boundary_points(samples)
     for (count, key_tol), survey in S._surveys.items():
         if (key_tol == tol and count % samples == 0 and np.array_equal(
@@ -704,16 +703,12 @@ def _circle_survey(S, samples, tol):
 
 
 def _fresh_survey(S, samples, tol):
-    """The arrays of _circle_survey, computed: by aliasing on the Schur
-    form of the backing, or by the stacked LU route of transfer_values
-    where _root_of_unity_values names a reason not to."""
-    vals, ok, err, reason = _root_of_unity_values(S.backing, samples, tol)
-    if reason is not None:
-        vals, ok = transfer_values(S.backing, boundary_points(samples), tol)
-        err = np.zeros(samples)
+    """The arrays of _circle_survey, computed by one transfer_values batch
+    on the backing."""
+    vals, ok = transfer_values(S.backing, boundary_points(samples), tol)
     out = np.full((3, samples), np.nan)
     out[:, ok] = _survey_norms(vals[ok])
-    return (*out, vals, err)
+    return (*out, vals)
 
 
 def _survey_norms(V):
@@ -851,13 +846,14 @@ def _right_defect_scalar(S, values, tol):
     circle |d|^2 (1 - |S|^2) = |d|^2 - |S d|^2 is a trigonometric
     polynomial sum_{|k| <= n} c_k w^k.
     As N >= 2n + 1, no frequency aliases onto another, and c_k is entry k
-    of one FFT of its N samples, divided by N.  The samples carry the
-    survey's stated error e per value (README rule 5), which moves a
-    sample by at most |d|^2 e (2 |S| + e) and each c_k by at most the mean
-    of that.  Spectral factorization of the Laurent polynomial: its roots
-    come in pairs (r, 1/conj(r)); keeping the outside-closed-disc half of
-    every pair gives the outer numerator, and reflecting the inside-disc
-    zeros of d gives the outer denominator with the same boundary modulus.
+    of one FFT of its N samples, divided by N.  The samples are
+    backward-stable evaluations (README rule 5): an error e in a value
+    moves a sample by at most |d|^2 e (2 |S| + e) and each c_k by at most
+    the mean of that.  Spectral factorization of the Laurent polynomial:
+    its roots come in pairs (r, 1/conj(r)); keeping the outside-closed-disc
+    half of every pair gives the outer numerator, and reflecting the
+    inside-disc zeros of d gives the outer denominator with the same
+    boundary modulus.
     |phi|^2 is certified within 1e-8 max(1, max |1 - |S|^2|) of the
     surveyed 1 - |S|^2, a bound the coefficients under test do not enter.
     """
@@ -918,14 +914,14 @@ def defect(S, tol=DEFAULT_TOL):
     The scalar branch factors 1 - |S|^2 into an outer rational phi from
     the survey's own values: times |det(I - zA)|^2 it is a trigonometric
     polynomial of degree n, which N >= 2n + 1 samples fix exactly, so its
-    coefficients inherit only the survey's stated error.  For scalar S the
-    left defect 1 - |S|^2 is the same function, so psi is phi.  With every
-    sample pole-proximal there is nothing to decide on, and the first
-    sample raises PoleProximityError.
+    coefficients inherit only the rounding of the survey's values.  For
+    scalar S the left defect 1 - |S|^2 is the same function, so psi is
+    phi.  With every sample pole-proximal there is nothing to decide on,
+    and the first sample raises PoleProximityError.
     """
     S = as_transfer(S)
     samples = _defect_samples(S.backing.state_dim)
-    sig, dr, dl, vals, _ = _circle_survey(S, samples, tol)
+    sig, dr, dl, vals = _circle_survey(S, samples, tol)
     if np.isnan(sig).all():
         raise _pole_proximity(S.backing, complex(boundary_points(samples)[0]))
     right_max = float(np.nanmax(dr, initial=0.0))

@@ -173,6 +173,30 @@ def corner_checked_kind(system, tol=DEFAULT_TOL):
     return kind
 
 
+def route_bound(system, points):
+    """What two backward-stable evaluations of the transfer function may
+    differ by at each point.  A backward error 4 n u max(1, |A|_F) in
+    I - zA reaches the value |C| |B| |(I - zA)^-1|^2 times; the
+    perturbation of A enters I - zA times z and the resolvent enters the
+    value times z, so it carries |z| max(1, |z|), 1 on the circle, the
+    identity's own rounding keeping the second factor at 1 or more inside
+    the disc.  Forming D + z C X rounds besides, at (n + 2) u times the
+    sizes |D| + |z| |C| |B| |(I - zA)^-1| of its terms, on each side."""
+    n = system.state_dim
+    z = np.asarray(points)
+    if n == 0:
+        return np.zeros(z.size)
+    M = np.eye(n) - z[:, None, None] * system.A
+    s = np.linalg.svd(M, compute_uv=False)[:, -1]
+    u = np.finfo(float).eps / 2
+    r = np.abs(z)
+    cb = np.linalg.norm(system.B, 2) * np.linalg.norm(system.C, 2)
+    with np.errstate(divide="ignore"):
+        return (4 * n * u * max(1.0, np.linalg.norm(system.A)) * cb / s ** 2
+                * r * np.maximum(1.0, r)
+                + 2 * (n + 2) * u * (np.linalg.norm(system.D, 2) + r * cb / s))
+
+
 def spy(monkeypatch, fn):
     """Record every call of fn, wherever a pontsys module binds it.
 

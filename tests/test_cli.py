@@ -19,6 +19,7 @@ from _builders import (
     half_shift_system,
     inverse_blaschke_system,
     roots_of_unity_system,
+    route_bound,
     row_schur_left_system,
     spy,
     spy_attr,
@@ -634,10 +635,6 @@ def _scalar_and_two_channel_inputs():
     }
 
 
-def _survey_error(system, *counts):
-    """The largest stated error of fresh circle surveys of the system."""
-    return max(float(np.max(schur._circle_survey(
-        TransferFunction(system), count, DEFAULT_TOL)[4])) for count in counts)
 
 
 class TestDefectSurvey:
@@ -666,8 +663,8 @@ class TestDefectSurvey:
         # equals that of defect and boundary_behavior on two fresh
         # functions.  512 serves defect with stride 4: the verdicts are
         # those of the fresh 128-point survey, and the survey numbers, and
-        # |phi|^2 factored from them, are within what the two surveys'
-        # stated errors allow
+        # |phi|^2 factored from them, are within what two backward-stable
+        # evaluations of the same values may differ by
         system = _scalar_and_two_channel_inputs()[kind]
         path = write_system(tmp_path, system)
         shared, fresh = tmp_path / "shared", tmp_path / "fresh"
@@ -693,7 +690,7 @@ class TestDefectSurvey:
         factors = [{name: c.pop(name, None) for name in ("phi", "psi")}
                    for c in (got["certificates"], want["certificates"])]
         assert got["certificates"] == want["certificates"]
-        gap = 2 * _survey_error(load_system(path)[0], 128, 512)
+        gap = float(np.max(route_bound(load_system(path)[0], boundary_points(128))))
         assert 0 < gap <= 1e-9
         # |1 - |v|^2| and the defect norms move by at most gap (2 |v| + gap)
         top = 1.0 + max(got["residuals"].values())

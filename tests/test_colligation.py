@@ -1037,8 +1037,8 @@ def _jordan_plants(k):
 def _angle_parity(n):
     """How far the obstruction angle and principal_angles may differ on n
     state rows: both read bases orthonormal to a small multiple of n eps,
-    and a whole hidden state (a Jordan chain of 12 links) reads 4e-15
-    against 1e-15."""
+    and eleven hidden links of a Jordan chain of 12 read 1.4e-15 against
+    1.6e-15."""
     return 2 * n * np.finfo(float).eps
 
 

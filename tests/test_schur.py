@@ -998,7 +998,7 @@ class TestSurveyNorms:
          False, False, 1),
     ], ids=["inner", "co-inner", "bi-inner", "pole-masked"])
     def test_surveys(self, system, inner, co_inner, masked):
-        sig, dr, dl, vals, _ = schur._circle_survey(
+        sig, dr, dl, vals = schur._circle_survey(
             TransferFunction(system), 256, DEFAULT_TOL)
         ok = ~np.isnan(vals).any(axis=(1, 2))
         assert np.count_nonzero(~ok) == masked
@@ -1192,15 +1192,16 @@ class TestDefect:
         got = np.abs(res.phi(z) * dvals) ** 2
         assert np.max(np.abs(got - lvals)) <= 1e-9 * max(1.0, np.max(np.abs(c)))
 
-    def test_scalar_defect_evaluates_no_transfer_values(self, monkeypatch):
-        # the coefficients come from the survey alone: no second circle
+    def test_scalar_defect_evaluates_no_second_circle(self, monkeypatch):
+        # the coefficients come from the survey alone: the survey's own
+        # batch of 128 points is the one transfer evaluation
         rng = np.random.default_rng(11)
         system = random_passive_colligation(rng, SignatureSpace(3, 1), 1, 1,
                                             strict=0.25)
         calls = spy(monkeypatch, colligation.transfer_values)
         res = defect(system)
         assert not res.phi_is_zero
-        assert calls == []
+        assert [len(args[1]) for args in calls] == [128]
 
     @pytest.mark.parametrize("n, samples", [(63, 128), (64, 256), (96, 256),
                                             (128, 512)])
