@@ -34,6 +34,7 @@ from .exceptions import (
     PontsysError,
     PreconditionError,
     _certify_scaled,
+    _fro,
     _norm2,
     _residual_norm,
     certify,
@@ -186,6 +187,11 @@ class Colligation:
         """Complex Schur form of A, taken on first use; every eigenvalue
         question about the system reads it."""
         return _DiscSchur(self.A)
+
+    @cached_property
+    def _spans(self):
+        """The results of _schur_spans on the system, by (sides, tol)."""
+        return {}
 
 
 def system_operator(system):
@@ -379,9 +385,9 @@ def _resolvent(T, W, z, rank_tol, A):
     X, y = _sweep(T, W, z)
     with np.errstate(over="ignore", invalid="ignore"):
         # max(1, |M|_F)^2, a non-finite square or bound failing the test
-        fro2 = np.maximum(1.0, n + (np.abs(z) * np.linalg.norm(T)) ** 2
+        fro2 = np.maximum(1.0, n + (np.abs(z) * _fro(T)) ** 2
                           - 2.0 * (z * np.trace(T)).real)
-        ok = (np.max(y, axis=0, initial=0.0) * np.sqrt(fro2) * (rank_tol * np.sqrt(n))
+        ok = (y.max(axis=0, initial=0.0) * np.sqrt(fro2) * (rank_tol * np.sqrt(n))
               < _GUARD_MARGIN)
     if not ok.all():
         s = np.linalg.svd(np.eye(n) - z[~ok, None, None] * A, compute_uv=False)
@@ -454,7 +460,7 @@ def _sample_points(system, tol):
     """
     g = tol.rank_tol ** (1.0 / 3.0)
     # in units of |A|_F (1 for A = 0), so no resolvent norm overflows
-    scale = float(np.linalg.norm(system.A)) or 1.0
+    scale = _fro(system.A) or 1.0
     form = system._spectrum
     T, lam = form.T / scale, form.eigenvalues / scale
     gap = np.abs(lam[:, None] - lam)
@@ -560,7 +566,7 @@ def _krylov_basis(A, B, tol, cut=None):
     """
     n = A.shape[0]
     if cut is None:
-        cut = tol.rank_tol * max(1.0, np.linalg.norm(A), np.linalg.norm(B))
+        cut = tol.rank_tol * max(1.0, _fro(A), _fro(B))
     Q = np.empty((n, n), dtype=complex)
     # row j is the conjugate of column j of Q; Fortran order lays the first
     # k rows out as the conjugate transpose of Q[:, :k] is laid out
@@ -666,12 +672,18 @@ def _schur_spans(system, sides, tol):
     only candidates, so no dominant reachable mode amplifies the rounding
     along a hidden one, which is how the recurrence on the whole state
     misses hidden modes.
+
+    The result is memoized on the system by (sides, tol), with its arrays
+    read-only; a call that raises stores nothing.
     """
     form = system._spectrum
     Z = form.Z
     if not Z.size:
         return [(Z, Z)] * len(sides)
-    norm_a = float(np.linalg.norm(system.A))
+    spans = system._spans.get((sides, tol))
+    if spans is not None:
+        return spans
+    norm_a = _fro(system.A)
     lam = form.eigenvalues
     g = tol.rank_tol ** (1.0 / 3.0)
     close = np.abs(lam[:, None] - lam[None, :]) <= g * max(1.0, norm_a)
@@ -679,7 +691,7 @@ def _schur_spans(system, sides, tol):
     # a side without input (output) columns hides the whole state
     driven = [observe for observe in sides if (system.C if observe else system.B).size]
     if driven:
-        top = float(np.max(np.abs(form.T)))
+        top = float(np.abs(form.T).max())
         shift = 0
         if not _EIG_RANGE[0] <= top <= _EIG_RANGE[1]:
             shift = int(np.clip(np.frexp(top)[1], -1000, 1000))
@@ -687,26 +699,33 @@ def _schur_spans(system, sides, tol):
                                      int(False in driven), int(True in driven))
         if info:
             raise np.linalg.LinAlgError("eigenvectors of the Schur form did not converge")
-        certify("Schur form eigenvalue order", float(np.max(np.abs(w * 2.0 ** shift - lam))),
-                _ORDER_ULPS * _UNIT_ROUNDOFF * float(np.max(np.abs(lam))))
+        certify("Schur form eigenvalue order", float(np.abs(w * 2.0 ** shift - lam).max()),
+                _ORDER_ULPS * _UNIT_ROUNDOFF * float(np.abs(lam).max()))
     spans = []
     for observe in sides:
         if observe not in driven:
             spans.append((Z[:, :0], Z))
             continue
         if observe:
-            vectors, drive = right, system.C
-            ratio = np.linalg.norm(system.C @ Z @ right, axis=0)
+            vectors, drive, axis = right, system.C, 0
+            images = system.C @ Z @ right
         else:
-            vectors, drive = left, system.B
-            ratio = np.linalg.norm(left.conj().T @ (Z.conj().T @ system.B), axis=1)
-        scale = max(norm_a, float(np.linalg.norm(drive)))
+            vectors, drive, axis = left, system.B, 1
+            images = left.conj().T @ (Z.conj().T @ system.B)
+        # the drive of each eigenvector, np.linalg.norm(images, axis=axis)
+        # without its wrapper
+        ratio = np.sqrt(np.add.reduce((images.conj() * images).real, axis=axis))
+        scale = max(norm_a, _fro(drive))
         # a growth 1 / |y_k[k]| past 1/g, or a vector lost to overflow,
         # marks a nearly defective eigenvalue, decided with the clusters
         clustered = near | ~(np.abs(np.diagonal(vectors)) >= g)
         candidate = clustered | ~_reached(ratio, scale, tol)
         spans.append(_hidden_split(system, observe, clustered, candidate, ratio, scale, tol)
                      if candidate.any() else (Z, Z[:, :0]))
+    for pair in spans:
+        for basis in pair:
+            basis.flags.writeable = False
+    system._spans[sides, tol] = spans
     return spans
 
 
@@ -748,7 +767,11 @@ def _hidden_split(system, observe, clustered, candidate, ratio, scale, tol):
         Q = krylov(tol.rank_tol * max(1.0, scale))
         if scale < 1.0 and krylov(tol.rank_tol * scale).shape[1] != Q.shape[1]:
             _reached(tol.rank_tol, scale, tol)  # the floor decided a deflation
-        return np.hstack([rest, block @ Q]), block @ nullspace(Q.conj().T, tol)
+        span = np.hstack([rest, block @ Q])
+        # the complement of the whole span rather than block times that of
+        # Q: one SVD keeps it orthonormal, and orthogonal to the span, to
+        # about 2 u, where the product loses about 20 u on a Jordan chain
+        return span, nullspace(span.conj().T, tol)
     if _reached(_norm2(block.conj().T @ drive), scale, tol):
         rest, block, hidden = Z, Z[:, :0], np.zeros(n, dtype=bool)
         for k in np.flatnonzero(candidate)[np.argsort(ratio[candidate], kind="stable")]:

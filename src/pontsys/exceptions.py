@@ -1,5 +1,7 @@
 """Exception types raised by the pontsys package."""
 
+import math
+
 import numpy as np
 from scipy.linalg.blas import dnrm2, dznrm2
 
@@ -97,9 +99,28 @@ def _certify_scaled(name, value, bound, scale):
     return certify(name, value, bound * scale())
 
 
+def _fro(M):
+    """Frobenius norm ||M||_F of a float64 or complex128 array, as one BLAS
+    dot of its entries: M flattened in memory order, with no copy for a C-
+    or F-ordered M, a complex one viewed as its interleaved float64 real
+    and imaginary parts, so ||M||_F^2 is the sum of their squares.
+
+    The sum runs in another order than np.linalg.norm(M), which adds the
+    dots of the real and the imaginary parts, so the two agree to a few
+    ulps for complex M and exactly for real M.  Non-finite values behave
+    as in np.linalg.norm: an infinite entry gives inf, a NaN gives NaN, and
+    entries past about 1e154 overflow their squares to inf.  np.vdot is
+    not used: its complex product turns an infinite entry into NaN.
+    """
+    x = M.ravel(order="K")
+    if x.dtype.kind == "c":
+        x = x.view(x.real.dtype)
+    return math.sqrt(x.dot(x))
+
+
 def _norm2(M):
-    """Spectral norm of M, its largest singular value, from the SVD that
-    np.linalg.norm(M, 2) would take, without that wrapper; 0 when empty,
+    """Spectral norm of M, its largest singular value, from one SVD: the
+    value np.linalg.norm(M, 2) returns, without its wrapper; 0 when empty,
     NaN when not finite (the SVD raises).  A single row or column takes
     its Euclidean norm from BLAS nrm2, which scales against overflow."""
     if not M.size:
@@ -116,14 +137,15 @@ def _residual_norm(R, bound):
     bound on ||R||_2, and ||R||_2 itself wherever ||R||_F cannot decide.
 
     ||R||_F >= ||R||_2, so where _norm2 would take an SVD, a Frobenius norm
-    within bound * (1 - 1e-14) is returned without one; the deflation,
-    about 45 ulps, covers the rounding of either norm where the two
-    coincide (rank one).  Above it, and for an empty R or a single row or
-    column, _norm2(R) is returned, so a value above bound, and every
-    failing certificate, is the one that always taking _norm2 gives.
+    (_fro) within bound * (1 - 1e-14) is returned without one; the
+    deflation, about 45 ulps, covers the rounding of either norm where the
+    two coincide (rank one), the few ulps of _fro's one dot included.
+    Above it, and for an empty R or a single row or column, _norm2(R) is
+    returned, so a value above bound, and every failing certificate, is
+    the one that always taking _norm2 gives.
     """
     if min(R.shape) > 1:
-        fro = float(np.linalg.norm(R))
+        fro = _fro(R)
         if fro <= bound * (1.0 - 1e-14):
             return fro
     return _norm2(R)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import zpotrf, ztrsen, ztrtri
+from scipy.linalg.lapack import zgees, zpotrf, ztrsen, ztrtri
 
 from .exceptions import (
     AmbiguousSpectrumError,
@@ -23,6 +23,7 @@ from .exceptions import (
     InputError,
     NonRegularSubspaceError,
     NotHermitianError,
+    _fro,
 )
 
 __all__ = [
@@ -223,7 +224,7 @@ def _symmetrized(H, name):
     if H.shape[0] != H.shape[1]:
         raise DimensionMismatchError(f"{name} must be square")
     Hh = H.conj().T
-    return (H + Hh) / 2.0, float(np.linalg.norm(H - Hh))
+    return (H + Hh) / 2.0, _fro(H - Hh)
 
 
 def _sym_eig(H, name="matrix", vectors=False):
@@ -240,7 +241,7 @@ def _sym_eig(H, name="matrix", vectors=False):
 
 
 def _spectral_radius(w):
-    return float(np.max(np.abs(w), initial=0.0))
+    return float(np.abs(w).max(initial=0.0))
 
 
 def _certify_hermitian(w, skew, name, rel):
@@ -297,8 +298,17 @@ def _metric_defects(M, dom_s, cod_s):
     """metric_defects of a complex128 M from the sign vectors of its domain
     and codomain, with no check of its shape or entries."""
     Mh = M.conj().T
-    return (np.diag(dom_s) - Mh @ (cod_s[:, None] * M),
-            np.diag(cod_s) - M @ (dom_s[:, None] * Mh))
+    return (_signs_minus(dom_s, Mh @ (cod_s[:, None] * M)),
+            _signs_minus(cod_s, M @ (dom_s[:, None] * Mh)))
+
+
+def _signs_minus(signs, X):
+    """diag(signs) - X, formed in place in the square X that the caller
+    gives up.  0 - X, not -X, keeps a zero entry +0, so every bit is that
+    of the subtraction from np.diag(signs)."""
+    np.subtract(0.0, X, out=X)
+    X.flat[::X.shape[0] + 1] += signs
+    return X
 
 
 def metric_classify(M, dom, cod, tol=DEFAULT_TOL):
@@ -312,6 +322,8 @@ def metric_classify(M, dom, cod, tol=DEFAULT_TOL):
     factorization decide the clear cases; the eigen-solves run only where
     they can change the verdict.
     """
+    # the Frobenius bound of _defect_class reads M as an array
+    M = as_matrix(M, name="operator")
     return _defect_class(M, *metric_defects(M, dom, cod), tol)
 
 
@@ -349,7 +361,7 @@ def _frobenius_scale_bound(M, tol):
     rank-one M, where the two norms coincide and rounding could put the
     computed ||M||_F below ||M||_2, on the SVD side.
     """
-    return tol.metric_tol * max(1.0, float(np.linalg.norm(M)) ** 2 * (1.0 + 1e-14))
+    return tol.metric_tol * max(1.0, _fro(M) ** 2 * (1.0 + 1e-14))
 
 
 def _defect_bracket(P):
@@ -368,13 +380,15 @@ def _defect_bracket(P):
     of (n + 1) u ||sym P||_2 of the exact ones, a and b are at most
     ||P||_F, and the slack also covers the rounding of forming sym P, of
     the norms and of the sums, so the bracket holds for the computed d.
-    A NaN or infinite ||P||_F, from a non-finite P or one whose norm
-    overflows, gives ends that decide nothing: NaN, or -inf and inf.
+    ||P||_F is _fro's one BLAS dot over the real and imaginary parts of
+    the entries.  A NaN or infinite ||P||_F, from a non-finite P or one
+    whose norm overflows, gives ends that decide nothing: NaN, or -inf
+    and inf.
     """
-    fro = float(np.linalg.norm(P))
+    fro = _fro(P)
     # Python floats, so that the NaN and infinite ends come without warnings
     slack = 96.0 * (P.shape[0] + 1) * float(_UNIT_ROUNDOFF) * fro
-    diag = float(np.max(np.abs(np.diagonal(P).real), initial=0.0))
+    diag = float(np.abs(np.diagonal(P).real).max(initial=0.0))
     return diag - slack, 2.0 ** 0.5 * fro + slack
 
 
@@ -449,7 +463,7 @@ def _cholesky_accepts(H, tol):
     if H.shape[0] == 0:
         return False
     Hh = H.conj().T
-    if not float(np.linalg.norm(H - Hh)) <= 1e-10:
+    if not _fro(H - Hh) <= 1e-10:
         return False
     shifted = (H + Hh) / 2.0 + (tol.psd_tol / 2.0) * np.eye(H.shape[0])
     return _cholesky_within(shifted, tol.psd_tol / 4.0)
@@ -493,7 +507,7 @@ class IndefiniteSubspace:
         # ||V^*V - I||_F <= 1/2 puts every singular value in
         # [sqrt(1/2), sqrt(3/2)], which the rank test below accepts, so
         # orthonormal bases skip its SVD; a NaN norm still takes the SVD
-        if k and not np.linalg.norm(basis.conj().T @ basis - np.eye(k)) <= 0.5:
+        if k and not _fro(basis.conj().T @ basis - np.eye(k)) <= 0.5:
             s = np.linalg.svd(basis, compute_uv=False)
             if s[-1] <= DEFAULT_TOL.rank_tol * max(1.0, s[0]):
                 raise InputError("basis columns are numerically dependent")
@@ -585,7 +599,7 @@ def _clearly_definite(G, tol):
     k = G.shape[0]
     if k == 0:
         return False
-    c = tol.psd_tol * max(1.0, float(np.linalg.norm(G)))
+    c = tol.psd_tol * max(1.0, _fro(G))
     if not np.isfinite(c):
         return False
     sign = 1.0 if G[0, 0].real > 0 else -1.0
@@ -608,13 +622,13 @@ def _definite_cholesky(X, tol, upper=False):
     above the cut (see _clearly_definite).  A failed factorization, or an
     inverse whose norm overflows, gives b = 0.
     """
-    c = tol.psd_tol * max(1.0, float(np.linalg.norm(X)))
+    c = tol.psd_tol * max(1.0, _fro(X))
     F, info = zpotrf(X[::-1, ::-1] if upper else X, lower=1, clean=1)
     Finv, info = (F, info) if info else ztrtri(F, lower=1)
     if upper:
         F, Finv = F[::-1, ::-1], Finv[::-1, ::-1]
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(Finv))
+        norm = _fro(Finv)
     bound = 1.0 / (norm * norm) if not info and norm > 0 else 0.0
     definite = bound >= 2.0 * c and (
         (X.shape[0] + 1) * _UNIT_ROUNDOFF * np.trace(X).real <= c / 4)
@@ -698,23 +712,51 @@ class SpectralRegion(str, Enum):
     MODULUS_ONE_BAND = "modulus_one_band"
 
 
+def _no_selection(_):
+    """zgees' eigenvalue selection callback, never called without sorting."""
+    return 0
+
+
+@lru_cache(maxsize=None)
+def _gees_lwork(n):
+    """The optimal zgees workspace at order n >= 1, from its lwork = -1
+    query, which reads only n.  The query calls zgees through scipy, not
+    this module's name, so that a count of calls to the latter counts Schur
+    forms."""
+    work, info = sla.lapack.zgees(_no_selection, np.zeros((n, n), dtype=complex),
+                                  lwork=-1)[-2:]
+    if info:
+        raise np.linalg.LinAlgError(f"zgees workspace query failed (info {info})")
+    return int(work[0].real)
+
+
 class _DiscSchur:
     """Complex Schur form A = Z T Z^H with its eigenvalues placed on the disc.
 
-    A comes through as_matrix, so it is finite.  T, Z and the eigenvalues,
-    the diagonal of T, are read-only.  regions(band) places the eigenvalues
-    on the disc, and reordered() brings any selection to the leading block
-    with LAPACK ztrsen, so every spectral subspace of A comes from this one
-    Schur form.  An upper triangular A is its own form, Z = I, with no
-    LAPACK call.
+    A comes through as_matrix, so it is finite.  T and Z come from one
+    LAPACK zgees call with the workspace of its own size query, taken once
+    per order (_gees_lwork), so they are bitwise those of
+    scipy.linalg.schur(A, output="complex"), which makes the same two calls
+    behind its argument checks; a nonzero info raises LinAlgError.  T, Z
+    and the eigenvalues, the diagonal of T, are read-only.  regions(band)
+    places the eigenvalues on the disc, and reordered() brings any
+    selection to the leading block with LAPACK ztrsen, so every spectral
+    subspace of A comes from this one Schur form.  An upper triangular A
+    is its own form, Z = I, with no LAPACK call.
     """
 
     def __init__(self, A):
-        if np.tril(A, -1).any():
-            self.T, self.Z = sla.schur(A, output="complex", check_finite=False)
+        n = A.shape[0]
+        # a nonzero below the first diagonal entry settles a general A
+        # without the scan of the whole lower triangle
+        if A[1:, :1].any() or np.tril(A, -1).any():
+            self.T, _, _, self.Z, _, info = zgees(_no_selection, A, lwork=_gees_lwork(n))
+            if info:
+                raise np.linalg.LinAlgError(
+                    f"Schur form not found (zgees info {info})")
         else:
             self.T = np.asarray(A, dtype=complex).view()
-            self.Z = np.eye(A.shape[0], dtype=complex)
+            self.Z = np.eye(n, dtype=complex)
         self.eigenvalues = np.diag(self.T)
         self.T.flags.writeable = self.Z.flags.writeable = False
 

@@ -34,6 +34,7 @@ from .exceptions import (
     PreconditionError,
     _certify_residual,
     _certify_scaled,
+    _fro,
     _norm2,
     _residual_norm,
     certify,
@@ -446,11 +447,11 @@ def _antihilbert_conservative_minimal(system, tol):
     _factorize_simple has an upper triangular main operator, its own Schur
     form, so they are its diagonal and no decomposition is taken.
     """
-    norms = [float(np.linalg.norm(M)) for M in (system.A, system.B, system.C, system.D)]
+    norms = [_fro(M) for M in (system.A, system.B, system.C, system.D)]
     cut = tol.rank_tol * max(1.0, *norms[:3])
     margin = tol.metric_tol * max(1.0, sum(x * x for x in norms)) + cut * cut
     lam = system._spectrum.eigenvalues
-    if float(np.min(np.abs(lam) ** 2, initial=np.inf)) - 1.0 > margin:
+    if float((np.abs(lam) ** 2).min(initial=np.inf)) - 1.0 > margin:
         return True
     rep = krylov_report(system, tol)
     return rep.controllable and rep.observable

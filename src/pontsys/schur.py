@@ -52,6 +52,7 @@ from .exceptions import (
     InputError,
     InternalConsistencyError,
     PreconditionError,
+    _fro,
     _norm2,
     certify,
 )
@@ -215,10 +216,10 @@ def _gram_from_values(points, values, tol):
     denom = 1.0 - points[:, None] * np.conj(points)[None, :]
     G = ((np.eye(p)[None, :, None, :] - (V @ V.conj().T).reshape(N, p, N, p))
          / denom[:, None, :, None]).reshape(N * p, N * p)
-    herm = np.linalg.norm(G - G.conj().T)
+    herm = _fro(G - G.conj().T)
     G = 0.5 * (G + G.conj().T)
     w = np.linalg.eigvalsh(G)
-    scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
+    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
     certify("kernel Gram Hermitian residual", herm, 1e-12 * scale)
     thr = tol.rank_tol * scale
     plus = int(np.sum(w > thr))
@@ -363,7 +364,7 @@ def blaschke_potapov_factor(alpha, rho, u, ambient_dim, tol=DEFAULT_TOL):
     u = np.asarray(u, dtype=complex).reshape(-1, 1)
     if u.shape[0] != ambient_dim:
         raise DimensionMismatchError("direction length must match ambient_dim")
-    nrm = np.linalg.norm(u)
+    nrm = _fro(u)
     if abs(nrm - 1.0) > 1e-9:
         raise InputError("direction must be a unit vector")
     u = u / nrm
@@ -512,8 +513,7 @@ def _reflect_poles(T, B, C, D, tol):
     """
     T, B, C, D = np.triu(T), B.copy(), C.copy(), D.copy()
     n, m = B.shape
-    cut = tol.rank_tol * max(1.0, float(np.linalg.norm(T)),
-                             float(np.linalg.norm(B)))
+    cut = tol.rank_tol * max(1.0, _fro(T), _fro(B))
     moves = []
     while True:
         outside = np.flatnonzero(np.abs(np.diagonal(T)) > 1.0)
@@ -526,7 +526,7 @@ def _reflect_poles(T, B, C, D, tol):
                 raise np.linalg.LinAlgError("Schur reordering failed")
             B, C = Q.conj().T @ B, C @ Q
         lam, b = T[-1, -1], B[-1]
-        size = float(np.linalg.norm(b))
+        size = _fro(b)
         if not size > cut:
             raise PreconditionError(
                 f"the pole {1.0 / lam} is reached from the input by {size:.3e}, "

@@ -22,6 +22,7 @@ from pontsys.exceptions import (
     InternalConsistencyError,
     _certify_residual,
     _certify_scaled,
+    _fro,
     _norm2,
     _residual_norm,
     certify,
@@ -65,6 +66,58 @@ class TestCertify:
             certify("cascade reconstruction residual", 2.5e-6, 1e-8)
         assert str(info.value) == ("cascade reconstruction residual: 2.500e-06 "
                                    "exceeds the bound 1.000e-08")
+
+
+class TestFrobeniusKernel:
+    """_fro, the one BLAS dot behind every Frobenius norm, against
+    np.linalg.norm: within 2 size u relative on finite input, u the unit
+    roundoff, and the same value on non-finite and overflowing input."""
+
+    @staticmethod
+    def layouts(M):
+        """M in C and F order and as strided views of larger arrays."""
+        big = np.zeros((2 * M.shape[0], 3 * M.shape[1]), dtype=M.dtype)
+        big[::2, ::3] = M
+        flipped = np.ascontiguousarray(M[::-1, ::-1])
+        return [M, np.asfortranarray(M), big[::2, ::3], flipped[::-1, ::-1], M.T]
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-5, 1.0, 1e5, 1e150])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_numpy_within_rounding(self, scale, kind):
+        rng = np.random.default_rng([int(np.log10(scale)) + 200, kind == "complex"])
+        u = np.finfo(float).eps / 2
+        for shape in [(1, 1), (3, 1), (1, 4), (5, 5), (8, 3), (17, 40), (50, 50)]:
+            M = rng.standard_normal(shape)
+            if kind == "complex":
+                M = M + 1j * rng.standard_normal(shape)
+            for X in self.layouts(scale * M):
+                want = np.linalg.norm(X)
+                got = _fro(X)
+                assert type(got) is float
+                assert abs(got - want) <= 2 * X.size * u * want
+        assert _fro(np.arange(5.0)) == np.linalg.norm(np.arange(5.0))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 0), (0, 3), (3, 0)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_empty_is_zero(self, shape, dtype):
+        assert _fro(np.zeros(shape, dtype=dtype)) == 0.0
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, 1e200, -1e200, 1e-200,
+                                       complex(np.inf, 0.0), complex(0.0, -np.inf),
+                                       complex(np.inf, np.inf), complex(np.nan, 1.0),
+                                       complex(1e200, 1e200), complex(1e-200, 0.0)])
+    def test_non_finite_and_overflow_as_numpy(self, entry):
+        # np.vdot would turn an infinite complex entry into NaN
+        for dtype in ([complex] if isinstance(entry, complex) else [float, complex]):
+            M = np.ones((4, 3), dtype=dtype)
+            M[2, 1] = entry
+            for X in self.layouts(M):
+                # both dots raise the same overflow warning on 1e200
+                with np.errstate(over="ignore"):
+                    want, got = float(np.linalg.norm(X)), _fro(X)
+                assert got == want or (np.isnan(got) and np.isnan(want)), (X, got, want)
+        tiny = np.full((3, 3), 1e-200, dtype=complex)
+        assert _fro(tiny) == np.linalg.norm(tiny) == 0.0
 
 
 class TestLazyCertificates:
@@ -112,7 +165,7 @@ class TestLazyCertificates:
         # bit for bit, and _norm2 for a single row or column
         rng = np.random.default_rng(7)
         R = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-        fro, two = np.linalg.norm(R), _norm2(R)
+        fro, two = _fro(R), _norm2(R)
         assert fro > two
         svd = spy_attr(monkeypatch, np.linalg, "svd")
         assert _certify_residual("residual", R, 1.5 * fro) == fro

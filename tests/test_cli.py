@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from _builders import (
     blaschke_system,
@@ -514,6 +513,30 @@ class TestNegsq:
             capsys.readouterr().err)
 
 
+class TestHautusSpansOnce:
+    def test_classify_decides_the_spans_once(self, tmp_path, monkeypatch):
+        # krylov_report and the index estimate's minimal part read the same
+        # spans; memoized on the system they cost one zgeev call, not two,
+        # and the report keeps every byte
+        rng = np.random.default_rng([10, 3, 44])
+        path = write_system(
+            tmp_path, random_conservative_colligation(rng, SignatureSpace(7, 3), 2))
+        reports, counts = [], []
+        for memoized in (True, False):
+            with monkeypatch.context() as patch:
+                if not memoized:
+                    patch.setattr(Colligation, "_spans", property(lambda system: {}))
+                calls = spy(patch, colligation.zgeev)
+                out = tmp_path / f"memoized-{memoized}"
+                out.mkdir()
+                code, _ = run_cli(out, "classify", path)
+                assert code == 0
+                reports.append((out / "classify.report.json").read_bytes())
+                counts.append(len(calls))
+        assert counts == [1, 2]
+        assert reports[0] == reports[1]
+
+
 class TestOneSchurForm:
     @pytest.mark.parametrize("argv", [["negsq"], ["factor-kl"],
                                       ["factor-kl", "--mode", "left"]])
@@ -521,11 +544,11 @@ class TestOneSchurForm:
         rng = np.random.default_rng(15)
         path = write_system(
             tmp_path, random_conservative_colligation(rng, SignatureSpace(7, 3), 2))
-        schur_calls = spy_attr(monkeypatch, scipy.linalg, "schur")
+        schur_calls = spy_attr(monkeypatch, indefinite, "zgees")
         eigvals = spy_attr(monkeypatch, np.linalg, "eigvals")
         code, _ = run_cli(tmp_path, argv[0], path, *argv[1:])
         assert code == 0
-        operators = [args[0] for args in schur_calls]
+        operators = [args[1] for args in schur_calls]
         assert len(operators) >= 1 and eigvals == []
         assert not any(np.shape(operators[i]) == np.shape(operators[j])
                        and np.array_equal(operators[i], operators[j])

@@ -775,7 +775,7 @@ class TestSchurSpans:
         Z = np.eye(40) + 0.01 * rng.standard_normal((40, 40))
         sys2 = state_change(sys1, Z, sys1.state)
         arnoldi = spy(monkeypatch, colligation._krylov_basis)
-        forms = spy_attr(monkeypatch, scipy.linalg, "schur")
+        forms = spy_attr(monkeypatch, indefinite, "zgees")
         weak_similarity(sys1, sys2)
         assert len(arnoldi) == 2 and forms == []
 
@@ -847,7 +847,8 @@ def _backsub_spans(system, observe, tol):
         Tb = block.conj().T @ system.A @ block
         Q = colligation._krylov_basis(Tb.conj().T if observe else Tb,
                                       block.conj().T @ drive, tol, cut=cut)[0]
-        return np.hstack([rest, block @ Q]), block @ nullspace(Q.conj().T, tol)
+        span = np.hstack([rest, block @ Q])
+        return span, nullspace(span.conj().T, tol)
     if colligation._norm2(block.conj().T @ drive) > cut:
         rest, block, hidden = Z, Z[:, :0], np.zeros(n, dtype=bool)
         for k in np.flatnonzero(candidate)[np.argsort(ratio[candidate], kind="stable")]:
@@ -886,7 +887,8 @@ def _sweep_plants(n):
 class TestBacksubOracle:
     """_schur_spans against the back-substitution it replaced: equal
     candidate and cluster masks, and bitwise equal span and hidden bases,
-    which are blocks of Schur vectors."""
+    which are blocks of Schur vectors but for the hidden basis of a
+    cluster, the complement of its span."""
 
     @pytest.fixture
     def splits(self, monkeypatch):
@@ -1084,6 +1086,18 @@ class TestSampledHiddenSpaces:
                 assert abs(rep.agreement_residual - obstruction_angle_oracle(
                     plant, feed, observe)) <= _angle_parity(k)
 
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_clustered_hidden_basis_is_orthonormal_to_the_span(self, k):
+        # the hidden basis of a chain is the complement of the whole span:
+        # orthonormal, and orthogonal to the span, to 3 eps, where block
+        # times the complement of the Arnoldi basis reached 20 eps and 8 eps
+        eps = np.finfo(float).eps
+        for plant in _jordan_plants(k):
+            for span, hidden in colligation._schur_spans(plant, (False, True), DEFAULT_TOL):
+                gram = hidden.conj().T @ hidden - np.eye(hidden.shape[1])
+                assert colligation._norm2(gram) <= 3 * eps
+                assert colligation._norm2(span.conj().T @ hidden) <= 3 * eps
+
     @pytest.mark.parametrize("n", [8, 16, 24, 40])
     def test_obstruction_angle_on_the_sweep_subset(self, n):
         # the one-SVD angle of the obstructions against principal_angles,
@@ -1140,7 +1154,9 @@ class TestEigenvectorCall:
         obstruction_controllable(blaschke_system(0.5), blaschke_system(-0.3))
         assert [args[1:] for args in calls] == [(0, 1), (0, 1), (1, 0)]
 
-    def test_out_of_order_eigenvalues_are_refused(self, monkeypatch):
+    @staticmethod
+    def reverse_order(monkeypatch):
+        """Have zgeev return its eigenvalues and vectors in reverse order."""
         real = colligation.zgeev
 
         def reversed_order(*args):
@@ -1148,15 +1164,46 @@ class TestEigenvectorCall:
             return w[::-1], left[:, ::-1], right[:, ::-1], info
 
         monkeypatch.setattr(colligation, "zgeev", reversed_order)
+
+    def test_out_of_order_eigenvalues_are_refused(self, monkeypatch):
+        self.reverse_order(monkeypatch)
         for sides in ((False, True), (False,), (True,)):
             with pytest.raises(InternalConsistencyError, match="eigenvalue order"):
                 colligation._schur_spans(self.plant(), sides, DEFAULT_TOL)
 
+    def test_spans_are_memoized_read_only(self, monkeypatch):
+        plant = self.plant()
+        first = colligation._schur_spans(plant, (False, True), DEFAULT_TOL)
+        calls = spy(monkeypatch, colligation.zgeev)
+        assert colligation._schur_spans(plant, (False, True), DEFAULT_TOL) is first
+        assert calls == []
+        assert not any(basis.flags.writeable for pair in first for basis in pair)
+        # other sides, or another tolerance, are decided afresh
+        colligation._schur_spans(plant, (True,), DEFAULT_TOL)
+        colligation._schur_spans(plant, (False, True), Tolerances(rank_tol=1e-11))
+        assert len(calls) == 2
+        # an equal Tolerances is the same key
+        assert colligation._schur_spans(plant, (False, True), Tolerances()) is first
+        assert len(calls) == 2
+
+    def test_a_refused_call_stores_nothing(self, monkeypatch):
+        plant = self.plant()
+        with monkeypatch.context() as patch:
+            self.reverse_order(patch)
+            with pytest.raises(InternalConsistencyError, match="eigenvalue order"):
+                colligation._schur_spans(plant, (False, True), DEFAULT_TOL)
+        assert plant._spans == {}
+        spans = colligation._schur_spans(plant, (False, True), DEFAULT_TOL)
+        assert plant._spans == {((False, True), DEFAULT_TOL): spans}
+
     @pytest.mark.parametrize("name", ["empty-state", "no-input", "no-output", "conservative"])
     def test_no_candidate_takes_no_reordering(self, monkeypatch, name):
         # the empty state and a side with no candidate return the Schur
-        # vectors as they are; a side without columns takes no eigenvectors
-        plant = RECURRENCE_SYSTEMS[name]
+        # vectors as they are; a side without columns takes no eigenvectors.
+        # A fresh copy, as _schur_spans memoizes its spans on the system
+        shared = RECURRENCE_SYSTEMS[name]
+        plant = Colligation(shared.state, shared.input_dim, shared.output_dim,
+                            shared.A, shared.B, shared.C, shared.D)
         plant._spectrum
         calls = spy(monkeypatch, colligation.zgeev)
         reorders = spy_attr(monkeypatch, type(plant._spectrum), "reordered")

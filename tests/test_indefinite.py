@@ -15,6 +15,7 @@ from pontsys.exceptions import (
     NonRegularSubspaceError,
     NotHermitianError,
     PontsysError,
+    _fro,
 )
 from pontsys.indefinite import (
     DEFAULT_TOL,
@@ -44,7 +45,7 @@ from pontsys.indefinite import (
 )
 from pontsys.products import kl_factorize_system
 
-from _builders import same_span, spy_attr
+from _builders import same_span, spy, spy_attr
 
 
 def random_invertible(rng, n, cond_bound=50.0):
@@ -704,6 +705,45 @@ class TestPsdFactorRoutes:
         assert count == 55
 
 
+class TestDiscSchur:
+    """The one LAPACK zgees call of _DiscSchur against
+    scipy.linalg.schur(A, output="complex"), bit for bit."""
+
+    @staticmethod
+    def assert_scipy_form(A):
+        form = indefinite._DiscSchur(A)
+        T, Z = scipy.linalg.schur(A, output="complex")
+        for mine, want in ((form.T, T), (form.Z, Z)):
+            assert mine.shape == want.shape and mine.tobytes() == want.tobytes()
+        return form
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 8, 40, 127, 128, 130])
+    def test_bitwise_scipy_schur(self, n):
+        # past n = 128 zgees runs blocked code sized by its workspace query
+        rng = np.random.default_rng([n, 37])
+        self.assert_scipy_form(as_matrix(
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))))
+        self.assert_scipy_form(rng.standard_normal((n, n)))
+
+    def test_one_entry_below_the_diagonal_off_the_first_column(self):
+        rng = np.random.default_rng(38)
+        A = np.triu(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+        A[6, 4] = 0.3
+        form = self.assert_scipy_form(as_matrix(A))
+        assert not np.array_equal(form.Z, np.eye(9))
+
+    def test_failed_factorization_raises(self, monkeypatch):
+        real = indefinite.zgees
+
+        def failing(*args, **kwargs):
+            return real(*args, **kwargs)[:-1] + (1,)
+
+        monkeypatch.setattr(indefinite, "zgees", failing)
+        A = as_matrix(np.random.default_rng(39).standard_normal((6, 6)))
+        with pytest.raises(np.linalg.LinAlgError):
+            indefinite._DiscSchur(A)
+
+
 class TestSpectralSubspace:
     def test_jordan_block_outside(self):
         sp = SignatureSpace(2, 0)
@@ -761,7 +801,7 @@ class TestSpectralSubspace:
             spectral_subspace(np.diag([0.5, 2.0]), SignatureSpace(1, 1), "inside")
 
     def test_one_schur_form_and_no_eigenvalue_solve(self, monkeypatch):
-        schur = spy_attr(monkeypatch, scipy.linalg, "schur")
+        schur = spy_attr(monkeypatch, indefinite, "zgees")
         eigvals = spy_attr(monkeypatch, np.linalg, "eigvals")
         # a triangular operator is its own Schur form; any other takes one
         A = np.diag([0.5, 2.0, 0.3, 3.0])
@@ -1248,7 +1288,7 @@ class TestBracketedCertificates:
         calls = ([spy_attr(monkeypatch, indefinite, name)
                   for name in ("_cholesky_accepts", "_sym_eig", "zpotrf")]
                  + [spy_attr(monkeypatch, np.linalg, name) for name in ("eigvalsh", "eigh")])
-        norms = spy_attr(monkeypatch, np.linalg, "norm")
+        norms = spy(monkeypatch, _fro)
         for system in systems:
             T, dom, cod = system_operator(system)
             want = (T,) + metric_defects(T, dom, cod)

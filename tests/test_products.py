@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.optimize
 from scipy.linalg.lapack import ztrsen
 
-from pontsys import colligation, products
+from pontsys import colligation, indefinite, products
 from pontsys.colligation import (
     Colligation,
     SystemKind,
@@ -736,10 +736,10 @@ class TestOneClassificationPerSystem:
         # inverse Blaschke factor's main operator is upper triangular, so its
         # minimality is read off its diagonal; no restriction is classified
         system = _padded_conservative(31, 6, 2, 5)
-        forms = spy_attr(monkeypatch, scipy.linalg, "schur")
+        forms = spy_attr(monkeypatch, indefinite, "zgees")
         reports = spy(monkeypatch, krylov_report)
         fac = kl_factorize_system(system, mode)
-        assert [args[0] is system.A for args in forms] == [True]
+        assert [args[1] is system.A for args in forms] == [True]
         assert [args[0] for args in reports] == [system]
         assert fac.inverse_blaschke_factor.state_dim == 6
         assert not classify(system).simple
@@ -779,20 +779,40 @@ class TestHautusOnTheSharedForm:
         return random_conservative_colligation(
             np.random.default_rng([40, 8]), SignatureSpace(32, 8), 1)
 
-    @pytest.mark.parametrize("call", [
+    CALLS = pytest.mark.parametrize("call", [
         classify,
         lambda system: kl_factorize_system(system, "right"),
         lambda system: kl_factorize_system(system, "left"),
         stability_classify,
         invariant_fundamental_decompositions,
     ], ids=["classify", "kl-right", "kl-left", "stability", "splits"])
+
+    @CALLS
     def test_no_recurrence_and_one_schur_form(self, monkeypatch, call):
         system = self.system()
         arnoldi = spy(monkeypatch, colligation._krylov_basis)
-        forms = spy_attr(monkeypatch, scipy.linalg, "schur")
+        forms = spy_attr(monkeypatch, indefinite, "zgees")
         call(system)
         assert arnoldi == []
-        assert sum(args[0] is system.A for args in forms) == 1
+        assert sum(args[1] is system.A for args in forms) == 1
+
+    @CALLS
+    def test_no_frobenius_wrapper_and_no_scipy_schur(self, monkeypatch, call):
+        # every Frobenius norm is _fro's one dot and every Schur form one
+        # zgees call: np.linalg.norm runs only with an ord or an axis, and
+        # scipy.linalg.schur not at all
+        norms, real = [], np.linalg.norm
+
+        def recording(*args, **kwargs):
+            norms.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", recording)
+        schur_calls = spy_attr(monkeypatch, scipy.linalg, "schur")
+        call(self.system())
+        assert schur_calls == []
+        assert all(len(args) > 1 or {"ord", "axis"} & kwargs.keys()
+                   for args, kwargs in norms)
 
     @pytest.mark.parametrize("check", [obstruction_observable, obstruction_controllable])
     def test_obstructions_take_the_cascades_form(self, monkeypatch, check):
@@ -800,11 +820,11 @@ class TestHautusOnTheSharedForm:
         # on its one Schur form, whose leading block is the input's A
         system = self.system()
         arnoldi = spy(monkeypatch, colligation._krylov_basis)
-        forms = spy_attr(monkeypatch, scipy.linalg, "schur")
+        forms = spy_attr(monkeypatch, indefinite, "zgees")
         check(system, blaschke_system(0.3))
         assert arnoldi == []
-        assert len(forms) == 1 and forms[0][0].shape == (41, 41)
-        assert np.array_equal(forms[0][0][:40, :40], system.A)
+        assert len(forms) == 1 and forms[0][1].shape == (41, 41)
+        assert np.array_equal(forms[0][1][:40, :40], system.A)
 
 
 # The splits and radii before one Schur form served them: each outside
@@ -902,7 +922,7 @@ class TestOneSchurForm:
         assert abs(st.backward_radius - rb) <= 1e-10
 
     def test_one_schur_form_per_split(self, monkeypatch):
-        calls = spy_attr(monkeypatch, scipy.linalg, "schur")
+        calls = spy_attr(monkeypatch, indefinite, "zgees")
         for system in (_nonsimple_conservative(),
                        random_conservative_colligation(
                            np.random.default_rng(5), SignatureSpace(32, 8), 2)):
@@ -1275,7 +1295,7 @@ class TestCholeskyHalves:
         # a fresh copy, so that its one Schur form is taken under the spy
         system = Colligation(system.state, system.input_dim, system.output_dim,
                              system.A, system.B, system.C, system.D)
-        forms = spy_attr(monkeypatch, scipy.linalg, "schur")
+        forms = spy_attr(monkeypatch, indefinite, "zgees")
         eigh = spy_attr(monkeypatch, np.linalg, "eigh")
         eigvalsh = spy_attr(monkeypatch, np.linalg, "eigvalsh")
         fac = kl_factorize_system(system, mode)

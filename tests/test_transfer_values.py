@@ -11,10 +11,9 @@ the test systems and on an adversarial set.
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from _builders import route_bound, spy_attr
-from pontsys import schur
+from pontsys import indefinite, schur
 from pontsys.colligation import (
     Colligation,
     _sample_points,
@@ -166,10 +165,11 @@ def test_circle_far_from_every_pole_takes_no_svd(monkeypatch):
 
 def _dense_spies(monkeypatch):
     """Spies on every dense factorization a resolvent route could take:
-    np.linalg.solve, np.linalg.inv, np.linalg.svd and scipy.linalg.schur."""
+    np.linalg.solve, np.linalg.inv, np.linalg.svd and the LAPACK zgees of
+    a Schur form."""
     return {name: spy_attr(monkeypatch, owner, name) for owner, name in (
         (np.linalg, "solve"), (np.linalg, "inv"), (np.linalg, "svd"),
-        (scipy.linalg, "schur"))}
+        (indefinite, "zgees"))}
 
 
 @pytest.mark.parametrize("name", ["conservative-12-3-2", "passive-40-8-1"])
@@ -184,14 +184,14 @@ def test_no_dense_solve_on_any_route(monkeypatch, name):
     spies = _dense_spies(monkeypatch)
     pts = disc_points(40, seed=5, radius=0.9, exclude=TransferFunction(fresh).poles,
                       min_dist=1e-2)
-    assert len(spies["schur"]) == 1
+    assert len(spies["zgees"]) == 1
     assert transfer_values(fresh, pts)[1].all()
     sig = schur._fresh_survey(TransferFunction(fresh), 256, DEFAULT_TOL)[0]
     assert not np.isnan(sig).any()
     assert _sample_points(fresh, DEFAULT_TOL).size == fresh.state_dim
     for observe in (False, True):
         _sampled_hidden(fresh, observe, DEFAULT_TOL)
-    assert len(spies["schur"]) == 1
+    assert len(spies["zgees"]) == 1
     assert not spies["solve"] and not spies["inv"]
     # the only SVDs are the null spaces of the two sample matrices
     assert [args[0].ndim for args in spies["svd"]] == [2, 2]
