@@ -11,7 +11,6 @@ from .indefinite import (
     IndefiniteSubspace,
     MetricClass,
     SignatureSpace,
-    SpectralRegion,
     SubspaceKind,
     Tolerances,
 )

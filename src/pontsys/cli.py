@@ -28,7 +28,6 @@ import numpy as np
 from .colligation import (
     Colligation,
     SystemKind,
-    _spectral_norms,
     _taylor_stack,
     adjoint_system,
     classify,
@@ -42,6 +41,7 @@ from .exceptions import (
     InputError,
     InternalConsistencyError,
     PontsysError,
+    _spectral_norms,
     certify,
 )
 from .indefinite import DEFAULT_TOL, SignatureSpace, intersect_spans
@@ -56,7 +56,6 @@ from .products import (
 from .sampling import disc_points
 from .schur import (
     _negative_squares,
-    _relative_mismatch,
     as_transfer,
     blaschke_potapov_factor,
     blaschke_product,
@@ -536,23 +535,23 @@ def cmd_julia_embed(args):
     system, meta, source = _load_system_input(args.path)
     tol = _resolve_tolerances(args, meta)
     emb = julia_embedding(system, tol)
+    # the embedding is built on the blocks of the completed operator, whose
+    # leading blocks are the system's own, so its transfer function has
+    # the system's in the corner exactly when these blocks are equal
+    p, m = system.output_dim, system.input_dim
+    if not all(np.array_equal(got, want) for got, want in (
+            (emb.A, system.A), (emb.B[:, :m], system.B),
+            (emb.C[:p], system.C), (emb.D[:p, :m], system.D))):
+        raise InternalConsistencyError(
+            "embedding corner blocks differ from the system's blocks")
     emb_path = save_system(emb, Path(args.out) / "julia_embedding.json",
                            name="conservative defect embedding")
-    S = as_transfer(system)
-    p, m = system.output_dim, system.input_dim
-    pts = disc_points(16, seed=tol.seed * 91 + 2, radius=0.85,
-                      exclude=S.poles, min_dist=1e-4)
-    want = S.values(pts, tol)
-    got = as_transfer(emb).values(pts, tol)[:, :p, :m]
-    corner = certify("embedding corner transfer mismatch",
-                     _relative_mismatch(got, want), 1e-9)
     # julia_embedding returns only an embedding it certified conservative
     verdicts = {
         "kind": SystemKind.CONSERVATIVE.value,
         "conservative": True,
         "corner_matches": True,
     }
-    residuals = {"corner_transfer": corner}
     certificates = {
         "embedded": _signature_dict(emb),
         "added_inputs": emb.input_dim - system.input_dim,
@@ -561,7 +560,7 @@ def cmd_julia_embed(args):
     }
     return _emit_report(
         args, "julia-embed", {"system": source},
-        _parameters(args), tol, verdicts, residuals, certificates,
+        _parameters(args), tol, verdicts, {}, certificates,
         ["defect coordinates appended to input and output; state space "
          "unchanged; original channels form the leading corner"])
 

@@ -132,6 +132,27 @@ def _norm2(M):
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
+def _spectral_norms(stack):
+    """_norm2 of each matrix of a (k, p, m) stack; 0 for an empty matrix.
+    A stack of rows, columns or scalars takes each Euclidean norm as the
+    square root of the sum of squares of its entries' real and imaginary
+    parts, with no eigen-solve; any other stack takes the square root of
+    the largest eigenvalue of each smaller Gram matrix, from one stacked
+    Hermitian eigen-solve.  Either way the squares overflow past about
+    1e154, and a NaN entry gives NaN."""
+    k, p, m = stack.shape
+    if not p * m:
+        return np.zeros(k)
+    if min(p, m) == 1:
+        x = np.ascontiguousarray(stack).reshape(k, -1)
+        if x.dtype.kind == "c":
+            x = x.view(x.real.dtype)
+        return np.sqrt((x * x).sum(axis=1))
+    gram = (stack @ stack.conj().transpose(0, 2, 1) if p <= m
+            else stack.conj().transpose(0, 2, 1) @ stack)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+
+
 def _residual_norm(R, bound):
     """The value that certifies a residual matrix R against bound: an upper
     bound on ||R||_2, and ||R||_2 itself wherever ||R||_F cannot decide.

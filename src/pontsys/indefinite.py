@@ -17,13 +17,13 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import zgees, zpotrf, ztrsen, ztrtri
 
 from .exceptions import (
-    AmbiguousSpectrumError,
     DimensionMismatchError,
     IndefiniteDefectError,
     InputError,
     NonRegularSubspaceError,
     NotHermitianError,
     _fro,
+    _norm2,
 )
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "Inertia",
     "MetricClass",
     "SubspaceKind",
-    "SpectralRegion",
     "as_matrix",
     "metric_signs",
     "j_adjoint",
@@ -44,8 +43,6 @@ __all__ = [
     "subspace_classify",
     "j_complement",
     "psd_factor",
-    "eig_hermitian",
-    "spectral_subspace",
     "canonical_basis",
     "nullspace",
     "column_space",
@@ -227,17 +224,14 @@ def _symmetrized(H, name):
     return (H + Hh) / 2.0, _fro(H - Hh)
 
 
-def _sym_eig(H, name="matrix", vectors=False):
-    """Eigen-solve of the symmetrized (H + H^*)/2 of a square H.
+def _sym_eig(H, name="matrix"):
+    """Eigenvalues of the symmetrized (H + H^*)/2 of a square H.
 
-    Returns (w, V, skew): ascending eigenvalues, eigenvectors (None unless
-    vectors) and the Frobenius norm of H - H^*.
+    Returns (w, skew): ascending eigenvalues and the Frobenius norm of
+    H - H^*.
     """
     Hs, skew = _symmetrized(H, name)
-    if vectors:
-        w, V = np.linalg.eigh(Hs)
-        return w, V, skew
-    return np.linalg.eigvalsh(Hs), None, skew
+    return np.linalg.eigvalsh(Hs), skew
 
 
 def _spectral_radius(w):
@@ -252,15 +246,15 @@ def _certify_hermitian(w, skew, name, rel):
         raise NotHermitianError(f"{name} is not Hermitian within {rel:g} relative")
 
 
-def _hermitian_eig(H, name="matrix", rel=1e-12, vectors=False):
-    """Eigenvalues (and with vectors, eigenvectors) of a certified Hermitian H.
+def _hermitian_eig(H, name="matrix", rel=1e-12):
+    """Eigenvalues of a certified Hermitian H.
 
     One eigen-solve of the symmetrized H; H is refused with
     NotHermitianError when ||H - H^*||_F > rel * max(1, max|eig|).
     """
-    w, V, skew = _sym_eig(H, name, vectors)
+    w, skew = _sym_eig(H, name)
     _certify_hermitian(w, skew, name, rel)
-    return (w, V) if vectors else w
+    return w
 
 
 def inertia(H, tol=DEFAULT_TOL):
@@ -332,13 +326,13 @@ def _defect_class(M, primal, dual, tol):
     verdict = _bracketed_metric_class(M, primal, dual, tol)
     if verdict is not None:
         return verdict
-    w, _, skew = _sym_eig(primal)
-    wd, _, skew_d = _sym_eig(dual)
+    w, skew = _sym_eig(primal)
+    wd, skew_d = _sym_eig(dual)
     defects = (_spectral_radius(w) + skew / 2.0,
                _spectral_radius(wd) + skew_d / 2.0)
     upper = _frobenius_scale_bound(M, tol)
     if any(tol.metric_tol < d <= upper for d in defects):
-        scale = max(1.0, float(np.linalg.norm(M, 2)) ** 2)
+        scale = max(1.0, _norm2(M) ** 2)
     else:
         scale = 1.0
     verdict = _zero_defect_class(*(d <= tol.metric_tol * scale for d in defects))
@@ -701,17 +695,6 @@ def _psd_factor(M, tol):
     return V * root, (V / root).conj().T
 
 
-def eig_hermitian(H):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
-    return _hermitian_eig(H, name="eig_hermitian input", rel=1e-10, vectors=True)
-
-
-class SpectralRegion(str, Enum):
-    INSIDE_OPEN_DISC = "inside_open_disc"
-    OUTSIDE_CLOSED_DISC = "outside_closed_disc"
-    MODULUS_ONE_BAND = "modulus_one_band"
-
-
 def _no_selection(_):
     """zgees' eigenvalue selection callback, never called without sorting."""
     return 0
@@ -789,46 +772,6 @@ class _DiscSchur:
         if info:
             raise np.linalg.LinAlgError("Schur reordering failed")
         return T, Z, k
-
-
-def spectral_subspace(A, space, region, tol=DEFAULT_TOL, on_boundary="error"):
-    """Invariant subspace for the eigenvalues of A in a disc region.
-
-    Generalized eigenvectors are included, so the dimension is the total
-    algebraic multiplicity.  Eigenvalues within metric_tol of the unit
-    circle are ambiguous for the disc regions: with on_boundary="error"
-    they raise, with "exclude" they are assigned to neither side.
-    """
-    signs = metric_signs(space)
-    A = as_matrix(A, rows=signs.size, cols=signs.size, name="operator")
-    try:
-        region = SpectralRegion(region)
-    except ValueError:
-        raise InputError(f"unknown spectral region {region!r}") from None
-    if on_boundary not in ("error", "exclude"):
-        raise InputError("on_boundary must be 'error' or 'exclude'")
-
-    if A.size == 0:
-        return IndefiniteSubspace(_as_space(space), np.zeros((0, 0), np.complex128))
-
-    form = _DiscSchur(A)
-    near, inside, outside = form.regions(tol.metric_tol)
-    if (region != SpectralRegion.MODULUS_ONE_BAND and on_boundary == "error"
-            and near.any()):
-        raise AmbiguousSpectrumError(
-            f"eigenvalue {form.eigenvalues[near][0]} lies within "
-            f"{tol.metric_tol:g} of the unit circle")
-    select = {SpectralRegion.INSIDE_OPEN_DISC: inside,
-              SpectralRegion.OUTSIDE_CLOSED_DISC: outside,
-              SpectralRegion.MODULUS_ONE_BAND: near}[region]
-    Z, k = form.reordered(select)
-    return IndefiniteSubspace._orthonormal(_as_space(space), Z[:, :k])
-
-
-def _as_space(space):
-    if isinstance(space, SignatureSpace):
-        return space
-    return SignatureSpace.from_signs(metric_signs(space))
 
 
 def canonical_basis(space, tol=DEFAULT_TOL):

@@ -20,7 +20,12 @@ from .colligation import (
     _operator_kind,
     system_operator,
 )
-from .exceptions import InternalConsistencyError, PreconditionError, _certify_residual
+from .exceptions import (
+    InternalConsistencyError,
+    PreconditionError,
+    _certify_residual,
+    _norm2,
+)
 from .indefinite import (
     DEFAULT_TOL,
     MetricClass,
@@ -135,7 +140,7 @@ def _julia_completion(M, dom, cod, factors, tol):
         G = left @ rhs
         _certify_residual("defect range intertwining residual", E1 @ G - rhs,
                           1e3 * tol.rank_tol,
-                          lambda: max(1.0, float(np.linalg.norm(M, 2)) ** 2))
+                          lambda: max(1.0, _norm2(M) ** 2))
     else:
         G = np.zeros((r1, r2), dtype=complex)
 

@@ -54,6 +54,7 @@ from .exceptions import (
     PreconditionError,
     _fro,
     _norm2,
+    _spectral_norms,
     certify,
 )
 from .indefinite import (
@@ -146,8 +147,8 @@ def as_transfer(S):
 def _relative_mismatch(got, want):
     """max_k ||got_k - want_k||_2 / max(1, ||want_k||_2) over two (N, p, m)
     value stacks."""
-    return float(np.max(np.linalg.norm(got - want, 2, axis=(1, 2))
-                        / np.maximum(1.0, np.linalg.norm(want, 2, axis=(1, 2)))))
+    return float(np.max(_spectral_norms(got - want)
+                        / np.maximum(1.0, _spectral_norms(want))))
 
 
 def sharp(S):
@@ -410,8 +411,8 @@ def invert_system(system, tol=DEFAULT_TOL):
                       exclude=np.concatenate([Sf.poles, So.poles]),
                       min_dist=_POLE_MARGIN)
     vo, vf = So.values(pts, tol), Sf.values(pts, tol)
-    miss = np.linalg.norm(vo @ vf - np.eye(system.input_dim), 2, axis=(1, 2))
-    scale = np.linalg.norm(vo, 2, axis=(1, 2)) * np.linalg.norm(vf, 2, axis=(1, 2))
+    miss = _spectral_norms(vo @ vf - np.eye(system.input_dim))
+    scale = _spectral_norms(vo) * _spectral_norms(vf)
     certify("inverse transfer product residual",
             np.max(miss / np.maximum(1.0, scale)), 1e-8)
     return out
@@ -1034,8 +1035,8 @@ def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
                   for z in (z_ref, w_ref))
         lhs = (Rz * model.state.signs[None, :]) @ Rw.conj().T
         rhs = (np.eye(p) - ref[1] @ ref[0].conj().T) / (1.0 - z_ref * np.conj(w_ref))
-        certify("reproducing identity residual", np.linalg.norm(lhs - rhs, 2),
-                1e-6 * max(1.0, np.linalg.norm(rhs, 2)))
+        certify("reproducing identity residual", _norm2(lhs - rhs),
+                1e-6 * max(1.0, _norm2(rhs)))
     return model
 
 
@@ -1146,13 +1147,10 @@ def check_kernel_decomposition(S1, S2, tol=DEFAULT_TOL, variant="observable"):
     images = (vals[1] @ g1.matrix.reshape(N, p1, N * p1)).reshape(
         N * p2, N * p1)
     Gpinv = _pinv_hermitian(g12.matrix, tol.rank_tol)
-    membership = np.linalg.norm(
-        g12.matrix @ (Gpinv @ images) - images, 2)
+    membership = _norm2(g12.matrix @ (Gpinv @ images) - images)
     gram_images = images.conj().T @ Gpinv @ images
-    iso_resid = float(np.linalg.norm(gram_images - g1.matrix, 2)
-                      / max(1.0, np.linalg.norm(g1.matrix, 2)))
-    iso_resid = max(iso_resid,
-                    float(membership / max(1.0, np.linalg.norm(images, 2))))
+    iso_resid = max(_norm2(gram_images - g1.matrix) / max(1.0, _norm2(g1.matrix)),
+                    membership / max(1.0, _norm2(images)))
     isometric = iso_resid <= 1e-6
     holds = rank_additive and isometric
 

@@ -557,14 +557,38 @@ class TestOneSchurForm:
 
 class TestJuliaEmbed:
     def test_passive_file_embeds_conservative(self, tmp_path):
-        path = write_system(tmp_path, half_shift_system())
+        system = half_shift_system()
+        path = write_system(tmp_path, system)
         code, report = run_cli(tmp_path, "julia-embed", path)
         assert code == 0
         assert report["verdicts"]["conservative"]
         assert report["verdicts"]["corner_matches"]
-        assert report["residuals"]["corner_transfer"] <= 1e-9
+        # the corner is decided on the blocks, not on sampled values
+        assert report["residuals"] == {}
         emb, meta = load_system(tmp_path / "julia_embedding.json")
         assert emb.input_dim > 1 and emb.output_dim > 1
+        p, m = system.output_dim, system.input_dim
+        for got, want in ((emb.A, system.A), (emb.B[:, :m], system.B),
+                          (emb.C[:p], system.C), (emb.D[:p, :m], system.D)):
+            assert np.array_equal(got, want)
+
+    def test_moved_corner_block_exits_one(self, tmp_path, monkeypatch):
+        # an embedding whose leading feedthrough block is not the system's
+        # fails the corner check, and no embedding file is written
+        real = cli.julia_embedding
+
+        def moved(system, tol):
+            emb = real(system, tol)
+            D = emb.D.copy()
+            D[0, 0] += 1e-15
+            return Colligation(emb.state, emb.input_dim, emb.output_dim,
+                               emb.A, emb.B, emb.C, D)
+
+        monkeypatch.setattr(cli, "julia_embedding", moved)
+        path = write_system(tmp_path, half_shift_system())
+        code, _ = run_cli(tmp_path, "julia-embed", path)
+        assert code == 1
+        assert not (tmp_path / "julia_embedding.json").exists()
 
     def test_kind_decided_once_per_operator(self, tmp_path, monkeypatch):
         # one decision for the input's system operator and one for the

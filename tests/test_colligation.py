@@ -13,11 +13,9 @@ from pontsys.colligation import (
     _certify_bicontraction,
     adjoint_system,
     classify,
-    is_dilation_of,
     krylov_report,
     markov,
     realize_from_taylor,
-    restriction,
     state_change,
     system_kind,
     system_operator,
@@ -34,10 +32,10 @@ from pontsys.exceptions import (
     OrderAmbiguityError,
     PoleProximityError,
     PreconditionError,
+    _spectral_norms,
 )
 from pontsys.indefinite import (
     DEFAULT_TOL,
-    IndefiniteSubspace,
     MetricClass,
     SignatureSpace,
     SubspaceKind,
@@ -1234,27 +1232,7 @@ class TestSimpKar:
         assert rep.complement_kinds["simple"] == SubspaceKind.ANTIHILBERT
 
 
-class TestRestriction:
-    def test_restrict_to_leading_summand(self):
-        rng = np.random.default_rng(5)
-        sys1 = random_conservative_colligation(rng, SignatureSpace(2, 1), 2)
-        sys2 = random_conservative_colligation(rng, SignatureSpace(1, 1), 2)
-        big = direct_sum(sys1, sys2)
-        basis = np.zeros((big.state_dim, 3), dtype=complex)
-        basis[:3, :3] = np.eye(3)
-        sub = IndefiniteSubspace(big.state, basis)
-        small = restriction(big, sub)
-        assert small.state.signs.tolist() == sys1.state.signs.tolist()
-        # compression to an invariant regular summand is a similarity, so the
-        # spectrum survives and the transfer splits into static second block
-        assert np.allclose(np.sort_complex(np.linalg.eigvals(small.A)),
-                           np.sort_complex(np.linalg.eigvals(sys1.A)))
-        for z in (0.2, -0.3j):
-            val = transfer_eval(small, z)
-            assert np.linalg.norm(val[:2, :2] - transfer_eval(sys1, z), 2) < 1e-10
-            assert np.linalg.norm(val[2:, 2:] - sys2.D, 2) < 1e-10
-            assert np.linalg.norm(val[:2, 2:], 2) + np.linalg.norm(val[2:, :2], 2) < 1e-10
-
+class TestStateChange:
     def test_state_change_preserves_transfer(self):
         rng = np.random.default_rng(6)
         sp = SignatureSpace(2, 1)
@@ -1275,86 +1253,6 @@ class TestRestriction:
         for z in (0.1, 0.2j):
             assert np.linalg.norm(
                 transfer_eval(sys1, z) - transfer_eval(canon, z), 2) < 1e-12
-
-
-class TestDilation:
-    @staticmethod
-    def build_dilation(small, extra, radius=0.3, rng=None):
-        """Prepend an invariant, unobserved Hilbert block of size extra whose
-        main operator is radius times a unitary."""
-        rng = np.random.default_rng(17) if rng is None else rng
-        n = small.state_dim
-        A_D = radius * random_j_unitary(rng, SignatureSpace(extra, 0))
-        Y = 0.2 * rng.standard_normal((extra, n))
-        B_D = 0.1 * rng.standard_normal((extra, small.input_dim))
-        A = np.block([[A_D, Y], [np.zeros((n, extra)), small.A]])
-        B = np.vstack([B_D, small.B])
-        C = np.hstack([np.zeros((small.output_dim, extra)), small.C])
-        state = SignatureSpace.from_signs(
-            np.concatenate([np.ones(extra), small.state.signs]))
-        return Colligation(state, small.input_dim, small.output_dim, A, B, C, small.D)
-
-    @staticmethod
-    def seeded_dilation(seed):
-        """(big, small): a strictly passive small system, n = 4-24 and
-        kappa <= 2, under a 1-3-state block of spectral radius 0.3, 0.95 or
-        2.0, by seed modulo 3."""
-        rng = np.random.default_rng([21, seed])
-        n = int(rng.integers(4, 25))
-        kappa = int(rng.integers(0, 3))
-        extra = int(rng.integers(1, 4))
-        channels = int(rng.integers(1, 3))
-        small = random_passive_colligation(
-            rng, SignatureSpace(n - kappa, kappa), channels, channels, strict=0.3)
-        radius = (0.3, 0.95, 2.0)[seed % 3]
-        return TestDilation.build_dilation(small, extra, radius, rng), small
-
-    # the seeded cases hide a block of radius 0.95 or 2.0 beside 14-24
-    # states, where the whole-state recurrence misses hidden modes
-    @pytest.mark.parametrize("seed", [None, 2, 5, 7, 17, 29, 31],
-                             ids=lambda seed: f"seed{seed}" if seed is not None else "blaschke")
-    def test_search_finds_decomposition(self, seed):
-        if seed is None:
-            small = blaschke_system(0.5)
-            big = self.build_dilation(small, 2)
-        else:
-            big, small = self.seeded_dilation(seed)
-        report = is_dilation_of(big, small)
-        assert report
-        assert report.defects["transfer mismatch"] < 1e-10
-
-    def test_explicit_decomposition(self):
-        small = inverse_blaschke_system(0.4)
-        big = self.build_dilation(small, 1)
-        D_part = np.array([[1.0], [0.0]], dtype=complex)
-        X_part = np.array([[0.0], [1.0]], dtype=complex)
-        Dstar_part = np.zeros((2, 0), dtype=complex)
-        report = is_dilation_of(big, small,
-                                decomposition=(D_part, X_part, Dstar_part))
-        assert report
-
-    def test_wrong_small_system_rejected(self):
-        small = blaschke_system(0.5)
-        big = self.build_dilation(small, 2)
-        other = blaschke_system(0.3)
-        report = is_dilation_of(big, other)
-        assert not report
-        assert "transfer" in report.reason or "dimension" in report.reason
-
-    def test_disc_samples_size_the_transfer_plan(self, monkeypatch):
-        seen = []
-        real = sampling.disc_grid
-
-        def spy(per_ring, *args, **kwargs):
-            seen.append(per_ring)
-            return real(per_ring, *args, **kwargs)
-
-        monkeypatch.setattr(sampling, "disc_grid", spy)
-        small = blaschke_system(0.5)
-        big = self.build_dilation(small, 2)
-        assert is_dilation_of(big, small, Tolerances(disc_samples=30))
-        assert is_dilation_of(big, small)
-        assert seen == [10, 21]
 
 
 def _weak_failures():
@@ -1672,14 +1570,14 @@ class TestSimilarity:
         assert sim.Z.shape == (0, 0) and sim.residuals["inverse_condition"] == 1.0
 
     @pytest.mark.parametrize("shape", [(3, 1, 4), (5, 4, 2), (2, 3, 3), (4, 0, 3),
-                                       (4, 3, 0)])
+                                       (4, 3, 0), (6, 1, 1), (3, 5, 1)])
     def test_window_norms_are_the_spectral_norms(self, shape):
         rng = np.random.default_rng(list(shape))
         stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         stack[:1] *= 1e-9
         want = (np.linalg.norm(stack, 2, axis=(1, 2)) if stack.size
                 else np.zeros(shape[0]))
-        got = colligation._spectral_norms(stack)
+        got = _spectral_norms(stack)
         assert got.shape == (shape[0],)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(want, 1e-300))
 

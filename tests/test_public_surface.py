@@ -8,7 +8,9 @@ every traced run.
 
 import ast
 import importlib
+import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,88 @@ def test_package_imports_only_public_names():
     stray = [f"{layer}.{name}" for layer, name in imports
              if name not in importlib.import_module(f"pontsys.{layer}").__all__]
     assert not stray, f"re-exported but not in the layer's __all__: {stray}"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Public functions that no route of the package, no demo, no benchmark and
+# no CI script calls, kept on purpose.
+UNCALLED = {
+    # independent oracles that tests compare the library's routes against:
+    # Taylor coefficients by matrix powers, a seeded disc sample plan, a
+    # metric-orthonormal basis by one Hermitian eigen-solve, and principal
+    # angles by scipy's subspace_angles
+    ("colligation", "markov"),
+    ("sampling", "disc_grid"),
+    ("indefinite", "canonical_basis"),
+    ("indefinite", "principal_angles"),
+    # the metric-orthogonal complement by one SVD, from which the reference
+    # splits of the fundamental-split tests build their complement halves
+    ("indefinite", "j_complement"),
+    # the paper's kernel-inclusion criterion for a product, checked on
+    # sampled kernels
+    ("schur", "check_kernel_decomposition"),
+    # the completion of a bare metric contraction, which julia_embedding
+    # applies to a system operator through its private helpers
+    ("julia", "julia_operator"),
+}
+
+
+def _referenced_names(tree, skip):
+    """Names tree reads, as bare names or attributes, outside the bodies
+    of the functions named in skip and outside import statements."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _callers():
+    """{path: names read there} over src/, demos/ and bench/; the package's
+    __init__ only re-exports, so it is left out."""
+    package = ROOT / "src" / "pontsys"
+    files = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    return {path: ast.parse(path.read_text()) for path in files}
+
+
+def _uncalled():
+    """(layer, name) of every function in a layer's __all__ that no file of
+    src/, demos/ or bench/ reads outside its own definition, and that no CI
+    script names."""
+    trees = _callers()
+    scripts = "\n".join(p.read_text() for p in sorted((ROOT / "ci").glob("*.sh")))
+    uncalled = set()
+    for layer in LAYERS:
+        mod = importlib.import_module(f"pontsys.{layer}")
+        home = ROOT / "src" / "pontsys" / f"{layer}.py"
+        for name in mod.__all__:
+            if not inspect.isfunction(getattr(mod, name)):
+                continue
+            called = any(
+                name in _referenced_names(tree, {name} if path == home else ())
+                for path, tree in trees.items())
+            if not called and not re.search(rf"\b{name}\b", scripts):
+                uncalled.add((layer, name))
+    return uncalled
+
+
+def test_every_public_function_has_a_caller():
+    stray = sorted(f"{layer}.{name}" for layer, name in _uncalled() - UNCALLED)
+    assert not stray, f"public functions with no caller outside the tests: {stray}"
+
+
+def test_uncalled_allowlist_is_current():
+    # an entry whose function went away, or gained a caller, is stale
+    stale = sorted(f"{layer}.{name}" for layer, name in UNCALLED - _uncalled())
+    assert not stale, f"allowlisted but called, or not a public function: {stale}"
