@@ -728,6 +728,77 @@ class TestDiscSchur:
         with pytest.raises(np.linalg.LinAlgError):
             indefinite._DiscSchur(A)
 
+    # Every disc-region spectral subspace is read off the one Schur form:
+    # regions() places the eigenvalues, reordered() brings a selection to
+    # the leading columns of Z.
+
+    def test_jordan_block_outside(self):
+        form = indefinite._DiscSchur(as_matrix([[2.0, 1.0], [0.0, 2.0]]))
+        near, inside, outside = form.regions(DEFAULT_TOL.metric_tol)
+        assert outside.tolist() == [True, True] and not (near.any() or inside.any())
+        Z, k = form.reordered(outside)
+        assert k == 2 and same_span(Z[:, :k], np.eye(2))
+
+    def test_split_mixed_spectrum(self):
+        form = indefinite._DiscSchur(as_matrix(np.diag([0.5, 2.0])))
+        _, inside, outside = form.regions(DEFAULT_TOL.metric_tol)
+        Z, k = form.reordered(inside)
+        assert k == 1 and same_span(Z[:, :k], np.array([[1.0], [0.0]]))
+        Z, k = form.reordered(outside)
+        assert k == 1 and same_span(Z[:, :k], np.array([[0.0], [1.0]]))
+
+    def test_invariance(self):
+        rng = np.random.default_rng(4)
+        checked = 0
+        for _ in range(10):
+            A = as_matrix(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            form = indefinite._DiscSchur(A)
+            near, inside, _ = form.regions(1e-3)
+            if near.any() or not inside.any():
+                continue
+            Z, k = form.reordered(inside)
+            Q = Z[:, :k]
+            # invariant: A maps the subspace into itself
+            assert np.linalg.norm(A @ Q - Q @ (Q.conj().T @ A @ Q)) < 1e-8
+            assert np.allclose(np.sort_complex(np.linalg.eigvals(Q.conj().T @ A @ Q)),
+                               np.sort_complex(form.eigenvalues[inside]))
+            checked += 1
+        assert checked >= 3
+
+    def test_band_masks_partition_the_spectrum(self):
+        band = DEFAULT_TOL.metric_tol
+        form = indefinite._DiscSchur(as_matrix(np.diag([1.0, 0.3, 2.0, 1.0 + band / 2])))
+        near, inside, outside = form.regions(band)
+        assert near.tolist() == [True, False, False, True]
+        assert inside.tolist() == [False, True, False, False]
+        assert outside.tolist() == [False, False, True, False]
+
+    def test_one_schur_form_and_no_eigenvalue_solve(self, monkeypatch):
+        schur = spy_attr(monkeypatch, indefinite, "zgees")
+        eigvals = spy_attr(monkeypatch, np.linalg, "eigvals")
+        # a triangular operator is its own Schur form; any other takes one
+        A = np.diag([0.5, 2.0, 0.3, 3.0]).astype(complex)
+        for entry, forms in ((0.0, 0), (0.1, 1)):
+            A[3, 0] = entry
+            form = indefinite._DiscSchur(as_matrix(A))
+            _, _, outside = form.regions(DEFAULT_TOL.metric_tol)
+            Z, k = form.reordered(outside)
+            assert k == 2
+            Q = Z[:, :k]
+            assert np.linalg.norm(A @ Q - Q @ (Q.conj().T @ A @ Q)) < 1e-12
+            assert (len(schur), len(eigvals)) == (forms, 0)
+
+    def test_ordered_leads_with_the_selection(self):
+        rng = np.random.default_rng(40)
+        A = as_matrix(rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
+        form = indefinite._DiscSchur(A)
+        select = np.abs(form.eigenvalues) > np.median(np.abs(form.eigenvalues))
+        T, Z, k = form.ordered(select)
+        assert k == np.count_nonzero(select)
+        assert np.allclose(Z @ T @ Z.conj().T, A, atol=1e-12)
+        assert np.allclose(np.sort_complex(np.diag(T)[:k]),
+                           np.sort_complex(form.eigenvalues[select]))
+
 
 # is_psd before its Cholesky route: one eigen-solve of the symmetrized
 # matrix behind the Frobenius Hermitian guard (rel 1e-10), then the slack
