@@ -910,11 +910,10 @@ def unitary_similarity(s1, s2, tol=DEFAULT_TOL):
             or s1.input_dim != s2.input_dim or s1.output_dim != s2.output_dim):
         return None
     n = s1.state_dim
-    # ||dD||_2 <= ||dD||_F, so a Frobenius norm within metric_tol, deflated
-    # as in _residual_norm, passes with no SVD
-    dD = s1.D - s2.D
-    if (_fro(dD) > tol.metric_tol * (1.0 - 1e-14)
-            and _norm2(dD) > tol.metric_tol * max(1.0, _norm2(s1.D))):
+    # the verdict of ||dD||_2 against metric_tol max(1, ||D||_2), with no
+    # SVD where _residual_norm's Frobenius norm already passes
+    diff = _residual_norm(s1.D - s2.D, tol.metric_tol)
+    if diff > tol.metric_tol and diff > tol.metric_tol * max(1.0, _norm2(s1.D)):
         return None
     bound = tol.metric_tol * 100
     if n == 0:
@@ -1006,10 +1005,8 @@ def _weak_map(s1, s2, recurrence, tol):
     a window whose every ||T1_k - T2_k||_F is within metric_tol times the
     running maximum of max(1, ||T1_k||_F / sqrt(min(p, m))), deflated by
     1e-14 for the rounding of norms that coincide, holds.  Only a window
-    that one order fails takes the stacked spectral norms of
-    _spectral_norms, one eigen-solve or, with one channel on a side,
-    Euclidean norms, so a refusal names the first order at which the
-    spectral test fails.
+    that one order fails takes the stacked eigen-solve of _spectral_norms,
+    so a refusal names the first order at which the spectral test fails.
     """
     if s1.input_dim != s2.input_dim or s1.output_dim != s2.output_dim:
         raise PreconditionError("weak similarity requires matching input/output")

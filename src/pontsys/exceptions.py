@@ -133,24 +133,24 @@ def _norm2(M):
 
 
 def _spectral_norms(stack):
-    """_norm2 of each matrix of a (k, p, m) stack; 0 for an empty matrix.
-    A stack of rows, columns or scalars takes each Euclidean norm as the
-    square root of the sum of squares of its entries' real and imaginary
-    parts, with no eigen-solve; any other stack takes the square root of
-    the largest eigenvalue of each smaller Gram matrix, from one stacked
-    Hermitian eigen-solve.  Either way the squares overflow past about
-    1e154, and a NaN entry gives NaN."""
+    """Spectral norm of each matrix of a (k, p, m) stack: 0 for an empty
+    matrix, NaN for one that is not finite, as _norm2.  Each is the square
+    root of the largest eigenvalue of the smaller Gram matrix, from one
+    stacked Hermitian eigen-solve, and agrees with _norm2 to rounding.
+    Each matrix is first divided by the power of two just above its
+    largest entry, which is exact, so the Gram entries neither overflow
+    nor underflow at any finite scale."""
     k, p, m = stack.shape
     if not p * m:
         return np.zeros(k)
-    if min(p, m) == 1:
-        x = np.ascontiguousarray(stack).reshape(k, -1)
-        if x.dtype.kind == "c":
-            x = x.view(x.real.dtype)
-        return np.sqrt((x * x).sum(axis=1))
-    gram = (stack @ stack.conj().transpose(0, 2, 1) if p <= m
-            else stack.conj().transpose(0, 2, 1) @ stack)
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    peak = np.abs(stack).max(axis=(1, 2))
+    finite = np.isfinite(peak)
+    scale = np.ldexp(1.0, np.frexp(np.where(finite, peak, 0.0))[1])
+    unit = np.where(finite[:, None, None], stack / scale[:, None, None], 0.0)
+    gram = (unit @ unit.conj().transpose(0, 2, 1) if p <= m
+            else unit.conj().transpose(0, 2, 1) @ unit)
+    norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)) * scale
+    return np.where(finite, norms, np.nan)
 
 
 def _residual_norm(R, bound):

@@ -158,7 +158,8 @@ def julia_embedding(system, tol=DEFAULT_TOL):
     new transfer function on the original channels equals the original
     transfer function everywhere.  Its system operator is the completed
     operator U of julia_operator, bit for bit: the embedded system is
-    built on the blocks of U by Colligation._built, and its kind is
+    built on the blocks of U by Colligation._built, its leading blocks are
+    checked equal to the system's, exactly, and its kind is
     decided on U itself, the completion's one metric-unitary certificate,
     with no second operator assembly.  The defects of the system operator
     that decide its kind are the ones the completion factors; on a
@@ -171,9 +172,16 @@ def julia_embedding(system, tol=DEFAULT_TOL):
         raise PreconditionError("defect embedding needs a passive system")
     ju = _julia_completion(T, dom_s, cod_s,
                            _defect_factors(dom_s, primal, dual, tol), tol)
-    n = system.state_dim
+    n, p, m = system.state_dim, system.output_dim, system.input_dim
     U = ju.operator
     embedded = Colligation._built(system.state, U[:n, :n], U[:n, n:], U[n:, :n], U[n:, n:])
+    # the new transfer function has the system's in its corner exactly
+    # when the leading blocks are the system's own
+    if not all(np.array_equal(got, want) for got, want in (
+            (embedded.A, system.A), (embedded.B[:, :m], system.B),
+            (embedded.C[:p], system.C), (embedded.D[:p, :m], system.D))):
+        raise InternalConsistencyError(
+            "embedding corner blocks differ from the system's blocks")
     if _operator_kind(U, ju.dom_signs, ju.cod_signs, tol)[0] != SystemKind.CONSERVATIVE:
         raise InternalConsistencyError("embedded system failed the conservativity check")
     return embedded

@@ -373,12 +373,14 @@ class TestFrobeniusMisses:
         sys2 = state_change(sys1, U, sys1.state)
         k = 100 * DEFAULT_TOL.metric_tol
         M = _spread(k)
-        seen = _plant_block(monkeypatch, colligation, block, M)
+        # the first residual is the feedthrough difference, checked before
+        # the state map is built
+        seen = _plant_block(monkeypatch, colligation, block + 1, M)
         assert unitary_similarity(sys1, sys2).residuals["ABCD"[block]] == _norm2(M)
-        assert len(seen) == 4
+        assert len(seen) == 5
         monkeypatch.undo()
         full = k * max(1.0, float(np.linalg.norm(unitary_similarity(sys1, sys2).Z, 2)))
-        _plant_block(monkeypatch, colligation, block, np.diag([2.0 * full, full]))
+        _plant_block(monkeypatch, colligation, block + 1, np.diag([2.0 * full, full]))
         assert unitary_similarity(sys1, sys2) is None
 
 

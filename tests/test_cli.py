@@ -23,7 +23,7 @@ from _builders import (
     spy,
     spy_attr,
 )
-from pontsys import cli, colligation, indefinite, schur
+from pontsys import cli, colligation, indefinite, julia, schur
 from pontsys.cli import load_system, main, save_system, system_to_json
 from pontsys.colligation import Colligation, krylov_report, markov, to_canonical
 from pontsys.indefinite import DEFAULT_TOL, SignatureSpace
@@ -573,19 +573,20 @@ class TestJuliaEmbed:
             assert np.array_equal(got, want)
 
     def test_moved_corner_block_exits_one(self, tmp_path, monkeypatch):
-        # an embedding whose leading feedthrough block is not the system's
+        # a completion whose leading feedthrough block is not the system's
         # fails the corner check, and no embedding file is written
-        real = cli.julia_embedding
+        system = half_shift_system()
+        n = system.state_dim
+        real = julia._julia_completion
 
-        def moved(system, tol):
-            emb = real(system, tol)
-            D = emb.D.copy()
-            D[0, 0] += 1e-15
-            return Colligation(emb.state, emb.input_dim, emb.output_dim,
-                               emb.A, emb.B, emb.C, D)
+        def moved(*args):
+            ju = real(*args)
+            U = ju.operator.copy()
+            U[n, n] += 1e-15
+            return dataclasses.replace(ju, operator=U)
 
-        monkeypatch.setattr(cli, "julia_embedding", moved)
-        path = write_system(tmp_path, half_shift_system())
+        monkeypatch.setattr(julia, "_julia_completion", moved)
+        path = write_system(tmp_path, system)
         code, _ = run_cli(tmp_path, "julia-embed", path)
         assert code == 1
         assert not (tmp_path / "julia_embedding.json").exists()

@@ -1571,15 +1571,25 @@ class TestSimilarity:
 
     @pytest.mark.parametrize("shape", [(3, 1, 4), (5, 4, 2), (2, 3, 3), (4, 0, 3),
                                        (4, 3, 0), (6, 1, 1), (3, 5, 1)])
-    def test_window_norms_are_the_spectral_norms(self, shape):
+    # the squares of entries near 1e-170, 1e160 or 1e300 underflow or
+    # overflow; the SVD's norms do not, and neither may these
+    @pytest.mark.parametrize("size", [1.0, 1e-170, 1e160, 1e300])
+    def test_window_norms_are_the_spectral_norms(self, shape, size):
         rng = np.random.default_rng(list(shape))
-        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stack = size * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         stack[:1] *= 1e-9
         want = (np.linalg.norm(stack, 2, axis=(1, 2)) if stack.size
                 else np.zeros(shape[0]))
         got = _spectral_norms(stack)
         assert got.shape == (shape[0],)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(want, 1e-300))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_window_norm_of_a_non_finite_matrix_is_nan(self, bad):
+        stack = np.ones((2, 3, 3))
+        stack[0, 1, 1] = bad
+        got = _spectral_norms(stack)
+        assert np.isnan(got[0]) and got[1] == pytest.approx(3.0, rel=1e-14)
 
     @pytest.mark.parametrize("shift, eigen_solves, refused", [
         # Frobenius norms settle the window

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import orthogonal_procrustes
@@ -10,7 +12,11 @@ from pontsys.colligation import (
     system_operator,
     transfer_eval,
 )
-from pontsys.exceptions import IndefiniteDefectError, PreconditionError
+from pontsys.exceptions import (
+    IndefiniteDefectError,
+    InternalConsistencyError,
+    PreconditionError,
+)
 from pontsys.indefinite import (
     DEFAULT_TOL,
     MetricClass,
@@ -210,6 +216,24 @@ class TestJuliaEmbedding:
         assert emb.input_dim == sys1.input_dim
         assert emb.output_dim == sys1.output_dim
         assert np.allclose(emb.D, sys1.D)
+
+    @pytest.mark.parametrize("row, col", [(0, 0), (0, 2), (2, 0), (2, 2)])
+    def test_moved_corner_block_is_refused(self, monkeypatch, row, col):
+        # an entry of A, B, C or D moved by 1e-15 in the completed operator
+        # leaves the system's blocks out of the embedding's corner
+        rng = np.random.default_rng(34)
+        sys1 = random_passive_colligation(rng, SignatureSpace(1, 1), 2, 2, strict=0.2)
+        real = julia._julia_completion
+
+        def moved(*args):
+            ju = real(*args)
+            U = ju.operator.copy()
+            U[row, col] += 1e-15
+            return dataclasses.replace(ju, operator=U)
+
+        monkeypatch.setattr(julia, "_julia_completion", moved)
+        with pytest.raises(InternalConsistencyError, match="corner"):
+            julia_embedding(sys1)
 
     def test_nonpassive_rejected(self):
         bad = Colligation(SignatureSpace(1, 0), 1, 1,

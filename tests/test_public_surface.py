@@ -75,53 +75,111 @@ UNCALLED = {
 }
 
 
-def _referenced_names(tree, skip):
-    """Names tree reads, as bare names or attributes, outside the bodies
-    of the functions named in skip and outside import statements."""
-    names = set()
-    stack = [tree]
+def _layer_of(module):
+    """The layer a dotted module path inside the package names, None for
+    the package itself."""
+    return module.split(".")[1] if "." in module else None
+
+
+def _called_names(tree, layer=None):
+    """(layer, name) of the package functions that tree reads, layer None
+    where the name comes from the package's re-exports: a bare name it
+    imports from the package, or defines itself when it is that layer's
+    own file, or an attribute of a package module it imports.  A local
+    variable or argument that shares the name, an attribute of any other
+    object, and a read inside the body of the function of that name do
+    not count."""
+    imported, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "pontsys":
+                    modules[alias.asname or alias.name] = _layer_of(alias.name)
+                    if not alias.asname:
+                        modules["pontsys"] = None
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "pontsys"):
+            source = (node.module if node.level else _layer_of(node.module)) or None
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if source is None and alias.name in LAYERS:
+                    modules[local] = alias.name
+                else:
+                    imported[local] = (source, alias.name)
+    if layer:
+        imported.update((node.name, (layer, node.name)) for node in tree.body
+                        if isinstance(node, ast.FunctionDef))
+    called = set()
+    stack = [(tree, frozenset())]
     while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in skip:
-            continue
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        stack.extend(ast.iter_child_nodes(node))
+        node, hidden = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            bound = {n.arg for n in ast.walk(node.args) if isinstance(n, ast.arg)}
+            bound |= {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            bound.add(getattr(node, "name", ""))
+            hidden = hidden | bound
+        elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id in imported and node.id not in hidden):
+            called.add(imported[node.id])
+        elif isinstance(node, ast.Attribute) and ast.unparse(node.value) in modules:
+            called.add((modules[ast.unparse(node.value)], node.attr))
+        stack.extend((child, hidden) for child in ast.iter_child_nodes(node))
+    return called
+
+
+def _script_calls(text):
+    """Names a shell script imports from the package or calls, on its
+    lines that are not comments."""
+    code = "\n".join(line for line in text.splitlines()
+                     if not line.lstrip().startswith("#"))
+    names = set(re.findall(r"\b(\w+)\s*\(", code))
+    for group in re.findall(r"\bfrom pontsys[\w.]* import ([\w, ]+)", code):
+        names.update(item.split()[0] for item in group.split(",") if item.strip())
     return names
-
-
-def _callers():
-    """{path: names read there} over src/, demos/ and bench/; the package's
-    __init__ only re-exports, so it is left out."""
-    package = ROOT / "src" / "pontsys"
-    files = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
-    files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    return {path: ast.parse(path.read_text()) for path in files}
 
 
 def _uncalled():
     """(layer, name) of every function in a layer's __all__ that no file of
-    src/, demos/ or bench/ reads outside its own definition, and that no CI
-    script names."""
-    trees = _callers()
-    scripts = "\n".join(p.read_text() for p in sorted((ROOT / "ci").glob("*.sh")))
+    src/, demos/ or bench/ calls, and that no CI script imports or calls;
+    the package's __init__ only re-exports, so it is left out."""
+    package = ROOT / "src" / "pontsys"
+    files = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    called = set().union(*(
+        _called_names(ast.parse(path.read_text()),
+                      path.stem if path.parent == package else None)
+        for path in files))
+    called |= {(None, name) for path in sorted((ROOT / "ci").glob("*.sh"))
+               for name in _script_calls(path.read_text())}
     uncalled = set()
     for layer in LAYERS:
         mod = importlib.import_module(f"pontsys.{layer}")
-        home = ROOT / "src" / "pontsys" / f"{layer}.py"
         for name in mod.__all__:
-            if not inspect.isfunction(getattr(mod, name)):
-                continue
-            called = any(
-                name in _referenced_names(tree, {name} if path == home else ())
-                for path, tree in trees.items())
-            if not called and not re.search(rf"\b{name}\b", scripts):
+            if (inspect.isfunction(getattr(mod, name))
+                    and not {(layer, name), (None, name)} & called):
                 uncalled.add((layer, name))
     return uncalled
+
+
+def test_census_counts_calls_not_mentions():
+    # a local variable, an argument or an attribute of another object
+    # that shares a function's name is not a call of it
+    tree = ast.parse(
+        "from pontsys import schur\n"
+        "from pontsys.indefinite import inertia as inert\n"
+        "def f(x, negsq):\n"
+        "    kernel_gram = x.kernel_gram\n"
+        "    return kernel_gram, negsq(x), inert(x), schur.defect(x)\n")
+    assert _called_names(tree) == {("indefinite", "inertia"), ("schur", "defect")}
+    # in a shell script, a comment or a file name is not a call
+    script = ("# is_dilation_of(big, small) compressed a dilation\n"
+              "pontsys julia-embed in.json --out out  # julia_embedding.json\n"
+              "python -c \"from pontsys import load_system, save_system as s; "
+              "print(markov(x))\"\n")
+    calls = _script_calls(script)
+    assert {"load_system", "save_system", "markov"} <= calls
+    assert not {"is_dilation_of", "julia_embedding"} & calls
 
 
 def test_every_public_function_has_a_caller():

@@ -727,6 +727,24 @@ class TestBlaschkePotapov:
             blaschke_potapov_factor(0.5, 1.0, [2.0], 1)
 
 
+class TestRelativeMismatch:
+    @pytest.mark.parametrize("size", [1.0, 1e160, 1e-170])
+    def test_mismatch_holds_at_any_finite_scale(self, size):
+        # transfer values near 1e160 square past the float range; their
+        # relative mismatch of 1e-5 must still read 1e-5, not 0, and fail
+        # the factor-reconstruction bound
+        rng = np.random.default_rng(7)
+        want = size * (rng.standard_normal((8, 2, 3)) + 1j * rng.standard_normal((8, 2, 3)))
+        got = want.copy()
+        got[3] *= 1.0 + 1e-5
+        mismatch = schur._relative_mismatch(got, want)
+        floor = np.maximum(1.0, np.linalg.norm(want, 2, axis=(1, 2)))
+        expect = np.max(np.linalg.norm(got - want, 2, axis=(1, 2)) / floor)
+        assert mismatch == pytest.approx(expect, rel=1e-12)
+        if size > 1.0:
+            assert mismatch == pytest.approx(1e-5, rel=1e-9)
+
+
 class TestInvertSystem:
     def test_invert_blaschke(self):
         inv = invert_system(blaschke_system(0.5))
