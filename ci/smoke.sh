@@ -55,6 +55,11 @@ for case in example_cascade:3:2 example_schur_row:2:2 example_inverse_blaschke:1
   python -c "import json, sys; c = json.load(open(sys.argv[1]))['certificates']; ranks = (c['controllable_rank'], c['observable_rank']); assert ranks == (int(sys.argv[2]), int(sys.argv[3])), ranks" "$RUNNER_TEMP/cl-$name/classify.report.json" "$ctrl" "$obs"
 done
 pontsys factor-kl "$RUNNER_TEMP/ec/example_inverse_blaschke.json" --mode left --out "$RUNNER_TEMP/kl"
+# the schur row has index 0: right mode completes an empty negative
+# block, which takes no triangular solve, and leaves an inverse factor
+# with no state
+pontsys factor-kl "$RUNNER_TEMP/ec/example_schur_row.json" --mode right --out "$RUNNER_TEMP/kl-row"
+python -c "import json, sys; r = json.load(open(sys.argv[1])); v, inv = r['verdicts'], r['certificates']['inverse_blaschke_factor']; assert v['kappa'] == 0 and v['factorized'] is True, v; assert inv['state_dim'] == 0, inv" "$RUNNER_TEMP/kl-row/factor-kl.report.json"
 # a non-simple conservative system: the inverse Blaschke example
 # beside a decoupled state with eigenvalue e^{0.9i}, which factors
 # on its fundamental split and stays in the Schur factor

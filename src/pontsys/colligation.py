@@ -161,7 +161,7 @@ class Colligation:
         object.__setattr__(system, "input_dim", D.shape[1])
         object.__setattr__(system, "output_dim", D.shape[0])
         for name, val in (("A", A), ("B", B), ("C", C), ("D", D)):
-            if val.size and not np.all(np.isfinite(val)):
+            if val.size and not np.isfinite(val).all():
                 raise InputError(f"{name} contains non-finite entries")
             if not (val.flags.c_contiguous or val.flags.f_contiguous):
                 val = val.copy(order="K")
@@ -362,33 +362,43 @@ def _sweep(T, W, z):
     return X.reshape(n, N, m), y
 
 
-def _resolvent(T, W, z, rank_tol, A):
-    """(X, ok): X of _sweep, X[:, k] = (I - z_k T)^(-1) W, for the Schur
-    form A = Z T Z^H, W = Z^H B, and ok marking the points that pass the
-    pole rule s_min > rank_tol * max(1, s_max) of I - z_k A (README rule 5).
+def _pole_rule(T, z, inverse, rank_tol, A):
+    """ok marking the points z_k at which I - z_k A passes the pole rule
+    s_min > rank_tol * max(1, s_max) (README rule 5), for the Schur form
+    A = Z T Z^H and inverse[k] an upper bound on |(I - z_k T)^(-1)|_2.
 
-    For the triangular M = I - z T, |M^-1| <= M(M)^-1 entrywise, M(M) the
-    comparison matrix (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 8.3), so s_min(M) >= 1 / (sqrt(n) |y|_inf) with y
-    the sweep's second output, and s_max(M) <= |M|_F, whose square is
-    n + |z|^2 |T|_F^2 - 2 Re(z tr T).  A point whose bound
-    sqrt(n) |y|_inf * rank_tol * max(1, |M|_F) is below _GUARD_MARGIN
-    passes the rule.  The rest, including non-finite bounds, take the
-    stacked SVD of I - z A and the rule itself; X is the sweep's at every
-    point whatever its route.
+    For M = I - z T, s_min(M) >= 1 / inverse and s_max(M) <= |M|_F, whose
+    square is n + |z|^2 |T|_F^2 - 2 Re(z tr T).  A point whose bound
+    inverse * rank_tol * max(1, |M|_F) is below _GUARD_MARGIN passes the
+    rule.  The rest, including non-finite bounds, take the stacked SVD of
+    I - z A and the rule itself.
     """
     n = T.shape[0]
-    X, y = _sweep(T, W, z)
     with np.errstate(over="ignore", invalid="ignore"):
         # max(1, |M|_F)^2, a non-finite square or bound failing the test
         fro2 = np.maximum(1.0, n + (np.abs(z) * _fro(T)) ** 2
-                          - 2.0 * (z * np.trace(T)).real)
-        ok = (y.max(axis=0, initial=0.0) * np.sqrt(fro2) * (rank_tol * np.sqrt(n))
-              < _GUARD_MARGIN)
+                          - 2.0 * (z * T.trace()).real)
+        ok = inverse * np.sqrt(fro2) * rank_tol < _GUARD_MARGIN
     if not ok.all():
         s = np.linalg.svd(np.eye(n) - z[~ok, None, None] * A, compute_uv=False)
         ok[~ok] = s[:, -1] > rank_tol * np.maximum(1.0, s[:, 0])
-    return X, ok
+    return ok
+
+
+def _resolvent(T, W, z, rank_tol, A):
+    """(X, ok): X of _sweep, X[:, k] = (I - z_k T)^(-1) W, for the Schur
+    form A = Z T Z^H, W = Z^H B, and ok of _pole_rule.
+
+    For the triangular M = I - z T, |M^-1| <= M(M)^-1 entrywise, M(M) the
+    comparison matrix (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 8.3), so |M^-1|_2 <= sqrt(n) |y|_inf with y the
+    sweep's second output, the bound _pole_rule takes.  X is the sweep's
+    at every point whatever its route.
+    """
+    X, y = _sweep(T, W, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inverse = y.max(axis=0, initial=0.0) * np.sqrt(T.shape[0])
+    return X, _pole_rule(T, z, inverse, rank_tol, A)
 
 
 def _pole_proximity(system, z):
@@ -445,7 +455,9 @@ def _sample_points(system, tol):
     g |A|_F, g = rank_tol^(1/3) as in _schur_spans, and doubles with its
     cluster until |(sigma_k - A)^(-1)|_F |A|_F <= _SAMPLE_SLACK / g, so a
     cluster or a Jordan chain moves its points out.  The norm is that of
-    (sigma_k - T)^(-1), unitarily similar, from one _sweep of the identity.
+    (sigma_k - T)^(-1), unitarily similar, from one _sweep of the identity,
+    and the resolvents X[:, k] = (I - z_k T)^(-1) of the last pass are
+    returned with the points as (z, X), X of shape (n, N, n).
     The samples (I - z_k A)^(-1) B span the reachable space, a rational
     Krylov space (Ruhe, 1984).  Each is inverse iteration at sigma_k: the
     solve's rounding, a small multiple of u |A|_F, reaches a hidden mode
@@ -471,7 +483,7 @@ def _sample_points(system, tol):
             X = _sweep(T, np.eye(lam.size), 1.0 / sigma)[0]
             near = ~(np.linalg.norm(X, axis=(0, 2)) / np.abs(sigma) * g <= _SAMPLE_SLACK)
         if not near.any():
-            return 1.0 / (scale * sigma)
+            return 1.0 / (scale * sigma), X
         radius[close[:, near].any(axis=1)] *= 2.0
 
 
@@ -492,7 +504,13 @@ def _unit_samples(systems, z, rank_tol, observe=False):
         sides.append((Z, *_resolvent(T, Z.conj().T @ B, w, rank_tol, A)))
     accepted = np.logical_and.reduce([ok for _, _, ok in sides])
     k = int(np.count_nonzero(accepted))
-    S = [Z @ X[:, accepted].reshape(X.shape[0], k * X.shape[2]) for Z, X, _ in sides]
+    return _unit_columns([Z @ X[:, accepted].reshape(X.shape[0], k * X.shape[2])
+                          for Z, X, _ in sides])
+
+
+def _unit_columns(S):
+    """[S_1, S_2, ...] with each column divided by the norm of the first
+    matrix's column, whose zero columns are dropped."""
     norms = np.linalg.norm(S[0], axis=0)
     keep = norms > 0
     return [Si[:, keep] / norms[keep] for Si in S]
@@ -501,8 +519,25 @@ def _unit_samples(systems, z, rank_tol, observe=False):
 def _sampled_hidden(system, observe, tol):
     """The hidden space of _schur_spans on one side, from samples: the
     orthogonal complement of the span of (I - z A)^(-1) B at the
-    _sample_points, or with observe of (I - conj(z) A^H)^(-1) C^H."""
-    S, = _unit_samples([system], _sample_points(system, tol), tol.rank_tol, observe)
+    _sample_points, or with observe of (I - conj(z) A^H)^(-1) C^H.
+
+    Both sides read the resolvents X_k = (I - z_k T)^(-1) of the last
+    pass of _sample_points on the Schur form A = Z T Z^H: the samples are
+    Z X_k Z^H B, or Z X_k^H Z^H C^H, with no second sweep.  A point enters
+    when I - z_k A, which has the singular values of I - conj(z_k) A^H,
+    passes _pole_rule on the bound |X_k|_F >= |X_k|_2."""
+    z, X = _sample_points(system, tol)
+    form = system._spectrum
+    n, N = X.shape[:2]
+    ok = _pole_rule(form.T, z, np.linalg.norm(X, axis=(0, 2)), tol.rank_tol, system.A)
+    W = form.Z.conj().T @ (system.C.conj().T if observe else system.B)
+    m = W.shape[1]
+    if observe:
+        # row (k, i) of X_k^H W, the conjugate of X[:, k, i]^T conj(W)
+        Y = (X.reshape(n, N * n).T @ W.conj()).conj().reshape(N, n, m).transpose(1, 0, 2)
+    else:
+        Y = (X.reshape(n * N, n) @ W).reshape(n, N, m)
+    S, = _unit_columns([form.Z @ Y[:, ok].reshape(n, int(np.count_nonzero(ok)) * m)])
     return nullspace(S.conj().T, tol)
 
 
@@ -919,7 +954,7 @@ def unitary_similarity(s1, s2, tol=DEFAULT_TOL):
     if n == 0:
         return SimilarityResult("unitary", np.zeros((0, 0), dtype=complex),
                                 _intertwining_residuals(s1, s2, np.zeros((0, 0)), bound))
-    z = _sample_points(s1, tol)
+    z, _ = _sample_points(s1, tol)
     # J (I - conj(z) A^H)^(-1) C^H samples the adjoint system at conj(z)
     X1, X2 = (np.hstack([reach, s.state.signs[:, None] * observe])
               for s, reach, observe in zip(
@@ -1074,13 +1109,16 @@ def realize_from_taylor(coeffs, tol=DEFAULT_TOL, order_bound=None):
     H = hankel(1, n + 1, n)
     Hup = hankel(2, n + 1, n)
 
-    def window_rank(rows, cols):
-        s = np.linalg.svd(hankel(1, rows, cols), compute_uv=False)
+    def rank(s):
         cut = tol.rank_tol * max(1.0, s[0]) if s.size else 0.0
         return int(np.sum(s > cut))
 
-    ranks = {window_rank(n, n), window_rank(n + 1, n),
-             window_rank(n, n + 1), window_rank(n + 1, n + 1)}
+    def window_rank(rows, cols):
+        return rank(np.linalg.svd(hankel(1, rows, cols), compute_uv=False))
+
+    # the window H takes its rank from the singular values of its one full SVD
+    U, s, Vh = np.linalg.svd(H, full_matrices=False)
+    ranks = {window_rank(n, n), rank(s), window_rank(n, n + 1), window_rank(n + 1, n + 1)}
     if len(ranks) != 1:
         raise OrderAmbiguityError(
             f"Hankel rank keeps growing past the order bound {n}: {sorted(ranks)}")
@@ -1088,7 +1126,6 @@ def realize_from_taylor(coeffs, tol=DEFAULT_TOL, order_bound=None):
     if r == 0:
         return BareRealization(np.zeros((0, 0)), np.zeros((0, m)),
                                np.zeros((p, 0)), coeffs[0])
-    U, s, Vh = np.linalg.svd(H, full_matrices=False)
     U, s, Vh = U[:, :r], s[:r], Vh[:r]
     sqrt_s = np.sqrt(s)
     obs = U * sqrt_s[None, :]           # (n+1)p x r observability factor

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 from scipy.linalg.blas import dnrm2, dznrm2
+from scipy.linalg.lapack import ztrtrs
 
 __all__ = [
     "PontsysError",
@@ -130,6 +131,31 @@ def _norm2(M):
     if min(M.shape) == 1:
         return float((dznrm2 if M.dtype.kind == "c" else dnrm2)(M.ravel()))
     return float(np.linalg.svd(M, compute_uv=False)[0])
+
+
+def _trsolve(a, b, lower=False, trans=0, check_finite=False):
+    """The solution x of a x = b, or of a^H x = b with trans 2, for a
+    triangular complex128 a (upper, or lower with lower): one LAPACK
+    ztrtrs call, made as scipy's triangular-solve wrapper makes it, so x
+    is bitwise the wrapper's with the same arguments.  An F-ordered a, or
+    one with trans 2, goes in as it is; any other a goes in transposed,
+    with the other triangle and trans 1, which lays it out in Fortran
+    order without a copy.  check_finite refuses a non-finite a or b with
+    ValueError, as the wrapper does; an empty b takes no call (ztrtrs
+    refuses n = 0), and a zero pivot raises LinAlgError."""
+    if check_finite and not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if not b.size:
+        return np.zeros(b.shape, dtype=complex)
+    if a.flags.f_contiguous or trans == 2:
+        x, info = ztrtrs(a, b, lower=lower, trans=trans)
+    else:
+        x, info = ztrtrs(a.T, b, lower=not lower, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}" if info > 0
+            else f"illegal value in argument {-info} of ztrtrs")
+    return x
 
 
 def _spectral_norms(stack):

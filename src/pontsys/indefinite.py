@@ -92,7 +92,7 @@ def as_matrix(a, rows=None, cols=None, name="matrix"):
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise InputError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise InputError(f"{name} contains non-finite entries")
     if rows is not None and arr.shape[0] != rows:
         raise DimensionMismatchError(
@@ -297,11 +297,13 @@ def _metric_defects(M, dom_s, cod_s):
 
 
 def _signs_minus(signs, X):
-    """diag(signs) - X, formed in place in the square X that the caller
-    gives up.  0 - X, not -X, keeps a zero entry +0, so every bit is that
-    of the subtraction from np.diag(signs)."""
+    """diag(signs) - X, formed in place in the square, C-contiguous X (a
+    fresh product) that the caller gives up.  0 - X, not -X, keeps a zero
+    entry +0, so every bit is that of the subtraction from np.diag(signs).
+    The diagonal is a strided view of X's one flat buffer."""
     np.subtract(0.0, X, out=X)
-    X.flat[::X.shape[0] + 1] += signs
+    diagonal = X.reshape(-1)[::X.shape[0] + 1]
+    diagonal += signs
     return X
 
 
@@ -382,7 +384,7 @@ def _defect_bracket(P):
     fro = _fro(P)
     # Python floats, so that the NaN and infinite ends come without warnings
     slack = 96.0 * (P.shape[0] + 1) * float(_UNIT_ROUNDOFF) * fro
-    diag = float(np.abs(np.diagonal(P).real).max(initial=0.0))
+    diag = float(np.abs(P.diagonal().real).max(initial=0.0))
     return diag - slack, 2.0 ** 0.5 * fro + slack
 
 
@@ -740,7 +742,7 @@ class _DiscSchur:
         else:
             self.T = np.asarray(A, dtype=complex).view()
             self.Z = np.eye(n, dtype=complex)
-        self.eigenvalues = np.diag(self.T)
+        self.eigenvalues = self.T.diagonal()
         self.T.flags.writeable = self.Z.flags.writeable = False
 
     @cached_property

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import zpotrf
 
 from .colligation import (
@@ -37,6 +36,7 @@ from .exceptions import (
     _fro,
     _norm2,
     _residual_norm,
+    _trsolve,
     certify,
 )
 from .indefinite import (
@@ -366,9 +366,11 @@ def _schur_complement(A, B_n, X, B_p, C_n, D, lower):
     they leave: (C_i, D_i, B_s, D_s).
 
     R diag(-I, I) R^H = -I, certified here, is A A^H = I + B_n B_n^H, so
-    sigma_min(A) >= 1 and G = A^-1 B_n is one triangular solve on A, upper
-    triangular or, with lower, lower triangular.  The rows S = L^H [G^H, I], with the lower
-    Cholesky factor L L^H = I + B_n^H B_n = (I - G^H G)^-1, are metric
+    sigma_min(A) >= 1 and G = A^-1 B_n is one triangular solve on A
+    (_trsolve, with no LAPACK call when kappa = 0 leaves A empty), upper
+    triangular or, with lower, lower triangular.  The rows
+    S = L^H [G^H, I], with the lower Cholesky factor
+    L L^H = I + B_n^H B_n = (I - G^H G)^-1, are metric
     orthonormal and metric orthogonal to R; their feedthrough block L^H is
     upper triangular with a positive diagonal, which fixes them.  The rows
     below R, [X, B_p] and [C_n, D], times diag(-I, I) S^H give
@@ -378,7 +380,7 @@ def _schur_complement(A, B_n, X, B_p, C_n, D, lower):
     _certify_residual(
         f"negative block {'column' if lower else 'row'} metric-isometry residual",
         B_n @ B_n.conj().T - A @ A.conj().T + np.eye(k), 1e-8)
-    G = solve_triangular(A, B_n, lower=lower, check_finite=False)
+    G = _trsolve(A, B_n, lower=lower)
     L = zpotrf(np.eye(B_n.shape[1]) + B_n.conj().T @ B_n, lower=1, clean=1)[0]
     Lh = L.conj().T
     return Lh @ G.conj().T, Lh, (B_p - X @ G) @ L, (D - C_n @ G) @ L

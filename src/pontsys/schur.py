@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import zpotrf, ztrexc
 
 from .colligation import (
@@ -55,6 +54,7 @@ from .exceptions import (
     _fro,
     _norm2,
     _spectral_norms,
+    _trsolve,
     certify,
 )
 from .indefinite import (
@@ -574,8 +574,8 @@ def _peel(T, B, C, D, H, tol):
     if info:
         raise PreconditionError("the peeled metric is not positive definite: "
                                 "the backing is not passive on its minimal part")
-    T = solve_triangular(U, (U @ T).conj().T, trans="C").conj().T
-    C = solve_triangular(U, C.conj().T, trans="C").conj().T
+    T = _trsolve(U, (U @ T).conj().T, trans=2, check_finite=True).conj().T
+    C = _trsolve(U, C.conj().T, trans=2, check_finite=True).conj().T
     return (T, U @ B, C, D), M
 
 
@@ -957,9 +957,8 @@ def _stein(T, Q):
     L = T.conj().T
     X = np.zeros((n, n), dtype=complex)
     for j in range(n):
-        X[:, j] = solve_triangular(np.eye(n) - T[j, j] * L,
-                                   Q[:, j] + L @ (X[:, :j] @ T[:j, j]), lower=True,
-                                   check_finite=False)
+        X[:, j] = _trsolve(np.eye(n) - T[j, j] * L,
+                           Q[:, j] + L @ (X[:, :j] @ T[:j, j]), lower=True)
     return X
 
 

@@ -284,3 +284,20 @@ def obstruction_angle_oracle(first, second, observe, tol=DEFAULT_TOL):
     if not observe:
         spaces = [cas.state.signs[:, None] * v for v in spaces]
     return float(np.max(principal_angles(*spaces, tol), initial=0.0))
+
+
+def scipy_trsolve(a, b, lower=False, trans=0, check_finite=False):
+    """The oracle of exceptions._trsolve: scipy's triangular-solve wrapper
+    with the same arguments, which _trsolve matches bitwise."""
+    return scipy.linalg.solve_triangular(a, b, lower=lower, trans=trans,
+                                         check_finite=check_finite)
+
+
+def bitwise_equal(got, want):
+    """Whether two arrays, or two nested tuples or lists of them, hold the
+    same shapes, dtypes and bits."""
+    if isinstance(want, (tuple, list)):
+        return len(got) == len(want) and all(map(bitwise_equal, got, want))
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())

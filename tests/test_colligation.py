@@ -1120,13 +1120,71 @@ class TestSampledHiddenSpaces:
                                              SignatureSpace(n - 2, 2), 2, 2, strict=0.2), None)
                  for n in (8, 24)] + [(shift_chain_system(12), g ** (1 / 12))]
         for plant, ring in cases:
-            sigma = 1.0 / colligation._sample_points(plant, DEFAULT_TOL)
+            sigma = 1.0 / colligation._sample_points(plant, DEFAULT_TOL)[0]
             scale = np.linalg.norm(plant.A)
             R = np.linalg.inv(sigma[:, None, None] * np.eye(plant.state_dim) - plant.A)
             assert np.all(np.linalg.norm(R, axis=(1, 2)) * scale * g
                           <= colligation._SAMPLE_SLACK)
             dist = np.min(np.abs(sigma[:, None] - plant._spectrum.eigenvalues), axis=1)
             assert np.all(dist >= (ring or 0.99 * g * scale))
+
+
+def _two_pass_hidden(system, observe, tol=DEFAULT_TOL):
+    """The sampled hidden space with a second sweep: _unit_samples at the
+    _sample_points solves (I - z A)^(-1) B, or (I - conj(z) A^H)^(-1) C^H,
+    once more on the Schur form, under the pole guard of _resolvent."""
+    z = colligation._sample_points(system, tol)[0]
+    S, = colligation._unit_samples([system], z, tol.rank_tol, observe)
+    return nullspace(S.conj().T, tol)
+
+
+class TestOneSamplePass:
+    """_sampled_hidden reads its samples off the resolvents of the last
+    pass of _sample_points, on the plants of TestPBHOracle."""
+
+    @staticmethod
+    def plants(kind, n):
+        rng, kappa, io = TestPBHOracle.shape(kind, n, 20)
+        sys1 = TestPBHOracle.random_system(rng, kind, SignatureSpace(n - kappa, kappa), io)
+        exact = TestPBHOracle.projected(sys1, np.argmin, [0.0], rng)
+        exact += TestPBHOracle.projected(sys1, np.argmax, [0.0], rng)
+        return TestSchurSpans.plants(kind, n) + exact
+
+    @pytest.mark.parametrize("kind", ["passive", "conservative"])
+    @pytest.mark.parametrize("n", TestPBHOracle.SIZES)
+    def test_no_second_sweep(self, monkeypatch, kind, n):
+        # one _sweep per pass of _sample_points and none through
+        # _resolvent; the hidden space is the two-pass route's within a
+        # principal angle of 1e-12
+        sweeps = spy(monkeypatch, colligation._sweep)
+        resolvents = spy(monkeypatch, colligation._resolvent)
+        hidden = set()
+        for plant in self.plants(kind, n):
+            for observe in (False, True):
+                del sweeps[:]
+                got = colligation._sampled_hidden(plant, observe, DEFAULT_TOL)
+                passes = len(sweeps)
+                del sweeps[:]
+                colligation._sample_points(plant, DEFAULT_TOL)
+                assert passes == len(sweeps) >= 1
+                assert resolvents == []
+                want = _two_pass_hidden(plant, observe)
+                del resolvents[:]
+                assert got.shape == want.shape
+                hidden.add(got.shape[1])
+                assert np.max(scipy.linalg.subspace_angles(got, want), initial=0.0) <= 1e-12
+        assert hidden == {0, 1, 3}
+
+    def test_points_carry_their_resolvents(self):
+        # X[:, k] is (I - z_k T)^(-1) on the Schur form
+        plant = random_passive_colligation(np.random.default_rng([12, 53]),
+                                           SignatureSpace(10, 2), 2, 2, strict=0.2)
+        z, X = colligation._sample_points(plant, DEFAULT_TOL)
+        T = plant._spectrum.T
+        n = plant.state_dim
+        assert X.shape == (n, z.size, n)
+        for k in range(z.size):
+            assert np.allclose((np.eye(n) - z[k] * T) @ X[:, k], np.eye(n), atol=1e-10)
 
 
 class TestEigenvectorCall:
@@ -1661,3 +1719,13 @@ class TestRealize:
     def test_not_enough_coefficients(self):
         with pytest.raises(PreconditionError):
             realize_from_taylor([np.eye(1)] * 3, order_bound=1)
+
+    def test_one_svd_per_window(self, monkeypatch):
+        # four Hankel windows decide the order; the (n + 1) x n one also
+        # gives the factors, and its rank comes off that one full SVD
+        big = direct_sum(blaschke_system(0.5), blaschke_system(-0.3))
+        coeffs = [markov(big, k) for k in range(8)]
+        svds = spy_attr(monkeypatch, np.linalg, "svd")
+        assert realize_from_taylor(coeffs).state_dim == 2
+        assert len(svds) == 4
+        assert len({args[0].shape for args in svds}) == 4

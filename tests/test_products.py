@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.linalg
 import scipy.optimize
 from scipy.linalg.lapack import ztrsen
 
-from pontsys import colligation, indefinite, products
+from pontsys import colligation, exceptions, indefinite, products
 from pontsys.colligation import (
     Colligation,
     SystemKind,
@@ -42,6 +43,7 @@ from pontsys.indefinite import (
 from pontsys.products import (
     SplitKind,
     _antihilbert_conservative_minimal,
+    _schur_complement,
     _certify_factorization,
     _factorize_simple,
     _fundamental_split,
@@ -67,6 +69,7 @@ from pontsys.sampling import (
 from pontsys.schur import blaschke_potapov_factor, invert_system
 
 from _builders import (
+    bitwise_equal,
     blaschke_system,
     counterexample_observable_system,
     direct_sum,
@@ -75,6 +78,7 @@ from _builders import (
     isometric_column_system,
     obstruction_angle_oracle,
     same_span,
+    scipy_trsolve,
     shift_chain_system,
     spy,
     spy_attr,
@@ -624,6 +628,85 @@ class TestKLFactorizeSystem:
             kl_factorize_system(blaschke_system(0.5), "sideways")
 
 
+class TestTriangularSolves:
+    """Every triangular solve is one LAPACK ztrtrs call (exceptions._trsolve),
+    bitwise scipy's wrapper with the same arguments, and none on an empty
+    block."""
+
+    @pytest.mark.parametrize("n, cols", [(1, 1), (5, 3), (7, None)])
+    @pytest.mark.parametrize("trans", [0, 2])
+    @pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bitwise_the_wrapper(self, order, lower, trans, n, cols):
+        # the other triangle holds entries that neither solve may read
+        rng = np.random.default_rng([n, lower, trans, order == "F"])
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a[np.diag_indices(n)] += 4.0
+        a = np.asarray(a, order=order)
+        shape = (n,) if cols is None else (n, cols)
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = exceptions._trsolve(a, b, lower, trans)
+        assert bitwise_equal(got, scipy_trsolve(a, b, lower, trans))
+        tri = np.tril(a) if lower else np.triu(a)
+        assert np.allclose((tri.conj().T if trans else tri) @ got, b, atol=1e-12)
+
+    def test_empty_blocks_take_no_call(self, monkeypatch):
+        calls = spy_attr(monkeypatch, exceptions, "ztrtrs")
+        for a, b in ((np.zeros((0, 0), complex), np.zeros((0, 2), complex)),
+                     (np.eye(3, dtype=complex), np.zeros((3, 0), complex))):
+            for trans in (0, 2):
+                assert bitwise_equal(exceptions._trsolve(a, b, trans=trans),
+                                     scipy_trsolve(a, b, trans=trans))
+        assert calls == []
+
+    def test_zero_pivot_and_non_finite_entries(self):
+        singular = np.triu(np.ones((3, 3), complex))
+        singular[1, 1] = 0.0
+        unknown = np.array([[np.nan], [1.0]], dtype=complex)
+        for solve in (exceptions._trsolve, scipy_trsolve):
+            with pytest.raises(np.linalg.LinAlgError, match="diagonal 1"):
+                solve(singular, np.ones((3, 1), complex))
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve(np.eye(2, dtype=complex), unknown, check_finite=True)
+
+    @pytest.mark.parametrize("mode", ["right", "left"])
+    def test_schur_complement_is_bitwise_the_wrappers(self, monkeypatch, mode):
+        # right mode solves on an upper triangular C-ordered block, left mode
+        # on the conjugate transpose of one, lower triangular and F-ordered;
+        # each block is solved on in both orders
+        calls = spy(monkeypatch, _schur_complement)
+        for n, kappa, io in ((8, 2, 1), (12, 3, 2), (16, 5, 3)):
+            kl_factorize_system(random_conservative_colligation(
+                np.random.default_rng([n, kappa, 61]), SignatureSpace(n - kappa, kappa), io),
+                mode)
+        assert [args[0].flags.f_contiguous for args in calls] == [mode == "left"] * 3
+        cases = [(block, *rest) for A, *rest in calls
+                 for block in (np.ascontiguousarray(A), np.asfortranarray(A))]
+        got = [_schur_complement(*args) for args in cases]
+        monkeypatch.setattr(products, "_trsolve", scipy_trsolve)
+        assert bitwise_equal(got, [_schur_complement(*args) for args in cases])
+
+    @pytest.mark.parametrize("mode", ["right", "left"])
+    def test_empty_negative_block(self, monkeypatch, mode):
+        # kappa = 0 leaves _schur_complement an empty block, which takes no
+        # LAPACK call; each kappa > 0 factorization takes one
+        calls = spy_attr(monkeypatch, exceptions, "ztrtrs")
+        for n, io in ((0, 2), (1, 1), (8, 1), (12, 2)):
+            system = (identity_feedthrough(io) if n == 0 else random_conservative_colligation(
+                np.random.default_rng([n, 62]), SignatureSpace(n, 0), io))
+            result = kl_factorize_system(system, mode)
+            assert result.inverse_blaschke_factor.state_dim == 0
+            assert result.schur_factor.state_dim == n
+            assert result.reconstruction_residual <= 1e-8
+        assert calls == []
+        for kappa in (1, 3):
+            system = random_conservative_colligation(
+                np.random.default_rng([kappa, 62]), SignatureSpace(8 - kappa, kappa), 2)
+            del calls[:]
+            assert kl_factorize_system(system, mode).inverse_blaschke_factor.state_dim == kappa
+            assert len(calls) == 1
+
+
 class TestStabilityClassify:
     def test_blaschke_is_bistable_conservative(self):
         cls = stability_classify(blaschke_system(0.5))
@@ -813,6 +896,17 @@ class TestHautusOnTheSharedForm:
         assert schur_calls == []
         assert all(len(args) > 1 or {"ord", "axis"} & kwargs.keys()
                    for args, kwargs in norms)
+
+    @CALLS
+    def test_no_scipy_triangular_solve(self, monkeypatch, call):
+        # every triangular solve is one ztrtrs call (_trsolve): no pontsys
+        # module binds scipy's wrapper, and the call reaches it no other way
+        for name, module in list(sys.modules.items()):
+            if name == "pontsys" or name.startswith("pontsys."):
+                assert "solve_triangular" not in vars(module), name
+        wrapper = spy_attr(monkeypatch, scipy.linalg, "solve_triangular")
+        call(self.system())
+        assert wrapper == []
 
     @pytest.mark.parametrize("check", [obstruction_observable, obstruction_controllable])
     def test_obstructions_take_the_cascades_form(self, monkeypatch, check):

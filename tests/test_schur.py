@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from _builders import (
+    bitwise_equal,
     blaschke_system,
     counterexample_observable_system,
     direct_sum,
@@ -14,11 +15,12 @@ from _builders import (
     isometric_column_system,
     roots_of_unity_system,
     row_schur_left_system,
+    scipy_trsolve,
     shift_numerator_counterexample,
     spy,
     spy_attr,
 )
-from pontsys import colligation, indefinite, schur
+from pontsys import colligation, exceptions, indefinite, schur
 from pontsys.colligation import (
     Colligation,
     SystemKind,
@@ -1321,6 +1323,89 @@ class TestDefect:
         defect(system)
         assert [(args[0].backing, args[1]) for args in calls] == [(system, samples)]
         assert samples >= 2 * n + 1
+
+
+def _system_blocks(system):
+    return [system.A, system.B, system.C, system.D, system.state.signs]
+
+
+class TestTriangularSolveRoutes:
+    """The triangular solves of _peel and _stein, one ztrtrs call each
+    (exceptions._trsolve), bitwise scipy's wrapper with the same
+    arguments, on the functions of the factorization and model tests."""
+
+    @staticmethod
+    def functions():
+        family = [entry[0] for entry in _mixed_family()[:6]]
+        return family + [counterexample_observable_system()] + [
+            random_conservative_colligation(np.random.default_rng([n, kappa, 63]),
+                                            SignatureSpace(n - kappa, kappa), io)
+            for n, kappa, io in ((6, 2, 2), (10, 3, 2), (5, 0, 2))]
+
+    def test_peel_is_bitwise_the_wrappers(self, monkeypatch):
+        # both peels of each factorization solve with trans "C" on the
+        # Cholesky factor of the peeled metric
+        peel = schur._peel
+        calls = spy(monkeypatch, peel)
+        for system in self.functions():
+            kl_factorize_function(system)
+        assert len(calls) == 2 * len(self.functions())
+
+        def peeled():
+            return [list(blocks) + _system_blocks(inner)
+                    for blocks, inner in (peel(*args) for args in calls)]
+
+        got = peeled()
+        monkeypatch.setattr(schur, "_trsolve", scipy_trsolve)
+        assert bitwise_equal(got, peeled())
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 12])
+    def test_stein_is_bitwise_the_wrappers(self, monkeypatch, n):
+        # one lower triangular solve per column, on a C-ordered block
+        rng = np.random.default_rng([n, 64])
+        T = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        T[np.diag_indices(n)] = 0.9 * np.exp(2j * np.pi * rng.random(n))
+        Q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        calls = spy_attr(monkeypatch, exceptions, "ztrtrs")
+        got = schur._stein(T, Q)
+        assert len(calls) == n
+        monkeypatch.setattr(schur, "_trsolve", scipy_trsolve)
+        assert bitwise_equal(got, schur._stein(T, Q))
+
+    def test_factors_and_models_are_bitwise_the_wrappers(self, monkeypatch):
+        def outputs():
+            out = []
+            for system in self.functions():
+                res = kl_factorize_function(system)
+                out += [_system_blocks(f.backing) for f in (
+                    res.schur_right, res.blaschke_right, res.schur_left, res.blaschke_left)]
+                out.append([res.right_residual, res.left_residual])
+                try:
+                    out.append(_system_blocks(canonical_coisometric_realization(system)))
+                except PreconditionError as exc:
+                    out.append(str(exc))
+            return out
+
+        got = outputs()
+        monkeypatch.setattr(schur, "_trsolve", scipy_trsolve)
+        want = outputs()
+        assert [isinstance(v, str) for v in got] == [isinstance(v, str) for v in want]
+        assert all(g == w if isinstance(w, str) else bitwise_equal(g, w)
+                   for g, w in zip(got, want))
+
+    def test_stateless_unitary_constant(self, monkeypatch):
+        # the peels and the Stein equation of a 0-state system solve on
+        # empty blocks, with no LAPACK call
+        calls = spy_attr(monkeypatch, exceptions, "ztrtrs")
+        res = kl_factorize_function(identity_feedthrough(2))
+        assert res.kappa == 0
+        for factor in (res.schur_right, res.blaschke_right, res.schur_left, res.blaschke_left):
+            assert factor.backing.state_dim == 0
+        assert res.right_residual == res.left_residual == 0.0
+        model = canonical_coisometric_realization(identity_feedthrough(2))
+        assert model.state_dim == 0
+        assert np.array_equal(model.D, np.eye(2))
+        assert calls == []
 
 
 def _strict_scalar(n, kappa, seed):
