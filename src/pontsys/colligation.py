@@ -8,12 +8,12 @@ Hilbert input and output.  The system operator acts block-wise:
 
 and the transfer function is D + z C (I - z A)^(-1) B, holomorphic at 0.
 transfer_values evaluates it at a batch of points on the system's cached
-Schur form A = Z T Z^H: one back-substitution on I - z T, vectorized over
-the points, with one pole guard read off the same sweep (_resolvent, which
-also serves the resolvent samples of _unit_samples).  Every sampled check
-in the package, the circle surveys, and transfer_eval as its one-point
-case, run on it.  The guard decides most points by a comparison-matrix
-bound and runs the stacked SVD only on the points that bound leaves open.
+Schur form A = Z T Z^H: one back-substitution on I - z T (_sweep),
+vectorized over the points, with one pole guard read off the same sweep;
+the circle surveys, and transfer_eval as its one-point case, run on it.
+The guard decides most points by a comparison-matrix bound and runs the
+stacked SVD only on the points that bound leaves open.  Every resolvent
+sample is read off a sweep of the identity by _resolvent_samples.
 """
 
 from __future__ import annotations
@@ -385,22 +385,6 @@ def _pole_rule(T, z, inverse, rank_tol, A):
     return ok
 
 
-def _resolvent(T, W, z, rank_tol, A):
-    """(X, ok): X of _sweep, X[:, k] = (I - z_k T)^(-1) W, for the Schur
-    form A = Z T Z^H, W = Z^H B, and ok of _pole_rule.
-
-    For the triangular M = I - z T, |M^-1| <= M(M)^-1 entrywise, M(M) the
-    comparison matrix (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 8.3), so |M^-1|_2 <= sqrt(n) |y|_inf with y the
-    sweep's second output, the bound _pole_rule takes.  X is the sweep's
-    at every point whatever its route.
-    """
-    X, y = _sweep(T, W, z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        inverse = y.max(axis=0, initial=0.0) * np.sqrt(T.shape[0])
-    return X, _pole_rule(T, z, inverse, rank_tol, A)
-
-
 def _pole_proximity(system, z):
     """PoleProximityError for the point z, naming the system's nearest pole."""
     poles = system._spectrum.poles
@@ -411,13 +395,16 @@ def _pole_proximity(system, z):
 def transfer_values(system, points, tol=DEFAULT_TOL, raise_on_pole=False):
     """Values D + z C (I - z A)^(-1) B of the transfer function at every point.
 
-    One batch through _resolvent on the system's Schur form: one sweep, one
-    pole guard (a point is rejected when s_min <= rank_tol * max(1, s_max)
-    of I - z A) and one product by C Z.  Returns (values, ok) with values
-    of shape (N, p, m) and ok marking the accepted points; rejected rows
-    are NaN.  With raise_on_pole the first rejected point raises
-    PoleProximityError, reporting the nearest reciprocal eigenvalue of A as
-    the offending pole.
+    One _sweep on the system's Schur form A = Z T Z^H, one pole guard (a
+    point is rejected when s_min <= rank_tol * max(1, s_max) of I - z A)
+    and one product by C Z.  The guard's bound is |M^-1|_2 <= sqrt(n)
+    |y|_inf for M = I - z T, y the sweep's second output, as
+    |M^-1| <= M(M)^-1 entrywise for the comparison matrix M(M) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 8.3).
+    Returns (values, ok) with values of shape (N, p, m) and ok marking the
+    accepted points; rejected rows are NaN.  With raise_on_pole the first
+    rejected point raises PoleProximityError, reporting the nearest
+    reciprocal eigenvalue of A as the offending pole.
     """
     z = np.asarray(points, dtype=complex).ravel()
     n = system.A.shape[0]
@@ -426,7 +413,10 @@ def transfer_values(system, points, tol=DEFAULT_TOL, raise_on_pole=False):
         values = np.broadcast_to(system.D, (z.size, p, m)).copy()
         return values, np.ones(z.size, dtype=bool)
     form = system._spectrum
-    X, ok = _resolvent(form.T, form.Z.conj().T @ system.B, z, tol.rank_tol, system.A)
+    X, y = _sweep(form.T, form.Z.conj().T @ system.B, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inverse = y.max(axis=0, initial=0.0) * np.sqrt(n)
+    ok = _pole_rule(form.T, z, inverse, tol.rank_tol, system.A)
     rejected = ~ok
     if rejected.any():
         if raise_on_pole:
@@ -487,25 +477,24 @@ def _sample_points(system, tol):
         radius[close[:, near].any(axis=1)] *= 2.0
 
 
-def _unit_samples(systems, z, rank_tol, observe=False):
-    """[S_1, S_2, ...]: the resolvent samples (I - z_k A)^(-1) B of each
-    system, or with observe (I - conj(z_k) A^H)^(-1) C^H, at the points
-    that all of them accept, side by side as an n x (points m) matrix, each
-    column divided by the norm of the first system's column, whose zero
-    columns are dropped.  Both sides solve on the system's one Schur form:
-    the observe side on its flip (P T^H P, Z P), P the reversal, the Schur
-    form of A^H, as schur._flip does."""
-    sides = []
-    for s in systems:
-        T, Z, A, B, w = s._spectrum.T, s._spectrum.Z, s.A, s.B, z
-        if observe:
-            T, Z, A, B, w = (np.ascontiguousarray(T.conj().T[::-1, ::-1]), Z[:, ::-1],
-                             A.conj().T, s.C.conj().T, z.conj())
-        sides.append((Z, *_resolvent(T, Z.conj().T @ B, w, rank_tol, A)))
-    accepted = np.logical_and.reduce([ok for _, _, ok in sides])
-    k = int(np.count_nonzero(accepted))
-    return _unit_columns([Z @ X[:, accepted].reshape(X.shape[0], k * X.shape[2])
-                          for Z, X, _ in sides])
+def _resolvent_samples(system, X, ok, observe):
+    """The samples (I - z_k A)^(-1) B, or with observe (I - conj(z_k)
+    A^H)^(-1) C^H, at the points ok marks, as an n x (points m) matrix:
+    Z X_k Z^H B or Z X_k^H Z^H C^H, for the resolvents X[:, k] =
+    (I - z_k T)^(-1) on the Schur form A = Z T Z^H.  Rejected points are
+    dropped first, so a sweep that overflowed there reaches no product."""
+    if not ok.all():
+        X = X[:, ok]
+    form = system._spectrum
+    n, N = X.shape[:2]
+    W = form.Z.conj().T @ (system.C.conj().T if observe else system.B)
+    m = W.shape[1]
+    if observe:
+        # row (k, i) of X_k^H W, the conjugate of X[:, k, i]^T conj(W)
+        Y = (X.reshape(n, N * n).T @ W.conj()).conj().reshape(N, n, m).transpose(1, 0, 2)
+    else:
+        Y = (X.reshape(n * N, n) @ W).reshape(n, N, m)
+    return form.Z @ Y.reshape(n, N * m)
 
 
 def _unit_columns(S):
@@ -521,23 +510,14 @@ def _sampled_hidden(system, observe, tol):
     orthogonal complement of the span of (I - z A)^(-1) B at the
     _sample_points, or with observe of (I - conj(z) A^H)^(-1) C^H.
 
-    Both sides read the resolvents X_k = (I - z_k T)^(-1) of the last
-    pass of _sample_points on the Schur form A = Z T Z^H: the samples are
-    Z X_k Z^H B, or Z X_k^H Z^H C^H, with no second sweep.  A point enters
-    when I - z_k A, which has the singular values of I - conj(z_k) A^H,
-    passes _pole_rule on the bound |X_k|_F >= |X_k|_2."""
+    The samples are read off the resolvents X_k = (I - z_k T)^(-1) of the
+    last pass of _sample_points, with no second sweep, at the points where
+    I - z_k A, which has the singular values of I - conj(z_k) A^H, passes
+    _pole_rule on the bound |X_k|_F >= |X_k|_2."""
     z, X = _sample_points(system, tol)
-    form = system._spectrum
-    n, N = X.shape[:2]
-    ok = _pole_rule(form.T, z, np.linalg.norm(X, axis=(0, 2)), tol.rank_tol, system.A)
-    W = form.Z.conj().T @ (system.C.conj().T if observe else system.B)
-    m = W.shape[1]
-    if observe:
-        # row (k, i) of X_k^H W, the conjugate of X[:, k, i]^T conj(W)
-        Y = (X.reshape(n, N * n).T @ W.conj()).conj().reshape(N, n, m).transpose(1, 0, 2)
-    else:
-        Y = (X.reshape(n * N, n) @ W).reshape(n, N, m)
-    S, = _unit_columns([form.Z @ Y[:, ok].reshape(n, int(np.count_nonzero(ok)) * m)])
+    ok = _pole_rule(system._spectrum.T, z, np.linalg.norm(X, axis=(0, 2)), tol.rank_tol,
+                    system.A)
+    S, = _unit_columns([_resolvent_samples(system, X, ok, observe)])
     return nullspace(S.conj().T, tol)
 
 
@@ -926,20 +906,45 @@ def _krylov_map(recurrence, s2):
     return V @ Q1.conj().T
 
 
+def _similarity_samples(s1, s2, tol):
+    """[X1, X2]: the samples [(I - zA)^(-1) B, J (I - conj(z) A^H)^(-1) C^H]
+    of s1 and s2, each column divided by the norm of s1's, at the points of
+    _sampled_hidden, read off its resolvents for s1 and off one _sweep of
+    the identity for s2, at the points both pass the same pole rule."""
+    z, R1 = _sample_points(s1, tol)
+    R2 = _sweep(s2._spectrum.T, np.eye(s2.state_dim), z)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = np.logical_and.reduce([_pole_rule(s._spectrum.T, z, np.linalg.norm(
+            R, axis=(0, 2)), tol.rank_tol, s.A) for s, R in ((s1, R1), (s2, R2))])
+    sides = [_unit_columns([_resolvent_samples(s, R, ok, observe)
+                            for s, R in ((s1, R1), (s2, R2))])
+             for observe in (False, True)]
+    # J (I - conj(z) A^H)^(-1) C^H samples the adjoint system at conj(z)
+    return [np.hstack([reach, s.state.signs[:, None] * observe])
+            for s, reach, observe in zip((s1, s2), *sides)]
+
+
+# rows times unknowns squared of the largest complement solve, about 1 s on
+# a 2-vCPU Xeon, one BLAS thread: unitary_similarity(s, s) with the whole
+# state of a one-channel s hidden took 0.18, 0.85, 1.17 and 1.57 s at 24,
+# 32, 34 and 36 states, 2.0e8, 1.1e9, 1.6e9 and 2.2e9 of it
+_COMPLEMENT_WORK = 1.4e9
+
+
 def unitary_similarity(s1, s2, tol=DEFAULT_TOL):
     """Metric-unitary state similarity, or None when none exists.
 
     A metric unitary Z, x2 = Z x1, maps the samples (I - zA)^(-1) B of s1
-    and of its adjoint onto those of s2 (_unit_samples at the
-    _sample_points of s1, which keep rounding along a hidden mode far
-    below rank_tol).  One SVD gives Z0 = X2 X1^+, Z on the simple space
-    that X1 spans; on the complement P of that span, of dimension h,
-    Z = Z0 + (P + E) P^H with the n h entries of E from the intertwining
-    relations in least squares.  E corrects the identity on P, so where
-    the identity intertwines on the hidden part (the whole state, say)
-    the minimum-norm E is zero and Z keeps it.  Z is certified
-    metric-unitary, its four intertwining residuals within 100 metric_tol
-    max(1, |Z|_2).
+    and of its adjoint onto those of s2 (_similarity_samples).  One SVD
+    gives Z0 = X2 X1^+, Z on the simple space that X1 spans; on the
+    complement P of that span, of dimension h, Z = Z0 + (P + E) P^H with
+    the n h entries of E from the intertwining relations in least
+    squares.  E corrects the identity on P, so where the identity
+    intertwines on the hidden part (the whole state, say) the minimum-norm
+    E is zero and Z keeps it.  A problem of n^2 + p n rows whose rows times
+    unknowns squared exceed _COMPLEMENT_WORK is refused, typed, unformed.
+    Z is certified metric-unitary, its four intertwining residuals within
+    100 metric_tol max(1, |Z|_2).
     """
     if (s1.state_dim != s2.state_dim or s1.kappa != s2.kappa
             or s1.input_dim != s2.input_dim or s1.output_dim != s2.output_dim):
@@ -954,17 +959,18 @@ def unitary_similarity(s1, s2, tol=DEFAULT_TOL):
     if n == 0:
         return SimilarityResult("unitary", np.zeros((0, 0), dtype=complex),
                                 _intertwining_residuals(s1, s2, np.zeros((0, 0)), bound))
-    z, _ = _sample_points(s1, tol)
-    # J (I - conj(z) A^H)^(-1) C^H samples the adjoint system at conj(z)
-    X1, X2 = (np.hstack([reach, s.state.signs[:, None] * observe])
-              for s, reach, observe in zip(
-                  (s1, s2), _unit_samples((s1, s2), z, tol.rank_tol),
-                  _unit_samples((s1, s2), z, tol.rank_tol, observe=True)))
+    X1, X2 = _similarity_samples(s1, s2, tol)
     U, sv, Vh = np.linalg.svd(X1)
     r = int(np.sum(sv > tol.rank_tol * max(1.0, sv[0]))) if sv.size else 0
     Z = (X2 @ (Vh[:r].conj().T / sv[:r])) @ U[:, :r].conj().T
     P = U[:, r:]
-    if P.shape[1]:
+    h = P.shape[1]
+    if h:
+        if (n * n + s1.output_dim * n) * float(n * h) ** 2 > _COMPLEMENT_WORK:
+            raise PreconditionError(
+                f"the samples leave h = {h} of n = {n} states unspanned: the "
+                f"complement's least-squares problem in n h = {n * h} unknowns "
+                "is too large to solve densely")
         # D = P + E, so the least-squares E is a correction to the identity
         # on P: vec(E P^H A1 - A2 E P^H) = A2 Z0' - Z0' A1 and
         # vec(C2 E P^H) = C1 - C2 Z0' with Z0' = Z0 + P P^H; P^H B1
@@ -974,7 +980,7 @@ def unitary_similarity(s1, s2, tol=DEFAULT_TOL):
                        np.kron(P.conj(), s2.C)])
         rhs = np.concatenate([(s2.A @ Z - Z @ s1.A).ravel(order="F"),
                               (s1.C - s2.C @ Z).ravel(order="F")])
-        E = np.linalg.lstsq(M, rhs, rcond=None)[0].reshape(n, P.shape[1], order="F")
+        E = np.linalg.lstsq(M, rhs, rcond=None)[0].reshape(n, h, order="F")
         Z = Z + E @ P.conj().T
     residuals = _intertwining_residuals(s1, s2, Z, bound)
     worst = max(residuals.values())

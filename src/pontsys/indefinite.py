@@ -560,13 +560,15 @@ def subspace_classify(space, tol=DEFAULT_TOL):
     """Classify a subspace by the inertia of its Gram matrix.
 
     The zero subspace counts as hilbert.  Regular means invertible Gram of
-    mixed sign; degenerate means a numerically singular Gram.  A clearly
-    definite Gram is recognized by one Cholesky factorization, every
-    other one takes the eigen-solve of inertia.
+    mixed sign; degenerate means a numerically singular Gram.  A Gram that
+    _definite_cholesky certifies definite, of the sign of G[0, 0], takes no
+    eigen-solve; every other one takes that of inertia.
     """
     G = space.gram
-    if _clearly_definite(G, tol):
-        return SubspaceKind.HILBERT if G[0, 0].real > 0 else SubspaceKind.ANTIHILBERT
+    if G.size:
+        sign = 1.0 if G[0, 0].real > 0 else -1.0
+        if _definite_cholesky(sign * G, tol)[2]:
+            return SubspaceKind.HILBERT if sign > 0 else SubspaceKind.ANTIHILBERT
     n_plus, n_zero, n_minus = inertia(G, tol)
     if n_zero > 0:
         return SubspaceKind.DEGENERATE
@@ -575,31 +577,6 @@ def subspace_classify(space, tol=DEFAULT_TOL):
     if n_plus == 0:
         return SubspaceKind.ANTIHILBERT
     return SubspaceKind.REGULAR
-
-
-def _clearly_definite(G, tol):
-    """Whether one Cholesky factorization proves the exactly Hermitian
-    nonempty Gram G definite, of the sign of G[0, 0], far beyond the zero
-    cut of inertia.
-
-    With c = psd_tol * max(1, ||G||_F), which is at least the cut
-    psd_tol * max(1, max|eig|) of inertia, zpotrf must factor
-    X = +-G - 2c I with (k + 1) u tr(X) <= c/4.  The backward error of
-    the factorization is then about c/4 (see _cholesky_accepts), so
-    lambda_min(+-G) >= 7/4 c.  As tr(X) + 2c >= ||G||_2 for a definite X,
-    the trace condition also keeps the rounding of the eigen-solve of
-    inertia, a small multiple of (k + 1) u ||G||_2, near c/4: every
-    computed eigenvalue of +-G lies beyond the cut, and inertia would
-    return the same kind.  A non-finite Gram is left to inertia, which refuses it.
-    """
-    k = G.shape[0]
-    if k == 0:
-        return False
-    c = tol.psd_tol * max(1.0, _fro(G))
-    if not np.isfinite(c):
-        return False
-    sign = 1.0 if G[0, 0].real > 0 else -1.0
-    return _cholesky_within(sign * G - (2.0 * c) * np.eye(k), c / 4.0)
 
 
 def _definite_cholesky(X, tol, upper=False):
@@ -613,10 +590,11 @@ def _definite_cholesky(X, tol, upper=False):
     psd_tol * max(1, max|eig|), (k + 1) u tr(X) <= c/4 keeps the backward
     error of the factorization at about c/4 (see _cholesky_accepts), and
     b = ||F^-1||_F^-2 <= lambda_min(F F^H) with b >= 2c gives
-    lambda_min(X) >= 7/4 c; the trace condition also keeps the rounding of
-    an eigen-solve of X near c/4, so every eigenvalue it computes lies
-    above the cut (see _clearly_definite).  A failed factorization, or an
-    inverse whose norm overflows, gives b = 0.
+    lambda_min(X) >= 7/4 c.  As tr(X) >= ||X||_2 for a definite X, the
+    trace condition also keeps the rounding of an eigen-solve of X, a
+    small multiple of (k + 1) u ||X||_2, near c/4, so every eigenvalue it
+    computes lies above the cut.  A failed factorization, or an inverse
+    whose norm overflows or is not finite, gives b = 0.
     """
     c = tol.psd_tol * max(1.0, _fro(X))
     F, info = zpotrf(X[::-1, ::-1] if upper else X, lower=1, clean=1)

@@ -24,15 +24,11 @@ __all__ = [
 ]
 
 
-def boundary_points(n, seed=None):
-    """n points on the unit circle: roots of unity, optionally seed-rotated."""
+def boundary_points(n):
+    """The n roots of unity, n points on the unit circle."""
     if n < 1:
         raise InputError("need at least one boundary point")
-    offset = 0.0
-    if seed is not None:
-        offset = np.random.default_rng(seed).random() * 2 * np.pi / n
-    angles = offset + 2 * np.pi * np.arange(n) / n
-    return np.exp(1j * angles)
+    return np.exp(1j * (2 * np.pi * np.arange(n) / n))
 
 
 def disc_grid(per_ring, radii=(0.3, 0.6, 0.9), seed=0):

@@ -37,7 +37,9 @@ from .colligation import (
     SystemKind,
     _operator_kind,
     _pole_proximity,
+    _resolvent_samples,
     _schur_spans,
+    _sweep,
     adjoint_system,
     system_kind,
     system_operator,
@@ -1028,11 +1030,12 @@ def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
     certify("canonical model transfer mismatch",
             _relative_mismatch(got, ref), 1e-7)
     if n:
-        # C (I - zA)^-1 J (I - wA)^-H C^H against the kernel at z, w
+        # C (I - zA)^-1 J (I - wA)^-H C^H = Rz^H J Rw against the kernel at
+        # z, w, Rz = (I - conj(z) A^H)^-1 C^H; the values passed the pole rule
         w_ref, z_ref = held[0], held[1]
-        Rz, Rw = (np.linalg.solve((np.eye(n) - z * model.A).T, model.C.T).T
-                  for z in (z_ref, w_ref))
-        lhs = (Rz * model.state.signs[None, :]) @ Rw.conj().T
+        X = _sweep(model._spectrum.T, np.eye(n), held[:2])[0]
+        Rw, Rz = np.hsplit(_resolvent_samples(model, X, np.ones(2, dtype=bool), True), 2)
+        lhs = Rz.conj().T @ (model.state.signs[:, None] * Rw)
         rhs = (np.eye(p) - ref[1] @ ref[0].conj().T) / (1.0 - z_ref * np.conj(w_ref))
         certify("reproducing identity residual", _norm2(lhs - rhs),
                 1e-6 * max(1.0, _norm2(rhs)))

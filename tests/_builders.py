@@ -17,6 +17,7 @@ from pontsys.colligation import (
     system_kind,
     system_operator,
 )
+from pontsys import colligation
 from pontsys.exceptions import InternalConsistencyError
 from pontsys.indefinite import (
     DEFAULT_TOL,
@@ -301,3 +302,41 @@ def bitwise_equal(got, want):
     got, want = np.asarray(got), np.asarray(want)
     return (got.shape == want.shape and got.dtype == want.dtype
             and got.tobytes() == want.tobytes())
+
+
+def two_pass_samples(systems, z, rank_tol, observe=False):
+    """[S_1, S_2, ...]: the resolvent samples (I - z_k A)^(-1) B of each
+    system, or with observe (I - conj(z_k) A^H)^(-1) C^H, by a sweep of
+    B, or C^H, at the points z: the two-pass oracle of the samples the
+    library reads off one sweep of the identity.  Each system
+    back-substitutes on its Schur form, the observe side on its flip
+    (P T^H P, Z P), P the reversal, the Schur form of A^H, under the
+    comparison-matrix pole guard of transfer_values.  The samples at the
+    points that all of them accept stand side by side as an n x (points m)
+    matrix, each column divided by the norm of the first system's column,
+    whose zero columns are dropped.  The colligation helpers are looked up
+    when called, so a spy on that module sees them."""
+    sides = []
+    for s in systems:
+        T, Z, A, B, w = s._spectrum.T, s._spectrum.Z, s.A, s.B, z
+        if observe:
+            T, Z, A, B, w = (np.ascontiguousarray(T.conj().T[::-1, ::-1]), Z[:, ::-1],
+                             A.conj().T, s.C.conj().T, z.conj())
+        X, y = colligation._sweep(T, Z.conj().T @ B, w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            inverse = y.max(axis=0, initial=0.0) * np.sqrt(T.shape[0])
+        sides.append((Z, X, colligation._pole_rule(T, w, inverse, rank_tol, A)))
+    accepted = np.logical_and.reduce([ok for _, _, ok in sides])
+    k = int(np.count_nonzero(accepted))
+    return colligation._unit_columns(
+        [Z @ X[:, accepted].reshape(X.shape[0], k * X.shape[2]) for Z, X, _ in sides])
+
+
+def two_pass_similarity_samples(s1, s2, tol):
+    """The samples [X1, X2] of unitary_similarity by two_pass_samples at
+    the _sample_points of s1: four sweeps, two of them on flipped forms."""
+    z = colligation._sample_points(s1, tol)[0]
+    reach = two_pass_samples((s1, s2), z, tol.rank_tol)
+    observe = two_pass_samples((s1, s2), z, tol.rank_tol, observe=True)
+    return [np.hstack([r, s.state.signs[:, None] * o])
+            for s, r, o in zip((s1, s2), reach, observe)]

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from pontsys.exceptions import (
     OrderAmbiguityError,
     PoleProximityError,
     PreconditionError,
+    _fro,
     _spectral_norms,
 )
 from pontsys.indefinite import (
@@ -64,6 +66,8 @@ from _builders import (
     shift_chain_system,
     spy,
     spy_attr,
+    two_pass_samples,
+    two_pass_similarity_samples,
 )
 
 ROOT3 = math.sqrt(3.0)
@@ -1130,11 +1134,11 @@ class TestSampledHiddenSpaces:
 
 
 def _two_pass_hidden(system, observe, tol=DEFAULT_TOL):
-    """The sampled hidden space with a second sweep: _unit_samples at the
-    _sample_points solves (I - z A)^(-1) B, or (I - conj(z) A^H)^(-1) C^H,
-    once more on the Schur form, under the pole guard of _resolvent."""
+    """The sampled hidden space with a second sweep: two_pass_samples at
+    the _sample_points solves (I - z A)^(-1) B, or (I - conj(z) A^H)^(-1)
+    C^H on the flipped form, once more under the comparison-matrix guard."""
     z = colligation._sample_points(system, tol)[0]
-    S, = colligation._unit_samples([system], z, tol.rank_tol, observe)
+    S, = two_pass_samples([system], z, tol.rank_tol, observe)
     return nullspace(S.conj().T, tol)
 
 
@@ -1153,11 +1157,10 @@ class TestOneSamplePass:
     @pytest.mark.parametrize("kind", ["passive", "conservative"])
     @pytest.mark.parametrize("n", TestPBHOracle.SIZES)
     def test_no_second_sweep(self, monkeypatch, kind, n):
-        # one _sweep per pass of _sample_points and none through
-        # _resolvent; the hidden space is the two-pass route's within a
-        # principal angle of 1e-12
+        # one _sweep per pass of _sample_points and no other, where the
+        # two-pass route sweeps once more; the hidden space is the two-pass
+        # route's within a principal angle of 1e-12
         sweeps = spy(monkeypatch, colligation._sweep)
-        resolvents = spy(monkeypatch, colligation._resolvent)
         hidden = set()
         for plant in self.plants(kind, n):
             for observe in (False, True):
@@ -1167,9 +1170,9 @@ class TestOneSamplePass:
                 del sweeps[:]
                 colligation._sample_points(plant, DEFAULT_TOL)
                 assert passes == len(sweeps) >= 1
-                assert resolvents == []
+                del sweeps[:]
                 want = _two_pass_hidden(plant, observe)
-                del resolvents[:]
+                assert len(sweeps) == passes + 1
                 assert got.shape == want.shape
                 hidden.add(got.shape[1])
                 assert np.max(scipy.linalg.subspace_angles(got, want), initial=0.0) <= 1e-12
@@ -1387,6 +1390,77 @@ def _nonsimple_unitary_pair(seed):
     return s1, state_change(s1, Z, s1.state), Z
 
 
+def _nilpotent_pair(k):
+    N = shift_chain_system(k)
+    U = random_j_unitary(np.random.default_rng([k, 52]), N.state)
+    return N, state_change(N, U, N.state), U
+
+
+def _fast_pole_pair(t):
+    s1, _, Z = _planted_unitary_pair(8, 0, "passive")
+    s1 = Colligation(s1.state, 2, 2, t * s1.A, s1.B, s1.C, s1.D)
+    return s1, state_change(s1, Z, s1.state), Z
+
+
+def _whole_state_hidden(n, io, kappa):
+    """B = 0 and C = 0 (no channels at io = 0) around a metric unitary A / 2
+    on a state of signature (n - kappa, kappa): the identity intertwines
+    the system with itself, and the samples span nothing."""
+    state = SignatureSpace(n - kappa, kappa)
+    A = random_j_unitary(np.random.default_rng([io, kappa, 53]), state) / 2
+    return Colligation(state, io, io, A, np.zeros((n, io)), np.zeros((io, n)),
+                       0.3 * np.eye(io))
+
+
+def _hidden_block_pair():
+    """A conservative system beside a decoupled hidden block A0, and its
+    image under the planted map on the simple part and the identity on
+    the block."""
+    rng = np.random.default_rng(54)
+    s0 = random_conservative_colligation(rng, SignatureSpace(3, 1), 1)
+    A0 = random_j_unitary(rng, SignatureSpace(1, 1)) / 2
+    n = s0.state_dim
+    state = SignatureSpace.from_signs(np.concatenate([s0.state.signs, [1.0, -1.0]]))
+    A = np.zeros((n + 2, n + 2), dtype=complex)
+    A[:n, :n], A[n:, n:] = s0.A, A0
+    s1 = Colligation(state, 1, 1, A, np.vstack([s0.B, np.zeros((2, 1))]),
+                     np.hstack([s0.C, np.zeros((1, 2))]), s0.D)
+    Z = np.eye(n + 2, dtype=complex)
+    Z[:n, :n] = random_j_unitary(rng, s0.state)
+    return s1, state_change(s1, Z, state), Z
+
+
+def _round_trip_pair():
+    rng = np.random.default_rng(7)
+    sp = SignatureSpace(2, 1)
+    sys1 = random_conservative_colligation(rng, sp, 2)
+    Z = random_j_unitary(rng, sp)
+    return sys1, state_change(sys1, Z, sp), Z
+
+
+def _balanced_pair():
+    """blaschke_system(0.5) and its balanced realization, the same transfer
+    function on a state that is not conservative."""
+    sys1 = blaschke_system(0.5)
+    bare = realize_from_taylor([markov(sys1, k) for k in range(6)])
+    return sys1, Colligation(SignatureSpace(1, 0), 1, 1, bare.A, bare.B, bare.C, bare.D)
+
+
+def _unitary_similarity_pairs():
+    """The pairs of the test_unitary_similarity_* tests of TestSimilarity."""
+    pairs = [_round_trip_pair()[:2], _hidden_block_pair()[:2], _balanced_pair()]
+    pairs += [_planted_unitary_pair(n, seed, kind)[:2] for n in (4, 8, 24, 40)
+              for kind in ("passive", "conservative") for seed in range(15 if n > 8 else 5)]
+    pairs += [_nonsimple_unitary_pair(seed)[:2] for seed in range(10)]
+    pairs += [_nilpotent_pair(k)[:2] for k in (3, 8, 16)]
+    pairs += [_fast_pole_pair(t)[:2] for t in (1e-6, 1e-3)]
+    pairs += [(s, s) for s in (_whole_state_hidden(3, io, kappa)
+                               for io, kappa in ((1, 0), (1, 1), (0, 0), (0, 1)))]
+    sys1 = blaschke_system(0.5)
+    pairs += [(sys1, blaschke_system(0.3)), (pairs[3][0], pairs[4][1])]
+    return pairs
+
+
 class TestSimilarity:
     def test_unitary_similarity_round_trip(self):
         rng = np.random.default_rng(7)
@@ -1484,6 +1558,56 @@ class TestSimilarity:
         Z[:n, :n] = random_j_unitary(rng, s0.state)
         sim = unitary_similarity(s1, state_change(s1, Z, state))
         assert np.linalg.norm(sim.Z - Z, 2) <= 1e-6 * np.linalg.norm(Z, 2)
+
+    def test_unitary_similarity_sweeps_each_system_once(self, monkeypatch):
+        # the first system's resolvents are those of its _sample_points,
+        # the second's one sweep of the identity on its own Schur form at
+        # the same points, and no sweep runs on a flipped form
+        s1, s2, _ = _planted_unitary_pair(8, 0, "conservative")
+        points = spy(monkeypatch, colligation._sample_points)
+        sweeps = spy(monkeypatch, colligation._sweep)
+        assert unitary_similarity(s1, s2) is not None
+        assert [args[0] for args in points] == [s1]
+        scale = _fro(s1.A)
+        *passes, last = sweeps
+        assert passes and all(np.array_equal(T, s1._spectrum.T / scale)
+                              and np.array_equal(W, np.eye(8)) for T, W, _ in passes)
+        assert last[0] is s2._spectrum.T and np.array_equal(last[1], np.eye(8))
+        assert np.allclose(last[2], passes[-1][2] / scale, rtol=1e-15, atol=0)
+
+    def test_unitary_similarity_matches_the_two_pass_route(self, monkeypatch):
+        # on every pair of the tests above, the map is the one the four
+        # sweeps of the two-pass route give, within 1e-10 relative
+        pairs = _unitary_similarity_pairs()
+        got = [unitary_similarity(s1, s2) for s1, s2 in pairs]
+        monkeypatch.setattr(colligation, "_similarity_samples", two_pass_similarity_samples)
+        answered = 0
+        for (s1, s2), sim in zip(pairs, got):
+            want = unitary_similarity(s1, s2)
+            assert (sim is None) == (want is None)
+            if want is not None:
+                answered += 1
+                assert (np.linalg.norm(sim.Z - want.Z, 2)
+                        <= 1e-10 * np.linalg.norm(want.Z, 2))
+        assert answered == len(pairs) - 3
+
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    def test_unitary_similarity_solves_a_small_complement(self, n):
+        s = _whole_state_hidden(n, 1, n // 5)
+        sim = unitary_similarity(s, s)
+        assert np.linalg.norm(sim.Z - np.eye(n), 2) <= 1e-12
+
+    def test_unitary_similarity_refuses_a_large_complement(self, monkeypatch):
+        # 40 hidden states make 1,640 rows and 1,600 unknowns, about 4 s of
+        # dense least squares: refused, typed, before the matrix is formed
+        s = _whole_state_hidden(40, 1, 8)
+        calls = spy_attr(monkeypatch, np, "kron")
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match=r"h = 40 of n = 40 states") as info:
+            unitary_similarity(s, s)
+        assert time.perf_counter() - start < 1.0
+        assert type(info.value) is PreconditionError
+        assert calls == []
 
     @pytest.mark.parametrize("entropy, n, kappa, io", [
         ([8, 1, 1], 8, 1, 1), ([8, 2, 3], 8, 2, 3), ([24, 4, 2], 24, 4, 2),

@@ -1509,6 +1509,37 @@ class TestCanonicalRealization:
         assert np.array_equal(np.sort_complex(evaluated), np.sort_complex(held))
 
     @pytest.mark.parametrize("system", [
+        blaschke_system(0.5),
+        counterexample_observable_system(),
+        random_conservative_colligation(np.random.default_rng(5),
+                                        SignatureSpace(4, 2), 2),
+        random_conservative_colligation(np.random.default_rng([40, 8, 2]),
+                                        SignatureSpace(32, 8), 2),
+    ])
+    def test_reproducing_identity_matches_dense_solves(self, monkeypatch, system):
+        # Rz = (I - conj(z) A^H)^-1 C^H and Rw of the kernel check are read
+        # off one sweep of the identity on the model's Schur form, within
+        # 1e-12 relative of the dense solves of C (I - zA)^-1 they replace
+        calls = []
+        real = schur._resolvent_samples
+
+        def recording(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(schur, "_resolvent_samples", recording)
+        canonical_coisometric_realization(system)
+        [((model, X, ok, observe), R)] = calls
+        assert observe and ok.all() and X.shape[1] == 2
+        held = disc_points(8, seed=DEFAULT_TOL.seed * 499 + 11, radius=0.8,
+                           exclude=as_transfer(system).poles, min_dist=1e-4)
+        n, p = model.state_dim, model.output_dim
+        for k, z in enumerate(held[:2]):
+            want = np.linalg.solve((np.eye(n) - z * model.A).T, model.C.T).T
+            got = R[:, k * p:(k + 1) * p].conj().T
+            assert np.linalg.norm(got - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
+
+    @pytest.mark.parametrize("system", [
         counterexample_observable_system(),
         random_conservative_colligation(np.random.default_rng(5),
                                         SignatureSpace(4, 2), 2),

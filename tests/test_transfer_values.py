@@ -29,7 +29,12 @@ from pontsys.sampling import (
     random_conservative_colligation,
     random_passive_colligation,
 )
-from pontsys.schur import TransferFunction, boundary_behavior, kernel_gram
+from pontsys.schur import (
+    TransferFunction,
+    boundary_behavior,
+    canonical_coisometric_realization,
+    kernel_gram,
+)
 
 SHAPES = [(0, 0), (4, 1), (12, 3), (40, 8)]
 
@@ -97,7 +102,7 @@ def _points(system, seed):
     poles = poles[np.abs(poles) < 3.0]
     return np.concatenate([
         disc_points(24, seed=seed, radius=0.95),
-        boundary_points(16, seed=seed),
+        boundary_points(16) * np.exp(2j * np.pi * np.random.default_rng(seed).random() / 16),
         poles,
         poles * (1.0 + 1e-7),
         poles + 1e-6 * np.exp(0.3j),
@@ -195,6 +200,11 @@ def test_no_dense_solve_on_any_route(monkeypatch, name):
     assert not spies["solve"] and not spies["inv"]
     # the only SVDs are the null spaces of the two sample matrices
     assert [args[0].ndim for args in spies["svd"]] == [2, 2]
+    # the canonical model's reproducing identity reads C (I - zA)^-1 off one
+    # sweep on the model's Schur form, at the conservative system of the
+    # same shape
+    canonical_coisometric_realization(SYSTEMS[name.replace("passive", "conservative")])
+    assert not spies["solve"] and not spies["inv"]
 
 
 def test_some_points_sit_within_the_pole_margin():
