@@ -54,6 +54,13 @@ for case in example_cascade:3:2 example_schur_row:2:2 example_inverse_blaschke:1
   pontsys classify "$RUNNER_TEMP/ec/$name.json" --out "$RUNNER_TEMP/cl-$name"
   python -c "import json, sys; c = json.load(open(sys.argv[1]))['certificates']; ranks = (c['controllable_rank'], c['observable_rank']); assert ranks == (int(sys.argv[2]), int(sys.argv[3])), ranks" "$RUNNER_TEMP/cl-$name/classify.report.json" "$ctrl" "$obs"
 done
+# the inverse Blaschke example beside a hidden J-unitary block on signs
+# (+1, -1), with B and C zero there: every complement is that regular
+# plane, whose Gram has a mixed diagonal, so its kind is read off the
+# eigen route of the Hermitian verdict
+python -c "import sys, numpy as np; from pontsys import Colligation, SignatureSpace, load_system, save_system; s = load_system(sys.argv[1])[0]; c, h = np.cosh(0.7), np.sinh(0.7); A = np.zeros((3, 3), complex); A[0, 0] = s.A[0, 0]; A[1:, 1:] = [[c, h], [h, c]]; save_system(Colligation(SignatureSpace.from_signs(list(s.state.signs) + [1.0, -1.0]), 1, 1, A, np.vstack([s.B, np.zeros((2, 1))]), np.hstack([s.C, np.zeros((1, 2))]), s.D), sys.argv[2])" "$RUNNER_TEMP/ec/example_inverse_blaschke.json" "$RUNNER_TEMP/hidden-regular.json"
+pontsys classify "$RUNNER_TEMP/hidden-regular.json" --out "$RUNNER_TEMP/cl-hidden-regular"
+python -c "import json, sys; k = json.load(open(sys.argv[1]))['certificates']['complement_kinds']; assert k == dict.fromkeys(('controllable', 'observable', 'simple'), 'regular'), k" "$RUNNER_TEMP/cl-hidden-regular/classify.report.json"
 pontsys factor-kl "$RUNNER_TEMP/ec/example_inverse_blaschke.json" --mode left --out "$RUNNER_TEMP/kl"
 # the schur row has index 0: right mode completes an empty negative
 # block, which takes no triangular solve, and leaves an inverse factor

@@ -215,46 +215,104 @@ class Inertia(tuple):
         return self[2]
 
 
-def _symmetrized(H, name):
-    """(sym H, ||H - H^*||_F) of a square H, validated by as_matrix."""
-    H = as_matrix(H, name=name)
-    if H.shape[0] != H.shape[1]:
-        raise DimensionMismatchError(f"{name} must be square")
-    Hh = H.conj().T
-    return (H + Hh) / 2.0, _fro(H - Hh)
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 
-def _sym_eig(H, name="matrix"):
-    """Eigenvalues of the symmetrized (H + H^*)/2 of a square H.
-
-    Returns (w, skew): ascending eigenvalues and the Frobenius norm of
-    H - H^*.
-    """
-    Hs, skew = _symmetrized(H, name)
-    return np.linalg.eigvalsh(Hs), skew
+def _eigen(Hs, vectors=False):
+    """(w, V): the ascending eigenvalues of an exactly Hermitian Hs and,
+    with vectors, its orthonormal eigenvectors, else None."""
+    return np.linalg.eigh(Hs) if vectors else (np.linalg.eigvalsh(Hs), None)
 
 
-def _spectral_radius(w):
-    return float(np.abs(w).max(initial=0.0))
-
-
-def _certify_hermitian(w, skew, name, rel):
-    # ||H - H^*||_F >= ||H - H^*||_2 and max|eig(sym H)| <= ||H||_2, so this
-    # refuses every matrix the spectral-norm test against max(1, ||H||_2)
-    # refuses
-    if skew > rel * max(1.0, _spectral_radius(w)):
+def _cut_inertia(w, skew, tol, name, rel):
+    """(inertia, cut) of the ascending eigenvalues w of sym H at the zero
+    cut psd_tol * max(1, max|w|), behind the Hermitian guard: H is refused
+    with NotHermitianError when skew = ||H - H^*||_F > rel * max(1, max|w|).
+    ||H - H^*||_F >= ||H - H^*||_2 and max|w| <= ||H||_2, so the guard
+    refuses every H the spectral-norm test against max(1, ||H||_2) does."""
+    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
+    if skew > rel * scale:
         raise NotHermitianError(f"{name} is not Hermitian within {rel:g} relative")
+    cut = tol.psd_tol * scale
+    return Inertia(np.sum(w > cut), np.sum(np.abs(w) <= cut), np.sum(w < -cut)), cut
 
 
-def _hermitian_eig(H, name="matrix", rel=1e-12):
-    """Eigenvalues of a certified Hermitian H.
+def _cholesky(X, margin, inverse=False, upper=False):
+    """(F, F^-1, ok): the lower Cholesky factor F F^H = X of a nonempty
+    Hermitian X from one LAPACK zpotrf; with inverse its ztrtri inverse
+    (F itself after a failed factorization), else None; and whether it
+    completed with (n + 1) u tr(X) <= margin, u the unit roundoff, which
+    keeps its backward error at about margin in the 2-norm (README rule
+    1).  With upper, which needs inverse, F is the reversed upper factor:
+    the lower one of X with rows and columns reversed, reversed back."""
+    F, info = zpotrf(X[::-1, ::-1] if upper else X, lower=1, clean=1)
+    Finv = None
+    if inverse:
+        Finv, info = (F, info) if info else ztrtri(F, lower=1)
+    if upper:
+        F, Finv = F[::-1, ::-1], Finv[::-1, ::-1]
+    trace = float(np.trace(X).real)
+    return F, Finv, not info and (X.shape[0] + 1) * _UNIT_ROUNDOFF * trace <= margin
 
-    One eigen-solve of the symmetrized H; H is refused with
-    NotHermitianError when ||H - H^*||_F > rel * max(1, max|eig|).
+
+def _hermitian_verdict(H, tol, name, rel, factor=False, upper=False):
+    """(inertia, E, E^+): the inertia of sym H = (H + H^*)/2 at the zero
+    cut psd_tol * max(1, max|eig|), and a factor pair (README rule 1).
+
+    H is validated by as_matrix and refused by the guard of _cut_inertia;
+    with rel None it is exactly Hermitian by construction, as a Gram
+    matrix is, and is its own sym H, with no copy and no guard.  When
+    ||H - H^*||_F <= rel and the diagonal of sym H has one sign s, as a
+    definite matrix's has, X = s sym H = F F^H takes one _cholesky, which
+    with c = psd_tol * max(1, ||X||_F), (k + 1) u tr(X) <= c/4 and
+    ||F^-1||_F^-2 >= 2c certifies lambda_min(X) >= 7/4 c, every eigenvalue
+    beyond the cut: the inertia is (k, 0, 0), or (0, 0, k) for s = -1,
+    with no eigen-solve.  Every other H takes one eigen-solve.
+
+    (E, E^+) is (F, F^-1) whenever the factorization ran, certified or
+    not, else (None, None).  With factor, which asks for psd_factor's pair
+    E E^H = sym H, E^+ E = I, a negative diagonal takes no factorization,
+    and the eigen route raises IndefiniteDefectError on an eigenvalue
+    below the cut, else gives E = V diag(sqrt(w)), E^+ = diag(1/sqrt(w)) V^H
+    on the eigenvalues w above the cut and their eigenvectors V.
     """
-    w, skew = _sym_eig(H, name)
-    _certify_hermitian(w, skew, name, rel)
-    return w
+    exact = rel is None
+    if exact:
+        Hs, skew, rel = H, 0.0, 0.0
+    else:
+        H = as_matrix(H, name=name)
+        if H.shape[0] != H.shape[1]:
+            raise DimensionMismatchError(f"{name} must be square")
+        Hh = H.conj().T
+        Hs, skew = (H + Hh) / 2.0, _fro(H - Hh)
+    n = Hs.shape[0]
+    if n == 0:
+        empty = np.zeros((0, 0), dtype=np.complex128)
+        return Inertia(0, 0, 0), empty, empty
+    F = Finv = None
+    diagonal = Hs.diagonal().real
+    positive = diagonal[0] > 0.0
+    if skew <= rel and (diagonal.min() > 0.0 if positive else
+                        not factor and diagonal.max() < 0.0):
+        X = Hs if positive else -Hs
+        c = tol.psd_tol * max(1.0, _fro(X))
+        F, Finv, ok = _cholesky(X, c / 4.0, True, upper)
+        with np.errstate(over="ignore"):
+            norm = _fro(Finv) if ok else 0.0
+        if norm > 0.0 and 1.0 / (norm * norm) >= 2.0 * c:
+            return (Inertia(n, 0, 0) if positive else Inertia(0, 0, n)), F, Finv
+    if exact:
+        as_matrix(Hs, name=name)  # refuses a non-finite Gram
+    w, V = _eigen(Hs, factor)
+    inertia, cut = _cut_inertia(w, skew, tol, name, rel)
+    if not factor:
+        return inertia, F, Finv
+    if inertia.n_minus:
+        raise IndefiniteDefectError(
+            f"matrix has a negative eigenvalue {w[0]:.3e} beyond psd slack")
+    keep = w > cut
+    V, root = V[:, keep], np.sqrt(w[keep])[None, :]
+    return inertia, V * root, (V / root).conj().T
 
 
 def inertia(H, tol=DEFAULT_TOL):
@@ -262,12 +320,9 @@ def inertia(H, tol=DEFAULT_TOL):
 
     The zero threshold is psd_tol scaled by max(1, ||H||).  Congruence
     transformations with well-conditioned factors preserve the result.
+    A definite H may be certified by a Cholesky factor (README rule 1).
     """
-    w = _hermitian_eig(H, name="inertia input")
-    if w.size == 0:
-        return Inertia(0, 0, 0)
-    cut = tol.psd_tol * max(1.0, _spectral_radius(w))
-    return Inertia(np.sum(w > cut), np.sum(np.abs(w) <= cut), np.sum(w < -cut))
+    return _hermitian_verdict(H, tol, "inertia input", 1e-12)[0]
 
 
 class MetricClass(str, Enum):
@@ -328,10 +383,14 @@ def _defect_class(M, primal, dual, tol):
     verdict = _bracketed_metric_class(M, primal, dual, tol)
     if verdict is not None:
         return verdict
-    w, skew = _sym_eig(primal)
-    wd, skew_d = _sym_eig(dual)
-    defects = (_spectral_radius(w) + skew / 2.0,
-               _spectral_radius(wd) + skew_d / 2.0)
+    spectra = []
+    for P in (primal, dual):
+        P = as_matrix(P)  # refuses a non-finite defect
+        Ph = P.conj().T
+        spectra.append((_eigen((P + Ph) / 2.0)[0], _fro(P - Ph)))
+    (w, skew), (wd, skew_d) = spectra
+    defects = (float(np.abs(w).max(initial=0.0)) + skew / 2.0,
+               float(np.abs(wd).max(initial=0.0)) + skew_d / 2.0)
     upper = _frobenius_scale_bound(M, tol)
     if any(tol.metric_tol < d <= upper for d in defects):
         scale = max(1.0, _norm2(M) ** 2)
@@ -340,9 +399,8 @@ def _defect_class(M, primal, dual, tol):
     verdict = _zero_defect_class(*(d <= tol.metric_tol * scale for d in defects))
     if verdict is not None:
         return verdict
-    # the contraction test is is_psd on the primal eigenvalues
-    _certify_hermitian(w, skew, "psd input", 1e-10)
-    if _psd_slack_ok(w, tol):
+    # the contraction test is is_psd's eigen route on the primal eigenvalues
+    if _cut_inertia(w, skew, tol, "psd input", 1e-10)[0].n_minus == 0:
         return MetricClass.CONTRACTION
     return MetricClass.NONE
 
@@ -429,64 +487,32 @@ def _zero_defect_class(iso, coiso):
     return None
 
 
-def _psd_slack_ok(w, tol):
-    return w.size == 0 or bool(
-        w[0] >= -tol.psd_tol * max(1.0, _spectral_radius(w)))
-
-
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
-
-
 def _cholesky_accepts(H, tol):
     """Whether one Cholesky factorization proves H positive semidefinite
-    within the slack of is_psd, for a validated square H.
-
-    Accepts when ||H - H^*||_F <= 1e-10, X = sym H + (psd_tol/2) I factors,
-    and (n + 1) u tr(X) <= psd_tol / 4, u the unit roundoff.  A completed
-    Cholesky factorization R^H R = X + Delta X of an n x n matrix has
-    |Delta X| <= gamma_(n+1) |R^H| |R| (Demmel; Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 10), and
-    || |R^H| |R| ||_2 <= ||R||_F^2 = tr(X + Delta X), so the trace
-    condition keeps ||Delta X||_2 at about psd_tol / 4.  As X + Delta X is
-    semidefinite, lambda_min(sym H) >= -psd_tol/2 - ||Delta X||_2, about
-    -3/4 psd_tol.  The eigenvalue test of is_psd accepts
-    w_min >= -psd_tol * max(1, max|w|), at least -psd_tol, and its
-    Hermitian guard allows 1e-10 * max(1, max|w|), at least 1e-10, so it
-    accepts every matrix accepted here; the last quarter of psd_tol
-    absorbs the larger constants of complex rounding and the error of the
-    eigen-solve.
-    """
+    within the slack of is_psd, for a validated square H: when
+    ||H - H^*||_F <= 1e-10 and _cholesky factors X = sym H + (psd_tol/2) I
+    within the margin psd_tol/4, lambda_min(sym H) >= -3/4 psd_tol, which
+    the eigen route of is_psd, and its guard, accept (README rule 1)."""
     if H.shape[0] == 0:
         return False
     Hh = H.conj().T
     if not _fro(H - Hh) <= 1e-10:
         return False
     shifted = (H + Hh) / 2.0 + (tol.psd_tol / 2.0) * np.eye(H.shape[0])
-    return _cholesky_within(shifted, tol.psd_tol / 4.0)
-
-
-def _cholesky_within(X, margin):
-    """Whether LAPACK zpotrf factors the nonempty Hermitian X with
-    (n + 1) u tr(X) <= margin, which keeps the backward error of the
-    factorization at about margin in the 2-norm (see _cholesky_accepts).
-    """
-    _, info = zpotrf(X, lower=1, clean=0)
-    if info:
-        return False
-    trace = float(np.real(np.trace(X)))
-    return (X.shape[0] + 1) * _UNIT_ROUNDOFF * trace <= margin
+    return _cholesky(shifted, tol.psd_tol / 4.0)[2]
 
 
 def is_psd(H, tol=DEFAULT_TOL):
     """Positive semidefiniteness with slack psd_tol * max(1, ||H||).
 
     A Cholesky factorization decides the clearly semidefinite inputs; the
-    rest take one eigen-solve.
+    rest take the verdict of inertia, with a Hermitian guard of 1e-10, and
+    are semidefinite when no eigenvalue lies below the cut.
     """
     H = as_matrix(H, name="psd input")
     if H.shape[0] == H.shape[1] and _cholesky_accepts(H, tol):
         return True
-    return _psd_slack_ok(_hermitian_eig(H, name="psd input", rel=1e-10), tol)
+    return _hermitian_verdict(H, tol, "psd input", 1e-10)[0].n_minus == 0
 
 
 @dataclass(frozen=True)
@@ -561,15 +587,16 @@ def subspace_classify(space, tol=DEFAULT_TOL):
 
     The zero subspace counts as hilbert.  Regular means invertible Gram of
     mixed sign; degenerate means a numerically singular Gram.  A Gram that
-    _definite_cholesky certifies definite, of the sign of G[0, 0], takes no
-    eigen-solve; every other one takes that of inertia.
+    one Cholesky factorization certifies definite takes no eigen-solve,
+    and one whose diagonal has mixed signs takes no factorization
+    (README rule 1).
     """
-    G = space.gram
-    if G.size:
-        sign = 1.0 if G[0, 0].real > 0 else -1.0
-        if _definite_cholesky(sign * G, tol)[2]:
-            return SubspaceKind.HILBERT if sign > 0 else SubspaceKind.ANTIHILBERT
-    n_plus, n_zero, n_minus = inertia(G, tol)
+    return _subspace_kind(_hermitian_verdict(space.gram, tol, "Gram matrix", None)[0])
+
+
+def _subspace_kind(inertia):
+    """The SubspaceKind of a Gram matrix of the given inertia."""
+    n_plus, n_zero, n_minus = inertia
     if n_zero > 0:
         return SubspaceKind.DEGENERATE
     if n_minus == 0:
@@ -577,36 +604,6 @@ def subspace_classify(space, tol=DEFAULT_TOL):
     if n_plus == 0:
         return SubspaceKind.ANTIHILBERT
     return SubspaceKind.REGULAR
-
-
-def _definite_cholesky(X, tol, upper=False):
-    """(F, F^-1, definite): the lower Cholesky factor F F^H = X of an
-    exactly Hermitian nonempty X, its inverse, and whether the two certify
-    X positive definite far beyond the zero cut of inertia and psd_factor,
-    README rule 3.  With upper, F is the reversed upper factor: the lower
-    one of X with rows and columns reversed, reversed back.
-
-    With c = psd_tol * max(1, ||X||_F), at least the cut
-    psd_tol * max(1, max|eig|), (k + 1) u tr(X) <= c/4 keeps the backward
-    error of the factorization at about c/4 (see _cholesky_accepts), and
-    b = ||F^-1||_F^-2 <= lambda_min(F F^H) with b >= 2c gives
-    lambda_min(X) >= 7/4 c.  As tr(X) >= ||X||_2 for a definite X, the
-    trace condition also keeps the rounding of an eigen-solve of X, a
-    small multiple of (k + 1) u ||X||_2, near c/4, so every eigenvalue it
-    computes lies above the cut.  A failed factorization, or an inverse
-    whose norm overflows or is not finite, gives b = 0.
-    """
-    c = tol.psd_tol * max(1.0, _fro(X))
-    F, info = zpotrf(X[::-1, ::-1] if upper else X, lower=1, clean=1)
-    Finv, info = (F, info) if info else ztrtri(F, lower=1)
-    if upper:
-        F, Finv = F[::-1, ::-1], Finv[::-1, ::-1]
-    with np.errstate(over="ignore"):
-        norm = _fro(Finv)
-    bound = 1.0 / (norm * norm) if not info and norm > 0 else 0.0
-    definite = bound >= 2.0 * c and (
-        (X.shape[0] + 1) * _UNIT_ROUNDOFF * np.trace(X).real <= c / 4)
-    return F, Finv, bool(definite)
 
 
 def j_complement(space, tol=DEFAULT_TOL):
@@ -640,7 +637,7 @@ def psd_factor(M, tol=DEFAULT_TOL):
     Eigenvalues in [-psd_tol * scale, 0) are clamped to zero; anything
     below that raises, since the input was not semidefinite.  A matrix
     that one Cholesky factorization certifies definite beyond the cut,
-    README rule 3, returns its lower Cholesky factor, of full rank, with
+    README rules 1, 3, returns its lower Cholesky factor, of full rank, with
     no eigen-solve; every other one returns V diag(sqrt(w)) on the
     eigenvalues w above the cut and their orthonormal eigenvectors V.
     """
@@ -648,31 +645,10 @@ def psd_factor(M, tol=DEFAULT_TOL):
 
 
 def _psd_factor(M, tol):
-    """(E, E^+): psd_factor of M and a left inverse of it, E^+ E = I.
-
-    The Cholesky route runs when ||M - M^*||_F <= 1e-10, so the Hermitian
-    guard of the eigen route would pass, and _definite_cholesky certifies
-    sym M definite: every eigenvalue then lies above the cut, the eigen
-    route would keep them all, and E = L, E^+ = L^-1.  Every other input
-    takes the eigen route, E^+ = diag(1/sqrt(w)) V^H.
-    """
-    Hs, skew = _symmetrized(M, "psd_factor input")
-    if Hs.size and skew <= 1e-10:
-        L, Linv, definite = _definite_cholesky(Hs, tol)
-        if definite:
-            return L, Linv
-    w, V = np.linalg.eigh(Hs)
-    _certify_hermitian(w, skew, "psd_factor input", 1e-10)
-    if w.size == 0:
-        empty = np.zeros((0, 0), dtype=np.complex128)
-        return empty, empty
-    cut = tol.psd_tol * max(1.0, _spectral_radius(w))
-    if w[0] < -cut:
-        raise IndefiniteDefectError(
-            f"matrix has a negative eigenvalue {w[0]:.3e} beyond psd slack")
-    keep = w > cut
-    V, root = V[:, keep], np.sqrt(w[keep])[None, :]
-    return V * root, (V / root).conj().T
+    """(E, E^+): psd_factor of M and a left inverse of it, E^+ E = I, from
+    _hermitian_verdict with a Hermitian guard of 1e-10: E = L, E^+ = L^-1
+    on the Cholesky route, E^+ = diag(1/sqrt(w)) V^H on the eigen route."""
+    return _hermitian_verdict(M, tol, "psd_factor input", 1e-10, factor=True)[1:]
 
 
 def _no_selection(_):

@@ -62,11 +62,12 @@ class JuliaParts:
     and is metric-unitary from dom_signs to cod_signs.  Both factors
     have full column rank, so the adjoined channels are as narrow as
     the defects allow.  Each is psd_factor's factor of its defect, the
-    primal one times the domain metric: the lower Cholesky factor of a
-    defect certified definite (README rule 3), else V diag(sqrt(w)) on
-    its eigenvalues w above the cut.  The completion is fixed up to a
-    unitary change of basis of each adjoined channel, so the two routes
-    give completions that differ only by such constant unitaries.
+    primal one times the domain metric, from the Hermitian verdict of
+    indefinite: the lower Cholesky factor of a defect certified definite
+    (README rules 1 and 3), else V diag(sqrt(w)) on its eigenvalues w
+    above the cut.  The completion is fixed up to a unitary change of
+    basis of each adjoined channel, so the two routes give completions
+    that differ only by such constant unitaries.
     """
 
     operator: np.ndarray
@@ -133,8 +134,8 @@ def _julia_completion(M, dom, cod, factors, tol):
 
     # corner solving E1 G = -M* J_cod E2; solvable since the defect ranges
     # intertwine, the residual certifies that.  E1 is psd_factor's factor
-    # of the primal defect, so G = left rhs with its left inverse: the
-    # inverse Cholesky factor, or diag(1/sqrt(w)) V^H on its eigen route
+    # of the primal defect, so G = left rhs with the left inverse of the
+    # same verdict: the inverse Cholesky factor, or diag(1/sqrt(w)) V^H
     rhs = -(M.conj().T @ (cod_s[:, None] * E2))
     if r1 and r2:
         G = left @ rhs

@@ -45,7 +45,8 @@ from .indefinite import (
     SignatureSpace,
     SubspaceKind,
     _UNIT_ROUNDOFF,
-    _definite_cholesky,
+    _hermitian_verdict,
+    _subspace_kind,
     subspace_classify,
 )
 
@@ -289,10 +290,10 @@ def _fundamental_split(system, outside, which, tol):
     T, Z, k = system._spectrum.ordered(~outside if plus_invariant else outside)
     invariant = IndefiniteSubspace._orthonormal(state, Z[:, :k])
     complement = IndefiniteSubspace._orthonormal(state, state.signs[:, None] * Z[:, k:])
-    invariant_kind, *F_i = _half(invariant, not plus_invariant, False, tol)
+    invariant_kind, *F_i = _half(invariant, False, tol)
     if invariant_kind == SubspaceKind.DEGENERATE:
         raise NonRegularSubspaceError("complement of a degenerate subspace is not direct")
-    complement_kind, *F_c = _half(complement, plus_invariant, True, tol)
+    complement_kind, *F_c = _half(complement, True, tol)
     halves = (invariant, invariant_kind), (complement, complement_kind)
     (plus, plus_kind), (minus, minus_kind) = halves if plus_invariant else halves[::-1]
     if system.kappa and minus_kind != SubspaceKind.ANTIHILBERT:
@@ -306,22 +307,21 @@ def _fundamental_split(system, outside, which, tol):
     return FundamentalSplit(which, plus, minus, resid), (T, Z, k, F_i, F_c)
 
 
-def _half(space, negative, upper, tol):
-    """(kind, F, F^-1) of one half of a split: F F^H = s G for the Gram G
-    of its basis Q, s = -1 on a negative half, so Q F^-H is metric
-    orthonormal.  F is lower, or with upper the reversed upper factor.
-    The one certified Cholesky factorization of indefinite, README rule 3,
-    gives F and certifies the sign: lambda_min(s G) >= 7/4 c with
-    c = psd_tol max(1, |G|_F).  A half that misses it is classified by
-    subspace_classify; the zero one is hilbert.
+def _half(space, upper, tol):
+    """(kind, F, F^-1) of one half of a split, from the one Hermitian
+    verdict of indefinite on the Gram G of its basis Q, README rules 1, 3:
+    F F^H = s G with s the sign of G's diagonal, -1 on a negative half, so
+    Q F^-H is metric orthonormal.  F is lower, or with upper the reversed
+    upper factor.  A half whose factorization certifies its sign,
+    lambda_min(s G) >= 7/4 c with c = psd_tol max(1, |G|_F), takes no
+    eigen-solve; any other takes one, and a Gram whose diagonal has mixed
+    signs, never that of a half of one sign, takes no factorization and
+    gives F = F^-1 = None.  The zero half is hilbert.
     """
     if space.dim == 0:
         return SubspaceKind.HILBERT, space.basis[:0, :0], space.basis[:0, :0]
-    F, Finv, definite = _definite_cholesky(
-        -space.gram if negative else space.gram, tol, upper)
-    if definite:
-        return (SubspaceKind.ANTIHILBERT if negative else SubspaceKind.HILBERT), F, Finv
-    return subspace_classify(space, tol), F, Finv
+    inertia, F, Finv = _hermitian_verdict(space.gram, tol, "Gram matrix", None, upper=upper)
+    return _subspace_kind(inertia), F, Finv
 
 
 @dataclass(frozen=True)

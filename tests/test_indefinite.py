@@ -40,7 +40,7 @@ from pontsys.indefinite import (
     psd_factor,
     subspace_classify,
 )
-from pontsys.products import invariant_fundamental_decompositions, kl_factorize_system
+from pontsys.products import _half, invariant_fundamental_decompositions, kl_factorize_system
 
 from _builders import same_span, spy, spy_attr
 
@@ -468,7 +468,7 @@ def _old_metric_classify(M, dom, cod, tol=DEFAULT_TOL):
 def _psd_eigen_route(monkeypatch, M):
     """_outcome of psd_factor with its Cholesky route switched off."""
     with monkeypatch.context() as patched:
-        patched.setattr(indefinite, "_definite_cholesky",
+        patched.setattr(indefinite, "_cholesky",
                         lambda *_, **__: (None, None, False))
         return _outcome(psd_factor, M)
 
@@ -941,6 +941,83 @@ class TestCheapCertificates:
         assert seen == {MetricClass.ISOMETRY, MetricClass.CONTRACTION}
 
 
+class TestHermitianVerdict:
+    """The definite route that inertia shares with psd_factor and the
+    subspace kinds, and the diagonal-sign gate in front of it, against
+    the eigen-solve references."""
+
+    def test_inertia_matches_the_reference_on_the_planted_families(self, monkeypatch):
+        cases = (list(TestHermitianCertificate().planted(1e-12))
+                 + list(TestCheapCertificates().planted(DEFAULT_TOL)))
+        wants = [_outcome(_old_inertia, H) for H in cases]
+        calls = spy_attr(monkeypatch, np.linalg, "eigvalsh")
+        skipped = 0
+        for H, want in zip(cases, wants):
+            before = len(calls)
+            got = _outcome(inertia, H)
+            if want is NotHermitianError:
+                assert got is NotHermitianError
+            elif got is not NotHermitianError:
+                assert tuple(got) == want
+                skipped += len(calls) == before
+        # the Cholesky route answers some of the definite ones
+        assert 0 < skipped < len(cases)
+
+    def test_definite_inertia_takes_no_eigen_solve(self, monkeypatch):
+        rng = np.random.default_rng(810)
+        for n in (1, 2, 5, 12, 43):
+            for scale in (1e-3, 1.0, 1e3):
+                for sign in (1.0, -1.0):
+                    # exactly Hermitian, and Hermitian up to rounding where
+                    # its skew part stays within the 1e-12 of the guard
+                    cases = [_definite(rng, n, scale)]
+                    if scale <= 1.0:
+                        cases.append(_definite(rng, n, scale, False))
+                    for M in cases:
+                        M = sign * M
+                        want = _old_inertia(M)
+                        calls = spy_attr(monkeypatch, np.linalg, "eigvalsh")
+                        got = inertia(M)
+                        monkeypatch.undo()
+                        assert calls == []
+                        assert tuple(got) == want == ((n, 0, 0) if sign > 0 else (0, 0, n))
+
+    def test_mixed_sign_diagonal_takes_no_factorization(self, monkeypatch):
+        # a regular (2, 1) Gram: diag(1, 1, -1), and J-unitary columns with
+        # a mixed diagonal; a definite Gram never has one, so neither
+        # subspace_classify nor a split half tries a Cholesky factor
+        sp = SignatureSpace(2, 1)
+        U = random_j_unitary(np.random.default_rng(3), sp.signs)
+        factors = spy_attr(monkeypatch, indefinite, "zpotrf")
+        for basis in (np.eye(3), U):
+            sub = IndefiniteSubspace(sp, basis)
+            assert subspace_classify(sub) == SubspaceKind.REGULAR
+            for upper in (False, True):
+                assert _half(sub, upper, DEFAULT_TOL) == (SubspaceKind.REGULAR, None, None)
+        assert factors == []
+        # a one-signed diagonal still takes one factorization per call
+        assert subspace_classify(IndefiniteSubspace(sp, np.eye(3)[:, :2])) == SubspaceKind.HILBERT
+        assert len(factors) == 1
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_input_is_refused(self, bad):
+        # a positive diagonal but for one non-finite entry
+        H = np.eye(3, dtype=complex)
+        H[1, 1] = bad
+        for check in (inertia, is_psd, psd_factor):
+            with pytest.raises(InputError):
+                check(H)
+        # Grams that overflow: to an infinite positive diagonal, which
+        # takes the Cholesky route first, and to inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sub = (IndefiniteSubspace(SignatureSpace(2, 0), 1e200 * np.eye(2)) if bad == np.inf
+                   else IndefiniteSubspace(SignatureSpace(1, 1), [[1e200], [1e200]]))
+            for classify in (subspace_classify, lambda s: _half(s, False, DEFAULT_TOL)):
+                with pytest.raises(InputError):
+                    classify(sub)
+
+
 class TestSpanHelpers:
     def test_nullspace_and_column_space(self):
         M = np.array([[1.0, 2.0], [2.0, 4.0]])
@@ -1266,13 +1343,13 @@ class TestBracketedCertificates:
     def test_conservative_system_kind_forms_no_symmetrized_defect(self, monkeypatch):
         # both defects bracket within metric_tol from their own Frobenius
         # norms, so the only norms taken are those of T and of the two
-        # defects, and neither _cholesky_accepts nor _sym_eig, which form
-        # (P + P^*)/2, runs
+        # defects, and neither _cholesky_accepts nor _eigen, which take
+        # (P + P^*)/2, nor any Cholesky factorization runs
         rng = np.random.default_rng(29)
         systems = [sampling.random_conservative_colligation(rng, SignatureSpace(n - k, k), io)
                    for n, k, io in ((4, 1, 1), (16, 4, 2), (40, 8, 3))]
         calls = ([spy_attr(monkeypatch, indefinite, name)
-                  for name in ("_cholesky_accepts", "_sym_eig", "zpotrf")]
+                  for name in ("_cholesky_accepts", "_eigen", "_cholesky", "zpotrf")]
                  + [spy_attr(monkeypatch, np.linalg, name) for name in ("eigvalsh", "eigh")])
         norms = spy(monkeypatch, _fro)
         for system in systems:
@@ -1283,7 +1360,7 @@ class TestBracketedCertificates:
             assert len(norms) == 3
             assert all(len(args) == 1 and np.array_equal(args[0], M)
                        for args, M in zip(norms, want))
-        assert calls == [[]] * 5
+        assert calls == [[]] * 6
 
     def gram_cases(self, tol):
         """Subspaces whose Gram has lambda_min at +-0.1-10x the zero cut of

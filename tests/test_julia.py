@@ -320,11 +320,16 @@ class TestOneUnitaryCertificate:
         eigvalsh = spy_attr(monkeypatch, np.linalg, "eigvalsh")
         eigh = spy_attr(monkeypatch, np.linalg, "eigh")
         norms = spy_attr(monkeypatch, np.linalg, "norm")
-        factors = spy(monkeypatch, indefinite._definite_cholesky)
+        factors = spy(monkeypatch, indefinite._cholesky)
         emb = julia_embedding(sys1)
         assert emb.state == sys1.state
         assert (len(eigvalsh), len(eigh), len(spectral_norms(norms))) == (0, 0, 0)
-        assert [args[0].shape for args in factors] == [(43, 43), (43, 43)]
+        # the definite factorizations are the ones that take the inverse;
+        # the other two are the shifted semidefinite certificates that
+        # decide the kind of T: its contraction verdict and the is_psd
+        # test of its dual defect
+        definite = [args[0].shape for args in factors if args[2:3] == (True,)]
+        assert definite == [(43, 43), (43, 43)] and len(factors) == 4
 
 
 def _corner_plants():

@@ -191,3 +191,69 @@ def test_uncalled_allowlist_is_current():
     # an entry whose function went away, or gained a caller, is stale
     stale = sorted(f"{layer}.{name}" for layer, name in UNCALLED - _uncalled())
     assert not stale, f"allowlisted but called, or not a public function: {stale}"
+
+
+# Every function of the package that calls a Cholesky factorization
+# (zpotrf), a triangular inverse (ztrtri) or a Hermitian eigen-solve
+# (eigvalsh, eigh), with the reason it may.  Inside indefinite only the two
+# primitives of _hermitian_verdict decompose a Hermitian matrix, so inertia,
+# semidefiniteness, factors and subspace kinds have one route.
+DECOMPOSITIONS = {
+    "indefinite._cholesky": "the Cholesky primitive of the Hermitian verdict",
+    "indefinite._eigen": "the eigen-solve primitive of the Hermitian verdict",
+    "indefinite.canonical_basis": "the eigenvectors of a regular Gram, the tests' oracle",
+    "exceptions._spectral_norms": "a stack of spectral norms from stacked Grams",
+    "products._schur_complement": "the factor of I + B^H B, definite by construction",
+    "schur._gram_from_values": "the kernel Gram's own certificate, cut at rank_tol",
+    "schur._peel": "the peeled metric, whose failed factor is a typed refusal",
+    "schur.canonical_coisometric_realization": "the signed root of the model's Gram",
+    "schur._pinv_hermitian": "a pseudo-inverse cut at rank_tol",
+}
+_DECOMPOSING = {"zpotrf", "ztrtri", "eigvalsh", "eigh"}
+
+
+def _decomposition_sites(tree, layer):
+    """layer.function, or layer.Class.method, for every function of tree
+    whose body, nested definitions included, calls a name or attribute in
+    _DECOMPOSING; a call outside any function counts under its module or
+    class."""
+    sites = set()
+    stack = [(tree, layer, True)]
+    while stack:
+        node, owner, named = stack.pop()
+        if named and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+            named = isinstance(node, ast.ClassDef)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in _DECOMPOSING:
+                sites.add(owner)
+        stack.extend((child, owner, named) for child in ast.iter_child_nodes(node))
+    return sites
+
+
+def test_decomposition_census_reads_calls():
+    tree = ast.parse(
+        "from scipy.linalg.lapack import zpotrf\n"
+        "import numpy as np\n"
+        "def f(x):\n"
+        "    def inner(y):\n"
+        "        return np.linalg.eigh(y)\n"
+        "    return inner(x)\n"
+        "class K:\n"
+        "    def g(self, x):\n"
+        "        return zpotrf(x)\n"
+        "def h(eigh):\n"
+        "    return eigh\n"
+        "np.linalg.eigvalsh(np.eye(2))\n")
+    assert _decomposition_sites(tree, "m") == {"m.f", "m.K.g", "m"}
+
+
+def test_hermitian_decompositions_have_one_route_in_indefinite():
+    package = ROOT / "src" / "pontsys"
+    sites = set().union(*(_decomposition_sites(ast.parse(path.read_text()), path.stem)
+                          for path in sorted(package.glob("*.py"))))
+    assert sites == set(DECOMPOSITIONS), (
+        f"unlisted: {sorted(sites - set(DECOMPOSITIONS))}, "
+        f"stale: {sorted(set(DECOMPOSITIONS) - sites)}")
