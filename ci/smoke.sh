@@ -12,6 +12,9 @@ RUNNER_TEMP="${RUNNER_TEMP:-$PWD}"
 GITHUB_WORKSPACE="${GITHUB_WORKSPACE:-$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)}"
 
 python -c "import pontsys"
+# LAPACK and BLAS come from scipy's extension files, loaded without
+# the scipy.linalg package and the numpy.f2py it imports
+python -c "import sys, pontsys.cli; assert 'scipy.linalg' not in sys.modules"
 # the disc-region spectral subspaces are read off each system's Schur
 # form by the fundamental splits; no public selector is exported
 python -c "import pontsys, pontsys.indefinite as ind; assert not hasattr(pontsys, 'SpectralRegion') and not hasattr(ind, 'SpectralRegion')"

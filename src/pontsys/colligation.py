@@ -23,8 +23,8 @@ from enum import Enum as _Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import zgeev, zgesvd
 
+from ._lapack import zgeev, zgesvd
 from .exceptions import (
     DimensionMismatchError,
     IndefiniteDefectError,

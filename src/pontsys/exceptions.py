@@ -3,8 +3,8 @@
 import math
 
 import numpy as np
-from scipy.linalg.blas import dnrm2, dznrm2
-from scipy.linalg.lapack import ztrtrs
+
+from ._lapack import dnrm2, dznrm2, ztrtrs
 
 __all__ = [
     "PontsysError",

@@ -13,9 +13,9 @@ from enum import Enum
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import zgees, zpotrf, ztrsen, ztrtri
 
+from . import _lapack
+from ._lapack import zgees, zpotrf, ztrsen, ztrtri
 from .exceptions import (
     DimensionMismatchError,
     IndefiniteDefectError,
@@ -261,13 +261,14 @@ def _hermitian_verdict(H, tol, name, rel, factor=False, upper=False):
 
     H is validated by as_matrix and refused by the guard of _cut_inertia;
     with rel None it is exactly Hermitian by construction, as a Gram
-    matrix is, and is its own sym H, with no copy and no guard.  When
-    ||H - H^*||_F <= rel and the diagonal of sym H has one sign s, as a
-    definite matrix's has, X = s sym H = F F^H takes one _cholesky, which
-    with c = psd_tol * max(1, ||X||_F), (k + 1) u tr(X) <= c/4 and
-    ||F^-1||_F^-2 >= 2c certifies lambda_min(X) >= 7/4 c, every eigenvalue
-    beyond the cut: the inertia is (k, 0, 0), or (0, 0, k) for s = -1,
-    with no eigen-solve.  Every other H takes one eigen-solve.
+    matrix is, and is its own sym H, with no copy and no guard.  When the
+    diagonal of sym H has one sign s, as a definite matrix's has, and
+    ||H - H^*||_F <= rel * max(1, |d|) for its first entry d, which passes
+    the guard too since |d| <= max|eig|, X = s sym H = F F^H takes one
+    _cholesky, which with c = psd_tol * max(1, ||X||_F), (k + 1) u tr(X)
+    <= c/4 and ||F^-1||_F^-2 >= 2c certifies lambda_min(X) >= 7/4 c, every
+    eigenvalue beyond the cut: the inertia is (k, 0, 0), or (0, 0, k) for
+    s = -1, with no eigen-solve.  Every other H takes one eigen-solve.
 
     (E, E^+) is (F, F^-1) whenever the factorization ran, certified or
     not, else (None, None).  With factor, which asks for psd_factor's pair
@@ -292,8 +293,8 @@ def _hermitian_verdict(H, tol, name, rel, factor=False, upper=False):
     F = Finv = None
     diagonal = Hs.diagonal().real
     positive = diagonal[0] > 0.0
-    if skew <= rel and (diagonal.min() > 0.0 if positive else
-                        not factor and diagonal.max() < 0.0):
+    if skew <= rel * max(1.0, abs(diagonal[0])) and (
+            diagonal.min() > 0.0 if positive else not factor and diagonal.max() < 0.0):
         X = Hs if positive else -Hs
         c = tol.psd_tol * max(1.0, _fro(X))
         F, Finv, ok = _cholesky(X, c / 4.0, True, upper)
@@ -659,11 +660,11 @@ def _no_selection(_):
 @lru_cache(maxsize=None)
 def _gees_lwork(n):
     """The optimal zgees workspace at order n >= 1, from its lwork = -1
-    query, which reads only n.  The query calls zgees through scipy, not
-    this module's name, so that a count of calls to the latter counts Schur
+    query, which reads only n.  The query calls _lapack.zgees, not this
+    module's name, so that a count of calls to the latter counts Schur
     forms."""
-    work, info = sla.lapack.zgees(_no_selection, np.zeros((n, n), dtype=complex),
-                                  lwork=-1)[-2:]
+    work, info = _lapack.zgees(_no_selection, np.zeros((n, n), dtype=complex),
+                               lwork=-1)[-2:]
     if info:
         raise np.linalg.LinAlgError(f"zgees workspace query failed (info {info})")
     return int(work[0].real)
@@ -771,11 +772,12 @@ def column_space(M, tol=DEFAULT_TOL):
 
 def principal_angles(A, B, tol=DEFAULT_TOL):
     """Principal angles between the column spans of A and B (radians)."""
+    import scipy.linalg  # here, not at start-up: see _lapack
     QA = column_space(A, tol)
     QB = column_space(B, tol)
     if QA.shape[1] == 0 or QB.shape[1] == 0:
         return np.zeros(0)
-    return sla.subspace_angles(QA, QB)
+    return scipy.linalg.subspace_angles(QA, QB)
 
 
 def intersect_spans(A, B, tol=DEFAULT_TOL):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf
 
+from ._lapack import zpotrf
 from .colligation import (
     Colligation,
     SystemKind,

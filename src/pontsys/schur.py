@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf, ztrexc
 
+from ._lapack import zpotrf, ztrexc
 from .colligation import (
     Colligation,
     SystemKind,

@@ -9,13 +9,17 @@ every traced run.
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import pontsys
+from pontsys import _lapack
 
 LAYERS = sorted(info.name for info in pkgutil.iter_modules(pontsys.__path__))
 
@@ -257,3 +261,67 @@ def test_hermitian_decompositions_have_one_route_in_indefinite():
     assert sites == set(DECOMPOSITIONS), (
         f"unlisted: {sorted(sites - set(DECOMPOSITIONS))}, "
         f"stale: {sorted(set(DECOMPOSITIONS) - sites)}")
+
+
+# The package binds its LAPACK and BLAS routines from scipy's f2py
+# extensions, loaded without the scipy.linalg package, whose __init__
+# imports numpy.f2py, numpy.testing and numpy.ma and dominates start-up.
+
+def _run(code):
+    """Run code in a fresh interpreter with the package on its path."""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_leaves_scipy_linalg_unimported():
+    _run("import sys\n"
+         "import pontsys.cli\n"
+         "names = set(sys.modules)\n"
+         "assert not {'scipy.linalg', 'numpy.f2py', 'numpy.testing'} & names, names\n"
+         "linalg = {n for n in names if n.startswith('scipy.linalg.')}\n"
+         "assert linalg == {'scipy.linalg._flapack', 'scipy.linalg._fblas'}, linalg\n")
+
+
+def test_routines_are_scipys_own():
+    import scipy.linalg.blas
+    import scipy.linalg.lapack
+
+    for name in _lapack.__all__:
+        public = getattr(scipy.linalg.lapack, name, None) or getattr(scipy.linalg.blas, name)
+        assert getattr(_lapack, name) is public, name
+
+
+def test_imported_extensions_are_reused():
+    # after scipy.linalg, the package loads no extension file again
+    _run("import sys\n"
+         "from importlib.machinery import ExtensionFileLoader\n"
+         "import scipy.linalg\n"
+         "before = {n: sys.modules['scipy.linalg.' + n] for n in ('_flapack', '_fblas')}\n"
+         "create = ExtensionFileLoader.create_module\n"
+         "def once(self, spec):\n"
+         "    assert not spec.name.startswith('scipy.linalg.'), spec.name\n"
+         "    return create(self, spec)\n"
+         "ExtensionFileLoader.create_module = once\n"
+         "import pontsys.cli\n"
+         "from pontsys import _lapack\n"
+         "assert _lapack._flapack is before['_flapack'] and _lapack._fblas is before['_fblas']\n"
+         "assert _lapack.zgees is scipy.linalg.lapack.zgees\n"
+         "assert _lapack.dznrm2 is scipy.linalg.blas.dznrm2\n")
+
+
+def test_missing_extension_file_falls_back_to_the_package(tmp_path):
+    # with no file in the directory given, the normal import runs the
+    # package __init__ and registers the extension under its own name
+    _run("import sys\n"
+         "from pontsys import _lapack\n"
+         "names = ('_flapack', '_fblas')\n"
+         "for n in names:\n"
+         "    del sys.modules['scipy.linalg.' + n]\n"
+         f"flapack, fblas = (_lapack._extension(n, {str(tmp_path)!r}) for n in names)\n"
+         "assert 'scipy.linalg' in sys.modules\n"
+         "assert flapack is sys.modules['scipy.linalg._flapack'] is not _lapack._flapack\n"
+         "assert fblas is sys.modules['scipy.linalg._fblas'] is not _lapack._fblas\n"
+         "for name in _lapack.__all__:\n"
+         "    module = flapack if hasattr(flapack, name) else fblas\n"
+         "    assert getattr(module, name) is getattr(_lapack, name), name\n")
