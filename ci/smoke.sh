@@ -138,6 +138,11 @@ python -c "import json, sys; v = json.load(open(sys.argv[1]))['verdicts']; asser
 python -c "import sys, numpy as np; from pontsys import load_system, save_system, state_change; from pontsys.sampling import random_j_unitary; s = load_system(sys.argv[1])[0]; Z = random_j_unitary(np.random.default_rng([10, 3, 5]), s.state); np.save(sys.argv[3], Z); save_system(state_change(s, Z, s.state), sys.argv[2])" "$RUNNER_TEMP/cons10-3.json" "$RUNNER_TEMP/cons10-3-moved.json" "$RUNNER_TEMP/cons10-3-map.npy"
 pontsys similar "$RUNNER_TEMP/cons10-3.json" "$RUNNER_TEMP/cons10-3-moved.json" --kind unitary --out "$RUNNER_TEMP/sim-unitary-moved"
 python -c "import json, sys, numpy as np; v = json.load(open(sys.argv[1]))['verdicts']; assert v['related'] is True and v['kind'] == 'unitary', v; Z = np.array([[complex(*e) for e in row] for row in json.load(open(sys.argv[2]))['Z']]); W = np.load(sys.argv[3]); gap = np.linalg.norm(Z - W, 2) / np.linalg.norm(W, 2); assert gap <= 1e-6, gap" "$RUNNER_TEMP/sim-unitary-moved/similar.report.json" "$RUNNER_TEMP/sim-unitary-moved/similarity_map.json" "$RUNNER_TEMP/cons10-3-map.npy"
+# the same at 40 states and index 8: each system's samples are one
+# sweep of B and one of C^H per point on its Schur form
+python -c "import sys, numpy as np; from pontsys import load_system, save_system, state_change; from pontsys.sampling import random_j_unitary; s = load_system(sys.argv[1])[0]; Z = random_j_unitary(np.random.default_rng([40, 8, 5]), s.state); np.save(sys.argv[3], Z); save_system(state_change(s, Z, s.state), sys.argv[2])" "$RUNNER_TEMP/cons40-8.json" "$RUNNER_TEMP/cons40-8-moved.json" "$RUNNER_TEMP/cons40-8-map.npy"
+pontsys similar "$RUNNER_TEMP/cons40-8.json" "$RUNNER_TEMP/cons40-8-moved.json" --kind unitary --out "$RUNNER_TEMP/sim-unitary-40"
+python -c "import json, sys, numpy as np; v = json.load(open(sys.argv[1]))['verdicts']; assert v['related'] is True and v['kind'] == 'unitary', v; Z = np.array([[complex(*e) for e in row] for row in json.load(open(sys.argv[2]))['Z']]); W = np.load(sys.argv[3]); gap = np.linalg.norm(Z - W, 2) / np.linalg.norm(W, 2); assert gap <= 1e-6, gap" "$RUNNER_TEMP/sim-unitary-40/similar.report.json" "$RUNNER_TEMP/sim-unitary-40/similarity_map.json" "$RUNNER_TEMP/cons40-8-map.npy"
 # a refused weak similarity exits 2: the states differ in
 # dimension, so the second system's Krylov report is built
 # before the input/output check refuses the pair

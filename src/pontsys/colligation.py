@@ -13,7 +13,7 @@ vectorized over the points, with one pole guard read off the same sweep;
 the circle surveys, and transfer_eval as its one-point case, run on it.
 The guard decides most points by a comparison-matrix bound and runs the
 stacked SVD only on the points that bound leaves open.  Every resolvent
-sample is read off a sweep of the identity by _resolvent_samples.
+sample is a sweep of its drive, Z^H B or Z^H C^H (_samples).
 """
 
 from __future__ import annotations
@@ -185,6 +185,11 @@ class Colligation:
         return _DiscSchur(self.A)
 
     @cached_property
+    def _eigenvectors(self):
+        """The unit eigenvectors of the Schur form, by _schur_vectors."""
+        return _schur_vectors(self._spectrum)
+
+    @cached_property
     def _spans(self):
         """The results of _schur_spans on the system, by (sides, tol)."""
         return {}
@@ -337,52 +342,45 @@ def adjoint_system(system):
 _GUARD_MARGIN = 0.5
 
 
-def _sweep(T, W, z):
-    """(X, y) for an upper triangular T, W of shape (n, m) and N points:
-    X[:, k] = (I - z_k T)^(-1) W, shape (n, N, m), and y[:, k] =
-    M_k^(-1) e, shape (n, N), with M_k the comparison matrix of I - z_k T
-    (diagonal |1 - z_k T_ii|, off-diagonal -|z_k| |T_ij|) and e the vector
-    of ones.  One back-substitution serves every point and column: row i
-    is one product of row i of T, and of |T|, by the rows below, so n
-    steps of O(n N m) work.  A point where I - z_k T is singular, or whose
-    sweep overflows, has non-finite rows."""
+def _sweep(system, W, z, tol, adjoint=False):
+    """(X, ok) for W of shape (n, m) in the coordinates of the system's
+    cached Schur form A = Z T Z^H and N points z: X[:, k] =
+    (I - z_k T)^(-1) W, or with adjoint (I - conj(z_k) T^H)^(-1) W, shape
+    (n, N, m), and ok marking the points at which I - z_k A passes the
+    pole rule s_min > rank_tol max(1, s_max) (README rule 5).  Every
+    transfer value and every resolvent sample is one sweep of its drive.
+
+    One back-substitution serves every point and column, n steps of
+    O(n N m) work; the adjoint one runs on the upper triangular R T^H R, R
+    the index reversal, and R W.  The same steps solve M_k y_k = e for the
+    comparison matrix M_k of the triangle, so s_min >= 1 / (sqrt(n)
+    |y_k|_inf), and s_max <= |I - z_k T|_F.  A point whose bounds pass the
+    rule within _GUARD_MARGIN passes; the rest, non-finite sweeps included,
+    take the stacked SVD of I - z A, which has the singular values of
+    I - conj(z) A^H."""
+    T, A = system._spectrum.T, system.A
     n, m = W.shape
     N = z.size
+    U, w = (np.ascontiguousarray(T.conj().T[::-1, ::-1]), z.conj()) if adjoint else (T, z)
     with np.errstate(all="ignore"):
-        inv = 1.0 / (1.0 - np.outer(np.diagonal(T), z))
-        # row i starts at W_i / d_i and gains z / d_i times T[i, i+1:] X[i+1:]
-        X = (W[:, None, :] * inv[:, :, None]).reshape(n, N * m)
-        step = np.repeat(z * inv, m, axis=1)
+        inv = 1.0 / (1.0 - np.diagonal(U)[:, None] * w)
+        # row i starts at W_i / d_i and gains w / d_i times U[i, i+1:] X[i+1:]
+        X = ((W[::-1] if adjoint else W)[:, None, :] * inv[:, :, None]).reshape(n, N * m)
+        step = np.repeat(w * inv, m, axis=1)
         y = np.abs(inv)
-        grow = np.abs(z) * y
-        absolute = np.abs(T)
+        grow = np.abs(w) * y
+        absolute = np.abs(U)
         for i in range(n - 2, -1, -1):
-            X[i] += step[i] * np.dot(T[i, i + 1:], X[i + 1:])
+            X[i] += step[i] * np.dot(U[i, i + 1:], X[i + 1:])
             y[i] += grow[i] * np.dot(absolute[i, i + 1:], y[i + 1:])
-    return X.reshape(n, N, m), y
-
-
-def _pole_rule(T, z, inverse, rank_tol, A):
-    """ok marking the points z_k at which I - z_k A passes the pole rule
-    s_min > rank_tol * max(1, s_max) (README rule 5), for the Schur form
-    A = Z T Z^H and inverse[k] an upper bound on |(I - z_k T)^(-1)|_2.
-
-    For M = I - z T, s_min(M) >= 1 / inverse and s_max(M) <= |M|_F, whose
-    square is n + |z|^2 |T|_F^2 - 2 Re(z tr T).  A point whose bound
-    inverse * rank_tol * max(1, |M|_F) is below _GUARD_MARGIN passes the
-    rule.  The rest, including non-finite bounds, take the stacked SVD of
-    I - z A and the rule itself.
-    """
-    n = T.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # max(1, |M|_F)^2, a non-finite square or bound failing the test
-        fro2 = np.maximum(1.0, n + (np.abs(z) * _fro(T)) ** 2
-                          - 2.0 * (z * T.trace()).real)
-        ok = inverse * np.sqrt(fro2) * rank_tol < _GUARD_MARGIN
+        # max(1, |I - z T|_F)^2; a non-finite square or bound fails the test
+        fro2 = np.maximum(1.0, n + (np.abs(z) * _fro(T)) ** 2 - 2.0 * (z * T.trace()).real)
+        ok = y.max(axis=0, initial=0.0) * np.sqrt(n) * np.sqrt(fro2) * tol.rank_tol < _GUARD_MARGIN
     if not ok.all():
         s = np.linalg.svd(np.eye(n) - z[~ok, None, None] * A, compute_uv=False)
-        ok[~ok] = s[:, -1] > rank_tol * np.maximum(1.0, s[:, 0])
-    return ok
+        ok[~ok] = s[:, -1] > tol.rank_tol * np.maximum(1.0, s[:, 0])
+    X = X.reshape(n, N, m)
+    return (X[::-1] if adjoint else X), ok
 
 
 def _pole_proximity(system, z):
@@ -395,16 +393,12 @@ def _pole_proximity(system, z):
 def transfer_values(system, points, tol=DEFAULT_TOL, raise_on_pole=False):
     """Values D + z C (I - z A)^(-1) B of the transfer function at every point.
 
-    One _sweep on the system's Schur form A = Z T Z^H, one pole guard (a
-    point is rejected when s_min <= rank_tol * max(1, s_max) of I - z A)
-    and one product by C Z.  The guard's bound is |M^-1|_2 <= sqrt(n)
-    |y|_inf for M = I - z T, y the sweep's second output, as
-    |M^-1| <= M(M)^-1 entrywise for the comparison matrix M(M) (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., 8.3).
-    Returns (values, ok) with values of shape (N, p, m) and ok marking the
-    accepted points; rejected rows are NaN.  With raise_on_pole the first
-    rejected point raises PoleProximityError, reporting the nearest
-    reciprocal eigenvalue of A as the offending pole.
+    One _sweep of Z^H B on the system's Schur form A = Z T Z^H, whose pole
+    rule rejects a point when s_min <= rank_tol * max(1, s_max) of I - z A,
+    and one product by C Z.  Returns (values, ok) with values of shape
+    (N, p, m) and ok marking the accepted points; rejected rows are NaN.
+    With raise_on_pole the first rejected point raises PoleProximityError,
+    reporting the nearest reciprocal eigenvalue of A as the offending pole.
     """
     z = np.asarray(points, dtype=complex).ravel()
     n = system.A.shape[0]
@@ -413,10 +407,7 @@ def transfer_values(system, points, tol=DEFAULT_TOL, raise_on_pole=False):
         values = np.broadcast_to(system.D, (z.size, p, m)).copy()
         return values, np.ones(z.size, dtype=bool)
     form = system._spectrum
-    X, y = _sweep(form.T, form.Z.conj().T @ system.B, z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        inverse = y.max(axis=0, initial=0.0) * np.sqrt(n)
-    ok = _pole_rule(form.T, z, inverse, tol.rank_tol, system.A)
+    X, ok = _sweep(system, form.Z.conj().T @ system.B, z, tol)
     rejected = ~ok
     if rejected.any():
         if raise_on_pole:
@@ -431,75 +422,83 @@ def transfer_values(system, points, tol=DEFAULT_TOL, raise_on_pole=False):
     return values, ok
 
 
-# the resolvent at a sample point may exceed 1 / (g |A|_F) by this factor;
-# at g |A|_F from an isolated eigenvalue it does by about the eigenvalue's
-# condition number, at most 16 for 2156 of the 2160 eigenvalues of 90
-# seeded passive and conservative systems, n = 8, 24 and 40
+# the resolvent at a sample point may exceed 1 / (g |A|_F) by this factor,
+# g = rank_tol^(1/3), and amplify a sample's rounding along a hidden mode
+# by as much
 _SAMPLE_SLACK = 16.0
+# a point at r from an eigenvalue of condition number kappa holds its own
+# term kappa / r within 1 / _KAPPA_MARGIN of the slack
+_KAPPA_MARGIN = 2.0
 
 
 def _sample_points(system, tol):
     """z_k = 1 / sigma_k, one point beside each eigenvalue lam_k of the
     Schur form, sigma_k = lam_k + r_k e^(2 pi i j / c), with j the rank of
-    lam_k among the c eigenvalues within r_k of it.  Every r_k starts at
-    g |A|_F, g = rank_tol^(1/3) as in _schur_spans, and doubles with its
-    cluster until |(sigma_k - A)^(-1)|_F |A|_F <= _SAMPLE_SLACK / g, so a
-    cluster or a Jordan chain moves its points out.  The norm is that of
-    (sigma_k - T)^(-1), unitarily similar, from one _sweep of the identity,
-    and the resolvents X[:, k] = (I - z_k T)^(-1) of the last pass are
-    returned with the points as (z, X), X of shape (n, N, n).
-    The samples (I - z_k A)^(-1) B span the reachable space, a rational
-    Krylov space (Ruhe, 1984).  Each is inverse iteration at sigma_k: the
-    solve's rounding, a small multiple of u |A|_F, reaches a hidden mode
-    amplified by at most |(sigma_k - A)^(-1)|_2: by about 16 u / g, 4e-12
-    relative at the default rank_tol, 25 times below it.  The bound also
-    keeps the points off a spectrum crowded far inside |A|_F, which the
-    samples then do not resolve.
+    lam_k among the c eigenvalues within r_k of it, placed so that
+    |(sigma_k - A)^(-1)|_F |A|_F <= _SAMPLE_SLACK / g, g = rank_tol^(1/3).
+    The resolvent is the sum of P_j / (sigma - lam_j) over the spectral
+    projectors, |P_j|_F = kappa_j = 1 / |y_j^H x_j| for the unit vectors
+    of _schur_vectors, so r_k = g |A|_F max(1, _KAPPA_MARGIN kappa_k /
+    _SAMPLE_SLACK) places a point with no other eigenvalue within twice
+    the larger radius.  The rest are measured: the clusters of
+    _schur_spans, which start at g |A|_F, and the eigenvalues with such a
+    neighbour or whose ring meets a measured one's.  Their radii double
+    with their cluster until the bound holds on (sigma_k - T)^(-1), from
+    one _sweep of the identity at their points only, so a cluster or a
+    Jordan chain moves out.  The samples (I - z_k A)^(-1) B span the
+    reachable space, a rational Krylov space (Ruhe, 1984).  Each is inverse
+    iteration at sigma_k: the solve's rounding, a small multiple of
+    u |A|_F, reaches a hidden mode amplified by at most
+    |(sigma_k - A)^(-1)|_2: by about 16 u / g, 4e-12 relative at the
+    default rank_tol, 25 times below it.  The bound also keeps the points
+    off a spectrum crowded far inside |A|_F, which the samples then do not
+    resolve.
     """
     g = tol.rank_tol ** (1.0 / 3.0)
     # in units of |A|_F (1 for A = 0), so no resolvent norm overflows
     scale = _fro(system.A) or 1.0
-    form = system._spectrum
-    T, lam = form.T / scale, form.eigenvalues / scale
+    lam = system._spectrum.eigenvalues / scale
     gap = np.abs(lam[:, None] - lam)
-    radius = np.full(lam.size, g)
+    left, right = (np.abs(np.diagonal(v)) for v in system._eigenvectors)
+    # the clusters of _schur_spans: within its gap g max(1, |A|_F) of another
+    # eigenvalue, or with an eigenvector grown past 1/g
+    clustered = ((gap <= g * max(1.0, 1.0 / scale)).sum(axis=1) > 1) | ~(
+        np.minimum(left, right) >= g)
+    # kappa_k = 1 / |conj(y_k[k]) x_k[k]|: y_k vanishes above k and x_k below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        stretch = _KAPPA_MARGIN / _SAMPLE_SLACK / (left * right)
+        radius = np.where(clustered, g, g * np.maximum(1.0, stretch))
+    below = np.tri(lam.size, k=-1, dtype=bool)
     while True:
-        close = gap <= np.maximum(radius[:, None], radius)
-        size = np.count_nonzero(close, axis=1)
-        rank = np.count_nonzero(np.tril(close, -1), axis=1)
-        sigma = lam + radius * np.exp(2j * np.pi * rank / size)
-        # (I - T / sigma)^(-1) = sigma (sigma - T)^(-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            X = _sweep(T, np.eye(lam.size), 1.0 / sigma)[0]
-            near = ~(np.linalg.norm(X, axis=(0, 2)) / np.abs(sigma) * g <= _SAMPLE_SLACK)
+        reach = np.maximum(radius[:, None], radius)
+        close = gap <= reach
+        sigma = lam + radius * np.exp(2j * np.pi * (close & below).sum(axis=1) / close.sum(axis=1))
+        clustered |= close[:, clustered].any(axis=1) | ((gap <= 2.0 * reach).sum(axis=1) > 1)
+        if not clustered.any():
+            return 1.0 / (scale * sigma)
+        # (I - T / (scale s))^(-1) = s (s - T / scale)^(-1) at s = sigma_k
+        X = _sweep(system, np.eye(lam.size), 1.0 / (scale * sigma[clustered]), tol)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            near = ~(np.linalg.norm(X, axis=(0, 2)) / np.abs(sigma[clustered]) * g
+                     <= _SAMPLE_SLACK)
         if not near.any():
-            return 1.0 / (scale * sigma), X
-        radius[close[:, near].any(axis=1)] *= 2.0
+            return 1.0 / (scale * sigma)
+        radius[close[:, np.flatnonzero(clustered)[near]].any(axis=1)] *= 2.0
 
 
-def _resolvent_samples(system, X, ok, observe):
-    """The samples (I - z_k A)^(-1) B, or with observe (I - conj(z_k)
-    A^H)^(-1) C^H, at the points ok marks, as an n x (points m) matrix:
-    Z X_k Z^H B or Z X_k^H Z^H C^H, for the resolvents X[:, k] =
-    (I - z_k T)^(-1) on the Schur form A = Z T Z^H.  Rejected points are
-    dropped first, so a sweep that overflowed there reaches no product."""
-    if not ok.all():
-        X = X[:, ok]
-    form = system._spectrum
-    n, N = X.shape[:2]
-    W = form.Z.conj().T @ (system.C.conj().T if observe else system.B)
-    m = W.shape[1]
-    if observe:
-        # row (k, i) of X_k^H W, the conjugate of X[:, k, i]^T conj(W)
-        Y = (X.reshape(n, N * n).T @ W.conj()).conj().reshape(N, n, m).transpose(1, 0, 2)
-    else:
-        Y = (X.reshape(n * N, n) @ W).reshape(n, N, m)
-    return form.Z @ Y.reshape(n, N * m)
-
-
-def _unit_columns(S):
-    """[S_1, S_2, ...] with each column divided by the norm of the first
-    matrix's column, whose zero columns are dropped."""
+def _samples(systems, z, tol, observe=False):
+    """[S_1, S_2, ...]: the resolvent samples (I - z_k A)^(-1) B of each
+    system, or with observe (I - conj(z_k) A^H)^(-1) C^H, Z times one
+    _sweep of Z^H B (Z^H C^H) on its Schur form A = Z T Z^H, at the points
+    every sweep accepts (so no overflowed sweep reaches a product), as
+    n x (points m) matrices, each column divided by the norm of the first
+    system's column, whose zero columns are dropped."""
+    sweeps = [_sweep(s, s._spectrum.Z.conj().T @ (s.C.conj().T if observe else s.B),
+                     z, tol, observe) for s in systems]
+    ok = np.logical_and.reduce([ok for _, ok in sweeps])
+    k = int(np.count_nonzero(ok))
+    S = [s._spectrum.Z @ X[:, ok].reshape(X.shape[0], k * X.shape[2])
+         for s, (X, _) in zip(systems, sweeps)]
     norms = np.linalg.norm(S[0], axis=0)
     keep = norms > 0
     return [Si[:, keep] / norms[keep] for Si in S]
@@ -508,16 +507,9 @@ def _unit_columns(S):
 def _sampled_hidden(system, observe, tol):
     """The hidden space of _schur_spans on one side, from samples: the
     orthogonal complement of the span of (I - z A)^(-1) B at the
-    _sample_points, or with observe of (I - conj(z) A^H)^(-1) C^H.
-
-    The samples are read off the resolvents X_k = (I - z_k T)^(-1) of the
-    last pass of _sample_points, with no second sweep, at the points where
-    I - z_k A, which has the singular values of I - conj(z_k) A^H, passes
-    _pole_rule on the bound |X_k|_F >= |X_k|_2."""
-    z, X = _sample_points(system, tol)
-    ok = _pole_rule(system._spectrum.T, z, np.linalg.norm(X, axis=(0, 2)), tol.rank_tol,
-                    system.A)
-    S, = _unit_columns([_resolvent_samples(system, X, ok, observe)])
+    _sample_points, or with observe of (I - conj(z) A^H)^(-1) C^H, one
+    _sweep of m (p) columns per point."""
+    S, = _samples([system], _sample_points(system, tol), tol, observe)
     return nullspace(S.conj().T, tol)
 
 
@@ -625,14 +617,10 @@ def _schur_spans(system, sides, tol):
     system._spectrum by the Hautus test (Paige, IEEE TAC 26(1), 1981).
 
     The hidden space is invariant under A^H (under A with observe), so it
-    splits along the spectrum.  One LAPACK zgeev call on the triangular T
-    gives the unit left eigenvectors y_k of T (the right ones x_k with
-    observe) of every side asked for.  Balancing isolates each eigenvalue
-    of a triangular matrix in place, so no QR sweep runs and ztrevc
-    back-substitutes on T itself, returning vector k for the k-th diagonal
-    entry; a certificate holds the returned eigenvalues to diag(T) to
-    rounding.  T goes in scaled by a power of two when its largest entry
-    leaves _EIG_RANGE, so zgeev never scales it itself.  The vector
+    splits along the spectrum.  The one zgeev call of _schur_vectors,
+    memoized on the system, gives the unit left eigenvectors y_k of T (the
+    right ones x_k with observe), vector k for the k-th diagonal entry;
+    _sample_points reads the same call.  The vector
     y_k / y_k[k], unit at its place on the diagonal, has grown to
     1 / |y_k[k]|.  An eigenvalue is isolated when it lies farther than the
     gap g max(1, |A|_F) from every other one, g = rank_tol^(1/3), and its
@@ -701,28 +689,15 @@ def _schur_spans(system, sides, tol):
     near = np.count_nonzero(close, axis=1) > 1
     # a side without input (output) columns hides the whole state
     driven = [observe for observe in sides if (system.C if observe else system.B).size]
-    if driven:
-        top = float(np.abs(form.T).max())
-        shift = 0
-        if not _EIG_RANGE[0] <= top <= _EIG_RANGE[1]:
-            shift = int(np.clip(np.frexp(top)[1], -1000, 1000))
-        w, left, right, info = zgeev(form.T * 2.0 ** -shift if shift else form.T,
-                                     int(False in driven), int(True in driven))
-        if info:
-            raise np.linalg.LinAlgError("eigenvectors of the Schur form did not converge")
-        certify("Schur form eigenvalue order", float(np.abs(w * 2.0 ** shift - lam).max()),
-                _ORDER_ULPS * _UNIT_ROUNDOFF * float(np.abs(lam).max()))
+    pair = system._eigenvectors if driven else None
     spans = []
     for observe in sides:
         if observe not in driven:
             spans.append((Z[:, :0], Z))
             continue
-        if observe:
-            vectors, drive, axis = right, system.C, 0
-            images = system.C @ Z @ right
-        else:
-            vectors, drive, axis = left, system.B, 1
-            images = left.conj().T @ (Z.conj().T @ system.B)
+        drive, axis, vectors = (system.C, 0, pair[1]) if observe else (system.B, 1, pair[0])
+        images = (drive @ Z @ vectors if observe
+                  else vectors.conj().T @ (Z.conj().T @ drive))
         # the drive of each eigenvector, np.linalg.norm(images, axis=axis)
         # without its wrapper
         ratio = np.sqrt(np.add.reduce((images.conj() * images).real, axis=axis))
@@ -738,6 +713,30 @@ def _schur_spans(system, sides, tol):
             basis.flags.writeable = False
     system._spans[sides, tol] = spans
     return spans
+
+
+def _schur_vectors(form):
+    """(left, right): the unit left and right eigenvectors of the triangular
+    T of the Schur form, read-only, from one LAPACK zgeev call.  Balancing
+    isolates each eigenvalue of a triangular matrix in place, so no QR
+    sweep runs and ztrevc back-substitutes on T itself, returning vector k
+    for the k-th diagonal entry; a certificate holds the returned
+    eigenvalues to diag(T) to rounding.  T goes in scaled by a power of two
+    when its largest entry leaves _EIG_RANGE, so zgeev never scales it."""
+    if not form.T.size:
+        return form.Z, form.Z
+    lam = form.eigenvalues
+    top = float(np.abs(form.T).max())
+    shift = 0
+    if not _EIG_RANGE[0] <= top <= _EIG_RANGE[1]:
+        shift = int(np.clip(np.frexp(top)[1], -1000, 1000))
+    w, left, right, info = zgeev(form.T * 2.0 ** -shift if shift else form.T, 1, 1)
+    if info:
+        raise np.linalg.LinAlgError("eigenvectors of the Schur form did not converge")
+    certify("Schur form eigenvalue order", float(np.abs(w * 2.0 ** shift - lam).max()),
+            _ORDER_ULPS * _UNIT_ROUNDOFF * float(np.abs(lam).max()))
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
 
 
 def _reached(drives, scale, tol):
@@ -908,20 +907,14 @@ def _krylov_map(recurrence, s2):
 
 def _similarity_samples(s1, s2, tol):
     """[X1, X2]: the samples [(I - zA)^(-1) B, J (I - conj(z) A^H)^(-1) C^H]
-    of s1 and s2, each column divided by the norm of s1's, at the points of
-    _sampled_hidden, read off its resolvents for s1 and off one _sweep of
-    the identity for s2, at the points both pass the same pole rule."""
-    z, R1 = _sample_points(s1, tol)
-    R2 = _sweep(s2._spectrum.T, np.eye(s2.state_dim), z)[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        ok = np.logical_and.reduce([_pole_rule(s._spectrum.T, z, np.linalg.norm(
-            R, axis=(0, 2)), tol.rank_tol, s.A) for s, R in ((s1, R1), (s2, R2))])
-    sides = [_unit_columns([_resolvent_samples(s, R, ok, observe)
-                            for s, R in ((s1, R1), (s2, R2))])
-             for observe in (False, True)]
+    of s1 and s2 at the _sample_points of s1, each column divided by the
+    norm of s1's: one _sweep of m and one of p columns per system and
+    point, each side at the points both systems accept."""
+    z = _sample_points(s1, tol)
+    reach, observe = (_samples((s1, s2), z, tol, side) for side in (False, True))
     # J (I - conj(z) A^H)^(-1) C^H samples the adjoint system at conj(z)
-    return [np.hstack([reach, s.state.signs[:, None] * observe])
-            for s, reach, observe in zip((s1, s2), *sides)]
+    return [np.hstack([r, s.state.signs[:, None] * o])
+            for s, r, o in zip((s1, s2), reach, observe)]
 
 
 # rows times unknowns squared of the largest complement solve, about 1 s on

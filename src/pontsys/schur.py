@@ -37,7 +37,6 @@ from .colligation import (
     SystemKind,
     _operator_kind,
     _pole_proximity,
-    _resolvent_samples,
     _schur_spans,
     _sweep,
     adjoint_system,
@@ -1033,8 +1032,9 @@ def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
         # C (I - zA)^-1 J (I - wA)^-H C^H = Rz^H J Rw against the kernel at
         # z, w, Rz = (I - conj(z) A^H)^-1 C^H; the values passed the pole rule
         w_ref, z_ref = held[0], held[1]
-        X = _sweep(model._spectrum.T, np.eye(n), held[:2])[0]
-        Rw, Rz = np.hsplit(_resolvent_samples(model, X, np.ones(2, dtype=bool), True), 2)
+        Z = model._spectrum.Z
+        X = _sweep(model, Z.conj().T @ model.C.conj().T, held[:2], tol, adjoint=True)[0]
+        Rw, Rz = Z @ X[:, 0], Z @ X[:, 1]
         lhs = Rz.conj().T @ (model.state.signs[:, None] * Rw)
         rhs = (np.eye(p) - ref[1] @ ref[0].conj().T) / (1.0 - z_ref * np.conj(w_ref))
         certify("reproducing identity residual", _norm2(lhs - rhs),

@@ -306,36 +306,41 @@ def bitwise_equal(got, want):
 
 def two_pass_samples(systems, z, rank_tol, observe=False):
     """[S_1, S_2, ...]: the resolvent samples (I - z_k A)^(-1) B of each
-    system, or with observe (I - conj(z_k) A^H)^(-1) C^H, by a sweep of
-    B, or C^H, at the points z: the two-pass oracle of the samples the
-    library reads off one sweep of the identity.  Each system
-    back-substitutes on its Schur form, the observe side on its flip
-    (P T^H P, Z P), P the reversal, the Schur form of A^H, under the
-    comparison-matrix pole guard of transfer_values.  The samples at the
-    points that all of them accept stand side by side as an n x (points m)
-    matrix, each column divided by the norm of the first system's column,
-    whose zero columns are dropped.  The colligation helpers are looked up
-    when called, so a spy on that module sees them."""
+    system, or with observe (I - conj(z_k) A^H)^(-1) C^H, at the points
+    z: the oracle of the samples the library reads off one vectorized
+    sweep of the drive.  Each system solves one triangular system per
+    point with scipy's solve_triangular on its Schur form, the observe
+    side on its flip (P T^H P, Z P), P the reversal, the Schur form of
+    A^H, and decides the pole rule by the SVD of I - z_k A at every point.
+    The samples at the points that all of them accept stand side by side
+    as an n x (points m) matrix, each column divided by the norm of the
+    first system's column, whose zero columns are dropped.  No
+    colligation._sweep runs, so a spy on it sees the library's sweeps
+    only."""
     sides = []
     for s in systems:
         T, Z, A, B, w = s._spectrum.T, s._spectrum.Z, s.A, s.B, z
         if observe:
-            T, Z, A, B, w = (np.ascontiguousarray(T.conj().T[::-1, ::-1]), Z[:, ::-1],
-                             A.conj().T, s.C.conj().T, z.conj())
-        X, y = colligation._sweep(T, Z.conj().T @ B, w)
-        with np.errstate(over="ignore", invalid="ignore"):
-            inverse = y.max(axis=0, initial=0.0) * np.sqrt(T.shape[0])
-        sides.append((Z, X, colligation._pole_rule(T, w, inverse, rank_tol, A)))
+            T, Z, A, B, w = T.conj().T[::-1, ::-1], Z[:, ::-1], A.conj().T, s.C.conj().T, z.conj()
+        n = T.shape[0]
+        sv = np.linalg.svd(np.eye(n) - w[:, None, None] * A, compute_uv=False)
+        ok = sv[:, -1] > rank_tol * np.maximum(1.0, sv[:, 0])
+        W = Z.conj().T @ B
+        X = np.full((n, w.size, W.shape[1]), np.nan, dtype=complex)
+        for k in np.flatnonzero(ok):
+            X[:, k] = scipy.linalg.solve_triangular(np.eye(n) - w[k] * T, W)
+        sides.append((Z, X, ok))
     accepted = np.logical_and.reduce([ok for _, _, ok in sides])
     k = int(np.count_nonzero(accepted))
-    return colligation._unit_columns(
-        [Z @ X[:, accepted].reshape(X.shape[0], k * X.shape[2]) for Z, X, _ in sides])
+    S = [Z @ X[:, accepted].reshape(X.shape[0], k * X.shape[2]) for Z, X, _ in sides]
+    norms = np.linalg.norm(S[0], axis=0)
+    return [Si[:, norms > 0] / norms[norms > 0] for Si in S]
 
 
 def two_pass_similarity_samples(s1, s2, tol):
     """The samples [X1, X2] of unitary_similarity by two_pass_samples at
-    the _sample_points of s1: four sweeps, two of them on flipped forms."""
-    z = colligation._sample_points(s1, tol)[0]
+    the _sample_points of s1, the observe side on flipped forms."""
+    z = colligation._sample_points(s1, tol)
     reach = two_pass_samples((s1, s2), z, tol.rank_tol)
     observe = two_pass_samples((s1, s2), z, tol.rank_tol, observe=True)
     return [np.hstack([r, s.state.signs[:, None] * o])

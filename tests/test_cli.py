@@ -516,8 +516,9 @@ class TestNegsq:
 class TestHautusSpansOnce:
     def test_classify_decides_the_spans_once(self, tmp_path, monkeypatch):
         # krylov_report and the index estimate's minimal part read the same
-        # spans; memoized on the system they cost one zgeev call, not two,
-        # and the report keeps every byte
+        # spans; memoized on the system, with the eigenvectors they are
+        # read from, they cost one zgeev call, not two, and the report
+        # keeps every byte
         rng = np.random.default_rng([10, 3, 44])
         path = write_system(
             tmp_path, random_conservative_colligation(rng, SignatureSpace(7, 3), 2))
@@ -526,6 +527,8 @@ class TestHautusSpansOnce:
             with monkeypatch.context() as patch:
                 if not memoized:
                     patch.setattr(Colligation, "_spans", property(lambda system: {}))
+                    patch.setattr(Colligation, "_eigenvectors", property(
+                        lambda system: colligation._schur_vectors(system._spectrum)))
                 calls = spy(patch, colligation.zgeev)
                 out = tmp_path / f"memoized-{memoized}"
                 out.mkdir()

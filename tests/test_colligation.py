@@ -33,7 +33,6 @@ from pontsys.exceptions import (
     OrderAmbiguityError,
     PoleProximityError,
     PreconditionError,
-    _fro,
     _spectral_norms,
 )
 from pontsys.indefinite import (
@@ -1124,7 +1123,7 @@ class TestSampledHiddenSpaces:
                                              SignatureSpace(n - 2, 2), 2, 2, strict=0.2), None)
                  for n in (8, 24)] + [(shift_chain_system(12), g ** (1 / 12))]
         for plant, ring in cases:
-            sigma = 1.0 / colligation._sample_points(plant, DEFAULT_TOL)[0]
+            sigma = 1.0 / colligation._sample_points(plant, DEFAULT_TOL)
             scale = np.linalg.norm(plant.A)
             R = np.linalg.inv(sigma[:, None, None] * np.eye(plant.state_dim) - plant.A)
             assert np.all(np.linalg.norm(R, axis=(1, 2)) * scale * g
@@ -1134,17 +1133,16 @@ class TestSampledHiddenSpaces:
 
 
 def _two_pass_hidden(system, observe, tol=DEFAULT_TOL):
-    """The sampled hidden space with a second sweep: two_pass_samples at
-    the _sample_points solves (I - z A)^(-1) B, or (I - conj(z) A^H)^(-1)
-    C^H on the flipped form, once more under the comparison-matrix guard."""
-    z = colligation._sample_points(system, tol)[0]
+    """The sampled hidden space by the oracle: two_pass_samples at the
+    _sample_points solves (I - z A)^(-1) B, or (I - conj(z) A^H)^(-1) C^H
+    on the flipped form, one point at a time under the SVD pole rule."""
+    z = colligation._sample_points(system, tol)
     S, = two_pass_samples([system], z, tol.rank_tol, observe)
     return nullspace(S.conj().T, tol)
 
 
 class TestOneSamplePass:
-    """_sampled_hidden reads its samples off the resolvents of the last
-    pass of _sample_points, on the plants of TestPBHOracle."""
+    """_sampled_hidden sweeps its drive once, on the plants of TestPBHOracle."""
 
     @staticmethod
     def plants(kind, n):
@@ -1156,42 +1154,37 @@ class TestOneSamplePass:
 
     @pytest.mark.parametrize("kind", ["passive", "conservative"])
     @pytest.mark.parametrize("n", TestPBHOracle.SIZES)
-    def test_no_second_sweep(self, monkeypatch, kind, n):
-        # one _sweep per pass of _sample_points and no other, where the
-        # two-pass route sweeps once more; the hidden space is the two-pass
-        # route's within a principal angle of 1e-12
+    def test_one_drive_sweep(self, monkeypatch, kind, n):
+        # the last _sweep is the drive's, m (p) columns at one point per
+        # eigenvalue; any earlier one is an identity sweep of a cluster pass
+        # of _sample_points, which makes the same passes alone.  The hidden
+        # space is the per-point oracle's within a principal angle of 1e-12
         sweeps = spy(monkeypatch, colligation._sweep)
         hidden = set()
         for plant in self.plants(kind, n):
+            size = plant.state_dim
             for observe in (False, True):
                 del sweeps[:]
                 got = colligation._sampled_hidden(plant, observe, DEFAULT_TOL)
-                passes = len(sweeps)
+                *passes, (system, W, z, _, adjoint) = sweeps
+                assert system is plant and adjoint is observe
+                assert W.shape == (size, plant.output_dim if observe else plant.input_dim)
+                assert z.size == size
+                assert all(np.array_equal(args[1], np.eye(size)) and args[2].size < size
+                           for args in passes)
                 del sweeps[:]
                 colligation._sample_points(plant, DEFAULT_TOL)
-                assert passes == len(sweeps) >= 1
-                del sweeps[:]
+                assert len(sweeps) == len(passes)
                 want = _two_pass_hidden(plant, observe)
-                assert len(sweeps) == passes + 1
                 assert got.shape == want.shape
                 hidden.add(got.shape[1])
                 assert np.max(scipy.linalg.subspace_angles(got, want), initial=0.0) <= 1e-12
         assert hidden == {0, 1, 3}
 
-    def test_points_carry_their_resolvents(self):
-        # X[:, k] is (I - z_k T)^(-1) on the Schur form
-        plant = random_passive_colligation(np.random.default_rng([12, 53]),
-                                           SignatureSpace(10, 2), 2, 2, strict=0.2)
-        z, X = colligation._sample_points(plant, DEFAULT_TOL)
-        T = plant._spectrum.T
-        n = plant.state_dim
-        assert X.shape == (n, z.size, n)
-        for k in range(z.size):
-            assert np.allclose((np.eye(n) - z[k] * T) @ X[:, k], np.eye(n), atol=1e-10)
-
 
 class TestEigenvectorCall:
-    """The one zgeev call of _schur_spans per system and request."""
+    """The one zgeev call per system, both sides, that _schur_spans and
+    _sample_points read."""
 
     @staticmethod
     def plant():
@@ -1205,13 +1198,17 @@ class TestEigenvectorCall:
         assert len(calls) == 1
         assert calls[0][0] is plant._spectrum.T and calls[0][1:] == (1, 1)
 
-    def test_single_side_callers_ask_one_side(self, monkeypatch):
+    def test_single_side_callers_take_one_call_per_system(self, monkeypatch):
+        # a one-sided Hautus test asks both sides, and an obstruction's
+        # Hautus side and sample points read the one call on its cascade
         plant = self.plant()
         calls = spy(monkeypatch, colligation.zgeev)
         colligation._schur_spans(plant, (True,), DEFAULT_TOL)
+        colligation._sample_points(plant, DEFAULT_TOL)
         obstruction_observable(blaschke_system(0.5), blaschke_system(-0.3))
         obstruction_controllable(blaschke_system(0.5), blaschke_system(-0.3))
-        assert [args[1:] for args in calls] == [(0, 1), (0, 1), (1, 0)]
+        assert [args[1:] for args in calls] == [(1, 1)] * 3
+        assert calls[0][0] is plant._spectrum.T
 
     @staticmethod
     def reverse_order(monkeypatch):
@@ -1237,13 +1234,16 @@ class TestEigenvectorCall:
         assert colligation._schur_spans(plant, (False, True), DEFAULT_TOL) is first
         assert calls == []
         assert not any(basis.flags.writeable for pair in first for basis in pair)
-        # other sides, or another tolerance, are decided afresh
-        colligation._schur_spans(plant, (True,), DEFAULT_TOL)
+        # other sides, or another tolerance, are decided afresh, on the
+        # memoized eigenvectors
+        assert colligation._schur_spans(plant, (True,), DEFAULT_TOL) is not first
         colligation._schur_spans(plant, (False, True), Tolerances(rank_tol=1e-11))
-        assert len(calls) == 2
+        assert len(plant._spans) == 3
         # an equal Tolerances is the same key
         assert colligation._schur_spans(plant, (False, True), Tolerances()) is first
-        assert len(calls) == 2
+        assert len(plant._spans) == 3
+        assert calls == []
+        assert not any(vectors.flags.writeable for vectors in plant._eigenvectors)
 
     def test_a_refused_call_stores_nothing(self, monkeypatch):
         plant = self.plant()
@@ -1270,7 +1270,7 @@ class TestEigenvectorCall:
         rep = krylov_report(plant)
         assert reorders == [] and norms == []
         driven = (plant.input_dim > 0, plant.output_dim > 0)
-        assert [args[1:] for args in calls] == ([driven] if plant.state_dim and any(driven)
+        assert [args[1:] for args in calls] == ([(1, 1)] if plant.state_dim and any(driven)
                                                 else [])
         assert rep.controllable == (plant.input_dim > 0 or not plant.state_dim)
 
@@ -1559,25 +1559,26 @@ class TestSimilarity:
         sim = unitary_similarity(s1, state_change(s1, Z, state))
         assert np.linalg.norm(sim.Z - Z, 2) <= 1e-6 * np.linalg.norm(Z, 2)
 
-    def test_unitary_similarity_sweeps_each_system_once(self, monkeypatch):
-        # the first system's resolvents are those of its _sample_points,
-        # the second's one sweep of the identity on its own Schur form at
-        # the same points, and no sweep runs on a flipped form
+    def test_unitary_similarity_sweeps_each_drive_once(self, monkeypatch):
+        # at the first system's _sample_points, each system sweeps B and,
+        # on its reversed form, C^H once: m + p columns per system and
+        # point, and no identity sweep where no eigenvalue is measured
         s1, s2, _ = _planted_unitary_pair(8, 0, "conservative")
         points = spy(monkeypatch, colligation._sample_points)
         sweeps = spy(monkeypatch, colligation._sweep)
         assert unitary_similarity(s1, s2) is not None
         assert [args[0] for args in points] == [s1]
-        scale = _fro(s1.A)
-        *passes, last = sweeps
-        assert passes and all(np.array_equal(T, s1._spectrum.T / scale)
-                              and np.array_equal(W, np.eye(8)) for T, W, _ in passes)
-        assert last[0] is s2._spectrum.T and np.array_equal(last[1], np.eye(8))
-        assert np.allclose(last[2], passes[-1][2] / scale, rtol=1e-15, atol=0)
+        assert [(s, adjoint) for s, _, _, _, adjoint in sweeps] == [
+            (s1, False), (s2, False), (s1, True), (s2, True)]
+        z = sweeps[0][2]
+        assert z.size == 8 and all(np.array_equal(args[2], z) for args in sweeps)
+        for s in (s1, s2):
+            assert sum(W.shape[1] for t, W, *_ in sweeps if t is s) == (
+                s.input_dim + s.output_dim)
 
     def test_unitary_similarity_matches_the_two_pass_route(self, monkeypatch):
-        # on every pair of the tests above, the map is the one the four
-        # sweeps of the two-pass route give, within 1e-10 relative
+        # on every pair of the tests above, the map is the one the samples
+        # of the per-point oracle give, within 1e-10 relative
         pairs = _unitary_similarity_pairs()
         got = [unitary_similarity(s1, s2) for s1, s2 in pairs]
         monkeypatch.setattr(colligation, "_similarity_samples", two_pass_similarity_samples)

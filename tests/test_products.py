@@ -386,6 +386,27 @@ class TestObstructions:
             rep = check(first, second)
             assert rep.dimension == 0 and rep.agreement_residual == 0.0
 
+    def test_crowded_cascade_at_1e_3(self):
+        # two strictly passive 6-state systems drawn in turn from one
+        # generator, A scaled by 1e-3: the Hautus test reads every cascade
+        # minimal, and the eigenvalues crowd far inside |A|_F.  The points
+        # of these clustered eigenvalues are measured against the resolvent
+        # bound, which keeps some too far out to resolve the spectrum: at
+        # least 5 of the 10 cases answer, and every other one refuses, typed
+        answered = 0
+        for seed in range(5):
+            rng = np.random.default_rng([seed, 6])
+            first, second = (Colligation(s.state, 1, 1, 1e-3 * s.A, s.B, s.C, s.D) for s in [
+                random_passive_colligation(rng, SignatureSpace(6, 0), 1, 1, strict=0.35)
+                for _ in range(2)])
+            for check in (obstruction_observable, obstruction_controllable):
+                try:
+                    assert check(first, second).dimension == 0
+                    answered += 1
+                except InternalConsistencyError as err:
+                    assert "kernel dimensions disagree" in str(err)
+        assert answered >= 5
+
     def test_stateless_cascades(self):
         for second in (identity_feedthrough(1), blaschke_system(0.3)):
             for check in (obstruction_observable, obstruction_controllable):

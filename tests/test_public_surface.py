@@ -216,10 +216,10 @@ DECOMPOSITIONS = {
 _DECOMPOSING = {"zpotrf", "ztrtri", "eigvalsh", "eigh"}
 
 
-def _decomposition_sites(tree, layer):
+def _call_sites(tree, layer, hit):
     """layer.function, or layer.Class.method, for every function of tree
-    whose body, nested definitions included, calls a name or attribute in
-    _DECOMPOSING; a call outside any function counts under its module or
+    whose body, nested definitions included, makes a call that hit
+    accepts; a call outside any function counts under its module or
     class."""
     sites = set()
     stack = [(tree, layer, True)]
@@ -228,13 +228,21 @@ def _decomposition_sites(tree, layer):
         if named and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             owner = f"{owner}.{node.name}"
             named = isinstance(node, ast.ClassDef)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in _DECOMPOSING:
-                sites.add(owner)
+        elif isinstance(node, ast.Call) and hit(node):
+            sites.add(owner)
         stack.extend((child, owner, named) for child in ast.iter_child_nodes(node))
     return sites
+
+
+def _callee(call):
+    """The name or attribute a call calls, or None."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _decomposition_sites(tree, layer):
+    """The _call_sites of tree that call a name or attribute in _DECOMPOSING."""
+    return _call_sites(tree, layer, lambda call: _callee(call) in _DECOMPOSING)
 
 
 def test_decomposition_census_reads_calls():
@@ -261,6 +269,43 @@ def test_hermitian_decompositions_have_one_route_in_indefinite():
     assert sites == set(DECOMPOSITIONS), (
         f"unlisted: {sorted(sites - set(DECOMPOSITIONS))}, "
         f"stale: {sorted(set(DECOMPOSITIONS) - sites)}")
+
+
+# One sampling primitive: every transfer value and every resolvent sample
+# is a sweep of its drive by colligation._sweep.  The identity is swept
+# only by the cluster passes of _sample_points, at the points of the
+# eigenvalues it measures; no reader of identity sweeps is left.
+
+def _sweeps_identity(call):
+    """Whether a call is a _sweep whose drive, its second argument, is an
+    identity built in place by eye."""
+    return (_callee(call) == "_sweep" and len(call.args) > 1
+            and isinstance(call.args[1], ast.Call) and _callee(call.args[1]) == "eye")
+
+
+def test_identity_sweep_census_reads_calls():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def f(system, z, tol):\n"
+        "    def inner():\n"
+        "        return _sweep(system, np.eye(3), z, tol)\n"
+        "    return inner()\n"
+        "def g(system, W, z, tol):\n"
+        "    return _sweep(system, W, z, tol), np.eye(2)\n"
+        "def h(system, z, tol):\n"
+        "    return colligation._sweep(system, eye(4), z, tol)\n")
+    assert _call_sites(tree, "m", _sweeps_identity) == {"m.f", "m.h"}
+
+
+def test_only_the_cluster_passes_sweep_the_identity():
+    package = ROOT / "src" / "pontsys"
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    sites = set().union(*(_call_sites(tree, layer, _sweeps_identity)
+                          for layer, tree in trees.items()))
+    assert sites == {"colligation._sample_points"}
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+             for tree in trees.values() for node in ast.walk(tree)}
+    assert "_sweep" in names and "_resolvent_samples" not in names
 
 
 # The package binds its LAPACK and BLAS routines from scipy's f2py

@@ -1517,26 +1517,28 @@ class TestCanonicalRealization:
                                         SignatureSpace(32, 8), 2),
     ])
     def test_reproducing_identity_matches_dense_solves(self, monkeypatch, system):
-        # Rz = (I - conj(z) A^H)^-1 C^H and Rw of the kernel check are read
-        # off one sweep of the identity on the model's Schur form, within
-        # 1e-12 relative of the dense solves of C (I - zA)^-1 they replace
+        # Rz = (I - conj(z) A^H)^-1 C^H and Rw of the kernel check are one
+        # adjoint _sweep of the p columns of C^H on the model's Schur form
+        # at the two held-out points, within 1e-12 relative of the dense
+        # solves of C (I - zA)^-1 they replace
         calls = []
-        real = schur._resolvent_samples
+        real = schur._sweep
 
-        def recording(*args):
-            calls.append((args, real(*args)))
-            return calls[-1][1]
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs, real(*args, **kwargs)))
+            return calls[-1][2]
 
-        monkeypatch.setattr(schur, "_resolvent_samples", recording)
+        monkeypatch.setattr(schur, "_sweep", recording)
         canonical_coisometric_realization(system)
-        [((model, X, ok, observe), R)] = calls
-        assert observe and ok.all() and X.shape[1] == 2
+        [((model, W, z, _), kwargs, (X, ok))] = calls
+        n, p = model.state_dim, model.output_dim
+        assert kwargs == {"adjoint": True} and ok.all() and W.shape == (n, p)
         held = disc_points(8, seed=DEFAULT_TOL.seed * 499 + 11, radius=0.8,
                            exclude=as_transfer(system).poles, min_dist=1e-4)
-        n, p = model.state_dim, model.output_dim
+        assert np.array_equal(z, held[:2])
         for k, z in enumerate(held[:2]):
             want = np.linalg.solve((np.eye(n) - z * model.A).T, model.C.T).T
-            got = R[:, k * p:(k + 1) * p].conj().T
+            got = (model._spectrum.Z @ X[:, k]).conj().T
             assert np.linalg.norm(got - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
 
     @pytest.mark.parametrize("system", [
@@ -1548,15 +1550,16 @@ class TestCanonicalRealization:
     ])
     def test_model_observability_takes_one_hautus_side(self, monkeypatch, system):
         # the model's observability is read off the observable side of its
-        # Schur form alone: one zgeev with right eigenvectors only, and no
-        # Krylov report with its reachable side and complement kinds
+        # Schur form alone: one zgeev on the model's form, and no Krylov
+        # report with its reachable side and complement kinds
         reports = spy(monkeypatch, colligation.krylov_report)
         eig = spy_attr(monkeypatch, colligation, "zgeev")
         model = canonical_coisometric_realization(system)
         T, left, right = eig[-1][:3]
         assert reports == []
-        assert (left, right) == (0, 1)
-        assert np.array_equal(T, model._spectrum.T)
+        assert (left, right) == (1, 1)
+        assert T is model._spectrum.T
+        assert sum(args[0] is T for args in eig) == 1
         monkeypatch.undo()
         assert classify(model).observable
 

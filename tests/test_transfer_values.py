@@ -193,7 +193,7 @@ def test_no_dense_solve_on_any_route(monkeypatch, name):
     assert transfer_values(fresh, pts)[1].all()
     sig = schur._fresh_survey(TransferFunction(fresh), 256, DEFAULT_TOL)[0]
     assert not np.isnan(sig).any()
-    assert _sample_points(fresh, DEFAULT_TOL)[0].size == fresh.state_dim
+    assert _sample_points(fresh, DEFAULT_TOL).size == fresh.state_dim
     for observe in (False, True):
         _sampled_hidden(fresh, observe, DEFAULT_TOL)
     assert len(spies["zgees"]) == 1
