@@ -12,9 +12,10 @@ RUNNER_TEMP="${RUNNER_TEMP:-$PWD}"
 GITHUB_WORKSPACE="${GITHUB_WORKSPACE:-$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)}"
 
 python -c "import pontsys"
-# LAPACK and BLAS come from scipy's extension files, loaded without
-# the scipy.linalg package and the numpy.f2py it imports
-python -c "import sys, pontsys.cli; assert 'scipy.linalg' not in sys.modules"
+# LAPACK comes from scipy's extension file, loaded without the
+# scipy.linalg package and the numpy.f2py it imports; no BLAS extension
+# is loaded
+python -c "import sys, pontsys.cli; linalg = {n for n in sys.modules if n == 'scipy.linalg' or n.startswith('scipy.linalg.')}; assert linalg == {'scipy.linalg._flapack'}, linalg"
 # the disc-region spectral subspaces are read off each system's Schur
 # form by the fundamental splits; no public selector is exported
 python -c "import pontsys, pontsys.indefinite as ind; assert not hasattr(pontsys, 'SpectralRegion') and not hasattr(ind, 'SpectralRegion')"

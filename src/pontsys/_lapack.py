@@ -1,10 +1,10 @@
-"""The LAPACK and BLAS routines pontsys calls: scipy's own objects, bound
-without the scipy.linalg package, whose __init__ imports numpy.f2py,
-numpy.testing and numpy.ma and took most of the start-up.
+"""The LAPACK routines pontsys calls: scipy's own objects, bound without
+the scipy.linalg package, whose __init__ imports numpy.f2py, numpy.testing
+and numpy.ma and took most of the start-up.
 
 Only the top-level scipy package is imported, which sets up its bundled
-libraries; scipy.linalg._flapack and _fblas are loaded from their files
-and registered under their own names, so scipy.linalg reuses them.
+libraries; scipy.linalg._flapack is loaded from its file and registered
+under its own name, so scipy.linalg reuses it.  No BLAS extension is loaded.
 """
 
 import importlib
@@ -16,7 +16,7 @@ from importlib.util import module_from_spec
 import scipy
 
 __all__ = ["zgees", "zgeev", "zgesvd", "zpotrf", "ztrexc", "ztrsen", "ztrtri",
-           "ztrtrs", "dnrm2", "dznrm2"]
+           "ztrtrs"]
 
 
 def _extension(name, directory):
@@ -34,8 +34,6 @@ def _extension(name, directory):
     return module
 
 
-_flapack, _fblas = (_extension(name, os.path.join(scipy.__path__[0], "linalg"))
-                    for name in ("_flapack", "_fblas"))
+_flapack = _extension("_flapack", os.path.join(scipy.__path__[0], "linalg"))
 zgees, zgeev, zgesvd, zpotrf, ztrexc, ztrsen, ztrtri, ztrtrs = (
-    getattr(_flapack, name) for name in __all__[:8])
-dnrm2, dznrm2 = _fblas.dnrm2, _fblas.dznrm2
+    getattr(_flapack, name) for name in __all__)

@@ -49,6 +49,7 @@ from .indefinite import (
     _defect_class,
     _DiscSchur,
     _metric_defects,
+    _rank_cut,
     _UNIT_ROUNDOFF,
     as_matrix,
     column_space,
@@ -378,7 +379,7 @@ def _sweep(system, W, z, tol, adjoint=False):
         ok = y.max(axis=0, initial=0.0) * np.sqrt(n) * np.sqrt(fro2) * tol.rank_tol < _GUARD_MARGIN
     if not ok.all():
         s = np.linalg.svd(np.eye(n) - z[~ok, None, None] * A, compute_uv=False)
-        ok[~ok] = s[:, -1] > tol.rank_tol * np.maximum(1.0, s[:, 0])
+        ok[~ok] = s[:, -1] > _rank_cut(s, tol)
     X = X.reshape(n, N, m)
     return (X[::-1] if adjoint else X), ok
 
@@ -944,7 +945,7 @@ def unitary_similarity(s1, s2, tol=DEFAULT_TOL):
         return None
     n = s1.state_dim
     # the verdict of ||dD||_2 against metric_tol max(1, ||D||_2), with no
-    # SVD where _residual_norm's Frobenius norm already passes
+    # spectral norm where _residual_norm's Frobenius norm already passes
     diff = _residual_norm(s1.D - s2.D, tol.metric_tol)
     if diff > tol.metric_tol and diff > tol.metric_tol * max(1.0, _norm2(s1.D)):
         return None
@@ -953,8 +954,9 @@ def unitary_similarity(s1, s2, tol=DEFAULT_TOL):
         return SimilarityResult("unitary", np.zeros((0, 0), dtype=complex),
                                 _intertwining_residuals(s1, s2, np.zeros((0, 0)), bound))
     X1, X2 = _similarity_samples(s1, s2, tol)
-    U, sv, Vh = np.linalg.svd(X1)
-    r = int(np.sum(sv > tol.rank_tol * max(1.0, sv[0]))) if sv.size else 0
+    # the full U only where fewer samples than states leave it short
+    U, sv, Vh = np.linalg.svd(X1, full_matrices=X1.shape[1] < n)
+    r = int(np.sum(sv > _rank_cut(sv, tol)))
     Z = (X2 @ (Vh[:r].conj().T / sv[:r])) @ U[:, :r].conj().T
     P = U[:, r:]
     h = P.shape[1]
@@ -1039,7 +1041,7 @@ def _weak_map(s1, s2, recurrence, tol):
     a window whose every ||T1_k - T2_k||_F is within metric_tol times the
     running maximum of max(1, ||T1_k||_F / sqrt(min(p, m))), deflated by
     1e-14 for the rounding of norms that coincide, holds.  Only a window
-    that one order fails takes the stacked eigen-solve of _spectral_norms,
+    that one order fails takes one call of _spectral_norms on both stacks,
     so a refusal names the first order at which the spectral test fails.
     """
     if s1.input_dim != s2.input_dim or s1.output_dim != s2.output_dim:
@@ -1060,7 +1062,7 @@ def _weak_map(s1, s2, recurrence, tol):
             raise PreconditionError(
                 f"Taylor coefficients differ at order {bad[0]}; no weak similarity")
     Z = _krylov_map(recurrence, s2)
-    # _norm2(Z) is the largest of these same singular values
+    # its largest value is ||Z||_2, so no second norm of Z is taken
     sv = np.linalg.svd(Z, compute_uv=False)
     zscale = max(1.0, sv[0]) if sv.size else 1.0
     residuals = _intertwining_residuals(s1, s2, Z, 1e-8 * zscale)
@@ -1070,7 +1072,7 @@ def _weak_map(s1, s2, recurrence, tol):
     residuals["inverse_condition"] = float(sv[-1] / sv[0]) if sv.size else 1.0
     if sv.size:
         certify("weak similarity smallest singular value", -sv[-1],
-                -tol.rank_tol * max(1.0, sv[0]))
+                -_rank_cut(sv, tol))
     return SimilarityResult("weak", Z, residuals)
 
 
@@ -1088,10 +1090,12 @@ def realize_from_taylor(coeffs, tol=DEFAULT_TOL, order_bound=None):
     for c in coeffs:
         if c.shape != (p, m):
             raise DimensionMismatchError("all coefficients must share one shape")
-    if order_bound is None:
-        order_bound = (len(coeffs) - 2) // 2
-    n = int(order_bound)
-    if n < 0 or len(coeffs) < 2 * n + 2:
+    if order_bound is not None and order_bound < 0:
+        raise InputError(f"order bound must be nonnegative, got {order_bound}")
+    if len(coeffs) < 2:
+        raise PreconditionError(f"need at least 2 coefficients, got {len(coeffs)}")
+    n = (len(coeffs) - 2) // 2 if order_bound is None else int(order_bound)
+    if len(coeffs) < 2 * n + 2:
         raise PreconditionError(
             f"need at least {2 * n + 2} coefficients for order bound {n}")
     if n == 0:
@@ -1109,8 +1113,7 @@ def realize_from_taylor(coeffs, tol=DEFAULT_TOL, order_bound=None):
     Hup = hankel(2, n + 1, n)
 
     def rank(s):
-        cut = tol.rank_tol * max(1.0, s[0]) if s.size else 0.0
-        return int(np.sum(s > cut))
+        return int(np.sum(s > _rank_cut(s, tol)))
 
     def window_rank(rows, cols):
         return rank(np.linalg.svd(hankel(1, rows, cols), compute_uv=False))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from ._lapack import dnrm2, dznrm2, ztrtrs
+from ._lapack import ztrtrs
 
 __all__ = [
     "PontsysError",
@@ -120,17 +120,10 @@ def _fro(M):
 
 
 def _norm2(M):
-    """Spectral norm of M, its largest singular value, from one SVD: the
-    value np.linalg.norm(M, 2) returns, without its wrapper; 0 when empty,
-    NaN when not finite (the SVD raises).  A single row or column takes
-    its Euclidean norm from BLAS nrm2, which scales against overflow."""
-    if not M.size:
-        return 0.0
-    if not np.isfinite(M).all():
-        return np.nan
-    if min(M.shape) == 1:
-        return float((dznrm2 if M.dtype.kind == "c" else dnrm2)(M.ravel()))
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    """Spectral norm of one matrix M, its largest singular value, as
+    _spectral_norms of the one-matrix stack: 0 when empty, NaN when not
+    finite, and within a few ulps of np.linalg.norm(M, 2)."""
+    return float(_spectral_norms(M[None])[0])
 
 
 def _trsolve(a, b, lower=False, trans=0, check_finite=False):
@@ -158,43 +151,69 @@ def _trsolve(a, b, lower=False, trans=0, check_finite=False):
     return x
 
 
-def _spectral_norms(stack):
-    """Spectral norm of each matrix of a (k, p, m) stack: 0 for an empty
-    matrix, NaN for one that is not finite, as _norm2.  Each is the square
-    root of the largest eigenvalue of the smaller Gram matrix, from one
-    stacked Hermitian eigen-solve, and agrees with _norm2 to rounding.
-    Each matrix is first divided by the power of two just above its
-    largest entry, which is exact, so the Gram entries neither overflow
-    nor underflow at any finite scale."""
+def _gram_eigenvalues(stack):
+    """(w, scale) for a (k, p, m) stack: w[i] the min(p, m) ascending
+    eigenvalues of the smaller Gram matrix of stack[i] / scale[i], so that
+    stack[i] has the singular values sqrt(w[i]) * scale[i].  The one route
+    to singular values read as norms.
+
+    scale[i] is the power of two just above the largest entry, at most
+    2^1023 so that it is finite: the division is exact and no Gram entry
+    overflows or underflows.  Up to 2 rows take the closed form, the
+    diagonal or (a + c)/2 -+ hypot((a - c)/2, |b|) for [[a, b], [b^*, c]],
+    within a few ulps of a + c as an eigen-solve's are (the discriminant
+    form cancels near a unitary value); larger Grams take one stacked
+    eigvalsh.  A non-finite matrix gets NaN, with no floating-point
+    warning."""
     k, p, m = stack.shape
     if not p * m:
-        return np.zeros(k)
+        return np.zeros((k, 0)), np.ones(k)
     peak = np.abs(stack).max(axis=(1, 2))
     finite = np.isfinite(peak)
-    scale = np.ldexp(1.0, np.frexp(np.where(finite, peak, 0.0))[1])
-    unit = np.where(finite[:, None, None], stack / scale[:, None, None], 0.0)
-    gram = (unit @ unit.conj().transpose(0, 2, 1) if p <= m
-            else unit.conj().transpose(0, 2, 1) @ unit)
-    norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)) * scale
-    return np.where(finite, norms, np.nan)
+    if not finite.all():
+        w, scale = _gram_eigenvalues(np.where(finite[:, None, None], stack, 0.0))
+        return np.where(finite[:, None], w, np.nan), scale
+    scale = np.ldexp(1.0, np.minimum(np.frexp(peak)[1], 1023))
+    unit = stack / scale[:, None, None]
+    if p > m:
+        unit = unit.conj().transpose(0, 2, 1)
+    gram = unit @ unit.conj().transpose(0, 2, 1)
+    if gram.shape[1] == 1:
+        w = gram[:, 0, :].real
+    elif gram.shape[1] == 2:
+        a, c = gram[:, 0, 0].real, gram[:, 1, 1].real
+        mid = 0.5 * (a + c)
+        rad = np.hypot(0.5 * (a - c), np.abs(gram[:, 0, 1]))
+        w = np.stack([mid - rad, mid + rad], axis=1)
+    else:
+        w = np.linalg.eigvalsh(gram)
+    return w, scale
+
+
+def _spectral_norms(stack):
+    """Spectral norm of each matrix of a (k, p, m) stack, the square root
+    of the largest of its _gram_eigenvalues times its scale: 0 for an empty
+    matrix, NaN for one that is not finite, and within a few ulps of
+    np.linalg.norm(M, 2) at every finite scale."""
+    w, scale = _gram_eigenvalues(stack)
+    return np.sqrt(np.maximum(w.max(axis=1, initial=0.0), 0.0)) * scale
 
 
 def _residual_norm(R, bound):
     """The value that certifies a residual matrix R against bound: an upper
     bound on ||R||_2, and ||R||_2 itself wherever ||R||_F cannot decide.
 
-    ||R||_F >= ||R||_2, so where _norm2 would take an SVD, a Frobenius norm
-    (_fro) within bound * (1 - 1e-14) is returned without one; the
+    ||R||_F >= ||R||_2, so a Frobenius norm (_fro) within
+    bound * (1 - 1e-14) is returned with no spectral norm taken; the
     deflation, about 45 ulps, covers the rounding of either norm where the
-    two coincide (rank one), the few ulps of _fro's one dot included.
-    Above it, and for an empty R or a single row or column, _norm2(R) is
-    returned, so a value above bound, and every failing certificate, is
-    the one that always taking _norm2 gives.
+    two coincide (rank one, a single row or column among them), the few
+    ulps of _fro's one dot included.  Above it _norm2(R) is returned, so a
+    value above bound, and every failing certificate, is the one that
+    always taking _norm2 gives.
     """
-    if min(R.shape) > 1:
-        fro = _fro(R)
-        if fro <= bound * (1.0 - 1e-14):
-            return fro
+    fro = _fro(R)
+    if fro <= bound * (1.0 - 1e-14):
+        return fro
     return _norm2(R)
 
 

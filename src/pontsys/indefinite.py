@@ -532,7 +532,7 @@ class IndefiniteSubspace:
         # orthonormal bases skip its SVD; a NaN norm still takes the SVD
         if k and not _fro(basis.conj().T @ basis - np.eye(k)) <= 0.5:
             s = np.linalg.svd(basis, compute_uv=False)
-            if s[-1] <= DEFAULT_TOL.rank_tol * max(1.0, s[0]):
+            if s[-1] <= _rank_cut(s, DEFAULT_TOL):
                 raise InputError("basis columns are numerically dependent")
 
     @classmethod
@@ -741,7 +741,7 @@ def canonical_basis(space, tol=DEFAULT_TOL):
     if V.shape[1] == 0:
         return V.copy(), np.zeros(0)
     w, U = np.linalg.eigh(space.gram)
-    if np.min(np.abs(w)) <= tol.rank_tol * max(1.0, float(np.max(np.abs(w)))):
+    if np.min(np.abs(w)) <= _rank_cut(np.abs(w), tol):
         raise NonRegularSubspaceError("subspace is not regular; no metric basis")
     order = np.argsort(-np.sign(w), kind="stable")
     w = w[order]
@@ -750,13 +750,21 @@ def canonical_basis(space, tol=DEFAULT_TOL):
     return W, np.sign(w)
 
 
+def _rank_cut(s, tol):
+    """rank_tol * max(1, s_0), s_0 the largest of the singular values (or
+    eigenvalue moduli) s along the last axis: the values above it make the
+    numerical rank.  Every rank cut of that form is this one."""
+    return tol.rank_tol * np.maximum(1.0, np.max(s, axis=-1, initial=0.0))
+
+
 def nullspace(M, tol=DEFAULT_TOL):
-    """Orthonormal basis of the numerical null space, rank cut at rank_tol."""
+    """Orthonormal basis of the numerical null space, rank cut at rank_tol;
+    only a wide M needs the full V^H of its SVD."""
     M = as_matrix(M, name="nullspace input")
     if M.shape[0] == 0 or M.shape[1] == 0:
         return np.eye(M.shape[1], dtype=np.complex128)
-    u, s, vh = np.linalg.svd(M)
-    r = int(np.sum(s > tol.rank_tol * max(1.0, s[0])))
+    _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    r = int(np.sum(s > _rank_cut(s, tol)))
     return vh[r:].conj().T
 
 
@@ -765,8 +773,8 @@ def column_space(M, tol=DEFAULT_TOL):
     M = as_matrix(M, name="column_space input")
     if M.shape[1] == 0 or M.shape[0] == 0:
         return np.zeros((M.shape[0], 0), dtype=np.complex128)
-    u, s, vh = np.linalg.svd(M, full_matrices=False)
-    r = int(np.sum(s > tol.rank_tol * max(1.0, s[0]))) if s.size else 0
+    u, s, _ = np.linalg.svd(M, full_matrices=False)
+    r = int(np.sum(s > _rank_cut(s, tol)))
     return u[:, :r]
 
 

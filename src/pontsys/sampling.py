@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import InputError
+from .exceptions import InputError, _norm2
 from .indefinite import DEFAULT_TOL, SignatureSpace, metric_signs
 
 __all__ = [
@@ -140,7 +140,7 @@ def random_j_contraction(rng, dom, cod, strict=0.0):
     p_cod = cod_s.size - kc
     C = rng.standard_normal((p_cod, p_dom)) + 1j * rng.standard_normal((p_cod, p_dom))
     if C.size:
-        top = np.linalg.norm(C, 2)
+        top = _norm2(C)
         target = (1.0 - strict) * (0.3 + 0.7 * rng.random())
         C = C * (target / max(top, 1e-12))
     if kd:

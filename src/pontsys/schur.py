@@ -52,7 +52,9 @@ from .exceptions import (
     InputError,
     InternalConsistencyError,
     PreconditionError,
+    _certify_residual,
     _fro,
+    _gram_eigenvalues,
     _norm2,
     _spectral_norms,
     _trsolve,
@@ -62,6 +64,7 @@ from .indefinite import (
     DEFAULT_TOL,
     SignatureSpace,
     _DiscSchur,
+    _rank_cut,
     column_space,
     inertia,
 )
@@ -223,7 +226,7 @@ def _gram_from_values(points, values, tol):
     w = np.linalg.eigvalsh(G)
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
     certify("kernel Gram Hermitian residual", herm, 1e-12 * scale)
-    thr = tol.rank_tol * scale
+    thr = _rank_cut(np.abs(w), tol)
     plus = int(np.sum(w > thr))
     minus = int(np.sum(w < -thr))
     return KernelGram(points, G, (plus, w.size - plus - minus, minus), p)
@@ -393,7 +396,7 @@ def invert_system(system, tol=DEFAULT_TOL):
     if D.size == 0:
         raise PreconditionError("cannot invert an empty feedthrough")
     sv = np.linalg.svd(D, compute_uv=False)
-    if sv[-1] <= tol.rank_tol * max(1.0, sv[0]):
+    if sv[-1] <= _rank_cut(sv, tol):
         raise PreconditionError("feedthrough is numerically singular")
     Dinv = np.linalg.inv(D)
     out = Colligation(
@@ -716,51 +719,19 @@ def _fresh_survey(S, samples, tol):
 def _survey_norms(V):
     """|V|_2, |I - V^*V|_2 and |I - VV^*|_2 over a (K, p, m) stack.
 
-    All three come from the squared singular values s^2 of each value: the
-    defects are max_i |1 - s_i^2|, and the side of the larger dimension
-    has |p - m| more eigenvalues 1.  A scalar stack takes |v| and
-    |1 - |v|^2|, with no LAPACK call.  With min(p, m) <= 2 the s^2 are the
-    eigenvalues of the smaller Gram G, in closed form: |v|^2 for a row or a
-    column, and (a + c)/2 +- hypot((a - c)/2, |b|) for G = [[a, b], [b^*,
-    c]].  Each is within a few ulps of a + c of the exact value, as the
-    stacked SVD's s^2 are, so the defects keep its absolute accuracy; the
-    discriminant form f^2 - 4 |det V|^2 would cancel near a unitary value.
-    Values whose Gram overflows take the SVD.  Larger stacks take one
-    stacked singular-value solve."""
+    All three come from the squared singular values s^2 = w * scale * scale
+    of each value's _gram_eigenvalues, exact and never 0 * inf: the defects
+    are max_i |1 - s_i^2|, and the side of the larger dimension has |p - m|
+    more eigenvalues 1.  Each s^2 is within a few ulps of a + c, so the
+    defects keep their absolute accuracy; one beyond the range is inf."""
     _, p, m = V.shape
-    if p == m == 1:
-        a = np.abs(V[:, 0, 0])
-        with np.errstate(over="ignore"):
-            d = np.abs(1.0 - a * a)
-        return a, d, d
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a defect beyond the range is inf
-        if min(p, m) > 2:
-            s = np.linalg.svd(V, compute_uv=False)
-            top, sq = np.max(s, axis=1, initial=0.0), s * s
-        else:
-            sq = _gram_eigenvalues(V if p <= m else V.conj().transpose(0, 2, 1))
-            top = np.sqrt(np.max(sq, axis=1, initial=0.0))
-            bad = ~np.isfinite(sq).all(axis=1)
-            if bad.any():
-                s = np.linalg.svd(V[bad], compute_uv=False)
-                top[bad], sq[bad] = s[:, 0], s * s
-        d = np.max(np.abs(1.0 - sq), axis=1, initial=0.0)
+    w, scale = _gram_eigenvalues(V)
+    top = np.sqrt(np.maximum(w.max(axis=1, initial=0.0), 0.0)) * scale
+    with np.errstate(over="ignore"):
+        d = np.max(np.abs(1.0 - w * scale[:, None] * scale[:, None]), axis=1, initial=0.0)
     return (top,
             np.maximum(d, 1.0) if m > p else d,
             np.maximum(d, 1.0) if p > m else d)
-
-
-def _gram_eigenvalues(W):
-    """Eigenvalues of W W^H, descending, over a (K, q, r) stack with q <= 2:
-    the squared singular values of each W."""
-    G = W @ W.conj().transpose(0, 2, 1)
-    if W.shape[1] < 2:
-        return np.diagonal(G, axis1=1, axis2=2).real.copy()
-    a, c = G[:, 0, 0].real, G[:, 1, 1].real
-    mid = 0.5 * (a + c)
-    rad = np.hypot(0.5 * (a - c), np.abs(G[:, 0, 1]))
-    return np.stack([mid + rad, mid - rad], axis=1)
 
 
 def boundary_behavior(S, tol=DEFAULT_TOL):
@@ -1037,8 +1008,8 @@ def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
         Rw, Rz = Z @ X[:, 0], Z @ X[:, 1]
         lhs = Rz.conj().T @ (model.state.signs[:, None] * Rw)
         rhs = (np.eye(p) - ref[1] @ ref[0].conj().T) / (1.0 - z_ref * np.conj(w_ref))
-        certify("reproducing identity residual", _norm2(lhs - rhs),
-                1e-6 * max(1.0, _norm2(rhs)))
+        _certify_residual("reproducing identity residual", lhs - rhs, 1e-6,
+                          lambda: max(1.0, _norm2(rhs)))
     return model
 
 
@@ -1068,10 +1039,9 @@ class KernelDecompositionReport:
     note: str = RATIONAL_NOTE
 
 
-def _pinv_hermitian(G, rank_tol):
+def _pinv_hermitian(G, tol):
     w, V = np.linalg.eigh(G)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    kept = np.abs(w) > rank_tol * scale
+    kept = np.abs(w) > _rank_cut(np.abs(w), tol)
     inv = np.zeros_like(w)
     inv[kept] = 1.0 / w[kept]
     return (V * inv[None, :]) @ V.conj().T
@@ -1148,7 +1118,7 @@ def check_kernel_decomposition(S1, S2, tol=DEFAULT_TOL, variant="observable"):
     N = pts.size
     images = (vals[1] @ g1.matrix.reshape(N, p1, N * p1)).reshape(
         N * p2, N * p1)
-    Gpinv = _pinv_hermitian(g12.matrix, tol.rank_tol)
+    Gpinv = _pinv_hermitian(g12.matrix, tol)
     membership = _norm2(g12.matrix @ (Gpinv @ images) - images)
     gram_images = images.conj().T @ Gpinv @ images
     iso_resid = max(_norm2(gram_images - g1.matrix) / max(1.0, _norm2(g1.matrix)),

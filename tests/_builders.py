@@ -235,6 +235,21 @@ def spy_attr(monkeypatch, owner, name):
     return calls
 
 
+def spy_callers(monkeypatch, owner, name):
+    """spy_attr recording, for each call, the name of the function that
+    made it, such as "_gram_eigenvalues" for the stacked eigen-solve of the
+    spectral-norm primitive."""
+    calls = []
+    real = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
 def spectral_norms(calls):
     """The np.linalg.norm calls recorded by spy_attr that took the 2-norm
     of a single matrix, one SVD each."""

@@ -8,13 +8,15 @@ feeds it.
 """
 
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from _builders import blaschke_system, spy_attr
+from _builders import blaschke_system, spy, spy_attr
 from pontsys import cli, colligation, julia, products, schur
 from pontsys.cli import main, save_system
 from pontsys.colligation import markov, state_change, unitary_similarity, weak_similarity
@@ -23,8 +25,10 @@ from pontsys.exceptions import (
     _certify_residual,
     _certify_scaled,
     _fro,
+    _gram_eigenvalues,
     _norm2,
     _residual_norm,
+    _spectral_norms,
     certify,
 )
 from pontsys.indefinite import DEFAULT_TOL, SignatureSpace
@@ -141,18 +145,18 @@ class TestLazyCertificates:
             _certify_scaled("residual", np.nan, 1e-8, lambda: 4.0)
 
     def test_frobenius_within_the_bound_skips_the_svd(self, monkeypatch):
-        svd = spy_attr(monkeypatch, np.linalg, "svd")
+        grams = spy(monkeypatch, _gram_eigenvalues)
         _certify_residual("residual", np.diag([0.6e-8, 0.6e-8]), 1e-8)
-        assert svd == []
+        assert grams == []
 
     def test_the_spectral_norm_decides_above_the_frobenius_bound(self, monkeypatch):
-        # _norm2 takes the singular values directly, one SVD per norm
-        svd = spy_attr(monkeypatch, np.linalg, "svd")
+        # _norm2 reads one Gram of a one-matrix stack per norm
+        grams = spy(monkeypatch, _gram_eigenvalues)
         # ||R||_F = 1.13e-8 > 1e-8 >= ||R||_2 = 0.8e-8
         _certify_residual("residual", np.diag([0.8e-8, 0.8e-8]), 1e-8)
         # rank one on the bound: the two norms coincide
         _certify_residual("residual", np.diag([1e-8, 0.0]), 1e-8)
-        assert len(svd) == 2
+        assert [args[0].shape for args in grams] == [(1, 2, 2)] * 2
         with pytest.raises(InternalConsistencyError) as info:
             _certify_residual("residual", np.diag([2e-8, 1e-9]), 1e-8)
         assert str(info.value) == "residual: 2.000e-08 exceeds the bound 1.000e-08"
@@ -162,37 +166,42 @@ class TestLazyCertificates:
 
     def test_returns_the_value_it_certified(self, monkeypatch):
         # the Frobenius norm where it passes, the spectral norm above it,
-        # bit for bit, and _norm2 for a single row or column
+        # bit for bit; a single row or column takes the same gate, and its
+        # Frobenius norm is its spectral norm to a few ulps
         rng = np.random.default_rng(7)
         R = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
         fro, two = _fro(R), _norm2(R)
         assert fro > two
-        svd = spy_attr(monkeypatch, np.linalg, "svd")
+        grams = spy(monkeypatch, _gram_eigenvalues)
         assert _certify_residual("residual", R, 1.5 * fro) == fro
         assert _residual_norm(R, 1.5 * fro) == fro
-        assert svd == []
+        assert grams == []
         assert _certify_residual("residual", R, fro) == two
         assert _residual_norm(R, fro) == two
-        assert len(svd) == 2
+        assert len(grams) == 2
         for M in (R[:, :1], R[:1]):
-            assert _residual_norm(M, 1e3) == _norm2(M)
+            assert _residual_norm(M, 2.0 * _fro(M)) == _fro(M)
+            assert abs(_fro(M) - _norm2(M)) <= 4 * np.finfo(float).eps * _fro(M)
+            assert _residual_norm(M, _fro(M)) == _norm2(M)
         assert _residual_norm(np.zeros((0, 3)), 1e-8) == 0.0
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1), (1, 40), (40, 1)])
     @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
     def test_one_row_or_column_takes_no_svd(self, monkeypatch, shape, scale):
         # the Euclidean norm is the one singular value, within a few ulps of
-        # the SVD's, with no square overflowing or underflowing
+        # the SVD's, with no square overflowing or underflowing, and with no
+        # SVD and no eigen-solve
         rng = np.random.default_rng([shape[0], shape[1], 3])
         cases = [scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
                  for _ in range(20)]
         cases.append(scale * rng.standard_normal(shape))
         want = [np.linalg.norm(M, 2) for M in cases]
         svd = spy_attr(monkeypatch, np.linalg, "svd")
+        eigvalsh = spy_attr(monkeypatch, np.linalg, "eigvalsh")
         for M, w in zip(cases, want):
             assert abs(_norm2(M) - w) <= 8 * np.finfo(float).eps * w
         assert _norm2(np.zeros(shape)) == 0.0
-        assert svd == []
+        assert svd == eigvalsh == []
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_empty_norm_is_zero(self, shape):
@@ -206,7 +215,7 @@ class TestLazyCertificates:
         assert np.isnan(_norm2(M))
 
     def test_nan_residual_fails_its_certificate(self):
-        # the SVD behind a spectral norm raises LinAlgError on NaN entries
+        # a NaN residual has a NaN spectral norm, which fails every bound
         R = np.full((2, 2), np.nan)
         with pytest.raises(InternalConsistencyError):
             _certify_residual("residual", R, 1e-8)
@@ -217,6 +226,71 @@ class TestLazyCertificates:
         with pytest.raises(InternalConsistencyError):
             _certify_scaled("Krylov map intertwining residual",
                             np.max(list(residuals.values())), 1e-8, lambda: 1.0)
+
+
+class TestGramEigenvalues:
+    """The one route to singular values read as norms, against the
+    stacked SVD and np.linalg.norm(M, 2): every shape, closed form or
+    eigen-solve, at scales whose squares would underflow or overflow."""
+
+    SHAPES = [(0, 4), (4, 0), (1, 7), (7, 1), (2, 2), (2, 5), (3, 3), (5, 3), (40, 40)]
+    SCALES = [1e-150, 1e-75, 1e-8, 1.0, 1e8, 1e75, 1e150]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_against_the_svd(self, shape, kind):
+        rng = np.random.default_rng([shape[0], shape[1], 45])
+        draw = ((lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                if kind == "complex" else lambda: rng.standard_normal(shape))
+        stack = np.array([scale * draw() for scale in self.SCALES for _ in range(3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, scale = _gram_eigenvalues(stack)
+            norms = _spectral_norms(stack)
+            single = [_norm2(M) for M in stack]
+        assert w.shape == (stack.shape[0], min(shape)) and np.all(np.diff(w, axis=1) >= 0)
+        want = np.linalg.norm(stack, 2, axis=(1, 2)) if stack.size else np.zeros(len(stack))
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(norms - want) <= 32 * eps * want)
+        assert single == norms.tolist()
+        if not min(shape):
+            return
+        # each scale is the power of two just above the largest entry
+        peak = np.abs(stack).max(axis=(1, 2)) / scale
+        assert np.all((0.5 <= peak) & (peak < 1.0))
+        assert np.array_equal(scale, np.ldexp(1.0, np.frexp(scale)[1] - 1))
+        s = np.linalg.svd(stack, compute_uv=False)[:, ::-1] / scale[:, None]
+        assert np.all(np.abs(w - s * s) <= 64 * eps * w[:, -1:])
+
+    def test_entries_near_the_float_maximum(self):
+        # the scale stops at 2^1023, so an entry past it keeps a finite norm
+        big = np.finfo(float).max
+        cases = [np.array([[big]]), np.diag([1e308, 1.0]), np.array([[1e308], [1e-300]]),
+                 np.array([[big, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [_norm2(M) for M in cases]
+        want = [np.linalg.norm(M, 2) for M in cases]
+        assert np.all(np.abs(np.subtract(got, want)) <= 8 * np.finfo(float).eps * np.array(want))
+
+    @pytest.mark.parametrize("shape", SHAPES[2:])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(np.inf, np.nan),
+                                     complex(1.0, -np.inf)])
+    def test_non_finite_matrix_is_nan_without_warning(self, shape, bad):
+        stacks = [np.ones((3,) + shape, dtype=complex)]
+        if not np.iscomplexobj(bad):
+            stacks.append(np.ones((3,) + shape))
+        for stack in stacks:
+            stack[1, -1, 0] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                w, scale = _gram_eigenvalues(stack)
+                norms = _spectral_norms(stack)
+                one = _norm2(stack[1])
+            assert np.isnan(w[1]).all() and np.isnan(norms[1]) and np.isnan(one)
+            assert np.isfinite(w[[0, 2]]).all()
+            assert norms[0] == norms[2] == pytest.approx(math.sqrt(shape[0] * shape[1]),
+                                                         rel=1e-14)
 
 
 def _plant(monkeypatch, module, attr, target, value):

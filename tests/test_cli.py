@@ -805,6 +805,20 @@ class TestRealize:
         code, _ = run_cli(tmp_path, "realize", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("doc, error, reason", [
+        ({"coefficients": [[[[1.0, 0.0]]]]}, "PreconditionError",
+         "need at least 2 coefficients, got 1"),
+        ({"coefficients": [[[[1.0, 0.0]]]] * 4, "order_bound": -1}, "InputError",
+         "order bound must be nonnegative, got -1"),
+    ])
+    def test_short_window_or_negative_bound_exits_two(self, tmp_path, capsys, doc,
+                                                       error, reason):
+        path = tmp_path / "taylor.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_cli(tmp_path, "realize", str(path))
+        assert code == 2 and report is None
+        assert json.loads(capsys.readouterr().err) == {"error": error, "reason": reason}
+
     def test_oversized_taylor_entry_names_the_entry(self, tmp_path, capsys):
         path = tmp_path / "taylor.json"
         path.write_text(json.dumps({"coefficients": [

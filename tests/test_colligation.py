@@ -33,6 +33,7 @@ from pontsys.exceptions import (
     OrderAmbiguityError,
     PoleProximityError,
     PreconditionError,
+    _gram_eigenvalues,
     _spectral_norms,
 )
 from pontsys.indefinite import (
@@ -1789,6 +1790,10 @@ class TestSimilarity:
                             sys1.state)
         sys2 = Colligation(sys2.state, 2, 2, sys2.A, sys2.B, sys2.C,
                            sys2.D + np.diag(shift))
+        # one stacked call of the norm primitive, for the 49 orders of both
+        # stacks, and after it only one-matrix calls for residuals above
+        # their Frobenius bound; 2 x 2 Grams take the closed form
+        grams = spy(monkeypatch, _gram_eigenvalues)
         eigvalsh = spy_attr(monkeypatch, np.linalg, "eigvalsh")
         if refused:
             with pytest.raises(PreconditionError, match=(
@@ -1796,7 +1801,10 @@ class TestSimilarity:
                 weak_similarity(sys1, sys2)
         else:
             assert weak_similarity(sys1, sys2).residuals["A"] < 1e-8
-        assert [args[0].shape for args in eigvalsh] == [(2 * 49, 2, 2)] * eigen_solves
+        shapes = [args[0].shape for args in grams]
+        assert shapes[:eigen_solves] == [(2 * 49, 2, 2)] * eigen_solves
+        assert all(shape[0] == 1 for shape in shapes[eigen_solves:])
+        assert eigvalsh == []
 
 
 class TestRealize:
@@ -1844,6 +1852,19 @@ class TestRealize:
     def test_not_enough_coefficients(self):
         with pytest.raises(PreconditionError):
             realize_from_taylor([np.eye(1)] * 3, order_bound=1)
+
+    def test_one_coefficient_names_the_real_minimum(self):
+        # the derived order bound needs two coefficients; one gave -1
+        with pytest.raises(PreconditionError, match=(
+                r"^need at least 2 coefficients, got 1$")):
+            realize_from_taylor([np.eye(2)])
+        assert realize_from_taylor([np.eye(2)] * 2).state_dim == 0
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_negative_order_bound_is_refused(self, count):
+        with pytest.raises(InputError, match=r"^order bound must be nonnegative, got -1$") as info:
+            realize_from_taylor([np.eye(1)] * count, order_bound=-1)
+        assert type(info.value) is InputError
 
     def test_one_svd_per_window(self, monkeypatch):
         # four Hankel windows decide the order; the (n + 1) x n one also

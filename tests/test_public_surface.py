@@ -206,7 +206,7 @@ DECOMPOSITIONS = {
     "indefinite._cholesky": "the Cholesky primitive of the Hermitian verdict",
     "indefinite._eigen": "the eigen-solve primitive of the Hermitian verdict",
     "indefinite.canonical_basis": "the eigenvectors of a regular Gram, the tests' oracle",
-    "exceptions._spectral_norms": "a stack of spectral norms from stacked Grams",
+    "exceptions._gram_eigenvalues": "squared singular values for norms, from scaled Grams",
     "products._schur_complement": "the factor of I + B^H B, definite by construction",
     "schur._gram_from_values": "the kernel Gram's own certificate, cut at rank_tol",
     "schur._peel": "the peeled metric, whose failed factor is a typed refusal",
@@ -308,9 +308,118 @@ def test_only_the_cluster_passes_sweep_the_identity():
     assert "_sweep" in names and "_resolvent_samples" not in names
 
 
-# The package binds its LAPACK and BLAS routines from scipy's f2py
-# extensions, loaded without the scipy.linalg package, whose __init__
-# imports numpy.f2py, numpy.testing and numpy.ma and dominates start-up.
+# One singular-value route: every spectral norm is read off the scaled
+# Gram eigenvalues of exceptions._gram_eigenvalues, and every rank cut
+# rank_tol * max(1, s_0) is indefinite._rank_cut.  The SVDs left are the
+# rank and basis decisions that need small singular values or singular
+# vectors, each in a function listed here with the reason it may.
+SVD_SITES = {
+    "colligation._sweep": "the pole rule's s_min where its comparison bound leaves it open",
+    "colligation._krylov_basis": "the singular vectors and deflation of each Arnoldi block",
+    "colligation.unitary_similarity": "the samples' pseudo-inverse and the complement of their span",
+    "colligation._weak_map": "the weak map's smallest singular value; its s_0 is the map's norm",
+    "colligation.realize_from_taylor": "the Hankel windows' ranks and the factors of one",
+    "indefinite.IndefiniteSubspace.__post_init__": "the smallest singular value of a basis",
+    "indefinite.nullspace": "the trailing right singular vectors",
+    "indefinite.column_space": "the leading left singular vectors",
+    "schur.invert_system": "the smallest singular value of the feedthrough",
+    "sampling.random_j_contraction": "a random matrix with drawn singular values",
+}
+# The functions that scale rank_tol by max(1, ...) of something other than
+# singular values: the Frobenius norms of a system's blocks, which cut the
+# Arnoldi and Hautus spans.
+FROBENIUS_CUTS = {
+    "colligation._krylov_basis", "colligation._reached", "colligation._hidden_split",
+    "products._antihilbert_conservative_minimal", "schur._reflect_poles",
+}
+
+
+def _is_spectral_norm(call):
+    """Whether a call is a norm(x, 2) or norm(x, ord=2), or reads a BLAS
+    nrm2."""
+    if _callee(call) in {"dnrm2", "dznrm2", "nrm2"}:
+        return True
+    order = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "ord"), None)
+    return _callee(call) == "norm" and order is not None and ast.unparse(order) in {"2", "-2"}
+
+
+def _is_svd(call):
+    return _callee(call) in {"svd", "zgesvd", "svdvals"}
+
+
+def _cut_scales(tree, layer):
+    """(site, scale) for every product of a rank_tol and a max or maximum
+    call with a 1.0 among its arguments, scale "singular" when another
+    argument is a subscript or a max call (a largest singular value or
+    eigenvalue modulus) and "other" when not."""
+    found = set()
+    stack = [(tree, layer, True)]
+    while stack:
+        node, owner, named = stack.pop()
+        if named and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+            named = isinstance(node, ast.ClassDef)
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and "rank_tol" in ast.unparse(node)):
+            for side in (node.left, node.right):
+                if (isinstance(side, ast.Call) and _callee(side) in {"max", "maximum"}
+                        and any(isinstance(a, ast.Constant) and a.value == 1.0
+                                for a in side.args)):
+                    singular = any(isinstance(a, ast.Subscript) or (
+                        isinstance(a, ast.Call) and _callee(a) in {"max", "float"})
+                        for a in side.args)
+                    found.add((owner, "singular" if singular else "other"))
+        stack.extend((child, owner, named) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def _package_trees():
+    package = ROOT / "src" / "pontsys"
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+
+def test_norm_and_rank_census_reads_the_code():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def f(M, tol):\n"
+        "    s = np.linalg.svd(M, compute_uv=False)\n"
+        "    return np.linalg.norm(M, 2), tol.rank_tol * max(1.0, s[0])\n"
+        "def g(M, tol):\n"
+        "    return np.linalg.norm(M, ord=-2), np.linalg.norm(M, axis=0)\n"
+        "def h(x, tol, A):\n"
+        "    return dznrm2(x), tol.rank_tol * max(1.0, _fro(A))\n"
+        "def k(w, tol):\n"
+        "    return tol.rank_tol * np.maximum(1.0, float(np.max(np.abs(w))))\n")
+    assert _call_sites(tree, "m", _is_spectral_norm) == {"m.f", "m.g", "m.h"}
+    assert _call_sites(tree, "m", _is_svd) == {"m.f"}
+    assert _cut_scales(tree, "m") == {("m.f", "singular"), ("m.h", "other"),
+                                      ("m.k", "singular")}
+
+
+def test_one_singular_value_route():
+    trees = _package_trees()
+    norms = set().union(*(_call_sites(tree, layer, _is_spectral_norm)
+                          for layer, tree in trees.items()))
+    assert not norms, f"spectral norms outside exceptions._gram_eigenvalues: {sorted(norms)}"
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+             for tree in trees.values() for node in ast.walk(tree)}
+    assert not {name for name in names if name and "nrm2" in name}
+    svds = set().union(*(_call_sites(tree, layer, _is_svd) for layer, tree in trees.items()))
+    assert svds == set(SVD_SITES), (
+        f"unlisted: {sorted(svds - set(SVD_SITES))}, stale: {sorted(set(SVD_SITES) - svds)}")
+
+
+def test_one_rank_cut():
+    cuts = set().union(*(_cut_scales(tree, layer) for layer, tree in _package_trees().items()))
+    assert {site for site, scale in cuts if scale == "singular"} == {"indefinite._rank_cut"}
+    assert {site for site, scale in cuts if scale == "other"} == FROBENIUS_CUTS
+
+
+# The package binds its LAPACK routines from scipy's f2py extension,
+# loaded without the scipy.linalg package, whose __init__ imports
+# numpy.f2py, numpy.testing and numpy.ma and dominates start-up.  No BLAS
+# extension is loaded.
 
 def _run(code):
     """Run code in a fresh interpreter with the package on its path."""
@@ -325,16 +434,27 @@ def test_cli_import_leaves_scipy_linalg_unimported():
          "names = set(sys.modules)\n"
          "assert not {'scipy.linalg', 'numpy.f2py', 'numpy.testing'} & names, names\n"
          "linalg = {n for n in names if n.startswith('scipy.linalg.')}\n"
-         "assert linalg == {'scipy.linalg._flapack', 'scipy.linalg._fblas'}, linalg\n")
+         "assert linalg == {'scipy.linalg._flapack'}, linalg\n")
+
+
+def test_later_scipy_linalg_import_binds_its_blas():
+    # _fblas is not preloaded, so the package's own import loads and binds it
+    _run("import sys\n"
+         "import pontsys.cli\n"
+         "from pontsys import _lapack\n"
+         "assert 'scipy.linalg._fblas' not in sys.modules and not hasattr(_lapack, '_fblas')\n"
+         "import scipy.linalg\n"
+         "assert scipy.linalg._fblas is sys.modules['scipy.linalg._fblas']\n"
+         "assert scipy.linalg.blas.dznrm2 is scipy.linalg._fblas.dznrm2\n"
+         "assert scipy.linalg.lapack.zgees is _lapack.zgees\n")
 
 
 def test_routines_are_scipys_own():
-    import scipy.linalg.blas
     import scipy.linalg.lapack
 
+    assert len(_lapack.__all__) == 8
     for name in _lapack.__all__:
-        public = getattr(scipy.linalg.lapack, name, None) or getattr(scipy.linalg.blas, name)
-        assert getattr(_lapack, name) is public, name
+        assert getattr(_lapack, name) is getattr(scipy.linalg.lapack, name), name
 
 
 def test_imported_extensions_are_reused():
@@ -342,7 +462,7 @@ def test_imported_extensions_are_reused():
     _run("import sys\n"
          "from importlib.machinery import ExtensionFileLoader\n"
          "import scipy.linalg\n"
-         "before = {n: sys.modules['scipy.linalg.' + n] for n in ('_flapack', '_fblas')}\n"
+         "before = sys.modules['scipy.linalg._flapack']\n"
          "create = ExtensionFileLoader.create_module\n"
          "def once(self, spec):\n"
          "    assert not spec.name.startswith('scipy.linalg.'), spec.name\n"
@@ -350,9 +470,8 @@ def test_imported_extensions_are_reused():
          "ExtensionFileLoader.create_module = once\n"
          "import pontsys.cli\n"
          "from pontsys import _lapack\n"
-         "assert _lapack._flapack is before['_flapack'] and _lapack._fblas is before['_fblas']\n"
-         "assert _lapack.zgees is scipy.linalg.lapack.zgees\n"
-         "assert _lapack.dznrm2 is scipy.linalg.blas.dznrm2\n")
+         "assert _lapack._flapack is before and not hasattr(_lapack, '_fblas')\n"
+         "assert _lapack.zgees is scipy.linalg.lapack.zgees\n")
 
 
 def test_missing_extension_file_falls_back_to_the_package(tmp_path):
@@ -360,13 +479,9 @@ def test_missing_extension_file_falls_back_to_the_package(tmp_path):
     # package __init__ and registers the extension under its own name
     _run("import sys\n"
          "from pontsys import _lapack\n"
-         "names = ('_flapack', '_fblas')\n"
-         "for n in names:\n"
-         "    del sys.modules['scipy.linalg.' + n]\n"
-         f"flapack, fblas = (_lapack._extension(n, {str(tmp_path)!r}) for n in names)\n"
+         "del sys.modules['scipy.linalg._flapack']\n"
+         f"flapack = _lapack._extension('_flapack', {str(tmp_path)!r})\n"
          "assert 'scipy.linalg' in sys.modules\n"
          "assert flapack is sys.modules['scipy.linalg._flapack'] is not _lapack._flapack\n"
-         "assert fblas is sys.modules['scipy.linalg._fblas'] is not _lapack._fblas\n"
          "for name in _lapack.__all__:\n"
-         "    module = flapack if hasattr(flapack, name) else fblas\n"
-         "    assert getattr(module, name) is getattr(_lapack, name), name\n")
+         "    assert getattr(flapack, name) is getattr(_lapack, name), name\n")

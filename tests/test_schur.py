@@ -1095,7 +1095,10 @@ class TestSurveyNorms:
             k = max(p, m)
             Q = np.linalg.qr(rng.standard_normal((8, k, k))
                              + 1j * rng.standard_normal((8, k, k)))[0][:, :p, :m]
-            V = np.concatenate([V, Q, Q * (1.0 + 1e-13), Q * 1e200])
+            # rank-one values whose squared scale overflows: a zero s^2
+            # beside an infinite one
+            V = np.concatenate([V, Q, Q * (1.0 + 1e-13), Q * 1e200,
+                                np.ones((2, p, m)) * np.array([1e200, 1e300])[:, None, None]])
         _assert_survey_norms_match(schur._survey_norms(V), V)
 
     @pytest.mark.parametrize("system, inner, co_inner, masked", [
