@@ -19,6 +19,9 @@ python -c "import sys, pontsys.cli; linalg = {n for n in sys.modules if n == 'sc
 # the disc-region spectral subspaces are read off each system's Schur
 # form by the fundamental splits; no public selector is exported
 python -c "import pontsys, pontsys.indefinite as ind; assert not hasattr(pontsys, 'SpectralRegion') and not hasattr(ind, 'SpectralRegion')"
+# the oracles the tests compare the routes against live in the tests:
+# neither the package nor a layer exposes them
+python -c "import pontsys, pontsys.colligation as co, pontsys.indefinite as ind, pontsys.sampling as sa, pontsys.schur as sc; names = 'markov disc_grid j_complement canonical_basis principal_angles sharp check_kernel_decomposition'.split(); left = [(m.__name__, n) for m in (pontsys, co, ind, sa, sc) for n in names if hasattr(m, n)]; assert not left, left"
 pontsys --help
 python -W error::RuntimeWarning -m pontsys.cli --help
 # the module and the console script write the same bytes

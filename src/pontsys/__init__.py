@@ -24,7 +24,6 @@ from .colligation import (
     adjoint_system,
     classify,
     krylov_report,
-    markov,
     realize_from_taylor,
     state_change,
     system_kind,

@@ -74,7 +74,6 @@ __all__ = [
     "adjoint_system",
     "transfer_eval",
     "transfer_values",
-    "markov",
     "krylov_report",
     "state_change",
     "to_canonical",
@@ -521,15 +520,6 @@ def transfer_eval(system, z, tol=DEFAULT_TOL):
     is numerically singular with PoleProximityError.
     """
     return transfer_values(system, [complex(z)], tol, raise_on_pole=True)[0][0]
-
-
-def markov(system, k):
-    """Taylor coefficient of the transfer function: D at k=0, C A^(k-1) B after."""
-    if k < 0:
-        raise InputError("coefficient index must be nonnegative")
-    if k == 0:
-        return system.D.copy()
-    return system.C @ np.linalg.matrix_power(system.A, k - 1) @ system.B
 
 
 def _taylor_stack(system, order):

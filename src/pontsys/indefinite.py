@@ -20,7 +20,6 @@ from .exceptions import (
     DimensionMismatchError,
     IndefiniteDefectError,
     InputError,
-    NonRegularSubspaceError,
     NotHermitianError,
     _fro,
     _norm2,
@@ -41,12 +40,9 @@ __all__ = [
     "metric_classify",
     "inertia",
     "subspace_classify",
-    "j_complement",
     "psd_factor",
-    "canonical_basis",
     "nullspace",
     "column_space",
-    "principal_angles",
     "intersect_spans",
 ]
 
@@ -607,19 +603,6 @@ def _subspace_kind(inertia):
     return SubspaceKind.REGULAR
 
 
-def j_complement(space, tol=DEFAULT_TOL):
-    """Metric-orthogonal complement of a regular subspace.
-
-    The ambient space splits as a direct sum with the complement; the
-    dimensions add up to the ambient dimension.
-    """
-    kind = subspace_classify(space, tol)
-    if kind == SubspaceKind.DEGENERATE:
-        raise NonRegularSubspaceError("complement of a degenerate subspace is not direct")
-    basis = orthocomplement_basis(space, tol)
-    return IndefiniteSubspace._orthonormal(space.ambient, basis)
-
-
 def orthocomplement_basis(space, tol=DEFAULT_TOL):
     """Basis of the metric-orthogonal annihilator {x : V* J x = 0}.
 
@@ -731,25 +714,6 @@ class _DiscSchur:
         return T, Z, k
 
 
-def canonical_basis(space, tol=DEFAULT_TOL):
-    """Metric-orthonormal basis of a regular subspace, positive columns first.
-
-    Returns (W, signs) where W* J W = diag(signs) and signs is sorted with
-    the +1 entries first.
-    """
-    V = space.basis
-    if V.shape[1] == 0:
-        return V.copy(), np.zeros(0)
-    w, U = np.linalg.eigh(space.gram)
-    if np.min(np.abs(w)) <= _rank_cut(np.abs(w), tol):
-        raise NonRegularSubspaceError("subspace is not regular; no metric basis")
-    order = np.argsort(-np.sign(w), kind="stable")
-    w = w[order]
-    U = U[:, order]
-    W = V @ (U / np.sqrt(np.abs(w))[None, :])
-    return W, np.sign(w)
-
-
 def _rank_cut(s, tol):
     """rank_tol * max(1, s_0), s_0 the largest of the singular values (or
     eigenvalue moduli) s along the last axis: the values above it make the
@@ -776,16 +740,6 @@ def column_space(M, tol=DEFAULT_TOL):
     u, s, _ = np.linalg.svd(M, full_matrices=False)
     r = int(np.sum(s > _rank_cut(s, tol)))
     return u[:, :r]
-
-
-def principal_angles(A, B, tol=DEFAULT_TOL):
-    """Principal angles between the column spans of A and B (radians)."""
-    import scipy.linalg  # here, not at start-up: see _lapack
-    QA = column_space(A, tol)
-    QB = column_space(B, tol)
-    if QA.shape[1] == 0 or QB.shape[1] == 0:
-        return np.zeros(0)
-    return scipy.linalg.subspace_angles(QA, QB)
 
 
 def intersect_spans(A, B, tol=DEFAULT_TOL):

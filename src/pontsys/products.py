@@ -279,8 +279,8 @@ def _fundamental_split(system, outside, which, tol):
     The invariant half Z[:, :k] is the outside-disc spectral subspace, or
     the rest of the spectrum's; its metric complement is J Z[:, k:], with
     no SVD.  F_i and F_c, the Cholesky pairs of _half on the two halves,
-    certify their signs.  A degenerate invariant half raises
-    NonRegularSubspaceError, as j_complement does, before a half of the
+    certify their signs.  A degenerate invariant half, whose complement
+    is not direct, raises NonRegularSubspaceError before a half of the
     wrong sign raises InternalConsistencyError.  The invariance residual is
     Euclidean on the Schur vectors: a metric projection onto a half near
     neutrality would amplify roundoff.

@@ -14,7 +14,6 @@ from .indefinite import DEFAULT_TOL, SignatureSpace, metric_signs
 
 __all__ = [
     "boundary_points",
-    "disc_grid",
     "disc_points",
     "random_unitary",
     "random_j_unitary",
@@ -29,17 +28,6 @@ def boundary_points(n):
     if n < 1:
         raise InputError("need at least one boundary point")
     return np.exp(1j * (2 * np.pi * np.arange(n) / n))
-
-
-def disc_grid(per_ring, radii=(0.3, 0.6, 0.9), seed=0):
-    """Radial grid in the open disc: rings of seed-rotated roots of unity."""
-    rng = np.random.default_rng(seed)
-    points = []
-    for r in radii:
-        offset = rng.random() * 2 * np.pi / per_ring
-        angles = offset + 2 * np.pi * np.arange(per_ring) / per_ring
-        points.append(r * np.exp(1j * angles))
-    return np.concatenate(points)
 
 
 def disc_points(n, seed=0, radius=0.95, exclude=(), min_dist=None):

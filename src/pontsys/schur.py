@@ -7,9 +7,9 @@ negative-square estimates, Blaschke-Potapov constructors, state-space
 inversion, the two-sided Krein-Langer factorization into a Schur factor
 and a Blaschke product, peeled pole by pole off the Schur form of a
 minimal realization (README rule 7), boundary reports, scalar defect
-functions via trigonometric spectral factorization, canonical
+functions via trigonometric spectral factorization, and canonical
 co-isometric realizations from one Stein equation on a minimal
-realization, and kernel-decomposition checks for products (rule 8).
+realization (rule 8).
 
 Boundary conditions are decided at finitely many samples.  All functions
 involved are rational, and a rational function that vanishes on a subset
@@ -27,7 +27,7 @@ Those values are backward-stable evaluations on the backing's Schur form
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,7 @@ from .indefinite import (
     column_space,
     inertia,
 )
-from .products import cascade, obstruction_observable
+from .products import cascade
 from .sampling import boundary_points, disc_points
 
 __all__ = [
@@ -79,9 +79,7 @@ __all__ = [
     "DefectResult",
     "FactorizationResult",
     "BoundaryReport",
-    "KernelDecompositionReport",
     "as_transfer",
-    "sharp",
     "kernel_gram",
     "negative_squares_estimate",
     "blaschke_potapov_factor",
@@ -91,7 +89,6 @@ __all__ = [
     "boundary_behavior",
     "defect",
     "canonical_coisometric_realization",
-    "check_kernel_decomposition",
 ]
 
 RATIONAL_NOTE = ("sampled boundary verdict; rational functions agreeing at "
@@ -153,14 +150,6 @@ def _relative_mismatch(got, want):
     value stacks."""
     return float(np.max(_spectral_norms(got - want)
                         / np.maximum(1.0, _spectral_norms(want))))
-
-
-def sharp(S):
-    """The function z -> S(conj(z))^*, realized by the adjoint system.
-
-    Applying it twice returns to the original function exactly.
-    """
-    return TransferFunction(adjoint_system(as_transfer(S).backing))
 
 
 @dataclass
@@ -735,9 +724,12 @@ def _survey_norms(V):
 
 
 def boundary_behavior(S, tol=DEFAULT_TOL):
-    """Survey the function on the circle and flag inner behavior."""
+    """Survey the function on the circle and flag inner behavior: the
+    flags need 2n + 1 usable points for n states, where a defect times
+    |det(I - zA)|^2 is a trigonometric polynomial of degree n."""
     S = as_transfer(S)
-    n = tol.boundary_samples
+    floor = 2 * S.backing.state_dim + 1
+    n = max(tol.boundary_samples, floor)
     angles = 2.0 * np.pi * np.arange(n) / n
     sig, dr, dl = _circle_survey(S, n, tol)[:3]
     good = ~np.isnan(sig)
@@ -747,10 +739,13 @@ def boundary_behavior(S, tol=DEFAULT_TOL):
                               False, skipped,
                               note="all boundary samples pole-proximal")
     contractive = bool(np.max(sig[good]) <= 1.0 + tol.metric_tol)
-    inner = bool(np.max(dr[good]) <= tol.metric_tol)
-    co_inner = bool(np.max(dl[good]) <= tol.metric_tol)
+    proven = n - skipped >= floor
+    inner = proven and bool(np.max(dr[good]) <= tol.metric_tol)
+    co_inner = proven and bool(np.max(dl[good]) <= tol.metric_tol)
+    note = RATIONAL_NOTE if proven else (f"{n - skipped} usable boundary samples, "
+                                         f"fewer than the {floor} an inner verdict needs")
     return BoundaryReport(angles, sig, dr, dl, contractive, inner, co_inner,
-                          inner and co_inner, skipped)
+                          inner and co_inner, skipped, note)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,126 +1006,3 @@ def canonical_coisometric_realization(S, tol=DEFAULT_TOL):
         _certify_residual("reproducing identity residual", lhs - rhs, 1e-6,
                           lambda: max(1.0, _norm2(rhs)))
     return model
-
-
-# ---------------------------------------------------------------------------
-# kernel decomposition for products
-
-
-@dataclass
-class KernelDecompositionReport:
-    """Verdict on the kernel split of a product of Schur functions.
-
-    holds means the sampled section space of the product splits as the
-    second factor's space plus its isometric multiple of the first's;
-    the state-space observability obstruction on canonical models must
-    agree, and a disagreement raises instead of reporting.
-    """
-
-    holds: bool
-    rank_first: int
-    rank_second: int
-    rank_product: int
-    rank_additive: bool
-    isometry_residual: float
-    isometric: bool
-    obstruction_dimension: int
-    variant: str
-    note: str = RATIONAL_NOTE
-
-
-def _pinv_hermitian(G, tol):
-    w, V = np.linalg.eigh(G)
-    kept = np.abs(w) > _rank_cut(np.abs(w), tol)
-    inv = np.zeros_like(w)
-    inv[kept] = 1.0 / w[kept]
-    return (V * inv[None, :]) @ V.conj().T
-
-
-_KERNEL_PLAN_CAP = 384
-
-
-def check_kernel_decomposition(S1, S2, tol=DEFAULT_TOL, variant="observable"):
-    """Decide the kernel split behind product observability.
-
-    Both factors must be Schur class: their canonical models have no
-    negative state.  The kernel Grams of both factors and the product are
-    sampled on a disc plan that doubles from 24 points, evaluating only
-    the fresh ones (disc_points extends its own prefix), until their ranks
-    are the models' state dimensions n1, n2 and n1 + n2 minus the
-    dimension of the observability obstruction of their cascade; past
-    _KERNEL_PLAN_CAP points PreconditionError is raised.  The obstruction
-    must agree with the sampled split, or InternalConsistencyError is
-    raised.  For the controllable variant the same test runs on the
-    reflected functions in swapped order, mirroring the duality between
-    controllability of a product and observability of the adjoint product.
-    """
-    if variant not in ("observable", "controllable"):
-        raise InputError("variant must be 'observable' or 'controllable'")
-    S1 = as_transfer(S1)
-    S2 = as_transfer(S2)
-    if variant == "controllable":
-        rep = check_kernel_decomposition(sharp(S2), sharp(S1), tol,
-                                         "observable")
-        return replace(rep, variant="controllable")
-    if S2.input_dim != S1.output_dim:
-        raise DimensionMismatchError(
-            "second factor must accept the first factor's values")
-    m1 = canonical_coisometric_realization(S1, tol)
-    m2 = canonical_coisometric_realization(S2, tol)
-    for name, model in (("first factor", m1), ("second factor", m2)):
-        if model.state.neg:
-            raise PreconditionError(
-                f"{name} must be Schur class; its kernel has "
-                f"{model.state.neg} negative squares")
-    obstruction = obstruction_observable(m1, m2, tol).dimension
-    want = (m1.state_dim, m2.state_dim,
-            m1.state_dim + m2.state_dim - obstruction)
-    S12 = TransferFunction(cascade(S1.backing, S2.backing))
-
-    factors = (S1, S2, S12)
-    pts = np.zeros(0, dtype=complex)
-    vals = [np.zeros((0, S.output_dim, S.input_dim), dtype=complex)
-            for S in factors]
-    size = 24
-    while True:
-        fresh = disc_points(size, seed=tol.seed * 271 + 3, radius=0.9)[pts.size:]
-        for k, S in enumerate(factors):
-            fresh, v = _kernel_values(S, fresh, tol)
-            vals[k] = np.concatenate([vals[k], v])
-        pts = np.concatenate([pts, fresh])
-        g1, g2, g12 = (_gram_from_values(pts, v, tol) for v in vals)
-        ranks = (g1.rank, g2.rank, g12.rank)
-        if ranks == want:
-            break
-        if size >= _KERNEL_PLAN_CAP:
-            raise PreconditionError(
-                f"kernel Gram ranks {ranks} at {size} disc points do not meet "
-                f"the state-space ranks {want}")
-        size *= 2
-    r1, r2, r12 = ranks
-    rank_additive = r12 == r1 + r2
-
-    # images of the first factor's sections under multiplication by the
-    # second factor, written in the product space's sampled coordinates
-    p1 = S1.output_dim
-    p2 = S2.output_dim
-    N = pts.size
-    images = (vals[1] @ g1.matrix.reshape(N, p1, N * p1)).reshape(
-        N * p2, N * p1)
-    Gpinv = _pinv_hermitian(g12.matrix, tol)
-    membership = _norm2(g12.matrix @ (Gpinv @ images) - images)
-    gram_images = images.conj().T @ Gpinv @ images
-    iso_resid = max(_norm2(gram_images - g1.matrix) / max(1.0, _norm2(g1.matrix)),
-                    membership / max(1.0, _norm2(images)))
-    isometric = iso_resid <= 1e-6
-    holds = rank_additive and isometric
-
-    clean = obstruction == 0
-    if clean != holds:
-        raise InternalConsistencyError(
-            "kernel decomposition and state-space obstruction disagree "
-            f"(kernel holds={holds}, obstruction dim={obstruction})")
-    return KernelDecompositionReport(
-        holds, r1, r2, r12, rank_additive, iso_resid, isometric,
-        obstruction, "observable")

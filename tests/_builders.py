@@ -2,7 +2,7 @@
 
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -13,22 +13,43 @@ from pontsys.colligation import (
     SystemKind,
     _sampled_hidden,
     _schur_spans,
+    adjoint_system,
     classify,
     system_kind,
     system_operator,
 )
 from pontsys import colligation
-from pontsys.exceptions import InternalConsistencyError
+from pontsys.exceptions import (
+    DimensionMismatchError,
+    InputError,
+    InternalConsistencyError,
+    NonRegularSubspaceError,
+    PreconditionError,
+    _norm2,
+)
 from pontsys.indefinite import (
     DEFAULT_TOL,
+    IndefiniteSubspace,
     SignatureSpace,
+    SubspaceKind,
+    _rank_cut,
     column_space,
     is_psd,
     metric_classify,
     metric_defects,
-    principal_angles,
+    orthocomplement_basis,
+    subspace_classify,
 )
-from pontsys.products import cascade
+from pontsys.products import cascade, obstruction_observable
+from pontsys.sampling import disc_points
+from pontsys.schur import (
+    RATIONAL_NOTE,
+    TransferFunction,
+    _gram_from_values,
+    _kernel_values,
+    as_transfer,
+    canonical_coisometric_realization,
+)
 
 ROOT3 = math.sqrt(3.0)
 
@@ -268,13 +289,9 @@ def roots_of_unity_system(count=128):
 
 def same_span(A, B, tol=DEFAULT_TOL, angle_tol=1e-8):
     """Whether two matrices span the same column space within angle_tol."""
-    QA = column_space(A, tol)
-    QB = column_space(B, tol)
-    if QA.shape[1] != QB.shape[1]:
-        return False
-    if QA.shape[1] == 0:
-        return True
-    return float(np.max(scipy.linalg.subspace_angles(QA, QB))) <= angle_tol
+    QA, QB = column_space(A, tol), column_space(B, tol)
+    return (QA.shape[1] == QB.shape[1]
+            and float(np.max(principal_angles(QA, QB, tol), initial=0.0)) <= angle_tol)
 
 
 def direct_sum(first, second):
@@ -292,7 +309,7 @@ def direct_sum(first, second):
 def obstruction_angle_oracle(first, second, observe, tol=DEFAULT_TOL):
     """The largest principal angle between the two hidden spaces of an
     obstruction of cascade(first, second), both times J on the reachable
-    side, by indefinite.principal_angles: two column_space SVDs and scipy's
+    side, by principal_angles: two column_space SVDs and scipy's
     subspace_angles."""
     cas = cascade(first, second)
     spaces = (_schur_spans(cas, (observe,), tol)[0][1],
@@ -360,3 +377,194 @@ def two_pass_similarity_samples(s1, s2, tol):
     observe = two_pass_samples((s1, s2), z, tol.rank_tol, observe=True)
     return [np.hstack([r, s.state.signs[:, None] * o])
             for s, r, o in zip((s1, s2), reach, observe)]
+
+
+# independent oracles that the tests compare the library's routes against
+
+
+def markov(system, k):
+    """Taylor coefficient of the transfer function: D at k=0, C A^(k-1) B after."""
+    if k < 0:
+        raise InputError("coefficient index must be nonnegative")
+    if k == 0:
+        return system.D.copy()
+    return system.C @ np.linalg.matrix_power(system.A, k - 1) @ system.B
+
+
+def disc_grid(per_ring, radii=(0.3, 0.6, 0.9), seed=0):
+    """Radial grid in the open disc: rings of seed-rotated roots of unity."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for r in radii:
+        offset = rng.random() * 2 * np.pi / per_ring
+        angles = offset + 2 * np.pi * np.arange(per_ring) / per_ring
+        points.append(r * np.exp(1j * angles))
+    return np.concatenate(points)
+
+
+def j_complement(space, tol=DEFAULT_TOL):
+    """Metric-orthogonal complement of a regular subspace.
+
+    The ambient space splits as a direct sum with the complement; the
+    dimensions add up to the ambient dimension.
+    """
+    kind = subspace_classify(space, tol)
+    if kind == SubspaceKind.DEGENERATE:
+        raise NonRegularSubspaceError("complement of a degenerate subspace is not direct")
+    basis = orthocomplement_basis(space, tol)
+    return IndefiniteSubspace._orthonormal(space.ambient, basis)
+
+
+def canonical_basis(space, tol=DEFAULT_TOL):
+    """Metric-orthonormal basis of a regular subspace, positive columns first.
+
+    Returns (W, signs) where W* J W = diag(signs) and signs is sorted with
+    the +1 entries first.
+    """
+    V = space.basis
+    if V.shape[1] == 0:
+        return V.copy(), np.zeros(0)
+    w, U = np.linalg.eigh(space.gram)
+    if np.min(np.abs(w)) <= _rank_cut(np.abs(w), tol):
+        raise NonRegularSubspaceError("subspace is not regular; no metric basis")
+    order = np.argsort(-np.sign(w), kind="stable")
+    w = w[order]
+    U = U[:, order]
+    W = V @ (U / np.sqrt(np.abs(w))[None, :])
+    return W, np.sign(w)
+
+
+def principal_angles(A, B, tol=DEFAULT_TOL):
+    """Principal angles between the column spans of A and B (radians)."""
+    QA = column_space(A, tol)
+    QB = column_space(B, tol)
+    if QA.shape[1] == 0 or QB.shape[1] == 0:
+        return np.zeros(0)
+    return scipy.linalg.subspace_angles(QA, QB)
+
+
+def sharp(S):
+    """The function z -> S(conj(z))^*, realized by the adjoint system.
+
+    Applying it twice returns to the original function exactly.
+    """
+    return TransferFunction(adjoint_system(as_transfer(S).backing))
+
+
+@dataclass
+class KernelDecompositionReport:
+    """Verdict on the kernel split of a product of Schur functions.
+
+    holds means the sampled section space of the product splits as the
+    second factor's space plus its isometric multiple of the first's;
+    the state-space observability obstruction on canonical models must
+    agree, and a disagreement raises instead of reporting.
+    """
+
+    holds: bool
+    rank_first: int
+    rank_second: int
+    rank_product: int
+    rank_additive: bool
+    isometry_residual: float
+    isometric: bool
+    obstruction_dimension: int
+    variant: str
+    note: str = RATIONAL_NOTE
+
+
+def _pinv_hermitian(G, tol):
+    w, V = np.linalg.eigh(G)
+    kept = np.abs(w) > _rank_cut(np.abs(w), tol)
+    inv = np.zeros_like(w)
+    inv[kept] = 1.0 / w[kept]
+    return (V * inv[None, :]) @ V.conj().T
+
+
+_KERNEL_PLAN_CAP = 384
+
+
+def check_kernel_decomposition(S1, S2, tol=DEFAULT_TOL, variant="observable"):
+    """Decide the kernel split behind product observability.
+
+    Both factors must be Schur class: their canonical models have no
+    negative state.  The kernel Grams of both factors and the product are
+    sampled on a disc plan that doubles from 24 points, evaluating only
+    the fresh ones (disc_points extends its own prefix), until their ranks
+    are the models' state dimensions n1, n2 and n1 + n2 minus the
+    dimension of the observability obstruction of their cascade; past
+    _KERNEL_PLAN_CAP points PreconditionError is raised.  The obstruction
+    must agree with the sampled split, or InternalConsistencyError is
+    raised.  For the controllable variant the same test runs on the
+    reflected functions in swapped order, mirroring the duality between
+    controllability of a product and observability of the adjoint product.
+    """
+    if variant not in ("observable", "controllable"):
+        raise InputError("variant must be 'observable' or 'controllable'")
+    S1 = as_transfer(S1)
+    S2 = as_transfer(S2)
+    if variant == "controllable":
+        rep = check_kernel_decomposition(sharp(S2), sharp(S1), tol,
+                                         "observable")
+        return replace(rep, variant="controllable")
+    if S2.input_dim != S1.output_dim:
+        raise DimensionMismatchError(
+            "second factor must accept the first factor's values")
+    m1 = canonical_coisometric_realization(S1, tol)
+    m2 = canonical_coisometric_realization(S2, tol)
+    for name, model in (("first factor", m1), ("second factor", m2)):
+        if model.state.neg:
+            raise PreconditionError(
+                f"{name} must be Schur class; its kernel has "
+                f"{model.state.neg} negative squares")
+    obstruction = obstruction_observable(m1, m2, tol).dimension
+    want = (m1.state_dim, m2.state_dim,
+            m1.state_dim + m2.state_dim - obstruction)
+    S12 = TransferFunction(cascade(S1.backing, S2.backing))
+
+    factors = (S1, S2, S12)
+    pts = np.zeros(0, dtype=complex)
+    vals = [np.zeros((0, S.output_dim, S.input_dim), dtype=complex)
+            for S in factors]
+    size = 24
+    while True:
+        fresh = disc_points(size, seed=tol.seed * 271 + 3, radius=0.9)[pts.size:]
+        for k, S in enumerate(factors):
+            fresh, v = _kernel_values(S, fresh, tol)
+            vals[k] = np.concatenate([vals[k], v])
+        pts = np.concatenate([pts, fresh])
+        g1, g2, g12 = (_gram_from_values(pts, v, tol) for v in vals)
+        ranks = (g1.rank, g2.rank, g12.rank)
+        if ranks == want:
+            break
+        if size >= _KERNEL_PLAN_CAP:
+            raise PreconditionError(
+                f"kernel Gram ranks {ranks} at {size} disc points do not meet "
+                f"the state-space ranks {want}")
+        size *= 2
+    r1, r2, r12 = ranks
+    rank_additive = r12 == r1 + r2
+
+    # images of the first factor's sections under multiplication by the
+    # second factor, written in the product space's sampled coordinates
+    p1 = S1.output_dim
+    p2 = S2.output_dim
+    N = pts.size
+    images = (vals[1] @ g1.matrix.reshape(N, p1, N * p1)).reshape(
+        N * p2, N * p1)
+    Gpinv = _pinv_hermitian(g12.matrix, tol)
+    membership = _norm2(g12.matrix @ (Gpinv @ images) - images)
+    gram_images = images.conj().T @ Gpinv @ images
+    iso_resid = max(_norm2(gram_images - g1.matrix) / max(1.0, _norm2(g1.matrix)),
+                    membership / max(1.0, _norm2(images)))
+    isometric = iso_resid <= 1e-6
+    holds = rank_additive and isometric
+
+    clean = obstruction == 0
+    if clean != holds:
+        raise InternalConsistencyError(
+            "kernel decomposition and state-space obstruction disagree "
+            f"(kernel holds={holds}, obstruction dim={obstruction})")
+    return KernelDecompositionReport(
+        holds, r1, r2, r12, rank_additive, iso_resid, isometric,
+        obstruction, "observable")

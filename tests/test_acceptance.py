@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from _builders import identity_feedthrough
+from _builders import identity_feedthrough, principal_angles
 from pontsys.colligation import (
     Colligation,
     SystemKind,
@@ -29,7 +29,6 @@ from pontsys.colligation import (
 from pontsys.indefinite import (
     DEFAULT_TOL,
     SignatureSpace,
-    principal_angles,
 )
 from pontsys.julia import julia_operator
 from pontsys.products import (

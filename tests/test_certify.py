@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from _builders import blaschke_system, spy, spy_attr
+from _builders import blaschke_system, markov, spy, spy_attr
 from pontsys import cli, colligation, julia, products, schur
 from pontsys.cli import main, save_system
-from pontsys.colligation import markov, state_change, unitary_similarity, weak_similarity
+from pontsys.colligation import state_change, unitary_similarity, weak_similarity
 from pontsys.exceptions import (
     InternalConsistencyError,
+    PontsysError,
     _certify_residual,
     _certify_scaled,
     _fro,
@@ -36,6 +37,7 @@ from pontsys.products import invariant_fundamental_decompositions, kl_factorize_
 from pontsys.sampling import (
     random_conservative_colligation,
     random_j_contraction,
+    random_passive_colligation,
     random_unitary,
 )
 from pontsys.schur import kl_factorize_function
@@ -518,6 +520,25 @@ class TestLayersRefuse:
         with pytest.raises(InternalConsistencyError,
                            match="factor reconstruction"):
             kl_factorize_function(system)
+
+
+class TestWeakSimilarityContract:
+    """Passive pairs similar by construction, x2 = Z x1 for a mild Z: a
+    weak similarity either recovers the planted map or refuses, typed."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [16, 24, 40])
+    def test_answer_holds_the_planted_map_or_refusal_is_typed(self, n, seed):
+        rng = np.random.default_rng([n, seed, 31])
+        s1 = random_passive_colligation(rng, SignatureSpace(n - n // 5, n // 5), 2, 2,
+                                        strict=0.35)
+        R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        Z = np.eye(n) + 0.05 * R / max(1.0, np.linalg.norm(R, 2))
+        try:
+            res = weak_similarity(s1, state_change(s1, Z, s1.state))
+        except PontsysError:
+            return
+        assert np.linalg.norm(res.Z - Z, 2) <= 1e-6 * np.linalg.norm(Z, 2)
 
 
 class TestCliExitCodeOne:

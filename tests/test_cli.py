@@ -17,6 +17,7 @@ from _builders import (
     counterexample_observable_system,
     half_shift_system,
     inverse_blaschke_system,
+    markov,
     roots_of_unity_system,
     route_bound,
     row_schur_left_system,
@@ -25,7 +26,7 @@ from _builders import (
 )
 from pontsys import cli, colligation, indefinite, julia, schur
 from pontsys.cli import load_system, main, save_system, system_to_json
-from pontsys.colligation import Colligation, krylov_report, markov, to_canonical
+from pontsys.colligation import Colligation, krylov_report, to_canonical
 from pontsys.indefinite import DEFAULT_TOL, SignatureSpace
 from pontsys.products import cascade
 from pontsys.sampling import (
@@ -651,6 +652,18 @@ class TestDefect:
         assert report["verdicts"]["bi_inner"]
         lines = (tmp_path / "boundary.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 32
+
+    def test_one_sample_survey_takes_2n_plus_1(self, tmp_path):
+        # (1 + z)/2 is inner only at z = 1, the sample --samples 1 asks for
+        system = Colligation(SignatureSpace(1, 0), 1, 1, [[0.0]], [[1.0]], [[0.5]], [[0.5]])
+        path = write_system(tmp_path, system)
+        code, report = run_cli(tmp_path, "defect", path, "--samples", "1")
+        assert code == 0
+        assert report["certificates"]["boundary_samples"] == 3
+        verdicts = report["verdicts"]
+        assert not (verdicts["inner"] or verdicts["co_inner"] or verdicts["bi_inner"])
+        lines = (tmp_path / "boundary.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 3
 
     def test_no_outputs_is_not_inner(self, tmp_path):
         from pontsys.colligation import Colligation

@@ -15,7 +15,6 @@ from pontsys.colligation import (
     adjoint_system,
     classify,
     krylov_report,
-    markov,
     realize_from_taylor,
     state_change,
     system_kind,
@@ -61,6 +60,7 @@ from _builders import (
     corner_checked_kind,
     direct_sum,
     identity_feedthrough,
+    markov,
     obstruction_angle_oracle,
     same_span,
     shift_chain_system,

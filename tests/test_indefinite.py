@@ -25,24 +25,29 @@ from pontsys.indefinite import (
     SubspaceKind,
     Tolerances,
     as_matrix,
-    canonical_basis,
     column_space,
     inertia,
     intersect_spans,
     is_psd,
     j_adjoint,
-    j_complement,
     metric_classify,
     metric_defects,
     nullspace,
     orthocomplement_basis,
-    principal_angles,
     psd_factor,
     subspace_classify,
 )
 from pontsys.products import _half, invariant_fundamental_decompositions, kl_factorize_system
 
-from _builders import same_span, spy, spy_attr, spy_callers
+from _builders import (
+    canonical_basis,
+    j_complement,
+    principal_angles,
+    same_span,
+    spy,
+    spy_attr,
+    spy_callers,
+)
 
 
 def random_invertible(rng, n, cond_bound=50.0):

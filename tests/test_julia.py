@@ -25,13 +25,12 @@ from pontsys.indefinite import (
 )
 from pontsys.julia import JuliaParts, julia_embedding, julia_operator
 from pontsys.sampling import (
-    disc_grid,
     random_conservative_colligation,
     random_j_contraction,
     random_passive_colligation,
 )
 
-from _builders import direct_sum, spectral_norms, spy, spy_attr
+from _builders import direct_sum, disc_grid, spectral_norms, spy, spy_attr
 
 
 class TestJuliaOperator:

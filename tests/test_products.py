@@ -34,9 +34,7 @@ from pontsys.indefinite import (
     IndefiniteSubspace,
     SignatureSpace,
     SubspaceKind,
-    canonical_basis,
     column_space,
-    j_complement,
     nullspace,
     subspace_classify,
 )
@@ -59,7 +57,6 @@ from pontsys.products import (
 )
 from pontsys.sampling import (
     boundary_points,
-    disc_grid,
     disc_points,
     random_conservative_colligation,
     random_passive_colligation,
@@ -71,11 +68,14 @@ from pontsys.schur import blaschke_potapov_factor, invert_system
 from _builders import (
     bitwise_equal,
     blaschke_system,
+    canonical_basis,
     counterexample_observable_system,
     direct_sum,
+    disc_grid,
     identity_feedthrough,
     inverse_blaschke_system,
     isometric_column_system,
+    j_complement,
     obstruction_angle_oracle,
     same_span,
     scipy_trsolve,

@@ -59,20 +59,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # Public functions that no route of the package, no demo, no benchmark and
 # no CI script calls, kept on purpose.
 UNCALLED = {
-    # independent oracles that tests compare the library's routes against:
-    # Taylor coefficients by matrix powers, a seeded disc sample plan, a
-    # metric-orthonormal basis by one Hermitian eigen-solve, and principal
-    # angles by scipy's subspace_angles
-    ("colligation", "markov"),
-    ("sampling", "disc_grid"),
-    ("indefinite", "canonical_basis"),
-    ("indefinite", "principal_angles"),
-    # the metric-orthogonal complement by one SVD, from which the reference
-    # splits of the fundamental-split tests build their complement halves
-    ("indefinite", "j_complement"),
-    # the paper's kernel-inclusion criterion for a product, checked on
-    # sampled kernels
-    ("schur", "check_kernel_decomposition"),
     # the completion of a bare metric contraction, which julia_embedding
     # applies to a system operator through its private helpers
     ("julia", "julia_operator"),
@@ -205,13 +191,11 @@ def test_uncalled_allowlist_is_current():
 DECOMPOSITIONS = {
     "indefinite._cholesky": "the Cholesky primitive of the Hermitian verdict",
     "indefinite._eigen": "the eigen-solve primitive of the Hermitian verdict",
-    "indefinite.canonical_basis": "the eigenvectors of a regular Gram, the tests' oracle",
     "exceptions._gram_eigenvalues": "squared singular values for norms, from scaled Grams",
     "products._schur_complement": "the factor of I + B^H B, definite by construction",
     "schur._gram_from_values": "the kernel Gram's own certificate, cut at rank_tol",
     "schur._peel": "the peeled metric, whose failed factor is a typed refusal",
     "schur.canonical_coisometric_realization": "the signed root of the model's Gram",
-    "schur._pinv_hermitian": "a pseudo-inverse cut at rank_tol",
 }
 _DECOMPOSING = {"zpotrf", "ztrtri", "eigvalsh", "eigh"}
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.linalg
 from _builders import (
     bitwise_equal,
     blaschke_system,
+    check_kernel_decomposition,
     counterexample_observable_system,
     direct_sum,
     half_shift_system,
@@ -16,6 +18,7 @@ from _builders import (
     roots_of_unity_system,
     row_schur_left_system,
     scipy_trsolve,
+    sharp,
     shift_numerator_counterexample,
     spy,
     spy_attr,
@@ -53,13 +56,11 @@ from pontsys.schur import (
     blaschke_product,
     boundary_behavior,
     canonical_coisometric_realization,
-    check_kernel_decomposition,
     defect,
     invert_system,
     kernel_gram,
     kl_factorize_function,
     negative_squares_estimate,
-    sharp,
 )
 from test_acceptance import _mixed_family
 
@@ -1139,6 +1140,29 @@ class TestBoundaryBehavior:
         rep = boundary_behavior(counterexample_observable_system())
         assert rep.co_inner and not rep.inner and not rep.bi_inner
 
+    @pytest.mark.parametrize("samples", [1, 2, 3, 256])
+    def test_inner_flags_take_at_least_2n_plus_1_samples(self, samples):
+        # (1 + z)/2 is inner nowhere but at z = 1, the one root of unity
+        # a single sample would see
+        r = math.sqrt(0.5)
+        system = Colligation(SignatureSpace(1, 0), 1, 1, [[0.0]], [[r]], [[r]], [[0.5]])
+        rep = boundary_behavior(system, replace(DEFAULT_TOL, boundary_samples=samples))
+        assert rep.angles.size == max(samples, 3)
+        assert rep.contractive and not (rep.inner or rep.co_inner or rep.bi_inner)
+
+    @pytest.mark.parametrize("samples, inner", [(1, False), (5, False), (6, True), (256, True)])
+    def test_pole_skips_below_2n_plus_1_leave_inner_unproven(self, samples, inner):
+        # the inner function z beside a decoupled state at 1, whose pole
+        # guard skips the sample at z = 1: five points leave four usable
+        system = Colligation(SignatureSpace(2, 0), 1, 1, np.diag([0.0, 1.0]),
+                             [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]])
+        rep = boundary_behavior(system, replace(DEFAULT_TOL, boundary_samples=samples))
+        assert rep.angles.size == max(samples, 5) and rep.skipped == 1
+        assert rep.inner == rep.co_inner == rep.bi_inner == inner
+        if not inner:
+            assert rep.note == ("4 usable boundary samples, fewer than the 5 "
+                                "an inner verdict needs")
+
     def test_rows_shape(self):
         rep = boundary_behavior(blaschke_system(0.3))
         rows = list(rep.rows())
@@ -1723,7 +1747,7 @@ class TestKernelDecomposition:
         assert rep.isometry_residual <= 1e-6
 
     def test_unmet_ranks_at_the_cap_are_refused(self, monkeypatch):
-        monkeypatch.setattr(schur, "_KERNEL_PLAN_CAP", 48)
+        monkeypatch.setattr("_builders._KERNEL_PLAN_CAP", 48)
         with pytest.raises(PreconditionError,
                            match=r"kernel Gram ranks .* at 48 disc points do "
                                  r"not meet the state-space ranks \(40, 3, 43\)"):
